@@ -79,6 +79,14 @@ def _embed(m: np.ndarray) -> np.ndarray:
     return hermlin.real_embed(m, tol=1e-9)
 
 
+def _pair_traces(gs, ms) -> np.ndarray:
+    """Real ``Tr(G_r M_c)`` for every pair of the two stacks, as one gemm."""
+    gs, ms = np.asarray(gs), np.asarray(ms)
+    return np.real(
+        gs.reshape(len(gs), -1) @ ms.transpose(0, 2, 1).reshape(len(ms), -1).T
+    )
+
+
 def _alpha_solution(
     j_mat: np.ndarray, d_in: int, d_out: int, positive: bool, tol: float
 ) -> tuple[sdpcore.SdpSolution, np.ndarray]:
@@ -228,16 +236,12 @@ def p1_eb_ppt(
         coeffs=[(i, _embed(bb)) for i, bb in enumerate(basis)],
     )
     in_basis = hermlin.hermitian_basis(d_in)[1:]
-    rows = np.zeros((len(in_basis), n))
-    for r, gg in enumerate(in_basis):
-        for i, bb in enumerate(basis):
-            marg = hermlin.partial_trace(bb, (d_out, d_in), 1)
-            rows[r, i] = float(np.trace(gg @ marg).real)
+    margs = [hermlin.partial_trace(bb, (d_out, d_in), 1) for bb in basis]
     problem = sdpcore.SdpProblem(
         num_vars=n,
         objective=objective,
         blocks=[psd, ppt, remainder],
-        eq_matrix=rows,
+        eq_matrix=_pair_traces(in_basis, margs),
         eq_rhs=np.zeros(len(in_basis)),
     )
     sol = sdpcore.solve(problem, tol=tol)
@@ -266,20 +270,15 @@ def _reverse_ingredients(channel: QuantumChannel):
         )
     d_a, d_b = channel.d_in, channel.d_out
     basis = hermlin.hermitian_basis(d_a * d_b)
-    linked = [
-        link_raw(bb, (d_a, d_b), channel.choi.matrix, (d_b, d_a)) for bb in basis
-    ]
+    linked = np.stack(
+        [link_raw(bb, (d_a, d_b), channel.choi.matrix, (d_b, d_a)) for bb in basis]
+    )
     b_basis = hermlin.hermitian_basis(d_b)
     # Uniform-marginal rows: tracing out the output factor of the degrading
     # Choi must leave 1/d_b, i.e. the degrading map is trace preserving.
-    marg_rows = np.zeros((len(b_basis), len(basis)))
-    marg_rhs = np.zeros(len(b_basis))
-    for r, gg in enumerate(b_basis):
-        marg_rhs[r] = float(np.trace(gg @ (np.eye(d_b) / d_b)).real)
-        for i, bb in enumerate(basis):
-            marg = hermlin.partial_trace(bb, (d_a, d_b), 1)
-            marg_rows[r, i] = float(np.trace(gg @ marg).real)
-    return d_a, d_b, basis, linked, marg_rows, marg_rhs
+    margs = [hermlin.partial_trace(bb, (d_a, d_b), 1) for bb in basis]
+    marg = _pair_traces(b_basis, margs + [np.eye(d_b) / d_b])
+    return d_a, d_b, basis, linked, marg[:, :-1], marg[:, -1]
 
 
 def _reverse_fixed_target(
@@ -297,13 +296,8 @@ def _reverse_fixed_target(
         anchor = swap_matrix(d) / d
         lo, hi = d / (d + 1.0), d / (d - 1.0)
     # Link rows: J(D compose N) + p (anchor - 1/d^2) = anchor.
-    link_rows = np.zeros((len(big), n_d + 1))
-    link_rhs = np.zeros(len(big))
-    for r, gg in enumerate(big):
-        link_rhs[r] = float(np.trace(gg @ anchor).real)
-        link_rows[r, n_d] = float(np.trace(gg @ (anchor - eye)).real)
-        for i, lk in enumerate(linked):
-            link_rows[r, i] = float(np.trace(gg @ lk).real)
+    link = _pair_traces(big, np.concatenate([linked, [anchor - eye, anchor]]))
+    link_rows, link_rhs = link[:, :-1], link[:, -1]
     eq = np.vstack(
         [np.hstack([marg_rows, np.zeros((marg_rows.shape[0], 1))]), link_rows]
     )
@@ -367,15 +361,9 @@ def reverse_alpha_hermitian(
     big = hermlin.hermitian_basis(d * d)
     phi = max_entangled(d)
     eye_in = np.eye(d) / d
-    link_rows = np.zeros((len(big), n_d + n_x))
-    link_rhs = np.zeros(len(big))
-    for r, gg in enumerate(big):
-        link_rhs[r] = float(np.trace(gg @ phi).real)
-        for i, lk in enumerate(linked):
-            link_rows[r, i] = float(np.trace(gg @ lk).real)
-        for j, aa in enumerate(x_basis):
-            term = float(np.trace(aa).real) * phi - hermlin.kron(aa, eye_in)
-            link_rows[r, n_d + j] = float(np.trace(gg @ term).real)
+    terms = [float(np.trace(aa).real) * phi - hermlin.kron(aa, eye_in) for aa in x_basis]
+    link = _pair_traces(big, np.concatenate([linked, terms, [phi]]))
+    link_rows, link_rhs = link[:, :-1], link[:, -1]
     eq = np.vstack(
         [np.hstack([marg_rows, np.zeros((marg_rows.shape[0], n_x))]), link_rows]
     )

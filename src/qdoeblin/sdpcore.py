@@ -46,7 +46,8 @@ class SdpBlock:
     """One linear matrix inequality ``C - sum_i y_i A_i >= 0``.
 
     ``coeffs`` maps variable indices to their (real symmetric) coefficient
-    matrices; variables absent from the list do not enter the block.
+    matrices; variables absent from the list do not enter the block, and a
+    variable listed more than once enters with the sum of its matrices.
     """
 
     c: np.ndarray
@@ -76,10 +77,12 @@ class SdpSolution:
 
     ``primal_residual`` measures feasibility of ``y`` for the original
     constraints (most negative slack eigenvalue and equality deviation),
-    ``dual_residual`` the stationarity defect of the internally built
-    certificate ``(x_blocks, eq_multipliers)``, and ``gap`` the relative
+    ``dual_residual`` the stationarity defect of the internally built dual
+    certificate (``x_blocks`` plus multipliers for the box bounds and the
+    equality rows, which are not returned), and ``gap`` the relative
     difference of the two objective values.  ``status == "optimal"``
-    guarantees all three are at most the solve tolerance.
+    guarantees all three are at most the solve tolerance.  ``iterations``
+    counts the interior-point steps taken to reach the returned ``y``.
     """
 
     status: str
@@ -90,8 +93,6 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     x_blocks: list[np.ndarray] = field(default_factory=list)
-    box_multipliers: np.ndarray | None = None
-    eq_multipliers: np.ndarray | None = None
     shift: float = 0.0
 
 
@@ -105,19 +106,32 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
 
 
 class _BlockData:
-    """Stacked coefficient arrays for one internal block."""
+    """Flattened coefficient stack ``aflat`` (one row per variable) of one block.
+
+    Coefficients given twice for one variable are summed here, so every
+    variable owns one row and the fancy-index scatters below lose no term.
+    """
 
     def __init__(self, c: np.ndarray, coeffs: list[tuple[int, np.ndarray]]):
         self.c = c
         self.dim = c.shape[0]
-        self.idx = np.array([i for i, _ in coeffs], dtype=int)
-        self.amat = np.stack([a for _, a in coeffs])
+        merged: dict[int, np.ndarray] = {}
+        for i, a in coeffs:
+            merged[i] = merged[i] + a if i in merged else a
+        self.idx = np.fromiter(merged, dtype=int, count=len(merged))
+        self.aflat = np.stack([a.ravel() for a in merged.values()])
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return np.tensordot(y[self.idx], self.amat, axes=1)
+        return (y[self.idx] @ self.aflat).reshape(self.dim, self.dim)
 
     def adjoint_into(self, x: np.ndarray, out: np.ndarray) -> None:
-        np.add.at(out, self.idx, np.einsum("jab,ab->j", self.amat, x))
+        out[self.idx] += self.aflat @ x.ravel()
+
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """HKM Schur block ``M_ij = Tr(A_i X A_j S^-1)`` as one gemm."""
+        k, m = len(self.idx), self.dim
+        a_sinv = (self.aflat.reshape(k * m, m) @ s_inv).reshape(k, m, m)
+        return self.aflat @ (x @ a_sinv).reshape(k, -1).T
 
 
 def _reduce_equalities(
@@ -292,7 +306,6 @@ def _solve_once(
         return _Metrics(gap, pres, dres), tau, dobj
 
     def build_solution(status: str, met: _Metrics, dobj: float, tau: float, it: int) -> SdpSolution:
-        n_box = n_orig_blocks - n_user
         return SdpSolution(
             status=status,
             y=y[:n].copy(),
@@ -302,21 +315,20 @@ def _solve_once(
             dual_residual=met.dres,
             iterations=it,
             x_blocks=[xk.copy() for xk in x[:n_user]],
-            box_multipliers=np.array([x[n_user + j][0, 0] for j in range(n_box)]),
-            eq_multipliers=nu.copy(),
             shift=tau,
         )
 
     best: tuple[float, SdpSolution] | None = None
     recenter = False
     broken = False
+    steps = 0
 
-    for it in range(max_iter):
+    for _ in range(max_iter):
         met, tau, dobj = metrics()
         if best is None or met.worst < best[0]:
-            best = (met.worst, build_solution(STATUS_MAX_ITER, met, dobj, tau, it))
+            best = (met.worst, build_solution(STATUS_MAX_ITER, met, dobj, tau, steps))
         if met.worst <= tol and tau <= 1e-6 * (1.0 + lam0):
-            return build_solution(STATUS_OPTIMAL, met, dobj, tau, it)
+            return build_solution(STATUS_OPTIMAL, met, dobj, tau, steps)
 
         mu = sum(float(np.tensordot(xk, sk)) for xk, sk in zip(x, s)) / m_total
         if not np.isfinite(mu):
@@ -344,10 +356,7 @@ def _solve_once(
 
         kkt = np.zeros((n + 1 + q, n + 1 + q))
         for blk, xk, sik in zip(blocks, x, s_inv):
-            t1 = blk.amat @ sik
-            k_j = np.matmul(xk[None, :, :], t1)
-            mloc = np.einsum("iab,jba->ij", blk.amat, k_j)
-            kkt[np.ix_(blk.idx, blk.idx)] += mloc
+            kkt[np.ix_(blk.idx, blk.idx)] += blk.schur(xk, sik)
         kkt[: n + 1, n + 1 :] = e_aug.T
         kkt[n + 1 :, : n + 1] = e_aug
         try:
@@ -425,16 +434,17 @@ def _solve_once(
         nu = nu + a_p * dnu
         y = y + a_d * dy
         s = [0.5 * ((sk + a_d * dsk) + (sk + a_d * dsk).T) for sk, dsk in zip(s, ds)]
+        steps += 1
 
     met, tau, dobj = metrics()
     if met.worst <= tol and tau <= 1e-6 * (1.0 + lam0):
-        return build_solution(STATUS_OPTIMAL, met, dobj, tau, max_iter)
+        return build_solution(STATUS_OPTIMAL, met, dobj, tau, steps)
     fallback_status = STATUS_NUMERICAL if broken else STATUS_MAX_ITER
     if best is not None and best[0] < met.worst:
         sol = best[1]
         sol.status = fallback_status
         return sol
-    return build_solution(fallback_status, met, dobj, tau, max_iter)
+    return build_solution(fallback_status, met, dobj, tau, steps)
 
 
 def write_sdpa(problem: SdpProblem, path: str) -> None:

@@ -286,6 +286,40 @@ def test_reverse_rejects_rectangular():
         db.reverse_alpha(ch.erasure(0.3))
 
 
+# ------------------------------------------------------------------ qudits
+
+def test_pair_traces_matches_trace_loop():
+    # Reference: the entry-by-entry loop the equality rows were built with.
+    rng = np.random.default_rng(67)
+    gs = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    gs = gs + gs.conj().transpose(0, 2, 1)
+    ms = rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+    loop = np.array([[np.trace(g @ m).real for m in ms] for g in gs])
+    np.testing.assert_allclose(db._pair_traces(gs, ms), loop, rtol=0, atol=1e-12)
+
+
+QUDIT_CLOSED_FORMS = {
+    db.alpha: lambda p, d: p,
+    db.alpha_hermitian: lambda p, d: p,
+    db.p1_eb_ppt: lambda p, d: min(1.0, p * (d + 1) / d),
+    db.reverse_alpha: lambda p, d: p,
+    db.reverse_alpha_transpose: lambda p, d: (d + p) / (d + 1),
+    db.reverse_alpha_hermitian: lambda p, d: p,
+}
+
+
+@pytest.mark.parametrize(
+    "coeff, d, p",
+    [(f, d, p) for d, p in ((3, 0.6), (4, 0.85)) for f in QUDIT_CLOSED_FORMS]
+    + [(db.p1_eb_ppt, 5, 0.6)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_qudit_depolarizing_closed_forms(coeff, d, p):
+    res = coeff(ch.depolarizing(p, d))
+    assert res.status == sdpcore.STATUS_OPTIMAL
+    assert abs(res.value - QUDIT_CLOSED_FORMS[coeff](p, d)) < 1e-5
+
+
 # ----------------------------------------------------------------- bounds
 
 

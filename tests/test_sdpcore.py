@@ -225,6 +225,45 @@ def test_max_iter_status():
     assert sol.iterations <= 2
 
 
+def test_repeated_variable_in_one_block_is_summed():
+    rng = np.random.default_rng(203)
+    g = rng.standard_normal((3, 3))
+    a = 0.5 * (g + g.T)
+    g = rng.standard_normal((3, 3))
+    b = 0.5 * (g + g.T)
+
+    def solve_with(coeffs):
+        return sdpcore.solve(
+            sdpcore.SdpProblem(
+                num_vars=2,
+                objective=np.array([1.0, 0.5]),
+                blocks=[sdpcore.SdpBlock(c=2.0 * np.eye(3), coeffs=coeffs)],
+            )
+        )
+
+    split = solve_with([(0, a / 2), (0, a / 2), (1, b)])
+    whole = solve_with([(0, a), (1, b)])
+    assert split.status == whole.status == "optimal"
+    assert abs(split.objective_value - whole.objective_value) < 1e-9
+    np.testing.assert_allclose(split.y, whole.y, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_early_exit_reports_iterations_run():
+    # A variable with a zero coefficient makes the KKT matrix singular, so
+    # the first Newton step fails and the solve stops at once.
+    prob = sdpcore.SdpProblem(
+        num_vars=2,
+        objective=np.array([1.0, 0.0]),
+        blocks=[
+            sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (1, np.zeros((2, 2)))])
+        ],
+    )
+    sol = sdpcore.solve(prob)
+    assert sol.status == "numerical_failure"
+    assert sol.iterations < sdpcore.DEFAULT_MAX_ITER
+
+
 def test_sdpa_dump(tmp_path):
     a1 = np.zeros((2, 2))
     a1[0, 1] = a1[1, 0] = -1.0
