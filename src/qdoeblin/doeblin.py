@@ -12,7 +12,7 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ KIND_P1 = "p1_ppt"
 KIND_REV = "rev_alpha"
 KIND_REV_T = "rev_alpha_T"
 KIND_REV_H = "rev_alpha_H"
-
-FORWARD_KINDS = (KIND_ALPHA, KIND_ALPHA_T, KIND_ALPHA_H, KIND_ALPHA_TH, KIND_P1)
-REVERSE_KINDS = (KIND_REV, KIND_REV_T, KIND_REV_H)
 
 STATUS_NOT_APPLICABLE = "not_applicable"
 
@@ -58,7 +55,6 @@ class DpRange:
     lower: float
     upper: float
     label: str | None = None
-    parts: dict = field(default_factory=dict)
 
 
 @dataclass

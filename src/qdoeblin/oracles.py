@@ -5,9 +5,9 @@ hockey-stick and classical f-divergence evaluations, the dephasing
 degradation identity for generalized amplitude damping, and the classical
 binary-input symmetric-output (BISO) coefficient suite.
 
-Everything here avoids the semidefinite solver except
-:func:`classical_reverse_alpha`, which uses it only as a tiny LP feasibility
-backend, so these values can cross-check the SDP coefficient routines.
+Nothing here uses the semidefinite solver: every value is a closed form, a
+brute-force search or a direct eigenvalue evaluation, so these values can
+cross-check the SDP coefficient routines.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hermlin, sdpcore
+from . import hermlin
 from .channel import (
     QuantumChannel,
     compose,
@@ -182,10 +182,6 @@ class DivergencePair:
             if np.linalg.eigvalsh(mat)[0] < -hermlin.PSD_TOL:
                 raise ValueError(f"{name} must be positive semidefinite")
 
-    @property
-    def dimension(self) -> int:
-        return self.rho.shape[0]
-
 
 def hockey_stick(rho: np.ndarray, sigma: np.ndarray, gamma: float) -> float:
     """E_gamma(rho||sigma): the trace of the positive part of rho - gamma sigma."""
@@ -291,10 +287,6 @@ class ClassicalChannel:
     def n_outputs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def n_inputs(self) -> int:
-        return self.matrix.shape[1]
-
 
 def _biso_involution(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray | None:
     """Greedy search for an output involution swapping the two inputs."""
@@ -388,56 +380,36 @@ def classical_gamma(c: ClassicalChannel) -> float:
     return 1.0 - classical_capacity_biso(c)
 
 
-def _degrades_to_bsc(c: ClassicalChannel, p: float, tol: float) -> bool:
-    """LP feasibility: some 2-output post-processing maps c onto BSC_p.
+def _least_noisy_bsc(c: ClassicalChannel) -> np.ndarray:
+    """Post-processing t onto the least noisy BSC the channel degrades onto.
 
-    The post-processing is column-stochastic with two rows, so it is fixed
-    by the vector t of probabilities of outputting 0; feasibility means
-    <t, P(.|0)> = 1-p and <t, P(.|1)> = p with t in [0,1]^m.  Solved as a
-    minimax LP on the worst constraint violation.
+    A two-output post-processing is fixed by the vector t in [0,1]^m of
+    probabilities of outputting 0, and maps c onto BSC_p exactly when
+    <t, P(.|0)> = 1-p and <t, P(.|1)> = p.  The least such p minimises
+    <t, P(.|1)> subject to <t, P(.|0) + P(.|1)> = 1: a fractional knapsack,
+    solved by filling t greedily in ascending order of P(y|1)/(P(y|0) + P(y|1)).
+    Outputs that neither input reaches keep t = 0.
     """
-    m = c.n_outputs
     c0, c1 = c.matrix[:, 0], c.matrix[:, 1]
-    n = m + 1
-    objective = np.zeros(n)
-    objective[m] = -1.0
-    blocks = []
-    for vec, target in ((c0, 1.0 - p), (c1, p)):
-        coeffs_hi = [(i, np.array([[vec[i]]])) for i in range(m) if vec[i] != 0.0]
-        coeffs_hi.append((m, np.array([[-1.0]])))
-        blocks.append(sdpcore.SdpBlock(c=np.array([[target]]), coeffs=coeffs_hi))
-        coeffs_lo = [(i, np.array([[-vec[i]]])) for i in range(m) if vec[i] != 0.0]
-        coeffs_lo.append((m, np.array([[-1.0]])))
-        blocks.append(sdpcore.SdpBlock(c=np.array([[-target]]), coeffs=coeffs_lo))
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    upper[m] = 2.0
-    problem = sdpcore.SdpProblem(
-        num_vars=n, objective=objective, blocks=blocks, lower=lower, upper=upper
-    )
-    # Degenerate vertices can stall below the gap target; 40 iterations put
-    # the violation estimate well inside the bisection slack either way.
-    sol = sdpcore.solve(problem, tol=1e-8, max_iter=40)
-    return -sol.objective_value <= tol
+    weight = c0 + c1
+    (used,) = np.nonzero(weight > 0.0)
+    order = used[np.argsort(c1[used] / weight[used], kind="stable")]
+    w = weight[order]
+    room = 1.0 - (np.cumsum(w) - w)
+    t = np.zeros_like(weight)
+    t[order] = np.clip(room / w, 0.0, 1.0)
+    return t
 
 
-def classical_reverse_alpha(c: ClassicalChannel, p_tol: float = 1e-5) -> float:
+def classical_reverse_alpha(c: ClassicalChannel) -> float:
     """Binary entropy of the least noisy BSC the channel degrades onto.
 
-    Bisection over the crossover probability in [0, 1/2]; returns the
-    entropy at the feasible end of the final bracket, so the reported value
-    is always achievable by an explicit post-processing.
+    Closed form: the least crossover is p* = <t, P(.|1)> for the greedy
+    post-processing t of :func:`_least_noisy_bsc`, and the value is h(p*).
+    Taking t = 1/2 everywhere reaches p = 1/2, so p* <= 1/2; the clip to
+    1/2 only removes rounding.  The value is exact and achieved by t.
     """
     if not c.is_biso:
         raise ValueError("channel is not BISO")
-    feas_tol = 1e-6
-    if _degrades_to_bsc(c, 0.0, feas_tol):
-        return 0.0
-    lo, hi = 0.0, 0.5
-    while hi - lo > p_tol:
-        mid = 0.5 * (lo + hi)
-        if _degrades_to_bsc(c, mid, feas_tol):
-            hi = mid
-        else:
-            lo = mid
-    return binary_entropy(hi)
+    p_star = float(c.matrix[:, 1] @ _least_noisy_bsc(c))
+    return binary_entropy(min(p_star, 0.5))

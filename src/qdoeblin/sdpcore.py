@@ -25,6 +25,7 @@ identical problems produce identical iterate sequences.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,6 +104,32 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.size and np.max(np.abs(m - m.T)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
+
+
+def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variable indices and symmetrised coefficient stack of one block."""
+    dim = blk.c.shape[0]
+    idx = np.array([i for i, _ in blk.coeffs], dtype=int)
+    out = (idx < 0) | (idx >= n)
+    if np.any(out):
+        raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
+    mats = np.asarray([a for _, a in blk.coeffs], dtype=float)
+    if idx.size and mats.shape[1:] != (dim, dim):
+        raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
+    mats = mats.reshape(len(idx), dim, dim)
+    mats_t = mats.transpose(0, 2, 1)
+    # One scratch stack serves both the check and the symmetrised result.
+    scale = np.maximum(
+        np.max(mats, axis=(1, 2), initial=1.0), -np.min(mats, axis=(1, 2), initial=0.0)
+    )
+    work = np.subtract(mats, mats_t)
+    dev = np.max(np.abs(work, out=work), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(dev > SYM_TOL * scale)
+    if bad.size:
+        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be symmetric")
+    np.add(mats, mats_t, out=work)
+    work *= 0.5
+    return idx, work
 
 
 class _BlockData:
@@ -231,12 +258,8 @@ def _solve_once(
     n_user = len(problem.blocks)
     for k, blk in enumerate(problem.blocks):
         c = _check_symmetric(blk.c, f"block {k} constant")
-        coeffs = []
-        for i, a in blk.coeffs:
-            if not 0 <= i < n:
-                raise ValueError(f"block {k} references variable {i} out of range")
-            coeffs.append((i, _check_symmetric(a, f"block {k} coefficient {i}")))
-        coeffs.append((tau_idx, -np.eye(c.shape[0])))
+        idx, mats = _check_coeffs(blk, k, n)
+        coeffs = [*zip(idx.tolist(), mats), (tau_idx, -np.eye(c.shape[0]))]
         blocks.append(_BlockData(c, coeffs))
 
     one = np.eye(1)
@@ -360,8 +383,12 @@ def _solve_once(
         kkt[: n + 1, n + 1 :] = e_aug.T
         kkt[n + 1 :, : n + 1] = e_aug
         try:
-            lu = sla.lu_factor(kkt)
-        except (np.linalg.LinAlgError, ValueError):
+            # An exactly singular KKT matrix only warns; stop on it instead
+            # of stepping along inf/nan directions.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", sla.LinAlgWarning)
+                lu = sla.lu_factor(kkt)
+        except (np.linalg.LinAlgError, ValueError, sla.LinAlgWarning):
             broken = True
             break
 

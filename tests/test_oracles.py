@@ -1,7 +1,11 @@
 """Oracle layer tests: Bloch estimators, divergences, classical suite."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from qdoeblin import channel as ch
 from qdoeblin import doeblin as db
@@ -282,6 +286,51 @@ def test_classical_reverse_alpha_bec_chain():
     eps = 0.4
     v = oracles.classical_reverse_alpha(oracles.bec(eps))
     assert v >= eps - 1e-6
+
+
+def _least_crossover_lp(c):
+    c0, c1 = c.matrix[:, 0], c.matrix[:, 1]
+    res = linprog(
+        c1, A_eq=[c0 + c1], b_eq=[1.0], bounds=[(0.0, 1.0)] * len(c0), method="highs"
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def test_least_noisy_bsc_matches_lp():
+    rng = np.random.default_rng(23)
+    unreached = oracles.ClassicalChannel(
+        np.array([[0.5, 0.2], [0.0, 0.0], [0.2, 0.5], [0.3, 0.3]])
+    )
+    assert unreached.is_biso
+    channels = [oracles.random_biso(rng) for _ in range(30)]
+    channels += [oracles.bec(0.4), unreached]
+    for c in channels:
+        t = oracles._least_noisy_bsc(c)
+        p_star = float(c.matrix[:, 1] @ t)
+        assert abs(p_star - _least_crossover_lp(c)) < 1e-9
+        # t is a post-processing that reproduces BSC_{p*} exactly
+        assert np.all((t >= 0.0) & (t <= 1.0))
+        np.testing.assert_allclose(c.matrix.T @ t, [1.0 - p_star, p_star], atol=1e-12)
+        assert oracles.classical_reverse_alpha(c) == oracles.binary_entropy(p_star)
+
+
+def test_classical_reverse_alpha_useless_channel():
+    for col in ([1.0], [0.3, 0.7], [0.1, 0.25, 0.65]):
+        useless = oracles.ClassicalChannel(np.array([col, col]).T)
+        assert abs(oracles.classical_reverse_alpha(useless) - 1.0) < 1e-12
+
+
+def test_oracles_do_not_use_the_solver():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("sdpcore" in name for name in imported)
 
 
 def test_classical_reverse_alpha_rejects_non_biso():

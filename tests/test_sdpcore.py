@@ -7,6 +7,8 @@ Schur-complement argument).
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,32 @@ def test_validation_errors():
                 blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(3, np.eye(2))])],
             )
         )
+    with pytest.raises(ValueError, match="coefficients must be 2x2"):
+        sdpcore.solve(
+            sdpcore.SdpProblem(
+                num_vars=1,
+                objective=np.array([1.0]),
+                blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(3))])],
+            )
+        )
+
+
+def test_asymmetric_coefficient_inside_block_is_named():
+    sym = np.eye(3)
+    skew = np.eye(3)
+    skew[0, 2] = 1.0
+    prob = sdpcore.SdpProblem(
+        num_vars=5,
+        objective=np.ones(5),
+        blocks=[
+            sdpcore.SdpBlock(c=np.eye(3), coeffs=[(0, sym)]),
+            sdpcore.SdpBlock(
+                c=np.eye(3), coeffs=[(4, sym), (1, sym), (3, skew), (2, skew)]
+            ),
+        ],
+    )
+    with pytest.raises(ValueError, match="block 1 coefficient 3 must be symmetric"):
+        sdpcore.solve(prob)
 
 
 def test_max_iter_status():
@@ -248,10 +276,10 @@ def test_repeated_variable_in_one_block_is_summed():
     np.testing.assert_allclose(split.y, whole.y, atol=1e-9)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_early_exit_reports_iterations_run():
     # A variable with a zero coefficient makes the KKT matrix singular, so
-    # the first Newton step fails and the solve stops at once.
+    # the first Newton step fails and the solve stops at once, reporting
+    # the failure as its status and not as a warning.
     prob = sdpcore.SdpProblem(
         num_vars=2,
         objective=np.array([1.0, 0.0]),
@@ -259,7 +287,9 @@ def test_early_exit_reports_iterations_run():
             sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (1, np.zeros((2, 2)))])
         ],
     )
-    sol = sdpcore.solve(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = sdpcore.solve(prob)
     assert sol.status == "numerical_failure"
     assert sol.iterations < sdpcore.DEFAULT_MAX_ITER
 
