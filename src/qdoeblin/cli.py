@@ -60,10 +60,6 @@ class UsageError(Exception):
     pass
 
 
-class SolverFailure(Exception):
-    pass
-
-
 # --------------------------------------------------------------- channels
 
 
@@ -479,9 +475,16 @@ def _affine_grid(start: float, stop: float, n: int) -> list[float]:
     return [start + (stop - start) * i / (n - 1) for i in range(n)]
 
 
+def _any_failed(results) -> bool:
+    return any(_cell_failed(cell) for cells in results for cell in cells)
+
+
 def _fig_line(outdir, name, family, fixed, sweep_name, grid, cols, jobs, tol,
               title):
-    """One-parameter figure; ``cols`` are (column, kind, one_minus) triples."""
+    """One-parameter figure; ``cols`` are (column, kind, one_minus) triples.
+
+    Returns the written paths and whether any cell failed.
+    """
     kinds = tuple(kind for _, kind, _ in cols)
     tasks = []
     for value in grid:
@@ -521,11 +524,14 @@ def _fig_line(outdir, name, family, fixed, sweep_name, grid, cols, jobs, tol,
         series.append((col, ys))
     svg_path = os.path.join(outdir, f"{name}.svg")
     _svg_line_plot(svg_path, grid, series, sweep_name, "value", title)
-    return [csv_path, svg_path]
+    return [csv_path, svg_path], _any_failed(results)
 
 
 def _fig_surface(outdir, name, kinds_cols, jobs, tol, title, n=51):
-    """GAD surface over (p, eta); ``kinds_cols`` are (column, kind) pairs."""
+    """GAD surface over (p, eta); ``kinds_cols`` are (column, kind) pairs.
+
+    Returns the written paths and whether any cell failed.
+    """
     axis = _affine_grid(0.0, 1.0, n)
     kinds = tuple(kind for _, kind in kinds_cols)
     tasks = []
@@ -560,10 +566,11 @@ def _fig_surface(outdir, name, kinds_cols, jobs, tol, title, n=51):
         _svg_heatmap(svg_path, axis, axis, grids[k], "p", "eta",
                      f"{title}: {col}" if many else title)
         paths.append(svg_path)
-    return paths
+    return paths, _any_failed(results)
 
 
 def _make_figure(which, outdir, jobs, tol):
+    """Write one figure; returns its paths and whether any cell failed."""
     dep_grid = _affine_grid(0.0, 4.0 / 3.0, 101)
     if which == "fig1":
         return _fig_surface(outdir, "fig1", [("alpha", "alpha")], jobs, tol,
@@ -575,21 +582,21 @@ def _make_figure(which, outdir, jobs, tol):
             jobs, tol, "depolarizing: alpha and alphaT",
         )
     if which == "fig3":
-        paths = []
+        paths, failed = [], False
         for eta in (0.5, 0.6, 0.7, 0.8):
-            paths.extend(
-                _fig_line(
-                    outdir, f"fig3_eta{eta:g}", "gad", {"eta": eta}, "p",
-                    _affine_grid(0.0, 1.0, 76),
-                    [
-                        ("one_minus_alpha", "alpha", True),
-                        ("one_minus_alphaH", "alphaH", True),
-                    ],
-                    jobs, tol,
-                    f"amplitude damping eta={eta:g}: contraction bounds",
-                )
+            part, part_failed = _fig_line(
+                outdir, f"fig3_eta{eta:g}", "gad", {"eta": eta}, "p",
+                _affine_grid(0.0, 1.0, 76),
+                [
+                    ("one_minus_alpha", "alpha", True),
+                    ("one_minus_alphaH", "alphaH", True),
+                ],
+                jobs, tol,
+                f"amplitude damping eta={eta:g}: contraction bounds",
             )
-        return paths
+            paths.extend(part)
+            failed = failed or part_failed
+        return paths, failed
     if which == "fig4":
         return _fig_line(
             outdir, "fig4", "depolarizing", {}, "p", dep_grid,
@@ -643,10 +650,13 @@ def _cmd_figures(args) -> int:
                 f"unknown figure {name!r}; admissible: {', '.join(FIGURES)}, all"
             )
     os.makedirs(args.outdir, exist_ok=True)
+    failed = False
     for name in which:
-        for path in _make_figure(name, args.outdir, args.jobs, args.tol):
+        paths, fig_failed = _make_figure(name, args.outdir, args.jobs, args.tol)
+        for path in paths:
             print(f"wrote {path}")
-    return EXIT_OK
+        failed = failed or fig_failed
+    return EXIT_SOLVER if failed else EXIT_OK
 
 
 # ------------------------------------------------------------------ check
@@ -995,9 +1005,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,7 +2,8 @@
 
 All programs are assembled over real coordinates in the orthonormal
 Hermitian basis of :func:`qdoeblin.hermlin.hermitian_basis` and lowered to
-real symmetric blocks through :func:`qdoeblin.hermlin.real_embed`.
+real symmetric blocks through :func:`qdoeblin.hermlin.real_embed`, one call
+per block for its whole stack of basis images.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -12,6 +13,7 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,7 @@ class CapacityBounds:
 
 
 def _embed(m: np.ndarray) -> np.ndarray:
+    """Real embedding of one Hermitian matrix or of a ``(k, n, n)`` stack."""
     return hermlin.real_embed(m, tol=1e-9)
 
 
@@ -93,14 +96,14 @@ def _alpha_solution(
     eye_in = np.eye(d_in) / d_in
     upper = sdpcore.SdpBlock(
         c=_embed(j_mat),
-        coeffs=[(i, _embed(hermlin.kron(bb, eye_in))) for i, bb in enumerate(basis)],
+        coeffs=list(enumerate(_embed([hermlin.kron(bb, eye_in) for bb in basis]))),
     )
     blocks = [upper]
     if positive:
         blocks.append(
             sdpcore.SdpBlock(
                 c=np.zeros((2 * d_out, 2 * d_out)),
-                coeffs=[(i, -_embed(bb)) for i, bb in enumerate(basis)],
+                coeffs=list(enumerate(-_embed(basis))),
             )
         )
     problem = sdpcore.SdpProblem(num_vars=n, objective=objective, blocks=blocks)
@@ -217,19 +220,16 @@ def p1_eb_ppt(
     n = len(basis)
     objective = np.array([float(np.trace(bb).real) for bb in basis])
     zero = np.zeros((2 * dim, 2 * dim))
-    psd = sdpcore.SdpBlock(
-        c=zero, coeffs=[(i, -_embed(bb)) for i, bb in enumerate(basis)]
-    )
+    embedded = _embed(basis)
+    psd = sdpcore.SdpBlock(c=zero, coeffs=list(enumerate(-embedded)))
     ppt = sdpcore.SdpBlock(
         c=zero.copy(),
-        coeffs=[
-            (i, -_embed(hermlin.partial_transpose(bb, (d_out, d_in), 1)))
-            for i, bb in enumerate(basis)
-        ],
+        coeffs=list(enumerate(
+            -_embed([hermlin.partial_transpose(bb, (d_out, d_in), 1) for bb in basis])
+        )),
     )
     remainder = sdpcore.SdpBlock(
-        c=_embed(channel.choi.matrix),
-        coeffs=[(i, _embed(bb)) for i, bb in enumerate(basis)],
+        c=_embed(channel.choi.matrix), coeffs=list(enumerate(embedded))
     )
     in_basis = hermlin.hermitian_basis(d_in)[1:]
     margs = [hermlin.partial_trace(bb, (d_out, d_in), 1) for bb in basis]
@@ -251,6 +251,12 @@ def p1_eb_ppt(
     )
 
 
+# Reverse ingredients of the channel that ``expansion_lower_bound`` is
+# bounding, as ``(channel, ingredients)``: its three reverse programs share
+# one build.  Unset outside that call.
+_SHARED_REVERSE: ContextVar = ContextVar("shared_reverse", default=None)
+
+
 def _reverse_ingredients(channel: QuantumChannel):
     """Shared pieces of the reverse programs.
 
@@ -259,6 +265,9 @@ def _reverse_ingredients(channel: QuantumChannel):
     like every other Choi here, so it lives on a ``d_a * d_b`` dimensional
     space and the composite Choi lives on ``d_a * d_a``.
     """
+    shared = _SHARED_REVERSE.get()
+    if shared is not None and shared[0] is channel:
+        return shared[1]
     if channel.d_in != channel.d_out:
         raise ValueError(
             "reverse coefficients need d_in == d_out, got"
@@ -300,8 +309,7 @@ def _reverse_fixed_target(
     rhs = np.concatenate([marg_rhs, link_rhs])
     side = 2 * d * d_b
     psd = sdpcore.SdpBlock(
-        c=np.zeros((side, side)),
-        coeffs=[(i, -_embed(bb)) for i, bb in enumerate(basis)],
+        c=np.zeros((side, side)), coeffs=list(enumerate(-_embed(basis)))
     )
     lower = np.full(n_d + 1, -np.inf)
     upper = np.full(n_d + 1, np.inf)
@@ -366,8 +374,7 @@ def reverse_alpha_hermitian(
     rhs = np.concatenate([marg_rhs, link_rhs])
     side = 2 * d * d_b
     psd = sdpcore.SdpBlock(
-        c=np.zeros((side, side)),
-        coeffs=[(i, -_embed(bb)) for i, bb in enumerate(basis)],
+        c=np.zeros((side, side)), coeffs=list(enumerate(-_embed(basis)))
     )
     objective = np.zeros(n_d + n_x)
     for j, aa in enumerate(x_basis):
@@ -400,12 +407,19 @@ def contraction_upper_bound(
 def expansion_lower_bound(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> float:
-    """Lower bound on trace-distance expansion: 1 - min reverse value."""
-    results = [
-        reverse_alpha_hermitian(channel, tol),
-        reverse_alpha(channel, tol),
-        reverse_alpha_transpose(channel, tol),
-    ]
+    """Lower bound on trace-distance expansion: 1 - min reverse value.
+
+    The three reverse programs share one build of the reverse ingredients.
+    """
+    token = _SHARED_REVERSE.set((channel, _reverse_ingredients(channel)))
+    try:
+        results = [
+            reverse_alpha_hermitian(channel, tol),
+            reverse_alpha(channel, tol),
+            reverse_alpha_transpose(channel, tol),
+        ]
+    finally:
+        _SHARED_REVERSE.reset(token)
     usable = [r.value for r in results if r.status == sdpcore.STATUS_OPTIMAL]
     if not usable:
         usable = [results[0].value]

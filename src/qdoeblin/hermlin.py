@@ -24,11 +24,20 @@ MAX_DIM = 64
 MAX_KRON_SIDE = 4096
 
 
-def _as_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+def _as_square(m: np.ndarray, name: str = "matrix", ndim: int = 2) -> np.ndarray:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m.astype(np.complex128, copy=False)
+
+
+def _hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """(m + m^dag)/2 of one matrix or a stack, after one check over all of it."""
+    m_dag = np.swapaxes(m.conj(), -1, -2)
+    dev = np.max(np.abs(m - m_dag)) if m.size else 0.0
+    if dev > tol:
+        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}")
+    return 0.5 * (m + m_dag)
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
@@ -37,11 +46,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix"
     The symmetrised copy is returned so downstream eigensolvers see an
     exactly Hermitian operator even when ``m`` carries roundoff dust.
     """
-    m = _as_square(m, name)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}")
-    return 0.5 * (m + m.conj().T)
+    return _hermitian_part(_as_square(m, name), tol, name)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +192,14 @@ def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     ``H = A + iB`` maps to ``[[A, -B], [B, A]]``.  The embedding doubles
     every eigenvalue's multiplicity, so it preserves positive
     semidefiniteness in both directions and linear combinations commute
-    with it.
+    with it.  A stack of shape ``(k, n, n)`` is embedded matrix by matrix
+    into shape ``(k, 2n, 2n)``, with one Hermiticity check for the stack.
     """
-    h = require_hermitian(h, tol=tol, name="real_embed input")
+    name = "real_embed input"
+    h = np.asarray(h)
+    h = _hermitian_part(_as_square(h, name, ndim=3 if h.ndim == 3 else 2), tol, name)
     a = h.real
     b = h.imag
-    top = np.hstack([a, -b])
-    bot = np.hstack([b, a])
-    return np.vstack([top, bot])
+    top = np.concatenate([a, -b], axis=-1)
+    bot = np.concatenate([b, a], axis=-1)
+    return np.concatenate([top, bot], axis=-2)

@@ -19,6 +19,13 @@ whenever the original problem is feasible.  Equality rows are kept explicit
 in a bordered KKT system solved by LU factorisation; redundant rows are
 dropped up front through a pivoted QR of ``E``.
 
+Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
+one diagonal (LP) block, the layout SDPA writes as a negative-size block:
+its iterates are vectors and its products are elementwise.  Each dense
+block is factored once per iteration: the inverse Cholesky factors
+``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``, and every
+step-length search is one ``eigvalsh(L^-1 dM L^-T)``.
+
 Everything is deterministic: no randomisation enters the iteration, so
 identical problems produce identical iterate sequences.
 """
@@ -132,11 +139,46 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     return idx, work
 
 
-class _BlockData:
-    """Flattened coefficient stack ``aflat`` (one row per variable) of one block.
+def _inv_chol(m: np.ndarray, repair: bool = False) -> np.ndarray:
+    """Inverse ``L^-1`` of the Cholesky factor of ``m = L L^T``.
 
-    Coefficients given twice for one variable are summed here, so every
-    variable owns one row and the fancy-index scatters below lose no term.
+    Raises ``LinAlgError`` when ``m`` is not positive definite.  With
+    ``repair`` an iterate that roundoff pushed onto the cone boundary is
+    factored after flooring its spectrum instead; only a spectrum without a
+    positive eigenvalue still raises.
+    """
+    try:
+        ell = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if not repair:
+            raise
+        w, v = np.linalg.eigh(m)
+        if w[-1] <= 0:
+            raise
+        w = np.maximum(w, w[-1] * 1e-14)
+        ell = np.linalg.cholesky((v * w) @ v.T)
+    return np.linalg.inv(ell)
+
+
+def _max_step(li: np.ndarray, dm: np.ndarray) -> float:
+    """Largest a >= 0 with M + a*dM still PSD, from ``li = L^-1`` of M.
+
+    ``np.inf`` when the direction never leaves the cone.
+    """
+    w = li @ dm @ li.T
+    lam = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
+    if lam >= -1e-13:
+        return np.inf
+    return -1.0 / lam
+
+
+class _BlockData:
+    """One dense PSD block with its flattened coefficient stack ``aflat``.
+
+    ``aflat`` has one row per variable.  Coefficients given twice for one
+    variable are summed here, so every variable owns one row and the
+    fancy-index scatters below lose no term.  The step search and ``S^-1``
+    work from the inverse Cholesky factor of the iterate.
     """
 
     def __init__(self, c: np.ndarray, coeffs: list[tuple[int, np.ndarray]]):
@@ -146,7 +188,11 @@ class _BlockData:
         for i, a in coeffs:
             merged[i] = merged[i] + a if i in merged else a
         self.idx = np.fromiter(merged, dtype=int, count=len(merged))
+        self.ix = np.ix_(self.idx, self.idx)
         self.aflat = np.stack([a.ravel() for a in merged.values()])
+
+    def eye(self) -> np.ndarray:
+        return np.eye(self.dim)
 
     def operator(self, y: np.ndarray) -> np.ndarray:
         return (y[self.idx] @ self.aflat).reshape(self.dim, self.dim)
@@ -159,6 +205,88 @@ class _BlockData:
         k, m = len(self.idx), self.dim
         a_sinv = (self.aflat.reshape(k * m, m) @ s_inv).reshape(k, m, m)
         return self.aflat @ (x @ a_sinv).reshape(k, -1).T
+
+    def min_slack(self, m: np.ndarray, shift: float) -> float:
+        """Smallest eigenvalue of ``m - shift*I``."""
+        return float(np.linalg.eigvalsh(m - shift * np.eye(self.dim))[0])
+
+    @staticmethod
+    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return a @ b @ c
+
+    @staticmethod
+    def sym(m: np.ndarray) -> np.ndarray:
+        return 0.5 * (m + m.T)
+
+    factor = staticmethod(_inv_chol)
+
+    @staticmethod
+    def inverse(li: np.ndarray) -> np.ndarray:
+        return li.T @ li
+
+    max_step = staticmethod(_max_step)
+
+
+class _DiagBlock:
+    """Every 1x1 cone of the problem as one diagonal (LP) block.
+
+    Entry r is the cone ``c_r - g_r . y[idx] >= 0``: one per finite box
+    bound, and last the big-M shift ``tau >= 0``, which is not a constraint
+    of the original problem.  Iterates, ``S^-1`` and every product are
+    vectors and elementwise operations; the factor of an iterate is the
+    iterate itself.
+    """
+
+    def __init__(self, c: np.ndarray, g: np.ndarray):
+        self.c = c
+        self.dim = len(c)
+        self.idx = np.flatnonzero(np.any(g != 0.0, axis=0))
+        self.ix = np.ix_(self.idx, self.idx)
+        self.g = g[:, self.idx]
+
+    def eye(self) -> np.ndarray:
+        return np.ones(self.dim)
+
+    def operator(self, y: np.ndarray) -> np.ndarray:
+        return self.g @ y[self.idx]
+
+    def adjoint_into(self, x: np.ndarray, out: np.ndarray) -> None:
+        out[self.idx] += x @ self.g
+
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        return (self.g.T * (x * s_inv)) @ self.g
+
+    def min_slack(self, m: np.ndarray, shift: float) -> float:
+        """Smallest box slack ``m_r - shift``; the shift entry is left out."""
+        return float(np.min(m[:-1] - shift, initial=np.inf))
+
+    @staticmethod
+    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return a * b * c
+
+    @staticmethod
+    def sym(m: np.ndarray) -> np.ndarray:
+        return m
+
+    @staticmethod
+    def factor(m: np.ndarray, repair: bool = False) -> np.ndarray:
+        # The ratio test needs no factorisation, so there is nothing to
+        # repair; only S^-1 needs every entry positive.
+        if not repair and not (m > 0.0).all():
+            raise np.linalg.LinAlgError("diagonal block is not positive definite")
+        return m
+
+    @staticmethod
+    def inverse(m: np.ndarray) -> np.ndarray:
+        return 1.0 / m
+
+    @staticmethod
+    def max_step(m: np.ndarray, dm: np.ndarray) -> float:
+        """Largest a >= 0 with m + a*dm >= 0 entrywise (np.inf if unbounded)."""
+        neg = dm < 0.0
+        if not neg.any():
+            return np.inf
+        return float((m[neg] / -dm[neg]).min())
 
 
 def _reduce_equalities(
@@ -177,30 +305,6 @@ def _reduce_equalities(
     if np.max(np.abs(e @ sol - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
         raise ValueError("equality constraints are inconsistent")
     return e_red, f_red
-
-
-def _max_step(m: np.ndarray, dm: np.ndarray) -> float:
-    """Largest a >= 0 with m + a*dm still PSD (np.inf if unbounded)."""
-    if m.shape[0] == 1:
-        if dm[0, 0] >= 0.0:
-            return np.inf
-        return m[0, 0] / -dm[0, 0]
-    try:
-        ell = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        # Roundoff pushed an iterate onto the cone boundary; repair the
-        # factorisation by flooring the spectrum.
-        w, v = np.linalg.eigh(m)
-        if w[-1] <= 0:
-            raise
-        w = np.maximum(w, w[-1] * 1e-14)
-        ell = np.linalg.cholesky((v * w) @ v.T)
-    w = sla.solve_triangular(ell, dm, lower=True)
-    w = sla.solve_triangular(ell, w.T, lower=True)
-    lam = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
-    if lam >= -1e-13:
-        return np.inf
-    return -1.0 / lam
 
 
 class _Metrics:
@@ -233,6 +337,9 @@ def solve(
         raise ValueError(f"objective must have shape ({n},), got {b.shape}")
     if not problem.blocks and problem.lower is None and problem.upper is None:
         raise ValueError("problem has no conic constraints")
+    for name, bound in (("lower", problem.lower), ("upper", problem.upper)):
+        if bound is not None and np.shape(bound) != (n,):
+            raise ValueError(f"{name} bounds must have shape ({n},), got {np.shape(bound)}")
     if problem.lower is not None and problem.upper is not None:
         lo = np.asarray(problem.lower, dtype=float)
         up = np.asarray(problem.upper, dtype=float)
@@ -254,7 +361,7 @@ def _solve_once(
     n = problem.num_vars
     tau_idx = n
 
-    blocks: list[_BlockData] = []
+    blocks: list[_BlockData | _DiagBlock] = []
     n_user = len(problem.blocks)
     for k, blk in enumerate(problem.blocks):
         c = _check_symmetric(blk.c, f"block {k} constant")
@@ -262,23 +369,19 @@ def _solve_once(
         coeffs = [*zip(idx.tolist(), mats), (tau_idx, -np.eye(c.shape[0]))]
         blocks.append(_BlockData(c, coeffs))
 
-    one = np.eye(1)
-    if problem.lower is not None:
-        lo = np.asarray(problem.lower, dtype=float)
-        for i in range(n):
-            if np.isfinite(lo[i]):
-                blocks.append(
-                    _BlockData(np.array([[-lo[i]]]), [(i, -one), (tau_idx, -one)])
-                )
-    if problem.upper is not None:
-        up = np.asarray(problem.upper, dtype=float)
-        for i in range(n):
-            if np.isfinite(up[i]):
-                blocks.append(
-                    _BlockData(np.array([[up[i]]]), [(i, one), (tau_idx, -one)])
-                )
-    n_orig_blocks = len(blocks)
-    blocks.append(_BlockData(np.zeros((1, 1)), [(tau_idx, -one)]))
+    # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
+    # or ``u_i - y_i + tau``, and last the shift ``tau`` itself.
+    box = []  # (variable, sign, constant) of each bound entry
+    for bound, sign in ((problem.lower, -1.0), (problem.upper, 1.0)):
+        if bound is not None:
+            for i, v in enumerate(np.asarray(bound, dtype=float)):
+                if np.isfinite(v):
+                    box.append((i, sign, sign * v))
+    g = np.zeros((len(box) + 1, n + 1))
+    for r, (i, sign, _) in enumerate(box):
+        g[r, i] = sign
+    g[:, tau_idx] = -1.0
+    blocks.append(_DiagBlock(np.array([cv for _, _, cv in box] + [0.0]), g))
 
     if problem.eq_matrix is not None:
         e_orig = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
@@ -297,33 +400,30 @@ def _solve_once(
     b_aug = np.append(b, -m_pen)
     m_total = sum(blk.dim for blk in blocks)
 
-    lam0 = 1.0
-    for blk in blocks[:-1]:
-        lam0 = max(lam0, 1.0 - float(np.linalg.eigvalsh(blk.c)[0]))
+    lam0 = max(1.0, 1.0 - min(blk.min_slack(blk.c, 0.0) for blk in blocks))
     y = np.zeros(n + 1)
     y[tau_idx] = lam0
     s = [blk.c - blk.operator(y) for blk in blocks]
-    x = [np.eye(blk.dim) for blk in blocks]
-    x[-1][0, 0] = max(1.0, m_pen - (m_total - 1))
+    x = [blk.eye() for blk in blocks]
+    x[-1][-1] = max(1.0, m_pen - (m_total - 1))
     nu = np.zeros(q)
 
     def metrics() -> tuple[_Metrics, float, float]:
+        # The shift entry of the diagonal block is left out of the slack
+        # (see ``min_slack``); its zero constant and its adjoint, which
+        # only reaches ``tau``, add nothing to the objective or to ``dres``.
         yv = y[:n]
         tau = y[tau_idx]
-        slack_min = np.inf
-        for blk, sk in zip(blocks[:n_orig_blocks], s):
-            w = np.linalg.eigvalsh(sk - tau * np.eye(blk.dim))
-            slack_min = min(slack_min, float(w[0]))
+        slack_min = min(blk.min_slack(sk, tau) for blk, sk in zip(blocks, s))
         eq_dev = float(np.max(np.abs(e_orig @ yv - f_orig), initial=0.0))
         pres = max(max(0.0, -slack_min), eq_dev)
         adj = np.zeros(n + 1)
-        for blk, xk in zip(blocks[:n_orig_blocks], x):
+        for blk, xk in zip(blocks, x):
             blk.adjoint_into(xk, adj)
         dres = float(np.max(np.abs(b - adj[:n] - e_red.T @ nu), initial=0.0))
         dres /= 1.0 + float(np.max(np.abs(b), initial=0.0))
-        pobj = sum(
-            float(np.tensordot(blk.c, xk)) for blk, xk in zip(blocks[:n_orig_blocks], x)
-        ) + float(f_red @ nu)
+        pobj = sum(float(np.vdot(blk.c, xk)) for blk, xk in zip(blocks, x))
+        pobj += float(f_red @ nu)
         dobj = float(b @ yv)
         gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         return _Metrics(gap, pres, dres), tau, dobj
@@ -341,6 +441,9 @@ def _solve_once(
             shift=tau,
         )
 
+    def max_step(factors: list[np.ndarray], dirs: list[np.ndarray]) -> float:
+        return min(blk.max_step(f, d) for blk, f, d in zip(blocks, factors, dirs))
+
     best: tuple[float, SdpSolution] | None = None
     recenter = False
     broken = False
@@ -353,7 +456,7 @@ def _solve_once(
         if met.worst <= tol and tau <= 1e-6 * (1.0 + lam0):
             return build_solution(STATUS_OPTIMAL, met, dobj, tau, steps)
 
-        mu = sum(float(np.tensordot(xk, sk)) for xk, sk in zip(x, s)) / m_total
+        mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(x, s)) / m_total
         if not np.isfinite(mu):
             broken = True
             break
@@ -369,17 +472,15 @@ def _solve_once(
         r_d = [blk.c - blk.operator(y) - sk for blk, sk in zip(blocks, s)]
 
         try:
-            s_inv = []
-            for sk in s:
-                cf = sla.cho_factor(sk, lower=True)
-                s_inv.append(sla.cho_solve(cf, np.eye(sk.shape[0])))
+            s_fac = [blk.factor(sk) for blk, sk in zip(blocks, s)]
         except np.linalg.LinAlgError:
             broken = True
             break
+        s_inv = [blk.inverse(f) for blk, f in zip(blocks, s_fac)]
 
         kkt = np.zeros((n + 1 + q, n + 1 + q))
         for blk, xk, sik in zip(blocks, x, s_inv):
-            kkt[np.ix_(blk.idx, blk.idx)] += blk.schur(xk, sik)
+            kkt[blk.ix] += blk.schur(xk, sik)
         kkt[: n + 1, n + 1 :] = e_aug.T
         kkt[n + 1 :, : n + 1] = e_aug
         try:
@@ -409,26 +510,28 @@ def _solve_once(
             sol = kkt_solve(rhs)
             dy, dnu = sol[: n + 1], sol[n + 1 :]
             ds = [rdk - blk.operator(dy) for blk, rdk in zip(blocks, r_d)]
-            dx = []
-            for blk, hk, xk, sik in zip(blocks, h, x, s_inv):
-                raw = hk + xk @ blk.operator(dy) @ sik
-                dx.append(0.5 * (raw + raw.T))
+            dx = [
+                blk.sym(hk + blk.product(xk, blk.operator(dy), sik))
+                for blk, hk, xk, sik in zip(blocks, h, x, s_inv)
+            ]
             return dy, dnu, dx, ds
 
         h_aff = [
-            -xk - xk @ rdk @ sik for xk, rdk, sik in zip(x, r_d, s_inv)
+            -xk - blk.product(xk, rdk, sik)
+            for blk, xk, rdk, sik in zip(blocks, x, r_d, s_inv)
         ]
         try:
             dy_a, dnu_a, dx_a, ds_a = directions(h_aff)
             if not all(np.all(np.isfinite(d)) for d in dx_a):
                 broken = True
                 break
-            ap_a = min(1.0, min(_max_step(xk, dxk) for xk, dxk in zip(x, dx_a)))
-            ad_a = min(1.0, min(_max_step(sk, dsk) for sk, dsk in zip(s, ds_a)))
+            x_fac = [blk.factor(xk, repair=True) for blk, xk in zip(blocks, x)]
+            ap_a = min(1.0, max_step(x_fac, dx_a))
+            ad_a = min(1.0, max_step(s_fac, ds_a))
         except np.linalg.LinAlgError:
             break
         mu_aff = sum(
-            float(np.tensordot(xk + ap_a * dxk, sk + ad_a * dsk))
+            float(np.vdot(xk + ap_a * dxk, sk + ad_a * dsk))
             for xk, dxk, sk, dsk in zip(x, dx_a, s, ds_a)
         ) / m_total
         sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
@@ -437,30 +540,26 @@ def _solve_once(
             sigma = max(sigma, 0.5)
 
         h_cor = [
-            sigma * mu * sik - xk - xk @ rdk @ sik - dxk @ dsk @ sik
-            for sik, xk, rdk, dxk, dsk in zip(s_inv, x, r_d, dx_a, ds_a)
+            sigma * mu * sik - xk - blk.product(xk, rdk, sik) - blk.product(dxk, dsk, sik)
+            for blk, sik, xk, rdk, dxk, dsk in zip(blocks, s_inv, x, r_d, dx_a, ds_a)
         ]
         try:
             dy, dnu, dx, ds = directions(h_cor)
             if not all(np.all(np.isfinite(d)) for d in dx):
                 broken = True
                 break
-            a_p = min(
-                1.0, STEP_FRACTION * min(_max_step(xk, dxk) for xk, dxk in zip(x, dx))
-            )
-            a_d = min(
-                1.0, STEP_FRACTION * min(_max_step(sk, dsk) for sk, dsk in zip(s, ds))
-            )
+            a_p = min(1.0, STEP_FRACTION * max_step(x_fac, dx))
+            a_d = min(1.0, STEP_FRACTION * max_step(s_fac, ds))
         except np.linalg.LinAlgError:
             break
         if a_p < 1e-13 and a_d < 1e-13:
             break
         recenter = min(a_p, a_d) < 0.1
 
-        x = [0.5 * ((xk + a_p * dxk) + (xk + a_p * dxk).T) for xk, dxk in zip(x, dx)]
+        x = [blk.sym(xk + a_p * dxk) for blk, xk, dxk in zip(blocks, x, dx)]
         nu = nu + a_p * dnu
         y = y + a_d * dy
-        s = [0.5 * ((sk + a_d * dsk) + (sk + a_d * dsk).T) for sk, dsk in zip(s, ds)]
+        s = [blk.sym(sk + a_d * dsk) for blk, sk, dsk in zip(blocks, s, ds)]
         steps += 1
 
     met, tau, dobj = metrics()
@@ -478,9 +577,9 @@ def write_sdpa(problem: SdpProblem, path: str) -> None:
     """Dump a problem in SDPA sparse format (.dat-s) for external checking.
 
     The file encodes the equivalent minimisation ``min -b.y`` with
-    ``sum_i y_i (-A_i) - (-C) >= 0``.  Box bounds become singleton diagonal
-    blocks and each equality row becomes an opposing pair of singleton
-    blocks, as noted in the header comments.
+    ``sum_i y_i (-A_i) - (-C) >= 0``.  Box bounds and an opposing pair of
+    entries per equality row form one diagonal (negative-size) block, as
+    noted in the header comments.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)

@@ -210,6 +210,19 @@ def test_figures_fig8(tmp_path, capsys):
     assert abs(float(by_eta["1"]["one_minus_alpha"]) - 1.0) < 1e-4
 
 
+def test_figures_failed_cells_exit_solver(tmp_path, capsys):
+    # An unreachable tolerance leaves max_iter/numerical_failure cells; the
+    # CSV is still written, and the exit code reports the failed solves.
+    code = run("figures", "--which", "fig8", "--tol", "1e-16", "--jobs", "1",
+               "--outdir", str(tmp_path))
+    capsys.readouterr()
+    assert code == cli.EXIT_SOLVER
+    _, rows = read_csv(tmp_path / "fig8.csv")
+    assert len(rows) == 51
+    statuses = {v for r in rows for k, v in r.items() if k.endswith("_status")}
+    assert statuses & {"max_iter", "numerical_failure"}
+
+
 def test_figures_unknown_name(tmp_path, capsys):
     assert run("figures", "--which", "fig99", "--outdir", str(tmp_path)) == 1
     capsys.readouterr()

@@ -298,6 +298,40 @@ def test_pair_traces_matches_trace_loop():
     np.testing.assert_allclose(db._pair_traces(gs, ms), loop, rtol=0, atol=1e-12)
 
 
+def test_stacked_lowering_matches_per_element_embed():
+    # Reference: one real_embed call per basis element, as blocks were built
+    # before each block's basis stack was lowered in one call.
+    for d_out, d_in in ((2, 2), (3, 2)):
+        basis = hermlin.hermitian_basis(d_out * d_in)
+        transposed = [hermlin.partial_transpose(bb, (d_out, d_in), 1) for bb in basis]
+        for stack in (basis, transposed):
+            lowered = db._embed(stack)
+            for bb, low in zip(stack, lowered):
+                assert np.array_equal(low, hermlin.real_embed(bb, tol=1e-9))
+
+
+def test_dp_range_builds_reverse_ingredients_once(monkeypatch):
+    chan = ch.gad(0.3, 0.6)
+    separate = [
+        f(chan).value
+        for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
+    ]
+    calls = []
+
+    def counting_link_raw(*args):
+        calls.append(1)
+        return ch.link_raw(*args)
+
+    monkeypatch.setattr(db, "link_raw", counting_link_raw)
+    bound = db.expansion_lower_bound(chan)
+    assert len(calls) == len(hermlin.hermitian_basis(4))  # one build, not three
+    assert bound == 1.0 - min(separate)
+    # The shared build ends with the call.
+    calls.clear()
+    db.reverse_alpha(chan)
+    assert len(calls) == len(hermlin.hermitian_basis(4))
+
+
 QUDIT_CLOSED_FORMS = {
     db.alpha: lambda p, d: p,
     db.alpha_hermitian: lambda p, d: p,

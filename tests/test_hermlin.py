@@ -256,3 +256,30 @@ def test_real_embed_is_linear():
     lhs = hermlin.real_embed(2.0 * a - 0.5 * b)
     rhs = 2.0 * hermlin.real_embed(a) - 0.5 * hermlin.real_embed(b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+
+
+def test_real_embed_stack_matches_per_matrix():
+    rng = np.random.default_rng(81)
+    for dim in (1, 2, 4):
+        stack = np.stack([random_hermitian(rng, dim) for _ in range(6)])
+        out = hermlin.real_embed(stack)
+        assert out.shape == (6, 2 * dim, 2 * dim)
+        for h, e in zip(stack, out):
+            assert np.array_equal(e, hermlin.real_embed(h))
+
+
+def test_real_embed_stack_checks_hermiticity_once_with_same_text():
+    rng = np.random.default_rng(82)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError) as single:
+        hermlin.real_embed(stack[2], tol=1e-9)
+    with pytest.raises(ValueError) as stacked:
+        hermlin.real_embed(stack, tol=1e-9)
+    assert str(stacked.value) == str(single.value)
+    assert "real_embed input is not Hermitian" in str(stacked.value)
+    stack[2, 0, 1] -= 1e-6 - 5e-10  # inside the tolerance again
+    assert hermlin.real_embed(stack, tol=1e-9).shape == (4, 6, 6)
+    with pytest.raises(ValueError, match="must be square"):
+        hermlin.real_embed(np.zeros((2, 3, 4)))
+

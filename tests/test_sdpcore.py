@@ -320,3 +320,159 @@ def test_sdpa_dump(tmp_path):
         assert len(parts) == 5
         int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
         float(parts[4])
+
+
+def _min_eig(m):
+    return np.linalg.eigvalsh(m)[0]
+
+
+def _assert_step_is_tight(m, dm, a):
+    # The step keeps the iterate in the cone and is the largest that does.
+    assert _min_eig(m + a * (1.0 - 1e-9) * dm) >= 0.0
+    assert _min_eig(m + a * (1.0 + 1e-6) * dm) < 0.0
+
+
+def _random_psd(rng, dim, floor=0.1):
+    g = rng.standard_normal((dim, dim))
+    return g @ g.T + floor * np.eye(dim)
+
+
+def test_step_length_from_cached_factor():
+    rng = np.random.default_rng(204)
+    for dim in (1, 2, 3, 5, 8):
+        for _ in range(5):
+            m = _random_psd(rng, dim)
+            g = rng.standard_normal((dim, dim))
+            dm = g + g.T
+            if _min_eig(dm) >= 0.0:
+                dm = -dm  # a direction that leaves the cone
+            a = sdpcore._max_step(sdpcore._inv_chol(m), dm)
+            assert np.isfinite(a) and a > 0.0
+            _assert_step_is_tight(m, dm, a)
+
+
+def test_step_length_unbounded_direction():
+    rng = np.random.default_rng(205)
+    m = _random_psd(rng, 4)
+    dm = _random_psd(rng, 4, floor=0.0)
+    assert sdpcore._max_step(sdpcore._inv_chol(m), dm) == np.inf
+    assert sdpcore._max_step(sdpcore._inv_chol(m), np.zeros((4, 4))) == np.inf
+
+
+def test_step_length_diagonal_block():
+    rng = np.random.default_rng(206)
+    step = sdpcore._DiagBlock.max_step
+    for _ in range(20):
+        m = rng.uniform(0.1, 2.0, size=5)
+        dm = rng.standard_normal(5)
+        dm[0] = -abs(dm[0])  # at least one entry leaves the cone
+        a = step(m, dm)
+        assert np.all(m + a * (1.0 - 1e-9) * dm >= 0.0)
+        assert np.min(m + a * (1.0 + 1e-6) * dm) < 0.0
+        _assert_step_is_tight(np.diag(m), np.diag(dm), a)
+    assert step(np.ones(3), np.array([0.0, 1.0, 2.0])) == np.inf
+
+
+def test_step_length_boundary_repair():
+    # An iterate that roundoff left just outside the cone: Cholesky fails,
+    # and the repaired factor still gives the step of a direction that
+    # moves back in along the null direction and leaves through another.
+    m = np.diag([-1e-15, 1.0, 2.0, 3.0])
+    dm = np.diag([1.0, -1.0, -0.5, 0.5])
+    dm[1, 2] = dm[2, 1] = 0.3
+    dm[2, 3] = dm[3, 2] = -0.2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(m)
+    with pytest.raises(np.linalg.LinAlgError):
+        sdpcore._inv_chol(m)
+    a = sdpcore._max_step(sdpcore._inv_chol(m, repair=True), dm)
+    assert np.isfinite(a)
+    _assert_step_is_tight(m, dm, a)
+    # Nothing to repair without a positive eigenvalue.
+    with pytest.raises(np.linalg.LinAlgError):
+        sdpcore._inv_chol(-np.eye(3), repair=True)
+
+
+def test_box_bounds_only():
+    # max y0 - 2 y1 over the box [-1, 2] x [-3, 5]: optimum (2, -3).
+    prob = sdpcore.SdpProblem(
+        num_vars=2,
+        objective=np.array([1.0, -2.0]),
+        blocks=[],
+        lower=np.array([-1.0, -3.0]),
+        upper=np.array([2.0, 5.0]),
+    )
+    sol = sdpcore.solve(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 8.0) < 1e-7
+    np.testing.assert_allclose(sol.y, [2.0, -3.0], atol=1e-6)
+    assert sol.x_blocks == []
+
+
+def test_mixed_finite_and_infinite_bounds():
+    # max y0 + 2 y1 - y2 s.t. y0 + y1 <= 4, y0 >= 0, y1 <= 3, -1 <= y2 <= 1:
+    # optimum (1, 3, -1) with value 8.
+    prob = sdpcore.SdpProblem(
+        num_vars=3,
+        objective=np.array([1.0, 2.0, -1.0]),
+        blocks=[
+            sdpcore.SdpBlock(
+                c=np.array([[4.0]]),
+                coeffs=[(0, np.array([[1.0]])), (1, np.array([[1.0]]))],
+            )
+        ],
+        lower=np.array([0.0, -np.inf, -1.0]),
+        upper=np.array([np.inf, 3.0, 1.0]),
+    )
+    sol = sdpcore.solve(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 8.0) < 1e-7
+    np.testing.assert_allclose(sol.y, [1.0, 3.0, -1.0], atol=1e-6)
+
+
+def test_bounds_shape_is_checked():
+    prob = max_eig_problem(np.eye(2))
+    prob.lower = np.zeros(2)
+    with pytest.raises(ValueError, match="lower bounds must have shape"):
+        sdpcore.solve(prob)
+
+
+# Status and iteration count of qubit coefficient solves, recorded when the
+# step search moved to cached factors and the 1x1 cones to one diagonal
+# block.  Iteration counts must not grow.
+PINNED_QUBIT_SOLVES = {
+    ("gad", 0.0, 0.0): {"alpha": 7, "alphaH": 6, "rev": 6, "revT": 6, "revH": 6},
+    ("gad", 0.0, 1.0): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 9, "revH": 6},
+    ("gad", 1.0, 0.0): {"alpha": 7, "alphaH": 6, "rev": 6, "revT": 6, "revH": 6},
+    ("gad", 1.0, 1.0): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 9, "revH": 6},
+    ("gad", 0.5, 0.5): {"alpha": 12, "alphaH": 10, "rev": 7, "revT": 7, "revH": 7},
+    ("depolarizing", 0.3): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 8, "revH": 7},
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_QUBIT_SOLVES), ids=str)
+def test_pinned_qubit_solves(key):
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    funcs = {
+        "alpha": db.alpha,
+        "alphaH": db.alpha_hermitian,
+        "rev": db.reverse_alpha,
+        "revT": db.reverse_alpha_transpose,
+        "revH": db.reverse_alpha_hermitian,
+    }
+    if key[0] == "gad":
+        chan = ch.gad(key[1], key[2])
+        # 1 - revH is the damping parameter eta on the whole lattice.
+        expected = {"revH": 1.0 - key[2]}
+    else:
+        p = key[1]
+        chan = ch.depolarizing(p, 2)
+        expected = {"alpha": p, "alphaH": p, "rev": p, "revT": (2 + p) / 3, "revH": p}
+    for kind, iters in PINNED_QUBIT_SOLVES[key].items():
+        res = funcs[kind](chan)
+        assert res.status == "optimal", kind
+        assert res.solution.iterations <= iters, kind
+        if kind in expected:
+            assert abs(res.value - expected[kind]) < 1e-6, kind
