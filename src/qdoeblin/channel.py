@@ -220,17 +220,22 @@ def link_raw(
     ``later`` lives on C (x) B, ``earlier`` on B (x) A; the result lives on
     C (x) A and equals the Choi matrix of the composite map whenever the
     inputs are Choi matrices of maps B->C and A->B.  With normalised Choi
-    matrices the contraction needs an explicit ``d_B`` factor.
+    matrices the contraction needs an explicit ``d_B`` factor.  A
+    ``(k, n, n)`` stack ``later`` is linked matrix by matrix in one
+    contraction.
     """
     d_c, d_b = dims_later
     d_b2, d_a = dims_earlier
     if d_b != d_b2:
         raise ValueError(f"link dimensions do not match ({d_b} vs {d_b2})")
-    l4 = np.asarray(later, dtype=np.complex128).reshape(d_c, d_b, d_c, d_b)
+    later = np.asarray(later, dtype=np.complex128)
+    lead = later.shape[:-2]
+    l4 = later.reshape(lead + (d_c, d_b, d_c, d_b))
     e4 = np.asarray(earlier, dtype=np.complex128).reshape(d_b, d_a, d_b, d_a)
-    out = d_b * np.einsum("cxdy,xayb->cadb", l4, e4, optimize=True)
-    out = out.reshape(d_c * d_a, d_c * d_a)
-    return 0.5 * (out + out.conj().T)
+    # (..., c, x, d, y) with (x, a, y, b) over x, y gives (..., c, d, a, b).
+    out = d_b * np.tensordot(l4, e4, axes=([-3, -1], [0, 2]))
+    out = np.moveaxis(out, -2, -3).reshape(lead + (d_c * d_a, d_c * d_a))
+    return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 
 def link_product(later: ChoiMatrix, earlier: ChoiMatrix) -> ChoiMatrix:

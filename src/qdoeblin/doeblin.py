@@ -1,9 +1,12 @@
 """Doeblin-type coefficients of quantum channels as semidefinite programs.
 
-All programs are assembled over real coordinates in the orthonormal
-Hermitian basis of :func:`qdoeblin.hermlin.hermitian_basis` and lowered to
-real symmetric blocks through :func:`qdoeblin.hermlin.real_embed`, one call
-per block for its whole stack of basis images.
+Every program is declared as linear maps on Hermitian variables (a scalar
+is a variable of side 1) and lowered to ``sdpcore`` by one function,
+``_solve_program``.  Variables have real coordinates in the orthonormal
+basis of :func:`qdoeblin.hermlin.hermitian_basis`; each map is applied once
+to the whole ``(k, n, n)`` basis stack of its variable, each PSD block is
+lowered by one :func:`qdoeblin.hermlin.real_embed` call and each equality
+by one gemm against the basis of its target space.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -13,7 +16,6 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,30 +88,72 @@ def _pair_traces(gs, ms) -> np.ndarray:
     )
 
 
-def _alpha_solution(
-    j_mat: np.ndarray, d_in: int, d_out: int, positive: bool, tol: float
-) -> tuple[sdpcore.SdpSolution, np.ndarray]:
-    """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0)."""
-    basis = hermlin.hermitian_basis(d_out)
-    n = len(basis)
-    objective = np.array([float(np.trace(bb).real) for bb in basis])
-    eye_in = np.eye(d_in) / d_in
-    upper = sdpcore.SdpBlock(
-        c=_embed(j_mat),
-        coeffs=list(enumerate(_embed([hermlin.kron(bb, eye_in) for bb in basis]))),
+def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, tol):
+    """Maximise ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``.
+
+    ``sides[v]`` is the side of ``X_v`` (1 for a real scalar) and
+    ``weights`` maps ``v`` to ``W_v``.  A constraint is a Hermitian matrix
+    with a dict of linear maps ``{v: f_v}``: each ``(C, maps)`` in ``psd``
+    reads ``C - sum_v f_v(X_v) >= 0`` and each ``(R, maps)`` in ``eqs``
+    reads ``sum_v f_v(X_v) = R``.  ``bounds`` maps ``v`` to ``(lo, hi)``
+    for every coordinate of ``X_v``.  A map receives the whole
+    ``(k, n, n)`` basis stack of its variable, so each PSD block is lowered
+    by one ``real_embed`` and each equality by one gemm against the basis
+    of its target space.
+
+    Returns the solution and every ``X_v`` as a Hermitian matrix.
+    """
+    bases = [np.stack(hermlin.hermitian_basis(side)) for side in sides]
+    start = np.cumsum([0] + [len(b) for b in bases])
+    n = int(start[-1])
+
+    def lower(maps):
+        idx = np.concatenate([np.arange(start[v], start[v + 1]) for v in maps])
+        return idx, np.concatenate([f(bases[v]) for v, f in maps.items()])
+
+    blocks = []
+    for c, maps in psd:
+        idx, images = lower(maps)
+        blocks.append(sdpcore.SdpBlock(c=_embed(c), coeffs=list(zip(idx, _embed(images)))))
+    eq_matrix, eq_rhs = [], []
+    for target, maps in eqs:
+        idx, images = lower(maps)
+        traces = _pair_traces(hermlin.hermitian_basis(len(target)), [*images, target])
+        rows = np.zeros((len(traces), n))
+        rows[:, idx] = traces[:, :-1]
+        eq_matrix.append(rows)
+        eq_rhs.append(traces[:, -1])
+    objective = np.zeros(n)
+    for v, w in weights.items():
+        objective[start[v] : start[v + 1]] = _pair_traces([w], bases[v])[0]
+    lower_bound, upper_bound = np.full(n, -np.inf), np.full(n, np.inf)
+    for v, (lo, hi) in (bounds or {}).items():
+        lower_bound[start[v] : start[v + 1]] = lo
+        upper_bound[start[v] : start[v + 1]] = hi
+    # Only the lowered blocks are needed from here on; the basis stacks and
+    # their images are 1 MB each at d=4.
+    del bases, images
+    problem = sdpcore.SdpProblem(
+        num_vars=n,
+        objective=objective,
+        blocks=blocks,
+        eq_matrix=np.vstack(eq_matrix) if eqs else None,
+        eq_rhs=np.concatenate(eq_rhs) if eqs else None,
+        lower=lower_bound,
+        upper=upper_bound,
     )
-    blocks = [upper]
-    if positive:
-        blocks.append(
-            sdpcore.SdpBlock(
-                c=np.zeros((2 * d_out, 2 * d_out)),
-                coeffs=list(enumerate(-_embed(basis))),
-            )
-        )
-    problem = sdpcore.SdpProblem(num_vars=n, objective=objective, blocks=blocks)
     sol = sdpcore.solve(problem, tol=tol)
-    witness = hermlin.hermitian_from_coords(sol.y, d_out)
-    return sol, witness
+    xs = [
+        hermlin.hermitian_from_coords(sol.y[start[v] : start[v + 1]], side)
+        for v, side in enumerate(sides)
+    ]
+    return sol, xs
+
+
+def _result(kind: str, sol: sdpcore.SdpSolution, value: float, witness) -> CoefficientResult:
+    return CoefficientResult(
+        kind=kind, value=value, status=sol.status, witness=witness, solution=sol
+    )
 
 
 WITNESS_TRACE_FLOOR = 1e-7
@@ -127,18 +171,27 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
     return sigma_hat / tr
 
 
+def _alpha_solution(
+    kind: str, j_mat: np.ndarray, channel: QuantumChannel, positive: bool, tol: float
+) -> CoefficientResult:
+    """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
+
+    With ``positive`` the witness is sigma renormalised to a state, without
+    it the Hermitian sigma itself.
+    """
+    d_out = channel.d_out
+    eye_in = np.eye(channel.d_in) / channel.d_in
+    psd = [(j_mat, {0: lambda b: hermlin.kron(b, eye_in)})]
+    if positive:
+        psd.append((np.zeros((d_out, d_out)), {0: np.negative}))
+    sol, (sigma,) = _solve_program([d_out], {0: np.eye(d_out)}, psd, tol=tol)
+    witness = _state_witness(sigma) if positive else sigma
+    return _result(kind, sol, sol.objective_value, witness)
+
+
 def alpha(channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL) -> CoefficientResult:
     """Doeblin coefficient: the largest erasure component of the channel."""
-    sol, sigma_hat = _alpha_solution(
-        channel.choi.matrix, channel.d_in, channel.d_out, True, tol
-    )
-    return CoefficientResult(
-        kind=KIND_ALPHA,
-        value=sol.objective_value,
-        status=sol.status,
-        witness=_state_witness(sigma_hat),
-        solution=sol,
-    )
+    return _alpha_solution(KIND_ALPHA, channel.choi.matrix, channel, True, tol)
 
 
 def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
@@ -159,30 +212,14 @@ def alpha_transpose(
             status=STATUS_NOT_APPLICABLE,
             not_applicable=True,
         )
-    sol, sigma_hat = _alpha_solution(jt, channel.d_in, channel.d_out, True, tol)
-    return CoefficientResult(
-        kind=KIND_ALPHA_T,
-        value=sol.objective_value,
-        status=sol.status,
-        witness=_state_witness(sigma_hat),
-        solution=sol,
-    )
+    return _alpha_solution(KIND_ALPHA_T, jt, channel, True, tol)
 
 
 def alpha_hermitian(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Hermitian relaxation: the replaced output may be any Hermitian operator."""
-    sol, witness = _alpha_solution(
-        channel.choi.matrix, channel.d_in, channel.d_out, False, tol
-    )
-    return CoefficientResult(
-        kind=KIND_ALPHA_H,
-        value=sol.objective_value,
-        status=sol.status,
-        witness=witness,
-        solution=sol,
-    )
+    return _alpha_solution(KIND_ALPHA_H, channel.choi.matrix, channel, False, tol)
 
 
 def alpha_transpose_hermitian(
@@ -193,16 +230,7 @@ def alpha_transpose_hermitian(
     Well defined for every channel: the decomposition argument behind the
     bound does not need the transposed map to be completely positive.
     """
-    sol, witness = _alpha_solution(
-        _transposed_choi(channel), channel.d_in, channel.d_out, False, tol
-    )
-    return CoefficientResult(
-        kind=KIND_ALPHA_TH,
-        value=sol.objective_value,
-        status=sol.status,
-        witness=witness,
-        solution=sol,
-    )
+    return _alpha_solution(KIND_ALPHA_TH, _transposed_choi(channel), channel, False, tol)
 
 
 def p1_eb_ppt(
@@ -216,138 +244,88 @@ def p1_eb_ppt(
     """
     d_in, d_out = channel.d_in, channel.d_out
     dim = d_in * d_out
-    basis = hermlin.hermitian_basis(dim)
-    n = len(basis)
-    objective = np.array([float(np.trace(bb).real) for bb in basis])
-    zero = np.zeros((2 * dim, 2 * dim))
-    embedded = _embed(basis)
-    psd = sdpcore.SdpBlock(c=zero, coeffs=list(enumerate(-embedded)))
-    ppt = sdpcore.SdpBlock(
-        c=zero.copy(),
-        coeffs=list(enumerate(
-            -_embed([hermlin.partial_transpose(bb, (d_out, d_in), 1) for bb in basis])
-        )),
+    zero = np.zeros((dim, dim))
+
+    def traceless_marginal(b):
+        # Only the direction of the input marginal is fixed, not its trace.
+        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        return hermlin.partial_trace(b, (d_out, d_in), 1) - tr * np.eye(d_in) / d_in
+
+    sol, (j_hat,) = _solve_program(
+        [dim],
+        {0: np.eye(dim)},
+        psd=[
+            (zero, {0: np.negative}),
+            (zero, {0: lambda b: -hermlin.partial_transpose(b, (d_out, d_in), 1)}),
+            (channel.choi.matrix, {0: lambda b: b}),
+        ],
+        eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
+        tol=tol,
     )
-    remainder = sdpcore.SdpBlock(
-        c=_embed(channel.choi.matrix), coeffs=list(enumerate(embedded))
-    )
-    in_basis = hermlin.hermitian_basis(d_in)[1:]
-    margs = [hermlin.partial_trace(bb, (d_out, d_in), 1) for bb in basis]
-    problem = sdpcore.SdpProblem(
-        num_vars=n,
-        objective=objective,
-        blocks=[psd, ppt, remainder],
-        eq_matrix=_pair_traces(in_basis, margs),
-        eq_rhs=np.zeros(len(in_basis)),
-    )
-    sol = sdpcore.solve(problem, tol=tol)
-    witness = hermlin.hermitian_from_coords(sol.y, dim)
-    return CoefficientResult(
-        kind=KIND_P1,
-        value=sol.objective_value,
-        status=sol.status,
-        witness=witness,
-        solution=sol,
-    )
+    return _result(KIND_P1, sol, sol.objective_value, j_hat)
 
 
-# Reverse ingredients of the channel that ``expansion_lower_bound`` is
-# bounding, as ``(channel, ingredients)``: its three reverse programs share
-# one build.  Unset outside that call.
-_SHARED_REVERSE: ContextVar = ContextVar("shared_reverse", default=None)
+def _reverse(
+    channel: QuantumChannel, kind: str, side: int, extra, target, bounds, tol: float
+) -> CoefficientResult:
+    """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
 
-
-def _reverse_ingredients(channel: QuantumChannel):
-    """Shared pieces of the reverse programs.
-
-    The degrading map runs from the channel output (dim ``d_b``) back to the
-    channel input (dim ``d_a``); its Choi matrix is ordered output (x) input
-    like every other Choi here, so it lives on a ``d_a * d_b`` dimensional
-    space and the composite Choi lives on ``d_a * d_a``.
+    D runs from the channel output (dim ``d_b``) back to its input (dim
+    ``d_a``); its Choi matrix is ordered output (x) input like every other
+    Choi here, so it lives on ``d_a * d_b`` and the composite on
+    ``d_a * d_a``.  D is completely positive and trace preserving, and
+    ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
+    the given side.
     """
-    shared = _SHARED_REVERSE.get()
-    if shared is not None and shared[0] is channel:
-        return shared[1]
     if channel.d_in != channel.d_out:
         raise ValueError(
             "reverse coefficients need d_in == d_out, got"
             f" ({channel.d_in}, {channel.d_out})"
         )
-    d_a, d_b = channel.d_in, channel.d_out
-    basis = hermlin.hermitian_basis(d_a * d_b)
-    linked = np.stack(
-        [link_raw(bb, (d_a, d_b), channel.choi.matrix, (d_b, d_a)) for bb in basis]
+    d_a = d_b = channel.d_in
+    sol, (d_choi, _) = _solve_program(
+        [d_a * d_b, side],
+        {1: -np.eye(side)},
+        psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
+        eqs=[
+            # Tracing out the output factor of D leaves 1/d_b: D is trace
+            # preserving.
+            (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
+            (target, {
+                0: lambda b: link_raw(b, (d_a, d_b), channel.choi.matrix, (d_b, d_a)),
+                1: extra,
+            }),
+        ],
+        bounds=bounds,
+        tol=tol,
     )
-    b_basis = hermlin.hermitian_basis(d_b)
-    # Uniform-marginal rows: tracing out the output factor of the degrading
-    # Choi must leave 1/d_b, i.e. the degrading map is trace preserving.
-    margs = [hermlin.partial_trace(bb, (d_a, d_b), 1) for bb in basis]
-    marg = _pair_traces(b_basis, margs + [np.eye(d_b) / d_b])
-    return d_a, d_b, basis, linked, marg[:, :-1], marg[:, -1]
+    return _result(kind, sol, -sol.objective_value, d_choi)
 
 
 def _reverse_fixed_target(
-    channel: QuantumChannel, target_kind: str, tol: float
+    channel: QuantumChannel, kind: str, anchor: np.ndarray, lo: float, hi: float, tol: float
 ) -> CoefficientResult:
-    d, d_b, basis, linked, marg_rows, marg_rhs = _reverse_ingredients(channel)
-    n_d = len(basis)
-    big = hermlin.hermitian_basis(d * d)
-    phi = max_entangled(d)
+    """Smallest p in [lo, hi] with D compose N = (1 - p) anchor + p 1/d^2 in Choi form."""
+    d = channel.d_in
     eye = np.eye(d * d) / (d * d)
-    if target_kind == KIND_REV:
-        anchor = phi
-        lo, hi = 0.0, 1.0
-    else:
-        anchor = swap_matrix(d) / d
-        lo, hi = d / (d + 1.0), d / (d - 1.0)
-    # Link rows: J(D compose N) + p (anchor - 1/d^2) = anchor.
-    link = _pair_traces(big, np.concatenate([linked, [anchor - eye, anchor]]))
-    link_rows, link_rhs = link[:, :-1], link[:, -1]
-    eq = np.vstack(
-        [np.hstack([marg_rows, np.zeros((marg_rows.shape[0], 1))]), link_rows]
-    )
-    rhs = np.concatenate([marg_rhs, link_rhs])
-    side = 2 * d * d_b
-    psd = sdpcore.SdpBlock(
-        c=np.zeros((side, side)), coeffs=list(enumerate(-_embed(basis)))
-    )
-    lower = np.full(n_d + 1, -np.inf)
-    upper = np.full(n_d + 1, np.inf)
-    lower[n_d], upper[n_d] = lo, hi
-    objective = np.zeros(n_d + 1)
-    objective[n_d] = -1.0
-    problem = sdpcore.SdpProblem(
-        num_vars=n_d + 1,
-        objective=objective,
-        blocks=[psd],
-        eq_matrix=eq,
-        eq_rhs=rhs,
-        lower=lower,
-        upper=upper,
-    )
-    sol = sdpcore.solve(problem, tol=tol)
-    witness = hermlin.hermitian_from_coords(sol.y[:n_d], d * d_b)
-    return CoefficientResult(
-        kind=target_kind,
-        value=float(sol.y[n_d]),
-        status=sol.status,
-        witness=witness,
-        solution=sol,
-    )
+    return _reverse(channel, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}, tol)
 
 
 def reverse_alpha(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to depolarizing at p."""
-    return _reverse_fixed_target(channel, KIND_REV, tol)
+    return _reverse_fixed_target(channel, KIND_REV, max_entangled(channel.d_in), 0.0, 1.0, tol)
 
 
 def reverse_alpha_transpose(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to transpose-depolarizing."""
-    return _reverse_fixed_target(channel, KIND_REV_T, tol)
+    d = channel.d_in
+    return _reverse_fixed_target(
+        channel, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0), tol
+    )
 
 
 def reverse_alpha_hermitian(
@@ -358,39 +336,15 @@ def reverse_alpha_hermitian(
     Minimises ``Tr(X)`` such that the degraded channel equals
     ``(1 - Tr X) id + replace-by-X`` in Choi form.
     """
-    d, d_b, basis, linked, marg_rows, marg_rhs = _reverse_ingredients(channel)
-    n_d = len(basis)
-    x_basis = hermlin.hermitian_basis(d)
-    n_x = len(x_basis)
-    big = hermlin.hermitian_basis(d * d)
+    d = channel.d_in
     phi = max_entangled(d)
     eye_in = np.eye(d) / d
-    terms = [float(np.trace(aa).real) * phi - hermlin.kron(aa, eye_in) for aa in x_basis]
-    link = _pair_traces(big, np.concatenate([linked, terms, [phi]]))
-    link_rows, link_rhs = link[:, :-1], link[:, -1]
-    eq = np.vstack(
-        [np.hstack([marg_rows, np.zeros((marg_rows.shape[0], n_x))]), link_rows]
-    )
-    rhs = np.concatenate([marg_rhs, link_rhs])
-    side = 2 * d * d_b
-    psd = sdpcore.SdpBlock(
-        c=np.zeros((side, side)), coeffs=list(enumerate(-_embed(basis)))
-    )
-    objective = np.zeros(n_d + n_x)
-    for j, aa in enumerate(x_basis):
-        objective[n_d + j] = -float(np.trace(aa).real)
-    problem = sdpcore.SdpProblem(
-        num_vars=n_d + n_x, objective=objective, blocks=[psd], eq_matrix=eq, eq_rhs=rhs
-    )
-    sol = sdpcore.solve(problem, tol=tol)
-    witness = hermlin.hermitian_from_coords(sol.y[:n_d], d * d_b)
-    return CoefficientResult(
-        kind=KIND_REV_H,
-        value=-sol.objective_value,
-        status=sol.status,
-        witness=witness,
-        solution=sol,
-    )
+
+    def extra(b):
+        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        return tr * phi - hermlin.kron(b, eye_in)
+
+    return _reverse(channel, KIND_REV_H, d, extra, phi, None, tol)
 
 
 def contraction_upper_bound(
@@ -407,19 +361,12 @@ def contraction_upper_bound(
 def expansion_lower_bound(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> float:
-    """Lower bound on trace-distance expansion: 1 - min reverse value.
-
-    The three reverse programs share one build of the reverse ingredients.
-    """
-    token = _SHARED_REVERSE.set((channel, _reverse_ingredients(channel)))
-    try:
-        results = [
-            reverse_alpha_hermitian(channel, tol),
-            reverse_alpha(channel, tol),
-            reverse_alpha_transpose(channel, tol),
-        ]
-    finally:
-        _SHARED_REVERSE.reset(token)
+    """Lower bound on trace-distance expansion: 1 - min reverse value."""
+    results = [
+        reverse_alpha_hermitian(channel, tol),
+        reverse_alpha(channel, tol),
+        reverse_alpha_transpose(channel, tol),
+    ]
     usable = [r.value for r in results if r.status == sdpcore.STATUS_OPTIMAL]
     if not usable:
         usable = [results[0].value]

@@ -64,11 +64,14 @@ def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a guard on the result size."""
+    """Kronecker product with a guard on the result size.
+
+    A ``(k, n, n)`` stack ``a`` is multiplied by ``b`` matrix by matrix.
+    """
     a = np.asarray(a)
     b = np.asarray(b)
-    side_r = a.shape[0] * b.shape[0]
-    side_c = a.shape[1] * b.shape[1]
+    side_r = a.shape[-2] * b.shape[0]
+    side_c = a.shape[-1] * b.shape[1]
     if side_r > MAX_KRON_SIDE or side_c > MAX_KRON_SIDE:
         raise ValueError(
             f"kron result of shape ({side_r}, {side_c}) exceeds the "
@@ -78,10 +81,11 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _check_bipartite(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    m = _as_square(m, "bipartite matrix")
+    m = np.asarray(m)
+    m = _as_square(m, "bipartite matrix", ndim=3 if m.ndim == 3 else 2)
     d0, d1 = dims
-    if d0 <= 0 or d1 <= 0 or d0 * d1 != m.shape[0]:
-        raise ValueError(f"dims {dims} do not factor a matrix of side {m.shape[0]}")
+    if d0 <= 0 or d1 <= 0 or d0 * d1 != m.shape[-1]:
+        raise ValueError(f"dims {dims} do not factor a matrix of side {m.shape[-1]}")
     return m
 
 
@@ -90,34 +94,34 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
 
     ``dims = (d0, d1)`` gives the factor sizes in the same order as the
     Kronecker structure of ``m``; ``keep`` selects the factor (0 or 1) that
-    survives.
+    survives.  A ``(k, n, n)`` stack is traced matrix by matrix.
     """
     m = _check_bipartite(m, dims)
     if keep not in (0, 1):
         raise ValueError("keep must be 0 or 1")
     d0, d1 = dims
-    t = m.reshape(d0, d1, d0, d1)
+    t = m.reshape(m.shape[:-2] + (d0, d1, d0, d1))
     if keep == 0:
-        return np.einsum("ijkj->ik", t)
-    return np.einsum("ijil->jl", t)
+        return np.einsum("...ijkj->...ik", t)
+    return np.einsum("...ijil->...jl", t)
 
 
 def partial_transpose(m: np.ndarray, dims: tuple[int, int], on: int) -> np.ndarray:
     """Transpose one tensor factor of a bipartite operator.
 
     A pure index permutation, so applying it twice returns the input
-    bit-identically.
+    bit-identically.  A ``(k, n, n)`` stack is transposed matrix by matrix.
     """
     m = _check_bipartite(m, dims)
     if on not in (0, 1):
         raise ValueError("on must be 0 or 1")
     d0, d1 = dims
-    t = m.reshape(d0, d1, d0, d1)
-    if on == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(d0 * d1, d0 * d1)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + (d0, d1, d0, d1))
+    r = len(lead)
+    perm = (r + 2, r + 1, r, r + 3) if on == 0 else (r, r + 3, r + 2, r + 1)
+    t = t.transpose(tuple(range(r)) + perm)
+    return t.reshape(lead + (d0 * d1, d0 * d1))
 
 
 def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:

@@ -26,6 +26,9 @@ block is factored once per iteration: the inverse Cholesky factors
 ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``, and every
 step-length search is one ``eigvalsh(L^-1 dM L^-T)``.
 
+A search direction with a non-finite entry ends the solve as
+``numerical_failure`` before it is used.
+
 Everything is deterministic: no randomisation enters the iteration, so
 identical problems produce identical iterate sequences.
 """
@@ -286,7 +289,9 @@ class _DiagBlock:
         neg = dm < 0.0
         if not neg.any():
             return np.inf
-        return float((m[neg] / -dm[neg]).min())
+        # A ratio that overflows is an unbounded step along that entry.
+        with np.errstate(over="ignore"):
+            return float((m[neg] / -dm[neg]).min())
 
 
 def _reduce_equalities(
@@ -495,6 +500,8 @@ def _solve_once(
 
         def kkt_solve(rhs: np.ndarray) -> np.ndarray:
             sol = sla.lu_solve(lu, rhs)
+            if not np.isfinite(sol).all():
+                raise FloatingPointError("non-finite search direction")
             resid = rhs - kkt @ sol
             if np.max(np.abs(resid)) > 1e-13 * (1.0 + np.max(np.abs(rhs))):
                 sol = sol + sla.lu_solve(lu, resid)
@@ -514,6 +521,9 @@ def _solve_once(
                 blk.sym(hk + blk.product(xk, blk.operator(dy), sik))
                 for blk, hk, xk, sik in zip(blocks, h, x, s_inv)
             ]
+            # ds is finite with dy; dx also carries h.
+            if not all(np.isfinite(d).all() for d in dx):
+                raise FloatingPointError("non-finite search direction")
             return dy, dnu, dx, ds
 
         h_aff = [
@@ -522,12 +532,12 @@ def _solve_once(
         ]
         try:
             dy_a, dnu_a, dx_a, ds_a = directions(h_aff)
-            if not all(np.all(np.isfinite(d)) for d in dx_a):
-                broken = True
-                break
             x_fac = [blk.factor(xk, repair=True) for blk, xk in zip(blocks, x)]
             ap_a = min(1.0, max_step(x_fac, dx_a))
             ad_a = min(1.0, max_step(s_fac, ds_a))
+        except FloatingPointError:
+            broken = True
+            break
         except np.linalg.LinAlgError:
             break
         mu_aff = sum(
@@ -545,11 +555,11 @@ def _solve_once(
         ]
         try:
             dy, dnu, dx, ds = directions(h_cor)
-            if not all(np.all(np.isfinite(d)) for d in dx):
-                broken = True
-                break
             a_p = min(1.0, STEP_FRACTION * max_step(x_fac, dx))
             a_d = min(1.0, STEP_FRACTION * max_step(s_fac, ds))
+        except FloatingPointError:
+            broken = True
+            break
         except np.linalg.LinAlgError:
             break
         if a_p < 1e-13 and a_d < 1e-13:

@@ -209,6 +209,29 @@ def test_link_product_matches_compose():
         ch.link_product(ch.identity_channel(3).choi, ch.identity_channel(2).choi)
 
 
+def test_link_raw_stack_matches_per_matrix():
+    # Reference: the single-matrix contraction used before stacks were
+    # accepted, applied matrix by matrix.
+    rng = np.random.default_rng(305)
+    for d_c, d_b, d_a in ((2, 2, 2), (3, 2, 2), (2, 3, 4)):
+        later = rng.standard_normal((6, d_c * d_b, d_c * d_b, 2)) @ [1.0, 1j]
+        later = later + later.conj().transpose(0, 2, 1)
+        earlier = ch.random_channel(d_a, d_b, seed=d_c + d_b + d_a).choi.matrix
+        got = ch.link_raw(later, (d_c, d_b), earlier, (d_b, d_a))
+        assert got.shape == (6, d_c * d_a, d_c * d_a)
+        e4 = earlier.reshape(d_b, d_a, d_b, d_a)
+        for m, g in zip(later, got):
+            ref = d_b * np.einsum("cxdy,xayb->cadb", m.reshape(d_c, d_b, d_c, d_b), e4)
+            ref = ref.reshape(d_c * d_a, d_c * d_a)
+            ref = 0.5 * (ref + ref.conj().T)
+            single = ch.link_raw(m, (d_c, d_b), earlier, (d_b, d_a))
+            np.testing.assert_allclose(single, ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(g, single, rtol=0, atol=1e-14)
+    for m in (np.eye(4), np.stack([np.eye(4)] * 2)):
+        with pytest.raises(ValueError, match=r"link dimensions do not match \(2 vs 3\)"):
+            ch.link_raw(m, (2, 2), np.eye(6), (3, 2))
+
+
 def test_classical_embed_action():
     p = np.array([[0.1, 0.6], [0.9, 0.4]])
     qc = ch.classical_embed(p)

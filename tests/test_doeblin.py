@@ -310,26 +310,24 @@ def test_stacked_lowering_matches_per_element_embed():
                 assert np.array_equal(low, hermlin.real_embed(bb, tol=1e-9))
 
 
-def test_dp_range_builds_reverse_ingredients_once(monkeypatch):
-    chan = ch.gad(0.3, 0.6)
-    separate = [
-        f(chan).value
-        for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
-    ]
-    calls = []
+def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
+    for chan in (ch.gad(0.3, 0.6), ch.random_channel(2, 2, seed=9)):
+        separate = [
+            f(chan).value
+            for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
+        ]
+        calls = []
 
-    def counting_link_raw(*args):
-        calls.append(1)
-        return ch.link_raw(*args)
+        def counting_link_raw(later, *args):
+            calls.append(np.shape(later))
+            return ch.link_raw(later, *args)
 
-    monkeypatch.setattr(db, "link_raw", counting_link_raw)
-    bound = db.expansion_lower_bound(chan)
-    assert len(calls) == len(hermlin.hermitian_basis(4))  # one build, not three
-    assert bound == 1.0 - min(separate)
-    # The shared build ends with the call.
-    calls.clear()
-    db.reverse_alpha(chan)
-    assert len(calls) == len(hermlin.hermitian_basis(4))
+        monkeypatch.setattr(db, "link_raw", counting_link_raw)
+        assert db.expansion_lower_bound(chan) == 1.0 - min(separate)
+        monkeypatch.undo()
+        # Each reverse program links the whole basis stack of its degrading
+        # map in one call.
+        assert calls == [(16, 4, 4)] * 3
 
 
 QUDIT_CLOSED_FORMS = {

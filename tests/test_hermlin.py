@@ -188,6 +188,52 @@ def test_partial_transpose_on_product():
     )
 
 
+def test_stacked_tensor_operations_match_per_matrix():
+    # References: a per-matrix loop over the stack, and the single-matrix
+    # formulas used before stacks were accepted.
+    rng = np.random.default_rng(108)
+    for dims in ((2, 2), (2, 3), (3, 2)):
+        d0, d1 = dims
+        stack = np.stack([random_hermitian(rng, d0 * d1) for _ in range(5)])
+        t = stack.reshape(5, d0, d1, d0, d1)
+        for keep, single in ((0, "ijkj->ik"), (1, "ijil->jl")):
+            got = hermlin.partial_trace(stack, dims, keep)
+            for m, g, t4 in zip(stack, got, t):
+                np.testing.assert_allclose(g, partial_trace_loop(m, dims, keep), atol=1e-12)
+                np.testing.assert_allclose(
+                    hermlin.partial_trace(m, dims, keep), np.einsum(single, t4),
+                    rtol=0, atol=1e-14,
+                )
+                assert np.array_equal(g, hermlin.partial_trace(m, dims, keep))
+        for on, perm in ((0, (2, 1, 0, 3)), (1, (0, 3, 2, 1))):
+            got = hermlin.partial_transpose(stack, dims, on)
+            for m, g, t4 in zip(stack, got, t):
+                ref = t4.transpose(perm).reshape(d0 * d1, d0 * d1)
+                assert np.array_equal(hermlin.partial_transpose(m, dims, on), ref)
+                assert np.array_equal(g, ref)
+        b = random_hermitian(rng, 2)
+        got = hermlin.kron(stack, b)
+        for m, g in zip(stack, got):
+            assert np.array_equal(g, hermlin.kron(m, b))
+
+
+def test_stacked_tensor_operations_keep_their_errors():
+    stack = np.zeros((3, 4, 4))
+    mismatch = r"dims \(2, 3\) do not factor a matrix of side 4"
+    for op, arg in ((hermlin.partial_trace, 0), (hermlin.partial_transpose, 1)):
+        for m in (stack[0], stack):
+            with pytest.raises(ValueError, match=mismatch):
+                op(m, (2, 3), arg)
+        with pytest.raises(ValueError, match="bipartite matrix must be square"):
+            op(np.zeros((3, 4, 5)), (2, 2), arg)
+    with pytest.raises(ValueError, match="keep must be 0 or 1"):
+        hermlin.partial_trace(stack, (2, 2), 2)
+    with pytest.raises(ValueError, match="on must be 0 or 1"):
+        hermlin.partial_transpose(stack, (2, 2), 2)
+    with pytest.raises(ValueError, match="exceeds"):
+        hermlin.kron(np.ones((2, 64, 64)), np.ones((65, 65)))
+
+
 def test_trace_norm_values():
     assert np.isclose(hermlin.trace_norm(np.diag([3.0, -4.0])), 7.0)
     v = np.array([1.0, 2j, -1.0])

@@ -437,42 +437,104 @@ def test_bounds_shape_is_checked():
         sdpcore.solve(prob)
 
 
-# Status and iteration count of qubit coefficient solves, recorded when the
-# step search moved to cached factors and the 1x1 cones to one diagonal
-# block.  Iteration counts must not grow.
+# Status and iteration count of coefficient solves, recorded when the step
+# search moved to cached factors and the 1x1 cones to one diagonal block, and
+# for alphaT, alphaTH, p1 and the qutrit table before the programs were
+# declared as maps on stacked Hermitian bases.  Iteration counts must not
+# grow; ``None`` pins a not-applicable alphaT.  p1 is left out at gad(0, 0)
+# and gad(1, 0): whether it ends optimal or max_iter there turns on roundoff.
 PINNED_QUBIT_SOLVES = {
-    ("gad", 0.0, 0.0): {"alpha": 7, "alphaH": 6, "rev": 6, "revT": 6, "revH": 6},
-    ("gad", 0.0, 1.0): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 9, "revH": 6},
-    ("gad", 1.0, 0.0): {"alpha": 7, "alphaH": 6, "rev": 6, "revT": 6, "revH": 6},
-    ("gad", 1.0, 1.0): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 9, "revH": 6},
-    ("gad", 0.5, 0.5): {"alpha": 12, "alphaH": 10, "rev": 7, "revT": 7, "revH": 7},
-    ("depolarizing", 0.3): {"alpha": 7, "alphaH": 7, "rev": 7, "revT": 8, "revH": 7},
+    ("gad", 0.0, 0.0): {
+        "alpha": 7, "alphaT": 7, "alphaH": 6, "alphaTH": 6, "rev": 6, "revT": 6, "revH": 6,
+    },
+    ("gad", 0.0, 1.0): {
+        "alpha": 7, "alphaH": 7, "alphaTH": 10, "p1": 10, "rev": 7, "revT": 9, "revH": 6,
+    },
+    ("gad", 1.0, 0.0): {
+        "alpha": 7, "alphaT": 7, "alphaH": 6, "alphaTH": 6, "rev": 6, "revT": 6, "revH": 6,
+    },
+    ("gad", 1.0, 1.0): {
+        "alpha": 7, "alphaH": 7, "alphaTH": 10, "p1": 10, "rev": 7, "revT": 9, "revH": 6,
+    },
+    ("gad", 0.5, 0.5): {
+        "alpha": 12, "alphaH": 10, "alphaTH": 10, "p1": 12, "rev": 7, "revT": 7, "revH": 7,
+    },
+    ("depolarizing", 0.3): {
+        "alpha": 7, "alphaH": 7, "alphaTH": 10, "p1": 11, "rev": 7, "revT": 8, "revH": 7,
+    },
+    ("depolarizing", 0.8): {
+        "alpha": 7, "alphaT": 11, "alphaH": 7, "alphaTH": 9, "p1": 8, "rev": 7, "revT": 7,
+        "revH": 7,
+    },
+}
+PINNED_QUTRIT_SOLVES = {
+    ("depolarizing", 0.8): {
+        "alpha": 7, "alphaT": 11, "alphaH": 7, "p1": 9, "rev": 7, "revT": 7, "revH": 7,
+    },
+    ("random", 7): {
+        "alpha": 14, "alphaT": None, "alphaH": 13, "p1": 18, "rev": 8, "revT": 8, "revH": 10,
+    },
 }
 
 
-@pytest.mark.parametrize("key", list(PINNED_QUBIT_SOLVES), ids=str)
-def test_pinned_qubit_solves(key):
+def _check_pinned(key, d, pinned):
     from qdoeblin import channel as ch
     from qdoeblin import doeblin as db
 
     funcs = {
         "alpha": db.alpha,
+        "alphaT": db.alpha_transpose,
         "alphaH": db.alpha_hermitian,
+        "alphaTH": db.alpha_transpose_hermitian,
+        "p1": db.p1_eb_ppt,
         "rev": db.reverse_alpha,
         "revT": db.reverse_alpha_transpose,
         "revH": db.reverse_alpha_hermitian,
     }
+    expected = {}
     if key[0] == "gad":
         chan = ch.gad(key[1], key[2])
         # 1 - revH is the damping parameter eta on the whole lattice.
         expected = {"revH": 1.0 - key[2]}
+    elif key[0] == "random":
+        chan = ch.random_channel(d, d, seed=key[1])
     else:
         p = key[1]
-        chan = ch.depolarizing(p, 2)
-        expected = {"alpha": p, "alphaH": p, "rev": p, "revT": (2 + p) / 3, "revH": p}
-    for kind, iters in PINNED_QUBIT_SOLVES[key].items():
+        chan = ch.depolarizing(p, d)
+        flipped = p - d * abs(1.0 - p)
+        expected = {
+            "alpha": p, "alphaT": flipped, "alphaH": p, "alphaTH": flipped,
+            "p1": min(1.0, p * (d + 1) / d), "rev": p, "revT": (d + p) / (d + 1), "revH": p,
+        }
+    for kind, iters in pinned.items():
         res = funcs[kind](chan)
+        if iters is None:
+            assert res.status == "not_applicable", kind
+            continue
         assert res.status == "optimal", kind
         assert res.solution.iterations <= iters, kind
         if kind in expected:
             assert abs(res.value - expected[kind]) < 1e-6, kind
+
+
+@pytest.mark.parametrize("key", list(PINNED_QUBIT_SOLVES), ids=str)
+def test_pinned_qubit_solves(key):
+    _check_pinned(key, 2, PINNED_QUBIT_SOLVES[key])
+
+
+@pytest.mark.parametrize("key", list(PINNED_QUTRIT_SOLVES), ids=str)
+def test_pinned_qutrit_solves(key):
+    _check_pinned(key, 3, PINNED_QUTRIT_SOLVES[key])
+
+
+def test_overflowing_step_ratio_does_not_warn():
+    # The diagonal block's ratio test divides by direction entries that
+    # can be subnormal here; an overflowing ratio is an unbounded step and
+    # must not reach stderr as a RuntimeWarning.
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = db.reverse_alpha(ch.gad(0.5, 0.0), tol=1e-16)
+    assert res.status in ("max_iter", "numerical_failure")
