@@ -8,7 +8,8 @@ The package is organised in five layers:
 * :mod:`qdoeblin.doeblin` -- the coefficient SDPs and derived bounds,
 * :mod:`qdoeblin.oracles` -- independent grid/closed-form reference values.
 
-:mod:`qdoeblin.cli` exposes the ``qdoeblin`` command line tool.
+:mod:`qdoeblin.properties` holds the seeded property laws and check suites,
+and :mod:`qdoeblin.cli` exposes the ``qdoeblin`` command line tool.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Any
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("channel", "cli", "doeblin", "hermlin", "oracles", "sdpcore")
+_SUBMODULES = (
+    "channel", "cli", "doeblin", "hermlin", "oracles", "properties", "sdpcore"
+)
 
 __all__ = list(_SUBMODULES) + ["__version__"]
 

@@ -3,8 +3,8 @@
 Four commands: ``coeff`` prints one coefficient row for a single channel,
 ``sweep`` scans a family parameter and writes CSV (plus an optional SVG line
 plot), ``figures`` regenerates the canned figure grids, and ``check`` runs
-the seeded property suites.  Exit codes: 0 ok, 1 usage, 2 solver failure,
-3 I/O, 4 check failure.
+the seeded property suites of :mod:`qdoeblin.properties`.  Exit codes: 0 ok,
+1 usage, 2 solver failure, 3 I/O, 4 check failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channel as ch
 from . import doeblin as db
-from . import hermlin, oracles, sdpcore
+from . import oracles, properties, sdpcore
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,7 +143,7 @@ def _kind_cells(channel, kinds, tol: float, params=None) -> list[tuple]:
             if dp is None:
                 dp = db.dp_range(channel, tol=tol)
             value = dp.lower if kind == "dp_lower" else dp.upper
-            cells.append((value, "derived", False))
+            cells.append((value, dp.status, False))
         else:
             res = KIND_FUNCS[kind](channel, tol=tol)
             cells.append((float(res.value), res.status, res.not_applicable))
@@ -168,7 +168,6 @@ def _cell_failed(cell) -> bool:
     return not not_applicable and status not in (
         sdpcore.STATUS_OPTIMAL,
         "oracle",
-        "derived",
         "exact",
     )
 
@@ -662,283 +661,14 @@ def _cmd_figures(args) -> int:
 # ------------------------------------------------------------------ check
 
 
-class _Recorder:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.passed = 0
-        self.failed = 0
-        self.first = None
-
-    def __call__(self, check: str, ok: bool, **detail):
-        if ok:
-            self.passed += 1
-            return
-        self.failed += 1
-        if self.first is None:
-            self.first = {"suite": self.suite, "check": check}
-            self.first.update({k: _jsonable(v) for k, v in detail.items()})
-
-
-def _jsonable(v):
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, np.ndarray):
-        return np.round(v, 9).tolist()
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
-
-
-def _rand_herm(rng, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
-def _rand_state(rng, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def _suite_linalg(rng, tol, rec):
-    for _ in range(10):
-        dim = int(rng.integers(2, 9))
-        h = _rand_herm(rng, dim)
-        lam, vec = hermlin.eig_hermitian(h)
-        recon_err = float(np.max(np.abs(vec @ np.diag(lam) @ vec.conj().T - h)))
-        rec("eig_reconstruction", recon_err <= 1e-9 * dim, dim=dim, err=recon_err)
-        ortho = float(np.max(np.abs(vec.conj().T @ vec - np.eye(dim))))
-        rec("eig_orthonormal", ortho <= 1e-9, dim=dim, err=ortho)
-        tn = hermlin.trace_norm(h)
-        tn_ref = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-        rec("trace_norm", abs(tn - tn_ref) <= 1e-9, dim=dim, err=abs(tn - tn_ref))
-    for _ in range(10):
-        a, b_m, c, d_m = (_rand_herm(rng, 2) for _ in range(4))
-        err = float(
-            np.max(
-                np.abs(
-                    hermlin.kron(a, b_m) @ hermlin.kron(c, d_m)
-                    - hermlin.kron(a @ c, b_m @ d_m)
-                )
-            )
-        )
-        rec("kron_mixed_product", err <= 1e-11, err=err)
-        ab = hermlin.kron(a, b_m)
-        pt_err = float(
-            np.max(np.abs(hermlin.partial_trace(ab, (2, 2), 0) - np.trace(b_m) * a))
-        )
-        rec("partial_trace_product", pt_err <= 1e-11, err=pt_err)
-        twice = hermlin.partial_transpose(
-            hermlin.partial_transpose(ab, (2, 2), 1), (2, 2), 1
-        )
-        rec("partial_transpose_involution", np.array_equal(twice, ab))
-    for dim in (2, 3, 4):
-        basis = hermlin.hermitian_basis(dim)
-        gram = np.array(
-            [[np.trace(x @ y).real for y in basis] for x in basis]
-        )
-        g_err = float(np.max(np.abs(gram - np.eye(dim * dim))))
-        rec("basis_orthonormal", g_err <= 1e-12, dim=dim, err=g_err)
-        h = _rand_herm(rng, dim)
-        back = hermlin.hermitian_from_coords(hermlin.hermitian_coords(h), dim)
-        rec("coords_roundtrip", float(np.max(np.abs(back - h))) <= 1e-11, dim=dim)
-        emb = hermlin.real_embed(h)
-        doubled = np.sort(np.concatenate([np.linalg.eigvalsh(h)] * 2))
-        e_err = float(np.max(np.abs(np.linalg.eigvalsh(emb) - doubled)))
-        rec("real_embed_spectrum", e_err <= 1e-10, dim=dim, err=e_err)
-
-
-def _suite_channel(rng, tol, rec):
-    for _ in range(8):
-        d_in = int(rng.integers(2, 4))
-        d_out = int(rng.integers(2, 4))
-        n = ch.random_channel(d_in, d_out, seed=int(rng.integers(1 << 31)))
-        j = n.choi.matrix
-        rec("choi_psd", bool(np.linalg.eigvalsh(j)[0] >= -hermlin.PSD_TOL))
-        marg = hermlin.partial_trace(j, (d_out, d_in), 1)
-        m_err = float(np.max(np.abs(marg - np.eye(d_in) / d_in)))
-        rec("choi_marginal", m_err <= 1e-9, err=m_err)
-        rho = _rand_state(rng, d_in)
-        back = ch.channel_from_choi(n.choi)
-        rt_err = float(np.max(np.abs(back(rho) - n(rho))))
-        rec("kraus_choi_roundtrip", rt_err <= 1e-9, err=rt_err)
-    for _ in range(5):
-        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        m = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        composed = ch.compose(m, n).choi.matrix
-        linked = ch.link_product(m.choi, n.choi).matrix
-        c_err = float(np.max(np.abs(composed - linked)))
-        rec("compose_matches_link", c_err <= 1e-9, err=c_err)
-        rho, sigma = _rand_state(rng, 2), _rand_state(rng, 2)
-        t_err = float(
-            np.max(
-                np.abs(
-                    ch.tensor(m, n)(np.kron(rho, sigma))
-                    - np.kron(m(rho), n(sigma))
-                )
-            )
-        )
-        rec("tensor_on_products", t_err <= 1e-9, err=t_err)
-    dep0 = ch.depolarizing(0.0).choi.matrix
-    ident = ch.identity_channel(2).choi.matrix
-    rec("depolarizing_zero_is_identity",
-        float(np.max(np.abs(dep0 - ident))) <= 1e-12)
-    flags = ch.validate(ch.depolarizing(0.5))
-    rec("validate_cptp", flags.is_cp and flags.is_tp)
-    rec("validate_ppt_depolarizing", ch.validate(ch.depolarizing(1.0)).is_ppt)
-    rec("validate_not_ppt_identity", not ch.validate(ch.identity_channel(2)).is_ppt)
-
-
-def _suite_sdp(rng, tol, rec):
-    for _ in range(8):
-        dim = int(rng.integers(2, 7))
-        c = _rand_herm(rng, dim).real
-        c = 0.5 * (c + c.T)
-        problem = sdpcore.SdpProblem(
-            num_vars=1,
-            objective=np.array([1.0]),
-            blocks=[sdpcore.SdpBlock(c=c, coeffs=[(0, np.eye(dim))])],
-        )
-        sol = sdpcore.solve(problem, tol=tol)
-        target = float(np.linalg.eigvalsh(c)[0])
-        rec("lambda_min_value", abs(sol.objective_value - target) <= 1e-6,
-            dim=dim, got=sol.objective_value, want=target)
-        rec("lambda_min_status", sol.status == sdpcore.STATUS_OPTIMAL,
-            status=sol.status)
-        rec("lambda_min_gap", sol.gap <= 10.0 * tol, gap=sol.gap)
-    for _ in range(5):
-        n = int(rng.integers(2, 6))
-        cvec = rng.normal(size=n)
-        problem = sdpcore.SdpProblem(
-            num_vars=n,
-            objective=cvec,
-            blocks=[],
-            lower=np.zeros(n),
-            upper=np.ones(n),
-        )
-        sol = sdpcore.solve(problem, tol=tol)
-        want = float(np.sum(np.clip(cvec, 0.0, None)))
-        rec("box_lp_value", abs(sol.objective_value - want) <= 1e-6,
-            got=sol.objective_value, want=want)
-    problem = sdpcore.SdpProblem(
-        num_vars=2,
-        objective=np.array([1.0, 0.0]),
-        blocks=[],
-        eq_matrix=np.array([[1.0, 1.0], [2.0, 2.0]]),
-        eq_rhs=np.array([1.0, 2.0]),
-        lower=np.zeros(2),
-        upper=np.ones(2),
-    )
-    sol = sdpcore.solve(problem, tol=tol)
-    rec("redundant_equalities", abs(sol.objective_value - 1.0) <= 1e-6,
-        got=sol.objective_value)
-
-
-def _suite_doeblin(rng, tol, rec):
-    for p in (0.0, 0.3, 0.7, 1.0):
-        got = db.alpha(ch.depolarizing(p), tol).value
-        rec("alpha_depolarizing", abs(got - p) <= 1e-6, p=p, got=got)
-    got = db.alpha_transpose(ch.depolarizing(1.2), tol).value
-    rec("alpha_transpose_depolarizing", abs(got - 0.8) <= 1e-5, got=got)
-    rec("alpha_transpose_identity_flag",
-        db.alpha_transpose(ch.identity_channel(2), tol).not_applicable)
-    for p in (0.2, 0.9):
-        got = db.reverse_alpha(ch.depolarizing(p), tol).value
-        rec("reverse_alpha_depolarizing", abs(got - p) <= 1e-5, p=p, got=got)
-    got = db.reverse_alpha_transpose(ch.identity_channel(2), tol).value
-    rec("reverse_transpose_identity", abs(got - 2.0 / 3.0) <= 1e-5, got=got)
-    for p, eta in ((0.3, 0.4), (0.8, 0.75)):
-        got = db.reverse_alpha_hermitian(ch.gad(p, eta), tol).value
-        rec("reverse_hermitian_gad", abs(got - (1.0 - eta)) <= 1e-4,
-            p=p, eta=eta, got=got)
-
-    def rand_qubit():
-        return ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-
-    for _ in range(6):
-        n, m = rand_qubit(), rand_qubit()
-        lam = float(rng.uniform(0.2, 0.8))
-        mixed = ch.channel_from_choi(
-            ch.ChoiMatrix(
-                lam * n.choi.matrix + (1.0 - lam) * m.choi.matrix, 2, 2
-            )
-        )
-        a_mix = db.alpha(mixed, tol).value
-        a_sep = lam * db.alpha(n, tol).value + (1.0 - lam) * db.alpha(m, tol).value
-        rec("alpha_concave", a_mix >= a_sep - 1e-6, lam=lam,
-            mixed=a_mix, split=a_sep)
-        a_cat = db.alpha(ch.compose(m, n), tol).value
-        a_n, a_m = db.alpha(n, tol).value, db.alpha(m, tol).value
-        bound = a_n + a_m - a_n * a_m
-        rec("alpha_concatenation", a_cat >= a_n + a_m - a_n * a_m - 1e-6,
-            got=a_cat, bound=bound)
-    for _ in range(3):
-        n, m = rand_qubit(), rand_qubit()
-        a_t = db.alpha(ch.tensor(n, m), tol).value
-        prod = db.alpha(n, tol).value * db.alpha(m, tol).value
-        rec("alpha_supermultiplicative", a_t >= prod - 1e-6, got=a_t, bound=prod)
-    for _ in range(6):
-        n = rand_qubit()
-        a = db.alpha(n, tol).value
-        a_h = db.alpha_hermitian(n, tol).value
-        rec("alpha_below_hermitian", a <= a_h + 1e-6, a=a, aH=a_h)
-        eta_hi = oracles.eta_tr_qubit(n)
-        rec("contraction_bound_vs_oracle", eta_hi <= 1.0 - a + 1e-3,
-            eta=eta_hi, a=a)
-        rev = db.reverse_alpha(n, tol).value
-        eta_lo = oracles.eta_tr_expansion_qubit(n)
-        rec("expansion_bound_vs_oracle", 1.0 - rev <= eta_lo + 1e-3,
-            rev=rev, eta=eta_lo)
-
-
-def _suite_classical(rng, tol, rec):
-    for _ in range(15):
-        c = oracles.random_biso(rng)
-        a = oracles.classical_doeblin(c)
-        g = oracles.classical_gamma(c)
-        ra = oracles.classical_reverse_alpha(c)
-        rec("classical_chain_lower", a <= g + 1e-9, alpha=a, gamma=g,
-            matrix=c.matrix)
-        rec("classical_chain_upper", g <= ra + 1e-5, gamma=g, rev=ra,
-            matrix=c.matrix)
-    for p in (0.11, 0.3):
-        got = oracles.classical_reverse_alpha(oracles.bsc(p))
-        want = oracles.binary_entropy(p)
-        rec("bsc_reverse_alpha", abs(got - want) <= 1e-4, p=p, got=got,
-            want=want)
-    rec("bec_capacity",
-        abs(oracles.classical_capacity_biso(oracles.bec(0.3)) - 0.7) <= 1e-9)
-    rec("bec_doeblin",
-        abs(oracles.classical_doeblin(oracles.bec(0.25)) - 0.25) <= 1e-12)
-    for _ in range(8):
-        size = int(rng.integers(2, 4))
-        raw = rng.uniform(size=(size, size))
-        p_mat = raw / raw.sum(axis=0, keepdims=True)
-        quantum = db.alpha(ch.classical_embed(p_mat), tol).value
-        classical = float(p_mat.min(axis=1).sum())
-        rec("classical_embedding_alpha", abs(quantum - classical) <= 1e-5,
-            got=quantum, want=classical, matrix=p_mat)
-
-
-SUITES = {
-    "linalg": _suite_linalg,
-    "channel": _suite_channel,
-    "sdp": _suite_sdp,
-    "doeblin": _suite_doeblin,
-    "classical": _suite_classical,
-}
-
-
 def _cmd_check(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = list(properties.SUITES) if args.suite == "all" else [args.suite]
     print(f"seed: {args.seed}")
     first = None
     for name in names:
         rng = np.random.default_rng(args.seed)
-        rec = _Recorder(name)
-        SUITES[name](rng, args.tol, rec)
+        rec = properties.Recorder(name)
+        properties.SUITES[name](rng, args.tol, rec)
         print(f"suite {name}: {rec.passed} passed, {rec.failed} failed")
         if first is None and rec.first is not None:
             first = rec.first
@@ -988,7 +718,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", parents=[common])
     p_check.add_argument(
-        "--suite", default="all", choices=list(SUITES) + ["all"]
+        "--suite", default="all", choices=list(properties.SUITES) + ["all"]
     )
     p_check.set_defaults(func=_cmd_check)
     return parser

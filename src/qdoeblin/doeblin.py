@@ -54,10 +54,15 @@ class CoefficientResult:
 
 @dataclass
 class DpRange:
-    """Certified interval for the trace-distance contraction coefficient."""
+    """Certified interval for the trace-distance contraction coefficient.
+
+    ``status`` is the first non-optimal status among the five solves behind
+    the interval (an inapplicable transpose solve is skipped), or optimal.
+    """
 
     lower: float
     upper: float
+    status: str
     label: str | None = None
 
 
@@ -347,21 +352,17 @@ def reverse_alpha_hermitian(
     return _reverse(channel, KIND_REV_H, d, extra, phi, None, tol)
 
 
-def contraction_upper_bound(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> float:
-    """Upper bound on trace-distance contraction: 1 - max available forward value."""
-    candidates = [alpha_hermitian(channel, tol).value]
-    trans = alpha_transpose(channel, tol)
+def _contraction(channel: QuantumChannel, tol: float):
+    """The contraction upper bound and the forward results it rests on."""
+    herm, trans = alpha_hermitian(channel, tol), alpha_transpose(channel, tol)
+    candidates = [herm.value]
     if not trans.not_applicable:
         candidates.append(trans.value)
-    return 1.0 - max(candidates)
+    return 1.0 - max(candidates), [herm, trans]
 
 
-def expansion_lower_bound(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> float:
-    """Lower bound on trace-distance expansion: 1 - min reverse value."""
+def _expansion(channel: QuantumChannel, tol: float):
+    """The expansion lower bound and the reverse results it rests on."""
     results = [
         reverse_alpha_hermitian(channel, tol),
         reverse_alpha(channel, tol),
@@ -370,7 +371,21 @@ def expansion_lower_bound(
     usable = [r.value for r in results if r.status == sdpcore.STATUS_OPTIMAL]
     if not usable:
         usable = [results[0].value]
-    return 1.0 - min(usable)
+    return 1.0 - min(usable), results
+
+
+def contraction_upper_bound(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> float:
+    """Upper bound on trace-distance contraction: 1 - max available forward value."""
+    return _contraction(channel, tol)[0]
+
+
+def expansion_lower_bound(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> float:
+    """Lower bound on trace-distance expansion: 1 - min reverse value."""
+    return _expansion(channel, tol)[0]
 
 
 def dp_range(
@@ -379,9 +394,17 @@ def dp_range(
     label: str | None = None,
 ) -> DpRange:
     """Certified two-sided data-processing range for the channel."""
+    lower, reverse = _expansion(channel, tol)
+    upper, forward = _contraction(channel, tol)
+    failed = (
+        r.status
+        for r in reverse + forward
+        if r.status != sdpcore.STATUS_OPTIMAL and not r.not_applicable
+    )
     return DpRange(
-        lower=expansion_lower_bound(channel, tol),
-        upper=contraction_upper_bound(channel, tol),
+        lower=lower,
+        upper=upper,
+        status=next(failed, sdpcore.STATUS_OPTIMAL),
         label=label,
     )
 

@@ -2,8 +2,9 @@
 property block for the plots that have no published numeric tables.
 
 Every test prints one  criterion NN PASS/FAIL  line so a plain pytest -s
-run reads as a checklist.  Tolerances and ensemble sizes are pinned here
-and must not be loosened without a ledger entry.
+run reads as a checklist.  Criteria 05/06/07/10 run the laws of
+qdoeblin.properties, which hold their tolerances; their seeds and ensemble
+sizes are pinned here.  Neither may be loosened without a ledger entry.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from qdoeblin import channel as ch
 from qdoeblin import cli
 from qdoeblin import doeblin as db
-from qdoeblin import oracles
+from qdoeblin import oracles, properties, sdpcore
 
 
 def _line(num, ok, text):
@@ -23,9 +24,15 @@ def _line(num, ok, text):
     print(f"{tag} {'PASS' if ok else 'FAIL'}: {text}")
 
 
-def _mix(lam, first, second):
-    j = lam * first.choi.matrix + (1.0 - lam) * second.choi.matrix
-    return ch.channel_from_choi(ch.ChoiMatrix(j, first.d_in, first.d_out))
+def _criterion(num, seed, text, *laws):
+    """Run ``(law, size)`` pairs in order on one seeded stream, then gate."""
+    rng = np.random.default_rng(seed)
+    rec = properties.Recorder(f"criterion {num:02d}")
+    for law, size in laws:
+        law(rng, sdpcore.DEFAULT_TOL, rec, size)
+    ok = rec.failed == 0
+    _line(num, ok, f"{text}: {rec.passed} checks passed, {rec.failed} failed")
+    assert ok, rec.first
 
 
 def _read_csv(path):
@@ -93,76 +100,22 @@ def test_criterion_04_dephasing_identity_grid():
 
 
 def test_criterion_05_classical_equivalence():
-    rng = np.random.default_rng(1005)
-    worst = 0.0
-    for k in range(100):
-        size = 2 if k < 50 else 3
-        raw = rng.uniform(size=(size, size))
-        p_mat = raw / raw.sum(axis=0, keepdims=True)
-        quantum = db.alpha(ch.classical_embed(p_mat)).value
-        classical = float(p_mat.min(axis=1).sum())
-        worst = max(worst, abs(quantum - classical))
-    ok = worst <= 1e-5
-    _line(5, ok, f"alpha(embed(P)) vs min-sum on 100 stochastic matrices"
-                 f" (50 of each shape), max err {worst:.2e}")
-    assert worst <= 1e-5
+    _criterion(5, 1005, "alpha(embed(P)) vs min-sum on 100 stochastic matrices"
+               " (50 of each shape)",
+               (properties.classical_embedding_alpha, [2] * 50 + [3] * 50))
 
 
 def test_criterion_06_property_suites():
-    rng = np.random.default_rng(1006)
-
-    def rand_qubit():
-        return ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-
-    failures = 0
-    worst_slack = math.inf
-    for _ in range(100):
-        n, m = rand_qubit(), rand_qubit()
-        a_n, a_m = db.alpha(n).value, db.alpha(m).value
-        for lam in (0.25, 0.5, 0.75):
-            slack = db.alpha(_mix(lam, n, m)).value - (
-                lam * a_n + (1.0 - lam) * a_m
-            )
-            worst_slack = min(worst_slack, slack)
-            failures += slack < -1e-6
-    for _ in range(50):
-        n, m = rand_qubit(), rand_qubit()
-        slack = db.alpha(ch.tensor(n, m)).value - db.alpha(n).value * db.alpha(m).value
-        worst_slack = min(worst_slack, slack)
-        failures += slack < -1e-6
-    for _ in range(100):
-        n, m = rand_qubit(), rand_qubit()
-        a_n, a_m = db.alpha(n).value, db.alpha(m).value
-        slack = (1.0 - a_n) * (1.0 - a_m) - (1.0 - db.alpha(ch.compose(n, m)).value)
-        worst_slack = min(worst_slack, slack)
-        failures += slack < -1e-6
-    ok = failures == 0
-    _line(6, ok, f"concavity(100x3)/supermult(50)/concatenation(100),"
-                 f" {failures} failures, worst slack {worst_slack:.2e}")
-    assert failures == 0
+    _criterion(6, 1006, "concavity(100x3)/supermult(50)/concatenation(100)",
+               (properties.alpha_concave, 100),
+               (properties.alpha_supermultiplicative, 50),
+               (properties.alpha_concatenation, 100))
 
 
 def test_criterion_07_sandwich_suite():
-    rng = np.random.default_rng(1007)
-    worst = {"rev": -math.inf, "fwd": -math.inf, "herm": -math.inf}
-    for _ in range(200):
-        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        a = db.alpha(n).value
-        a_h = db.alpha_hermitian(n).value
-        rev = db.reverse_alpha(n).value
-        exp_oracle = oracles.eta_tr_expansion_qubit(n)
-        tr_oracle = oracles.eta_tr_qubit(n)
-        worst["rev"] = max(worst["rev"], (1.0 - rev) - exp_oracle)
-        worst["fwd"] = max(worst["fwd"], tr_oracle - (1.0 - a))
-        worst["herm"] = max(worst["herm"], a - a_h)
-    ok = worst["rev"] <= 1e-3 and worst["fwd"] <= 1e-3 and worst["herm"] <= 1e-6
-    _line(7, ok, "200 random qubit channels, worst margins:"
-                 f" 1-rev vs expansion oracle {worst['rev']:+.2e},"
-                 f" eta_tr oracle vs 1-alpha {worst['fwd']:+.2e},"
-                 f" alpha vs alphaH {worst['herm']:+.2e}")
-    assert worst["rev"] <= 1e-3
-    assert worst["fwd"] <= 1e-3
-    assert worst["herm"] <= 1e-6
+    _criterion(7, 1007, "200 random qubit channels: 1-rev vs expansion oracle,"
+               " eta_tr oracle vs 1-alpha, alpha vs alphaH",
+               (properties.sandwich, 200))
 
 
 def test_criterion_08_bitflip_bounds():
@@ -207,23 +160,10 @@ def test_criterion_09_expansion_witnesses():
 
 
 def test_criterion_10_classical_chain():
-    rng = np.random.default_rng(1010)
-    failures = 0
-    for _ in range(100):
-        c = oracles.random_biso(rng)
-        a = oracles.classical_doeblin(c)
-        g = oracles.classical_gamma(c)
-        ra = oracles.classical_reverse_alpha(c)
-        failures += not (a <= g + 1e-9 and g <= ra + 1e-5)
-    worst_bsc = 0.0
-    for p in (0.05, 0.11, 0.25, 0.4):
-        got = oracles.classical_reverse_alpha(oracles.bsc(p))
-        worst_bsc = max(worst_bsc, abs(got - oracles.binary_entropy(p)))
-    ok = failures == 0 and worst_bsc <= 1e-4
-    _line(10, ok, f"alpha <= 1-C <= rev on 100 BISO channels, {failures}"
-                  f" failures; BSC rev vs h(p) max err {worst_bsc:.2e}")
-    assert failures == 0
-    assert worst_bsc <= 1e-4
+    _criterion(10, 1010, "alpha <= 1-C <= rev on 100 BISO channels;"
+               " BSC rev vs h(p) on 4 points",
+               (properties.classical_chain, 100),
+               (properties.bsc_reverse_alpha, (0.05, 0.11, 0.25, 0.4)))
 
 
 def test_criterion_11_erasure_capacity_bounds():

@@ -1,13 +1,17 @@
 """CLI behaviour: exit codes, CSV dialect, figures, check suites."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qdoeblin import cli
+import qdoeblin
+from qdoeblin import channel as ch
+from qdoeblin import cli, properties, sdpcore
 
 
 def run(*argv):
@@ -223,13 +227,24 @@ def test_figures_failed_cells_exit_solver(tmp_path, capsys):
     assert statuses & {"max_iter", "numerical_failure"}
 
 
+def test_dp_cells_carry_the_failed_solve_status():
+    # Both range cells report a failed solve among the five behind them.
+    cells = cli._kind_cells(ch.gad(0.5, 0.6), ["dp_lower", "dp_upper"], 1e-16)
+    assert [status for _, status, _ in cells] == ["max_iter", "max_iter"]
+    assert all(cli._cell_failed(cell) for cell in cells)
+    cells = cli._kind_cells(ch.gad(0.5, 0.6), ["dp_lower", "dp_upper"],
+                           sdpcore.DEFAULT_TOL)
+    assert [status for _, status, _ in cells] == ["optimal", "optimal"]
+    assert not any(cli._cell_failed(cell) for cell in cells)
+
+
 def test_figures_unknown_name(tmp_path, capsys):
     assert run("figures", "--which", "fig99", "--outdir", str(tmp_path)) == 1
     capsys.readouterr()
 
 
 def test_check_fast_suites(capsys):
-    for suite in ("linalg", "channel", "sdp"):
+    for suite in ("linalg", "channel", "sdp", "doeblin", "classical"):
         code = run("check", "--suite", suite, "--seed", "7")
         out = capsys.readouterr().out
         assert code == 0
@@ -251,7 +266,7 @@ def test_check_failure_serializes_counterexample(monkeypatch, capsys):
         rec("always_passes", True)
         rec("always_fails", False, value=float(rng.uniform()), label="boom")
 
-    monkeypatch.setitem(cli.SUITES, "linalg", broken)
+    monkeypatch.setitem(properties.SUITES, "linalg", broken)
     code = run("check", "--suite", "linalg")
     out = capsys.readouterr().out
     assert code == 4
@@ -278,6 +293,29 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0
     assert abs(float(proc.stdout.splitlines()[1].split(",")[0]) - 0.25) < 1e-6
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdoeblin.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qdoeblin.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    proc = run_module("check", "--suite", "classical")
+    assert proc.returncode == 0, proc.stderr
+    assert "suite classical: " in proc.stdout
+    assert " 0 failed" in proc.stdout
+    proc = run_module("coeff", "--channel", "depolarizing", "--p", "0.5",
+                      "--kind", "nosuch")
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "unknown kind 'nosuch'" in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -72,11 +72,6 @@ def p1_isotropic_oracle(p, grid=1000):
     return float(np.max(np.where(ok, t, 0.0)))
 
 
-def mix(lam, first, second):
-    j = lam * first.choi.matrix + (1.0 - lam) * second.choi.matrix
-    return ch.channel_from_choi(ch.ChoiMatrix(j, first.d_in, first.d_out))
-
-
 # ---------------------------------------------------------------- forward
 
 
@@ -408,36 +403,6 @@ def test_capacity_q_bound_requires_qubit_input():
 
 
 # ------------------------------------------------- structural properties
-
-
-def test_concavity_of_alpha():
-    rng = np.random.default_rng(67)
-    for _ in range(25):
-        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        m = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        an, am = db.alpha(n).value, db.alpha(m).value
-        for lam in (0.25, 0.5, 0.75):
-            mixed = db.alpha(mix(lam, n, m)).value
-            assert mixed >= lam * an + (1.0 - lam) * am - 1e-6
-
-
-def test_supermultiplicativity_of_alpha():
-    rng = np.random.default_rng(71)
-    for _ in range(10):
-        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        m = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        joint = db.alpha(ch.tensor(n, m)).value
-        assert joint >= db.alpha(n).value * db.alpha(m).value - 1e-6
-
-
-def test_concatenation_of_alpha():
-    rng = np.random.default_rng(73)
-    for _ in range(25):
-        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        m = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
-        chained = db.alpha(ch.compose(n, m)).value
-        bound = (1.0 - db.alpha(n).value) * (1.0 - db.alpha(m).value)
-        assert 1.0 - chained <= bound + 1e-6
 
 
 def test_alpha_matches_bloch_oracle_on_random_channels():

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import linprog
 
 from qdoeblin import channel as ch
-from qdoeblin import doeblin as db
 from qdoeblin import hermlin, oracles
 
 
@@ -339,24 +338,3 @@ def test_classical_reverse_alpha_rejects_non_biso():
             oracles.ClassicalChannel(np.array([[0.7, 0.2], [0.3, 0.8]]))
         )
 
-
-def test_classical_chain_small_ensemble():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        c = oracles.random_biso(rng)
-        a = oracles.classical_doeblin(c)
-        g = oracles.classical_gamma(c)
-        ra = oracles.classical_reverse_alpha(c)
-        assert a <= g + 1e-9
-        assert g <= ra + 1e-5
-
-
-def test_quantum_classical_consistency():
-    rng = np.random.default_rng(19)
-    for _ in range(15):
-        size = int(rng.integers(2, 4))
-        raw = rng.uniform(size=(size, size))
-        p_mat = raw / raw.sum(axis=0, keepdims=True)
-        quantum = db.alpha(ch.classical_embed(p_mat)).value
-        classical = float(p_mat.min(axis=1).sum())
-        assert abs(quantum - classical) < 1e-5
