@@ -5,23 +5,34 @@ Four commands: ``coeff`` prints one coefficient row for a single channel,
 plot), ``figures`` regenerates the canned figure grids, and ``check`` runs
 the seeded property suites of :mod:`qdoeblin.properties`.  Exit codes: 0 ok,
 1 usage, 2 solver failure, 3 I/O, 4 check failure.
+
+``sweep`` and every figure (the entries of :data:`FIGURE_SPECS`) go
+through one grid writer, :func:`_grid`.  Every CSV value column has a
+``<column>_status`` column.  Importing this module pins BLAS to one thread
+unless the environment sets it, so ``--jobs`` workers do not oversubscribe.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
+# Before numpy loads: the matrices are small, so extra BLAS threads cost
+# time.  Forked pool workers inherit this; a value already set wins.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
-from . import channel as ch
-from . import doeblin as db
-from . import oracles, properties, sdpcore
+import numpy as np  # noqa: E402
+
+from . import channel as ch  # noqa: E402
+from . import doeblin as db  # noqa: E402
+from . import oracles, properties, sdpcore  # noqa: E402
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -85,6 +96,18 @@ def _build_channel(name: str, params: dict) -> ch.QuantumChannel:
         raise UsageError(f"cannot build channel {name!r}: {exc}") from exc
 
 
+def _flag_params(args, skip: str | None = None) -> dict:
+    """The family parameters given as flags, except the one named ``skip``."""
+    params = {
+        flag: getattr(args, flag)
+        for flag in _PARAM_FLAGS
+        if getattr(args, flag, None) is not None and flag != skip
+    }
+    if "d" in params:
+        params["d"] = int(params["d"])
+    return params
+
+
 def _channel_from_args(args) -> ch.QuantumChannel:
     if getattr(args, "file", None):
         try:
@@ -93,25 +116,14 @@ def _channel_from_args(args) -> ch.QuantumChannel:
             raise UsageError(f"bad channel file {args.file!r}: {exc}") from exc
     if not args.channel:
         raise UsageError("need --channel NAME or --file PATH")
-    params = {
-        flag: getattr(args, flag)
-        for flag in _PARAM_FLAGS
-        if getattr(args, flag, None) is not None
-    }
-    if "d" in params:
-        params["d"] = int(params["d"])
-    return _build_channel(args.channel, params)
+    return _build_channel(args.channel, _flag_params(args))
 
 
 def _check_kinds(kinds: list[str], combine_th: bool) -> list[str]:
     admissible = BASE_KINDS + (("alphaTH",) if combine_th else ())
     for kind in kinds:
         if kind not in admissible:
-            hint = (
-                " (enable with --combine-th)"
-                if kind == "alphaTH" and not combine_th
-                else ""
-            )
+            hint = " (enable with --combine-th)" if kind == "alphaTH" else ""
             raise UsageError(
                 f"unknown kind {kind!r}{hint}; admissible: {', '.join(admissible)}"
             )
@@ -119,10 +131,6 @@ def _check_kinds(kinds: list[str], combine_th: bool) -> list[str]:
 
 
 # -------------------------------------------------------------- computing
-
-
-# Figure-only helper columns; they carry no solver status column.
-_NO_STATUS_KINDS = frozenset({"eta_tr", "dp_lower", "dp_upper", "abs12p"})
 
 
 def _kind_cells(channel, kinds, tol: float, params=None) -> list[tuple]:
@@ -176,14 +184,45 @@ def _cell_failed(cell) -> bool:
 
 
 def _num(x: float) -> str:
-    if not math.isfinite(x):
-        return NAN_LITERAL
     return "%.9g" % x
 
 
-def _cell_text(cell) -> tuple[str, str]:
-    value, status, not_applicable = cell
-    return (NAN_LITERAL if not_applicable else _num(value)), status
+def _plot_value(cell, one_minus: bool = False) -> float:
+    """The value drawn for a cell: nan where the kind does not apply."""
+    value, _, not_applicable = cell
+    if not_applicable:
+        return math.nan
+    return 1.0 - value if one_minus else value
+
+
+def _cell_text(cell, one_minus: bool = False) -> tuple[str, str]:
+    """(value, status) as written to CSV: ``nan_not_ppt`` only where the
+    kind does not apply; other non-finite values read nan, inf or -inf."""
+    _, status, not_applicable = cell
+    text = NAN_LITERAL if not_applicable else _num(_plot_value(cell, one_minus))
+    return text, status
+
+
+def _plain(*kinds: str) -> list[tuple]:
+    return [(kind, kind, False) for kind in kinds]
+
+
+def _one_minus(*kinds: str) -> list[tuple]:
+    return [(f"one_minus_{kind}", kind, True) for kind in kinds]
+
+
+def _csv_lines(names, points, cols, results) -> list[str]:
+    """Header and rows: axis values, then value and status per column."""
+    header = list(names)
+    for col, _, _ in cols:
+        header += [col, f"{col}_status"]
+    lines = [",".join(header)]
+    for point, cells in zip(points, results):
+        row = [_num(v) for v in point]
+        for (_, _, one_minus), cell in zip(cols, cells):
+            row.extend(_cell_text(cell, one_minus))
+        lines.append(",".join(row))
+    return lines
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -209,13 +248,19 @@ def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         step = mult * mag
         if span / step <= target:
             break
-    first = math.ceil(lo / step - 1e-9) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step - 1e-9) * step
     while t <= hi + 1e-9 * span:
         ticks.append(round(t, 10))
         t += step
     return ticks
+
+
+def _finite_range(values) -> tuple[float, float]:
+    """(min, max) of the finite entries, or (0, 1) if there are none."""
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    return (float(finite.min()), float(finite.max())) if finite.size else (0.0, 1.0)
 
 
 def _svg_open(width: int, height: int, title: str) -> list[str]:
@@ -278,16 +323,10 @@ def _svg_line_plot(path, x, series, x_label, y_label, title):
     """Polyline plot; ``series`` is a list of (label, y-array) pairs."""
     width, height = 640, 440
     box = (64, 36, 616, 392)
-    x = np.asarray(x, dtype=float)
-    finite = [y[np.isfinite(y)] for _, y in series if np.any(np.isfinite(y))]
-    if finite:
-        y_lo = min(float(v.min()) for v in finite)
-        y_hi = max(float(v.max()) for v in finite)
-    else:
-        y_lo, y_hi = 0.0, 1.0
+    y_lo, y_hi = _finite_range([y for _, y in series])
     pad = 0.05 * (y_hi - y_lo) or 0.05
     y_lo, y_hi = y_lo - pad, y_hi + pad
-    x_lo, x_hi = float(x.min()), float(x.max())
+    x_lo, x_hi = float(min(x)), float(max(x))
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
 
@@ -296,8 +335,8 @@ def _svg_line_plot(path, x, series, x_label, y_label, title):
     for i, (label, y) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         run = []
-        y = np.asarray(y, dtype=float)
-        for xi, yi in zip(x, y):
+        # A trailing nan flushes the last finite run.
+        for xi, yi in itertools.chain(zip(x, y), [(0.0, math.nan)]):
             if math.isfinite(yi):
                 run.append(f"{px(xi):.2f},{py(yi):.2f}")
             elif run:
@@ -306,11 +345,6 @@ def _svg_line_plot(path, x, series, x_label, y_label, title):
                     f' stroke="{color}" stroke-width="1.6"/>'
                 )
                 run = []
-        if run:
-            parts.append(
-                f'<polyline points="{" ".join(run)}" fill="none"'
-                f' stroke="{color}" stroke-width="1.6"/>'
-            )
         ly = box[1] + 16 + 15 * i
         lx = box[2] - 150
         parts.append(
@@ -347,10 +381,7 @@ def _svg_heatmap(path, xs, ys, grid, x_label, y_label, title):
     width, height = 700, 470
     box = (64, 36, 560, 412)
     x0, y0, x1, y1 = box
-    grid = np.asarray(grid, dtype=float)
-    finite = grid[np.isfinite(grid)]
-    v_lo = float(finite.min()) if finite.size else 0.0
-    v_hi = float(finite.max()) if finite.size else 1.0
+    v_lo, v_hi = _finite_range(grid)
     span = (v_hi - v_lo) or 1.0
     nx, ny = len(xs), len(ys)
     cw = (x1 - x0) / nx
@@ -374,11 +405,10 @@ def _svg_heatmap(path, xs, ys, grid, x_label, y_label, title):
     )
     bar_x, bar_w, steps = 596, 18, 32
     for k in range(steps):
-        t0 = k / steps
         by = y1 - (y1 - y0) * (k + 1) / steps
         parts.append(
             f'<rect x="{bar_x}" y="{by:.1f}" width="{bar_w}"'
-            f' height="{(y1 - y0) / steps + 0.1:.1f}" fill="{_cmap(t0)}"/>'
+            f' height="{(y1 - y0) / steps + 0.1:.1f}" fill="{_cmap(k / steps)}"/>'
         )
     parts.append(
         f'<rect x="{bar_x}" y="{y0}" width="{bar_w}" height="{y1 - y0}"'
@@ -394,33 +424,57 @@ def _svg_heatmap(path, xs, ys, grid, x_label, y_label, title):
     _write_lines(path, parts)
 
 
+# -------------------------------------------------------------------- grid
+
+
+def _grid(family, fixed, axes, cols, jobs, tol, title, csv_path, svg_path):
+    """Solve ``cols`` on every point of the product of ``axes``; write it.
+
+    ``axes`` holds one or two ``(name, values)`` pairs and ``cols`` holds
+    ``(column, kind, one_minus)`` triples.  One axis draws a line plot at
+    ``svg_path``; two draw one heatmap per column, at ``<stem>_<column>.svg``
+    when there are several.  Returns the SVG paths and whether a cell failed.
+    """
+    names = [name for name, _ in axes]
+    points = list(itertools.product(*(values for _, values in axes)))
+    kinds = tuple(kind for _, kind, _ in cols)
+    tasks = [
+        (family, {**fixed, **dict(zip(names, point))}, kinds, tol)
+        for point in points
+    ]
+    results = _run_tasks(tasks, jobs)
+    _write_lines(csv_path, _csv_lines(names, points, cols, results))
+    failed = any(_cell_failed(cell) for cells in results for cell in cells)
+    if svg_path is None:
+        return [], failed
+
+    series = [
+        (col, np.array([_plot_value(cells[k], one_minus) for cells in results]))
+        for k, (col, _, one_minus) in enumerate(cols)
+    ]
+    if len(axes) == 1:
+        _svg_line_plot(svg_path, axes[0][1], series, names[0], "value", title)
+        return [svg_path], failed
+    stem, ext = os.path.splitext(svg_path)
+    many = len(cols) > 1
+    paths = [f"{stem}_{col}{ext}" if many else svg_path for col, _, _ in cols]
+    for path, (col, ys) in zip(paths, series):
+        _svg_heatmap(
+            path, axes[0][1], axes[1][1], ys.reshape(len(axes[0][1]), -1),
+            *names, f"{title}: {col}" if many else title,
+        )
+    return paths, failed
+
+
 # ----------------------------------------------------------- coeff, sweep
-
-
-def _emit_rows(kinds, param_names, param_rows, cells_rows, path):
-    header = list(param_names)
-    for kind in kinds:
-        header.append(kind)
-        header.append(f"{kind}_status")
-    lines = [",".join(header)]
-    failed = False
-    for params, cells in zip(param_rows, cells_rows):
-        row = [_num(v) for v in params]
-        for cell in cells:
-            value, status = _cell_text(cell)
-            row.extend((value, status))
-            failed = failed or _cell_failed(cell)
-        lines.append(",".join(row))
-    _write_lines(path, lines)
-    return failed
 
 
 def _cmd_coeff(args) -> int:
     kinds = _check_kinds(args.kind, args.combine_th)
     channel = _channel_from_args(args)
     cells = _kind_cells(channel, kinds, args.tol)
-    failed = _emit_rows(kinds, [], [[]], [cells], None)
-    return EXIT_SOLVER if failed else EXIT_OK
+    _write_lines(None, _csv_lines([], [()], _plain(*kinds), [cells]))
+    return EXIT_SOLVER if any(map(_cell_failed, cells)) else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
@@ -431,39 +485,16 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--start must not exceed --stop")
     if not args.channel:
         raise UsageError("sweep needs --channel (file channels have no knob)")
-    fixed = {
-        flag: getattr(args, flag)
-        for flag in _PARAM_FLAGS
-        if getattr(args, flag, None) is not None and flag != args.sweep
-    }
-    if "d" in fixed:
-        fixed["d"] = int(fixed["d"])
+    fixed = _flag_params(args, skip=args.sweep)
     count = int(math.floor((args.stop - args.start) / args.step + 1e-9))
-    grid = [args.start + i * args.step for i in range(count + 1)]
-    tasks = []
-    for value in grid:
-        params = dict(fixed)
-        params[args.sweep] = value
-        _build_channel(args.channel, params)  # fail fast on a bad point
-        tasks.append((args.channel, params, tuple(kinds), args.tol))
-    results = _run_tasks(tasks, args.jobs)
-    failed = _emit_rows(
-        kinds, [args.sweep], [[v] for v in grid], results, args.out
+    values = [args.start + i * args.step for i in range(count + 1)]
+    for value in values:  # fail fast on a bad point
+        _build_channel(args.channel, {**fixed, args.sweep: value})
+    _, failed = _grid(
+        args.channel, fixed, [(args.sweep, values)],
+        _plain(*kinds), args.jobs, args.tol,
+        f"{args.channel}: {', '.join(kinds)}", args.out, args.svg,
     )
-    if args.svg:
-        series = []
-        for k, kind in enumerate(kinds):
-            ys = np.array(
-                [
-                    math.nan if cells[k][2] else cells[k][0]
-                    for cells in results
-                ]
-            )
-            series.append((kind, ys))
-        _svg_line_plot(
-            args.svg, grid, series, args.sweep, "coefficient",
-            f"{args.channel}: {', '.join(kinds)}",
-        )
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -474,169 +505,40 @@ def _affine_grid(start: float, stop: float, n: int) -> list[float]:
     return [start + (stop - start) * i / (n - 1) for i in range(n)]
 
 
-def _any_failed(results) -> bool:
-    return any(_cell_failed(cell) for cells in results for cell in cells)
+_UNIT = _affine_grid(0.0, 1.0, 51)
+_GAD_SURFACE = (("p", _UNIT), ("eta", _UNIT))
+_DEP_LINE = (("p", _affine_grid(0.0, 4.0 / 3.0, 101)),)
 
 
-def _fig_line(outdir, name, family, fixed, sweep_name, grid, cols, jobs, tol,
-              title):
-    """One-parameter figure; ``cols`` are (column, kind, one_minus) triples.
-
-    Returns the written paths and whether any cell failed.
-    """
-    kinds = tuple(kind for _, kind, _ in cols)
-    tasks = []
-    for value in grid:
-        params = dict(fixed)
-        params[sweep_name] = value
-        tasks.append((family, params, kinds, tol))
-    results = _run_tasks(tasks, jobs)
-
-    header = [sweep_name]
-    for col, kind, _ in cols:
-        header.append(col)
-        if kind not in _NO_STATUS_KINDS:
-            header.append(f"{col}_status")
-    lines = [",".join(header)]
-    for value, cells in zip(grid, results):
-        row = [_num(value)]
-        for (col, kind, one_minus), cell in zip(cols, cells):
-            v, status, not_applicable = cell
-            out_v = math.nan if not_applicable else (1.0 - v if one_minus else v)
-            row.append(NAN_LITERAL if not_applicable else _num(out_v))
-            if kind not in _NO_STATUS_KINDS:
-                row.append(status)
-        lines.append(",".join(row))
-    csv_path = os.path.join(outdir, f"{name}.csv")
-    _write_lines(csv_path, lines)
-
-    series = []
-    for k, (col, _, one_minus) in enumerate(cols):
-        ys = np.array(
-            [
-                math.nan
-                if cells[k][2]
-                else (1.0 - cells[k][0] if one_minus else cells[k][0])
-                for cells in results
-            ]
-        )
-        series.append((col, ys))
-    svg_path = os.path.join(outdir, f"{name}.svg")
-    _svg_line_plot(svg_path, grid, series, sweep_name, "value", title)
-    return [csv_path, svg_path], _any_failed(results)
-
-
-def _fig_surface(outdir, name, kinds_cols, jobs, tol, title, n=51):
-    """GAD surface over (p, eta); ``kinds_cols`` are (column, kind) pairs.
-
-    Returns the written paths and whether any cell failed.
-    """
-    axis = _affine_grid(0.0, 1.0, n)
-    kinds = tuple(kind for _, kind in kinds_cols)
-    tasks = []
-    for p in axis:
-        for eta in axis:
-            tasks.append(("gad", {"p": p, "eta": eta}, kinds, tol))
-    results = _run_tasks(tasks, jobs)
-
-    header = ["p", "eta"] + [col for col, _ in kinds_cols]
-    lines = [",".join(header)]
-    grids = [np.empty((n, n)) for _ in kinds_cols]
-    idx = 0
-    for i, p in enumerate(axis):
-        for j, eta in enumerate(axis):
-            cells = results[idx]
-            idx += 1
-            row = [_num(p), _num(eta)]
-            for k in range(len(kinds_cols)):
-                v = math.nan if cells[k][2] else cells[k][0]
-                grids[k][i, j] = v
-                row.append(_num(v))
-            lines.append(",".join(row))
-    csv_path = os.path.join(outdir, f"{name}.csv")
-    _write_lines(csv_path, lines)
-
-    paths = [csv_path]
-    many = len(kinds_cols) > 1
-    for k, (col, _) in enumerate(kinds_cols):
-        svg_path = os.path.join(
-            outdir, f"{name}_{col}.svg" if many else f"{name}.svg"
-        )
-        _svg_heatmap(svg_path, axis, axis, grids[k], "p", "eta",
-                     f"{title}: {col}" if many else title)
-        paths.append(svg_path)
-    return paths, _any_failed(results)
-
-
-def _make_figure(which, outdir, jobs, tol):
-    """Write one figure; returns its paths and whether any cell failed."""
-    dep_grid = _affine_grid(0.0, 4.0 / 3.0, 101)
-    if which == "fig1":
-        return _fig_surface(outdir, "fig1", [("alpha", "alpha")], jobs, tol,
-                            "alpha of generalized amplitude damping")
-    if which == "fig2":
-        return _fig_line(
-            outdir, "fig2", "depolarizing", {}, "p", dep_grid,
-            [("alpha", "alpha", False), ("alphaT", "alphaT", False)],
-            jobs, tol, "depolarizing: alpha and alphaT",
-        )
-    if which == "fig3":
-        paths, failed = [], False
-        for eta in (0.5, 0.6, 0.7, 0.8):
-            part, part_failed = _fig_line(
-                outdir, f"fig3_eta{eta:g}", "gad", {"eta": eta}, "p",
-                _affine_grid(0.0, 1.0, 76),
-                [
-                    ("one_minus_alpha", "alpha", True),
-                    ("one_minus_alphaH", "alphaH", True),
-                ],
-                jobs, tol,
-                f"amplitude damping eta={eta:g}: contraction bounds",
-            )
-            paths.extend(part)
-            failed = failed or part_failed
-        return paths, failed
-    if which == "fig4":
-        return _fig_line(
-            outdir, "fig4", "depolarizing", {}, "p", dep_grid,
-            [("rev", "rev", False), ("revT", "revT", False)],
-            jobs, tol, "depolarizing: reverse coefficients",
-        )
-    if which == "fig5":
-        return _fig_surface(outdir, "fig5", [("rev", "rev")], jobs, tol,
-                            "reverse alpha of generalized amplitude damping")
-    if which == "fig6":
-        return _fig_surface(
-            outdir, "fig6",
-            [("lower", "dp_lower"), ("upper", "dp_upper")],
-            jobs, tol, "data-processing range",
-        )
-    if which == "fig7":
-        return _fig_line(
-            outdir, "fig7", "bitflip", {}, "p", _affine_grid(0.0, 1.0, 51),
-            [
-                ("one_minus_rev", "rev", True),
-                ("abs_one_minus_two_p", "abs12p", False),
-                ("eta_tr", "eta_tr", False),
-            ],
-            jobs, tol, "bit flip: expansion bounds",
-        )
-    if which == "fig8":
-        return _fig_line(
-            outdir, "fig8", "gad", {"p": 1.0}, "eta",
-            _affine_grid(0.0, 1.0, 51),
-            [
-                ("one_minus_alpha", "alpha", True),
-                ("one_minus_alphaH", "alphaH", True),
-                ("one_minus_revH", "revH", True),
-                ("one_minus_rev", "rev", True),
-            ],
-            jobs, tol, "amplitude damping p=1: range bounds",
-        )
-    raise UsageError(f"unknown figure {which!r}")
-
-
-FIGURES = tuple(f"fig{i}" for i in range(1, 9))
+# Each figure is a list of (stem, family, fixed, axes, columns, title)
+# entries; every entry writes <stem>.csv and its plots.
+FIGURE_SPECS = {
+    "fig1": [("fig1", "gad", {}, _GAD_SURFACE, _plain("alpha"),
+              "alpha of generalized amplitude damping")],
+    "fig2": [("fig2", "depolarizing", {}, _DEP_LINE, _plain("alpha", "alphaT"),
+              "depolarizing: alpha and alphaT")],
+    "fig3": [
+        (f"fig3_eta{eta:g}", "gad", {"eta": eta},
+         (("p", _affine_grid(0.0, 1.0, 76)),), _one_minus("alpha", "alphaH"),
+         f"amplitude damping eta={eta:g}: contraction bounds")
+        for eta in (0.5, 0.6, 0.7, 0.8)
+    ],
+    "fig4": [("fig4", "depolarizing", {}, _DEP_LINE, _plain("rev", "revT"),
+              "depolarizing: reverse coefficients")],
+    "fig5": [("fig5", "gad", {}, _GAD_SURFACE, _plain("rev"),
+              "reverse alpha of generalized amplitude damping")],
+    "fig6": [("fig6", "gad", {}, _GAD_SURFACE,
+              [("lower", "dp_lower", False), ("upper", "dp_upper", False)],
+              "data-processing range")],
+    "fig7": [("fig7", "bitflip", {}, (("p", _UNIT),),
+              _one_minus("rev") + [("abs_one_minus_two_p", "abs12p", False)]
+              + _plain("eta_tr"),
+              "bit flip: expansion bounds")],
+    "fig8": [("fig8", "gad", {"p": 1.0}, (("eta", _UNIT),),
+              _one_minus("alpha", "alphaH", "revH", "rev"),
+              "amplitude damping p=1: range bounds")],
+}
+FIGURES = tuple(FIGURE_SPECS)
 
 
 def _cmd_figures(args) -> int:
@@ -651,10 +553,15 @@ def _cmd_figures(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     failed = False
     for name in which:
-        paths, fig_failed = _make_figure(name, args.outdir, args.jobs, args.tol)
-        for path in paths:
-            print(f"wrote {path}")
-        failed = failed or fig_failed
+        for stem, family, fixed, axes, cols, title in FIGURE_SPECS[name]:
+            out = os.path.join(args.outdir, stem)
+            svgs, fig_failed = _grid(
+                family, fixed, axes, cols, args.jobs, args.tol, title,
+                f"{out}.csv", f"{out}.svg",
+            )
+            for path in [f"{out}.csv"] + svgs:
+                print(f"wrote {path}")
+            failed = failed or fig_failed
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -691,6 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chan.add_argument("--channel")
     chan.add_argument("--file")
     chan.add_argument("--combine-th", action="store_true", dest="combine_th")
+    chan.add_argument("--kind", action="append", required=True)
     for flag in _PARAM_FLAGS:
         chan.add_argument(f"--{flag}", type=float)
 
@@ -698,11 +606,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_coeff = sub.add_parser("coeff", parents=[common, chan])
-    p_coeff.add_argument("--kind", action="append", required=True)
     p_coeff.set_defaults(func=_cmd_coeff)
 
     p_sweep = sub.add_parser("sweep", parents=[common, chan])
-    p_sweep.add_argument("--kind", action="append", required=True)
     p_sweep.add_argument("--sweep", required=True)
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)

@@ -63,7 +63,6 @@ class DpRange:
     lower: float
     upper: float
     status: str
-    label: str | None = None
 
 
 @dataclass
@@ -389,9 +388,7 @@ def expansion_lower_bound(
 
 
 def dp_range(
-    channel: QuantumChannel,
-    tol: float = sdpcore.DEFAULT_TOL,
-    label: str | None = None,
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> DpRange:
     """Certified two-sided data-processing range for the channel."""
     lower, reverse = _expansion(channel, tol)
@@ -405,7 +402,6 @@ def dp_range(
         lower=lower,
         upper=upper,
         status=next(failed, sdpcore.STATUS_OPTIMAL),
-        label=label,
     )
 
 

@@ -321,3 +321,110 @@ def test_module_entry_point():
 def test_help_exits_zero(capsys):
     assert run("--help") == 0
     capsys.readouterr()
+
+
+# ------------------------------------------------------------ grid writer
+
+
+def _stub_cells(cells):
+    """A ``_run_tasks`` stand-in that answers every task with ``cells``."""
+    return lambda tasks, jobs: [list(cells) for _ in tasks]
+
+
+def test_figure_table(tmp_path, monkeypatch, capsys):
+    assert cli.FIGURES == tuple(f"fig{i}" for i in range(1, 9))
+    assert run("figures", "--which", "fig9", "--outdir", str(tmp_path)) == 1
+    monkeypatch.setattr(cli, "_run_tasks",
+                        _stub_cells([(0.25, "optimal", False)] * 2))
+    assert run("figures", "--which", "fig3", "--outdir", str(tmp_path)) == 0
+    stems = [f"fig3_eta{eta}" for eta in ("0.5", "0.6", "0.7", "0.8")]
+    wrote = [line.split()[1] for line in capsys.readouterr().out.splitlines()]
+    assert wrote == [str(tmp_path / f"{s}.{ext}")
+                     for s in stems for ext in ("csv", "svg")]
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(w)
+                                                  for w in wrote)
+    header, rows = read_csv(tmp_path / "fig3_eta0.5.csv")
+    assert header == ["p", "one_minus_alpha", "one_minus_alpha_status",
+                      "one_minus_alphaH", "one_minus_alphaH_status"]
+    assert len(rows) == 76
+    assert rows[1]["one_minus_alpha"] == "0.75"
+
+
+def test_surface_status_columns_report_failed_solves(tmp_path):
+    csv_path, svg_path = tmp_path / "s.csv", tmp_path / "s.svg"
+    svgs, failed = cli._grid(
+        "gad", {}, (("p", [0.3, 0.7]), ("eta", [0.4, 0.8])),
+        [("lower", "dp_lower", False), ("upper", "dp_upper", False)],
+        1, 1e-16, "range", str(csv_path), str(svg_path),
+    )
+    assert failed
+    assert svgs == [str(tmp_path / "s_lower.svg"), str(tmp_path / "s_upper.svg")]
+    header, rows = read_csv(csv_path)
+    assert header == ["p", "eta", "lower", "lower_status", "upper",
+                      "upper_status"]
+    assert [(r["p"], r["eta"]) for r in rows] == [
+        ("0.3", "0.4"), ("0.3", "0.8"), ("0.7", "0.4"), ("0.7", "0.8")]
+    for r in rows:
+        for col in ("lower_status", "upper_status"):
+            assert r[col] in ("max_iter", "numerical_failure")
+
+
+def test_figures_fig7_status_columns(tmp_path, capsys):
+    code = run("figures", "--which", "fig7", "--jobs", "1",
+               "--outdir", str(tmp_path))
+    capsys.readouterr()
+    assert code == 0
+    header, rows = read_csv(tmp_path / "fig7.csv")
+    assert header == [
+        "p", "one_minus_rev", "one_minus_rev_status",
+        "abs_one_minus_two_p", "abs_one_minus_two_p_status",
+        "eta_tr", "eta_tr_status",
+    ]
+    assert len(rows) == 51
+    assert {r["one_minus_rev_status"] for r in rows} == {"optimal"}
+    assert {r["abs_one_minus_two_p_status"] for r in rows} == {"exact"}
+    assert {r["eta_tr_status"] for r in rows} == {"oracle"}
+
+
+def test_not_ppt_literal_only_where_not_applicable(tmp_path, monkeypatch):
+    assert cli._cell_text((np.nan, "numerical_failure", False)) == (
+        "nan", "numerical_failure")
+    assert cli._cell_text((np.inf, "max_iter", False)) == ("inf", "max_iter")
+    assert cli._cell_text((np.inf, "max_iter", False), one_minus=True) == (
+        "-inf", "max_iter")
+    for one_minus in (False, True):
+        assert cli._cell_text((0.3, "not_applicable", True), one_minus) == (
+            cli.NAN_LITERAL, "not_applicable")
+    cells = [(np.nan, "numerical_failure", False),
+             (0.3, "not_applicable", True),
+             (0.3, "not_applicable", True)]
+    monkeypatch.setattr(cli, "_run_tasks", _stub_cells(cells))
+    path = tmp_path / "g.csv"
+    _, failed = cli._grid(
+        "depolarizing", {}, (("p", [0.5]),),
+        [("a", "alpha", False), ("b", "alphaT", False), ("c", "alphaT", True)],
+        1, 1e-8, "t", str(path), None,
+    )
+    assert failed
+    assert path.read_text().splitlines()[1] == (
+        "0.5,nan,numerical_failure,nan_not_ppt,not_applicable,"
+        "nan_not_ppt,not_applicable"
+    )
+
+
+def test_cli_import_pins_blas_threads():
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdoeblin.__file__)))
+    env["PYTHONPATH"] = src
+    code = ("import os, qdoeblin.cli; print(' '.join(os.environ[n] for n in"
+            f" {names!r}))")
+
+    def pinned(extra):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert pinned({}) == ["1", "1", "1"]
+    assert pinned({"OPENBLAS_NUM_THREADS": "3"}) == ["3", "1", "1"]

@@ -351,10 +351,9 @@ def test_qudit_depolarizing_closed_forms(coeff, d, p):
 
 
 def test_dp_range_depolarizing_above_one_collapses():
-    r = db.dp_range(ch.depolarizing(1.2), label="dep-1.2")
+    r = db.dp_range(ch.depolarizing(1.2))
     assert abs(r.upper - 0.2) < 1e-5
     assert abs(r.lower - 0.2) < 1e-5
-    assert r.label == "dep-1.2"
 
 
 def test_dp_range_ordering_random():
