@@ -7,7 +7,9 @@ the seeded property suites of :mod:`qdoeblin.properties`.  Exit codes: 0 ok,
 1 usage, 2 solver failure, 3 I/O, 4 check failure.
 
 ``sweep`` and every figure (the entries of :data:`FIGURE_SPECS`) go
-through one grid writer, :func:`_grid`.  Every CSV value column has a
+through one grid writer, :func:`_grid`, which solves each column of up to
+``GRID_CHUNK`` points as one lockstep batch (``db.solve_grid``); ``--jobs``
+spreads the chunks over a process pool.  Every CSV value column has a
 ``<column>_status`` column.  Importing this module pins BLAS to one thread
 unless the environment sets it, so ``--jobs`` workers do not oversubscribe.
 """
@@ -42,6 +44,7 @@ EXIT_CHECK = 4
 
 NAN_LITERAL = "nan_not_ppt"
 
+# The single-channel function of each kind name.
 KIND_FUNCS = {
     "alpha": db.alpha,
     "alphaT": db.alpha_transpose,
@@ -52,8 +55,22 @@ KIND_FUNCS = {
     "revT": db.reverse_alpha_transpose,
     "revH": db.reverse_alpha_hermitian,
 }
+# The doeblin kind of each name, for grids solved through ``db.solve_grid``.
+GRID_KINDS = {
+    "alpha": db.KIND_ALPHA,
+    "alphaT": db.KIND_ALPHA_T,
+    "alphaH": db.KIND_ALPHA_H,
+    "alphaTH": db.KIND_ALPHA_TH,
+    "p1": db.KIND_P1,
+    "rev": db.KIND_REV,
+    "revT": db.KIND_REV_T,
+    "revH": db.KIND_REV_H,
+}
 # alphaTH stays behind --combine-th; the default surface omits it.
 BASE_KINDS = ("alpha", "alphaT", "alphaH", "p1", "rev", "revT", "revH")
+
+# Most grid points one lockstep batch holds, which bounds its memory.
+GRID_CHUNK = 128
 
 PALETTE = (
     "#1f77b4",
@@ -133,42 +150,67 @@ def _check_kinds(kinds: list[str], combine_th: bool) -> list[str]:
 # -------------------------------------------------------------- computing
 
 
-def _kind_cells(channel, kinds, tol: float, params=None) -> list[tuple]:
-    """(value, status, not_applicable) per requested column.
+def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
+    """(value, status, not_applicable) per point and requested column.
 
+    Each SDP column is one ``db.solve_grid`` call over all the channels.
     Besides the SDP kinds this understands the oracle column ``eta_tr``, the
     closed form ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper``
     columns which share one solve.
     """
-    cells = []
+    columns = []
     dp = None
     for kind in kinds:
         if kind == "eta_tr":
-            cells.append((oracles.eta_tr_qubit(channel), "oracle", False))
+            col = [(oracles.eta_tr_qubit(c), "oracle", False) for c in channels]
         elif kind == "abs12p":
-            cells.append((abs(1.0 - 2.0 * params["p"]), "exact", False))
+            col = [(abs(1.0 - 2.0 * p["p"]), "exact", False) for p in params]
         elif kind in ("dp_lower", "dp_upper"):
             if dp is None:
-                dp = db.dp_range(channel, tol=tol)
-            value = dp.lower if kind == "dp_lower" else dp.upper
-            cells.append((value, dp.status, False))
+                dp = db.solve_grid(db.KIND_DP, channels, tol)
+            col = [(r.lower if kind == "dp_lower" else r.upper, r.status, False) for r in dp]
         else:
-            res = KIND_FUNCS[kind](channel, tol=tol)
-            cells.append((float(res.value), res.status, res.not_applicable))
-    return cells
+            col = [
+                (float(r.value), r.status, r.not_applicable)
+                for r in db.solve_grid(GRID_KINDS[kind], channels, tol)
+            ]
+        columns.append(col)
+    return [list(cells) for cells in zip(*columns)]
 
 
-def _point_task(task):
-    family, params, kinds, tol = task
-    return _kind_cells(ch.FAMILIES[family](**params), kinds, tol, params)
+def _kind_cells(channel, kinds, tol: float, params=None) -> list[tuple]:
+    """The cells of one channel: a grid of one point."""
+    return _grid_cells([channel], kinds, tol, [params])[0]
+
+
+def _chunk_cells(tasks) -> list[list[tuple]]:
+    """Cells of a run of point tasks that share family, kinds and tol.
+
+    Every channel is built before anything is solved, so a bad point is a
+    usage error; then each column is solved as one batch.
+    """
+    family, _, kinds, tol = tasks[0]
+    params = [p for _, p, _, _ in tasks]
+    channels = [_build_channel(family, p) for p in params]
+    return _grid_cells(channels, kinds, tol, params)
 
 
 def _run_tasks(tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [_point_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_point_task, tasks, chunksize=chunk))
+    """Cells per ``(family, params, kinds, tol)`` point task, in task order.
+
+    The tasks of one call share family, kinds and tol.  They are cut into
+    at most ``jobs`` contiguous chunks of at most ``GRID_CHUNK`` points;
+    each chunk is solved as one batch per column, in a pool of ``jobs``
+    processes when there are several chunks.
+    """
+    size = max(1, min(GRID_CHUNK, math.ceil(len(tasks) / max(jobs, 1))))
+    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+    if jobs <= 1 or len(chunks) <= 1:
+        results = [_chunk_cells(c) for c in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_chunk_cells, chunks))
+    return [cells for chunk in results for cells in chunk]
 
 
 def _cell_failed(cell) -> bool:
@@ -488,8 +530,6 @@ def _cmd_sweep(args) -> int:
     fixed = _flag_params(args, skip=args.sweep)
     count = int(math.floor((args.stop - args.start) / args.step + 1e-9))
     values = [args.start + i * args.step for i in range(count + 1)]
-    for value in values:  # fail fast on a bad point
-        _build_channel(args.channel, {**fixed, args.sweep: value})
     _, failed = _grid(
         args.channel, fixed, [(args.sweep, values)],
         _plain(*kinds), args.jobs, args.tol,

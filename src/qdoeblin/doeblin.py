@@ -8,6 +8,14 @@ to the whole ``(k, n, n)`` basis stack of its variable, each PSD block is
 lowered by one :func:`qdoeblin.hermlin.real_embed` call and each equality
 by one gemm against the basis of its target space.
 
+Each declaration takes a list of channels of equal dimensions.  The parts
+that do not depend on the channel (PSD-map images, shared equality rows,
+the objective and bounds) are lowered once for the list, and kept for the
+next call when they are small; the programs go to
+:func:`qdoeblin.sdpcore.solve_many` as one lockstep batch.
+:func:`solve_grid` is the grid entry; the public kind functions are the
+list of one channel and reach :func:`qdoeblin.sdpcore.solve`.
+
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
 expansion from below (``eta_min >= 1 - reverse_alpha``) by degrading the
@@ -31,6 +39,8 @@ KIND_P1 = "p1_ppt"
 KIND_REV = "rev_alpha"
 KIND_REV_T = "rev_alpha_T"
 KIND_REV_H = "rev_alpha_H"
+# The data-processing range of :func:`dp_range`, for :func:`solve_grid`.
+KIND_DP = "dp_range"
 
 STATUS_NOT_APPLICABLE = "not_applicable"
 
@@ -70,13 +80,15 @@ class CapacityBounds:
     """Upper bounds on capacities induced by the Doeblin coefficient.
 
     ``q_bound`` (quantum capacity) uses the qubit erasure comparison and is
-    only available for qubit inputs.
+    only available for qubit inputs.  ``status`` is the status of the alpha
+    solve behind every bound.
     """
 
     alpha_value: float
     q_bound: float | None
     q2_bound: float
     c_bound: float
+    status: str
 
 
 def _embed(m: np.ndarray) -> np.ndarray:
@@ -92,8 +104,74 @@ def _pair_traces(gs, ms) -> np.ndarray:
     )
 
 
-def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, tol):
-    """Maximise ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Lowered:
+    """The problem-independent part of a lowered declaration.
+
+    ``consts`` holds the embedded PSD constants shared by every problem
+    (``None`` where each problem has its own), ``eq_rows`` the rows of the
+    equalities shared by every problem, and ``eq_images`` the images of the
+    shared maps of the other equalities.  ``bases`` keeps the basis stacks
+    that per-problem maps still need.
+    """
+
+    def __init__(self, sides, weights, psd, eqs, bounds):
+        bases = [hermlin.hermitian_basis_stack(side) for side in sides]
+        self.start = np.cumsum([0] + [len(b) for b in bases])
+        self.n = n = int(self.start[-1])
+        self.nbytes = 0
+        self.coeffs, self.consts = [], []
+        for c, maps in psd:
+            embedded = _frozen(_embed(np.concatenate([f(bases[v]) for v, f in maps.items()])))
+            self.coeffs.append(list(zip(self.columns(maps), embedded)))
+            self.consts.append(_frozen(_embed(c)) if np.ndim(c) == 2 else None)
+            self.nbytes += embedded.nbytes
+        self.eq_rows, self.eq_images, self.bases = [], [], {}
+        for target, maps in eqs:
+            images = {v: _frozen(f(bases[v])) for v, f in maps.items() if callable(f)}
+            shared = np.ndim(target) == 2 and len(images) == len(maps)
+            self.eq_rows.append(self.rows(target, maps, images) if shared else None)
+            self.eq_images.append(None if shared else images)
+            if not shared:
+                self.bases.update((v, bases[v]) for v in maps if v not in images)
+                self.nbytes += sum(im.nbytes for im in images.values())
+        self.objective = np.zeros(n)
+        for v, w in weights.items():
+            self.objective[self.start[v] : self.start[v + 1]] = _pair_traces([w], bases[v])[0]
+        self.lower, self.upper = np.full(n, -np.inf), np.full(n, np.inf)
+        for v, (lo, hi) in (bounds or {}).items():
+            self.lower[self.start[v] : self.start[v + 1]] = lo
+            self.upper[self.start[v] : self.start[v + 1]] = hi
+        # Later calls share every array kept here.
+        for a in (self.objective, self.lower, self.upper):
+            a.flags.writeable = False
+
+    def columns(self, maps) -> np.ndarray:
+        return np.concatenate([np.arange(self.start[v], self.start[v + 1]) for v in maps])
+
+    def rows(self, target, maps, images):
+        """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``."""
+        stack = np.concatenate([*(images[v] for v in maps), np.asarray(target)[None]])
+        traces = _pair_traces(hermlin.hermitian_basis_stack(len(target)), stack)
+        rows = np.zeros((len(traces), self.n))
+        rows[:, self.columns(maps)] = traces[:, :-1]
+        return _frozen(rows), _frozen(traces[:, -1])
+
+
+# Lowered declarations by key, so that a single-channel call lowers only
+# its channel's data.  Lowerings above ``LOWERED_BYTES`` (the d >= 4
+# programs take megabytes) are not kept.
+_LOWERED: dict = {}
+LOWERED_BYTES = 1 << 20
+
+
+def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=None):
+    """Maximise ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``, for
+    ``count`` problems that differ only in their data.
 
     ``sides[v]`` is the side of ``X_v`` (1 for a real scalar) and
     ``weights`` maps ``v`` to ``W_v``.  A constraint is a Hermitian matrix
@@ -105,53 +183,67 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, tol):
     by one ``real_embed`` and each equality by one gemm against the basis
     of its target space.
 
-    Returns the solution and every ``X_v`` as a Hermitian matrix.
+    The problems share the variables, the weights, the bounds and the PSD
+    maps, which are lowered once.  A constant ``C`` or ``R`` is one matrix
+    or a stack of ``count`` matrices, one per problem, and an equality map
+    is one callable or a list of ``count`` callables.  ``key`` names the
+    declaration: every call with one key must declare the same shared
+    parts, whose lowering is then kept for the next call.
+
+    Returns ``(solution, [X_v as Hermitian matrices])`` per problem.
     """
-    bases = [np.stack(hermlin.hermitian_basis(side)) for side in sides]
-    start = np.cumsum([0] + [len(b) for b in bases])
-    n = int(start[-1])
+    low = _LOWERED.get(key) if key is not None else None
+    if low is None:
+        low = _Lowered(sides, weights, psd, eqs, bounds)
+        if key is not None and low.nbytes <= LOWERED_BYTES:
+            _LOWERED[key] = low
+    consts = [c if c is not None else _embed(c_in) for c, (c_in, _) in zip(low.consts, psd)]
 
-    def lower(maps):
-        idx = np.concatenate([np.arange(start[v], start[v + 1]) for v in maps])
-        return idx, np.concatenate([f(bases[v]) for v, f in maps.items()])
+    eq_data = [[] for _ in range(count)]
+    for (target, maps), shared, images in zip(eqs, low.eq_rows, low.eq_images):
+        if shared is not None:
+            for data in eq_data:
+                data.append(shared)
+            continue
+        for p, data in enumerate(eq_data):
+            mine = {v: images[v] if v in images else maps[v][p](low.bases[v]) for v in maps}
+            data.append(low.rows(target if np.ndim(target) == 2 else target[p], maps, mine))
 
-    blocks = []
-    for c, maps in psd:
-        idx, images = lower(maps)
-        blocks.append(sdpcore.SdpBlock(c=_embed(c), coeffs=list(zip(idx, _embed(images)))))
-    eq_matrix, eq_rhs = [], []
-    for target, maps in eqs:
-        idx, images = lower(maps)
-        traces = _pair_traces(hermlin.hermitian_basis(len(target)), [*images, target])
-        rows = np.zeros((len(traces), n))
-        rows[:, idx] = traces[:, :-1]
-        eq_matrix.append(rows)
-        eq_rhs.append(traces[:, -1])
-    objective = np.zeros(n)
-    for v, w in weights.items():
-        objective[start[v] : start[v + 1]] = _pair_traces([w], bases[v])[0]
-    lower_bound, upper_bound = np.full(n, -np.inf), np.full(n, np.inf)
-    for v, (lo, hi) in (bounds or {}).items():
-        lower_bound[start[v] : start[v + 1]] = lo
-        upper_bound[start[v] : start[v + 1]] = hi
-    # Only the lowered blocks are needed from here on; the basis stacks and
-    # their images are 1 MB each at d=4.
-    del bases, images
-    problem = sdpcore.SdpProblem(
-        num_vars=n,
-        objective=objective,
-        blocks=blocks,
-        eq_matrix=np.vstack(eq_matrix) if eqs else None,
-        eq_rhs=np.concatenate(eq_rhs) if eqs else None,
-        lower=lower_bound,
-        upper=upper_bound,
+    def stacked(data):
+        if not data:
+            return None, None
+        if len(data) == 1:
+            return data[0]
+        return np.vstack([rows for rows, _ in data]), np.concatenate([rhs for _, rhs in data])
+
+    problems = []
+    for p in range(count):
+        eq_matrix, eq_rhs = stacked(eq_data[p])
+        problems.append(sdpcore.SdpProblem(
+            num_vars=low.n,
+            objective=low.objective,
+            blocks=[
+                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[p], coeffs=cf)
+                for c, cf in zip(consts, low.coeffs)
+            ],
+            eq_matrix=eq_matrix,
+            eq_rhs=eq_rhs,
+            lower=low.lower,
+            upper=low.upper,
+        ))
+    # A single channel is a batch of one, solved through ``solve``.
+    sols = (
+        [sdpcore.solve(problems[0], tol=tol)]
+        if count == 1
+        else sdpcore.solve_many(problems, tol=tol)
     )
-    sol = sdpcore.solve(problem, tol=tol)
-    xs = [
-        hermlin.hermitian_from_coords(sol.y[start[v] : start[v + 1]], side)
-        for v, side in enumerate(sides)
+    return [
+        (sol, [
+            hermlin.hermitian_from_coords(sol.y[low.start[v] : low.start[v + 1]], side)
+            for v, side in enumerate(sides)
+        ])
+        for sol in sols
     ]
-    return sol, xs
 
 
 def _result(kind: str, sol: sdpcore.SdpSolution, value: float, witness) -> CoefficientResult:
@@ -176,26 +268,27 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
 
 
 def _alpha_solution(
-    kind: str, j_mat: np.ndarray, channel: QuantumChannel, positive: bool, tol: float
-) -> CoefficientResult:
+    kind: str, j_mats: list[np.ndarray], channels: list[QuantumChannel], positive: bool, tol: float
+) -> list[CoefficientResult]:
     """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
 
-    With ``positive`` the witness is sigma renormalised to a state, without
-    it the Hermitian sigma itself.
+    One program per channel, with ``j_mats`` the matrices J; the channels
+    share their dimensions.  With ``positive`` the witness is sigma
+    renormalised to a state, without it the Hermitian sigma itself.
     """
-    d_out = channel.d_out
-    eye_in = np.eye(channel.d_in) / channel.d_in
-    psd = [(j_mat, {0: lambda b: hermlin.kron(b, eye_in)})]
+    d_in, d_out = channels[0].d_in, channels[0].d_out
+    eye_in = np.eye(d_in) / d_in
+    psd = [(np.stack(j_mats), {0: lambda b: hermlin.kron(b, eye_in)})]
     if positive:
         psd.append((np.zeros((d_out, d_out)), {0: np.negative}))
-    sol, (sigma,) = _solve_program([d_out], {0: np.eye(d_out)}, psd, tol=tol)
-    witness = _state_witness(sigma) if positive else sigma
-    return _result(kind, sol, sol.objective_value, witness)
-
-
-def alpha(channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL) -> CoefficientResult:
-    """Doeblin coefficient: the largest erasure component of the channel."""
-    return _alpha_solution(KIND_ALPHA, channel.choi.matrix, channel, True, tol)
+    solved = _solve_program(
+        [d_out], {0: np.eye(d_out)}, psd,
+        count=len(channels), tol=tol, key=("alpha", d_in, d_out, positive),
+    )
+    return [
+        _result(kind, sol, sol.objective_value, _state_witness(sigma) if positive else sigma)
+        for sol, (sigma,) in solved
+    ]
 
 
 def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
@@ -204,26 +297,160 @@ def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
     )
 
 
-def alpha_transpose(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> CoefficientResult:
-    """Doeblin coefficient of the transposed channel; needs a PPT channel."""
-    jt = _transposed_choi(channel)
-    if np.linalg.eigvalsh(jt)[0] < -hermlin.PSD_TOL:
-        return CoefficientResult(
+def _alpha_grid(channels, tol):
+    return _alpha_solution(KIND_ALPHA, [c.choi.matrix for c in channels], channels, True, tol)
+
+
+def _alpha_transpose_grid(channels, tol):
+    """alphaT where the transposed Choi matrix is PSD, not applicable elsewhere."""
+    jts = [_transposed_choi(c) for c in channels]
+    ppt = [not np.linalg.eigvalsh(jt)[0] < -hermlin.PSD_TOL for jt in jts]
+    solved = iter(_alpha_solution(
+        KIND_ALPHA_T,
+        [jt for jt, ok in zip(jts, ppt) if ok],
+        [c for c, ok in zip(channels, ppt) if ok],
+        True,
+        tol,
+    ) if any(ppt) else ())
+    return [
+        next(solved) if ok else CoefficientResult(
             kind=KIND_ALPHA_T,
             value=float("nan"),
             status=STATUS_NOT_APPLICABLE,
             not_applicable=True,
         )
-    return _alpha_solution(KIND_ALPHA_T, jt, channel, True, tol)
+        for ok in ppt
+    ]
+
+
+def _alpha_hermitian_grid(channels, tol):
+    return _alpha_solution(KIND_ALPHA_H, [c.choi.matrix for c in channels], channels, False, tol)
+
+
+def _alpha_transpose_hermitian_grid(channels, tol):
+    return _alpha_solution(
+        KIND_ALPHA_TH, [_transposed_choi(c) for c in channels], channels, False, tol
+    )
+
+
+def _p1_grid(channels, tol):
+    """Largest PPT entanglement-breaking-candidate component of each channel."""
+    d_in, d_out = channels[0].d_in, channels[0].d_out
+    dim = d_in * d_out
+    zero = np.zeros((dim, dim))
+
+    def traceless_marginal(b):
+        # Only the direction of the input marginal is fixed, not its trace.
+        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        return hermlin.partial_trace(b, (d_out, d_in), 1) - tr * np.eye(d_in) / d_in
+
+    solved = _solve_program(
+        [dim],
+        {0: np.eye(dim)},
+        psd=[
+            (zero, {0: np.negative}),
+            (zero, {0: lambda b: -hermlin.partial_transpose(b, (d_out, d_in), 1)}),
+            (np.stack([c.choi.matrix for c in channels]), {0: lambda b: b}),
+        ],
+        eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
+        count=len(channels),
+        tol=tol,
+        key=(KIND_P1, d_in, d_out),
+    )
+    return [_result(KIND_P1, sol, sol.objective_value, j_hat) for sol, (j_hat,) in solved]
+
+
+def _reverse(
+    channels: list[QuantumChannel], kind: str, side: int, extra, target, bounds, tol: float
+) -> list[CoefficientResult]:
+    """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
+
+    D runs from the channel output (dim ``d_b``) back to its input (dim
+    ``d_a``); its Choi matrix is ordered output (x) input like every other
+    Choi here, so it lives on ``d_a * d_b`` and the composite on
+    ``d_a * d_a``.  D is completely positive and trace preserving, and
+    ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
+    the given side.  One program per channel; the channel enters only the
+    link-product rows.
+    """
+    for channel in channels:
+        if channel.d_in != channel.d_out:
+            raise ValueError(
+                "reverse coefficients need d_in == d_out, got"
+                f" ({channel.d_in}, {channel.d_out})"
+            )
+    d_a = d_b = channels[0].d_in
+    links = [
+        lambda b, j=channel.choi.matrix: link_raw(b, (d_a, d_b), j, (d_b, d_a))
+        for channel in channels
+    ]
+    solved = _solve_program(
+        [d_a * d_b, side],
+        {1: -np.eye(side)},
+        psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
+        eqs=[
+            # Tracing out the output factor of D leaves 1/d_b: D is trace
+            # preserving.
+            (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
+            (target, {0: links, 1: extra}),
+        ],
+        bounds=bounds,
+        count=len(channels),
+        tol=tol,
+        key=(kind, d_a),
+    )
+    return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
+
+
+def _reverse_fixed_target(channels, kind: str, anchor: np.ndarray, lo: float, hi: float, tol: float):
+    """Smallest p in [lo, hi] with D compose N = (1 - p) anchor + p 1/d^2 in Choi form."""
+    d = channels[0].d_in
+    eye = np.eye(d * d) / (d * d)
+    return _reverse(channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}, tol)
+
+
+def _rev_grid(channels, tol):
+    d = channels[0].d_in
+    return _reverse_fixed_target(channels, KIND_REV, max_entangled(d), 0.0, 1.0, tol)
+
+
+def _rev_transpose_grid(channels, tol):
+    d = channels[0].d_in
+    return _reverse_fixed_target(
+        channels, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0), tol
+    )
+
+
+def _rev_hermitian_grid(channels, tol):
+    """Degrade onto a generalized-depolarizing target with free Hermitian part."""
+    d = channels[0].d_in
+    phi = max_entangled(d)
+    eye_in = np.eye(d) / d
+
+    def extra(b):
+        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        return tr * phi - hermlin.kron(b, eye_in)
+
+    return _reverse(channels, KIND_REV_H, d, extra, phi, None, tol)
+
+
+def alpha(channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL) -> CoefficientResult:
+    """Doeblin coefficient: the largest erasure component of the channel."""
+    return _alpha_grid([channel], tol)[0]
+
+
+def alpha_transpose(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> CoefficientResult:
+    """Doeblin coefficient of the transposed channel; needs a PPT channel."""
+    return _alpha_transpose_grid([channel], tol)[0]
 
 
 def alpha_hermitian(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Hermitian relaxation: the replaced output may be any Hermitian operator."""
-    return _alpha_solution(KIND_ALPHA_H, channel.choi.matrix, channel, False, tol)
+    return _alpha_hermitian_grid([channel], tol)[0]
 
 
 def alpha_transpose_hermitian(
@@ -234,7 +461,7 @@ def alpha_transpose_hermitian(
     Well defined for every channel: the decomposition argument behind the
     bound does not need the transposed map to be completely positive.
     """
-    return _alpha_solution(KIND_ALPHA_TH, _transposed_choi(channel), channel, False, tol)
+    return _alpha_transpose_hermitian_grid([channel], tol)[0]
 
 
 def p1_eb_ppt(
@@ -246,90 +473,21 @@ def p1_eb_ppt(
     are PSD, PPT, have a uniform input marginal and satisfy
     ``J - J_hat >= 0``.
     """
-    d_in, d_out = channel.d_in, channel.d_out
-    dim = d_in * d_out
-    zero = np.zeros((dim, dim))
-
-    def traceless_marginal(b):
-        # Only the direction of the input marginal is fixed, not its trace.
-        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
-        return hermlin.partial_trace(b, (d_out, d_in), 1) - tr * np.eye(d_in) / d_in
-
-    sol, (j_hat,) = _solve_program(
-        [dim],
-        {0: np.eye(dim)},
-        psd=[
-            (zero, {0: np.negative}),
-            (zero, {0: lambda b: -hermlin.partial_transpose(b, (d_out, d_in), 1)}),
-            (channel.choi.matrix, {0: lambda b: b}),
-        ],
-        eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
-        tol=tol,
-    )
-    return _result(KIND_P1, sol, sol.objective_value, j_hat)
-
-
-def _reverse(
-    channel: QuantumChannel, kind: str, side: int, extra, target, bounds, tol: float
-) -> CoefficientResult:
-    """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
-
-    D runs from the channel output (dim ``d_b``) back to its input (dim
-    ``d_a``); its Choi matrix is ordered output (x) input like every other
-    Choi here, so it lives on ``d_a * d_b`` and the composite on
-    ``d_a * d_a``.  D is completely positive and trace preserving, and
-    ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
-    the given side.
-    """
-    if channel.d_in != channel.d_out:
-        raise ValueError(
-            "reverse coefficients need d_in == d_out, got"
-            f" ({channel.d_in}, {channel.d_out})"
-        )
-    d_a = d_b = channel.d_in
-    sol, (d_choi, _) = _solve_program(
-        [d_a * d_b, side],
-        {1: -np.eye(side)},
-        psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
-        eqs=[
-            # Tracing out the output factor of D leaves 1/d_b: D is trace
-            # preserving.
-            (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
-            (target, {
-                0: lambda b: link_raw(b, (d_a, d_b), channel.choi.matrix, (d_b, d_a)),
-                1: extra,
-            }),
-        ],
-        bounds=bounds,
-        tol=tol,
-    )
-    return _result(kind, sol, -sol.objective_value, d_choi)
-
-
-def _reverse_fixed_target(
-    channel: QuantumChannel, kind: str, anchor: np.ndarray, lo: float, hi: float, tol: float
-) -> CoefficientResult:
-    """Smallest p in [lo, hi] with D compose N = (1 - p) anchor + p 1/d^2 in Choi form."""
-    d = channel.d_in
-    eye = np.eye(d * d) / (d * d)
-    return _reverse(channel, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}, tol)
+    return _p1_grid([channel], tol)[0]
 
 
 def reverse_alpha(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to depolarizing at p."""
-    return _reverse_fixed_target(channel, KIND_REV, max_entangled(channel.d_in), 0.0, 1.0, tol)
+    return _rev_grid([channel], tol)[0]
 
 
 def reverse_alpha_transpose(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to transpose-depolarizing."""
-    d = channel.d_in
-    return _reverse_fixed_target(
-        channel, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0), tol
-    )
+    return _rev_transpose_grid([channel], tol)[0]
 
 
 def reverse_alpha_hermitian(
@@ -340,69 +498,108 @@ def reverse_alpha_hermitian(
     Minimises ``Tr(X)`` such that the degraded channel equals
     ``(1 - Tr X) id + replace-by-X`` in Choi form.
     """
-    d = channel.d_in
-    phi = max_entangled(d)
-    eye_in = np.eye(d) / d
-
-    def extra(b):
-        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
-        return tr * phi - hermlin.kron(b, eye_in)
-
-    return _reverse(channel, KIND_REV_H, d, extra, phi, None, tol)
+    return _rev_hermitian_grid([channel], tol)[0]
 
 
-def _contraction(channel: QuantumChannel, tol: float):
-    """The contraction upper bound and the forward results it rests on."""
-    herm, trans = alpha_hermitian(channel, tol), alpha_transpose(channel, tol)
+def _contraction(herm: CoefficientResult, trans: CoefficientResult) -> float:
+    """The contraction upper bound from the forward results it rests on."""
     candidates = [herm.value]
     if not trans.not_applicable:
         candidates.append(trans.value)
-    return 1.0 - max(candidates), [herm, trans]
+    return 1.0 - max(candidates)
 
 
-def _expansion(channel: QuantumChannel, tol: float):
-    """The expansion lower bound and the reverse results it rests on."""
-    results = [
-        reverse_alpha_hermitian(channel, tol),
-        reverse_alpha(channel, tol),
-        reverse_alpha_transpose(channel, tol),
-    ]
+def _expansion(results: list[CoefficientResult]) -> float:
+    """The expansion lower bound from the (revH, rev, revT) results."""
     usable = [r.value for r in results if r.status == sdpcore.STATUS_OPTIMAL]
     if not usable:
         usable = [results[0].value]
-    return 1.0 - min(usable), results
+    return 1.0 - min(usable)
 
 
-def contraction_upper_bound(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> float:
-    """Upper bound on trace-distance contraction: 1 - max available forward value."""
-    return _contraction(channel, tol)[0]
-
-
-def expansion_lower_bound(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> float:
-    """Lower bound on trace-distance expansion: 1 - min reverse value."""
-    return _expansion(channel, tol)[0]
-
-
-def dp_range(
-    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
-) -> DpRange:
-    """Certified two-sided data-processing range for the channel."""
-    lower, reverse = _expansion(channel, tol)
-    upper, forward = _contraction(channel, tol)
+def _dp(reverse: list[CoefficientResult], forward: list[CoefficientResult]) -> DpRange:
+    """The range from the (revH, rev, revT) and (alphaH, alphaT) results."""
     failed = (
         r.status
         for r in reverse + forward
         if r.status != sdpcore.STATUS_OPTIMAL and not r.not_applicable
     )
     return DpRange(
-        lower=lower,
-        upper=upper,
+        lower=_expansion(reverse),
+        upper=_contraction(*forward),
         status=next(failed, sdpcore.STATUS_OPTIMAL),
     )
+
+
+def _reverse_results(channel: QuantumChannel, tol: float) -> list[CoefficientResult]:
+    return [
+        reverse_alpha_hermitian(channel, tol),
+        reverse_alpha(channel, tol),
+        reverse_alpha_transpose(channel, tol),
+    ]
+
+
+def contraction_upper_bound(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> float:
+    """Upper bound on trace-distance contraction: 1 - max available forward value."""
+    return _contraction(alpha_hermitian(channel, tol), alpha_transpose(channel, tol))
+
+
+def expansion_lower_bound(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> float:
+    """Lower bound on trace-distance expansion: 1 - min reverse value."""
+    return _expansion(_reverse_results(channel, tol))
+
+
+def dp_range(
+    channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
+) -> DpRange:
+    """Certified two-sided data-processing range for the channel."""
+    reverse = _reverse_results(channel, tol)
+    return _dp(reverse, [alpha_hermitian(channel, tol), alpha_transpose(channel, tol)])
+
+
+def _dp_grid(channels, tol):
+    reverse = [_GRID[k](channels, tol) for k in (KIND_REV_H, KIND_REV, KIND_REV_T)]
+    forward = [_GRID[k](channels, tol) for k in (KIND_ALPHA_H, KIND_ALPHA_T)]
+    return [_dp(list(r), list(f)) for r, f in zip(zip(*reverse), zip(*forward))]
+
+
+_GRID = {
+    KIND_ALPHA: _alpha_grid,
+    KIND_ALPHA_T: _alpha_transpose_grid,
+    KIND_ALPHA_H: _alpha_hermitian_grid,
+    KIND_ALPHA_TH: _alpha_transpose_hermitian_grid,
+    KIND_P1: _p1_grid,
+    KIND_REV: _rev_grid,
+    KIND_REV_T: _rev_transpose_grid,
+    KIND_REV_H: _rev_hermitian_grid,
+    KIND_DP: _dp_grid,
+}
+
+
+def solve_grid(kind: str, channels, tol: float = sdpcore.DEFAULT_TOL) -> list:
+    """One kind on every channel of a grid, in lockstep batches.
+
+    ``kind`` is a ``KIND_*`` constant; ``KIND_DP`` gives the
+    :class:`DpRange` of :func:`dp_range`, every other kind a
+    :class:`CoefficientResult`.  Channels of equal dimensions share one
+    program declaration, lowered once, and their programs go to
+    :func:`qdoeblin.sdpcore.solve_many` together.  Results come back in
+    input order, each equal to the single-channel call: same status, same
+    iteration count, bitwise the same value.
+    """
+    channels = list(channels)
+    out: list = [None] * len(channels)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, channel in enumerate(channels):
+        groups.setdefault((channel.d_in, channel.d_out), []).append(i)
+    for members in groups.values():
+        for i, res in zip(members, _GRID[kind]([channels[i] for i in members], tol)):
+            out[i] = res
+    return out
 
 
 def capacity_bounds(
@@ -411,13 +608,16 @@ def capacity_bounds(
     """Capacity upper bounds implied by the Doeblin coefficient.
 
     The quantum-capacity bound compares against the qubit erasure channel
-    and therefore needs a qubit input space.
+    and therefore needs a qubit input space.  ``status`` is the status of
+    the alpha solve behind every bound.
     """
-    a = alpha(channel, tol).value
+    res = alpha(channel, tol)
+    a = res.value
     q_bound = max(0.0, 1.0 - 2.0 * a) if channel.d_in == 2 else None
     return CapacityBounds(
         alpha_value=a,
         q_bound=q_bound,
         q2_bound=1.0 - a,
         c_bound=1.0 - a,
+        status=res.status,
     )

@@ -137,7 +137,7 @@ def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _hermitian_basis_cached(dim: int) -> tuple[np.ndarray, ...]:
+def _basis_stack(dim: int) -> np.ndarray:
     out: list[np.ndarray] = []
     out.append(np.eye(dim, dtype=np.complex128) / np.sqrt(dim))
     # Diagonal traceless directions, generalised Gell-Mann style.
@@ -156,7 +156,19 @@ def _hermitian_basis_cached(dim: int) -> tuple[np.ndarray, ...]:
             a[i, j] = -1j / np.sqrt(2.0)
             a[j, i] = 1j / np.sqrt(2.0)
             out.append(a)
-    return tuple(out)
+    stack = np.stack(out)
+    stack.flags.writeable = False
+    return stack
+
+
+@lru_cache(maxsize=None)
+def _basis_tuple(dim: int) -> tuple[np.ndarray, ...]:
+    return tuple(_basis_stack(dim))
+
+
+def _check_basis_dim(dim: int) -> None:
+    if dim <= 0 or dim > MAX_DIM:
+        raise ValueError(f"hermitian_basis needs 1 <= dim <= {MAX_DIM}, got {dim}")
 
 
 def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
@@ -166,28 +178,33 @@ def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
     first element is the normalised identity; the remaining ``dim**2 - 1``
     elements are traceless.  The ordering is deterministic: diagonal
     traceless directions first, then (real, imaginary) pairs for each
-    off-diagonal position in row-major order.
+    off-diagonal position in row-major order.  The matrices are read-only
+    views of :func:`hermitian_basis_stack`.
     """
-    if dim <= 0 or dim > MAX_DIM:
-        raise ValueError(f"hermitian_basis needs 1 <= dim <= {MAX_DIM}, got {dim}")
-    return _hermitian_basis_cached(dim)
+    _check_basis_dim(dim)
+    return _basis_tuple(dim)
+
+
+def hermitian_basis_stack(dim: int) -> np.ndarray:
+    """:func:`hermitian_basis` as one read-only ``(dim**2, dim, dim)`` stack."""
+    _check_basis_dim(dim)
+    return _basis_stack(dim)
 
 
 def hermitian_coords(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in :func:`hermitian_basis`."""
     h = require_hermitian(h, tol=tol, name="hermitian_coords input")
-    basis = hermitian_basis(h.shape[0])
-    stack = np.stack(basis)
+    stack = hermitian_basis_stack(h.shape[0])
     return np.real(np.einsum("kij,ji->k", stack, h))
 
 
 def hermitian_from_coords(coords: np.ndarray, dim: int) -> np.ndarray:
     """Inverse of :func:`hermitian_coords`."""
     coords = np.asarray(coords, dtype=float)
-    basis = hermitian_basis(dim)
-    if coords.shape != (len(basis),):
-        raise ValueError(f"expected {len(basis)} coordinates for dim {dim}, got {coords.shape}")
-    return np.tensordot(coords, np.stack(basis), axes=1)
+    stack = hermitian_basis_stack(dim)
+    if coords.shape != (len(stack),):
+        raise ValueError(f"expected {len(stack)} coordinates for dim {dim}, got {coords.shape}")
+    return np.tensordot(coords, stack, axes=1)
 
 
 def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:

@@ -24,10 +24,25 @@ one diagonal (LP) block, the layout SDPA writes as a negative-size block:
 its iterates are vectors and its products are elementwise.  Each dense
 block is factored once per iteration: the inverse Cholesky factors
 ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``, and every
-step-length search is one ``eigvalsh(L^-1 dM L^-T)``.
+step-length search is one ``eigvalsh(L^-1 dM L^-T)``.  Each KKT matrix is
+LU-factored once per iteration; the predictor, the corrector and their
+refinement steps reuse the factors.
 
-A search direction with a non-finite entry ends the solve as
-``numerical_failure`` before it is used.
+:func:`solve_many` runs a list of problems as lockstep batches, in the
+manner of the batched interior-point method of OptNet (Amos & Kolter,
+ICML 2017).  Problems that share the block layout, the coefficient lists,
+the finite-bound pattern and the rank of their equality rows advance
+together: every iterate is a stack with one slice per problem, and one
+numpy call serves the whole batch.  Each problem keeps its own constants,
+objective, equality rows, bounds, step lengths, ``recenter`` flag, best
+iterate and step count, and a problem that converges or fails leaves the
+batch.  Per slice the arithmetic is the same whatever else is in the
+batch, so every problem gets bitwise the result it gets alone;
+:func:`solve` is the batch of one.
+
+A search direction with a non-finite entry, a non-finite or exactly
+singular KKT matrix or a slack that loses its Cholesky factor ends the
+problem as ``numerical_failure`` before anything is stepped.
 
 Everything is deterministic: no randomisation enters the iteration, so
 identical problems produce identical iterate sequences.
@@ -35,7 +50,7 @@ identical problems produce identical iterate sequences.
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +61,12 @@ DEFAULT_MAX_ITER = 100
 # Fraction-to-boundary factor for the final step length.
 STEP_FRACTION = 0.98
 SYM_TOL = 1e-11
+# Bytes of KKT matrices and Schur intermediates one lockstep batch may
+# hold; a larger group of same-structure problems runs as several batches.
+BATCH_BYTES = 1 << 26
+
+_LU_FACTOR = sla.lapack.dgetrf
+_LU_SOLVE = sla.lapack.dgetrs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -142,16 +163,10 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     return idx, work
 
 
-def _inv_chol(m: np.ndarray, repair: bool = False) -> np.ndarray:
-    """Inverse ``L^-1`` of the Cholesky factor of ``m = L L^T``.
-
-    Raises ``LinAlgError`` when ``m`` is not positive definite.  With
-    ``repair`` an iterate that roundoff pushed onto the cone boundary is
-    factored after flooring its spectrum instead; only a spectrum without a
-    positive eigenvalue still raises.
-    """
+def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
+    """Cholesky factor of one matrix, flooring its spectrum first on ``repair``."""
     try:
-        ell = np.linalg.cholesky(m)
+        return np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         if not repair:
             raise
@@ -159,59 +174,125 @@ def _inv_chol(m: np.ndarray, repair: bool = False) -> np.ndarray:
         if w[-1] <= 0:
             raise
         w = np.maximum(w, w[-1] * 1e-14)
-        ell = np.linalg.cholesky((v * w) @ v.T)
-    return np.linalg.inv(ell)
+        return np.linalg.cholesky((v * w) @ v.T)
 
 
-def _max_step(li: np.ndarray, dm: np.ndarray) -> float:
-    """Largest a >= 0 with M + a*dM still PSD, from ``li = L^-1`` of M.
+def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^T``.
 
-    ``np.inf`` when the direction never leaves the cone.
+    Returns the factors and a mask of the slices that have one; a slice
+    without one gets an identity placeholder.  With ``repair`` an iterate
+    that roundoff pushed onto the cone boundary is factored after flooring
+    its spectrum instead; only a spectrum without a positive eigenvalue
+    still fails.
     """
-    w = li @ dm @ li.T
-    lam = np.linalg.eigvalsh(0.5 * (w + w.T))[0]
-    if lam >= -1e-13:
-        return np.inf
-    return -1.0 / lam
+    ok = np.ones(len(m), dtype=bool)
+    try:
+        ell = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        ell = np.empty_like(m)
+        for i, mi in enumerate(m):
+            try:
+                ell[i] = _cholesky(mi, repair)
+            except np.linalg.LinAlgError:
+                ok[i] = False
+                ell[i] = np.eye(len(mi))
+    return np.linalg.inv(ell), ok
 
 
-class _BlockData:
-    """One dense PSD block with its flattened coefficient stack ``aflat``.
+def _min_eigs(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of every slice; nan where the eigensolver fails."""
+    try:
+        return np.linalg.eigvalsh(m)[:, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(len(m), np.nan)
+        for i, mi in enumerate(m):
+            try:
+                out[i] = np.linalg.eigvalsh(mi)[0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
-    ``aflat`` has one row per variable.  Coefficients given twice for one
-    variable are summed here, so every variable owns one row and the
-    fancy-index scatters below lose no term.  The step search and ``S^-1``
-    work from the inverse Cholesky factor of the iterate.
+
+def _max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li = L^-1`` of M.
+
+    ``np.inf`` where the direction never leaves the cone, nan where the
+    eigensolver fails.
+    """
+    w = li @ dm @ li.transpose(0, 2, 1)
+    lam = _min_eigs(0.5 * (w + w.transpose(0, 2, 1)))
+    return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
+
+
+def _layout(idx: np.ndarray) -> tuple:
+    """How a block indexes the variables ``idx`` of every problem.
+
+    Returns ``at``, the columns (a slice when ``idx`` is one contiguous run,
+    which indexes faster), ``ix``, the KKT entries ``(i, j)`` with i and j
+    in ``idx``, and ``runs``, ``(columns, entries)`` slice pairs that
+    scatter adjoint rows run by run (one fancy index beyond two runs).
+    """
+    bounds = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
+    runs = [
+        (slice(int(idx[a]), int(idx[b - 1]) + 1), slice(a, b))
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    if len(runs) == 1:
+        at = runs[0][0]
+        return at, (slice(None), at, at), runs
+    return idx, (slice(None), *np.ix_(idx, idx)), runs if len(runs) == 2 else [(idx, slice(None))]
+
+
+class _DenseBlock:
+    """One dense PSD block, shared by every problem of a lockstep batch.
+
+    ``aflat`` holds the coefficient stack with one row per variable.
+    Coefficients given twice for one variable are summed here, so every
+    variable owns one row and the fancy-index scatters below lose no term.
+    Iterates are ``(B, m, m)`` stacks, one slice per problem; the step
+    search and ``S^-1`` work from their inverse Cholesky factors.
     """
 
-    def __init__(self, c: np.ndarray, coeffs: list[tuple[int, np.ndarray]]):
-        self.c = c
-        self.dim = c.shape[0]
+    def __init__(self, dim: int, coeffs: list[tuple[int, np.ndarray]]):
+        self.dim = dim
+        self.unit = np.eye(dim)
         merged: dict[int, np.ndarray] = {}
         for i, a in coeffs:
             merged[i] = merged[i] + a if i in merged else a
         self.idx = np.fromiter(merged, dtype=int, count=len(merged))
-        self.ix = np.ix_(self.idx, self.idx)
+        self.at, self.ix, self.runs = _layout(self.idx)
         self.aflat = np.stack([a.ravel() for a in merged.values()])
 
-    def eye(self) -> np.ndarray:
-        return np.eye(self.dim)
+    def eye(self, count: int) -> np.ndarray:
+        return np.tile(self.unit, (count, 1, 1))
+
+    @staticmethod
+    def col(v: np.ndarray) -> np.ndarray:
+        """Per-problem scalars shaped to scale a stack of iterates."""
+        return v[:, None, None]
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return (y[self.idx] @ self.aflat).reshape(self.dim, self.dim)
+        return (y[:, None, self.at] @ self.aflat).reshape(-1, self.dim, self.dim)
 
-    def adjoint_into(self, x: np.ndarray, out: np.ndarray) -> None:
-        out[self.idx] += self.aflat @ x.ravel()
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        """``A^T(x)`` on the variables in ``idx``, one row per problem."""
+        return np.matvec(self.aflat, x.reshape(len(x), -1))
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        """HKM Schur block ``M_ij = Tr(A_i X A_j S^-1)`` as one gemm."""
+        """HKM Schur blocks ``M_ij = Tr(A_i X A_j S^-1)``, one gemm per stage."""
         k, m = len(self.idx), self.dim
-        a_sinv = (self.aflat.reshape(k * m, m) @ s_inv).reshape(k, m, m)
-        return self.aflat @ (x @ a_sinv).reshape(k, -1).T
+        a_sinv = (self.aflat.reshape(k * m, m) @ s_inv).reshape(-1, k, m, m)
+        return self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
 
-    def min_slack(self, m: np.ndarray, shift: float) -> float:
-        """Smallest eigenvalue of ``m - shift*I``."""
-        return float(np.linalg.eigvalsh(m - shift * np.eye(self.dim))[0])
+    def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of ``m - shift*I`` per slice."""
+        return np.linalg.eigvalsh(m - shift[:, None, None] * self.unit)[:, 0]
+
+    @staticmethod
+    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``Tr(a b)`` per slice, one dot product each."""
+        return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
 
     @staticmethod
     def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -219,49 +300,56 @@ class _BlockData:
 
     @staticmethod
     def sym(m: np.ndarray) -> np.ndarray:
-        return 0.5 * (m + m.T)
+        out = m + m.transpose(0, 2, 1)
+        out *= 0.5
+        return out
 
     factor = staticmethod(_inv_chol)
 
     @staticmethod
     def inverse(li: np.ndarray) -> np.ndarray:
-        return li.T @ li
+        return li.transpose(0, 2, 1) @ li
 
     max_step = staticmethod(_max_step)
 
 
 class _DiagBlock:
-    """Every 1x1 cone of the problem as one diagonal (LP) block.
+    """Every 1x1 cone of a lockstep batch as one diagonal (LP) block.
 
     Entry r is the cone ``c_r - g_r . y[idx] >= 0``: one per finite box
     bound, and last the big-M shift ``tau >= 0``, which is not a constraint
-    of the original problem.  Iterates, ``S^-1`` and every product are
-    vectors and elementwise operations; the factor of an iterate is the
-    iterate itself.
+    of the original problem.  Iterates are ``(B, r)`` rows, ``S^-1`` and
+    every product are elementwise; the factor of an iterate is the iterate
+    itself.
     """
 
-    def __init__(self, c: np.ndarray, g: np.ndarray):
-        self.c = c
-        self.dim = len(c)
+    def __init__(self, g: np.ndarray):
+        self.dim = g.shape[0]
         self.idx = np.flatnonzero(np.any(g != 0.0, axis=0))
-        self.ix = np.ix_(self.idx, self.idx)
+        self.at, self.ix, self.runs = _layout(self.idx)
         self.g = g[:, self.idx]
 
-    def eye(self) -> np.ndarray:
-        return np.ones(self.dim)
+    def eye(self, count: int) -> np.ndarray:
+        return np.ones((count, self.dim))
+
+    @staticmethod
+    def col(v: np.ndarray) -> np.ndarray:
+        return v[:, None]
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return self.g @ y[self.idx]
+        return (self.g @ y[:, self.at, None])[..., 0]
 
-    def adjoint_into(self, x: np.ndarray, out: np.ndarray) -> None:
-        out[self.idx] += x @ self.g
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return np.vecmat(x, self.g)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        return (self.g.T * (x * s_inv)) @ self.g
+        return (self.g.T * (x * s_inv)[:, None, :]) @ self.g
 
-    def min_slack(self, m: np.ndarray, shift: float) -> float:
+    def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Smallest box slack ``m_r - shift``; the shift entry is left out."""
-        return float(np.min(m[:-1] - shift, initial=np.inf))
+        return (m[:, :-1] - shift[:, None]).min(axis=1, initial=np.inf)
+
+    dot = staticmethod(np.vecdot)
 
     @staticmethod
     def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -272,26 +360,24 @@ class _DiagBlock:
         return m
 
     @staticmethod
-    def factor(m: np.ndarray, repair: bool = False) -> np.ndarray:
+    def factor(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
         # The ratio test needs no factorisation, so there is nothing to
         # repair; only S^-1 needs every entry positive.
-        if not repair and not (m > 0.0).all():
-            raise np.linalg.LinAlgError("diagonal block is not positive definite")
-        return m
+        ok = np.ones(len(m), dtype=bool) if repair else (m > 0.0).all(axis=1)
+        return m, ok
 
     @staticmethod
     def inverse(m: np.ndarray) -> np.ndarray:
         return 1.0 / m
 
     @staticmethod
-    def max_step(m: np.ndarray, dm: np.ndarray) -> float:
-        """Largest a >= 0 with m + a*dm >= 0 entrywise (np.inf if unbounded)."""
-        neg = dm < 0.0
-        if not neg.any():
-            return np.inf
-        # A ratio that overflows is an unbounded step along that entry.
-        with np.errstate(over="ignore"):
-            return float((m[neg] / -dm[neg]).min())
+    def max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
+        """Largest a >= 0 with m + a*dm >= 0 entrywise, per row (np.inf if unbounded)."""
+        # A ratio that overflows is an unbounded step along that entry; the
+        # ratios of entries that do not decrease are masked out.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = m / -dm
+        return np.where(dm < 0.0, ratio, np.inf).min(axis=1)
 
 
 def _reduce_equalities(
@@ -312,29 +398,27 @@ def _reduce_equalities(
     return e_red, f_red
 
 
-class _Metrics:
-    def __init__(self, gap: float, pres: float, dres: float):
-        self.gap = gap
-        self.pres = pres
-        self.dres = dres
+@dataclass
+class _Prepared:
+    """One validated problem: its own data and the key of its lockstep group."""
 
-    @property
-    def worst(self) -> float:
-        return max(self.gap, self.pres, self.dres)
+    b: np.ndarray
+    m_pen: float
+    cs: list[np.ndarray]  # symmetrised block constants, then the box constants
+    blocks: list[_DenseBlock]  # shared by the problems with the same coefficient lists
+    box: list[tuple[int, float]]  # (variable, sign) of each finite bound
+    eqs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # E, f, reduced E, f
+    key: tuple
 
 
-def solve(
-    problem: SdpProblem,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    big_m: float | None = None,
-) -> SdpSolution:
-    """Solve an :class:`SdpProblem`.
+def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared:
+    """Validate one problem.
 
-    Stops once the relative duality gap, the primal feasibility residual and
-    the dual stationarity residual all drop below ``tol``.  When the big-M
-    relaxation converges with a visibly positive shift the solve is retried
-    with a 100x larger penalty before giving up.
+    ``cache`` holds the lowered dense blocks and reduced equality rows of
+    the call by the identity of their inputs, so problems that share them
+    are checked and lowered once.  Problems share a key exactly when they share the block
+    layout, the coefficient lists, the finite-bound pattern and the rank of
+    their equality rows, which is what a lockstep batch needs.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
@@ -351,236 +435,408 @@ def solve(
         if np.any(lo > up):
             raise ValueError("box bounds have lower > upper")
     m_pen = big_m if big_m is not None else 1e4 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
-    last = None
-    for _ in range(3):
-        last = _solve_once(problem, b, tol, max_iter, m_pen)
-        if last.status == STATUS_OPTIMAL or last.shift <= 1e-6:
-            return last
-        m_pen *= 100.0
-    return last
 
-
-def _solve_once(
-    problem: SdpProblem, b: np.ndarray, tol: float, max_iter: int, m_pen: float
-) -> SdpSolution:
-    n = problem.num_vars
-    tau_idx = n
-
-    blocks: list[_BlockData | _DiagBlock] = []
-    n_user = len(problem.blocks)
+    cs, blocks, layout = [], [], []
     for k, blk in enumerate(problem.blocks):
         c = _check_symmetric(blk.c, f"block {k} constant")
-        idx, mats = _check_coeffs(blk, k, n)
-        coeffs = [*zip(idx.tolist(), mats), (tau_idx, -np.eye(c.shape[0]))]
-        blocks.append(_BlockData(c, coeffs))
+        key = (id(blk.coeffs), c.shape[0], n)
+        if key not in cache:
+            idx, mats = _check_coeffs(blk, k, n)
+            # Every dense block also carries the big-M shift tau = y[n].
+            cache[key] = _DenseBlock(len(c), [*zip(idx.tolist(), mats), (n, -np.eye(len(c)))])
+        cs.append(c)
+        blocks.append(cache[key])
+        layout.append(key)
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
     # or ``u_i - y_i + tau``, and last the shift ``tau`` itself.
-    box = []  # (variable, sign, constant) of each bound entry
+    box, consts = [], []
     for bound, sign in ((problem.lower, -1.0), (problem.upper, 1.0)):
         if bound is not None:
-            for i, v in enumerate(np.asarray(bound, dtype=float)):
-                if np.isfinite(v):
-                    box.append((i, sign, sign * v))
-    g = np.zeros((len(box) + 1, n + 1))
-    for r, (i, sign, _) in enumerate(box):
-        g[r, i] = sign
-    g[:, tau_idx] = -1.0
-    blocks.append(_DiagBlock(np.array([cv for _, _, cv in box] + [0.0]), g))
+            bound = np.asarray(bound, dtype=float)
+            finite = np.flatnonzero(np.isfinite(bound))
+            box += [(i, sign) for i in finite.tolist()]
+            consts.append(sign * bound[finite])
+    cs.append(np.concatenate(consts + [[0.0]]))
 
     if problem.eq_matrix is not None:
-        e_orig = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
-        f_orig = np.asarray(problem.eq_rhs, dtype=float)
-        if e_orig.shape[1] != n or f_orig.shape != (e_orig.shape[0],):
-            raise ValueError("equality constraint shapes are inconsistent")
-        e_red, f_red = _reduce_equalities(e_orig, f_orig)
+        key = (id(problem.eq_matrix), id(problem.eq_rhs), n)
+        if key not in cache:
+            e_orig = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
+            f_orig = np.asarray(problem.eq_rhs, dtype=float)
+            if e_orig.shape[1] != n or f_orig.shape != (e_orig.shape[0],):
+                raise ValueError("equality constraint shapes are inconsistent")
+            cache[key] = (e_orig, f_orig, *_reduce_equalities(e_orig, f_orig))
+        eqs = cache[key]
     else:
-        e_orig = np.zeros((0, n))
-        f_orig = np.zeros(0)
-        e_red = np.zeros((0, n))
-        f_red = np.zeros(0)
-    q = e_red.shape[0]
-    e_aug = np.hstack([e_red, np.zeros((q, 1))])
+        eqs = (np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0))
+    key = (n, tuple(layout), tuple(box), eqs[0].shape[0], eqs[2].shape[0])
+    return _Prepared(b, m_pen, cs, blocks, box, eqs, key)
 
-    b_aug = np.append(b, -m_pen)
+
+class _Rows:
+    """Per-problem arrays of a lockstep batch, row i for problem i.
+
+    A list attribute holds one array per block.  ``take`` keeps the rows of
+    the problems still running, so a problem that leaves the batch costs
+    nothing further.
+    """
+
+    def take(self, keep: np.ndarray) -> None:
+        for name, v in vars(self).items():
+            setattr(self, name, [a[keep] for a in v] if isinstance(v, list) else v[keep])
+
+
+# Columns of ``_Rows.met``: the residual metrics of the current iterate and
+# the step count that reached it.
+_WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
+
+
+def _lockstep(
+    preps: list[_Prepared], tol: float, max_iter: int, m_pen: np.ndarray
+) -> list[SdpSolution]:
+    """Run the interior-point iteration on problems of one lockstep key.
+
+    Every problem has its own step lengths, ``recenter`` flag, best iterate
+    and step count; whatever ends one problem (convergence, a failed
+    factorisation, a singular KKT matrix, a non-finite direction, a tiny
+    step) ends only that one, with the result it gets when solved alone.
+    """
+    first = preps[0]
+    n = len(first.b)
+    tau_idx = n
+    count = len(preps)
+    blocks: list[_DenseBlock | _DiagBlock] = list(first.blocks)
+    n_user = len(blocks)
+    g = np.zeros((len(first.box) + 1, n + 1))
+    for r, (i, sign) in enumerate(first.box):
+        g[r, i] = sign
+    g[:, tau_idx] = -1.0
+    blocks.append(_DiagBlock(g))
     m_total = sum(blk.dim for blk in blocks)
 
-    lam0 = max(1.0, 1.0 - min(blk.min_slack(blk.c, 0.0) for blk in blocks))
-    y = np.zeros(n + 1)
-    y[tau_idx] = lam0
-    s = [blk.c - blk.operator(y) for blk in blocks]
-    x = [blk.eye() for blk in blocks]
-    x[-1][-1] = max(1.0, m_pen - (m_total - 1))
-    nu = np.zeros(q)
+    st = _Rows()
+    st.pos = np.arange(count)
+    st.c = [np.stack([p.cs[k] for p in preps]) for k in range(len(blocks))]
+    st.b = np.stack([p.b for p in preps])
+    st.b_scale = 1.0 + np.abs(st.b).max(axis=1, initial=0.0)
+    st.b_aug = np.hstack([st.b, -m_pen[:, None]])
+    st.e_orig, st.f_orig, st.e_red, st.f_red = (
+        np.stack(a) for a in zip(*(p.eqs for p in preps))
+    )
+    q = st.e_red.shape[1]
+    # Without equality rows every term they feed is skipped: it is zero.
+    has_eq = st.e_orig.shape[1] > 0
+    st.e_aug = np.concatenate([st.e_red, np.zeros((count, q, 1))], axis=2)
 
-    def metrics() -> tuple[_Metrics, float, float]:
+    lam0 = np.maximum(1.0, 1.0 - functools.reduce(
+        np.minimum, [blk.min_slack(c, np.zeros(count)) for blk, c in zip(blocks, st.c)]
+    ))
+    st.tau_cap = 1e-6 * (1.0 + lam0)
+    st.y = np.zeros((count, n + 1))
+    st.y[:, tau_idx] = lam0
+    st.s = [c - blk.operator(st.y) for blk, c in zip(blocks, st.c)]
+    st.x = [blk.eye(count) for blk in blocks]
+    st.x[-1][:, -1] = np.maximum(1.0, m_pen - (m_total - 1))
+    st.nu = np.zeros((count, q))
+    st.recenter = np.zeros(count, dtype=bool)
+    st.steps = np.zeros(count)
+    # The best iterate so far.  Iterates are replaced, never written in
+    # place, so the best one can share arrays with the current one.
+    st.best_met = np.full((count, 7), np.inf)
+    st.best_y, st.best_x = st.y, st.x[:n_user]
+
+    out: list[SdpSolution | None] = [None] * count
+
+    def scatter(parts: list[np.ndarray], total: np.ndarray) -> np.ndarray:
+        """Add each block's adjoint rows into ``total``, in block order."""
+        for blk, part in zip(blocks, parts):
+            for cols, entries in blk.runs:
+                total[:, cols] += part[:, entries]
+        return total
+
+    def metrics() -> None:
         # The shift entry of the diagonal block is left out of the slack
         # (see ``min_slack``); its zero constant and its adjoint, which
         # only reaches ``tau``, add nothing to the objective or to ``dres``.
-        yv = y[:n]
-        tau = y[tau_idx]
-        slack_min = min(blk.min_slack(sk, tau) for blk, sk in zip(blocks, s))
-        eq_dev = float(np.max(np.abs(e_orig @ yv - f_orig), initial=0.0))
-        pres = max(max(0.0, -slack_min), eq_dev)
-        adj = np.zeros(n + 1)
-        for blk, xk in zip(blocks, x):
-            blk.adjoint_into(xk, adj)
-        dres = float(np.max(np.abs(b - adj[:n] - e_red.T @ nu), initial=0.0))
-        dres /= 1.0 + float(np.max(np.abs(b), initial=0.0))
-        pobj = sum(float(np.vdot(blk.c, xk)) for blk, xk in zip(blocks, x))
-        pobj += float(f_red @ nu)
-        dobj = float(b @ yv)
-        gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-        return _Metrics(gap, pres, dres), tau, dobj
-
-    def build_solution(status: str, met: _Metrics, dobj: float, tau: float, it: int) -> SdpSolution:
-        return SdpSolution(
-            status=status,
-            y=y[:n].copy(),
-            objective_value=dobj,
-            gap=met.gap,
-            primal_residual=met.pres,
-            dual_residual=met.dres,
-            iterations=it,
-            x_blocks=[xk.copy() for xk in x[:n_user]],
-            shift=tau,
+        yv, tau = st.y[:, :n], st.y[:, tau_idx]
+        slack = functools.reduce(
+            np.minimum, [blk.min_slack(sk, tau) for blk, sk in zip(blocks, st.s)]
         )
+        pres = np.maximum(0.0, -slack)
+        if has_eq:
+            eq_dev = np.abs(np.matvec(st.e_orig, yv) - st.f_orig).max(axis=1, initial=0.0)
+            pres = np.maximum(pres, eq_dev)
+        st.adj_x = [blk.adjoint(xk) for blk, xk in zip(blocks, st.x)]
+        adj = scatter(st.adj_x, np.zeros((len(yv), n + 1)))
+        dres = st.b - adj[:, :n]
+        if has_eq:
+            dres = dres - np.vecmat(st.nu, st.e_red)
+        dres = np.abs(dres)
+        dres = dres.max(axis=1, initial=0.0) / st.b_scale
+        pobj = 0.0
+        for blk, ck, xk in zip(blocks, st.c, st.x):
+            pobj = pobj + blk.dot(ck, xk)
+        if has_eq:
+            pobj = pobj + np.vecdot(st.f_red, st.nu)
+        dobj = np.vecdot(st.b, yv)
+        gap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
+        worst = np.maximum(np.maximum(gap, pres), dres)
+        st.met = np.array([worst, gap, pres, dres, dobj, tau, st.steps]).T
 
-    def max_step(factors: list[np.ndarray], dirs: list[np.ndarray]) -> float:
-        return min(blk.max_step(f, d) for blk, f, d in zip(blocks, factors, dirs))
+    def finish(sel: np.ndarray, status: str) -> None:
+        """Record the results of the selected problems; they leave the batch.
 
-    best: tuple[float, SdpSolution] | None = None
-    recenter = False
-    broken = False
-    steps = 0
+        Off the optimal path the best iterate seen stands in for the
+        current one when its residuals are strictly smaller.
+        """
+        for i in np.flatnonzero(sel):
+            best = status != STATUS_OPTIMAL and st.best_met[i, _WORST] < st.met[i, _WORST]
+            met, y, x = (
+                (st.best_met, st.best_y, st.best_x) if best else (st.met, st.y, st.x)
+            )
+            out[st.pos[i]] = SdpSolution(
+                status=status,
+                y=y[i, :n].copy(),
+                objective_value=float(met[i, _DOBJ]),
+                gap=float(met[i, _GAP]),
+                primal_residual=float(met[i, _PRES]),
+                dual_residual=float(met[i, _DRES]),
+                iterations=int(met[i, _STEPS]),
+                x_blocks=[xk[i].copy() for xk in x[:n_user]],
+                shift=float(met[i, _TAU]),
+            )
+        if sel.all():
+            st.pos = st.pos[:0]
+        else:
+            st.take(~sel)
 
-    for _ in range(max_iter):
-        met, tau, dobj = metrics()
-        if best is None or met.worst < best[0]:
-            best = (met.worst, build_solution(STATUS_MAX_ITER, met, dobj, tau, steps))
-        if met.worst <= tol and tau <= 1e-6 * (1.0 + lam0):
-            return build_solution(STATUS_OPTIMAL, met, dobj, tau, steps)
+    def stop(ok: np.ndarray, broken: bool) -> bool:
+        """End the problems not ``ok``; whether any problem is left."""
+        if not ok.all():
+            finish(~ok, STATUS_NUMERICAL if broken else STATUS_MAX_ITER)
+        return len(st.pos) > 0
 
-        mu = sum(float(np.vdot(xk, sk)) for xk, sk in zip(x, s)) / m_total
-        if not np.isfinite(mu):
-            broken = True
+    def factors(mats: list[np.ndarray], repair: bool = False) -> tuple[list, np.ndarray]:
+        """Every block's factors and which problems have them all."""
+        facs, ok = [], True
+        for blk, m in zip(blocks, mats):
+            fac, ok_k = blk.factor(m, repair)
+            facs.append(fac)
+            ok = ok & ok_k
+        return facs, ok
+
+    def kkt_solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sol = np.empty_like(rhs)
+        for i, (lu, piv) in enumerate(st.lu):
+            sol[i] = _LU_SOLVE(lu, piv, rhs[i])[0]
+        ok = np.isfinite(sol).all(axis=1)
+        if not ok.all():
+            sol[~ok] = 0.0
+        resid = rhs - np.matvec(st.kkt, sol)
+        big = np.abs(resid).max(axis=1) > 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
+        for i in np.flatnonzero(big & ok):
+            lu, piv = st.lu[i]
+            sol[i] = sol[i] + _LU_SOLVE(lu, piv, resid[i])[0]
+        return sol, ok
+
+    def directions(h: list[np.ndarray]) -> tuple:
+        """Newton direction for the right-hand side ``h``, and which are finite."""
+        g = scatter([blk.adjoint(hk) for blk, hk in zip(blocks, h)], np.zeros((len(st.pos), n + 1)))
+        rhs = st.r_p - g
+        sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if has_eq else rhs)
+        dy, dnu = sol[:, : n + 1], sol[:, n + 1 :]
+        ops = [blk.operator(dy) for blk in blocks]
+        ds = [rdk - op for rdk, op in zip(st.r_d, ops)]
+        dx = [
+            blk.sym(hk + blk.product(xk, op, sik))
+            for blk, hk, xk, op, sik in zip(blocks, h, st.x, ops, st.s_inv)
+        ]
+        # ds is finite with dy; dx also carries h.
+        ok &= np.isfinite(np.concatenate([d.reshape(len(d), -1) for d in dx], axis=1)).all(axis=1)
+        return dy, dnu, dx, ds, ok
+
+    def max_steps(dx: list[np.ndarray], ds: list[np.ndarray]) -> np.ndarray:
+        """Largest primal (row 0) and dual (row 1) steps, one eigensolve per
+        block for both."""
+        steps = np.inf
+        for blk, xf, sf, dxk, dsk in zip(blocks, st.x_fac, st.s_fac, dx, ds):
+            both = blk.max_step(np.concatenate([xf, sf]), np.concatenate([dxk, dsk]))
+            steps = np.minimum(steps, both.reshape(2, -1))
+        return steps
+
+    for it in range(max_iter + 1):
+        metrics()
+        done = (st.met[:, _WORST] <= tol) & (st.met[:, _TAU] <= st.tau_cap)
+        if it == max_iter:
+            finish(done, STATUS_OPTIMAL)
+            finish(np.ones(len(st.pos), dtype=bool), STATUS_MAX_ITER)
             break
-        if mu <= 0:
+        better = st.met[:, _WORST] < st.best_met[:, _WORST]
+        if better.all():
+            st.best_met, st.best_y, st.best_x = st.met, st.y, st.x[:n_user]
+        elif better.any():
+            st.best_met = np.where(better[:, None], st.met, st.best_met)
+            st.best_y = np.where(better[:, None], st.y, st.best_y)
+            st.best_x = [np.where(blk.col(better), xk, bx)
+                         for blk, xk, bx in zip(blocks, st.x, st.best_x)]
+        if done.any():
+            finish(done, STATUS_OPTIMAL)
+            if not len(st.pos):
+                break
+
+        mu = 0.0
+        for blk, xk, sk in zip(blocks, st.x, st.s):
+            mu = mu + blk.dot(xk, sk)
+        st.mu = mu / m_total
+        # A non-finite mu is a numerical failure, mu <= 0 a stall.
+        if not (st.mu > 0).all() and not (
+            stop(np.isfinite(st.mu), broken=True) and stop(st.mu > 0, broken=False)
+        ):
             break
 
         # Residuals of the augmented problem drive the Newton step.
-        r_p = b_aug.copy()
-        for blk, xk in zip(blocks, x):
-            blk.adjoint_into(-xk, r_p)
-        r_p -= e_aug.T @ nu
-        r_e = f_red - e_aug @ y
-        r_d = [blk.c - blk.operator(y) - sk for blk, sk in zip(blocks, s)]
+        st.r_p = scatter([-a for a in st.adj_x], st.b_aug.copy())
+        if has_eq:
+            st.r_p -= np.vecmat(st.nu, st.e_aug)
+            st.r_e = st.f_red - np.matvec(st.e_aug, st.y)
+        st.r_d = [c - blk.operator(st.y) - sk for blk, c, sk in zip(blocks, st.c, st.s)]
 
-        try:
-            s_fac = [blk.factor(sk) for blk, sk in zip(blocks, s)]
-        except np.linalg.LinAlgError:
-            broken = True
-            break
-        s_inv = [blk.inverse(f) for blk, f in zip(blocks, s_fac)]
-
-        kkt = np.zeros((n + 1 + q, n + 1 + q))
-        for blk, xk, sik in zip(blocks, x, s_inv):
-            kkt[blk.ix] += blk.schur(xk, sik)
-        kkt[: n + 1, n + 1 :] = e_aug.T
-        kkt[n + 1 :, : n + 1] = e_aug
-        try:
-            # An exactly singular KKT matrix only warns; stop on it instead
-            # of stepping along inf/nan directions.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", sla.LinAlgWarning)
-                lu = sla.lu_factor(kkt)
-        except (np.linalg.LinAlgError, ValueError, sla.LinAlgWarning):
-            broken = True
+        st.s_fac, ok = factors(st.s)
+        st.s_inv = [blk.inverse(f) for blk, f in zip(blocks, st.s_fac)]
+        st.kkt = np.zeros((len(st.pos), n + 1 + q, n + 1 + q))
+        for blk, xk, sik in zip(blocks, st.x, st.s_inv):
+            st.kkt[blk.ix] += blk.schur(xk, sik)
+        if has_eq:
+            st.kkt[:, : n + 1, n + 1 :] = st.e_aug.transpose(0, 2, 1)
+            st.kkt[:, n + 1 :, : n + 1] = st.e_aug
+        # One LU factorisation per problem serves the predictor, the
+        # corrector and their refinements.  A non-finite or exactly
+        # singular KKT matrix ends the problem instead of stepping along
+        # inf/nan directions.
+        ok &= np.isfinite(st.kkt.reshape(len(ok), -1)).all(axis=1)
+        st.lu = np.empty(len(ok), dtype=object)
+        for i in np.flatnonzero(ok):
+            lu, piv, info = _LU_FACTOR(st.kkt[i])
+            st.lu[i] = (lu, piv)
+            ok[i] = info == 0
+        if not stop(ok, broken=True):
             break
 
-        def kkt_solve(rhs: np.ndarray) -> np.ndarray:
-            sol = sla.lu_solve(lu, rhs)
-            if not np.isfinite(sol).all():
-                raise FloatingPointError("non-finite search direction")
-            resid = rhs - kkt @ sol
-            if np.max(np.abs(resid)) > 1e-13 * (1.0 + np.max(np.abs(rhs))):
-                sol = sol + sla.lu_solve(lu, resid)
-            return sol
-
-        def directions(
-            h: list[np.ndarray],
-        ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], list[np.ndarray]]:
-            g = np.zeros(n + 1)
-            for blk, hk in zip(blocks, h):
-                blk.adjoint_into(hk, g)
-            rhs = np.concatenate([r_p - g, r_e])
-            sol = kkt_solve(rhs)
-            dy, dnu = sol[: n + 1], sol[n + 1 :]
-            ds = [rdk - blk.operator(dy) for blk, rdk in zip(blocks, r_d)]
-            dx = [
-                blk.sym(hk + blk.product(xk, blk.operator(dy), sik))
-                for blk, hk, xk, sik in zip(blocks, h, x, s_inv)
-            ]
-            # ds is finite with dy; dx also carries h.
-            if not all(np.isfinite(d).all() for d in dx):
-                raise FloatingPointError("non-finite search direction")
-            return dy, dnu, dx, ds
-
-        h_aff = [
-            -xk - blk.product(xk, rdk, sik)
-            for blk, xk, rdk, sik in zip(blocks, x, r_d, s_inv)
+        st.p_xr = [
+            blk.product(xk, rdk, sik)
+            for blk, xk, rdk, sik in zip(blocks, st.x, st.r_d, st.s_inv)
         ]
-        try:
-            dy_a, dnu_a, dx_a, ds_a = directions(h_aff)
-            x_fac = [blk.factor(xk, repair=True) for blk, xk in zip(blocks, x)]
-            ap_a = min(1.0, max_step(x_fac, dx_a))
-            ad_a = min(1.0, max_step(s_fac, ds_a))
-        except FloatingPointError:
-            broken = True
+        _, _, st.dx_a, st.ds_a, ok = directions([-xk - pk for xk, pk in zip(st.x, st.p_xr)])
+        if not stop(ok, broken=True):
             break
-        except np.linalg.LinAlgError:
+        st.x_fac, ok = factors(st.x, repair=True)
+        if not stop(ok, broken=False):
             break
-        mu_aff = sum(
-            float(np.vdot(xk + ap_a * dxk, sk + ad_a * dsk))
-            for xk, dxk, sk, dsk in zip(x, dx_a, s, ds_a)
-        ) / m_total
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 1e-10))
-        if recenter:
-            # Previous step was cut short; spend this one re-centering.
-            sigma = max(sigma, 0.5)
+        steps = np.minimum(1.0, max_steps(st.dx_a, st.ds_a))
+        st.ap_a, st.ad_a = steps
+        if not stop(~np.isnan(steps).any(axis=0), broken=False):
+            break
 
+        mu_aff = 0.0
+        for blk, xk, dxk, sk, dsk in zip(blocks, st.x, st.dx_a, st.s, st.ds_a):
+            mu_aff = mu_aff + blk.dot(xk + blk.col(st.ap_a) * dxk, sk + blk.col(st.ad_a) * dsk)
+        # Per problem in Python floats, so that ``**`` is the C library's pow.
+        sigma = np.array([
+            max(min(1.0, max((max(ma, 0.0) / mu) ** 3, 1e-10)), 0.5 if rc else 0.0)
+            for ma, mu, rc in zip((mu_aff / m_total).tolist(), st.mu.tolist(), st.recenter.tolist())
+        ])
+
+        target = sigma * st.mu
         h_cor = [
-            sigma * mu * sik - xk - blk.product(xk, rdk, sik) - blk.product(dxk, dsk, sik)
-            for blk, sik, xk, rdk, dxk, dsk in zip(blocks, s_inv, x, r_d, dx_a, ds_a)
+            blk.col(target) * sik - xk - pk - blk.product(dxk, dsk, sik)
+            for blk, sik, xk, pk, dxk, dsk in zip(
+                blocks, st.s_inv, st.x, st.p_xr, st.dx_a, st.ds_a
+            )
         ]
-        try:
-            dy, dnu, dx, ds = directions(h_cor)
-            a_p = min(1.0, STEP_FRACTION * max_step(x_fac, dx))
-            a_d = min(1.0, STEP_FRACTION * max_step(s_fac, ds))
-        except FloatingPointError:
-            broken = True
+        st.dy, st.dnu, st.dx, st.ds, ok = directions(h_cor)
+        if not stop(ok, broken=True):
             break
-        except np.linalg.LinAlgError:
+        steps = np.minimum(1.0, STEP_FRACTION * max_steps(st.dx, st.ds))
+        st.a_p, st.a_d = steps
+        # A nan step is a failed eigensolve; two tiny steps are a stall.
+        if not stop(~np.isnan(steps).any(axis=0) & (steps >= 1e-13).any(axis=0), broken=False):
             break
-        if a_p < 1e-13 and a_d < 1e-13:
-            break
-        recenter = min(a_p, a_d) < 0.1
+        # From the rows left after ``stop``: ``steps`` still has the ended ones.
+        st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
 
-        x = [blk.sym(xk + a_p * dxk) for blk, xk, dxk in zip(blocks, x, dx)]
-        nu = nu + a_p * dnu
-        y = y + a_d * dy
-        s = [blk.sym(sk + a_d * dsk) for blk, sk, dsk in zip(blocks, s, ds)]
-        steps += 1
+        st.x = [blk.sym(xk + blk.col(st.a_p) * dxk) for blk, xk, dxk in zip(blocks, st.x, st.dx)]
+        st.nu = st.nu + st.a_p[:, None] * st.dnu
+        st.y = st.y + st.a_d[:, None] * st.dy
+        st.s = [blk.sym(sk + blk.col(st.a_d) * dsk) for blk, sk, dsk in zip(blocks, st.s, st.ds)]
+        st.steps = st.steps + 1
+    return out
 
-    met, tau, dobj = metrics()
-    if met.worst <= tol and tau <= 1e-6 * (1.0 + lam0):
-        return build_solution(STATUS_OPTIMAL, met, dobj, tau, steps)
-    fallback_status = STATUS_NUMERICAL if broken else STATUS_MAX_ITER
-    if best is not None and best[0] < met.worst:
-        sol = best[1]
-        sol.status = fallback_status
-        return sol
-    return build_solution(fallback_status, met, dobj, tau, steps)
+
+def _batches(preps: list[_Prepared], todo: list[int]) -> list[list[int]]:
+    """Split ``todo`` into lockstep batches: one key each, memory bounded.
+
+    A batch holds its KKT matrices and the Schur intermediates of every
+    problem at once, so it takes at most ``BATCH_BYTES`` of them.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i in todo:
+        groups.setdefault(preps[i].key, []).append(i)
+    out = []
+    for members in groups.values():
+        p = preps[members[0]]
+        side = len(p.b) + 1 + p.eqs[2].shape[0]
+        per_problem = 8 * (side * side + sum(3 * blk.aflat.size for blk in p.blocks))
+        size = max(1, BATCH_BYTES // per_problem)
+        out += [members[i : i + size] for i in range(0, len(members), size)]
+    return out
+
+
+def solve_many(
+    problems: list[SdpProblem],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    big_m: float | None = None,
+) -> list[SdpSolution]:
+    """Solve a list of :class:`SdpProblem`; results come back in input order.
+
+    Problems with the same lockstep key (see ``_prepare``) advance
+    together, so a grid of same-structure programs pays the per-iteration
+    call overhead once per batch instead of once per point.  Each problem
+    gets exactly the result :func:`solve` gives it alone.  A problem whose
+    big-M relaxation converges with a visibly positive shift is retried
+    with a 100x larger penalty, at most twice; only those problems re-run.
+    """
+    cache: dict = {}
+    preps = [_prepare(p, big_m, cache) for p in problems]
+    m_pen = np.array([p.m_pen for p in preps])
+    out: list[SdpSolution | None] = [None] * len(problems)
+    todo = list(range(len(problems)))
+    for _ in range(3):
+        for batch in _batches(preps, todo):
+            for i, sol in zip(batch, _lockstep([preps[i] for i in batch], tol, max_iter, m_pen[batch])):
+                out[i] = sol
+        todo = [i for i in todo if out[i].status != STATUS_OPTIMAL and out[i].shift > 1e-6]
+        if not todo:
+            break
+        m_pen[todo] *= 100.0
+    return out
+
+
+def solve(
+    problem: SdpProblem,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    big_m: float | None = None,
+) -> SdpSolution:
+    """Solve one :class:`SdpProblem`: :func:`solve_many` on a batch of one.
+
+    Stops once the relative duality gap, the primal feasibility residual and
+    the dual stationarity residual all drop below ``tol``.  When the big-M
+    relaxation converges with a visibly positive shift the solve is retried
+    with a 100x larger penalty before giving up.
+    """
+    return solve_many([problem], tol, max_iter, big_m)[0]
 
 
 def write_sdpa(problem: SdpProblem, path: str) -> None:

@@ -217,13 +217,15 @@ def test_criterion_12_figure_reproduction(tmp_path):
 AXIS = np.linspace(0.0, 1.0, 51)
 
 
+def _gad_surface():
+    """The 51x51 gad(p, eta) figure grid, row-major in (p, eta)."""
+    return [ch.gad(float(p), float(eta)) for p in AXIS for eta in AXIS]
+
+
 @pytest.fixture(scope="module")
 def alpha_surface():
-    grid = np.empty((51, 51))
-    for i, p in enumerate(AXIS):
-        for j, eta in enumerate(AXIS):
-            grid[i, j] = db.alpha(ch.gad(float(p), float(eta))).value
-    return grid
+    results = db.solve_grid(db.KIND_ALPHA, _gad_surface())
+    return np.array([r.value for r in results]).reshape(51, 51)
 
 
 def test_surface_alpha_monotone_in_eta(alpha_surface):
@@ -247,10 +249,8 @@ def test_surface_boundary_limits(alpha_surface):
 
 def test_surface_sandwich_everywhere():
     worst = -math.inf
-    for p in AXIS:
-        for eta in AXIS:
-            r = db.dp_range(ch.gad(float(p), float(eta)))
-            worst = max(worst, r.lower - r.upper)
+    for r in db.solve_grid(db.KIND_DP, _gad_surface()):
+        worst = max(worst, r.lower - r.upper)
     ok = worst <= 1e-7
     _line("surface c", ok, f"range lower <= upper at all 2601 points,"
                  f" worst violation {worst:.2e}")

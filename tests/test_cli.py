@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, CSV dialect, figures, check suites."""
 
+import functools
 import json
 import os
 import shutil
@@ -151,6 +152,24 @@ def test_sweep_deterministic_and_parallel_order(tmp_path):
     assert run(*args, "--out", str(c), "--jobs", "2") == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() == c.read_bytes()
+
+
+def test_sweep_builds_each_channel_once(tmp_path, monkeypatch):
+    calls = []
+    family = ch.FAMILIES["depolarizing"]
+
+    @functools.wraps(family)
+    def counting(**params):
+        calls.append(params)
+        return family(**params)
+
+    monkeypatch.setitem(ch.FAMILIES, "depolarizing", counting)
+    code = run("sweep", "--channel", "depolarizing", "--sweep", "p",
+               "--start", "0", "--stop", "1", "--step", "0.25",
+               "--kind", "alpha", "--kind", "alphaT", "--jobs", "1",
+               "--out", str(tmp_path / "sw.csv"))
+    assert code == 0
+    assert [c["p"] for c in calls] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
 def test_sweep_svg_output(tmp_path):

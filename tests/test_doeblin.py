@@ -395,6 +395,12 @@ def test_capacity_bounds_replacer_all_zero():
     assert abs(b.c_bound) < 1e-5
 
 
+def test_capacity_bounds_carry_the_alpha_status():
+    assert db.capacity_bounds(ch.depolarizing(0.3)).status == sdpcore.STATUS_OPTIMAL
+    tight = db.capacity_bounds(ch.gad(0.5, 0.6), tol=1e-16)
+    assert tight.status in (sdpcore.STATUS_MAX_ITER, sdpcore.STATUS_NUMERICAL)
+
+
 def test_capacity_q_bound_requires_qubit_input():
     b = db.capacity_bounds(ch.depolarizing(0.5, d=3))
     assert b.q_bound is None
@@ -422,3 +428,67 @@ def test_sandwich_against_oracles():
         assert 1.0 - ra <= lo + 1e-4
         assert lo <= hi + 1e-9
         assert hi <= 1.0 - a + 1e-4
+
+
+# ------------------------------------------------------------ grid entry
+
+SINGLE = {
+    db.KIND_ALPHA: db.alpha,
+    db.KIND_ALPHA_T: db.alpha_transpose,
+    db.KIND_ALPHA_H: db.alpha_hermitian,
+    db.KIND_ALPHA_TH: db.alpha_transpose_hermitian,
+    db.KIND_P1: db.p1_eb_ppt,
+    db.KIND_REV: db.reverse_alpha,
+    db.KIND_REV_T: db.reverse_alpha_transpose,
+    db.KIND_REV_H: db.reverse_alpha_hermitian,
+}
+
+
+def _boundary_channels():
+    """Boundary channels: replacer and identity corners of gad, an interior
+    point, the end of the depolarizing family and a unitary (rank-1 Kraus)."""
+    u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    return [
+        ch.gad(0.0, 0.0),
+        ch.gad(1.0, 0.0),
+        ch.gad(0.5, 0.6),
+        ch.depolarizing(4.0 / 3.0),
+        ch.channel_from_kraus([u]),
+    ]
+
+
+@pytest.mark.parametrize("tol", [sdpcore.DEFAULT_TOL, 1e-16])
+def test_grid_equals_single_calls(tol):
+    # A grid solves its points in lockstep batches; every point must get
+    # exactly its single-channel result, failures included.
+    channels = _boundary_channels()
+    for kind, single in SINGLE.items():
+        for chan, got in zip(channels, db.solve_grid(kind, channels, tol)):
+            want = single(chan, tol)
+            assert (got.status, got.not_applicable) == (want.status, want.not_applicable), kind
+            if want.solution is None:
+                assert got.solution is None and np.isnan(got.value), kind
+                continue
+            assert got.solution.iterations == want.solution.iterations, kind
+            assert got.value == want.value, kind
+    for chan, got in zip(channels, db.solve_grid(db.KIND_DP, channels, tol)):
+        assert got == db.dp_range(chan, tol)
+
+
+def test_grid_keeps_input_order_across_dimensions():
+    channels = [ch.depolarizing(0.3, 3), ch.depolarizing(0.3), ch.depolarizing(0.6, 3)]
+    got = db.solve_grid(db.KIND_ALPHA, channels)
+    assert [r.value for r in got] == [db.alpha(c).value for c in channels]
+
+
+def test_grid_equals_single_calls_when_points_leave_mid_batch():
+    # At an unreachable tolerance the points of this column stop at
+    # different iterations and for different reasons (tiny step, mu <= 0,
+    # singular KKT), so the batch shrinks while the others run on; each
+    # point must still follow its single-call iterate sequence.
+    channels = [ch.gad(1.0, eta) for eta in np.linspace(0.0, 1.0, 51)]
+    got = db.solve_grid(db.KIND_REV_H, channels, 1e-16)
+    for chan, res in zip(channels, got):
+        want = db.reverse_alpha_hermitian(chan, 1e-16)
+        assert (res.status, res.solution.iterations) == (want.status, want.solution.iterations)
+        assert res.value == want.value

@@ -294,6 +294,70 @@ def test_early_exit_reports_iterations_run():
     assert sol.iterations < sdpcore.DEFAULT_MAX_ITER
 
 
+def _same(a, b):
+    """Bitwise-equal results: status, iterations, value and iterate."""
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert np.array_equal(a.y, b.y)
+    assert a.objective_value == b.objective_value or (
+        np.isnan(a.objective_value) and np.isnan(b.objective_value)
+    )
+
+
+def test_batch_keeps_solo_results_around_a_singular_kkt():
+    # The singular instance above, and a variant that fails the same way
+    # inside a lockstep group of good problems: all of them share one
+    # coefficient list, and the equality row of the bad one leaves the
+    # zero-coefficient variable free.  Ending the bad problems must leave
+    # every other problem of the batch with its solo result.
+    coeffs = [(0, np.eye(2)), (1, np.zeros((2, 2)))]
+
+    def problem(c, row, rhs):
+        return sdpcore.SdpProblem(
+            num_vars=2,
+            objective=np.array([1.0, 0.0]),
+            blocks=[sdpcore.SdpBlock(c=c, coeffs=coeffs)],
+            eq_matrix=np.array([row]),
+            eq_rhs=np.array([rhs]),
+        )
+
+    original = sdpcore.SdpProblem(
+        num_vars=2,
+        objective=np.array([1.0, 0.0]),
+        blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=coeffs)],
+    )
+    bad = problem(np.eye(2), [1.0, 0.0], 0.5)
+    good = [problem(np.diag([1.0 + k, 2.0]), [0.0, 1.0], 0.1 * k) for k in range(3)]
+    batch = [good[0], bad, good[1], original, good[2]]
+    keys = {sdpcore._prepare(p, None, {}).key for p in [bad, *good]}
+    assert len(keys) == 1  # one lockstep group
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = sdpcore.solve_many(batch)
+    alone = [sdpcore.solve(p) for p in batch]
+    assert [r.status for r in alone] == [
+        "optimal", "numerical_failure", "optimal", "numerical_failure", "optimal"
+    ]
+    for a, b in zip(together, alone):
+        _same(a, b)
+
+
+def test_batch_at_max_iter_keeps_solo_results():
+    rng = np.random.default_rng(208)
+    problems = []
+    for _ in range(4):
+        g = rng.standard_normal((3, 3))
+        problems.append(max_eig_problem(0.5 * (g + g.T) + 3.0 * np.eye(3)))
+    # Shared coefficients put the eigenvalue problems in one lockstep group.
+    for p in problems[1:]:
+        p.blocks[0].coeffs = problems[0].blocks[0].coeffs
+    for max_iter in (2, sdpcore.DEFAULT_MAX_ITER):
+        together = sdpcore.solve_many(problems, max_iter=max_iter)
+        for p, sol in zip(problems, together):
+            _same(sol, sdpcore.solve(p, max_iter=max_iter))
+        if max_iter == 2:
+            assert {sol.status for sol in together} == {"max_iter"}
+
+
 def test_sdpa_dump(tmp_path):
     a1 = np.zeros((2, 2))
     a1[0, 1] = a1[1, 0] = -1.0
@@ -337,6 +401,13 @@ def _random_psd(rng, dim, floor=0.1):
     return g @ g.T + floor * np.eye(dim)
 
 
+def _step(m, dm, repair=False):
+    # The step helpers work on stacks, one slice per problem of a batch.
+    li, ok = sdpcore._inv_chol(m[None], repair=repair)
+    assert ok.tolist() == [True]
+    return sdpcore._max_step(li, dm[None])[0]
+
+
 def test_step_length_from_cached_factor():
     rng = np.random.default_rng(204)
     for dim in (1, 2, 3, 5, 8):
@@ -346,7 +417,7 @@ def test_step_length_from_cached_factor():
             dm = g + g.T
             if _min_eig(dm) >= 0.0:
                 dm = -dm  # a direction that leaves the cone
-            a = sdpcore._max_step(sdpcore._inv_chol(m), dm)
+            a = _step(m, dm)
             assert np.isfinite(a) and a > 0.0
             _assert_step_is_tight(m, dm, a)
 
@@ -355,13 +426,15 @@ def test_step_length_unbounded_direction():
     rng = np.random.default_rng(205)
     m = _random_psd(rng, 4)
     dm = _random_psd(rng, 4, floor=0.0)
-    assert sdpcore._max_step(sdpcore._inv_chol(m), dm) == np.inf
-    assert sdpcore._max_step(sdpcore._inv_chol(m), np.zeros((4, 4))) == np.inf
+    assert _step(m, dm) == np.inf
+    assert _step(m, np.zeros((4, 4))) == np.inf
 
 
 def test_step_length_diagonal_block():
     rng = np.random.default_rng(206)
-    step = sdpcore._DiagBlock.max_step
+    def step(m, dm):
+        return sdpcore._DiagBlock.max_step(m[None], dm[None])[0]
+
     for _ in range(20):
         m = rng.uniform(0.1, 2.0, size=5)
         dm = rng.standard_normal(5)
@@ -383,14 +456,25 @@ def test_step_length_boundary_repair():
     dm[2, 3] = dm[3, 2] = -0.2
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m)
-    with pytest.raises(np.linalg.LinAlgError):
-        sdpcore._inv_chol(m)
-    a = sdpcore._max_step(sdpcore._inv_chol(m, repair=True), dm)
+    assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
+    a = _step(m, dm, repair=True)
     assert np.isfinite(a)
     _assert_step_is_tight(m, dm, a)
     # Nothing to repair without a positive eigenvalue.
-    with pytest.raises(np.linalg.LinAlgError):
-        sdpcore._inv_chol(-np.eye(3), repair=True)
+    assert sdpcore._inv_chol(-np.eye(3)[None], repair=True)[1].tolist() == [False]
+
+
+def test_stacked_factor_fails_only_the_bad_slice():
+    # One slice that is not positive definite must not disturb the others:
+    # their factors equal the ones each gets alone.
+    rng = np.random.default_rng(207)
+    stack = np.stack([_random_psd(rng, 4), -np.eye(4), _random_psd(rng, 4)])
+    li, ok = sdpcore._inv_chol(stack)
+    assert ok.tolist() == [True, False, True]
+    for i in (0, 2):
+        alone, ok_alone = sdpcore._inv_chol(stack[i : i + 1])
+        assert ok_alone.tolist() == [True]
+        assert np.array_equal(li[i], alone[0])
 
 
 def test_box_bounds_only():
