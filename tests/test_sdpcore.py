@@ -559,6 +559,12 @@ PINNED_QUTRIT_SOLVES = {
         "alpha": 14, "alphaT": None, "alphaH": 13, "p1": 18, "rev": 8, "revT": 8, "revH": 10,
     },
 }
+# The reverse kinds at d=4, recorded before equality-constrained programs
+# were solved in the null space of their equality rows.
+PINNED_QUDIT4_SOLVES = {
+    ("depolarizing", 0.8): {"rev": 8, "revT": 7, "revH": 8},
+    ("random", 7): {"rev": 8, "revT": 8, "revH": 10},
+}
 
 
 def _check_pinned(key, d, pinned):
@@ -609,6 +615,11 @@ def test_pinned_qubit_solves(key):
 @pytest.mark.parametrize("key", list(PINNED_QUTRIT_SOLVES), ids=str)
 def test_pinned_qutrit_solves(key):
     _check_pinned(key, 3, PINNED_QUTRIT_SOLVES[key])
+
+
+@pytest.mark.parametrize("key", list(PINNED_QUDIT4_SOLVES), ids=str)
+def test_pinned_qudit4_solves(key):
+    _check_pinned(key, 4, PINNED_QUDIT4_SOLVES[key])
 
 
 def test_overflowing_step_ratio_does_not_warn():
