@@ -68,6 +68,8 @@ class DpRange:
 
     ``status`` is the first non-optimal status among the five solves behind
     the interval (an inapplicable transpose solve is skipped), or optimal.
+    ``lower`` rests on the optimal reverse solves only, and is the trivial
+    0.0 when none of the three is optimal.
     """
 
     lower: float
@@ -510,11 +512,14 @@ def _contraction(herm: CoefficientResult, trans: CoefficientResult) -> float:
 
 
 def _expansion(results: list[CoefficientResult]) -> float:
-    """The expansion lower bound from the (revH, rev, revT) results."""
+    """The expansion lower bound from the (revH, rev, revT) results.
+
+    Only optimal solves count.  When none is optimal the bound is the
+    trivial 0.0: every reverse coefficient is at most 1, so a non-optimal
+    value is never reported as a bound.
+    """
     usable = [r.value for r in results if r.status == sdpcore.STATUS_OPTIMAL]
-    if not usable:
-        usable = [results[0].value]
-    return 1.0 - min(usable)
+    return 1.0 - min(usable, default=1.0)
 
 
 def _dp(reverse: list[CoefficientResult], forward: list[CoefficientResult]) -> DpRange:
@@ -549,7 +554,11 @@ def contraction_upper_bound(
 def expansion_lower_bound(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> float:
-    """Lower bound on trace-distance expansion: 1 - min reverse value."""
+    """Lower bound on trace-distance expansion: 1 - min optimal reverse value.
+
+    Non-optimal reverse solves are left out; with none optimal the bound is
+    the trivial 0.0.
+    """
     return _expansion(_reverse_results(channel, tol))
 
 

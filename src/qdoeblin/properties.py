@@ -6,7 +6,9 @@ recorder ``rec``; ``size`` is the ensemble size (for the BSC law the
 crossover probabilities, for the embedding law the matrix sizes).  The
 ``qdoeblin check`` suites in :data:`SUITES` run the laws on small ensembles,
 and the acceptance tests run the same laws on their pinned ensembles, so
-each law and its tolerance is written once.
+each law and its tolerance is written once.  A law draws its whole ensemble
+first and solves it through :func:`qdoeblin.doeblin.solve_grid`, whose
+results equal the single-channel calls.
 """
 
 from __future__ import annotations
@@ -67,14 +69,26 @@ def _rand_qubit(rng) -> ch.QuantumChannel:
 # ------------------------------------------------------------------- laws
 
 
+def _alphas(channels, tol) -> list[float]:
+    """alpha of every channel, as one ``solve_grid`` call."""
+    return [r.value for r in db.solve_grid(db.KIND_ALPHA, channels, tol)]
+
+
 def alpha_concave(rng, tol, rec, pairs: int) -> None:
     """alpha of a mixture is at least the mixture of alphas, at 1/4, 1/2, 3/4."""
-    for _ in range(pairs):
-        n, m = _rand_qubit(rng), _rand_qubit(rng)
-        a_n, a_m = db.alpha(n, tol).value, db.alpha(m, tol).value
-        for lam in (0.25, 0.5, 0.75):
+    lams = (0.25, 0.5, 0.75)
+    drawn = [(_rand_qubit(rng), _rand_qubit(rng)) for _ in range(pairs)]
+    channels = []
+    for n, m in drawn:
+        channels += [n, m]
+        for lam in lams:
             j = lam * n.choi.matrix + (1.0 - lam) * m.choi.matrix
-            mixed = db.alpha(ch.channel_from_choi(ch.ChoiMatrix(j, 2, 2)), tol).value
+            channels.append(ch.channel_from_choi(ch.ChoiMatrix(j, 2, 2)))
+    values = iter(_alphas(channels, tol))
+    for _ in drawn:
+        a_n, a_m = next(values), next(values)
+        for lam in lams:
+            mixed = next(values)
             split = lam * a_n + (1.0 - lam) * a_m
             rec("alpha_concave", mixed - split >= -1e-6, lam=lam,
                 mixed=mixed, split=split)
@@ -82,20 +96,21 @@ def alpha_concave(rng, tol, rec, pairs: int) -> None:
 
 def alpha_supermultiplicative(rng, tol, rec, pairs: int) -> None:
     """alpha(N tensor M) >= alpha(N) alpha(M)."""
-    for _ in range(pairs):
-        n, m = _rand_qubit(rng), _rand_qubit(rng)
-        joint = db.alpha(ch.tensor(n, m), tol).value
-        prod = db.alpha(n, tol).value * db.alpha(m, tol).value
+    drawn = [(_rand_qubit(rng), _rand_qubit(rng)) for _ in range(pairs)]
+    values = iter(_alphas([c for n, m in drawn for c in (ch.tensor(n, m), n, m)], tol))
+    for _ in drawn:
+        joint = next(values)
+        prod = next(values) * next(values)
         rec("alpha_supermultiplicative", joint - prod >= -1e-6,
             got=joint, bound=prod)
 
 
 def alpha_concatenation(rng, tol, rec, pairs: int) -> None:
     """1 - alpha(N after M) <= (1 - alpha(N)) (1 - alpha(M))."""
-    for _ in range(pairs):
-        n, m = _rand_qubit(rng), _rand_qubit(rng)
-        a_n, a_m = db.alpha(n, tol).value, db.alpha(m, tol).value
-        chained = db.alpha(ch.compose(n, m), tol).value
+    drawn = [(_rand_qubit(rng), _rand_qubit(rng)) for _ in range(pairs)]
+    values = iter(_alphas([c for n, m in drawn for c in (n, m, ch.compose(n, m))], tol))
+    for _ in drawn:
+        a_n, a_m, chained = next(values), next(values), next(values)
         bound = (1.0 - a_n) * (1.0 - a_m)
         rec("alpha_concatenation", bound - (1.0 - chained) >= -1e-6,
             got=chained, bound=bound)
@@ -103,12 +118,13 @@ def alpha_concatenation(rng, tol, rec, pairs: int) -> None:
 
 def sandwich(rng, tol, rec, channels: int) -> None:
     """alpha <= alphaH, 1 - rev <= eta_tr expansion, eta_tr <= 1 - alpha."""
-    for _ in range(channels):
-        n = _rand_qubit(rng)
-        a = db.alpha(n, tol).value
-        a_h = db.alpha_hermitian(n, tol).value
+    drawn = [_rand_qubit(rng) for _ in range(channels)]
+    solved = zip(*(
+        db.solve_grid(kind, drawn, tol) for kind in (db.KIND_ALPHA, db.KIND_ALPHA_H, db.KIND_REV)
+    ))
+    for n, (a, a_h, rev) in zip(drawn, solved):
+        a, a_h, rev = a.value, a_h.value, rev.value
         rec("alpha_below_hermitian", a - a_h <= 1e-6, a=a, aH=a_h)
-        rev = db.reverse_alpha(n, tol).value
         eta_lo = oracles.eta_tr_expansion_qubit(n)
         rec("expansion_bound_vs_oracle", (1.0 - rev) - eta_lo <= 1e-3,
             rev=rev, eta=eta_lo)
@@ -141,13 +157,15 @@ def bsc_reverse_alpha(rng, tol, rec, crossovers) -> None:
 
 def classical_embedding_alpha(rng, tol, rec, sizes) -> None:
     """alpha of an embedded stochastic matrix is its classical min-sum."""
+    p_mats = []
     for size in sizes:
         raw = rng.uniform(size=(size, size))
-        p_mat = raw / raw.sum(axis=0, keepdims=True)
-        quantum = db.alpha(ch.classical_embed(p_mat), tol).value
+        p_mats.append(raw / raw.sum(axis=0, keepdims=True))
+    quantum = _alphas([ch.classical_embed(p_mat) for p_mat in p_mats], tol)
+    for p_mat, got in zip(p_mats, quantum):
         classical = float(p_mat.min(axis=1).sum())
-        rec("classical_embedding_alpha", abs(quantum - classical) <= 1e-5,
-            got=quantum, want=classical, matrix=p_mat)
+        rec("classical_embedding_alpha", abs(got - classical) <= 1e-5,
+            got=got, want=classical, matrix=p_mat)
 
 
 # ----------------------------------------------------------------- suites

@@ -15,9 +15,22 @@ predictor-corrector step, run from an infeasible start that is made
 dual-interior by a big-M shift variable: every block is relaxed to
 ``C_k - A_k(y) + tau*I`` with ``tau >= 0`` penalised in the objective, so a
 strictly feasible starting point always exists and ``tau`` is driven to zero
-whenever the original problem is feasible.  Equality rows are kept explicit
-in a bordered KKT system solved by LU factorisation; redundant rows are
-dropped up front through a pivoted QR of ``E``.
+whenever the original problem is feasible.
+
+Equality rows are eliminated by the null-space method (Nocedal & Wright,
+*Numerical Optimization*, 2nd ed., section 16.2).  One pivoted QR of
+``E^T`` in full mode gives the rank of E, an orthonormal basis Z of its
+null space and the min-norm solution ``y_p`` of ``E y = f``; an
+inconsistent system is rejected there.  The solver then iterates on
+``(theta, w)`` with ``y = theta y_p + Z w``: block coefficients become
+``[y_p, Z]^T A`` (one gemm per block), each box bound a row of the
+diagonal block, and the one equality left, ``theta = 1``, is the only
+bordered row of the KKT system, which is solved by LU factorisation.  The
+start ``theta = 0, w = 0`` is the start ``y = 0`` of the full problem, and
+its iterates stay in ``{c y_p + Z w}``, so in exact arithmetic the reduced
+iteration takes the steps of the full one on ``1 + n - rank(E)`` instead
+of n variables.  Residuals, the objective and ``y`` are reported in the
+original variables.
 
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
 one diagonal (LP) block, the layout SDPA writes as a negative-size block:
@@ -30,15 +43,16 @@ refinement steps reuse the factors.
 
 :func:`solve_many` runs a list of problems as lockstep batches, in the
 manner of the batched interior-point method of OptNet (Amos & Kolter,
-ICML 2017).  Problems that share the block layout, the coefficient lists,
-the finite-bound pattern and the rank of their equality rows advance
-together: every iterate is a stack with one slice per problem, and one
-numpy call serves the whole batch.  Each problem keeps its own constants,
-objective, equality rows, bounds, step lengths, ``recenter`` flag, best
-iterate and step count, and a problem that converges or fails leaves the
-batch.  Per slice the arithmetic is the same whatever else is in the
-batch, so every problem gets bitwise the result it gets alone;
-:func:`solve` is the batch of one.
+ICML 2017).  Problems that share their shapes (the count of variables
+left after the reduction, the block sides and variables, the number of box
+rows) advance together: every iterate is a stack with one slice per
+problem, and one numpy call serves the whole batch.  Each problem keeps
+its own constants, objective, null-space basis, coefficient stacks (one
+stack serves the batch when every problem shares it), bounds, step
+lengths, ``recenter`` flag, best iterate and step count, and a problem
+that converges or fails leaves the batch.  Per slice the arithmetic is the
+same whatever else is in the batch, so every problem gets bitwise the
+result it gets alone; :func:`solve` is the batch of one.
 
 A search direction with a non-finite entry, a non-finite or exactly
 singular KKT matrix or a slack that loses its Cholesky factor ends the
@@ -50,6 +64,7 @@ identical problems produce identical iterate sequences.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -108,11 +123,16 @@ class SdpSolution:
     """Result of :func:`solve`.
 
     ``primal_residual`` measures feasibility of ``y`` for the original
-    constraints (most negative slack eigenvalue and equality deviation),
-    ``dual_residual`` the stationarity defect of the internally built dual
-    certificate (``x_blocks`` plus multipliers for the box bounds and the
-    equality rows, which are not returned), and ``gap`` the relative
-    difference of the two objective values.  ``status == "optimal"``
+    constraints (most negative slack eigenvalue and deviation from every
+    original equality row), ``dual_residual`` the stationarity defect
+    ``max|b - A^T(X) - E^T nu| / (1 + max|b|)`` of the internally built
+    dual certificate (``x_blocks`` plus multipliers for the box bounds and
+    the equality rows, which are not returned), and ``gap`` the relative
+    difference of the two objective values.  The equality multipliers
+    ``nu`` are the least-squares ones subject to ``f . nu`` being the
+    multiplier of ``theta = 1`` that enters the dual objective: the defect
+    is ``Z r_w`` plus the ``theta`` residual along ``y_p``, with ``r_w``
+    the residual of the reduced problem on ``w``.  ``status == "optimal"``
     guarantees all three are at most the solve tolerance.  ``iterations``
     counts the interior-point steps taken to reach the returned ``y``.
     """
@@ -244,25 +264,44 @@ def _layout(idx: np.ndarray) -> tuple:
     return idx, (slice(None), *np.ix_(idx, idx)), runs if len(runs) == 2 else [(idx, slice(None))]
 
 
-class _DenseBlock:
-    """One dense PSD block, shared by every problem of a lockstep batch.
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-problem arrays of a batch as one stack, of one slice when shared."""
+    if all(a is arrays[0] for a in arrays):
+        return arrays[0][None]
+    return np.stack(arrays)
 
-    ``aflat`` holds the coefficient stack with one row per variable.
-    Coefficients given twice for one variable are summed here, so every
-    variable owns one row and the fancy-index scatters below lose no term.
-    Iterates are ``(B, m, m)`` stacks, one slice per problem; the step
-    search and ``S^-1`` work from their inverse Cholesky factors.
+
+def _take(a, keep: np.ndarray):
+    """The rows ``keep`` of a per-problem stack; a stack of one slice is
+    shared by the batch and stays."""
+    return a if len(a) == 1 else a[keep]
+
+
+class _DenseBlock:
+    """One dense PSD block of a lockstep batch.
+
+    ``aflat`` holds the coefficient stacks, ``(P, k, m*m)`` with one row per
+    variable in ``idx``: P is 1 when every problem of the batch shares the
+    stack, and the batch size when each problem has its own.  Iterates are
+    ``(B, m, m)`` stacks, one slice per problem; the step search and
+    ``S^-1`` work from their inverse Cholesky factors.
     """
 
-    def __init__(self, dim: int, coeffs: list[tuple[int, np.ndarray]]):
+    def __init__(self, dim: int, idx: np.ndarray, aflat: np.ndarray):
         self.dim = dim
         self.unit = np.eye(dim)
-        merged: dict[int, np.ndarray] = {}
-        for i, a in coeffs:
-            merged[i] = merged[i] + a if i in merged else a
-        self.idx = np.fromiter(merged, dtype=int, count=len(merged))
-        self.at, self.ix, self.runs = _layout(self.idx)
-        self.aflat = np.stack([a.ravel() for a in merged.values()])
+        self.idx = idx
+        self.at, self.ix, self.runs = _layout(idx)
+        self.aflat = aflat
+
+    def __len__(self) -> int:
+        return len(self.aflat)
+
+    def __getitem__(self, keep: np.ndarray) -> _DenseBlock:
+        """The block of the problems ``keep``."""
+        out = copy.copy(self)
+        out.aflat = self.aflat[keep]
+        return out
 
     def eye(self, count: int) -> np.ndarray:
         return np.tile(self.unit, (count, 1, 1))
@@ -282,7 +321,7 @@ class _DenseBlock:
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """HKM Schur blocks ``M_ij = Tr(A_i X A_j S^-1)``, one gemm per stage."""
         k, m = len(self.idx), self.dim
-        a_sinv = (self.aflat.reshape(k * m, m) @ s_inv).reshape(-1, k, m, m)
+        a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
         return self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
 
     def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -318,16 +357,26 @@ class _DiagBlock:
 
     Entry r is the cone ``c_r - g_r . y[idx] >= 0``: one per finite box
     bound, and last the big-M shift ``tau >= 0``, which is not a constraint
-    of the original problem.  Iterates are ``(B, r)`` rows, ``S^-1`` and
-    every product are elementwise; the factor of an iterate is the iterate
-    itself.
+    of the original problem.  ``g`` is a ``(P, r, len(idx))`` stack like the
+    coefficients of :class:`_DenseBlock`.  Iterates are ``(B, r)`` rows,
+    ``S^-1`` and every product are elementwise; the factor of an iterate is
+    the iterate itself.
     """
 
-    def __init__(self, g: np.ndarray):
-        self.dim = g.shape[0]
-        self.idx = np.flatnonzero(np.any(g != 0.0, axis=0))
-        self.at, self.ix, self.runs = _layout(self.idx)
-        self.g = g[:, self.idx]
+    def __init__(self, idx: np.ndarray, g: np.ndarray):
+        self.dim = g.shape[1]
+        self.idx = idx
+        self.at, self.ix, self.runs = _layout(idx)
+        self.g = g
+        self.gt = np.ascontiguousarray(g.transpose(0, 2, 1))
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, keep: np.ndarray) -> _DiagBlock:
+        out = copy.copy(self)
+        out.g, out.gt = self.g[keep], self.gt[keep]
+        return out
 
     def eye(self, count: int) -> np.ndarray:
         return np.ones((count, self.dim))
@@ -343,7 +392,7 @@ class _DiagBlock:
         return np.vecmat(x, self.g)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        return (self.g.T * (x * s_inv)[:, None, :]) @ self.g
+        return (self.gt * (x * s_inv)[:, None, :]) @ self.g
 
     def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Smallest box slack ``m_r - shift``; the shift entry is left out."""
@@ -380,45 +429,72 @@ class _DiagBlock:
         return np.where(dm < 0.0, ratio, np.inf).min(axis=1)
 
 
-def _reduce_equalities(
-    e: np.ndarray, f: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop linearly dependent equality rows, checking consistency."""
-    if e.shape[0] == 0:
-        return e, f
-    _, r, piv = sla.qr(e.T, mode="economic", pivoting=True)
+def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``T = [y_p, Z]``: ``E y = f`` exactly when ``y = y_p + Z w``.
+
+    One pivoted QR ``E^T P = Q R`` in full mode gives the rank r of E, the
+    orthonormal null-space basis ``Z = Q[:, r:]`` and the min-norm solution
+    ``y_p = Q[:, :r] u`` with ``R_11^T u = (P^T f)[:r]``; the rows beyond
+    the rank only have to be consistent with it.
+    """
+    q, r, piv = sla.qr(e.T, pivoting=True)
     diag = np.abs(np.diag(r))
     scale = diag[0] if diag.size and diag[0] > 0 else 1.0
     rank = int(np.sum(diag > 1e-12 * max(1.0, scale)))
-    keep = np.sort(piv[:rank])
-    e_red, f_red = e[keep], f[keep]
-    sol, *_ = np.linalg.lstsq(e_red, f_red, rcond=None)
-    if np.max(np.abs(e @ sol - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
+    u = sla.solve_triangular(r[:rank, :rank], f[piv[:rank]], trans="T")
+    y_p = q[:, :rank] @ u
+    if np.max(np.abs(e @ y_p - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
         raise ValueError("equality constraints are inconsistent")
-    return e_red, f_red
+    return np.column_stack([y_p, q[:, rank:]])
 
 
 @dataclass
 class _Prepared:
-    """One validated problem: its own data and the key of its lockstep group."""
+    """One validated problem in the variables the solver iterates on.
 
-    b: np.ndarray
+    A problem with equality rows ``E y = f`` is solved in the variables
+    ``(theta, w)`` of ``y = T [theta, w]`` (see :func:`_null_space`) with
+    the one equality ``theta = 1``; ``red`` then holds ``T``, E and f.  A
+    problem without equality rows is solved in y itself.  The last variable
+    is always the big-M shift ``tau``.
+    """
+
+    b: np.ndarray  # objective in the solver's variables
+    b_scale: float  # 1 + max|b| of the original objective
     m_pen: float
     cs: list[np.ndarray]  # symmetrised block constants, then the box constants
-    blocks: list[_DenseBlock]  # shared by the problems with the same coefficient lists
-    box: list[tuple[int, float]]  # (variable, sign) of each finite bound
-    eqs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # E, f, reduced E, f
+    coeffs: list[tuple[np.ndarray, np.ndarray]]  # (variables, stack) per dense block
+    diag: tuple[np.ndarray, np.ndarray]  # (variables, rows) of the diagonal block
+    red: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # T, E, f
     key: tuple
 
 
-def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared:
-    """Validate one problem.
+def _lower_block(idx: np.ndarray, mats: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Variables and ``(k, m*m)`` coefficient stack of one block, the shift last.
 
-    ``cache`` holds the lowered dense blocks and reduced equality rows of
-    the call by the identity of their inputs, so problems that share them
-    are checked and lowered once.  Problems share a key exactly when they share the block
-    layout, the coefficient lists, the finite-bound pattern and the rank of
-    their equality rows, which is what a lockstep batch needs.
+    Coefficients given twice for one variable are summed, so every
+    variable owns one row and the fancy-index scatters of ``_lockstep``
+    lose no term.
+    """
+    dim = mats.shape[1]
+    merged: dict[int, np.ndarray] = {}
+    for i, a in zip(idx.tolist(), mats):
+        merged[i] = merged[i] + a if i in merged else a
+    # Every dense block also carries the big-M shift tau = y[n].
+    merged[n] = -np.eye(dim)
+    variables = np.fromiter(merged, dtype=int, count=len(merged))
+    return variables, np.stack([a.ravel() for a in merged.values()])
+
+
+def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared:
+    """Validate one problem and write it in the solver's variables.
+
+    ``cache`` holds the lowered dense blocks, null-space bases and reduced
+    coefficients of the call by the identity of their inputs, so problems
+    that share them are checked and lowered once and share the arrays.
+    Problems share a key exactly when they share the shapes a lockstep
+    batch needs: the solver's variable count, whether ``theta`` is one of
+    them, the side and variables of every block and the number of box rows.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
@@ -434,22 +510,47 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
         up = np.asarray(problem.upper, dtype=float)
         if np.any(lo > up):
             raise ValueError("box bounds have lower > upper")
-    m_pen = big_m if big_m is not None else 1e4 * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+    b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    m_pen = big_m if big_m is not None else 1e4 * b_scale
 
-    cs, blocks, layout = [], [], []
+    red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
+    if problem.eq_matrix is not None:
+        if eq_id not in cache:
+            e = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
+            f = np.asarray(problem.eq_rhs, dtype=float)
+            if e.shape[1] != n or f.shape != (e.shape[0],):
+                raise ValueError("equality constraint shapes are inconsistent")
+            cache[eq_id] = (_null_space(e, f), e, f) if len(e) else None
+        red = cache[eq_id]
+    if red is not None:
+        t = red[0]
+        nv = t.shape[1]
+        b = t.T @ b
+
+    cs, coeffs = [], []
     for k, blk in enumerate(problem.blocks):
         c = _check_symmetric(blk.c, f"block {k} constant")
-        key = (id(blk.coeffs), c.shape[0], n)
-        if key not in cache:
-            idx, mats = _check_coeffs(blk, k, n)
-            # Every dense block also carries the big-M shift tau = y[n].
-            cache[key] = _DenseBlock(len(c), [*zip(idx.tolist(), mats), (n, -np.eye(len(c)))])
+        blk_id = (id(blk.coeffs), c.shape[0], n)
+        if blk_id not in cache:
+            cache[blk_id] = _check_coeffs(blk, k, n)
+        lowered = (blk_id, eq_id if red is not None else None)
+        if lowered not in cache:
+            idx, mats = cache[blk_id]
+            if red is None:
+                cache[lowered] = _lower_block(idx, mats, n)
+            else:
+                # T^T A on the block's rows (repeated rows add up): every
+                # solver variable enters the block, the shift last.
+                reduced = np.empty((nv + 1, len(c) ** 2))
+                np.matmul(t[idx].T, mats.reshape(len(idx), -1), out=reduced[:nv])
+                reduced[nv] = -np.eye(len(c)).ravel()
+                cache[lowered] = (np.arange(nv + 1), reduced)
         cs.append(c)
-        blocks.append(cache[key])
-        layout.append(key)
+        coeffs.append(cache[lowered])
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
-    # or ``u_i - y_i + tau``, and last the shift ``tau`` itself.
+    # or ``u_i - y_i + tau`` with ``y_i = T[i] . (theta, w)`` when reduced,
+    # and last the shift ``tau`` itself.
     box, consts = [], []
     for bound, sign in ((problem.lower, -1.0), (problem.upper, 1.0)):
         if bound is not None:
@@ -458,20 +559,30 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
             box += [(i, sign) for i in finite.tolist()]
             consts.append(sign * bound[finite])
     cs.append(np.concatenate(consts + [[0.0]]))
+    diag_id = ("box", id(problem.lower), id(problem.upper), eq_id if red is not None else n)
+    if diag_id not in cache:
+        rows, signs = [i for i, _ in box], np.array([s for _, s in box])
+        if red is None:
+            g = np.zeros((len(box) + 1, n + 1))
+            g[np.arange(len(box)), rows] = signs
+            g[:, n] = -1.0
+            idx = np.flatnonzero(np.any(g != 0.0, axis=0))
+        else:
+            g = np.zeros((len(box) + 1, nv + 1))
+            g[:-1, :nv] = signs[:, None] * t[rows]
+            g[:, nv] = -1.0
+            idx = np.arange(nv + 1) if box else np.array([nv])
+        cache[diag_id] = (idx, np.ascontiguousarray(g[:, idx]))
+    diag = cache[diag_id]
 
-    if problem.eq_matrix is not None:
-        key = (id(problem.eq_matrix), id(problem.eq_rhs), n)
-        if key not in cache:
-            e_orig = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
-            f_orig = np.asarray(problem.eq_rhs, dtype=float)
-            if e_orig.shape[1] != n or f_orig.shape != (e_orig.shape[0],):
-                raise ValueError("equality constraint shapes are inconsistent")
-            cache[key] = (e_orig, f_orig, *_reduce_equalities(e_orig, f_orig))
-        eqs = cache[key]
-    else:
-        eqs = (np.zeros((0, n)), np.zeros(0), np.zeros((0, n)), np.zeros(0))
-    key = (n, tuple(layout), tuple(box), eqs[0].shape[0], eqs[2].shape[0])
-    return _Prepared(b, m_pen, cs, blocks, box, eqs, key)
+    key = (
+        len(b),
+        red is not None,
+        tuple((len(c), idx.tobytes()) for c, (idx, _) in zip(cs, coeffs)),
+        len(box),
+        diag[0].tobytes(),
+    )
+    return _Prepared(b, b_scale, m_pen, cs, coeffs, diag, red, key)
 
 
 class _Rows:
@@ -479,12 +590,14 @@ class _Rows:
 
     A list attribute holds one array per block.  ``take`` keeps the rows of
     the problems still running, so a problem that leaves the batch costs
-    nothing further.
+    nothing further.  An array of one row while the batch holds more is
+    shared by the batch and broadcast; ``take`` leaves it as it is.
     """
 
     def take(self, keep: np.ndarray) -> None:
         for name, v in vars(self).items():
-            setattr(self, name, [a[keep] for a in v] if isinstance(v, list) else v[keep])
+            setattr(self, name, [_take(a, keep) for a in v] if isinstance(v, list)
+                    else _take(v, keep))
 
 
 # Columns of ``_Rows.met``: the residual metrics of the current iterate and
@@ -503,37 +616,42 @@ def _lockstep(
     step) ends only that one, with the result it gets when solved alone.
     """
     first = preps[0]
-    n = len(first.b)
-    tau_idx = n
+    nv = len(first.b)
+    tau_idx = nv
     count = len(preps)
-    blocks: list[_DenseBlock | _DiagBlock] = list(first.blocks)
-    n_user = len(blocks)
-    g = np.zeros((len(first.box) + 1, n + 1))
-    for r, (i, sign) in enumerate(first.box):
-        g[r, i] = sign
-    g[:, tau_idx] = -1.0
-    blocks.append(_DiagBlock(g))
+    # With equality rows the solver's variable 0 is theta, held at 1 by the
+    # one row of the bordered KKT system; without them every term it feeds
+    # is skipped.
+    red = first.red is not None
+    q = int(red)
+    n_user = len(first.coeffs)
+    blocks: list[_DenseBlock | _DiagBlock] = [
+        _DenseBlock(len(first.cs[k]), idx, _stacked([p.coeffs[k][1] for p in preps]))
+        for k, (idx, _) in enumerate(first.coeffs)
+    ]
+    blocks.append(_DiagBlock(first.diag[0], _stacked([p.diag[1] for p in preps])))
     m_total = sum(blk.dim for blk in blocks)
 
     st = _Rows()
     st.pos = np.arange(count)
+    st.blocks = blocks
     st.c = [np.stack([p.cs[k] for p in preps]) for k in range(len(blocks))]
     st.b = np.stack([p.b for p in preps])
-    st.b_scale = 1.0 + np.abs(st.b).max(axis=1, initial=0.0)
+    st.b_scale = np.array([p.b_scale for p in preps])
     st.b_aug = np.hstack([st.b, -m_pen[:, None]])
-    st.e_orig, st.f_orig, st.e_red, st.f_red = (
-        np.stack(a) for a in zip(*(p.eqs for p in preps))
-    )
-    q = st.e_red.shape[1]
-    # Without equality rows every term they feed is skipped: it is zero.
-    has_eq = st.e_orig.shape[1] > 0
-    st.e_aug = np.concatenate([st.e_red, np.zeros((count, q, 1))], axis=2)
+    if red:
+        st.t, st.e, st.f = (_stacked(list(a)) for a in zip(*(p.red for p in preps)))
+        st.z = np.ascontiguousarray(st.t[:, :, 1:])
+        # The pseudo-inverse y_p / |y_p|^2 of the column y_p (0 when f = 0).
+        yp = st.t[:, :, 0]
+        norm2 = np.vecdot(yp, yp)[:, None]
+        st.yp_pinv = np.divide(yp, norm2, out=np.zeros_like(yp), where=norm2 > 0.0)
 
     lam0 = np.maximum(1.0, 1.0 - functools.reduce(
         np.minimum, [blk.min_slack(c, np.zeros(count)) for blk, c in zip(blocks, st.c)]
     ))
     st.tau_cap = 1e-6 * (1.0 + lam0)
-    st.y = np.zeros((count, n + 1))
+    st.y = np.zeros((count, nv + 1))
     st.y[:, tau_idx] = lam0
     st.s = [c - blk.operator(st.y) for blk, c in zip(blocks, st.c)]
     st.x = [blk.eye(count) for blk in blocks]
@@ -550,7 +668,7 @@ def _lockstep(
 
     def scatter(parts: list[np.ndarray], total: np.ndarray) -> np.ndarray:
         """Add each block's adjoint rows into ``total``, in block order."""
-        for blk, part in zip(blocks, parts):
+        for blk, part in zip(st.blocks, parts):
             for cols, entries in blk.runs:
                 total[:, cols] += part[:, entries]
         return total
@@ -559,26 +677,31 @@ def _lockstep(
         # The shift entry of the diagonal block is left out of the slack
         # (see ``min_slack``); its zero constant and its adjoint, which
         # only reaches ``tau``, add nothing to the objective or to ``dres``.
-        yv, tau = st.y[:, :n], st.y[:, tau_idx]
+        yv, tau = st.y[:, :nv], st.y[:, tau_idx]
         slack = functools.reduce(
-            np.minimum, [blk.min_slack(sk, tau) for blk, sk in zip(blocks, st.s)]
+            np.minimum, [blk.min_slack(sk, tau) for blk, sk in zip(st.blocks, st.s)]
         )
         pres = np.maximum(0.0, -slack)
-        if has_eq:
-            eq_dev = np.abs(np.matvec(st.e_orig, yv) - st.f_orig).max(axis=1, initial=0.0)
+        if red:
+            # Feasibility of y = T (theta, w) for the original rows.
+            eq_dev = np.abs(np.matvec(st.e, np.matvec(st.t, yv)) - st.f).max(axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
-        st.adj_x = [blk.adjoint(xk) for blk, xk in zip(blocks, st.x)]
-        adj = scatter(st.adj_x, np.zeros((len(yv), n + 1)))
-        dres = st.b - adj[:, :n]
-        if has_eq:
-            dres = dres - np.vecmat(st.nu, st.e_red)
+        st.adj_x = [blk.adjoint(xk) for blk, xk in zip(st.blocks, st.x)]
+        adj = scatter(st.adj_x, np.zeros((len(yv), nv + 1)))
+        dres = st.b - adj[:, :nv]
+        if red:
+            # In the original variables: multipliers nu of the rows with
+            # f . nu equal to the multiplier of theta = 1, least squares
+            # otherwise, leave Z r_w plus the theta residual along y_p.
+            dres = np.matvec(st.z, dres[:, 1:]) + (dres[:, 0] - st.nu[:, 0])[:, None] * st.yp_pinv
         dres = np.abs(dres)
         dres = dres.max(axis=1, initial=0.0) / st.b_scale
         pobj = 0.0
-        for blk, ck, xk in zip(blocks, st.c, st.x):
+        for blk, ck, xk in zip(st.blocks, st.c, st.x):
             pobj = pobj + blk.dot(ck, xk)
-        if has_eq:
-            pobj = pobj + np.vecdot(st.f_red, st.nu)
+        if red:
+            # The multiplier of theta = 1 is f . nu of the original rows.
+            pobj = pobj + st.nu[:, 0]
         dobj = np.vecdot(st.b, yv)
         gap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
         worst = np.maximum(np.maximum(gap, pres), dres)
@@ -595,9 +718,10 @@ def _lockstep(
             met, y, x = (
                 (st.best_met, st.best_y, st.best_x) if best else (st.met, st.y, st.x)
             )
+            yi = y[i, :nv]
             out[st.pos[i]] = SdpSolution(
                 status=status,
-                y=y[i, :n].copy(),
+                y=st.t[min(i, len(st.t) - 1)] @ yi if red else yi.copy(),
                 objective_value=float(met[i, _DOBJ]),
                 gap=float(met[i, _GAP]),
                 primal_residual=float(met[i, _PRES]),
@@ -620,7 +744,7 @@ def _lockstep(
     def factors(mats: list[np.ndarray], repair: bool = False) -> tuple[list, np.ndarray]:
         """Every block's factors and which problems have them all."""
         facs, ok = [], True
-        for blk, m in zip(blocks, mats):
+        for blk, m in zip(st.blocks, mats):
             fac, ok_k = blk.factor(m, repair)
             facs.append(fac)
             ok = ok & ok_k
@@ -642,15 +766,15 @@ def _lockstep(
 
     def directions(h: list[np.ndarray]) -> tuple:
         """Newton direction for the right-hand side ``h``, and which are finite."""
-        g = scatter([blk.adjoint(hk) for blk, hk in zip(blocks, h)], np.zeros((len(st.pos), n + 1)))
-        rhs = st.r_p - g
-        sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if has_eq else rhs)
-        dy, dnu = sol[:, : n + 1], sol[:, n + 1 :]
-        ops = [blk.operator(dy) for blk in blocks]
+        adj_h = [blk.adjoint(hk) for blk, hk in zip(st.blocks, h)]
+        rhs = st.r_p - scatter(adj_h, np.zeros((len(st.pos), nv + 1)))
+        sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if red else rhs)
+        dy, dnu = sol[:, : nv + 1], sol[:, nv + 1 :]
+        ops = [blk.operator(dy) for blk in st.blocks]
         ds = [rdk - op for rdk, op in zip(st.r_d, ops)]
         dx = [
             blk.sym(hk + blk.product(xk, op, sik))
-            for blk, hk, xk, op, sik in zip(blocks, h, st.x, ops, st.s_inv)
+            for blk, hk, xk, op, sik in zip(st.blocks, h, st.x, ops, st.s_inv)
         ]
         # ds is finite with dy; dx also carries h.
         ok &= np.isfinite(np.concatenate([d.reshape(len(d), -1) for d in dx], axis=1)).all(axis=1)
@@ -660,7 +784,7 @@ def _lockstep(
         """Largest primal (row 0) and dual (row 1) steps, one eigensolve per
         block for both."""
         steps = np.inf
-        for blk, xf, sf, dxk, dsk in zip(blocks, st.x_fac, st.s_fac, dx, ds):
+        for blk, xf, sf, dxk, dsk in zip(st.blocks, st.x_fac, st.s_fac, dx, ds):
             both = blk.max_step(np.concatenate([xf, sf]), np.concatenate([dxk, dsk]))
             steps = np.minimum(steps, both.reshape(2, -1))
         return steps
@@ -679,14 +803,14 @@ def _lockstep(
             st.best_met = np.where(better[:, None], st.met, st.best_met)
             st.best_y = np.where(better[:, None], st.y, st.best_y)
             st.best_x = [np.where(blk.col(better), xk, bx)
-                         for blk, xk, bx in zip(blocks, st.x, st.best_x)]
+                         for blk, xk, bx in zip(st.blocks, st.x, st.best_x)]
         if done.any():
             finish(done, STATUS_OPTIMAL)
             if not len(st.pos):
                 break
 
         mu = 0.0
-        for blk, xk, sk in zip(blocks, st.x, st.s):
+        for blk, xk, sk in zip(st.blocks, st.x, st.s):
             mu = mu + blk.dot(xk, sk)
         st.mu = mu / m_total
         # A non-finite mu is a numerical failure, mu <= 0 a stall.
@@ -697,19 +821,19 @@ def _lockstep(
 
         # Residuals of the augmented problem drive the Newton step.
         st.r_p = scatter([-a for a in st.adj_x], st.b_aug.copy())
-        if has_eq:
-            st.r_p -= np.vecmat(st.nu, st.e_aug)
-            st.r_e = st.f_red - np.matvec(st.e_aug, st.y)
-        st.r_d = [c - blk.operator(st.y) - sk for blk, c, sk in zip(blocks, st.c, st.s)]
+        if red:
+            st.r_p[:, 0] -= st.nu[:, 0]
+            st.r_e = 1.0 - st.y[:, :1]
+        st.r_d = [c - blk.operator(st.y) - sk for blk, c, sk in zip(st.blocks, st.c, st.s)]
 
         st.s_fac, ok = factors(st.s)
-        st.s_inv = [blk.inverse(f) for blk, f in zip(blocks, st.s_fac)]
-        st.kkt = np.zeros((len(st.pos), n + 1 + q, n + 1 + q))
-        for blk, xk, sik in zip(blocks, st.x, st.s_inv):
+        st.s_inv = [blk.inverse(f) for blk, f in zip(st.blocks, st.s_fac)]
+        st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
+        for blk, xk, sik in zip(st.blocks, st.x, st.s_inv):
             st.kkt[blk.ix] += blk.schur(xk, sik)
-        if has_eq:
-            st.kkt[:, : n + 1, n + 1 :] = st.e_aug.transpose(0, 2, 1)
-            st.kkt[:, n + 1 :, : n + 1] = st.e_aug
+        if red:
+            # The one bordered row: theta = 1.
+            st.kkt[:, 0, nv + 1] = st.kkt[:, nv + 1, 0] = 1.0
         # One LU factorisation per problem serves the predictor, the
         # corrector and their refinements.  A non-finite or exactly
         # singular KKT matrix ends the problem instead of stepping along
@@ -725,7 +849,7 @@ def _lockstep(
 
         st.p_xr = [
             blk.product(xk, rdk, sik)
-            for blk, xk, rdk, sik in zip(blocks, st.x, st.r_d, st.s_inv)
+            for blk, xk, rdk, sik in zip(st.blocks, st.x, st.r_d, st.s_inv)
         ]
         _, _, st.dx_a, st.ds_a, ok = directions([-xk - pk for xk, pk in zip(st.x, st.p_xr)])
         if not stop(ok, broken=True):
@@ -739,7 +863,7 @@ def _lockstep(
             break
 
         mu_aff = 0.0
-        for blk, xk, dxk, sk, dsk in zip(blocks, st.x, st.dx_a, st.s, st.ds_a):
+        for blk, xk, dxk, sk, dsk in zip(st.blocks, st.x, st.dx_a, st.s, st.ds_a):
             mu_aff = mu_aff + blk.dot(xk + blk.col(st.ap_a) * dxk, sk + blk.col(st.ad_a) * dsk)
         # Per problem in Python floats, so that ``**`` is the C library's pow.
         sigma = np.array([
@@ -751,7 +875,7 @@ def _lockstep(
         h_cor = [
             blk.col(target) * sik - xk - pk - blk.product(dxk, dsk, sik)
             for blk, sik, xk, pk, dxk, dsk in zip(
-                blocks, st.s_inv, st.x, st.p_xr, st.dx_a, st.ds_a
+                st.blocks, st.s_inv, st.x, st.p_xr, st.dx_a, st.ds_a
             )
         ]
         st.dy, st.dnu, st.dx, st.ds, ok = directions(h_cor)
@@ -765,10 +889,10 @@ def _lockstep(
         # From the rows left after ``stop``: ``steps`` still has the ended ones.
         st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
 
-        st.x = [blk.sym(xk + blk.col(st.a_p) * dxk) for blk, xk, dxk in zip(blocks, st.x, st.dx)]
+        st.x = [blk.sym(xk + blk.col(st.a_p) * dxk) for blk, xk, dxk in zip(st.blocks, st.x, st.dx)]
         st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy
-        st.s = [blk.sym(sk + blk.col(st.a_d) * dsk) for blk, sk, dsk in zip(blocks, st.s, st.ds)]
+        st.s = [blk.sym(sk + blk.col(st.a_d) * dsk) for blk, sk, dsk in zip(st.blocks, st.s, st.ds)]
         st.steps = st.steps + 1
     return out
 
@@ -785,8 +909,9 @@ def _batches(preps: list[_Prepared], todo: list[int]) -> list[list[int]]:
     out = []
     for members in groups.values():
         p = preps[members[0]]
-        side = len(p.b) + 1 + p.eqs[2].shape[0]
-        per_problem = 8 * (side * side + sum(3 * blk.aflat.size for blk in p.blocks))
+        side = len(p.b) + 1 + (p.red is not None)
+        # The coefficient stacks count once more for problems that own them.
+        per_problem = 8 * (side * side + sum(4 * aflat.size for _, aflat in p.coeffs))
         size = max(1, BATCH_BYTES // per_problem)
         out += [members[i : i + size] for i in range(0, len(members), size)]
     return out

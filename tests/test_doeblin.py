@@ -325,6 +325,26 @@ def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
         assert calls == [(16, 4, 4)] * 3
 
 
+def test_expansion_bound_without_an_optimal_reverse_solve_is_trivial():
+    # At tol 1e-16 no reverse solve of gad(0.5, 0.6) ends optimal, so the
+    # bound falls back to 0.0 (every reverse coefficient is at most 1) and
+    # not to a non-optimal value.
+    chan = ch.gad(0.5, 0.6)
+    reverse = [
+        f(chan, 1e-16).status
+        for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
+    ]
+    assert sdpcore.STATUS_OPTIMAL not in reverse
+    r = db.dp_range(chan, tol=1e-16)
+    assert r.lower == 0.0
+    assert r.status != sdpcore.STATUS_OPTIMAL
+    assert db.expansion_lower_bound(chan, tol=1e-16) == 0.0
+    # At the default tolerance the bound is 1 - revH = eta.
+    assert db.dp_range(chan).status == sdpcore.STATUS_OPTIMAL
+    assert abs(db.dp_range(chan).lower - 0.6) < 1e-6
+    assert abs(db.expansion_lower_bound(chan) - 0.6) < 1e-6
+
+
 QUDIT_CLOSED_FORMS = {
     db.alpha: lambda p, d: p,
     db.alpha_hermitian: lambda p, d: p,

@@ -112,6 +112,86 @@ def test_inconsistent_equalities_raise():
         sdpcore.solve(prob)
 
 
+def _unit_block(n, scale=1.0):
+    """``scale - y_i >= 0`` for every variable, as one diagonal block."""
+    return sdpcore.SdpBlock(
+        c=scale * np.eye(n),
+        coeffs=[(i, np.diag(np.eye(n)[i])) for i in range(n)],
+    )
+
+
+def test_equalities_that_fix_every_variable():
+    # E = I leaves no free direction: only theta, held at 1, is solved for.
+    f = np.array([0.5, -0.3, 0.2])
+    prob = sdpcore.SdpProblem(
+        num_vars=3,
+        objective=np.array([1.0, 1.0, -1.0]),
+        blocks=[_unit_block(3, 2.0)],
+        eq_matrix=np.eye(3),
+        eq_rhs=f,
+    )
+    sol = sdpcore.solve(prob)
+    assert sol.status == "optimal"
+    assert np.max(np.abs(sol.y - f)) <= 1e-9
+    assert abs(sol.objective_value - 0.0) < 1e-7
+
+
+def test_bound_on_a_variable_the_rows_fix():
+    # Rows of rank 2 (the second repeats the first) fix y0 = 0.5 and leave
+    # y1 + y2 = 1 free; maximising y1 under y <= 1 gives (0.5, 1, 0).
+    def problem(upper0):
+        return sdpcore.SdpProblem(
+            num_vars=3,
+            objective=np.array([0.0, 1.0, 0.0]),
+            blocks=[_unit_block(3)],
+            eq_matrix=np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+            eq_rhs=np.array([0.5, 1.0, 1.0]),
+            upper=np.array([upper0, np.inf, np.inf]),
+        )
+
+    sol = sdpcore.solve(problem(0.75))
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 1.0) < 1e-7
+    np.testing.assert_allclose(sol.y, [0.5, 1.0, 0.0], atol=1e-6)
+    # A bound the rows violate ends the solve without an optimal status.
+    sol = sdpcore.solve(problem(0.25))
+    assert sol.status != "optimal"
+
+
+def test_equality_multipliers_exist_for_the_returned_blocks():
+    # At an optimum, b - sum_k A_k^T(X_k) lies in the row space of E: some
+    # multipliers of the rows make the returned blocks dual feasible.
+    rng = np.random.default_rng(209)
+    n, dim = 6, 4
+    mats = []
+    for _ in range(n):
+        g = rng.standard_normal((dim, dim))
+        mats.append(0.5 * (g + g.T))
+    rows = rng.standard_normal((2, n))
+    e = np.vstack([rows, rows.sum(axis=0)])
+    y0 = 0.05 * rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    tol = sdpcore.DEFAULT_TOL
+    # A(y) between -3 I and 3 I keeps the feasible set bounded.
+    blocks = [
+        sdpcore.SdpBlock(c=3.0 * np.eye(dim), coeffs=list(enumerate(mats))),
+        sdpcore.SdpBlock(c=3.0 * np.eye(dim), coeffs=[(i, -a) for i, a in enumerate(mats)]),
+    ]
+    sol = sdpcore.solve(sdpcore.SdpProblem(
+        num_vars=n, objective=b, blocks=blocks, eq_matrix=e, eq_rhs=e @ y0
+    ), tol=tol)
+    assert sol.status == "optimal"
+    adjoint = np.array([
+        sum(np.tensordot(a, x) * sign for a, x, sign in
+            zip((mats[i], mats[i]), sol.x_blocks, (1.0, -1.0)))
+        for i in range(n)
+    ])
+    resid = b - adjoint
+    nu, *_ = np.linalg.lstsq(e.T, resid, rcond=None)
+    assert np.max(np.abs(resid - e.T @ nu)) <= tol * (1.0 + np.max(np.abs(b)))
+    assert np.max(np.abs(e @ sol.y - e @ y0)) <= tol
+
+
 def test_weak_duality_certificate():
     rng = np.random.default_rng(202)
     for _ in range(10):
