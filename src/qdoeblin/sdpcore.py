@@ -67,6 +67,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -448,13 +449,37 @@ def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.column_stack([y_p, q[:, rank:]])
 
 
+class _Reduction(NamedTuple):
+    """Equality rows ``E y = f`` as the solver uses them.
+
+    ``t = [y_p, Z]`` maps ``(theta, w)`` to y; ``z`` and ``yp_pinv`` (the
+    pseudo-inverse ``y_p / |y_p|^2`` of the column ``y_p``, 0 when f = 0)
+    give the dual residual in the original variables, and ``et = E T``
+    the deviation ``|E T (theta, w) - f|`` from the original rows.
+    """
+
+    t: np.ndarray
+    z: np.ndarray
+    yp_pinv: np.ndarray
+    et: np.ndarray
+    f: np.ndarray
+
+
+def _reduction(e: np.ndarray, f: np.ndarray) -> _Reduction:
+    t = _null_space(e, f)
+    yp = t[:, 0]
+    norm2 = np.vecdot(yp, yp)
+    yp_pinv = np.divide(yp, norm2, out=np.zeros_like(yp), where=norm2 > 0.0)
+    return _Reduction(t, np.ascontiguousarray(t[:, 1:]), yp_pinv, e @ t, f)
+
+
 @dataclass
 class _Prepared:
     """One validated problem in the variables the solver iterates on.
 
     A problem with equality rows ``E y = f`` is solved in the variables
     ``(theta, w)`` of ``y = T [theta, w]`` (see :func:`_null_space`) with
-    the one equality ``theta = 1``; ``red`` then holds ``T``, E and f.  A
+    the one equality ``theta = 1``; ``red`` then holds its reduction.  A
     problem without equality rows is solved in y itself.  The last variable
     is always the big-M shift ``tau``.
     """
@@ -465,7 +490,7 @@ class _Prepared:
     cs: list[np.ndarray]  # symmetrised block constants, then the box constants
     coeffs: list[tuple[np.ndarray, np.ndarray]]  # (variables, stack) per dense block
     diag: tuple[np.ndarray, np.ndarray]  # (variables, rows) of the diagonal block
-    red: tuple[np.ndarray, np.ndarray, np.ndarray] | None  # T, E, f
+    red: _Reduction | None
     key: tuple
 
 
@@ -493,8 +518,9 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
     coefficients of the call by the identity of their inputs, so problems
     that share them are checked and lowered once and share the arrays.
     Problems share a key exactly when they share the shapes a lockstep
-    batch needs: the solver's variable count, whether ``theta`` is one of
-    them, the side and variables of every block and the number of box rows.
+    batch needs: the solver's variable count, the original variable and
+    equality row counts when ``theta`` is one of them, the side and
+    variables of every block and the number of box rows.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
@@ -520,10 +546,10 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
             f = np.asarray(problem.eq_rhs, dtype=float)
             if e.shape[1] != n or f.shape != (e.shape[0],):
                 raise ValueError("equality constraint shapes are inconsistent")
-            cache[eq_id] = (_null_space(e, f), e, f) if len(e) else None
+            cache[eq_id] = _reduction(e, f) if len(e) else None
         red = cache[eq_id]
     if red is not None:
-        t = red[0]
+        t = red.t
         nv = t.shape[1]
         b = t.T @ b
 
@@ -577,7 +603,7 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
 
     key = (
         len(b),
-        red is not None,
+        (n, len(red.f)) if red is not None else None,
         tuple((len(c), idx.tobytes()) for c, (idx, _) in zip(cs, coeffs)),
         len(box),
         diag[0].tobytes(),
@@ -640,12 +666,9 @@ def _lockstep(
     st.b_scale = np.array([p.b_scale for p in preps])
     st.b_aug = np.hstack([st.b, -m_pen[:, None]])
     if red:
-        st.t, st.e, st.f = (_stacked(list(a)) for a in zip(*(p.red for p in preps)))
-        st.z = np.ascontiguousarray(st.t[:, :, 1:])
-        # The pseudo-inverse y_p / |y_p|^2 of the column y_p (0 when f = 0).
-        yp = st.t[:, :, 0]
-        norm2 = np.vecdot(yp, yp)[:, None]
-        st.yp_pinv = np.divide(yp, norm2, out=np.zeros_like(yp), where=norm2 > 0.0)
+        st.z, st.yp_pinv, st.et, st.f = (
+            _stacked([getattr(p.red, name) for p in preps]) for name in ("z", "yp_pinv", "et", "f")
+        )
 
     lam0 = np.maximum(1.0, 1.0 - functools.reduce(
         np.minimum, [blk.min_slack(c, np.zeros(count)) for blk, c in zip(blocks, st.c)]
@@ -684,7 +707,7 @@ def _lockstep(
         pres = np.maximum(0.0, -slack)
         if red:
             # Feasibility of y = T (theta, w) for the original rows.
-            eq_dev = np.abs(np.matvec(st.e, np.matvec(st.t, yv)) - st.f).max(axis=1, initial=0.0)
+            eq_dev = np.abs(np.matvec(st.et, yv) - st.f).max(axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
         st.adj_x = [blk.adjoint(xk) for blk, xk in zip(st.blocks, st.x)]
         adj = scatter(st.adj_x, np.zeros((len(yv), nv + 1)))
@@ -721,7 +744,7 @@ def _lockstep(
             yi = y[i, :nv]
             out[st.pos[i]] = SdpSolution(
                 status=status,
-                y=st.t[min(i, len(st.t) - 1)] @ yi if red else yi.copy(),
+                y=preps[st.pos[i]].red.t @ yi if red else yi.copy(),
                 objective_value=float(met[i, _DOBJ]),
                 gap=float(met[i, _GAP]),
                 primal_residual=float(met[i, _PRES]),
@@ -910,8 +933,13 @@ def _batches(preps: list[_Prepared], todo: list[int]) -> list[list[int]]:
     for members in groups.values():
         p = preps[members[0]]
         side = len(p.b) + 1 + (p.red is not None)
-        # The coefficient stacks count once more for problems that own them.
-        per_problem = 8 * (side * side + sum(4 * aflat.size for _, aflat in p.coeffs))
+        # The coefficient stacks count once more for problems that own them,
+        # the batched arrays of the reduction (all but T) once.
+        per_problem = 8 * (
+            side * side
+            + sum(4 * aflat.size for _, aflat in p.coeffs)
+            + (sum(a.size for a in p.red[1:]) if p.red is not None else 0)
+        )
         size = max(1, BATCH_BYTES // per_problem)
         out += [members[i : i + size] for i in range(0, len(members), size)]
     return out

@@ -158,6 +158,29 @@ def test_bound_on_a_variable_the_rows_fix():
     assert sol.status != "optimal"
 
 
+def test_batch_of_problems_with_different_equality_row_counts():
+    # Two rows and three redundant ones leave the same (theta, w) shapes on
+    # three variables; each problem must still get its solo result.
+    def problem(e, f):
+        return sdpcore.SdpProblem(
+            num_vars=3,
+            objective=np.array([0.0, 1.0, 0.0]),
+            blocks=[_unit_block(3)],
+            eq_matrix=np.array(e),
+            eq_rhs=np.array(f),
+        )
+
+    problems = [
+        problem([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.5, 1.0]),
+        problem([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.5, 1.0, 1.0]),
+        problem([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.25, 0.5]),
+    ]
+    batch = sdpcore.solve_many(problems)
+    for prob, got in zip(problems, batch):
+        _same(got, sdpcore.solve(prob))
+    assert all(sol.status == "optimal" for sol in batch)
+
+
 def test_equality_multipliers_exist_for_the_returned_blocks():
     # At an optimum, b - sum_k A_k^T(X_k) lies in the row space of E: some
     # multipliers of the rows make the returned blocks dual feasible.
