@@ -663,10 +663,18 @@ PINNED_QUTRIT_SOLVES = {
     },
 }
 # The reverse kinds at d=4, recorded before equality-constrained programs
-# were solved in the null space of their equality rows.
+# were solved in the null space of their equality rows, and the forward
+# kinds, recorded before problems without equality rows were lowered the
+# same way.
 PINNED_QUDIT4_SOLVES = {
-    ("depolarizing", 0.8): {"rev": 8, "revT": 7, "revH": 8},
-    ("random", 7): {"rev": 8, "revT": 8, "revH": 10},
+    ("depolarizing", 0.8): {
+        "alpha": 7, "alphaT": 10, "alphaH": 7, "alphaTH": 8, "p1": 9, "rev": 8, "revT": 7,
+        "revH": 8,
+    },
+    ("random", 7): {
+        "alpha": 16, "alphaT": None, "alphaH": 13, "alphaTH": 11, "p1": 15, "rev": 8, "revT": 8,
+        "revH": 10,
+    },
 }
 
 
