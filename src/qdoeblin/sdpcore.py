@@ -17,20 +17,21 @@ dual-interior by a big-M shift variable: every block is relaxed to
 strictly feasible starting point always exists and ``tau`` is driven to zero
 whenever the original problem is feasible.
 
-Equality rows are eliminated by the null-space method (Nocedal & Wright,
-*Numerical Optimization*, 2nd ed., section 16.2).  One pivoted QR of
-``E^T`` in full mode gives the rank of E, an orthonormal basis Z of its
-null space and the min-norm solution ``y_p`` of ``E y = f``; an
-inconsistent system is rejected there.  The solver then iterates on
-``(theta, w)`` with ``y = theta y_p + Z w``: block coefficients become
-``[y_p, Z]^T A`` (one gemm per block), each box bound a row of the
-diagonal block, and the one equality left, ``theta = 1``, is the only
-bordered row of the KKT system, which is solved by LU factorisation.  The
-start ``theta = 0, w = 0`` is the start ``y = 0`` of the full problem, and
-its iterates stay in ``{c y_p + Z w}``, so in exact arithmetic the reduced
-iteration takes the steps of the full one on ``1 + n - rank(E)`` instead
-of n variables.  Residuals, the objective and ``y`` are reported in the
-original variables.
+Every problem is solved in the variables v of ``y = T v``: block
+coefficients become ``T^T A`` (one gemm per block), each box bound the row
+``+-T[i]`` of the diagonal block, and every solver variable enters every
+block.  Without equality rows ``T = I``.  Equality rows are eliminated by
+the null-space method (Nocedal & Wright, *Numerical Optimization*, 2nd
+ed., section 16.2).  One pivoted QR of ``E^T`` in full mode gives the rank
+of E, an orthonormal basis Z of its null space and the min-norm solution
+``y_p`` of ``E y = f``; an inconsistent system is rejected there.  Then
+``T = [y_p, Z]`` and ``v = (theta, w)``: the one equality left,
+``theta = 1``, is the only bordered row of the KKT system, which is solved
+by LU factorisation.  The start ``theta = 0, w = 0`` is the start ``y = 0``
+of the full problem, and its iterates stay in ``{c y_p + Z w}``, so in
+exact arithmetic the reduced iteration takes the steps of the full one on
+``1 + n - rank(E)`` instead of n variables.  Residuals, the objective and
+``y`` are reported in the original variables.
 
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
 one diagonal (LP) block, the layout SDPA writes as a negative-size block:
@@ -43,9 +44,9 @@ refinement steps reuse the factors.
 
 :func:`solve_many` runs a list of problems as lockstep batches, in the
 manner of the batched interior-point method of OptNet (Amos & Kolter,
-ICML 2017).  Problems that share their shapes (the count of variables
-left after the reduction, the block sides and variables, the number of box
-rows) advance together: every iterate is a stack with one slice per
+ICML 2017).  Problems that share their shapes (the count of solver
+variables and the side of every block, the diagonal block of box rows
+included) advance together: every iterate is a stack with one slice per
 problem, and one numpy call serves the whole batch.  Each problem keeps
 its own constants, objective, null-space basis, coefficient stacks (one
 stack serves the batch when every problem shares it), bounds, step
@@ -246,25 +247,6 @@ def _max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
     return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
-def _layout(idx: np.ndarray) -> tuple:
-    """How a block indexes the variables ``idx`` of every problem.
-
-    Returns ``at``, the columns (a slice when ``idx`` is one contiguous run,
-    which indexes faster), ``ix``, the KKT entries ``(i, j)`` with i and j
-    in ``idx``, and ``runs``, ``(columns, entries)`` slice pairs that
-    scatter adjoint rows run by run (one fancy index beyond two runs).
-    """
-    bounds = [0, *(np.flatnonzero(np.diff(idx) != 1) + 1).tolist(), len(idx)]
-    runs = [
-        (slice(int(idx[a]), int(idx[b - 1]) + 1), slice(a, b))
-        for a, b in zip(bounds, bounds[1:])
-    ]
-    if len(runs) == 1:
-        at = runs[0][0]
-        return at, (slice(None), at, at), runs
-    return idx, (slice(None), *np.ix_(idx, idx)), runs if len(runs) == 2 else [(idx, slice(None))]
-
-
 def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
     """Per-problem arrays of a batch as one stack, of one slice when shared."""
     if all(a is arrays[0] for a in arrays):
@@ -282,17 +264,16 @@ class _DenseBlock:
     """One dense PSD block of a lockstep batch.
 
     ``aflat`` holds the coefficient stacks, ``(P, k, m*m)`` with one row per
-    variable in ``idx``: P is 1 when every problem of the batch shares the
-    stack, and the batch size when each problem has its own.  Iterates are
+    solver variable, every one of which enters every block: P is 1 when
+    every problem of the batch shares the stack, and the batch size when
+    each problem has its own.  Iterates are
     ``(B, m, m)`` stacks, one slice per problem; the step search and
     ``S^-1`` work from their inverse Cholesky factors.
     """
 
-    def __init__(self, dim: int, idx: np.ndarray, aflat: np.ndarray):
+    def __init__(self, dim: int, aflat: np.ndarray):
         self.dim = dim
         self.unit = np.eye(dim)
-        self.idx = idx
-        self.at, self.ix, self.runs = _layout(idx)
         self.aflat = aflat
 
     def __len__(self) -> int:
@@ -313,15 +294,15 @@ class _DenseBlock:
         return v[:, None, None]
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return (y[:, None, self.at] @ self.aflat).reshape(-1, self.dim, self.dim)
+        return (y[:, None] @ self.aflat).reshape(-1, self.dim, self.dim)
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """``A^T(x)`` on the variables in ``idx``, one row per problem."""
+        """``A^T(x)``, one row per problem."""
         return np.matvec(self.aflat, x.reshape(len(x), -1))
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """HKM Schur blocks ``M_ij = Tr(A_i X A_j S^-1)``, one gemm per stage."""
-        k, m = len(self.idx), self.dim
+        k, m = self.aflat.shape[1], self.dim
         a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
         return self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
 
@@ -356,18 +337,16 @@ class _DenseBlock:
 class _DiagBlock:
     """Every 1x1 cone of a lockstep batch as one diagonal (LP) block.
 
-    Entry r is the cone ``c_r - g_r . y[idx] >= 0``: one per finite box
-    bound, and last the big-M shift ``tau >= 0``, which is not a constraint
-    of the original problem.  ``g`` is a ``(P, r, len(idx))`` stack like the
-    coefficients of :class:`_DenseBlock`.  Iterates are ``(B, r)`` rows,
-    ``S^-1`` and every product are elementwise; the factor of an iterate is
-    the iterate itself.
+    Entry r is the cone ``c_r - g_r . y >= 0``: one per finite box bound,
+    and last the big-M shift ``tau >= 0``, which is not a constraint of the
+    original problem.  ``g`` is a ``(P, r, k)`` stack over every solver
+    variable like the coefficients of :class:`_DenseBlock`.  Iterates are
+    ``(B, r)`` rows, ``S^-1`` and every product are elementwise; the factor
+    of an iterate is the iterate itself.
     """
 
-    def __init__(self, idx: np.ndarray, g: np.ndarray):
+    def __init__(self, g: np.ndarray):
         self.dim = g.shape[1]
-        self.idx = idx
-        self.at, self.ix, self.runs = _layout(idx)
         self.g = g
         self.gt = np.ascontiguousarray(g.transpose(0, 2, 1))
 
@@ -387,7 +366,7 @@ class _DiagBlock:
         return v[:, None]
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return (self.g @ y[:, self.at, None])[..., 0]
+        return (self.g @ y[..., None])[..., 0]
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         return np.vecmat(x, self.g)
@@ -475,52 +454,35 @@ def _reduction(e: np.ndarray, f: np.ndarray) -> _Reduction:
 
 @dataclass
 class _Prepared:
-    """One validated problem in the variables the solver iterates on.
+    """One validated problem in the variables ``v`` the solver iterates on.
 
-    A problem with equality rows ``E y = f`` is solved in the variables
-    ``(theta, w)`` of ``y = T [theta, w]`` (see :func:`_null_space`) with
-    the one equality ``theta = 1``; ``red`` then holds its reduction.  A
-    problem without equality rows is solved in y itself.  The last variable
-    is always the big-M shift ``tau``.
+    Every problem is solved in ``y = T v``.  With equality rows ``E y = f``,
+    ``T = [y_p, Z]`` (see :func:`_null_space`), ``v = (theta, w)`` with the
+    one equality ``theta = 1``, and ``red`` holds the reduction; without
+    them ``T = I`` and ``v = y``.  Every solver variable enters every block,
+    and the last one is always the big-M shift ``tau``.
     """
 
-    b: np.ndarray  # objective in the solver's variables
+    b: np.ndarray  # objective T^T b in the solver's variables
     b_scale: float  # 1 + max|b| of the original objective
     m_pen: float
     cs: list[np.ndarray]  # symmetrised block constants, then the box constants
-    coeffs: list[tuple[np.ndarray, np.ndarray]]  # (variables, stack) per dense block
-    diag: tuple[np.ndarray, np.ndarray]  # (variables, rows) of the diagonal block
+    coeffs: list[np.ndarray]  # (k, m*m) coefficient stack per dense block
+    diag: np.ndarray  # (r, k) rows of the diagonal block
     red: _Reduction | None
     key: tuple
-
-
-def _lower_block(idx: np.ndarray, mats: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Variables and ``(k, m*m)`` coefficient stack of one block, the shift last.
-
-    Coefficients given twice for one variable are summed, so every
-    variable owns one row and the fancy-index scatters of ``_lockstep``
-    lose no term.
-    """
-    dim = mats.shape[1]
-    merged: dict[int, np.ndarray] = {}
-    for i, a in zip(idx.tolist(), mats):
-        merged[i] = merged[i] + a if i in merged else a
-    # Every dense block also carries the big-M shift tau = y[n].
-    merged[n] = -np.eye(dim)
-    variables = np.fromiter(merged, dtype=int, count=len(merged))
-    return variables, np.stack([a.ravel() for a in merged.values()])
 
 
 def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared:
     """Validate one problem and write it in the solver's variables.
 
-    ``cache`` holds the lowered dense blocks, null-space bases and reduced
-    coefficients of the call by the identity of their inputs, so problems
-    that share them are checked and lowered once and share the arrays.
-    Problems share a key exactly when they share the shapes a lockstep
-    batch needs: the solver's variable count, the original variable and
-    equality row counts when ``theta`` is one of them, the side and
-    variables of every block and the number of box rows.
+    ``cache`` holds the checked coefficients, null-space bases and lowered
+    blocks of the call by the identity of their inputs, so problems that
+    share them are checked and lowered once and share the arrays.  Problems
+    share a key exactly when they share the shapes a lockstep batch needs:
+    the solver's variable count, the original variable and equality row
+    counts when ``theta`` is one of them, and the side of every block, the
+    diagonal one included.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
@@ -539,19 +501,24 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     m_pen = big_m if big_m is not None else 1e4 * b_scale
 
-    red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
+    red, t_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
     if problem.eq_matrix is not None:
-        if eq_id not in cache:
+        if t_id not in cache:
             e = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
             f = np.asarray(problem.eq_rhs, dtype=float)
             if e.shape[1] != n or f.shape != (e.shape[0],):
                 raise ValueError("equality constraint shapes are inconsistent")
-            cache[eq_id] = _reduction(e, f) if len(e) else None
-        red = cache[eq_id]
-    if red is not None:
+            cache[t_id] = _reduction(e, f) if len(e) else None
+        red = cache[t_id]
+    if red is None:
+        t_id = ("eye", n)
+        if t_id not in cache:
+            cache[t_id] = np.eye(n)
+        t = cache[t_id]
+    else:
         t = red.t
-        nv = t.shape[1]
-        b = t.T @ b
+    nv = t.shape[1]
+    b = t.T @ b
 
     cs, coeffs = [], []
     for k, blk in enumerate(problem.blocks):
@@ -559,24 +526,20 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
         blk_id = (id(blk.coeffs), c.shape[0], n)
         if blk_id not in cache:
             cache[blk_id] = _check_coeffs(blk, k, n)
-        lowered = (blk_id, eq_id if red is not None else None)
+        lowered = (blk_id, t_id)
         if lowered not in cache:
+            # T^T A on the block's rows (repeated rows add up), the shift last.
             idx, mats = cache[blk_id]
-            if red is None:
-                cache[lowered] = _lower_block(idx, mats, n)
-            else:
-                # T^T A on the block's rows (repeated rows add up): every
-                # solver variable enters the block, the shift last.
-                reduced = np.empty((nv + 1, len(c) ** 2))
-                np.matmul(t[idx].T, mats.reshape(len(idx), -1), out=reduced[:nv])
-                reduced[nv] = -np.eye(len(c)).ravel()
-                cache[lowered] = (np.arange(nv + 1), reduced)
+            reduced = np.empty((nv + 1, len(c) ** 2))
+            np.matmul(t[idx].T, mats.reshape(len(idx), -1), out=reduced[:nv])
+            reduced[nv] = -np.eye(len(c)).ravel()
+            cache[lowered] = reduced
         cs.append(c)
         coeffs.append(cache[lowered])
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
-    # or ``u_i - y_i + tau`` with ``y_i = T[i] . (theta, w)`` when reduced,
-    # and last the shift ``tau`` itself.
+    # or ``u_i - y_i + tau`` with ``y_i = T[i] . v``, and last the shift
+    # ``tau`` itself.
     box, consts = [], []
     for bound, sign in ((problem.lower, -1.0), (problem.upper, 1.0)):
         if bound is not None:
@@ -585,30 +548,16 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
             box += [(i, sign) for i in finite.tolist()]
             consts.append(sign * bound[finite])
     cs.append(np.concatenate(consts + [[0.0]]))
-    diag_id = ("box", id(problem.lower), id(problem.upper), eq_id if red is not None else n)
+    diag_id = ("box", id(problem.lower), id(problem.upper), t_id)
     if diag_id not in cache:
         rows, signs = [i for i, _ in box], np.array([s for _, s in box])
-        if red is None:
-            g = np.zeros((len(box) + 1, n + 1))
-            g[np.arange(len(box)), rows] = signs
-            g[:, n] = -1.0
-            idx = np.flatnonzero(np.any(g != 0.0, axis=0))
-        else:
-            g = np.zeros((len(box) + 1, nv + 1))
-            g[:-1, :nv] = signs[:, None] * t[rows]
-            g[:, nv] = -1.0
-            idx = np.arange(nv + 1) if box else np.array([nv])
-        cache[diag_id] = (idx, np.ascontiguousarray(g[:, idx]))
-    diag = cache[diag_id]
+        g = np.zeros((len(box) + 1, nv + 1))
+        g[:-1, :nv] = signs[:, None] * t[rows]
+        g[:, nv] = -1.0
+        cache[diag_id] = g
 
-    key = (
-        len(b),
-        (n, len(red.f)) if red is not None else None,
-        tuple((len(c), idx.tobytes()) for c, (idx, _) in zip(cs, coeffs)),
-        len(box),
-        diag[0].tobytes(),
-    )
-    return _Prepared(b, b_scale, m_pen, cs, coeffs, diag, red, key)
+    key = (nv, (n, len(red.f)) if red is not None else None, tuple(len(c) for c in cs))
+    return _Prepared(b, b_scale, m_pen, cs, coeffs, cache[diag_id], red, key)
 
 
 class _Rows:
@@ -652,10 +601,10 @@ def _lockstep(
     q = int(red)
     n_user = len(first.coeffs)
     blocks: list[_DenseBlock | _DiagBlock] = [
-        _DenseBlock(len(first.cs[k]), idx, _stacked([p.coeffs[k][1] for p in preps]))
-        for k, (idx, _) in enumerate(first.coeffs)
+        _DenseBlock(len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]))
+        for k in range(n_user)
     ]
-    blocks.append(_DiagBlock(first.diag[0], _stacked([p.diag[1] for p in preps])))
+    blocks.append(_DiagBlock(_stacked([p.diag for p in preps])))
     m_total = sum(blk.dim for blk in blocks)
 
     st = _Rows()
@@ -689,13 +638,6 @@ def _lockstep(
 
     out: list[SdpSolution | None] = [None] * count
 
-    def scatter(parts: list[np.ndarray], total: np.ndarray) -> np.ndarray:
-        """Add each block's adjoint rows into ``total``, in block order."""
-        for blk, part in zip(st.blocks, parts):
-            for cols, entries in blk.runs:
-                total[:, cols] += part[:, entries]
-        return total
-
     def metrics() -> None:
         # The shift entry of the diagonal block is left out of the slack
         # (see ``min_slack``); its zero constant and its adjoint, which
@@ -710,7 +652,7 @@ def _lockstep(
             eq_dev = np.abs(np.matvec(st.et, yv) - st.f).max(axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
         st.adj_x = [blk.adjoint(xk) for blk, xk in zip(st.blocks, st.x)]
-        adj = scatter(st.adj_x, np.zeros((len(yv), nv + 1)))
+        adj = functools.reduce(np.add, st.adj_x)
         dres = st.b - adj[:, :nv]
         if red:
             # In the original variables: multipliers nu of the rows with
@@ -790,7 +732,7 @@ def _lockstep(
     def directions(h: list[np.ndarray]) -> tuple:
         """Newton direction for the right-hand side ``h``, and which are finite."""
         adj_h = [blk.adjoint(hk) for blk, hk in zip(st.blocks, h)]
-        rhs = st.r_p - scatter(adj_h, np.zeros((len(st.pos), nv + 1)))
+        rhs = st.r_p - functools.reduce(np.add, adj_h)
         sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if red else rhs)
         dy, dnu = sol[:, : nv + 1], sol[:, nv + 1 :]
         ops = [blk.operator(dy) for blk in st.blocks]
@@ -843,7 +785,7 @@ def _lockstep(
             break
 
         # Residuals of the augmented problem drive the Newton step.
-        st.r_p = scatter([-a for a in st.adj_x], st.b_aug.copy())
+        st.r_p = functools.reduce(np.subtract, st.adj_x, st.b_aug)
         if red:
             st.r_p[:, 0] -= st.nu[:, 0]
             st.r_e = 1.0 - st.y[:, :1]
@@ -853,7 +795,7 @@ def _lockstep(
         st.s_inv = [blk.inverse(f) for blk, f in zip(st.blocks, st.s_fac)]
         st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
         for blk, xk, sik in zip(st.blocks, st.x, st.s_inv):
-            st.kkt[blk.ix] += blk.schur(xk, sik)
+            st.kkt[:, : nv + 1, : nv + 1] += blk.schur(xk, sik)
         if red:
             # The one bordered row: theta = 1.
             st.kkt[:, 0, nv + 1] = st.kkt[:, nv + 1, 0] = 1.0
@@ -937,7 +879,7 @@ def _batches(preps: list[_Prepared], todo: list[int]) -> list[list[int]]:
         # the batched arrays of the reduction (all but T) once.
         per_problem = 8 * (
             side * side
-            + sum(4 * aflat.size for _, aflat in p.coeffs)
+            + sum(4 * aflat.size for aflat in p.coeffs)
             + (sum(a.size for a in p.red[1:]) if p.red is not None else 0)
         )
         size = max(1, BATCH_BYTES // per_problem)

@@ -444,6 +444,38 @@ def test_batch_keeps_solo_results_around_a_singular_kkt():
         _same(a, b)
 
 
+def test_batch_of_blocks_on_variable_subsets():
+    # Block A on {0, 2}: [[s - y0, -y2], [-y2, s]] >= 0; block B on {1, 3},
+    # variable 3 listed twice: y1 + y3 <= 2s; bounds y1 >= -s, y3 <= 3s.
+    # max y0 + y2 + y1 + 2 y3 is at (3s/4, -s, s/2, 3s) with value 25s/4.
+    def problem(s):
+        off = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return sdpcore.SdpProblem(
+            num_vars=4,
+            objective=np.array([1.0, 1.0, 1.0, 2.0]),
+            blocks=[
+                sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.diag([1.0, 0.0]) / s), (2, off / s)]),
+                sdpcore.SdpBlock(
+                    c=np.array([[2.0]]),
+                    coeffs=[(3, np.array([[0.5 / s]])), (1, np.array([[1.0 / s]])),
+                            (3, np.array([[0.5 / s]]))],
+                ),
+            ],
+            lower=np.array([-np.inf, -s, -np.inf, -np.inf]),
+            upper=np.array([np.inf, np.inf, np.inf, 3.0 * s]),
+        )
+
+    scales = [1.0, 2.0, 0.5]
+    problems = [problem(s) for s in scales]
+    assert len({sdpcore._prepare(p, None, {}).key for p in problems}) == 1
+    batch = sdpcore.solve_many(problems)
+    for s, prob, got in zip(scales, problems, batch):
+        _same(got, sdpcore.solve(prob))
+        assert got.status == "optimal"
+        assert abs(got.objective_value - 6.25 * s) < 1e-6 * s
+        np.testing.assert_allclose(got.y, [0.75 * s, -s, 0.5 * s, 3.0 * s], atol=1e-4 * s)
+
+
 def test_batch_at_max_iter_keeps_solo_results():
     rng = np.random.default_rng(208)
     problems = []
