@@ -122,7 +122,8 @@ def choi_from_kraus(
         v = _vec(a)
         j += np.outer(v, v.conj())
     dev = np.max(np.abs(acc - np.eye(d_in)))
-    if dev > TP_TOL:
+    # Written so that a NaN deviation fails the check too.
+    if not dev <= TP_TOL:
         raise ValueError(
             f"Kraus operators violate trace preservation by {dev:.3e}"
         )

@@ -129,7 +129,7 @@ def _channel_from_args(args) -> ch.QuantumChannel:
     if getattr(args, "file", None):
         try:
             return ch.channel_from_file(args.file)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"bad channel file {args.file!r}: {exc}") from exc
     if not args.channel:
         raise UsageError("need --channel NAME or --file PATH")

@@ -146,6 +146,8 @@ def test_trace_preservation_guard():
     bad = [np.array([[1.0, 0.0], [0.0, 0.9]])]
     with pytest.raises(ValueError, match="trace preservation"):
         ch.channel_from_kraus(bad)
+    with pytest.raises(ValueError, match="trace preservation"):
+        ch.channel_from_kraus([np.array([[1.0, 0.0], [0.0, np.nan]])])
 
 
 def test_ppt_flip_of_depolarizing_by_bisection():

@@ -110,6 +110,20 @@ def test_combine_th_gate(capsys):
     assert abs(float(out[1].split(",")[0]) - (-0.5)) < 1e-5
 
 
+@pytest.mark.parametrize("payload", [
+    {"name": "gad", "params": {"p": 0.5, "eta": 0.5, "zzz": 1}},
+    {"d_in": 2, "d_out": 2, "kraus": [[1, 0, 0, 1]]},
+    5,
+], ids=["unknown-param", "entries-not-pairs", "bare-number"])
+def test_malformed_channel_file_is_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(payload))
+    assert run("coeff", "--file", str(path), "--kind", "alpha") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad channel file")
+    assert "Traceback" not in err
+
+
 def test_missing_channel_file_is_io_error(capsys):
     assert run("coeff", "--file", "/nonexistent/chan.json",
                "--kind", "alpha") == 3
