@@ -34,13 +34,12 @@ exact arithmetic the reduced iteration takes the steps of the full one on
 ``y`` are reported in the original variables.
 
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
-one diagonal (LP) block, the layout SDPA writes as a negative-size block:
-its iterates are vectors and its products are elementwise.  Each dense
-block is factored once per iteration: the inverse Cholesky factors
-``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``, and every
-step-length search is one ``eigvalsh(L^-1 dM L^-T)``.  Each KKT matrix is
-LU-factored once per iteration; the predictor, the corrector and their
-refinement steps reuse the factors.
+one diagonal (LP) block: its iterates are vectors and its products are
+elementwise.  Each dense block is factored once per iteration: the inverse
+Cholesky factors ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``,
+and every step-length search is one ``eigvalsh(L^-1 dM L^-T)``.  Each KKT
+matrix is LU-factored once per iteration; the predictor, the corrector and
+their refinement steps reuse the factors.
 
 :func:`solve_many` runs a list of problems as lockstep batches, in the
 manner of the batched interior-point method of OptNet (Amos & Kolter,
@@ -933,66 +932,3 @@ def solve(
     """
     return solve_many([problem], tol, max_iter, big_m)[0]
 
-
-def write_sdpa(problem: SdpProblem, path: str) -> None:
-    """Dump a problem in SDPA sparse format (.dat-s) for external checking.
-
-    The file encodes the equivalent minimisation ``min -b.y`` with
-    ``sum_i y_i (-A_i) - (-C) >= 0``.  Box bounds and an opposing pair of
-    entries per equality row form one diagonal (negative-size) block, as
-    noted in the header comments.
-    """
-    n = problem.num_vars
-    b = np.asarray(problem.objective, dtype=float)
-    sizes: list[int] = [blk.dim for blk in problem.blocks]
-    entries: list[tuple[int, int, int, int, float]] = []
-
-    def add(matno: int, blkno: int, mat: np.ndarray) -> None:
-        for i in range(mat.shape[0]):
-            for j in range(i, mat.shape[1]):
-                if abs(mat[i, j]) > 0.0:
-                    entries.append((matno, blkno, i + 1, j + 1, mat[i, j]))
-
-    for k, blk in enumerate(problem.blocks):
-        add(0, k + 1, -np.asarray(blk.c, dtype=float))
-        for i, a in blk.coeffs:
-            add(i + 1, k + 1, -np.asarray(a, dtype=float))
-
-    extra: list[tuple[float, dict[int, float]]] = []
-    if problem.lower is not None:
-        for i in range(n):
-            if np.isfinite(problem.lower[i]):
-                extra.append((-float(problem.lower[i]), {i: -1.0}))
-    if problem.upper is not None:
-        for i in range(n):
-            if np.isfinite(problem.upper[i]):
-                extra.append((float(problem.upper[i]), {i: 1.0}))
-    if problem.eq_matrix is not None:
-        e = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
-        f = np.asarray(problem.eq_rhs, dtype=float)
-        for r in range(e.shape[0]):
-            row = {i: float(e[r, i]) for i in range(n) if e[r, i] != 0.0}
-            extra.append((float(f[r]), row))
-            extra.append((-float(f[r]), {i: -v for i, v in row.items()}))
-
-    lines = [
-        '"qdoeblin sdp debug dump"',
-        '"box bounds and +/- pairs of equality rows are singleton diagonal entries"',
-        f"{n} = mDIM",
-        f"{len(sizes) + (1 if extra else 0)} = nBLOCK",
-    ]
-    block_line = " ".join(str(d) for d in sizes)
-    if extra:
-        block_line += f" -{len(extra)}"
-    lines.append(block_line)
-    lines.append(" ".join(f"{-v:.17g}" for v in b))
-    diag_no = len(sizes) + 1
-    for pos, (cval, row) in enumerate(extra, start=1):
-        if cval != 0.0:
-            entries.append((0, diag_no, pos, pos, -cval))
-        for i, v in row.items():
-            entries.append((i + 1, diag_no, pos, pos, -v))
-    for matno, blkno, i, j, v in sorted(entries):
-        lines.append(f"{matno} {blkno} {i} {j} {v:.17g}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

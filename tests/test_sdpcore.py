@@ -493,34 +493,6 @@ def test_batch_at_max_iter_keeps_solo_results():
             assert {sol.status for sol in together} == {"max_iter"}
 
 
-def test_sdpa_dump(tmp_path):
-    a1 = np.zeros((2, 2))
-    a1[0, 1] = a1[1, 0] = -1.0
-    prob = sdpcore.SdpProblem(
-        num_vars=2,
-        objective=np.array([1.0, 0.0]),
-        blocks=[sdpcore.SdpBlock(c=np.diag([1.0, 0.0]), coeffs=[(0, a1), (1, np.eye(2))])],
-        eq_matrix=np.array([[0.0, 1.0]]),
-        eq_rhs=np.array([0.25]),
-        lower=np.array([0.0, -np.inf]),
-    )
-    path = tmp_path / "dump.dat-s"
-    sdpcore.write_sdpa(prob, str(path))
-    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith('"')]
-    assert lines[0].split()[0] == "2"  # mDIM
-    assert lines[1].split()[0] == "2"  # nBLOCK: one SDP block + one diagonal
-    sizes = lines[2].split()
-    assert sizes == ["2", "-3"]  # lower bound + two rows per equality
-    objective = [float(v) for v in lines[3].split()]
-    assert objective == [-1.0, -0.0]
-    # every entry line parses as "mat block i j value"
-    for ln in lines[4:]:
-        parts = ln.split()
-        assert len(parts) == 5
-        int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        float(parts[4])
-
-
 def _min_eig(m):
     return np.linalg.eigvalsh(m)[0]
 
