@@ -265,9 +265,9 @@ class _DenseBlock:
     ``aflat`` holds the coefficient stacks, ``(P, k, m*m)`` with one row per
     solver variable, every one of which enters every block: P is 1 when
     every problem of the batch shares the stack, and the batch size when
-    each problem has its own.  Iterates are
-    ``(B, m, m)`` stacks, one slice per problem; the step search and
-    ``S^-1`` work from their inverse Cholesky factors.
+    each problem has its own.  Iterates are ``(B, m, m)`` stacks, one slice
+    per problem; the step search and ``S^-1`` work from their inverse
+    Cholesky factors.
     """
 
     def __init__(self, dim: int, aflat: np.ndarray):
@@ -500,22 +500,22 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     m_pen = big_m if big_m is not None else 1e4 * b_scale
 
-    red, t_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
+    red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
     if problem.eq_matrix is not None:
-        if t_id not in cache:
+        if eq_id not in cache:
             e = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
             f = np.asarray(problem.eq_rhs, dtype=float)
             if e.shape[1] != n or f.shape != (e.shape[0],):
                 raise ValueError("equality constraint shapes are inconsistent")
-            cache[t_id] = _reduction(e, f) if len(e) else None
-        red = cache[t_id]
-    if red is None:
+            cache[eq_id] = _reduction(e, f) if len(e) else None
+        red = cache[eq_id]
+    if red is not None:
+        t_id, t = eq_id, red.t
+    else:
         t_id = ("eye", n)
         if t_id not in cache:
             cache[t_id] = np.eye(n)
         t = cache[t_id]
-    else:
-        t = red.t
     nv = t.shape[1]
     b = t.T @ b
 
