@@ -2,19 +2,33 @@
 
 Every program is declared as linear maps on Hermitian variables (a scalar
 is a variable of side 1) and lowered to ``sdpcore`` by one function,
-``_solve_program``.  Variables have real coordinates in the orthonormal
-basis of :func:`qdoeblin.hermlin.hermitian_basis`; each map is applied once
-to the whole ``(k, n, n)`` basis stack of its variable, each PSD block is
-lowered by one :func:`qdoeblin.hermlin.real_embed` call and each equality
-by one gemm against the basis of its target space.
+``_solve_program``.  Variables have real coordinates in an orthonormal
+basis stack; each map is applied once to the whole ``(k, n, n)`` basis
+stack of its variable, each PSD block is lowered in one call and each
+equality by one gemm against the basis of its target space.
+
+A program whose data is real (every constant real, every map commuting
+with complex conjugation, as for the Choi matrices of depolarizing,
+amplitude damping, Pauli and classical channels) has a real optimum, the
+Z_2 case of the symmetry reduction of Gatermann & Parrilo, "Symmetry
+groups, semidefinite programs, and sums of squares" (JPAA 2004).  It is
+solved on the real symmetric basis of
+:func:`qdoeblin.hermlin.real_symmetric_basis_stack`, with each PSD block
+as its real part of multiplicity 2 in ``sdpcore``: about half the variables
+and half the block side of the embedded program, with the same iterates in
+exact arithmetic.  Realness is read off the data, with no flag.  Any
+other program is solved in the basis of
+:func:`qdoeblin.hermlin.hermitian_basis` with every PSD block lowered by
+:func:`qdoeblin.hermlin.real_embed`.
 
 Each declaration takes a list of channels of equal dimensions.  The parts
 that do not depend on the channel (PSD-map images, shared equality rows,
-the objective and bounds) are lowered once for the list, and kept for the
-next call when they are small; the programs go to
-:func:`qdoeblin.sdpcore.solve_many` as one lockstep batch.
-:func:`solve_grid` is the grid entry; the public kind functions are the
-list of one channel and reach :func:`qdoeblin.sdpcore.solve`.
+the objective and bounds) are lowered once for the list, once per
+realness, and kept for the next call when they are small; the real and the
+complex programs of the list go to :func:`qdoeblin.sdpcore.solve_many`
+apart, each as lockstep batches.  :func:`solve_grid` is the grid entry;
+the public kind functions are the list of one channel and reach
+:func:`qdoeblin.sdpcore.solve`.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -111,35 +125,73 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _basis(side: int, real: bool) -> np.ndarray:
+    """The basis stack of a variable: real symmetric in a real program."""
+    if real:
+        return hermlin.real_symmetric_basis_stack(side)
+    return hermlin.hermitian_basis_stack(side)
+
+
+def _keeps_conjugation(images: np.ndarray, side: int) -> bool:
+    """Whether a map commutes with complex conjugation, from its images of
+    :func:`qdoeblin.hermlin.hermitian_basis_stack`: real basis elements
+    must go to real images and imaginary ones to imaginary images."""
+    real = hermlin.real_symmetric_mask(side)
+    return not (np.imag(images[real]).any() or np.real(images[~real]).any())
+
+
+def _real_declaration(sides, weights, psd, eqs, bounds) -> bool:
+    """Whether the shared part of a declaration is invariant under complex
+    conjugation: real weights and shared constants, shared maps that
+    commute with conjugation, and bounds that admit 0 for the imaginary
+    coordinates."""
+    constants = [*weights.values(), *(c for c, _ in [*psd, *eqs] if np.ndim(c) == 2)]
+    return (
+        not any(np.imag(c).any() for c in constants)
+        and all(
+            _keeps_conjugation(f(hermlin.hermitian_basis_stack(sides[v])), sides[v])
+            for _, maps in [*psd, *eqs]
+            for v, f in maps.items()
+            if callable(f)
+        )
+        and all(lo <= 0.0 <= hi for v, (lo, hi) in (bounds or {}).items() if sides[v] > 1)
+    )
+
+
 class _Lowered:
     """The problem-independent part of a lowered declaration.
 
-    ``consts`` holds the embedded PSD constants shared by every problem
+    A real program (see :func:`_solve_program`) has its variables in the
+    real symmetric basis and its PSD blocks as real parts of multiplicity
+    2; any other has them in the Hermitian basis and its blocks embedded
+    by ``real_embed``.  ``bases`` holds the basis stack of every variable
+    and ``keep`` picks its elements out of the Hermitian basis.
+    ``consts`` holds the lowered PSD constants shared by every problem
     (``None`` where each problem has its own), ``eq_rows`` the rows of the
     equalities shared by every problem, and ``eq_images`` the images of the
-    shared maps of the other equalities.  ``bases`` keeps the basis stacks
-    that per-problem maps still need.
+    shared maps of the other equalities.
     """
 
-    def __init__(self, sides, weights, psd, eqs, bounds):
-        bases = [hermlin.hermitian_basis_stack(side) for side in sides]
+    def __init__(self, sides, weights, psd, eqs, bounds, real):
+        self.real = real
+        self.bases = bases = [_basis(side, real) for side in sides]
+        self.keep = [hermlin.real_symmetric_mask(side) if real else slice(None) for side in sides]
         self.start = np.cumsum([0] + [len(b) for b in bases])
         self.n = n = int(self.start[-1])
         self.nbytes = 0
         self.coeffs, self.consts = [], []
         for c, maps in psd:
-            embedded = _frozen(_embed(np.concatenate([f(bases[v]) for v, f in maps.items()])))
-            self.coeffs.append(list(zip(self.columns(maps), embedded)))
-            self.consts.append(_frozen(_embed(c)) if np.ndim(c) == 2 else None)
-            self.nbytes += embedded.nbytes
-        self.eq_rows, self.eq_images, self.bases = [], [], {}
+            lowered = _frozen(self.block(np.concatenate([f(bases[v]) for v, f in maps.items()])))
+            self.coeffs.append(list(zip(self.columns(maps), lowered)))
+            self.consts.append(_frozen(self.block(c)) if np.ndim(c) == 2 else None)
+            self.nbytes += lowered.nbytes
+        self.eq_rows, self.eq_images = [], []
         for target, maps in eqs:
             images = {v: _frozen(f(bases[v])) for v, f in maps.items() if callable(f)}
             shared = np.ndim(target) == 2 and len(images) == len(maps)
             self.eq_rows.append(self.rows(target, maps, images) if shared else None)
             self.eq_images.append(None if shared else images)
             if not shared:
-                self.bases.update((v, bases[v]) for v in maps if v not in images)
                 self.nbytes += sum(im.nbytes for im in images.values())
         self.objective = np.zeros(n)
         for v, w in weights.items():
@@ -152,22 +204,32 @@ class _Lowered:
         for a in (self.objective, self.lower, self.upper):
             a.flags.writeable = False
 
+    def block(self, m: np.ndarray) -> np.ndarray:
+        """A Hermitian matrix or stack as data of a PSD block."""
+        if self.real:
+            return np.ascontiguousarray(hermlin.require_hermitian(m, tol=1e-9).real)
+        return _embed(m)
+
     def columns(self, maps) -> np.ndarray:
         return np.concatenate([np.arange(self.start[v], self.start[v + 1]) for v in maps])
 
     def rows(self, target, maps, images):
         """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``."""
         stack = np.concatenate([*(images[v] for v in maps), np.asarray(target)[None]])
-        traces = _pair_traces(hermlin.hermitian_basis_stack(len(target)), stack)
+        traces = _pair_traces(_basis(len(target), self.real), stack)
         rows = np.zeros((len(traces), self.n))
         rows[:, self.columns(maps)] = traces[:, :-1]
         return _frozen(rows), _frozen(traces[:, -1])
 
 
-# Lowered declarations by key, so that a single-channel call lowers only
-# its channel's data.  Lowerings above ``LOWERED_BYTES`` (the d >= 4
-# programs take megabytes) are not kept.
+# Lowered declarations by key and realness, so that a single-channel call
+# lowers only its channel's data, and whether the shared part of a
+# declaration is real, by key.  Lowerings above ``LOWERED_BYTES`` are not
+# kept: those of the complex p1 and reverse programs from d=4 on (complex
+# p1 takes 6.3 MB at d=4) and of the real ones from d=5 on (real p1 takes
+# 0.84 MB at d=4 and 4.9 MB at d=5).
 _LOWERED: dict = {}
+_REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
 
 
@@ -182,8 +244,8 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     reads ``sum_v f_v(X_v) = R``.  ``bounds`` maps ``v`` to ``(lo, hi)``
     for every coordinate of ``X_v``.  A map receives the whole
     ``(k, n, n)`` basis stack of its variable, so each PSD block is lowered
-    by one ``real_embed`` and each equality by one gemm against the basis
-    of its target space.
+    in one call and each equality by one gemm against the basis of its
+    target space.
 
     The problems share the variables, the weights, the bounds and the PSD
     maps, which are lowered once.  A constant ``C`` or ``R`` is one matrix
@@ -192,24 +254,70 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     declaration: every call with one key must declare the same shared
     parts, whose lowering is then kept for the next call.
 
+    A problem is real when its program is invariant under complex
+    conjugation: every constant has a zero imaginary part and every map
+    sends the real symmetric basis elements to real images and the
+    imaginary ones to imaginary images (see :func:`_real_declaration`).
+    Its optimum is then attained at real variables (the mean of an optimum
+    and its conjugate), so it is solved in the real symmetric basis with
+    each PSD block ``C - sum_v f_v(X_v)`` as its real part of multiplicity
+    2: the real embedding of a real matrix is two copies of it.  The
+    others are solved in the Hermitian basis with embedded blocks.  The
+    two kinds are lowered and solved apart.
+
     Returns ``(solution, [X_v as Hermitian matrices])`` per problem.
     """
-    low = _LOWERED.get(key) if key is not None else None
-    if low is None:
-        low = _Lowered(sides, weights, psd, eqs, bounds)
-        if key is not None and low.nbytes <= LOWERED_BYTES:
-            _LOWERED[key] = low
-    consts = [c if c is not None else _embed(c_in) for c, (c_in, _) in zip(low.consts, psd)]
+    real_decl = _REAL_DECLARATIONS.get(key) if key is not None else None
+    if real_decl is None:
+        real_decl = _real_declaration(sides, weights, psd, eqs, bounds)
+        if key is not None:
+            _REAL_DECLARATIONS[key] = real_decl
+    real = np.full(count, real_decl)
+    for c, _ in [*psd, *eqs]:
+        if np.ndim(c) == 3:
+            real &= ~np.imag(c).any(axis=(1, 2))
+    # Per-problem maps go to the whole Hermitian basis first: their images
+    # decide realness too, and a real problem keeps the real rows.
+    own = [[{} for _ in range(count)] for _ in eqs]
+    for images, (_, maps) in zip(own, eqs):
+        for v, f in maps.items():
+            if not callable(f):
+                basis = hermlin.hermitian_basis_stack(sides[v])
+                for p in range(count):
+                    images[p][v] = f[p](basis)
+                    real[p] &= _keeps_conjugation(images[p][v], sides[v])
+    out = [None] * count
+    for flag in (True, False):
+        members = np.flatnonzero(real == flag)
+        if not members.size:
+            continue
+        low = _LOWERED.get((key, flag)) if key is not None else None
+        if low is None:
+            low = _Lowered(sides, weights, psd, eqs, bounds, flag)
+            if key is not None and low.nbytes <= LOWERED_BYTES:
+                _LOWERED[key, flag] = low
+        for p, res in zip(members, _solve_lowered(low, psd, eqs, own, members, tol)):
+            out[p] = res
+    return out
 
-    eq_data = [[] for _ in range(count)]
-    for (target, maps), shared, images in zip(eqs, low.eq_rows, low.eq_images):
+
+def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
+    """The problems ``members`` of :func:`_solve_program` on their lowering,
+    with ``own`` the images of the per-problem maps on the Hermitian basis."""
+    consts = [
+        c if c is not None else low.block(c_in if np.ndim(c_in) == 2 else c_in[members])
+        for c, (c_in, _) in zip(low.consts, psd)
+    ]
+
+    eq_data = [[] for _ in members]
+    for (target, maps), shared, images, mine in zip(eqs, low.eq_rows, low.eq_images, own):
         if shared is not None:
             for data in eq_data:
                 data.append(shared)
             continue
-        for p, data in enumerate(eq_data):
-            mine = {v: images[v] if v in images else maps[v][p](low.bases[v]) for v in maps}
-            data.append(low.rows(target if np.ndim(target) == 2 else target[p], maps, mine))
+        for p, data in zip(members, eq_data):
+            ims = {v: images[v] if v in images else mine[p][v][low.keep[v]] for v in maps}
+            data.append(low.rows(target if np.ndim(target) == 2 else target[p], maps, ims))
 
     def stacked(data):
         if not data:
@@ -219,13 +327,13 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
         return np.vstack([rows for rows, _ in data]), np.concatenate([rhs for _, rhs in data])
 
     problems = []
-    for p in range(count):
-        eq_matrix, eq_rhs = stacked(eq_data[p])
+    for i, data in enumerate(eq_data):
+        eq_matrix, eq_rhs = stacked(data)
         problems.append(sdpcore.SdpProblem(
             num_vars=low.n,
             objective=low.objective,
             blocks=[
-                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[p], coeffs=cf)
+                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf, w=2 if low.real else 1)
                 for c, cf in zip(consts, low.coeffs)
             ],
             eq_matrix=eq_matrix,
@@ -236,13 +344,13 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     # A single channel is a batch of one, solved through ``solve``.
     sols = (
         [sdpcore.solve(problems[0], tol=tol)]
-        if count == 1
+        if len(problems) == 1
         else sdpcore.solve_many(problems, tol=tol)
     )
     return [
         (sol, [
-            hermlin.hermitian_from_coords(sol.y[low.start[v] : low.start[v + 1]], side)
-            for v, side in enumerate(sides)
+            np.tensordot(sol.y[low.start[v] : low.start[v + 1]], basis, axes=1)
+            for v, basis in enumerate(low.bases)
         ])
         for sol in sols
     ]

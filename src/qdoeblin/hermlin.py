@@ -44,9 +44,11 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix"
     """Validate that ``m`` is Hermitian within ``tol`` and return (m + m^dag)/2.
 
     The symmetrised copy is returned so downstream eigensolvers see an
-    exactly Hermitian operator even when ``m`` carries roundoff dust.
+    exactly Hermitian operator even when ``m`` carries roundoff dust.  A
+    ``(k, n, n)`` stack is checked once as a whole.
     """
-    return _hermitian_part(_as_square(m, name), tol, name)
+    m = np.asarray(m)
+    return _hermitian_part(_as_square(m, name, ndim=3 if m.ndim == 3 else 2), tol, name)
 
 
 def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -191,6 +193,41 @@ def hermitian_basis_stack(dim: int) -> np.ndarray:
     return _basis_stack(dim)
 
 
+@lru_cache(maxsize=None)
+def _real_mask(dim: int) -> np.ndarray:
+    mask = ~np.imag(_basis_stack(dim)).any(axis=(1, 2))
+    mask.flags.writeable = False
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _real_stack(dim: int) -> np.ndarray:
+    stack = _basis_stack(dim)[_real_mask(dim)]
+    stack.flags.writeable = False
+    return stack
+
+
+def real_symmetric_mask(dim: int) -> np.ndarray:
+    """Which elements of :func:`hermitian_basis_stack` are real symmetric.
+
+    The others are the imaginary antisymmetric elements ``+-i`` of the
+    off-diagonal pairs.  A Hermitian matrix is real exactly when its
+    coordinates on them are 0.  Read-only.
+    """
+    _check_basis_dim(dim)
+    return _real_mask(dim)
+
+
+def real_symmetric_basis_stack(dim: int) -> np.ndarray:
+    """The real symmetric elements of :func:`hermitian_basis_stack`, in order.
+
+    An orthonormal basis of the ``dim * (dim + 1) / 2``-dimensional space of
+    real symmetric matrices, as one read-only complex128 stack.
+    """
+    _check_basis_dim(dim)
+    return _real_stack(dim)
+
+
 def hermitian_coords(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     """Real coordinates of a Hermitian matrix in :func:`hermitian_basis`."""
     h = require_hermitian(h, tol=tol, name="hermitian_coords input")
@@ -216,9 +253,7 @@ def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     with it.  A stack of shape ``(k, n, n)`` is embedded matrix by matrix
     into shape ``(k, 2n, 2n)``, with one Hermiticity check for the stack.
     """
-    name = "real_embed input"
-    h = np.asarray(h)
-    h = _hermitian_part(_as_square(h, name, ndim=3 if h.ndim == 3 else 2), tol, name)
+    h = require_hermitian(h, tol, "real_embed input")
     a = h.real
     b = h.imag
     top = np.concatenate([a, -b], axis=-1)

@@ -8,7 +8,16 @@ The solver handles problems of the form
                 l <= y <= u                       (optional box bounds),
 
 with real symmetric data.  Complex Hermitian constraints are expected to be
-lowered by the caller through :func:`qdoeblin.hermlin.real_embed`.
+lowered by the caller through :func:`qdoeblin.hermlin.real_embed`.  A block
+may carry a multiplicity ``w``: it then stands for ``w`` identical copies
+of itself, the block-diagonal ``diag(C_k - A_k(y), ..., C_k - A_k(y))``,
+and the solver iterates on one copy.  The adjoint, the Schur term, the
+trace inner products ``<C, X>`` and ``<X, S>`` and the block's share of the
+barrier parameter count every copy; step lengths and eigenvalues are those
+of one copy.  In exact arithmetic the iterates are those of the explicit
+``w``-copy block, at the cost of one copy.  A real Hermitian program
+lowered by ``real_embed`` is two copies of its real part, so it is solved
+as a block of half the side with ``w = 2``.
 
 The algorithm is the HKM primal-dual direction with a Mehrotra
 predictor-corrector step, run from an infeasible start that is made
@@ -93,13 +102,23 @@ STATUS_NUMERICAL = "numerical_failure"
 class SdpBlock:
     """One linear matrix inequality ``C - sum_i y_i A_i >= 0``.
 
-    ``coeffs`` maps variable indices to their (real symmetric) coefficient
-    matrices; variables absent from the list do not enter the block, and a
-    variable listed more than once enters with the sum of its matrices.
+    ``c`` and the coefficient matrices are real symmetric.  ``coeffs`` maps
+    variable indices to their coefficient matrices; variables absent from
+    the list do not enter the block, and a variable listed more than once
+    enters with the sum of its matrices.
+
+    The multiplicity ``w`` (a positive integer, 1 by default) makes the
+    block stand for ``w`` identical copies of itself, the block-diagonal
+    ``diag(C, ..., C) - sum_i y_i diag(A_i, ..., A_i)``: a real Hermitian
+    program lowered by ``real_embed`` has two such copies.  The solver
+    keeps one copy and takes, in exact arithmetic, the iterates of the
+    ``w``-copy block, so the solution's ``x_blocks`` entry of the block
+    holds one copy of its dual matrix.
     """
 
     c: np.ndarray
     coeffs: list[tuple[int, np.ndarray]]
+    w: int = 1
 
     @property
     def dim(self) -> int:
@@ -153,6 +172,8 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     if m.size and np.max(np.abs(m - m.T)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * (m + m.T)
@@ -169,6 +190,9 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     if idx.size and mats.shape[1:] != (dim, dim):
         raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
     mats = mats.reshape(len(idx), dim, dim)
+    bad = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be finite")
     mats_t = mats.transpose(0, 2, 1)
     # One scratch stack serves both the check and the symmetrised result.
     scale = np.maximum(
@@ -268,12 +292,17 @@ class _DenseBlock:
     each problem has its own.  Iterates are ``(B, m, m)`` stacks, one slice
     per problem; the step search and ``S^-1`` work from their inverse
     Cholesky factors.
+
+    A block of multiplicity ``w`` holds one of its ``w`` identical copies:
+    the adjoint, the Schur term and every trace inner product count ``w``
+    times, and step lengths and eigenvalues are those of one copy.
     """
 
-    def __init__(self, dim: int, aflat: np.ndarray):
+    def __init__(self, dim: int, aflat: np.ndarray, w: int):
         self.dim = dim
         self.unit = np.eye(dim)
         self.aflat = aflat
+        self.w = w
 
     def __len__(self) -> int:
         return len(self.aflat)
@@ -295,24 +324,31 @@ class _DenseBlock:
     def operator(self, y: np.ndarray) -> np.ndarray:
         return (y[:, None] @ self.aflat).reshape(-1, self.dim, self.dim)
 
+    def _copies(self, out: np.ndarray) -> np.ndarray:
+        """``out`` summed over the ``w`` copies of the block, in place."""
+        if self.w != 1:
+            out *= self.w
+        return out
+
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """``A^T(x)``, one row per problem."""
-        return np.matvec(self.aflat, x.reshape(len(x), -1))
+        return self._copies(np.matvec(self.aflat, x.reshape(len(x), -1)))
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """HKM Schur blocks ``M_ij = Tr(A_i X A_j S^-1)``, one gemm per stage."""
         k, m = self.aflat.shape[1], self.dim
         a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
-        return self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
+        return self._copies(
+            self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
+        )
 
     def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of ``m - shift*I`` per slice."""
         return np.linalg.eigvalsh(m - shift[:, None, None] * self.unit)[:, 0]
 
-    @staticmethod
-    def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``Tr(a b)`` per slice, one dot product each."""
-        return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``Tr(a b)`` per slice over every copy, one dot product each."""
+        return self._copies(np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)))
 
     @staticmethod
     def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -343,6 +379,8 @@ class _DiagBlock:
     ``(B, r)`` rows, ``S^-1`` and every product are elementwise; the factor
     of an iterate is the iterate itself.
     """
+
+    w = 1
 
     def __init__(self, g: np.ndarray):
         self.dim = g.shape[1]
@@ -467,6 +505,7 @@ class _Prepared:
     m_pen: float
     cs: list[np.ndarray]  # symmetrised block constants, then the box constants
     coeffs: list[np.ndarray]  # (k, m*m) coefficient stack per dense block
+    ws: tuple[int, ...]  # multiplicity per dense block
     diag: np.ndarray  # (r, k) rows of the diagonal block
     red: _Reduction | None
     key: tuple
@@ -480,18 +519,23 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
     share them are checked and lowered once and share the arrays.  Problems
     share a key exactly when they share the shapes a lockstep batch needs:
     the solver's variable count, the original variable and equality row
-    counts when ``theta`` is one of them, and the side of every block, the
-    diagonal one included.
+    counts when ``theta`` is one of them, the side of every block, the
+    diagonal one included, and the multiplicity of every dense block.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
     if b.shape != (n,):
         raise ValueError(f"objective must have shape ({n},), got {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValueError("objective must be finite")
     if not problem.blocks and problem.lower is None and problem.upper is None:
         raise ValueError("problem has no conic constraints")
     for name, bound in (("lower", problem.lower), ("upper", problem.upper)):
         if bound is not None and np.shape(bound) != (n,):
             raise ValueError(f"{name} bounds must have shape ({n},), got {np.shape(bound)}")
+        # An infinite bound is no bound; NaN is no number.
+        if bound is not None and np.isnan(np.asarray(bound, dtype=float)).any():
+            raise ValueError(f"{name} bounds must not be NaN")
     if problem.lower is not None and problem.upper is not None:
         lo = np.asarray(problem.lower, dtype=float)
         up = np.asarray(problem.upper, dtype=float)
@@ -507,6 +551,8 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
             f = np.asarray(problem.eq_rhs, dtype=float)
             if e.shape[1] != n or f.shape != (e.shape[0],):
                 raise ValueError("equality constraint shapes are inconsistent")
+            if not (np.isfinite(e).all() and np.isfinite(f).all()):
+                raise ValueError("equality constraints must be finite")
             cache[eq_id] = _reduction(e, f) if len(e) else None
         red = cache[eq_id]
     if red is not None:
@@ -521,6 +567,8 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
 
     cs, coeffs = [], []
     for k, blk in enumerate(problem.blocks):
+        if not isinstance(blk.w, (int, np.integer)) or blk.w < 1:
+            raise ValueError(f"block {k} multiplicity must be a positive integer, got {blk.w!r}")
         c = _check_symmetric(blk.c, f"block {k} constant")
         blk_id = (id(blk.coeffs), c.shape[0], n)
         if blk_id not in cache:
@@ -555,8 +603,9 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
         g[:, nv] = -1.0
         cache[diag_id] = g
 
-    key = (nv, (n, len(red.f)) if red is not None else None, tuple(len(c) for c in cs))
-    return _Prepared(b, b_scale, m_pen, cs, coeffs, cache[diag_id], red, key)
+    ws = tuple(blk.w for blk in problem.blocks)
+    key = (nv, (n, len(red.f)) if red is not None else None, tuple(len(c) for c in cs), ws)
+    return _Prepared(b, b_scale, m_pen, cs, coeffs, ws, cache[diag_id], red, key)
 
 
 class _Rows:
@@ -600,11 +649,12 @@ def _lockstep(
     q = int(red)
     n_user = len(first.coeffs)
     blocks: list[_DenseBlock | _DiagBlock] = [
-        _DenseBlock(len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]))
+        _DenseBlock(len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]), first.ws[k])
         for k in range(n_user)
     ]
     blocks.append(_DiagBlock(_stacked([p.diag for p in preps])))
-    m_total = sum(blk.dim for blk in blocks)
+    # The barrier parameter counts every copy of a block.
+    m_total = sum(blk.w * blk.dim for blk in blocks)
 
     st = _Rows()
     st.pos = np.arange(count)

@@ -512,3 +512,66 @@ def test_grid_equals_single_calls_when_points_leave_mid_batch():
         want = db.reverse_alpha_hermitian(chan, 1e-16)
         assert (res.status, res.solution.iterations) == (want.status, want.solution.iterations)
         assert res.value == want.value
+
+
+def test_grid_mixing_real_and_complex_channels_equals_single_calls():
+    # The real depolarizing channels and the complex random one are lowered
+    # and solved apart; each point must still get its single-call result.
+    channels = [ch.depolarizing(0.3, 3), ch.random_channel(3, 3, seed=7), ch.depolarizing(0.6, 3)]
+    for kind, single in SINGLE.items():
+        for chan, got in zip(channels, db.solve_grid(kind, channels)):
+            want = single(chan)
+            assert (got.status, got.not_applicable) == (want.status, want.not_applicable), kind
+            if want.solution is None:
+                assert got.solution is None and np.isnan(got.value), kind
+                continue
+            assert got.solution.iterations == want.solution.iterations, kind
+            assert got.value == want.value, kind
+            assert np.array_equal(got.solution.y, want.solution.y), kind
+    for chan, got in zip(channels, db.solve_grid(db.KIND_DP, channels)):
+        assert got == db.dp_range(chan)
+
+
+def _output_rotated(chan, u):
+    """The channel ``rho -> U N(rho) U^dag``."""
+    return ch.channel_from_kraus([u @ k for k in chan.kraus], chan.d_in, chan.d_out)
+
+
+# p1 at the replacer corners gad(0, 0) and gad(1, 0) ends optimal or
+# max_iter depending on roundoff, so it is left out there.
+_P1_ROUNDOFF_CORNERS = ((0.0, 0.0), (1.0, 0.0))
+
+
+def _real_channels(kind):
+    gads = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.6), (0.2, 1.0))
+    yield from (
+        ch.gad(p, eta)
+        for p, eta in gads
+        if not (kind == db.KIND_P1 and (p, eta) in _P1_ROUNDOFF_CORNERS)
+    )
+    yield from (ch.depolarizing(0.6, d) for d in (2, 3, 4))
+    yield ch.classical_embed(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]]))
+
+
+@pytest.mark.parametrize("kind", list(SINGLE))
+def test_real_programs_match_their_complex_rotations(kind):
+    # A real channel takes the real path: real symmetric variables, blocks
+    # of half the side.  Rotating its output by a unitary leaves every
+    # coefficient as it is but makes the program complex, so the copy takes
+    # the embedded path; both must agree.
+    single = SINGLE[kind]
+    for chan in _real_channels(kind):
+        d = chan.d_out
+        # A phase alone leaves a diagonal (classical) Choi matrix real.
+        mix = np.linalg.qr(np.arange(1.0, d * d + 1.0).reshape(d, d) ** 0.5)[0]
+        u = np.diag(np.exp(0.7j * np.arange(d))) @ mix
+        copy = _output_rotated(chan, u)
+        assert np.imag(copy.choi.matrix).any()
+        got, want = single(chan), single(copy)
+        assert (got.status, got.not_applicable) == (want.status, want.not_applicable), chan
+        if want.solution is None:
+            continue
+        assert abs(got.value - want.value) < 1e-7, (chan, got.value, want.value)
+        n = chan.d_in * chan.d_out
+        assert got.solution.x_blocks[0].shape == (n, n)
+        assert want.solution.x_blocks[0].shape == (2 * n, 2 * n)

@@ -261,6 +261,31 @@ def test_hermitian_basis_orthonormal():
         np.testing.assert_allclose(gram, np.eye(dim * dim), atol=1e-12)
 
 
+def test_real_symmetric_basis_is_the_real_part_of_the_hermitian_basis():
+    for dim in (1, 2, 3, 4):
+        full = hermlin.hermitian_basis_stack(dim)
+        mask = hermlin.real_symmetric_mask(dim)
+        real = hermlin.real_symmetric_basis_stack(dim)
+        assert mask.sum() == len(real) == dim * (dim + 1) // 2
+        assert np.array_equal(real, full[mask])
+        assert not np.imag(real).any()
+        # The rest are the imaginary antisymmetric elements of the pairs.
+        assert not np.real(full[~mask]).any()
+        assert not mask.flags.writeable and not real.flags.writeable
+    with pytest.raises(ValueError):
+        hermlin.real_symmetric_mask(0)
+
+
+def test_require_hermitian_checks_a_stack_at_once():
+    rng = np.random.default_rng(110)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    out = hermlin.require_hermitian(stack)
+    assert all(np.array_equal(o, hermlin.require_hermitian(h)) for o, h in zip(out, stack))
+    stack[2, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="stack is not Hermitian"):
+        hermlin.require_hermitian(stack, name="stack")
+
+
 def test_hermitian_coords_round_trip():
     rng = np.random.default_rng(109)
     for dim in (2, 3, 4):

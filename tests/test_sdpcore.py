@@ -7,6 +7,7 @@ Schur-complement argument).
 
 from __future__ import annotations
 
+import copy
 import warnings
 
 import numpy as np
@@ -347,6 +348,145 @@ def test_asymmetric_coefficient_inside_block_is_named():
     )
     with pytest.raises(ValueError, match="block 1 coefficient 3 must be symmetric"):
         sdpcore.solve(prob)
+
+
+def _one_var_problem(**changes) -> sdpcore.SdpProblem:
+    prob = max_eig_problem(np.eye(2))
+    for name, value in changes.items():
+        setattr(prob, name, value)
+    return prob
+
+
+def test_nan_box_bound_is_rejected():
+    # A NaN bound is neither finite nor infinite, so it must not pass as
+    # "no bound" (the solve used to end optimal at -5 here).
+    prob = _one_var_problem(lower=np.array([np.nan]), upper=np.array([-5.0]))
+    with pytest.raises(ValueError, match="lower bounds must not be NaN"):
+        sdpcore.solve(prob)
+    with pytest.raises(ValueError, match="upper bounds must not be NaN"):
+        sdpcore.solve(_one_var_problem(upper=np.array([np.nan])))
+
+
+def test_non_finite_coefficient_is_named():
+    bad = np.diag([np.inf, 0.0])
+    prob = sdpcore.SdpProblem(
+        num_vars=3,
+        objective=np.ones(3),
+        blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (2, bad), (1, bad)])],
+    )
+    with pytest.raises(ValueError, match="block 0 coefficient 2 must be finite"):
+        sdpcore.solve(prob)
+    prob.blocks[0].coeffs[1] = (2, np.full((2, 2), np.nan))
+    with pytest.raises(ValueError, match="block 0 coefficient 2 must be finite"):
+        sdpcore.solve(prob)
+
+
+def test_non_finite_constant_objective_and_rows_are_rejected():
+    block = sdpcore.SdpBlock(c=np.diag([np.inf, 1.0]), coeffs=[(0, np.eye(2))])
+    with pytest.raises(ValueError, match="block 0 constant must be finite"):
+        sdpcore.solve(_one_var_problem(blocks=[block]))
+    with pytest.raises(ValueError, match="objective must be finite"):
+        sdpcore.solve(_one_var_problem(objective=np.array([np.nan])))
+    rows = {"eq_matrix": np.array([[np.inf]]), "eq_rhs": np.array([0.0])}
+    with pytest.raises(ValueError, match="equality constraints must be finite"):
+        sdpcore.solve(_one_var_problem(**rows))
+    # Infinite box bounds are no bounds and stay allowed.
+    sol = sdpcore.solve(_one_var_problem(lower=np.array([-np.inf]), upper=np.array([np.inf])))
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value - 1.0) < 1e-7
+
+
+def test_block_multiplicity_must_be_a_positive_integer():
+    for w in (0, -1, 1.5):
+        block = sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2))], w=w)
+        with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+            sdpcore.solve(_one_var_problem(blocks=[block]))
+
+
+def _random_lmi(rng, k, m, w):
+    """A block of side m on k variables with a strictly feasible y = 0."""
+    g = rng.standard_normal((m, m))
+    mats = [0.5 * (a + a.T) for a in rng.standard_normal((k, m, m))]
+    return sdpcore.SdpBlock(c=g @ g.T + m * np.eye(m), coeffs=list(enumerate(mats)), w=w)
+
+
+def _copies(block: sdpcore.SdpBlock) -> sdpcore.SdpBlock:
+    """The explicit block ``diag(A, ..., A)`` of a block's ``w`` copies."""
+    def rep(a):
+        return np.kron(np.eye(block.w), a)
+
+    return sdpcore.SdpBlock(c=rep(block.c), coeffs=[(i, rep(a)) for i, a in block.coeffs])
+
+
+def _bounded_objective(rng, blocks, k):
+    # b_i = sum over blocks and copies of Tr(A_i X) for X > 0: the dual is
+    # strictly feasible, so the maximum is attained.
+    b = np.zeros(k)
+    for blk in blocks:
+        g = rng.standard_normal((blk.dim, blk.dim))
+        x = g @ g.T + np.eye(blk.dim)
+        for i, a in blk.coeffs:
+            b[i] += blk.w * np.vdot(a, x)
+    return b
+
+
+def _weighted_problems():
+    """(name, problem) pairs with blocks of multiplicity 2 and 3."""
+    rng = np.random.default_rng(211)
+    k = 4
+    blocks = [_random_lmi(rng, k, 3, 2), _random_lmi(rng, k, 2, 1), _random_lmi(rng, k, 2, 3)]
+    lmi = sdpcore.SdpProblem(k, _bounded_objective(rng, blocks, k), blocks)
+    yield "lmi", lmi
+    # Equality rows through a strictly feasible point.
+    e = rng.standard_normal((2, k))
+    yield "rows", sdpcore.SdpProblem(
+        k, lmi.objective, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k))
+    )
+    # Finite box bounds that are active at the optimum.
+    yield "box", sdpcore.SdpProblem(
+        k, 10.0 * rng.standard_normal(k), blocks, lower=-0.1 * np.ones(k), upper=np.full(k, 0.2)
+    )
+
+
+@pytest.mark.parametrize("name", ["lmi", "rows", "box"])
+def test_block_multiplicity_matches_explicit_copies(name):
+    prob = dict(_weighted_problems())[name]
+    explicit = sdpcore.SdpProblem(
+        prob.num_vars, prob.objective, [_copies(blk) for blk in prob.blocks],
+        prob.eq_matrix, prob.eq_rhs, prob.lower, prob.upper,
+    )
+    got, want = sdpcore.solve(prob), sdpcore.solve(explicit)
+    assert got.status == want.status == "optimal"
+    assert got.iterations == want.iterations
+    assert abs(got.objective_value - want.objective_value) < 1e-10
+    np.testing.assert_allclose(got.y, want.y, rtol=0, atol=1e-10)
+    # x_blocks hold one copy: the leading block of the explicit dual.
+    for blk, x, x_all in zip(prob.blocks, got.x_blocks, want.x_blocks):
+        assert x.shape == (blk.dim, blk.dim)
+        np.testing.assert_allclose(x, x_all[: blk.dim, : blk.dim], rtol=0, atol=1e-8)
+
+
+def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
+    problems = [prob for _, prob in _weighted_problems()]
+    # The same block unweighted: same shapes, other multiplicity.
+    lmi = problems[0]
+    plain = sdpcore.SdpProblem(
+        lmi.num_vars, lmi.objective,
+        [sdpcore.SdpBlock(blk.c, blk.coeffs) for blk in lmi.blocks],
+    )
+    problems += [plain, copy.deepcopy(lmi)]
+    cache: dict = {}
+    preps = [sdpcore._prepare(p, None, cache) for p in problems]
+    assert preps[0].key != preps[3].key
+    batches = sdpcore._batches(preps, list(range(len(problems))))
+    assert not any(0 in b and 3 in b for b in batches)
+    assert [0, 4] in batches
+    for got, prob in zip(sdpcore.solve_many(problems), problems):
+        want = sdpcore.solve(prob)
+        assert (got.status, got.iterations) == (want.status, want.iterations)
+        assert got.objective_value == want.objective_value
+        assert np.array_equal(got.y, want.y)
+        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
 
 
 def test_max_iter_status():
