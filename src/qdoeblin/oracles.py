@@ -1,12 +1,12 @@
 """Independent verification machinery.
 
-Brute-force contraction and expansion estimators on the Bloch sphere,
-hockey-stick and classical f-divergence evaluations, the dephasing
+Exact trace-distance contraction and expansion coefficients of qubit
+channels, hockey-stick and classical f-divergence evaluations, the dephasing
 degradation identity for generalized amplitude damping, and the classical
 binary-input symmetric-output (BISO) coefficient suite.
 
-Nothing here uses the semidefinite solver: every value is a closed form, a
-brute-force search or a direct eigenvalue evaluation, so these values can
+Nothing here uses the semidefinite solver: every value is a closed form or a
+direct eigenvalue or singular-value evaluation, so these values can
 cross-check the SDP coefficient routines.
 """
 
@@ -26,22 +26,10 @@ from .channel import (
     generalized_depolarizing,
 )
 
-SPHERE_POINTS = 10_000
-REFINE_STEPS = 20
-
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
-
-
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n nearly uniform unit vectors on the sphere, golden-angle spiral."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    phi = i * np.pi * (3.0 - np.sqrt(5.0))
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 def _require_qubit(channel: QuantumChannel) -> None:
@@ -51,115 +39,40 @@ def _require_qubit(channel: QuantumChannel) -> None:
         )
 
 
-def _pauli_components(channel: QuantumChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Images of the Paulis, reduced to the data that fixes their trace norm.
+def _bloch_singular_values(channel: QuantumChannel) -> np.ndarray:
+    """Singular values, largest first, of the channel's real 3x3 Bloch matrix.
 
-    The image of a traceless Hermitian u . sigma is again traceless
-    Hermitian, [[m, c], [conj(c), -m]], and its trace norm is
-    2 sqrt(m^2 + |c|^2).
+    Column k holds the image of the Pauli sigma_k.  That image is traceless
+    Hermitian, [[m, c], [conj(c), -m]], and is stored as (m, Re c, Im c),
+    whose norm is half its trace norm.  The map is linear, so u . sigma goes
+    to M u: its image has trace norm 2|M u| against the input's 2|u|.
     """
+    _require_qubit(channel)
     images = [channel(p) for p in _PAULIS]
-    diag = np.array([im[0, 0].real for im in images])
-    off = np.array([im[0, 1] for im in images])
-    return diag, off
+    m = np.array([[im[0, 0].real, im[0, 1].real, im[0, 1].imag] for im in images]).T
+    return np.linalg.svd(m, compute_uv=False)
 
 
-def _direction_objective(
-    dirs: np.ndarray, diag: np.ndarray, off: np.ndarray
-) -> np.ndarray:
-    m = dirs @ diag
-    c = dirs @ off
-    return np.sqrt(m * m + np.abs(c) ** 2)
+def eta_tr_qubit(channel: QuantumChannel) -> float:
+    """Trace-distance contraction coefficient of a qubit channel, exactly.
 
-
-def _pattern_search_sphere(
-    objective, u0: np.ndarray, maximize: bool, steps: int = REFINE_STEPS
-) -> float:
-    """Compass search in spherical angles with step halving on failure."""
-    theta = float(np.arccos(np.clip(u0[2], -1.0, 1.0)))
-    phi = float(np.arctan2(u0[1], u0[0]))
-    sign = 1.0 if maximize else -1.0
-
-    def value(th, ph):
-        st = np.sin(th)
-        u = np.array([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
-        return float(objective(u[None, :])[0])
-
-    best = value(theta, phi)
-    step = 0.05
-    for _ in range(steps):
-        moved = False
-        for dth, dph in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            cand = value(theta + dth, phi + dph)
-            if sign * (cand - best) > 0.0:
-                best = cand
-                theta += dth
-                phi += dph
-                moved = True
-                break
-        if not moved:
-            step /= 2.0
-    return best
-
-
-def eta_tr_qubit(channel: QuantumChannel, n_points: int = SPHERE_POINTS) -> float:
-    """Trace-distance contraction over orthogonal pure qubit pairs.
-
-    A grid maximum refined locally, hence a guaranteed lower bound on the
-    true supremum; the grid resolution keeps it within 1e-4.
+    Any two states differ by a traceless Hermitian (u . sigma)/2, pure or
+    mixed alike, and the channel scales its trace norm by |M u|/|u|.  The
+    supremum over states is the largest singular value of the Bloch
+    matrix M (Ruskai, Szarek & Werner, "An analysis of completely-positive
+    trace-preserving maps on M_2", Linear Algebra Appl. 2002).
     """
-    _require_qubit(channel)
-    diag, off = _pauli_components(channel)
-
-    def objective(dirs):
-        return _direction_objective(dirs, diag, off)
-
-    dirs = fibonacci_sphere(n_points)
-    vals = objective(dirs)
-    u0 = dirs[int(np.argmax(vals))]
-    return _pattern_search_sphere(objective, u0, maximize=True)
+    return float(_bloch_singular_values(channel)[0])
 
 
-def eta_tr_expansion_qubit(
-    channel: QuantumChannel, n_pairs: int = SPHERE_POINTS, seed: int = 7
-) -> float:
-    """Upper bound on the trace-distance expansion coefficient.
+def eta_tr_expansion_qubit(channel: QuantumChannel) -> float:
+    """Trace-distance expansion coefficient of a qubit channel, exactly.
 
-    Minimises the output/input trace-distance ratio over antipodal pure
-    pairs, independently drawn pure pairs, and mixed pairs sampled from the
-    Bloch ball, then refines the best find locally.
+    The infimum of the output/input trace-distance ratio over distinct
+    states: the smallest singular value of the Bloch matrix M, by the same
+    reduction as :func:`eta_tr_qubit`.
     """
-    _require_qubit(channel)
-    diag, off = _pauli_components(channel)
-
-    def objective(dirs):
-        return _direction_objective(dirs, diag, off)
-
-    rng = np.random.default_rng(seed)
-    third = n_pairs // 3
-    axes = np.eye(3)
-    antipodal = fibonacci_sphere(third)
-    pure_a = _random_unit(rng, third)
-    pure_b = _random_unit(rng, third)
-    mixed_a = _random_ball(rng, n_pairs - 2 * third)
-    mixed_b = _random_ball(rng, n_pairs - 2 * third)
-    diffs = [2.0 * axes, 2.0 * antipodal, pure_a - pure_b, mixed_a - mixed_b]
-    w = np.concatenate(diffs, axis=0)
-    norms = np.linalg.norm(w, axis=1)
-    keep = norms > 1e-9
-    dirs = w[keep] / norms[keep, None]
-    vals = objective(dirs)
-    u0 = dirs[int(np.argmin(vals))]
-    return _pattern_search_sphere(objective, u0, maximize=False)
-
-
-def _random_unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _random_ball(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _random_unit(rng, n) * rng.uniform(size=(n, 1)) ** (1.0 / 3.0)
+    return float(_bloch_singular_values(channel)[-1])
 
 
 @dataclass

@@ -126,10 +126,10 @@ def sandwich(rng, tol, rec, channels: int) -> None:
         a, a_h, rev = a.value, a_h.value, rev.value
         rec("alpha_below_hermitian", a - a_h <= 1e-6, a=a, aH=a_h)
         eta_lo = oracles.eta_tr_expansion_qubit(n)
-        rec("expansion_bound_vs_oracle", (1.0 - rev) - eta_lo <= 1e-3,
+        rec("expansion_bound_vs_oracle", (1.0 - rev) - eta_lo <= 1e-6,
             rev=rev, eta=eta_lo)
         eta_hi = oracles.eta_tr_qubit(n)
-        rec("contraction_bound_vs_oracle", eta_hi - (1.0 - a) <= 1e-3,
+        rec("contraction_bound_vs_oracle", eta_hi - (1.0 - a) <= 1e-6,
             eta=eta_hi, a=a)
 
 

@@ -511,7 +511,7 @@ class _Prepared:
     key: tuple
 
 
-def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared:
+def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
     """Validate one problem and write it in the solver's variables.
 
     ``cache`` holds the checked coefficients, null-space bases and lowered
@@ -542,7 +542,7 @@ def _prepare(problem: SdpProblem, big_m: float | None, cache: dict) -> _Prepared
         if np.any(lo > up):
             raise ValueError("box bounds have lower > upper")
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    m_pen = big_m if big_m is not None else 1e4 * b_scale
+    m_pen = 1e4 * b_scale
 
     red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
     if problem.eq_matrix is not None:
@@ -940,7 +940,6 @@ def solve_many(
     problems: list[SdpProblem],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    big_m: float | None = None,
 ) -> list[SdpSolution]:
     """Solve a list of :class:`SdpProblem`; results come back in input order.
 
@@ -952,7 +951,7 @@ def solve_many(
     with a 100x larger penalty, at most twice; only those problems re-run.
     """
     cache: dict = {}
-    preps = [_prepare(p, big_m, cache) for p in problems]
+    preps = [_prepare(p, cache) for p in problems]
     m_pen = np.array([p.m_pen for p in preps])
     out: list[SdpSolution | None] = [None] * len(problems)
     todo = list(range(len(problems)))
@@ -971,7 +970,6 @@ def solve(
     problem: SdpProblem,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    big_m: float | None = None,
 ) -> SdpSolution:
     """Solve one :class:`SdpProblem`: :func:`solve_many` on a batch of one.
 
@@ -980,5 +978,5 @@ def solve(
     relaxation converges with a visibly positive shift the solve is retried
     with a 100x larger penalty before giving up.
     """
-    return solve_many([problem], tol, max_iter, big_m)[0]
+    return solve_many([problem], tol, max_iter)[0]
 

@@ -126,10 +126,10 @@ def test_criterion_08_bitflip_bounds():
         worst_eta = min(worst_eta, oracles.eta_tr_qubit(flip))
         gap = (1.0 - db.reverse_alpha(flip).value) - abs(1.0 - 2.0 * p)
         worst_gap = max(worst_gap, gap)
-    ok = worst_eta >= 1.0 - 1e-4 and worst_gap <= 1e-3
+    ok = worst_eta >= 1.0 - 1e-9 and worst_gap <= 1e-3
     _line(8, ok, f"bitflip: min eta_tr {worst_eta:.6f},"
                  f" (1-rev)-|1-2p| at most {worst_gap:.2e}")
-    assert worst_eta >= 1.0 - 1e-4
+    assert worst_eta >= 1.0 - 1e-9
     assert worst_gap <= 1e-3
 
 

@@ -17,7 +17,16 @@ def bloch_state(v):
     return 0.5 * (np.eye(2) + v[0] * _X + v[1] * _Y + v[2] * _Z)
 
 
-def alpha_bloch_oracle(channel, n_points=10_000, refine=40):
+def golden_angle_directions(n):
+    """n nearly uniform unit vectors on the sphere, on a golden-angle spiral."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    phi = i * np.pi * (3.0 - np.sqrt(5.0))
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+
+
+def alpha_bloch_oracle(channel, n_dirs=500, refine=40):
     """Grid-and-refine evaluation of the largest c with c sigma (x) 1/2 <= J.
 
     For each output state sigma on a Bloch-ball grid the best c is the
@@ -39,7 +48,7 @@ def alpha_bloch_oracle(channel, n_points=10_000, refine=40):
         mid = inv_sqrt @ j_mat[None] @ inv_sqrt
         return np.linalg.eigvalsh(mid)[:, 0]
 
-    dirs = oracles.fibonacci_sphere(max(1, n_points // 20))
+    dirs = golden_angle_directions(n_dirs)
     radii = np.concatenate([np.linspace(0.05, 0.95, 16), [0.99, 0.999, 0.9999, r_cap]])
     pts = (dirs[None, :, :] * radii[:, None, None]).reshape(-1, 3)
     pts = np.vstack([pts, np.zeros((1, 3))])
@@ -445,9 +454,9 @@ def test_sandwich_against_oracles():
         ra = db.reverse_alpha(n).value
         hi = oracles.eta_tr_qubit(n)
         lo = oracles.eta_tr_expansion_qubit(n)
-        assert 1.0 - ra <= lo + 1e-4
+        assert 1.0 - ra <= lo + 1e-6
         assert lo <= hi + 1e-9
-        assert hi <= 1.0 - a + 1e-4
+        assert hi <= 1.0 - a + 1e-6
 
 
 # ------------------------------------------------------------ grid entry

@@ -1,4 +1,4 @@
-"""Oracle layer tests: Bloch estimators, divergences, classical suite."""
+"""Oracle layer tests: exact qubit trace-distance coefficients, divergences, classical suite."""
 
 import ast
 from pathlib import Path
@@ -17,18 +17,16 @@ def random_qubit_density(rng):
     return rho / np.trace(rho).real
 
 
-def test_fibonacci_sphere_unit_and_spread():
-    pts = oracles.fibonacci_sphere(500)
-    assert pts.shape == (500, 3)
-    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-    # golden-angle spiral is nearly balanced
-    assert np.linalg.norm(pts.mean(axis=0)) < 0.01
+def random_qubit_pure(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    v /= np.linalg.norm(v)
+    return np.outer(v, v.conj())
 
 
 def test_eta_tr_depolarizing():
     for p in [0.0, 0.25, 0.5, 0.75, 1.0, 1.2, 4.0 / 3.0]:
         v = oracles.eta_tr_qubit(ch.depolarizing(p))
-        assert abs(v - abs(1.0 - p)) < 1e-4
+        assert abs(v - abs(1.0 - p)) < 1e-12
 
 
 def test_eta_tr_unitary_is_one():
@@ -39,7 +37,7 @@ def test_eta_tr_unitary_is_one():
 
 def test_eta_tr_bitflip_is_one():
     for p in np.linspace(0.1, 0.9, 9):
-        assert oracles.eta_tr_qubit(ch.bitflip(float(p))) > 1.0 - 1e-4
+        assert abs(oracles.eta_tr_qubit(ch.bitflip(float(p))) - 1.0) < 1e-12
 
 
 def test_eta_tr_never_exceeds_one():
@@ -57,15 +55,18 @@ def test_eta_tr_rejects_non_qubit():
 
 
 def test_expansion_depolarizing():
-    for p in [0.1, 0.5, 0.9, 1.2]:
+    for p in [0.0, 0.1, 0.5, 0.9, 1.0, 1.2, 4.0 / 3.0]:
         v = oracles.eta_tr_expansion_qubit(ch.depolarizing(p))
-        assert abs(v - abs(1.0 - p)) < 1e-3
+        assert abs(v - abs(1.0 - p)) < 1e-12
 
 
 def test_expansion_gad_via_pole_pair():
-    for p, eta in [(0.0, 0.35), (0.5, 0.5), (1.0, 0.8)]:
-        v = oracles.eta_tr_expansion_qubit(ch.gad(p, eta))
-        assert abs(v - eta) < 1e-3
+    # The Bloch matrix of gad(p, eta) is diag(sqrt(eta), sqrt(eta), eta).
+    for p in np.linspace(0.0, 1.0, 5):
+        for eta in np.linspace(0.0, 1.0, 6):
+            n = ch.gad(float(p), float(eta))
+            assert abs(oracles.eta_tr_expansion_qubit(n) - eta) < 1e-12
+            assert abs(oracles.eta_tr_qubit(n) - np.sqrt(eta)) < 1e-12
 
 
 def test_expansion_replacer_is_zero():
@@ -77,6 +78,20 @@ def test_expansion_below_contraction():
     for _ in range(10):
         n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
         assert oracles.eta_tr_expansion_qubit(n) <= oracles.eta_tr_qubit(n) + 1e-9
+
+
+def test_state_pair_ratios_lie_between_expansion_and_contraction():
+    # Direct trace norms of channel outputs, no Bloch algebra: this pins the
+    # column and sign convention of the Bloch matrix behind both oracles.
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        n = ch.random_channel(2, 2, seed=int(rng.integers(1 << 31)))
+        lo, hi = oracles.eta_tr_expansion_qubit(n), oracles.eta_tr_qubit(n)
+        for k in range(200):
+            draw = random_qubit_pure if k % 2 else random_qubit_density
+            rho, sigma = draw(rng), draw(rng)
+            ratio = hermlin.trace_norm(n(rho) - n(sigma)) / hermlin.trace_norm(rho - sigma)
+            assert lo - 1e-12 <= ratio <= hi + 1e-12
 
 
 # ------------------------------------------------------------ divergences

@@ -476,7 +476,7 @@ def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
     )
     problems += [plain, copy.deepcopy(lmi)]
     cache: dict = {}
-    preps = [sdpcore._prepare(p, None, cache) for p in problems]
+    preps = [sdpcore._prepare(p, cache) for p in problems]
     assert preps[0].key != preps[3].key
     batches = sdpcore._batches(preps, list(range(len(problems))))
     assert not any(0 in b and 3 in b for b in batches)
@@ -571,7 +571,7 @@ def test_batch_keeps_solo_results_around_a_singular_kkt():
     bad = problem(np.eye(2), [1.0, 0.0], 0.5)
     good = [problem(np.diag([1.0 + k, 2.0]), [0.0, 1.0], 0.1 * k) for k in range(3)]
     batch = [good[0], bad, good[1], original, good[2]]
-    keys = {sdpcore._prepare(p, None, {}).key for p in [bad, *good]}
+    keys = {sdpcore._prepare(p, {}).key for p in [bad, *good]}
     assert len(keys) == 1  # one lockstep group
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -607,7 +607,7 @@ def test_batch_of_blocks_on_variable_subsets():
 
     scales = [1.0, 2.0, 0.5]
     problems = [problem(s) for s in scales]
-    assert len({sdpcore._prepare(p, None, {}).key for p in problems}) == 1
+    assert len({sdpcore._prepare(p, {}).key for p in problems}) == 1
     batch = sdpcore.solve_many(problems)
     for s, prob, got in zip(scales, problems, batch):
         _same(got, sdpcore.solve(prob))
