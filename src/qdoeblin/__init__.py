@@ -6,7 +6,7 @@ The package is organised in five layers:
 * :mod:`qdoeblin.channel` -- channels, Choi matrices and standard families,
 * :mod:`qdoeblin.sdpcore` -- a small dense interior-point SDP solver,
 * :mod:`qdoeblin.doeblin` -- the coefficient SDPs and derived bounds,
-* :mod:`qdoeblin.oracles` -- independent grid/closed-form reference values.
+* :mod:`qdoeblin.oracles` -- solver-free closed-form reference values.
 
 :mod:`qdoeblin.properties` holds the seeded property laws and check suites,
 and :mod:`qdoeblin.cli` exposes the ``qdoeblin`` command line tool.

@@ -203,9 +203,9 @@ def _run_tasks(tasks, jobs: int):
     each chunk is solved as one batch per column, in a pool of ``jobs``
     processes when there are several chunks.
     """
-    size = max(1, min(GRID_CHUNK, math.ceil(len(tasks) / max(jobs, 1))))
+    size = max(1, min(GRID_CHUNK, math.ceil(len(tasks) / jobs)))
     chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
-    if jobs <= 1 or len(chunks) <= 1:
+    if jobs == 1 or len(chunks) <= 1:
         results = [_chunk_cells(c) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -628,11 +628,25 @@ def _cmd_check(args) -> int:
 # ------------------------------------------------------------------- main
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=sdpcore.DEFAULT_TOL)
+    common.add_argument("--tol", type=_tolerance, default=sdpcore.DEFAULT_TOL)
 
     chan = argparse.ArgumentParser(add_help=False)
     chan.add_argument("--channel")

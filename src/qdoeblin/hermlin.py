@@ -2,8 +2,10 @@
 
 Everything in this package runs on complex128 numpy arrays of side at most
 a few dozen, so the routines here favour clarity and strict validation over
-asymptotic cleverness.  All tolerances used across the package live in the
-constants at the top of this module.
+asymptotic cleverness.  The constants at the top of this module are the
+tolerances and size caps of these routines; the other modules keep their
+own next to the code that uses them (for example ``channel.TP_TOL``,
+``sdpcore.SYM_TOL`` and ``doeblin.WITNESS_TRACE_FLOOR``).
 """
 
 from __future__ import annotations

@@ -142,7 +142,7 @@ def classical_chain(rng, tol, rec, channels: int) -> None:
         ra = oracles.classical_reverse_alpha(c)
         rec("classical_chain_lower", a <= g + 1e-9, alpha=a, gamma=g,
             matrix=c.matrix)
-        rec("classical_chain_upper", g <= ra + 1e-5, gamma=g, rev=ra,
+        rec("classical_chain_upper", g <= ra + 1e-12, gamma=g, rev=ra,
             matrix=c.matrix)
 
 
@@ -151,7 +151,7 @@ def bsc_reverse_alpha(rng, tol, rec, crossovers) -> None:
     for p in crossovers:
         got = oracles.classical_reverse_alpha(oracles.bsc(p))
         want = oracles.binary_entropy(p)
-        rec("bsc_reverse_alpha", abs(got - want) <= 1e-4, p=p, got=got,
+        rec("bsc_reverse_alpha", abs(got - want) <= 1e-12, p=p, got=got,
             want=want)
 
 

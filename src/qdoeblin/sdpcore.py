@@ -23,8 +23,10 @@ The algorithm is the HKM primal-dual direction with a Mehrotra
 predictor-corrector step, run from an infeasible start that is made
 dual-interior by a big-M shift variable: every block is relaxed to
 ``C_k - A_k(y) + tau*I`` with ``tau >= 0`` penalised in the objective, so a
-strictly feasible starting point always exists and ``tau`` is driven to zero
-whenever the original problem is feasible.
+strictly feasible starting point always exists.  The penalty is
+``1e4 * (1 + max|b|)``; ``tau`` is driven to zero whenever the original
+problem is feasible and the penalty exceeds the total trace of one of its
+optimal dual solutions.  Each problem is one run with that penalty.
 
 Every problem is solved in the variables v of ``y = T v``: block
 coefficients become ``T^T A`` (one gemm per block), each box bound the row
@@ -155,6 +157,12 @@ class SdpSolution:
     the residual of the reduced problem on ``w``.  ``status == "optimal"``
     guarantees all three are at most the solve tolerance.  ``iterations``
     counts the interior-point steps taken to reach the returned ``y``.
+
+    ``shift`` is the big-M shift ``tau`` of the returned iterate, the amount
+    by which every block is relaxed.  ``optimal`` also requires it to be
+    at most ``1e-6`` times one plus the starting shift; a non-optimal
+    result with a visibly positive shift flags a problem that looks
+    infeasible.
     """
 
     status: str
@@ -628,9 +636,7 @@ class _Rows:
 _WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
 
 
-def _lockstep(
-    preps: list[_Prepared], tol: float, max_iter: int, m_pen: np.ndarray
-) -> list[SdpSolution]:
+def _lockstep(preps: list[_Prepared], tol: float, max_iter: int) -> list[SdpSolution]:
     """Run the interior-point iteration on problems of one lockstep key.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
@@ -662,6 +668,7 @@ def _lockstep(
     st.c = [np.stack([p.cs[k] for p in preps]) for k in range(len(blocks))]
     st.b = np.stack([p.b for p in preps])
     st.b_scale = np.array([p.b_scale for p in preps])
+    m_pen = np.array([p.m_pen for p in preps])
     st.b_aug = np.hstack([st.b, -m_pen[:, None]])
     if red:
         st.z, st.yp_pinv, st.et, st.f = (
@@ -911,15 +918,15 @@ def _lockstep(
     return out
 
 
-def _batches(preps: list[_Prepared], todo: list[int]) -> list[list[int]]:
-    """Split ``todo`` into lockstep batches: one key each, memory bounded.
+def _batches(preps: list[_Prepared]) -> list[list[int]]:
+    """Split the problems into lockstep batches: one key each, memory bounded.
 
     A batch holds its KKT matrices and the Schur intermediates of every
     problem at once, so it takes at most ``BATCH_BYTES`` of them.
     """
     groups: dict[tuple, list[int]] = {}
-    for i in todo:
-        groups.setdefault(preps[i].key, []).append(i)
+    for i, p in enumerate(preps):
+        groups.setdefault(p.key, []).append(i)
     out = []
     for members in groups.values():
         p = preps[members[0]]
@@ -946,23 +953,23 @@ def solve_many(
     Problems with the same lockstep key (see ``_prepare``) advance
     together, so a grid of same-structure programs pays the per-iteration
     call overhead once per batch instead of once per point.  Each problem
-    gets exactly the result :func:`solve` gives it alone.  A problem whose
-    big-M relaxation converges with a visibly positive shift is retried
-    with a 100x larger penalty, at most twice; only those problems re-run.
+    is one interior-point run and gets exactly the result :func:`solve`
+    gives it alone.
+
+    Raises ``ValueError`` for a problem that fails validation, a ``tol``
+    that is NaN, infinite or negative, or a ``max_iter`` that is not an
+    integer >= 0.
     """
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     cache: dict = {}
     preps = [_prepare(p, cache) for p in problems]
-    m_pen = np.array([p.m_pen for p in preps])
     out: list[SdpSolution | None] = [None] * len(problems)
-    todo = list(range(len(problems)))
-    for _ in range(3):
-        for batch in _batches(preps, todo):
-            for i, sol in zip(batch, _lockstep([preps[i] for i in batch], tol, max_iter, m_pen[batch])):
-                out[i] = sol
-        todo = [i for i in todo if out[i].status != STATUS_OPTIMAL and out[i].shift > 1e-6]
-        if not todo:
-            break
-        m_pen[todo] *= 100.0
+    for batch in _batches(preps):
+        for i, sol in zip(batch, _lockstep([preps[i] for i in batch], tol, max_iter)):
+            out[i] = sol
     return out
 
 
@@ -974,9 +981,9 @@ def solve(
     """Solve one :class:`SdpProblem`: :func:`solve_many` on a batch of one.
 
     Stops once the relative duality gap, the primal feasibility residual and
-    the dual stationarity residual all drop below ``tol``.  When the big-M
-    relaxation converges with a visibly positive shift the solve is retried
-    with a 100x larger penalty before giving up.
+    the dual stationarity residual all drop below ``tol`` and the big-M
+    shift is negligible; otherwise the run ends as ``max_iter`` or
+    ``numerical_failure``.
     """
     return solve_many([problem], tol, max_iter)[0]
 

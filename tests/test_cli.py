@@ -95,6 +95,9 @@ def test_coeff_usage_errors(capsys):
                "--eta", "0.5", "--kind", "alpha") == 1
     assert run("coeff", "--kind", "alpha") == 1
     assert run("coeff", "--channel", "depolarizing", "--p", "0.5") == 1
+    for tol in ("nan", "inf", "-inf", "-1e-8"):
+        assert run("coeff", "--channel", "depolarizing", "--p", "0.3",
+                   "--kind", "alpha", "--tol", tol) == 1
     capsys.readouterr()
 
 
@@ -212,6 +215,10 @@ def test_sweep_usage_and_io_errors(tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")) == 1
     assert run(*base, "--start", "0", "--stop", "1", "--step", "0.5",
                "--out", str(tmp_path / "nodir" / "x.csv")) == 3
+    for jobs in ("0", "-2"):
+        assert run(*base, "--start", "0", "--stop", "1", "--step", "0.5",
+                   "--jobs", jobs, "--out", str(tmp_path / "x.csv")) == 1
+    assert not (tmp_path / "x.csv").exists()
     capsys.readouterr()
 
 

@@ -584,3 +584,21 @@ def test_real_programs_match_their_complex_rotations(kind):
         n = chan.d_in * chan.d_out
         assert got.solution.x_blocks[0].shape == (n, n)
         assert want.solution.x_blocks[0].shape == (2 * n, 2 * n)
+
+
+def test_shared_map_that_breaks_conjugation_takes_the_embedded_path():
+    # Real weights and constants, but a shared map X -> U X U^dag that does
+    # not commute with complex conjugation: the declaration is not real, so
+    # the block must be embedded at twice the side.  Lowered as a real
+    # program instead, it ends as a numerical failure with value 0.
+    u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
+    w = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.diag([1.0, 3.0])
+    [(sol, _)] = db._solve_program(
+        [2], {0: w}, [(c, {0: lambda b: u @ b @ u.conj().T})], count=1, tol=1e-9
+    )
+    assert sol.status == sdpcore.STATUS_OPTIMAL
+    want = np.trace(u @ w @ u.conj().T @ c).real
+    assert abs(want - 6.0) < 1e-12
+    assert abs(sol.objective_value - want) < 1e-7
+    assert sol.x_blocks[0].shape == (4, 4)

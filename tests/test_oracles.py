@@ -288,7 +288,7 @@ def test_classical_gamma():
 def test_classical_reverse_alpha_bsc_self():
     for q in [0.11, 0.3, 0.45]:
         v = oracles.classical_reverse_alpha(oracles.bsc(q))
-        assert abs(v - oracles.binary_entropy(q)) < 1e-4
+        assert abs(v - oracles.binary_entropy(q)) < 1e-12
 
 
 def test_classical_reverse_alpha_noiseless():

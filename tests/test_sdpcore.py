@@ -273,7 +273,17 @@ def test_empty_interior_returns_near_optimum_without_failure():
     assert sol.primal_residual < 1e-6
 
 
-def test_positive_shift_blocks_optimal_status():
+def test_positive_shift_blocks_optimal_status(monkeypatch):
+    # Infeasible: y >= 1 and y <= -1.  One interior-point run reports the
+    # shift it ended with; nothing is run again.
+    runs = []
+    lockstep = sdpcore._lockstep
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "_lockstep", counted)
     prob = sdpcore.SdpProblem(
         num_vars=1,
         objective=np.array([1.0]),
@@ -285,6 +295,7 @@ def test_positive_shift_blocks_optimal_status():
     sol = sdpcore.solve(prob)
     assert sol.status != "optimal"
     assert sol.shift > 1e-3
+    assert len(runs) == 1
 
 
 def test_validation_errors():
@@ -330,6 +341,15 @@ def test_validation_errors():
                 blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(3))])],
             )
         )
+    good = max_eig_problem(np.diag([1.0, 2.0]))
+    for tol in (np.nan, np.inf, -np.inf, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            sdpcore.solve(good, tol=tol)
+    for max_iter in (-1, 2.5, None):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            sdpcore.solve(good, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            sdpcore.solve_many([good, good], max_iter=max_iter)
 
 
 def test_asymmetric_coefficient_inside_block_is_named():
@@ -478,7 +498,7 @@ def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
     cache: dict = {}
     preps = [sdpcore._prepare(p, cache) for p in problems]
     assert preps[0].key != preps[3].key
-    batches = sdpcore._batches(preps, list(range(len(problems))))
+    batches = sdpcore._batches(preps)
     assert not any(0 in b and 3 in b for b in batches)
     assert [0, 4] in batches
     for got, prob in zip(sdpcore.solve_many(problems), problems):
