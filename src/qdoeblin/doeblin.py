@@ -7,19 +7,18 @@ basis stack; each map is applied once to the whole ``(k, n, n)`` basis
 stack of its variable, each PSD block is lowered in one call and each
 equality by one gemm against the basis of its target space.
 
-A program whose data is real (every constant real, every map commuting
-with complex conjugation, as for the Choi matrices of depolarizing,
-amplitude damping, Pauli and classical channels) has a real optimum, the
-Z_2 case of the symmetry reduction of Gatermann & Parrilo, "Symmetry
-groups, semidefinite programs, and sums of squares" (JPAA 2004).  It is
-solved on the real symmetric basis of
-:func:`qdoeblin.hermlin.real_symmetric_basis_stack`, with each PSD block
-as its real part of multiplicity 2 in ``sdpcore``: about half the variables
-and half the block side of the embedded program, with the same iterates in
-exact arithmetic.  Realness is read off the data, with no flag.  Any
-other program is solved in the basis of
-:func:`qdoeblin.hermlin.hermitian_basis` with every PSD block lowered by
-:func:`qdoeblin.hermlin.real_embed`.
+Every PSD block is lowered one way: a Hermitian block of side n with
+multiplicity 2 in ``sdpcore``, which has the iterates of its real
+embedding of side 2n in exact arithmetic.  A program whose data is real
+(every constant real, every map commuting with complex conjugation, as for
+the Choi matrices of depolarizing, amplitude damping, Pauli and classical
+channels) has a real optimum, the Z_2 case of the symmetry reduction of
+Gatermann & Parrilo, "Symmetry groups, semidefinite programs, and sums of
+squares" (JPAA 2004).  It is solved on the real symmetric basis of
+:func:`qdoeblin.hermlin.real_symmetric_basis_stack`, with each block as its
+real part: about half the variables and real arithmetic.  Realness is read
+off the data, with no flag.  Any other program is solved in the basis of
+:func:`qdoeblin.hermlin.hermitian_basis` with complex Hermitian blocks.
 
 Each declaration takes a list of channels of equal dimensions.  The parts
 that do not depend on the channel (PSD-map images, shared equality rows,
@@ -107,11 +106,6 @@ class CapacityBounds:
     status: str
 
 
-def _embed(m: np.ndarray) -> np.ndarray:
-    """Real embedding of one Hermitian matrix or of a ``(k, n, n)`` stack."""
-    return hermlin.real_embed(m, tol=1e-9)
-
-
 def _pair_traces(gs, ms) -> np.ndarray:
     """Real ``Tr(G_r M_c)`` for every pair of the two stacks, as one gemm."""
     gs, ms = np.asarray(gs), np.asarray(ms)
@@ -161,11 +155,12 @@ def _real_declaration(sides, weights, psd, eqs, bounds) -> bool:
 class _Lowered:
     """The problem-independent part of a lowered declaration.
 
-    A real program (see :func:`_solve_program`) has its variables in the
-    real symmetric basis and its PSD blocks as real parts of multiplicity
-    2; any other has them in the Hermitian basis and its blocks embedded
-    by ``real_embed``.  ``bases`` holds the basis stack of every variable
-    and ``keep`` picks its elements out of the Hermitian basis.
+    Every PSD block is the Hermitian stack of its constraint, of
+    multiplicity 2 in ``sdpcore``.  A real program (see
+    :func:`_solve_program`) has its variables in the real symmetric basis
+    and its blocks as real parts; any other has them in the Hermitian basis
+    and complex Hermitian blocks.  ``bases`` holds the basis stack of every
+    variable and ``keep`` picks its elements out of the Hermitian basis.
     ``consts`` holds the lowered PSD constants shared by every problem
     (``None`` where each problem has its own), ``eq_rows`` the rows of the
     equalities shared by every problem, and ``eq_images`` the images of the
@@ -205,10 +200,10 @@ class _Lowered:
             a.flags.writeable = False
 
     def block(self, m: np.ndarray) -> np.ndarray:
-        """A Hermitian matrix or stack as data of a PSD block."""
-        if self.real:
-            return np.ascontiguousarray(hermlin.require_hermitian(m, tol=1e-9).real)
-        return _embed(m)
+        """A Hermitian matrix or stack as data of a PSD block: its real part
+        in a real program, the Hermitian matrix itself in any other."""
+        h = hermlin.require_hermitian(m, tol=1e-9)
+        return np.ascontiguousarray(h.real) if self.real else h
 
     def columns(self, maps) -> np.ndarray:
         return np.concatenate([np.arange(self.start[v], self.start[v + 1]) for v in maps])
@@ -226,8 +221,8 @@ class _Lowered:
 # lowers only its channel's data, and whether the shared part of a
 # declaration is real, by key.  Lowerings above ``LOWERED_BYTES`` are not
 # kept: those of the complex p1 and reverse programs from d=4 on (complex
-# p1 takes 6.3 MB at d=4) and of the real ones from d=5 on (real p1 takes
-# 0.84 MB at d=4 and 4.9 MB at d=5).
+# p1 takes 3.1 MB at d=4, rev, revT and revH 1.05-1.11 MB) and of the real
+# ones from d=5 on (real p1 takes 0.84 MB at d=4 and 4.9 MB at d=5).
 _LOWERED: dict = {}
 _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
@@ -260,10 +255,11 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     imaginary ones to imaginary images (see :func:`_real_declaration`).
     Its optimum is then attained at real variables (the mean of an optimum
     and its conjugate), so it is solved in the real symmetric basis with
-    each PSD block ``C - sum_v f_v(X_v)`` as its real part of multiplicity
-    2: the real embedding of a real matrix is two copies of it.  The
-    others are solved in the Hermitian basis with embedded blocks.  The
-    two kinds are lowered and solved apart.
+    each PSD block ``C - sum_v f_v(X_v)`` as its real part.  The others
+    are solved in the Hermitian basis with complex Hermitian blocks.  Every
+    block has multiplicity 2 in ``sdpcore``, so both kinds take the
+    iterates of the real embedding of their blocks.  The two kinds are
+    lowered and solved apart.
 
     Returns ``(solution, [X_v as Hermitian matrices])`` per problem.
     """
@@ -333,7 +329,7 @@ def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
             num_vars=low.n,
             objective=low.objective,
             blocks=[
-                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf, w=2 if low.real else 1)
+                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf, w=2)
                 for c, cf in zip(consts, low.coeffs)
             ],
             eq_matrix=eq_matrix,

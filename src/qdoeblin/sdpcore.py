@@ -7,17 +7,27 @@ The solver handles problems of the form
                 E y = f                           (optional equality rows),
                 l <= y <= u                       (optional box bounds),
 
-with real symmetric data.  Complex Hermitian constraints are expected to be
-lowered by the caller through :func:`qdoeblin.hermlin.real_embed`.  A block
-may carry a multiplicity ``w``: it then stands for ``w`` identical copies
-of itself, the block-diagonal ``diag(C_k - A_k(y), ..., C_k - A_k(y))``,
-and the solver iterates on one copy.  The adjoint, the Schur term, the
-trace inner products ``<C, X>`` and ``<X, S>`` and the block's share of the
+with real variables y and block data that is real symmetric or complex
+Hermitian (the cone of a complex block is the Hermitian PSD cone; see
+Sturm, "Using SeDuMi 1.02", Optim. Methods Softw. 1999).  A block may
+carry a multiplicity ``w``: it then stands for ``w`` identical copies of
+itself, the block-diagonal ``diag(C_k - A_k(y), ..., C_k - A_k(y))``, and
+the solver iterates on one copy.  The adjoint, the Schur term, the trace
+inner products ``<C, X>`` and ``<X, S>`` and the block's share of the
 barrier parameter count every copy; step lengths and eigenvalues are those
 of one copy.  In exact arithmetic the iterates are those of the explicit
-``w``-copy block, at the cost of one copy.  A real Hermitian program
-lowered by ``real_embed`` is two copies of its real part, so it is solved
-as a block of half the side with ``w = 2``.
+``w``-copy block, at the cost of one copy.
+
+A Hermitian program is a complex block of side n with ``w = 2``: its real
+embedding :func:`qdoeblin.hermlin.real_embed` (side 2n, ``w = 1``) is a
+*-homomorphism with ``Tr(emb(A) emb(B)) = 2 Re Tr(A B)`` that doubles
+every eigenvalue, so in exact arithmetic both have the same iterates.  A
+real Hermitian program embeds as two copies of its real part, so it is
+solved as a real block of side n with ``w = 2``.  Complex blocks have their
+own block class: every transpose that stands for the adjoint is a
+conjugate transpose, and every trace ``Re Tr(A X)`` is a real dot product
+of float views, so the KKT system, y, the step lengths and the diagonal
+block stay real.
 
 The algorithm is the HKM primal-dual direction with a Mehrotra
 predictor-corrector step, run from an infeasible start that is made
@@ -47,17 +57,18 @@ exact arithmetic the reduced iteration takes the steps of the full one on
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
 one diagonal (LP) block: its iterates are vectors and its products are
 elementwise.  Each dense block is factored once per iteration: the inverse
-Cholesky factors ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-T L^-1``,
-and every step-length search is one ``eigvalsh(L^-1 dM L^-T)``.  Each KKT
-matrix is LU-factored once per iteration; the predictor, the corrector and
-their refinement steps reuse the factors.
+Cholesky factors ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-H L^-1``,
+and every step-length search is one ``eigvalsh(L^-1 dM L^-H)`` (``L^-T``
+for real blocks).  Each KKT matrix is LU-factored once per iteration; the
+predictor, the corrector and their refinement steps reuse the factors.
 
 :func:`solve_many` runs a list of problems as lockstep batches, in the
 manner of the batched interior-point method of OptNet (Amos & Kolter,
 ICML 2017).  Problems that share their shapes (the count of solver
 variables and the side of every block, the diagonal block of box rows
-included) advance together: every iterate is a stack with one slice per
-problem, and one numpy call serves the whole batch.  Each problem keeps
+included) and the real or complex data of every dense block advance
+together: every iterate is a stack with one slice per problem, and one
+numpy call serves the whole batch.  Each problem keeps
 its own constants, objective, null-space basis, coefficient stacks (one
 stack serves the batch when every problem shares it), bounds, step
 lengths, ``recenter`` flag, best iterate and step count, and a problem
@@ -104,18 +115,22 @@ STATUS_NUMERICAL = "numerical_failure"
 class SdpBlock:
     """One linear matrix inequality ``C - sum_i y_i A_i >= 0``.
 
-    ``c`` and the coefficient matrices are real symmetric.  ``coeffs`` maps
-    variable indices to their coefficient matrices; variables absent from
-    the list do not enter the block, and a variable listed more than once
-    enters with the sum of its matrices.
+    ``c`` and the coefficient matrices are real symmetric, or complex
+    Hermitian: a block with any complex-typed matrix is a complex block,
+    on the Hermitian PSD cone, and a real-typed one a real block.  The
+    variables ``y`` are real either way.  ``coeffs`` maps variable indices
+    to their coefficient matrices; variables absent from the list do not
+    enter the block, and a variable listed more than once enters with the
+    sum of its matrices.
 
     The multiplicity ``w`` (a positive integer, 1 by default) makes the
     block stand for ``w`` identical copies of itself, the block-diagonal
-    ``diag(C, ..., C) - sum_i y_i diag(A_i, ..., A_i)``: a real Hermitian
-    program lowered by ``real_embed`` has two such copies.  The solver
-    keeps one copy and takes, in exact arithmetic, the iterates of the
-    ``w``-copy block, so the solution's ``x_blocks`` entry of the block
-    holds one copy of its dual matrix.
+    ``diag(C, ..., C) - sum_i y_i diag(A_i, ..., A_i)``.  A Hermitian
+    constraint of side n is a complex block with ``w = 2``, which has the
+    iterates of its real embedding of side 2n, and a real one is its real
+    part with ``w = 2``.  The solver keeps one copy and takes, in exact
+    arithmetic, the iterates of the ``w``-copy block, so the solution's
+    ``x_blocks`` entry of the block holds one copy of its dual matrix.
     """
 
     c: np.ndarray
@@ -158,6 +173,9 @@ class SdpSolution:
     guarantees all three are at most the solve tolerance.  ``iterations``
     counts the interior-point steps taken to reach the returned ``y``.
 
+    ``x_blocks`` holds one dual matrix per dense block, real for a real
+    block and complex Hermitian for a complex one.
+
     ``shift`` is the big-M shift ``tau`` of the returned iterate, the amount
     by which every block is relaxed.  ``optimal`` also requires it to be
     at most ``1e-6`` times one plus the starting shift; a non-optimal
@@ -177,40 +195,53 @@ class SdpSolution:
 
 
 def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    """The Hermitian part of a square matrix after checking it is Hermitian:
+    float64 for real data, complex128 for complex data."""
+    m = np.asarray(m)
+    herm = np.iscomplexobj(m)
+    m = m.astype(complex if herm else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} must be finite")
-    if m.size and np.max(np.abs(m - m.T)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (m + m.T)
+    m_h = m.conj().T
+    if m.size and np.max(np.abs(m - m_h)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{name} must be {'Hermitian' if herm else 'symmetric'}")
+    return 0.5 * (m + m_h)
 
 
 def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Variable indices and symmetrised coefficient stack of one block."""
+    """Variable indices and Hermitian-part coefficient stack of one block,
+    float64 for real coefficients and complex128 when any is complex."""
     dim = blk.c.shape[0]
     idx = np.array([i for i, _ in blk.coeffs], dtype=int)
     out = (idx < 0) | (idx >= n)
     if np.any(out):
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
-    mats = np.asarray([a for _, a in blk.coeffs], dtype=float)
+    mats = np.asarray([a for _, a in blk.coeffs])
+    herm = np.iscomplexobj(mats)
+    mats = mats.astype(complex if herm else float, copy=False)
     if idx.size and mats.shape[1:] != (dim, dim):
         raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
     mats = mats.reshape(len(idx), dim, dim)
     bad = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
     if bad.size:
         raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be finite")
-    mats_t = mats.transpose(0, 2, 1)
-    # One scratch stack serves both the check and the symmetrised result.
-    scale = np.maximum(
-        np.max(mats, axis=(1, 2), initial=1.0), -np.min(mats, axis=(1, 2), initial=0.0)
-    )
+    if herm:
+        mats_t = mats.conj().transpose(0, 2, 1)
+        scale = np.abs(mats).max(axis=(1, 2), initial=1.0)
+    else:
+        mats_t = mats.transpose(0, 2, 1)
+        scale = np.maximum(
+            np.max(mats, axis=(1, 2), initial=1.0), -np.min(mats, axis=(1, 2), initial=0.0)
+        )
+    # One scratch stack serves both the check and the Hermitian part.
     work = np.subtract(mats, mats_t)
-    dev = np.max(np.abs(work, out=work), axis=(1, 2), initial=0.0)
+    dev = np.max(np.abs(work, out=None if herm else work), axis=(1, 2), initial=0.0)
     bad = np.flatnonzero(dev > SYM_TOL * scale)
     if bad.size:
-        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be symmetric")
+        kind = "Hermitian" if herm else "symmetric"
+        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be {kind}")
     np.add(mats, mats_t, out=work)
     work *= 0.5
     return idx, work
@@ -227,11 +258,11 @@ def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
         if w[-1] <= 0:
             raise
         w = np.maximum(w, w[-1] * 1e-14)
-        return np.linalg.cholesky((v * w) @ v.T)
+        return np.linalg.cholesky((v * w) @ v.conj().T)
 
 
 def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^T``.
+    """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^H``.
 
     Returns the factors and a mask of the slices that have one; a slice
     without one gets an identity placeholder.  With ``repair`` an iterate
@@ -274,7 +305,12 @@ def _max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
     eigensolver fails.
     """
     w = li @ dm @ li.transpose(0, 2, 1)
-    lam = _min_eigs(0.5 * (w + w.transpose(0, 2, 1)))
+    return _step_from(0.5 * (w + w.transpose(0, 2, 1)))
+
+
+def _step_from(w: np.ndarray) -> np.ndarray:
+    """The step of :func:`_max_step` from the congruent direction ``L^-1 dM L^-H``."""
+    lam = _min_eigs(w)
     return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
@@ -375,6 +411,64 @@ class _DenseBlock:
         return li.transpose(0, 2, 1) @ li
 
     max_step = staticmethod(_max_step)
+
+
+def _floats(a: np.ndarray) -> np.ndarray:
+    """The slices of a complex stack as rows of real and imaginary parts."""
+    return a.reshape(len(a), -1).view(float)
+
+
+class _HermBlock(_DenseBlock):
+    """A dense block of complex Hermitian data, with real solver variables.
+
+    Iterates are complex Hermitian stacks and every transpose that stands
+    for the adjoint is a conjugate transpose.  Every trace the solver takes
+    is real: ``Re Tr(A X) = Re sum_ab A_ab conj(X_ab)`` for Hermitian X is
+    the dot product of the float views ``aview`` and ``_floats(X)``, so the
+    operator, the adjoint, ``dot`` and the last stage of the Schur term are
+    real gemms over ``2*m*m`` columns.  ``real_embed`` of such a block has
+    the same iterates at twice the side and half the multiplicity.
+    """
+
+    def __init__(self, dim: int, aflat: np.ndarray, w: int):
+        super().__init__(dim, aflat, w)
+        self.unit = np.eye(dim, dtype=complex)
+        self.aview = aflat.view(float)
+
+    def __getitem__(self, keep: np.ndarray) -> _HermBlock:
+        out = super().__getitem__(keep)
+        out.aview = out.aflat.view(float)
+        return out
+
+    def operator(self, y: np.ndarray) -> np.ndarray:
+        return (y[:, None] @ self.aview).view(complex).reshape(-1, self.dim, self.dim)
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self._copies(np.matvec(self.aview, _floats(x)))
+
+    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
+        """``M_ij = Re Tr(A_i X A_j S^-1)``; the last stage is a real gemm."""
+        k, m = self.aflat.shape[1], self.dim
+        a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
+        xas = (x[:, None] @ a_sinv).reshape(-1, k, m * m).view(float)
+        return self._copies(self.aview @ xas.transpose(0, 2, 1))
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._copies(np.vecdot(_floats(a), _floats(b)))
+
+    @staticmethod
+    def sym(m: np.ndarray) -> np.ndarray:
+        out = m + m.conj().transpose(0, 2, 1)
+        out *= 0.5
+        return out
+
+    @staticmethod
+    def inverse(li: np.ndarray) -> np.ndarray:
+        return li.conj().transpose(0, 2, 1) @ li
+
+    @staticmethod
+    def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
+        return _step_from(_HermBlock.sym(li @ dm @ li.conj().transpose(0, 2, 1)))
 
 
 class _DiagBlock:
@@ -511,8 +605,8 @@ class _Prepared:
     b: np.ndarray  # objective T^T b in the solver's variables
     b_scale: float  # 1 + max|b| of the original objective
     m_pen: float
-    cs: list[np.ndarray]  # symmetrised block constants, then the box constants
-    coeffs: list[np.ndarray]  # (k, m*m) coefficient stack per dense block
+    cs: list[np.ndarray]  # Hermitian-part block constants, then the box constants
+    coeffs: list[np.ndarray]  # (k, m*m) coefficient stack per dense block, real or complex
     ws: tuple[int, ...]  # multiplicity per dense block
     diag: np.ndarray  # (r, k) rows of the diagonal block
     red: _Reduction | None
@@ -528,7 +622,8 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
     share a key exactly when they share the shapes a lockstep batch needs:
     the solver's variable count, the original variable and equality row
     counts when ``theta`` is one of them, the side of every block, the
-    diagonal one included, and the multiplicity of every dense block.
+    diagonal one included, and the multiplicity and the dtype (real or
+    complex) of every dense block.
     """
     n = problem.num_vars
     b = np.asarray(problem.objective, dtype=float)
@@ -581,15 +676,19 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
         blk_id = (id(blk.coeffs), c.shape[0], n)
         if blk_id not in cache:
             cache[blk_id] = _check_coeffs(blk, k, n)
-        lowered = (blk_id, t_id)
+        # A complex constant or coefficient makes the whole block complex.
+        dtype = np.result_type(c, cache[blk_id][1])
+        lowered = (blk_id, t_id, dtype)
         if lowered not in cache:
-            # T^T A on the block's rows (repeated rows add up), the shift last.
+            # T^T A on the block's rows (repeated rows add up), the shift
+            # last; a complex stack as one real gemm on its float view.
             idx, mats = cache[blk_id]
-            reduced = np.empty((nv + 1, len(c) ** 2))
-            np.matmul(t[idx].T, mats.reshape(len(idx), -1), out=reduced[:nv])
+            reduced = np.empty((nv + 1, len(c) ** 2), dtype=dtype)
+            flat = mats.astype(dtype, copy=False).reshape(len(idx), -1).view(float)
+            np.matmul(t[idx].T, flat, out=reduced[:nv].view(float))
             reduced[nv] = -np.eye(len(c)).ravel()
             cache[lowered] = reduced
-        cs.append(c)
+        cs.append(c.astype(dtype, copy=False))
         coeffs.append(cache[lowered])
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
@@ -612,7 +711,13 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
         cache[diag_id] = g
 
     ws = tuple(blk.w for blk in problem.blocks)
-    key = (nv, (n, len(red.f)) if red is not None else None, tuple(len(c) for c in cs), ws)
+    key = (
+        nv,
+        (n, len(red.f)) if red is not None else None,
+        tuple(len(c) for c in cs),
+        ws,
+        tuple(a.dtype.char for a in coeffs),
+    )
     return _Prepared(b, b_scale, m_pen, cs, coeffs, ws, cache[diag_id], red, key)
 
 
@@ -655,7 +760,9 @@ def _lockstep(preps: list[_Prepared], tol: float, max_iter: int) -> list[SdpSolu
     q = int(red)
     n_user = len(first.coeffs)
     blocks: list[_DenseBlock | _DiagBlock] = [
-        _DenseBlock(len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]), first.ws[k])
+        (_HermBlock if np.iscomplexobj(first.coeffs[k]) else _DenseBlock)(
+            len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]), first.ws[k]
+        )
         for k in range(n_user)
     ]
     blocks.append(_DiagBlock(_stacked([p.diag for p in preps])))
@@ -933,10 +1040,10 @@ def _batches(preps: list[_Prepared]) -> list[list[int]]:
         side = len(p.b) + 1 + (p.red is not None)
         # The coefficient stacks count once more for problems that own them,
         # the batched arrays of the reduction (all but T) once.
-        per_problem = 8 * (
-            side * side
-            + sum(4 * aflat.size for aflat in p.coeffs)
-            + (sum(a.size for a in p.red[1:]) if p.red is not None else 0)
+        per_problem = (
+            8 * side * side
+            + sum(4 * aflat.nbytes for aflat in p.coeffs)
+            + (8 * sum(a.size for a in p.red[1:]) if p.red is not None else 0)
         )
         size = max(1, BATCH_BYTES // per_problem)
         out += [members[i : i + size] for i in range(0, len(members), size)]

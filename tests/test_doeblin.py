@@ -304,14 +304,20 @@ def test_pair_traces_matches_trace_loop():
 
 def test_stacked_lowering_matches_per_element_embed():
     # Reference: one real_embed call per basis element, as blocks were built
-    # before each block's basis stack was lowered in one call.
+    # before each block's basis stack was lowered in one call.  A complex
+    # program's block is now the Hermitian stack itself, and its embedding
+    # is the old block.
     for d_out, d_in in ((2, 2), (3, 2)):
-        basis = hermlin.hermitian_basis(d_out * d_in)
+        dim = d_out * d_in
+        low = db._Lowered([dim], {0: np.eye(dim)}, [], [], None, real=False)
+        basis = hermlin.hermitian_basis(dim)
         transposed = [hermlin.partial_transpose(bb, (d_out, d_in), 1) for bb in basis]
         for stack in (basis, transposed):
-            lowered = db._embed(stack)
-            for bb, low in zip(stack, lowered):
-                assert np.array_equal(low, hermlin.real_embed(bb, tol=1e-9))
+            lowered = low.block(stack)
+            assert lowered.shape == (len(stack), dim, dim)
+            assert lowered.dtype == np.complex128
+            for bb, blk in zip(stack, lowered):
+                assert np.array_equal(hermlin.real_embed(blk), hermlin.real_embed(bb, tol=1e-9))
 
 
 def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
@@ -567,7 +573,7 @@ def test_real_programs_match_their_complex_rotations(kind):
     # A real channel takes the real path: real symmetric variables, blocks
     # of half the side.  Rotating its output by a unitary leaves every
     # coefficient as it is but makes the program complex, so the copy takes
-    # the embedded path; both must agree.
+    # the complex Hermitian path at the same side; both must agree.
     single = SINGLE[kind]
     for chan in _real_channels(kind):
         d = chan.d_out
@@ -583,14 +589,16 @@ def test_real_programs_match_their_complex_rotations(kind):
         assert abs(got.value - want.value) < 1e-7, (chan, got.value, want.value)
         n = chan.d_in * chan.d_out
         assert got.solution.x_blocks[0].shape == (n, n)
-        assert want.solution.x_blocks[0].shape == (2 * n, 2 * n)
+        assert got.solution.x_blocks[0].dtype == np.float64
+        assert want.solution.x_blocks[0].shape == (n, n)
+        assert want.solution.x_blocks[0].dtype == np.complex128
 
 
-def test_shared_map_that_breaks_conjugation_takes_the_embedded_path():
+def test_shared_map_that_breaks_conjugation_takes_the_complex_path():
     # Real weights and constants, but a shared map X -> U X U^dag that does
     # not commute with complex conjugation: the declaration is not real, so
-    # the block must be embedded at twice the side.  Lowered as a real
-    # program instead, it ends as a numerical failure with value 0.
+    # the block must be complex Hermitian.  Lowered as a real program
+    # instead, it ends as a numerical failure with value 0.
     u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
     w = np.array([[2.0, 0.5], [0.5, 1.0]])
     c = np.diag([1.0, 3.0])
@@ -601,4 +609,27 @@ def test_shared_map_that_breaks_conjugation_takes_the_embedded_path():
     want = np.trace(u @ w @ u.conj().T @ c).real
     assert abs(want - 6.0) < 1e-12
     assert abs(sol.objective_value - want) < 1e-7
-    assert sol.x_blocks[0].shape == (4, 4)
+    assert sol.x_blocks[0].shape == (2, 2)
+    assert sol.x_blocks[0].dtype == np.complex128
+
+
+def test_complex_program_lowers_to_hermitian_blocks(monkeypatch):
+    # One PSD-block lowering for every program: a complex channel's alpha
+    # has its blocks J - sigma (x) 1/d and sigma at their own sides, complex
+    # Hermitian and of multiplicity 2, like the real part of a real one.
+    seen = []
+    solve = sdpcore.solve
+
+    def spy(problem, **kw):
+        seen.append(problem)
+        return solve(problem, **kw)
+
+    monkeypatch.setattr(db.sdpcore, "solve", spy)
+    assert db.alpha(ch.random_channel(3, 3, seed=7)).status == sdpcore.STATUS_OPTIMAL
+    [prob] = seen
+    assert [blk.dim for blk in prob.blocks] == [9, 3]
+    for blk in prob.blocks:
+        assert blk.w == 2
+        assert blk.c.dtype == np.complex128
+        assert all(a.dtype == np.complex128 for _, a in blk.coeffs)
+    assert prob.num_vars == 9

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qdoeblin import sdpcore
+from qdoeblin import hermlin, sdpcore
 
 
 def max_eig_problem(c: np.ndarray) -> sdpcore.SdpProblem:
@@ -423,6 +423,37 @@ def test_block_multiplicity_must_be_a_positive_integer():
             sdpcore.solve(_one_var_problem(blocks=[block]))
 
 
+def test_complex_constant_keeps_its_imaginary_part():
+    # max y s.t. y*I <= [[1, i], [-i, 1]]: the smallest eigenvalue is 0.
+    # Cast to float, the constant was the identity and the value 1.
+    prob = max_eig_problem(np.array([[1.0, 1.0j], [-1.0j, 1.0]]))
+    sol = sdpcore.solve(prob)
+    assert sol.status == "optimal"
+    assert abs(sol.objective_value) < 1e-7
+    assert sol.x_blocks[0].dtype == np.complex128
+
+
+def test_non_hermitian_complex_data_is_rejected():
+    skew = np.array([[1.0, 1.0j], [1.0j, 1.0]])
+    with pytest.raises(ValueError, match="block 0 constant must be Hermitian"):
+        sdpcore.solve(max_eig_problem(skew))
+    block = sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (1, skew)])
+    prob = sdpcore.SdpProblem(2, np.ones(2), [block])
+    with pytest.raises(ValueError, match="block 0 coefficient 1 must be Hermitian"):
+        sdpcore.solve(prob)
+
+
+def test_non_finite_complex_data_is_rejected():
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf), complex(np.inf, np.nan)):
+        c = np.eye(2, dtype=complex)
+        c[1, 1] = bad
+        with pytest.raises(ValueError, match="block 0 constant must be finite"):
+            sdpcore.solve(max_eig_problem(c))
+        block = sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, c)])
+        with pytest.raises(ValueError, match="block 0 coefficient 0 must be finite"):
+            sdpcore.solve(_one_var_problem(blocks=[block]))
+
+
 def _random_lmi(rng, k, m, w):
     """A block of side m on k variables with a strictly feasible y = 0."""
     g = rng.standard_normal((m, m))
@@ -507,6 +538,116 @@ def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
         assert got.objective_value == want.objective_value
         assert np.array_equal(got.y, want.y)
         assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
+
+
+def _random_hermitian(rng, m):
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return 0.5 * (g + g.conj().T)
+
+
+def _random_hermitian_lmi(rng, k, m):
+    """A complex Hermitian block of multiplicity 2, strictly feasible at 0."""
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    mats = [_random_hermitian(rng, m) for _ in range(k)]
+    return sdpcore.SdpBlock(c=g @ g.conj().T + m * np.eye(m), coeffs=list(enumerate(mats)), w=2)
+
+
+def _embedded(block: sdpcore.SdpBlock) -> sdpcore.SdpBlock:
+    """The real block ``real_embed`` of a complex one: twice the side, one copy."""
+    if not np.iscomplexobj(block.c):
+        return block
+    return sdpcore.SdpBlock(
+        c=hermlin.real_embed(block.c),
+        coeffs=[(i, hermlin.real_embed(a)) for i, a in block.coeffs],
+        w=block.w // 2,
+    )
+
+
+def _complex_problems(seed):
+    """(name, problem) pairs with complex blocks next to a real one."""
+    rng = np.random.default_rng(seed)
+    k = 4
+    blocks = [_random_hermitian_lmi(rng, k, 3), _random_lmi(rng, k, 2, 1),
+              _random_hermitian_lmi(rng, k, 2)]
+    # b_i = sum over blocks of w Re Tr(A_i X) for X > 0: the dual is
+    # strictly feasible, so the maximum is attained.
+    b = np.zeros(k)
+    for blk in blocks:
+        g = rng.standard_normal((blk.dim, blk.dim)) + 1j * rng.standard_normal((blk.dim, blk.dim))
+        x = g @ g.conj().T + np.eye(blk.dim)
+        for i, a in blk.coeffs:
+            b[i] += blk.w * np.trace(a @ x).real
+    b /= np.abs(b).max()
+    lmi = sdpcore.SdpProblem(k, b, blocks)
+    yield "lmi", lmi
+    e = rng.standard_normal((2, k))
+    yield "rows", sdpcore.SdpProblem(
+        k, b, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k))
+    )
+    yield "box", sdpcore.SdpProblem(
+        k, 10.0 * rng.standard_normal(k), blocks, lower=-0.1 * np.ones(k), upper=np.full(k, 0.2)
+    )
+
+
+@pytest.mark.parametrize("seed", [311, 312, 313])
+@pytest.mark.parametrize("name", ["lmi", "rows", "box"])
+def test_hermitian_blocks_match_their_real_embedding(name, seed):
+    # real_embed is a *-homomorphism with Tr(emb A emb B) = 2 Re Tr(A B):
+    # a Hermitian block of multiplicity 2 has the iterates of its embedding.
+    prob = dict(_complex_problems(seed))[name]
+    embedded = sdpcore.SdpProblem(
+        prob.num_vars, prob.objective, [_embedded(blk) for blk in prob.blocks],
+        prob.eq_matrix, prob.eq_rhs, prob.lower, prob.upper,
+    )
+    got, want = sdpcore.solve(prob), sdpcore.solve(embedded)
+    assert got.status == want.status == "optimal"
+    assert got.iterations == want.iterations
+    assert abs(got.objective_value - want.objective_value) < 1e-12
+    np.testing.assert_allclose(got.y, want.y, rtol=0, atol=1e-8)
+    # The last dual steps go through S^-1 of a nearly singular slack, which
+    # magnifies the roundoff that tells the two paths apart.
+    for blk, x, x_emb in zip(prob.blocks, got.x_blocks, want.x_blocks):
+        assert x.shape == (blk.dim, blk.dim)
+        assert x.dtype == blk.c.dtype
+        x_real = hermlin.real_embed(x) if np.iscomplexobj(x) else x
+        np.testing.assert_allclose(x_real, x_emb, rtol=0, atol=1e-6 * (1.0 + np.abs(x_emb).max()))
+
+
+def test_complex_batch_equals_its_solo_solves():
+    problems = [prob for seed in (311, 312) for _, prob in _complex_problems(seed)]
+    # Another constant on the same coefficient lists.
+    lmi = problems[0]
+    problems.append(sdpcore.SdpProblem(
+        lmi.num_vars, lmi.objective,
+        [sdpcore.SdpBlock(2.0 * blk.c, blk.coeffs, blk.w) for blk in lmi.blocks],
+    ))
+    cache: dict = {}
+    keys = [sdpcore._prepare(p, cache).key for p in problems]
+    assert keys[0] == keys[3] == keys[6] and keys[1] == keys[4]
+    for got, prob in zip(sdpcore.solve_many(problems), problems):
+        want = sdpcore.solve(prob)
+        assert want.status == "optimal"
+        _same(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
+
+
+def test_real_and_complex_problems_run_in_separate_batches():
+    # The same shapes, real or complex data: one lockstep key each.
+    rng = np.random.default_rng(314)
+    real = [max_eig_problem(_random_psd(rng, 3)) for _ in range(2)]
+    cplx = [max_eig_problem(_random_hermitian(rng, 3) + 4.0 * np.eye(3)) for _ in range(2)]
+    problems = [real[0], cplx[0], real[1], cplx[1]]
+    cache: dict = {}
+    preps = [sdpcore._prepare(p, cache) for p in problems]
+    assert preps[0].key == preps[2].key != preps[1].key == preps[3].key
+    batches = sdpcore._batches(preps)
+    assert sorted(batches) == [[0, 2], [1, 3]]
+    for got, prob in zip(sdpcore.solve_many(problems), problems):
+        want = sdpcore.solve(prob)
+        _same(got, want)
+        assert got.status == "optimal"
+        assert got.x_blocks[0].dtype == want.x_blocks[0].dtype
+        assert abs(got.objective_value - np.linalg.eigvalsh(prob.blocks[0].c)[0]) < 1e-6
 
 
 def test_max_iter_status():
@@ -731,6 +872,34 @@ def test_step_length_boundary_repair():
     assert sdpcore._inv_chol(-np.eye(3)[None], repair=True)[1].tolist() == [False]
 
 
+def test_complex_step_length_boundary_repair():
+    # A Hermitian complex iterate just outside the cone: [[1, i], [-i, 1]]
+    # is singular along (1, i), and the shift makes its Cholesky factor
+    # fail.  The repaired factor is complex, reproduces the iterate and
+    # gives the step of a direction that moves back in along (1, i).
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = [[1.0, 1.0j], [-1.0j, 1.0]]
+    m[2:, 2:] = [[2.0, 0.5j], [-0.5j, 3.0]]
+    m -= 1e-15 * np.eye(4)
+    dm = np.diag([1.0, 1.0, -1.0, 0.5]).astype(complex)
+    dm[1, 2], dm[2, 1] = 0.3j, -0.3j
+    dm[0, 3], dm[3, 0] = -0.2, -0.2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(m)
+    assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
+    ell = sdpcore._cholesky(m, repair=True)
+    assert ell.dtype == np.complex128
+    np.testing.assert_allclose(ell @ ell.conj().T, m, rtol=0, atol=1e-13)
+    li, ok = sdpcore._inv_chol(m[None], repair=True)
+    assert ok.tolist() == [True]
+    a = sdpcore._HermBlock.max_step(li, dm[None])[0]
+    assert np.isfinite(a)
+    _assert_step_is_tight(m, dm, a)
+    # Nothing to repair without a positive eigenvalue.
+    neg = -m - 1e-12 * np.eye(4)
+    assert sdpcore._inv_chol(neg[None], repair=True)[1].tolist() == [False]
+
+
 def test_stacked_factor_fails_only_the_bad_slice():
     # One slice that is not positive definite must not disturb the others:
     # their factors equal the ones each gets alone.
@@ -908,3 +1077,29 @@ def test_overflowing_step_ratio_does_not_warn():
         warnings.simplefilter("error")
         res = db.reverse_alpha(ch.gad(0.5, 0.0), tol=1e-16)
     assert res.status in ("max_iter", "numerical_failure")
+
+
+@pytest.mark.parametrize(
+    "tol, max_iter", [(1e-16, sdpcore.DEFAULT_MAX_ITER), (sdpcore.DEFAULT_TOL, 2)]
+)
+def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max_iter):
+    # Every kind of a complex qutrit channel, run past what the solver can
+    # reach: each must end non-optimal, not raise or warn.
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    solve_many = sdpcore.solve_many
+    monkeypatch.setattr(
+        db.sdpcore, "solve", lambda problem, tol: solve_many([problem], tol, max_iter)[0]
+    )
+    chan = ch.random_channel(3, 3, seed=7)
+    kinds = (db.alpha, db.alpha_transpose, db.alpha_hermitian, db.alpha_transpose_hermitian,
+             db.p1_eb_ppt, db.reverse_alpha, db.reverse_alpha_transpose,
+             db.reverse_alpha_hermitian)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind in kinds:
+            res = kind(chan, tol)
+            assert res.status != sdpcore.STATUS_OPTIMAL, kind.__name__
+            if res.solution is not None:
+                assert res.solution.iterations <= max_iter, kind.__name__
