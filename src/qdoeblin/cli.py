@@ -7,11 +7,15 @@ the seeded property suites of :mod:`qdoeblin.properties`.  Exit codes: 0 ok,
 1 usage, 2 solver failure, 3 I/O, 4 check failure.
 
 ``sweep`` and every figure (the entries of :data:`FIGURE_SPECS`) go
-through one grid writer, :func:`_grid`, which solves each column of up to
-``GRID_CHUNK`` points as one lockstep batch (``db.solve_grid``); ``--jobs``
-spreads the chunks over a process pool.  Every CSV value column has a
-``<column>_status`` column.  Importing this module pins BLAS to one thread
-unless the environment sets it, so ``--jobs`` workers do not oversubscribe.
+through one grid planner, :func:`_grid_tasks`, and one grid writer,
+:func:`_write_grid`.  Each command solves all of its grids in one call of
+:func:`_run_tasks`: the point tasks are cut into chunks per run of equal
+``(family, kinds, tol)``, sized over all of the command's points, and each
+column of a chunk is one lockstep batch (``db.solve_grid``).  The chunks
+share one process pool per command, of at most ``--jobs`` workers.  Every
+CSV value column has a ``<column>_status`` column.  Importing this module
+pins BLAS to one thread unless the environment sets it, so ``--jobs``
+workers do not oversubscribe.
 """
 
 from __future__ import annotations
@@ -198,17 +202,22 @@ def _chunk_cells(tasks) -> list[list[tuple]]:
 def _run_tasks(tasks, jobs: int):
     """Cells per ``(family, params, kinds, tol)`` point task, in task order.
 
-    The tasks of one call share family, kinds and tol.  They are cut into
-    at most ``jobs`` contiguous chunks of at most ``GRID_CHUNK`` points;
-    each chunk is solved as one batch per column, in a pool of ``jobs``
-    processes when there are several chunks.
+    Each run of consecutive tasks with equal ``(family, kinds, tol)`` is cut
+    into contiguous chunks of at most ``min(GRID_CHUNK, ceil(len(tasks) /
+    jobs))`` points, so a command's chunks are sized over all of its points
+    and one chunk never mixes programs.  Each chunk is solved as one batch
+    per column.  With several chunks and ``jobs > 1`` they share one pool of
+    ``min(jobs, chunks)`` processes, shut down before this returns.
     """
     size = max(1, min(GRID_CHUNK, math.ceil(len(tasks) / jobs)))
-    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
+    chunks = []
+    for _, run in itertools.groupby(tasks, key=lambda t: (t[0], t[2], t[3])):
+        run = list(run)
+        chunks += [run[i : i + size] for i in range(0, len(run), size)]
     if jobs == 1 or len(chunks) <= 1:
         results = [_chunk_cells(c) for c in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
             results = list(pool.map(_chunk_cells, chunks))
     return [cells for chunk in results for cells in chunk]
 
@@ -469,22 +478,21 @@ def _svg_heatmap(path, xs, ys, grid, x_label, y_label, title):
 # -------------------------------------------------------------------- grid
 
 
-def _grid(family, fixed, axes, cols, jobs, tol, title, csv_path, svg_path):
-    """Solve ``cols`` on every point of the product of ``axes``; write it.
+def _grid_tasks(family, fixed, axes, cols, tol) -> list[tuple]:
+    """One ``(family, params, kinds, tol)`` task per point of the product of
+    ``axes``, in row order; ``axes`` and ``cols`` are as in :func:`_grid`."""
+    names = [name for name, _ in axes]
+    kinds = tuple(kind for _, kind, _ in cols)
+    return [
+        (family, {**fixed, **dict(zip(names, point))}, kinds, tol)
+        for point in itertools.product(*(values for _, values in axes))
+    ]
 
-    ``axes`` holds one or two ``(name, values)`` pairs and ``cols`` holds
-    ``(column, kind, one_minus)`` triples.  One axis draws a line plot at
-    ``svg_path``; two draw one heatmap per column, at ``<stem>_<column>.svg``
-    when there are several.  Returns the SVG paths and whether a cell failed.
-    """
+
+def _write_grid(axes, cols, results, title, csv_path, svg_path):
+    """Write the cells ``results`` of the grid of ``axes``; see :func:`_grid`."""
     names = [name for name, _ in axes]
     points = list(itertools.product(*(values for _, values in axes)))
-    kinds = tuple(kind for _, kind, _ in cols)
-    tasks = [
-        (family, {**fixed, **dict(zip(names, point))}, kinds, tol)
-        for point in points
-    ]
-    results = _run_tasks(tasks, jobs)
     _write_lines(csv_path, _csv_lines(names, points, cols, results))
     failed = any(_cell_failed(cell) for cells in results for cell in cells)
     if svg_path is None:
@@ -506,6 +514,18 @@ def _grid(family, fixed, axes, cols, jobs, tol, title, csv_path, svg_path):
             *names, f"{title}: {col}" if many else title,
         )
     return paths, failed
+
+
+def _grid(family, fixed, axes, cols, jobs, tol, title, csv_path, svg_path):
+    """Solve ``cols`` on every point of the product of ``axes``; write it.
+
+    ``axes`` holds one or two ``(name, values)`` pairs and ``cols`` holds
+    ``(column, kind, one_minus)`` triples.  One axis draws a line plot at
+    ``svg_path``; two draw one heatmap per column, at ``<stem>_<column>.svg``
+    when there are several.  Returns the SVG paths and whether a cell failed.
+    """
+    results = _run_tasks(_grid_tasks(family, fixed, axes, cols, tol), jobs)
+    return _write_grid(axes, cols, results, title, csv_path, svg_path)
 
 
 # ----------------------------------------------------------- coeff, sweep
@@ -591,17 +611,24 @@ def _cmd_figures(args) -> int:
                 f"unknown figure {name!r}; admissible: {', '.join(FIGURES)}, all"
             )
     os.makedirs(args.outdir, exist_ok=True)
+    # Every grid of the command is solved in one call, so its chunks share
+    # one pool and are sized over all of its points.
+    entries = [entry for name in which for entry in FIGURE_SPECS[name]]
+    plans = [
+        _grid_tasks(family, fixed, axes, cols, args.tol)
+        for _, family, fixed, axes, cols, _ in entries
+    ]
+    results = iter(_run_tasks([t for tasks in plans for t in tasks], args.jobs))
     failed = False
-    for name in which:
-        for stem, family, fixed, axes, cols, title in FIGURE_SPECS[name]:
-            out = os.path.join(args.outdir, stem)
-            svgs, fig_failed = _grid(
-                family, fixed, axes, cols, args.jobs, args.tol, title,
-                f"{out}.csv", f"{out}.svg",
-            )
-            for path in [f"{out}.csv"] + svgs:
-                print(f"wrote {path}")
-            failed = failed or fig_failed
+    for (stem, _, _, axes, cols, title), tasks in zip(entries, plans):
+        out = os.path.join(args.outdir, stem)
+        svgs, fig_failed = _write_grid(
+            axes, cols, list(itertools.islice(results, len(tasks))), title,
+            f"{out}.csv", f"{out}.svg",
+        )
+        for path in [f"{out}.csv"] + svgs:
+            print(f"wrote {path}")
+        failed = failed or fig_failed
     return EXIT_SOLVER if failed else EXIT_OK
 
 
@@ -642,9 +669,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has
+    one, since ``os.cpu_count`` counts the host's CPUs."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1)
+    common.add_argument("--jobs", type=_positive_int, default=_usable_cpus())
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=_tolerance, default=sdpcore.DEFAULT_TOL)
 

@@ -144,7 +144,11 @@ class SdpBlock:
 
 @dataclass
 class SdpProblem:
-    """Maximise ``objective . y`` over the intersection of the constraints."""
+    """Maximise ``objective . y`` over the intersection of the constraints.
+
+    The variables are real, so the objective, the equality rows and the
+    bounds must be real; complex ones raise ``ValueError``.
+    """
 
     num_vars: int
     objective: np.ndarray
@@ -208,6 +212,14 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.size and np.max(np.abs(m - m_h)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
         raise ValueError(f"{name} must be {'Hermitian' if herm else 'symmetric'}")
     return 0.5 * (m + m_h)
+
+
+def _real_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array; complex data is an error, not truncated."""
+    a = np.asarray(x)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} must be real, got complex data")
+    return a.astype(float, copy=False)
 
 
 def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -626,32 +638,33 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
     complex) of every dense block.
     """
     n = problem.num_vars
-    b = np.asarray(problem.objective, dtype=float)
+    b = _real_array(problem.objective, "objective")
     if b.shape != (n,):
         raise ValueError(f"objective must have shape ({n},), got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("objective must be finite")
     if not problem.blocks and problem.lower is None and problem.upper is None:
         raise ValueError("problem has no conic constraints")
+    bounds = {}
     for name, bound in (("lower", problem.lower), ("upper", problem.upper)):
-        if bound is not None and np.shape(bound) != (n,):
-            raise ValueError(f"{name} bounds must have shape ({n},), got {np.shape(bound)}")
+        if bound is None:
+            continue
+        bound = bounds[name] = _real_array(bound, f"{name} bounds")
+        if bound.shape != (n,):
+            raise ValueError(f"{name} bounds must have shape ({n},), got {bound.shape}")
         # An infinite bound is no bound; NaN is no number.
-        if bound is not None and np.isnan(np.asarray(bound, dtype=float)).any():
+        if np.isnan(bound).any():
             raise ValueError(f"{name} bounds must not be NaN")
-    if problem.lower is not None and problem.upper is not None:
-        lo = np.asarray(problem.lower, dtype=float)
-        up = np.asarray(problem.upper, dtype=float)
-        if np.any(lo > up):
-            raise ValueError("box bounds have lower > upper")
+    if len(bounds) == 2 and np.any(bounds["lower"] > bounds["upper"]):
+        raise ValueError("box bounds have lower > upper")
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
     m_pen = 1e4 * b_scale
 
     red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
     if problem.eq_matrix is not None:
         if eq_id not in cache:
-            e = np.atleast_2d(np.asarray(problem.eq_matrix, dtype=float))
-            f = np.asarray(problem.eq_rhs, dtype=float)
+            e = np.atleast_2d(_real_array(problem.eq_matrix, "eq_matrix"))
+            f = _real_array(problem.eq_rhs, "eq_rhs")
             if e.shape[1] != n or f.shape != (e.shape[0],):
                 raise ValueError("equality constraint shapes are inconsistent")
             if not (np.isfinite(e).all() and np.isfinite(f).all()):
@@ -695,9 +708,9 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
     # or ``u_i - y_i + tau`` with ``y_i = T[i] . v``, and last the shift
     # ``tau`` itself.
     box, consts = [], []
-    for bound, sign in ((problem.lower, -1.0), (problem.upper, 1.0)):
-        if bound is not None:
-            bound = np.asarray(bound, dtype=float)
+    for name, sign in (("lower", -1.0), ("upper", 1.0)):
+        if name in bounds:
+            bound = bounds[name]
             finite = np.flatnonzero(np.isfinite(bound))
             box += [(i, sign) for i in finite.tolist()]
             consts.append(sign * bound[finite])

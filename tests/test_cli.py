@@ -2,6 +2,8 @@
 
 import functools
 import json
+import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -276,6 +278,118 @@ def test_dp_cells_carry_the_failed_solve_status():
                            sdpcore.DEFAULT_TOL)
     assert [status for _, status, _ in cells] == ["optimal", "optimal"]
     assert not any(cli._cell_failed(cell) for cell in cells)
+
+
+_MULTI = ("figures", "--which", "fig2", "--which", "fig4", "--which", "fig8")
+
+
+def test_figures_one_pool_matches_serial(tmp_path, capsys):
+    # Chunks cut over all three figures give every point its serial cells,
+    # and the pool is gone once main returns.
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert run(*_MULTI, "--jobs", "1", "--outdir", str(serial)) == 0
+    assert run(*_MULTI, "--jobs", "2", "--outdir", str(pooled)) == 0
+    assert multiprocessing.active_children() == []
+    capsys.readouterr()
+    names = sorted(os.listdir(serial))
+    assert names == sorted(os.listdir(pooled))
+    assert len(names) == 6
+    for name in names:
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Replace the process pool by an in-process one; the pools it made."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.chunks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            self.chunks = list(chunks)
+            return map(fn, self.chunks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return pools
+
+
+def _axis_cells(chunk):
+    """A ``_chunk_cells`` stand-in: every cell holds its point's axis value."""
+    return [[(p["eta"] if family == "gad" else p["p"], "optimal", False)] * len(kinds)
+            for family, p, kinds, _ in chunk]
+
+
+@pytest.mark.parametrize("jobs", [2, 8, 200])
+def test_figures_share_one_pool(tmp_path, monkeypatch, capsys, fake_pool, jobs):
+    monkeypatch.setattr(cli, "_chunk_cells", _axis_cells)
+    assert run(*_MULTI, "--jobs", str(jobs), "--outdir", str(tmp_path)) == 0
+    capsys.readouterr()
+    [pool] = fake_pool
+    chunks = pool.chunks
+    assert pool.max_workers == min(jobs, len(chunks))
+    size = min(cli.GRID_CHUNK, math.ceil(253 / jobs))
+    for chunk in chunks:
+        assert 1 <= len(chunk) <= size
+        assert len({(family, kinds, tol) for family, _, kinds, tol in chunk}) == 1
+    tasks = [t for chunk in chunks for t in chunk]
+    assert [(t[0], t[2]) for t in tasks] == (
+        [("depolarizing", ("alpha", "alphaT"))] * 101
+        + [("depolarizing", ("rev", "revT"))] * 101
+        + [("gad", ("alpha", "alphaH", "revH", "rev"))] * 51
+    )
+    # Cells come back in task order: each row holds its own axis value.
+    for name, axis, col in (("fig2", "p", "alpha"), ("fig4", "p", "revT"),
+                            ("fig8", "eta", "one_minus_rev")):
+        _, rows = read_csv(tmp_path / f"{name}.csv")
+        for r in rows:
+            value = float(r[axis])
+            assert abs(float(r[col]) - (1.0 - value if name == "fig8" else value)) < 1e-9
+
+
+_SWEEP = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",
+          "--kind", "alpha")
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "2"), [3, 2]),
+    (_SWEEP + ("--stop", "0.5", "--step", "0.25", "--jobs", "8"), [1, 1, 1]),
+    (("figures", "--which", "fig2", "--jobs", "2"), [51, 50]),
+    (("figures", "--which", "fig8", "--jobs", "40"), [2] * 25 + [1]),
+    # fig3's four 76-point grids share family, kinds and tol: one run.
+    (("figures", "--which", "fig3", "--jobs", "2"), [128, 128, 48]),
+], ids=["sweep", "sweep-few-points", "fig2", "fig8-many-jobs", "fig3"])
+def test_chunks_per_run(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
+    # A single grid keeps its ceil(n / jobs)-point chunks; a pool never has
+    # more workers than chunks.
+    monkeypatch.setattr(cli, "_chunk_cells", _axis_cells)
+    out = ("--out", str(tmp_path / "s.csv")) if argv[0] == "sweep" else (
+        "--outdir", str(tmp_path))
+    assert run(*argv, *out) == 0
+    capsys.readouterr()
+    [pool] = fake_pool
+    assert [len(chunk) for chunk in pool.chunks] == sizes
+    jobs = int(argv[argv.index("--jobs") + 1])
+    assert pool.max_workers == min(jobs, len(sizes))
+
+
+def test_default_jobs_is_the_affinity_mask(monkeypatch):
+    argv = ["figures", "--which", "fig2", "--outdir", "x"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._build_parser().parse_args(argv).jobs == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._build_parser().parse_args(argv).jobs == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._build_parser().parse_args(argv).jobs == 3
 
 
 def test_figures_unknown_name(tmp_path, capsys):

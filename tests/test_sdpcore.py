@@ -454,6 +454,25 @@ def test_non_finite_complex_data_is_rejected():
             sdpcore.solve(_one_var_problem(blocks=[block]))
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize("field, value, message", [
+    ("objective", [1.0 + 1.0j], "objective must be real"),
+    ("eq_matrix", [[1.0 + 1.0j]], "eq_matrix must be real"),
+    ("eq_rhs", [0.5 + 0.5j], "eq_rhs must be real"),
+    ("lower", [0.1 + 1.0j], "lower bounds must be real"),
+    ("upper", [2.0 + 1.0j], "upper bounds must be real"),
+])
+def test_complex_vectors_are_rejected(field, value, message, as_list):
+    # The variables are real: a complex objective, row or bound used to be
+    # cast to float (or raise TypeError as a list), dropping its imaginary
+    # part; the objective case then ended optimal at 1.0.
+    changes = {"eq_matrix": np.array([[1.0]]), "eq_rhs": np.array([0.5])}
+    changes = {k: v for k, v in changes.items() if field.startswith("eq")}
+    changes[field] = value if as_list else np.array(value)
+    with pytest.raises(ValueError, match=message):
+        sdpcore.solve(_one_var_problem(**changes))
+
+
 def _random_lmi(rng, k, m, w):
     """A block of side m on k variables with a strictly feasible y = 0."""
     g = rng.standard_normal((m, m))
