@@ -223,19 +223,24 @@ def link_raw(
     inputs are Choi matrices of maps B->C and A->B.  With normalised Choi
     matrices the contraction needs an explicit ``d_B`` factor.  A
     ``(k, n, n)`` stack ``later`` is linked matrix by matrix in one
-    contraction.
+    contraction; a ``(p, n', n')`` stack ``earlier`` gives a ``(p, ...)``
+    stack of results, one gemm per matrix of it in one call, each bitwise
+    the result of linking that matrix alone.
     """
     d_c, d_b = dims_later
     d_b2, d_a = dims_earlier
     if d_b != d_b2:
         raise ValueError(f"link dimensions do not match ({d_b} vs {d_b2})")
     later = np.asarray(later, dtype=np.complex128)
-    lead = later.shape[:-2]
-    l4 = later.reshape(lead + (d_c, d_b, d_c, d_b))
-    e4 = np.asarray(earlier, dtype=np.complex128).reshape(d_b, d_a, d_b, d_a)
+    earlier = np.asarray(earlier, dtype=np.complex128)
+    lead, stack = later.shape[:-2], earlier.shape[:-2]
+    # Rows (..., c, d) of ``later`` against columns (x, y) of ``earlier``:
     # (..., c, x, d, y) with (x, a, y, b) over x, y gives (..., c, d, a, b).
-    out = d_b * np.tensordot(l4, e4, axes=([-3, -1], [0, 2]))
-    out = np.moveaxis(out, -2, -3).reshape(lead + (d_c * d_a, d_c * d_a))
+    rows = later.reshape(lead + (d_c, d_b, d_c, d_b)).swapaxes(-3, -2).reshape(-1, d_b * d_b)
+    cols = earlier.reshape(stack + (d_b, d_a, d_b, d_a)).swapaxes(-3, -2)
+    out = d_b * np.matmul(rows, cols.reshape(stack + (d_b * d_b, d_a * d_a)))
+    out = np.moveaxis(out.reshape(stack + lead + (d_c, d_c, d_a, d_a)), -2, -3)
+    out = out.reshape(stack + lead + (d_c * d_a, d_c * d_a))
     return 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
 
 

@@ -23,11 +23,15 @@ off the data, with no flag.  Any other program is solved in the basis of
 Each declaration takes a list of channels of equal dimensions.  The parts
 that do not depend on the channel (PSD-map images, shared equality rows,
 the objective and bounds) are lowered once for the list, once per
-realness, and kept for the next call when they are small; the real and the
-complex programs of the list go to :func:`qdoeblin.sdpcore.solve_many`
-apart, each as lockstep batches.  :func:`solve_grid` is the grid entry;
-the public kind functions are the list of one channel and reach
-:func:`qdoeblin.sdpcore.solve`.
+realness, and kept for the next call when they are small.  The parts that
+do are stacks: a per-channel equality map (the link product of the
+reverse programs) is one call over the stacked Choi matrices, its rows
+one batched gemm, and the variables of every solution one batched product
+with their basis.  The real and the complex programs of the list go to
+:func:`qdoeblin.sdpcore.solve_many` apart, which sets each of them up in
+one pass and solves it as lockstep batches.  :func:`solve_grid` is the
+grid entry; the public kind functions are the list of one channel and
+reach :func:`qdoeblin.sdpcore.solve`.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -38,6 +42,7 @@ channel to a depolarizing-family target.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,12 +82,15 @@ class CoefficientResult:
 
 @dataclass
 class DpRange:
-    """Certified interval for the trace-distance contraction coefficient.
+    """Two-sided range for the trace-distance contraction coefficient.
 
-    ``status`` is the first non-optimal status among the five solves behind
-    the interval (an inapplicable transpose solve is skipped), or optimal.
-    ``lower`` rests on the optimal reverse solves only, and is the trivial
-    0.0 when none of the three is optimal.
+    Neither end is checked against a witness.  ``upper`` is
+    ``1 - max(alphaH, alphaT)`` of the returned iterates, whatever their
+    status (an inapplicable alphaT is left out).  ``lower`` is
+    ``1 - min(revH, rev, revT)`` over the optimal reverse solves only, and
+    the trivial 0.0 when none of the three is optimal.  ``status`` is the
+    first non-optimal status among the five solves behind the range (an
+    inapplicable transpose solve is skipped), or optimal.
     """
 
     lower: float
@@ -107,11 +115,14 @@ class CapacityBounds:
 
 
 def _pair_traces(gs, ms) -> np.ndarray:
-    """Real ``Tr(G_r M_c)`` for every pair of the two stacks, as one gemm."""
+    """Real ``Tr(G_r M_c)`` for every pair of the two stacks, as one gemm.
+
+    A ``(p, k, n, n)`` stack ``ms`` gives a ``(p, len(gs), k)`` stack, one
+    gemm per slice in one call.
+    """
     gs, ms = np.asarray(gs), np.asarray(ms)
-    return np.real(
-        gs.reshape(len(gs), -1) @ ms.transpose(0, 2, 1).reshape(len(ms), -1).T
-    )
+    cols = np.swapaxes(ms, -1, -2).reshape(ms.shape[:-2] + (-1,))
+    return np.real(gs.reshape(len(gs), -1) @ np.swapaxes(cols, -1, -2))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -126,12 +137,27 @@ def _basis(side: int, real: bool) -> np.ndarray:
     return hermlin.hermitian_basis_stack(side)
 
 
-def _keeps_conjugation(images: np.ndarray, side: int) -> bool:
+def _keeps_conjugation(images: np.ndarray, side: int) -> np.ndarray:
     """Whether a map commutes with complex conjugation, from its images of
     :func:`qdoeblin.hermlin.hermitian_basis_stack`: real basis elements
-    must go to real images and imaginary ones to imaginary images."""
+    must go to real images and imaginary ones to imaginary images.  A
+    ``(p, k, n, n)`` stack of images gives one answer per map."""
     real = hermlin.real_symmetric_mask(side)
-    return not (np.imag(images[real]).any() or np.real(images[~real]).any())
+    axes = (-3, -2, -1)
+    return ~(
+        np.imag(images[..., real, :, :]).any(axis=axes)
+        | np.real(images[..., ~real, :, :]).any(axis=axes)
+    )
+
+
+class _PerProblem(NamedTuple):
+    """An equality map of :func:`_solve_program` that differs per problem.
+
+    ``images`` maps the ``(k, n, n)`` basis stack of its variable to the
+    ``(count, k, m, m)`` stack of the images of every problem's map.
+    """
+
+    images: Callable[[np.ndarray], np.ndarray]
 
 
 def _real_declaration(sides, weights, psd, eqs, bounds) -> bool:
@@ -209,12 +235,19 @@ class _Lowered:
         return np.concatenate([np.arange(self.start[v], self.start[v + 1]) for v in maps])
 
     def rows(self, target, maps, images):
-        """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``."""
-        stack = np.concatenate([*(images[v] for v in maps), np.asarray(target)[None]])
-        traces = _pair_traces(_basis(len(target), self.real), stack)
-        rows = np.zeros((len(traces), self.n))
-        rows[:, self.columns(maps)] = traces[:, :-1]
-        return _frozen(rows), _frozen(traces[:, -1])
+        """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``.
+
+        A target or images with a leading axis, one slice per problem, give
+        a stack of rows and right-hand sides, all from one batched gemm.
+        """
+        target = np.asarray(target)
+        parts = [images[v] for v in maps] + [target[..., None, :, :]]
+        lead = np.broadcast_shapes(*(a.shape[:-3] for a in parts))
+        stack = np.concatenate([np.broadcast_to(a, lead + a.shape[-3:]) for a in parts], axis=-3)
+        traces = _pair_traces(_basis(target.shape[-1], self.real), stack)
+        rows = np.zeros(traces.shape[:-1] + (self.n,))
+        rows[..., self.columns(maps)] = traces[..., :-1]
+        return _frozen(rows), _frozen(traces[..., -1])
 
 
 # Lowered declarations by key and realness, so that a single-channel call
@@ -245,9 +278,11 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     The problems share the variables, the weights, the bounds and the PSD
     maps, which are lowered once.  A constant ``C`` or ``R`` is one matrix
     or a stack of ``count`` matrices, one per problem, and an equality map
-    is one callable or a list of ``count`` callables.  ``key`` names the
-    declaration: every call with one key must declare the same shared
-    parts, whose lowering is then kept for the next call.
+    is one callable or a :class:`_PerProblem`, whose one call gives the
+    images of every problem's map; the rows of every problem then come
+    from one batched gemm.  ``key`` names the declaration: every call with
+    one key must declare the same shared parts, whose lowering is then
+    kept for the next call.
 
     A problem is real when its program is invariant under complex
     conjugation: every constant has a zero imaginary part and every map
@@ -272,16 +307,15 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     for c, _ in [*psd, *eqs]:
         if np.ndim(c) == 3:
             real &= ~np.imag(c).any(axis=(1, 2))
-    # Per-problem maps go to the whole Hermitian basis first: their images
-    # decide realness too, and a real problem keeps the real rows.
-    own = [[{} for _ in range(count)] for _ in eqs]
+    # Per-problem maps go to the whole Hermitian basis first, in one call
+    # each: their images decide realness too, and a real problem keeps the
+    # real rows.
+    own = [{} for _ in eqs]
     for images, (_, maps) in zip(own, eqs):
         for v, f in maps.items():
-            if not callable(f):
-                basis = hermlin.hermitian_basis_stack(sides[v])
-                for p in range(count):
-                    images[p][v] = f[p](basis)
-                    real[p] &= _keeps_conjugation(images[p][v], sides[v])
+            if isinstance(f, _PerProblem):
+                images[v] = f.images(hermlin.hermitian_basis_stack(sides[v]))
+                real &= _keeps_conjugation(images[v], sides[v])
     out = [None] * count
     for flag in (True, False):
         members = np.flatnonzero(real == flag)
@@ -299,57 +333,61 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
 
 def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
     """The problems ``members`` of :func:`_solve_program` on their lowering,
-    with ``own`` the images of the per-problem maps on the Hermitian basis."""
+    with ``own`` the stacked images of the per-problem maps on the
+    Hermitian basis."""
     consts = [
         c if c is not None else low.block(c_in if np.ndim(c_in) == 2 else c_in[members])
         for c, (c_in, _) in zip(low.consts, psd)
     ]
 
-    eq_data = [[] for _ in members]
+    # Equality rows shared by every problem, or stacks of one slice each.
+    rows = []
     for (target, maps), shared, images, mine in zip(eqs, low.eq_rows, low.eq_images, own):
-        if shared is not None:
-            for data in eq_data:
-                data.append(shared)
-            continue
-        for p, data in zip(members, eq_data):
-            ims = {v: images[v] if v in images else mine[p][v][low.keep[v]] for v in maps}
-            data.append(low.rows(target if np.ndim(target) == 2 else target[p], maps, ims))
+        if shared is None:
+            ims = {v: images[v] if v in images else mine[v][members][:, low.keep[v]] for v in maps}
+            shared = low.rows(target if np.ndim(target) == 2 else target[members], maps, ims)
+        rows.append(shared)
+    eq_matrix = eq_rhs = None
+    if len(rows) == 1:
+        eq_matrix, eq_rhs = rows[0]
+    elif rows:
+        lead = (len(members),) if any(e.ndim == 3 for e, _ in rows) else ()
+        eq_matrix = np.concatenate(
+            [np.broadcast_to(e, lead + e.shape[-2:]) for e, _ in rows], axis=-2
+        )
+        eq_rhs = np.concatenate([np.broadcast_to(f, lead + f.shape[-1:]) for _, f in rows], axis=-1)
+    each = eq_matrix is not None and eq_matrix.ndim == 3
 
-    def stacked(data):
-        if not data:
-            return None, None
-        if len(data) == 1:
-            return data[0]
-        return np.vstack([rows for rows, _ in data]), np.concatenate([rhs for _, rhs in data])
-
-    problems = []
-    for i, data in enumerate(eq_data):
-        eq_matrix, eq_rhs = stacked(data)
-        problems.append(sdpcore.SdpProblem(
+    problems = [
+        sdpcore.SdpProblem(
             num_vars=low.n,
             objective=low.objective,
             blocks=[
                 sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf, w=2)
                 for c, cf in zip(consts, low.coeffs)
             ],
-            eq_matrix=eq_matrix,
-            eq_rhs=eq_rhs,
+            eq_matrix=eq_matrix[i] if each else eq_matrix,
+            eq_rhs=eq_rhs[i] if each else eq_rhs,
             lower=low.lower,
             upper=low.upper,
-        ))
+        )
+        for i in range(len(members))
+    ]
     # A single channel is a batch of one, solved through ``solve``.
     sols = (
         [sdpcore.solve(problems[0], tol=tol)]
         if len(problems) == 1
         else sdpcore.solve_many(problems, tol=tol)
     )
-    return [
-        (sol, [
-            np.tensordot(sol.y[low.start[v] : low.start[v + 1]], basis, axes=1)
-            for v, basis in enumerate(low.bases)
-        ])
-        for sol in sols
+    # Every variable of every problem from one batched product with its
+    # basis: one gemv per problem, as for the problem alone.
+    ys = np.stack([sol.y for sol in sols])[:, None]
+    mats = [
+        np.matmul(ys[..., low.start[v] : low.start[v + 1]], basis.reshape(len(basis), -1))
+        .reshape((len(sols),) + basis.shape[1:])
+        for v, basis in enumerate(low.bases)
     ]
+    return [(sol, [m[i] for m in mats]) for i, sol in enumerate(sols)]
 
 
 def _result(kind: str, sol: sdpcore.SdpSolution, value: float, witness) -> CoefficientResult:
@@ -486,10 +524,8 @@ def _reverse(
                 f" ({channel.d_in}, {channel.d_out})"
             )
     d_a = d_b = channels[0].d_in
-    links = [
-        lambda b, j=channel.choi.matrix: link_raw(b, (d_a, d_b), j, (d_b, d_a))
-        for channel in channels
-    ]
+    chois = np.stack([channel.choi.matrix for channel in channels])
+    links = _PerProblem(lambda b: link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
     solved = _solve_program(
         [d_a * d_b, side],
         {1: -np.eye(side)},
@@ -669,7 +705,12 @@ def expansion_lower_bound(
 def dp_range(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> DpRange:
-    """Certified two-sided data-processing range for the channel."""
+    """Two-sided data-processing range for the channel (see :class:`DpRange`).
+
+    ``upper`` is 1 - max(alphaH, alphaT) of the returned iterates and
+    ``lower`` comes from the optimal reverse solves only; neither end is
+    checked against a witness.
+    """
     reverse = _reverse_results(channel, tol)
     return _dp(reverse, [alpha_hermitian(channel, tol), alpha_transpose(channel, tol)])
 

@@ -45,7 +45,9 @@ block.  Without equality rows ``T = I``.  Equality rows are eliminated by
 the null-space method (Nocedal & Wright, *Numerical Optimization*, 2nd
 ed., section 16.2).  One pivoted QR of ``E^T`` in full mode gives the rank
 of E, an orthonormal basis Z of its null space and the min-norm solution
-``y_p`` of ``E y = f``; an inconsistent system is rejected there.  Then
+``y_p`` of ``E y = f``; an inconsistent system is rejected there.  The QR
+calls LAPACK directly, with the calls and workspace sizes of
+``scipy.linalg.qr``, so Z and ``y_p`` are bitwise scipy's.  Then
 ``T = [y_p, Z]`` and ``v = (theta, w)``: the one equality left,
 ``theta = 1``, is the only bordered row of the KKT system, which is solved
 by LU factorisation.  The start ``theta = 0, w = 0`` is the start ``y = 0``
@@ -62,19 +64,29 @@ and every step-length search is one ``eigvalsh(L^-1 dM L^-H)`` (``L^-T``
 for real blocks).  Each KKT matrix is LU-factored once per iteration; the
 predictor, the corrector and their refinement steps reuse the factors.
 
-:func:`solve_many` runs a list of problems as lockstep batches, in the
-manner of the batched interior-point method of OptNet (Amos & Kolter,
-ICML 2017).  Problems that share their shapes (the count of solver
-variables and the side of every block, the diagonal block of box rows
-included) and the real or complex data of every dense block advance
-together: every iterate is a stack with one slice per problem, and one
-numpy call serves the whole batch.  Each problem keeps
-its own constants, objective, null-space basis, coefficient stacks (one
-stack serves the batch when every problem shares it), bounds, step
-lengths, ``recenter`` flag, best iterate and step count, and a problem
-that converges or fails leaves the batch.  Per slice the arithmetic is the
-same whatever else is in the batch, so every problem gets bitwise the
-result it gets alone; :func:`solve` is the batch of one.
+:func:`solve_many` sets a list of problems up in one pass per group and
+runs it as lockstep batches, in the manner of the batched interior-point
+method of OptNet (Amos & Kolter, ICML 2017).  A group is the problems
+that share their objective, bounds and every block's coefficient list (by
+identity), their block sides, multiplicities and real or complex data,
+and their equality row count.  Its shared parts are validated and lowered
+once; its constants, equality rows and right-hand sides are validated as
+stacks, ``T^T A`` is one batched gemm per block and the box rows come
+from the stacked T.  The only per-problem set-up is the QR of ``E^T``.  A
+problem that fails validation raises the error it raises alone (with
+several, that of the first in input order).
+
+Problems that share their shapes (the count of solver variables and the
+side of every block, the diagonal block of box rows included) and the
+real or complex data of every dense block advance together: every iterate
+is a stack with one slice per problem, and one numpy call serves the
+whole batch.  Each problem keeps its own constants, objective, null-space
+basis, coefficient stacks (one stack serves the batch when every problem
+shares it), bounds, step lengths, ``recenter`` flag, best iterate and
+step count, and a problem that converges or fails leaves the batch.  Per
+slice the arithmetic is the same whatever else is in the batch, so every
+problem gets bitwise the result it gets alone; :func:`solve` is the batch
+of one.
 
 A search direction with a non-finite entry, a non-finite or exactly
 singular KKT matrix or a slack that loses its Cholesky factor ends the
@@ -105,6 +117,9 @@ BATCH_BYTES = 1 << 26
 
 _LU_FACTOR = sla.lapack.dgetrf
 _LU_SOLVE = sla.lapack.dgetrs
+_QR_P = sla.lapack.dgeqp3
+_Q_FROM_QR = sla.lapack.dorgqr
+_TRI_SOLVE = sla.lapack.dtrtrs
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -198,22 +213,6 @@ class SdpSolution:
     shift: float = 0.0
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
-    """The Hermitian part of a square matrix after checking it is Hermitian:
-    float64 for real data, complex128 for complex data."""
-    m = np.asarray(m)
-    herm = np.iscomplexobj(m)
-    m = m.astype(complex if herm else float, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be square, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} must be finite")
-    m_h = m.conj().T
-    if m.size and np.max(np.abs(m - m_h)) > SYM_TOL * max(1.0, np.max(np.abs(m))):
-        raise ValueError(f"{name} must be {'Hermitian' if herm else 'symmetric'}")
-    return 0.5 * (m + m_h)
-
-
 def _real_array(x, name: str) -> np.ndarray:
     """``x`` as a float64 array; complex data is an error, not truncated."""
     a = np.asarray(x)
@@ -227,8 +226,8 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     float64 for real coefficients and complex128 when any is complex."""
     dim = blk.c.shape[0]
     idx = np.array([i for i, _ in blk.coeffs], dtype=int)
-    out = (idx < 0) | (idx >= n)
-    if np.any(out):
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        out = (idx < 0) | (idx >= n)
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
     mats = np.asarray([a for _, a in blk.coeffs])
     herm = np.iscomplexobj(mats)
@@ -236,24 +235,18 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
     if idx.size and mats.shape[1:] != (dim, dim):
         raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
     mats = mats.reshape(len(idx), dim, dim)
-    bad = np.flatnonzero(~np.isfinite(mats).all(axis=(1, 2)))
-    if bad.size:
-        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be finite")
-    if herm:
-        mats_t = mats.conj().transpose(0, 2, 1)
-        scale = np.abs(mats).max(axis=(1, 2), initial=1.0)
-    else:
-        mats_t = mats.transpose(0, 2, 1)
-        scale = np.maximum(
-            np.max(mats, axis=(1, 2), initial=1.0), -np.min(mats, axis=(1, 2), initial=0.0)
-        )
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"block {k} coefficient {idx[np.argmin(finite)]} must be finite")
+    mats_t = (mats.conj() if herm else mats).transpose(0, 2, 1)
+    scale = np.abs(mats).max(axis=(1, 2), initial=1.0)
     # One scratch stack serves both the check and the Hermitian part.
     work = np.subtract(mats, mats_t)
     dev = np.max(np.abs(work, out=None if herm else work), axis=(1, 2), initial=0.0)
-    bad = np.flatnonzero(dev > SYM_TOL * scale)
-    if bad.size:
+    bad = dev > SYM_TOL * scale
+    if bad.any():
         kind = "Hermitian" if herm else "symmetric"
-        raise ValueError(f"block {k} coefficient {idx[bad[0]]} must be {kind}")
+        raise ValueError(f"block {k} coefficient {idx[np.argmax(bad)]} must be {kind}")
     np.add(mats, mats_t, out=work)
     work *= 0.5
     return idx, work
@@ -324,13 +317,6 @@ def _step_from(w: np.ndarray) -> np.ndarray:
     """The step of :func:`_max_step` from the congruent direction ``L^-1 dM L^-H``."""
     lam = _min_eigs(w)
     return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
-
-
-def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-problem arrays of a batch as one stack, of one slice when shared."""
-    if all(a is arrays[0] for a in arrays):
-        return arrays[0][None]
-    return np.stack(arrays)
 
 
 def _take(a, keep: np.ndarray):
@@ -560,19 +546,56 @@ class _DiagBlock:
         return np.where(dm < 0.0, ratio, np.inf).min(axis=1)
 
 
+@functools.cache
+def _qr_work(rows: int, cols: int) -> tuple[int, int]:
+    """Workspace sizes of ``dgeqp3`` and ``dorgqr`` for a ``rows x cols``
+    matrix, as :func:`scipy.linalg.qr` queries them: LAPACK's blocked
+    algorithms follow the workspace size, so the same query gives the same
+    arithmetic."""
+    a = np.zeros((rows, cols), order="F")
+    lw_qr = int(_QR_P(a, lwork=-1)[3][0])
+    tau = np.zeros(min(rows, cols))
+    lw_q = int(_Q_FROM_QR(np.zeros((rows, rows), order="F"), tau, lwork=-1)[1][0])
+    return lw_qr, lw_q
+
+
 def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """``T = [y_p, Z]``: ``E y = f`` exactly when ``y = y_p + Z w``.
 
     One pivoted QR ``E^T P = Q R`` in full mode gives the rank r of E, the
     orthonormal null-space basis ``Z = Q[:, r:]`` and the min-norm solution
     ``y_p = Q[:, :r] u`` with ``R_11^T u = (P^T f)[:r]``; the rows beyond
-    the rank only have to be consistent with it.
+    the rank only have to be consistent with it.  The LAPACK calls are
+    those of ``scipy.linalg.qr(e.T, pivoting=True)`` and
+    ``scipy.linalg.solve_triangular(..., trans="T")``, with the same
+    workspace sizes, so T is bitwise theirs without their per-call checks.
     """
-    q, r, piv = sla.qr(e.T, pivoting=True)
-    diag = np.abs(np.diag(r))
-    scale = diag[0] if diag.size and diag[0] > 0 else 1.0
-    rank = int(np.sum(diag > 1e-12 * max(1.0, scale)))
-    u = sla.solve_triangular(r[:rank, :rank], f[piv[:rank]], trans="T")
+    n, m = e.shape[1], e.shape[0]
+    q, rank, u = np.eye(n), 0, np.zeros(0)
+    if n:
+        lw_qr, lw_q = _qr_work(n, m)
+        qr, piv, tau, _, _ = _QR_P(e.T, lwork=lw_qr)
+        piv -= 1
+        diag = np.abs(np.diagonal(qr))
+        scale = diag[0] if diag[0] > 0 else 1.0
+        rank = int(np.sum(diag > 1e-12 * max(1.0, scale)))
+        if rank:
+            # R_11 from the upper triangle of the factors, solved as
+            # ``scipy.linalg.solve_triangular`` solves the C-ordered
+            # ``np.triu`` copy of it: from rank 2 on as its lower-triangular
+            # transpose.  The reflectors below the diagonal are not read.
+            r11, rhs = qr[:rank, :rank], f[piv[:rank]]
+            if rank == 1:
+                u = _TRI_SOLVE(r11, rhs, lower=0, trans=1)[0]
+            else:
+                u = _TRI_SOLVE(r11.T, rhs, lower=1, trans=0)[0]
+        # Q overwrites the factors it is formed from.
+        if n < m:
+            q = _Q_FROM_QR(qr[:, :n], tau, lwork=lw_q, overwrite_a=1)[0]
+        else:
+            q = np.empty((n, n))
+            q[:, :m] = qr
+            q = _Q_FROM_QR(q, tau, lwork=lw_q, overwrite_a=1)[0]
     y_p = q[:, :rank] @ u
     if np.max(np.abs(e @ y_p - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
         raise ValueError("equality constraints are inconsistent")
@@ -580,12 +603,14 @@ def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 class _Reduction(NamedTuple):
-    """Equality rows ``E y = f`` as the solver uses them.
+    """Equality rows ``E y = f`` as the solver uses them, as stacks.
 
-    ``t = [y_p, Z]`` maps ``(theta, w)`` to y; ``z`` and ``yp_pinv`` (the
-    pseudo-inverse ``y_p / |y_p|^2`` of the column ``y_p``, 0 when f = 0)
-    give the dual residual in the original variables, and ``et = E T``
-    the deviation ``|E T (theta, w) - f|`` from the original rows.
+    Each field has one row per problem, or one row shared by every problem
+    of its part.  ``t = [y_p, Z]`` maps ``(theta, w)`` to y; ``z`` and
+    ``yp_pinv`` (the pseudo-inverse ``y_p / |y_p|^2`` of the column
+    ``y_p``, 0 when f = 0) give the dual residual in the original
+    variables, and ``et = E T`` the deviation ``|E T (theta, w) - f|`` from
+    the original rows.
     """
 
     t: np.ndarray
@@ -595,54 +620,129 @@ class _Reduction(NamedTuple):
     f: np.ndarray
 
 
-def _reduction(e: np.ndarray, f: np.ndarray) -> _Reduction:
-    t = _null_space(e, f)
-    yp = t[:, 0]
+def _reduction(e: np.ndarray, f: np.ndarray, t: np.ndarray) -> _Reduction:
+    """The reduction of the stacks ``E``, ``f`` and their stacked bases ``T``."""
+    yp = t[:, :, 0]
     norm2 = np.vecdot(yp, yp)
-    yp_pinv = np.divide(yp, norm2, out=np.zeros_like(yp), where=norm2 > 0.0)
-    return _Reduction(t, np.ascontiguousarray(t[:, 1:]), yp_pinv, e @ t, f)
+    yp_pinv = np.divide(yp, norm2[:, None], out=np.zeros_like(yp), where=norm2[:, None] > 0.0)
+    return _Reduction(t, np.ascontiguousarray(t[:, :, 1:]), yp_pinv, e @ t, f)
 
 
 @dataclass
-class _Prepared:
-    """One validated problem in the variables ``v`` the solver iterates on.
+class _Part:
+    """Problems of one lockstep key in the variables ``v`` the solver iterates on.
 
     Every problem is solved in ``y = T v``.  With equality rows ``E y = f``,
     ``T = [y_p, Z]`` (see :func:`_null_space`), ``v = (theta, w)`` with the
     one equality ``theta = 1``, and ``red`` holds the reduction; without
     them ``T = I`` and ``v = y``.  Every solver variable enters every block,
     and the last one is always the big-M shift ``tau``.
+
+    ``index`` holds the positions of the problems in the input list.  The
+    stacks ``b``, ``coeffs``, ``diag`` and those of ``red`` have one row per
+    problem, or one row that every problem shares; ``b_scale`` and ``cs``
+    have one row per problem.
     """
 
-    b: np.ndarray  # objective T^T b in the solver's variables
-    b_scale: float  # 1 + max|b| of the original objective
-    m_pen: float
-    cs: list[np.ndarray]  # Hermitian-part block constants, then the box constants
-    coeffs: list[np.ndarray]  # (k, m*m) coefficient stack per dense block, real or complex
-    ws: tuple[int, ...]  # multiplicity per dense block
-    diag: np.ndarray  # (r, k) rows of the diagonal block
-    red: _Reduction | None
+    index: np.ndarray
     key: tuple
+    b: np.ndarray  # (P, k-1) objective T^T b in the solver's variables
+    b_scale: np.ndarray  # (B,) 1 + max|b| of the original objective
+    cs: list[np.ndarray]  # (B, m, m) Hermitian-part block constants, then (B, r) box constants
+    coeffs: list[np.ndarray]  # (P, k, m*m) coefficient stack per dense block, real or complex
+    ws: tuple[int, ...]  # multiplicity per dense block
+    diag: np.ndarray  # (P, r, k) rows of the diagonal block
+    red: _Reduction | None
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def rows(self, keep) -> _Part:
+        """The part of the problems ``keep``; shared rows stay shared."""
+        def cut(a):
+            return _take(a, keep)
+
+        return _Part(
+            self.index[keep], self.key, cut(self.b), self.b_scale[keep],
+            [c[keep] for c in self.cs], [cut(a) for a in self.coeffs], self.ws,
+            cut(self.diag), None if self.red is None else _Reduction(*map(cut, self.red)),
+        )
 
 
-def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
-    """Validate one problem and write it in the solver's variables.
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays as one stack; one array is a view of it."""
+    return np.asarray(arrays[0])[None] if len(arrays) == 1 else np.stack(arrays)
 
-    ``cache`` holds the checked coefficients, null-space bases and lowered
-    blocks of the call by the identity of their inputs, so problems that
-    share them are checked and lowered once and share the arrays.  Problems
-    share a key exactly when they share the shapes a lockstep batch needs:
-    the solver's variable count, the original variable and equality row
-    counts when ``theta`` is one of them, the side of every block, the
-    diagonal one included, and the multiplicity and the dtype (real or
-    complex) of every dense block.
+
+def _signature(problem: SdpProblem) -> tuple:
+    """What the problems of one group share: the identity of the objective,
+    the bounds and each block's coefficient list, and the shapes and
+    real or complex data of the constants and the equality rows."""
+    eq = problem.eq_matrix
+    return (
+        problem.num_vars,
+        id(problem.objective),
+        id(problem.lower),
+        id(problem.upper),
+        tuple(
+            (id(blk.coeffs), np.shape(blk.c), np.iscomplexobj(blk.c), id(blk.w))
+            for blk in problem.blocks
+        ),
+        None if eq is None else (
+            np.shape(eq), np.iscomplexobj(eq),
+            np.shape(problem.eq_rhs), np.iscomplexobj(problem.eq_rhs),
+        ),
+    )
+
+
+class _Invalid(Exception):
+    """The first validation error of a group: that of its first problem that fails."""
+
+    def __init__(self, pos: int, error: ValueError):
+        super().__init__(pos, error)
+        self.pos, self.error = pos, error
+
+
+class _Faults:
+    """The first validation error of every problem of a group, in check order.
+
+    A check of stacked per-problem data fails for its problems only, and
+    the others go on to the next check.  A check of data the group shares
+    fails for every problem alike and ends the group's checks.
     """
-    n = problem.num_vars
-    b = _real_array(problem.objective, "objective")
+
+    def __init__(self, members: list[int]):
+        self.members = members
+        self.errors: list[ValueError | None] = [None] * len(members)
+
+    def flag(self, bad: np.ndarray, message: str) -> None:
+        """``message`` for the problems ``bad``; a mask of one entry is for
+        data that every problem shares."""
+        if not bad.any():
+            return
+        for j in np.flatnonzero(np.broadcast_to(bad, (len(self.errors),))):
+            if self.errors[j] is None:
+                self.errors[j] = ValueError(message)
+
+    def raise_first(self, shared: ValueError | None = None) -> None:
+        """Raise the first error of the first problem that has one;
+        ``shared`` is the error of a check of shared data, which every
+        problem has after its own earlier ones."""
+        for pos, err in zip(self.members, self.errors):
+            if err is not None or shared is not None:
+                raise _Invalid(pos, err or shared)
+
+
+def _check_objective(objective, n: int) -> np.ndarray:
+    b = _real_array(objective, "objective")
     if b.shape != (n,):
         raise ValueError(f"objective must have shape ({n},), got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("objective must be finite")
+    return b
+
+
+def _check_bounds(problem: SdpProblem, n: int) -> dict[str, np.ndarray]:
     if not problem.blocks and problem.lower is None and problem.upper is None:
         raise ValueError("problem has no conic constraints")
     bounds = {}
@@ -657,52 +757,121 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
             raise ValueError(f"{name} bounds must not be NaN")
     if len(bounds) == 2 and np.any(bounds["lower"] > bounds["upper"]):
         raise ValueError("box bounds have lower > upper")
-    b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    m_pen = 1e4 * b_scale
+    return bounds
 
-    red, eq_id = None, (id(problem.eq_matrix), id(problem.eq_rhs), n)
-    if problem.eq_matrix is not None:
-        if eq_id not in cache:
-            e = np.atleast_2d(_real_array(problem.eq_matrix, "eq_matrix"))
-            f = _real_array(problem.eq_rhs, "eq_rhs")
-            if e.shape[1] != n or f.shape != (e.shape[0],):
-                raise ValueError("equality constraint shapes are inconsistent")
-            if not (np.isfinite(e).all() and np.isfinite(f).all()):
-                raise ValueError("equality constraints must be finite")
-            cache[eq_id] = _reduction(e, f) if len(e) else None
-        red = cache[eq_id]
-    if red is not None:
-        t_id, t = eq_id, red.t
-    else:
-        t_id = ("eye", n)
-        if t_id not in cache:
-            cache[t_id] = np.eye(n)
-        t = cache[t_id]
-    nv = t.shape[1]
-    b = t.T @ b
+
+def _check_eq_shapes(problem: SdpProblem, n: int) -> tuple[int, ...]:
+    """The shape of E after ``atleast_2d``, when E and f are real and fit."""
+    e = np.atleast_2d(_real_array(problem.eq_matrix, "eq_matrix"))
+    f = _real_array(problem.eq_rhs, "eq_rhs")
+    if e.ndim != 2 or e.shape[1] != n or f.shape != (e.shape[0],):
+        raise ValueError("equality constraint shapes are inconsistent")
+    return e.shape
+
+
+def _symmetrised(c: np.ndarray, name: str, faults: _Faults) -> np.ndarray:
+    """The Hermitian parts of a ``(B, m, m)`` stack of constants; a slice
+    that is not finite or not Hermitian is a fault of its problem."""
+    herm = np.iscomplexobj(c)
+    finite = np.isfinite(c).all(axis=(1, 2))
+    if not finite.all():
+        faults.flag(~finite, f"{name} must be finite")
+        # The slices flagged are not used further; zeros keep nan out.
+        c = np.where(finite[:, None, None], c, 0.0)
+    c_h = (c.conj() if herm else c).transpose(0, 2, 1)
+    if c.size:
+        dev = np.abs(c - c_h).max(axis=(1, 2))
+        scale = np.abs(c).max(axis=(1, 2), initial=1.0)
+        faults.flag(dev > SYM_TOL * scale, f"{name} must be {'Hermitian' if herm else 'symmetric'}")
+    return 0.5 * (c + c_h)
+
+
+def _lowered_coeffs(t: np.ndarray, idx: np.ndarray, mats: np.ndarray, dtype) -> np.ndarray:
+    """``T^T A`` of one block for every basis of the stack ``t``, the shift
+    row last: one batched gemm; repeated rows add up, and a complex stack
+    is multiplied on its float view."""
+    count, nv, side = len(t), t.shape[2], mats.shape[-1]
+    out = np.empty((count, nv + 1, side * side), dtype=dtype)
+    flat = mats.astype(dtype, copy=False).reshape(len(idx), side * side).view(float)
+    np.matmul(t[:, idx].transpose(0, 2, 1), flat, out=out[:, :nv].view(float))
+    out[:, nv] = -np.eye(side).ravel()
+    return out
+
+
+def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> tuple:
+    """Run the checks of :func:`solve` on a group, in its order.
+
+    A check of shared data raises its ``ValueError``; a check of stacked
+    per-problem data flags its problems in ``faults``.  Returns the shared
+    objective and bounds, the constants as ``(B, m, m)`` stacks, the
+    coefficients as ``(idx, mats, dtype)`` per block, and the equality
+    stacks ``e``, ``f`` (of one slice when every problem shares its rows)
+    with the null-space basis of each slice.
+    """
+    n = first.num_vars
+    b = _check_objective(first.objective, n)
+    bounds = _check_bounds(first, n)
+
+    # Equality rows: one stack with a slice per problem, or of one slice
+    # when every problem shares them.
+    ts = e = f = None
+    if first.eq_matrix is not None:
+        shape = _check_eq_shapes(first, n)
+        shared = all(p.eq_matrix is first.eq_matrix and p.eq_rhs is first.eq_rhs for p in mine)
+        own = mine[:1] if shared else mine
+        if shape[0]:
+            e = _stack([p.eq_matrix for p in own]).astype(float, copy=False)
+            e = e.reshape((len(own),) + shape)
+            f = _stack([p.eq_rhs for p in own]).astype(float, copy=False)
+            ok = np.isfinite(e).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)
+            faults.flag(~ok, "equality constraints must be finite")
+            ts = [None] * len(own)
+            for j in np.flatnonzero(ok):
+                try:
+                    ts[j] = _null_space(e[j], f[j])
+                except ValueError as exc:
+                    faults.flag(np.arange(len(own)) == j, str(exc))
 
     cs, coeffs = [], []
-    for k, blk in enumerate(problem.blocks):
+    for k, blk in enumerate(first.blocks):
         if not isinstance(blk.w, (int, np.integer)) or blk.w < 1:
             raise ValueError(f"block {k} multiplicity must be a positive integer, got {blk.w!r}")
-        c = _check_symmetric(blk.c, f"block {k} constant")
-        blk_id = (id(blk.coeffs), c.shape[0], n)
-        if blk_id not in cache:
-            cache[blk_id] = _check_coeffs(blk, k, n)
+        shared = all(p.blocks[k].c is blk.c for p in mine)
+        c = _stack([p.blocks[k].c for p in (mine[:1] if shared else mine)])
+        if c.ndim != 3 or c.shape[1] != c.shape[2]:
+            raise ValueError(f"block {k} constant must be square, got {c.shape[1:]}")
+        c = _symmetrised(c.astype(complex if np.iscomplexobj(c) else float, copy=False),
+                         f"block {k} constant", faults)
+        idx, mats = _check_coeffs(blk, k, n)
         # A complex constant or coefficient makes the whole block complex.
-        dtype = np.result_type(c, cache[blk_id][1])
-        lowered = (blk_id, t_id, dtype)
-        if lowered not in cache:
-            # T^T A on the block's rows (repeated rows add up), the shift
-            # last; a complex stack as one real gemm on its float view.
-            idx, mats = cache[blk_id]
-            reduced = np.empty((nv + 1, len(c) ** 2), dtype=dtype)
-            flat = mats.astype(dtype, copy=False).reshape(len(idx), -1).view(float)
-            np.matmul(t[idx].T, flat, out=reduced[:nv].view(float))
-            reduced[nv] = -np.eye(len(c)).ravel()
-            cache[lowered] = reduced
-        cs.append(c.astype(dtype, copy=False))
-        coeffs.append(cache[lowered])
+        dtype = np.result_type(c, mats)
+        c = c.astype(dtype, copy=False)
+        cs.append(np.repeat(c, len(mine), axis=0) if shared and len(mine) > 1 else c)
+        coeffs.append((idx, mats, dtype))
+    return b, bounds, cs, coeffs, e, f, ts
+
+
+def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part]:
+    """Validate one group of problems and write it in the solver's variables.
+
+    The shared objective, bounds and coefficient lists are checked and
+    lowered once; constants and equality rows are checked as stacks, and
+    the only per-problem work is the QR of :func:`_null_space`.  The group
+    comes back as one part per lockstep key: problems whose rows leave null
+    spaces of different sizes iterate on different variable counts.
+    Raises :class:`_Invalid` with the first error of the first problem that
+    fails, the error :func:`solve` raises for that problem alone.
+    """
+    first = problems[members[0]]
+    mine = [problems[i] for i in members]
+    faults = _Faults(members)
+    try:
+        b, bounds, cs, checked, e, f, ts = _check_group(first, mine, faults)
+    except ValueError as exc:
+        faults.raise_first(exc)
+    faults.raise_first()
+    n = first.num_vars
+    b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
     # or ``u_i - y_i + tau`` with ``y_i = T[i] . v``, and last the shift
@@ -714,24 +883,78 @@ def _prepare(problem: SdpProblem, cache: dict) -> _Prepared:
             finite = np.flatnonzero(np.isfinite(bound))
             box += [(i, sign) for i in finite.tolist()]
             consts.append(sign * bound[finite])
-    cs.append(np.concatenate(consts + [[0.0]]))
-    diag_id = ("box", id(problem.lower), id(problem.upper), t_id)
-    if diag_id not in cache:
-        rows, signs = [i for i, _ in box], np.array([s for _, s in box])
-        g = np.zeros((len(box) + 1, nv + 1))
-        g[:-1, :nv] = signs[:, None] * t[rows]
-        g[:, nv] = -1.0
-        cache[diag_id] = g
+    box_c = np.concatenate(consts + [[0.0]])
+    box_rows, signs = [i for i, _ in box], np.array([s for _, s in box])
 
-    ws = tuple(blk.w for blk in problem.blocks)
-    key = (
-        nv,
-        (n, len(red.f)) if red is not None else None,
-        tuple(len(c) for c in cs),
-        ws,
-        tuple(a.dtype.char for a in coeffs),
-    )
-    return _Prepared(b, b_scale, m_pen, cs, coeffs, ws, cache[diag_id], red, key)
+    # One part per null-space size; without rows or with shared ones every
+    # problem shares one basis.
+    if ts is None:
+        split = [(slice(None), np.eye(n)[None], None)]
+    elif len(ts) == 1:
+        split = [(slice(None), ts[0][None], [0])]
+    else:
+        by_size: dict[int, list[int]] = {}
+        for j, t in enumerate(ts):
+            by_size.setdefault(t.shape[1], []).append(j)
+        split = [
+            (js, np.stack([ts[j] for j in js]), js) for js in map(np.array, by_size.values())
+        ]
+    parts = []
+    for rows, t, eq_rows in split:
+        nv = t.shape[2]
+        index = np.asarray(members)[rows]
+        coeffs = [_lowered_coeffs(t, idx, mats, dtype) for idx, mats, dtype in checked]
+        diag = np.zeros((len(t), len(box) + 1, nv + 1))
+        diag[:, :-1, :nv] = signs[:, None] * t[:, box_rows]
+        diag[:, :, nv] = -1.0
+        red = None if eq_rows is None else _reduction(e[eq_rows], f[eq_rows], t)
+        key = (
+            nv,
+            None if red is None else (n, f.shape[1]),
+            tuple(c.shape[1] for c in cs) + (len(box_c),),
+            tuple(blk.w for blk in first.blocks),
+            tuple(a.dtype.char for a in coeffs),
+        )
+        parts.append(_Part(
+            index=index,
+            key=key,
+            b=t.transpose(0, 2, 1) @ b,
+            b_scale=np.full(len(index), b_scale),
+            cs=[c[rows] for c in cs] + [np.repeat(box_c[None], len(index), axis=0)],
+            coeffs=coeffs,
+            ws=key[3],
+            diag=diag,
+            red=red,
+        ))
+    return parts
+
+
+def _prepare(problems: list[SdpProblem]) -> list[_Part]:
+    """Validate every problem and write it in the solver's variables.
+
+    Problems are grouped by :func:`_signature` and each group is set up in
+    one pass (see :func:`_prepare_group`).  A part's key holds the shapes a
+    lockstep batch needs: the solver's variable count, the original
+    variable and equality row counts when ``theta`` is one of them, the
+    side of every block, the diagonal one included, and the multiplicity
+    and the dtype (real or complex) of every dense block.  A problem that
+    fails validation raises the ``ValueError`` it raises alone; with
+    several, that of the first in input order.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, p in enumerate(problems):
+        groups.setdefault(_signature(p), []).append(i)
+    parts: list[_Part] = []
+    invalid: _Invalid | None = None
+    for members in groups.values():
+        try:
+            parts += _prepare_group(problems, members)
+        except _Invalid as exc:
+            if invalid is None or exc.pos < invalid.pos:
+                invalid = exc
+    if invalid is not None:
+        raise invalid.error
+    return parts
 
 
 class _Rows:
@@ -754,46 +977,42 @@ class _Rows:
 _WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
 
 
-def _lockstep(preps: list[_Prepared], tol: float, max_iter: int) -> list[SdpSolution]:
-    """Run the interior-point iteration on problems of one lockstep key.
+def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
+    """Run the interior-point iteration on the problems of one part.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
     and step count; whatever ends one problem (convergence, a failed
     factorisation, a singular KKT matrix, a non-finite direction, a tiny
     step) ends only that one, with the result it gets when solved alone.
+    Results come back in the order of ``part.index``.
     """
-    first = preps[0]
-    nv = len(first.b)
+    nv = part.b.shape[1]
     tau_idx = nv
-    count = len(preps)
+    count = len(part)
     # With equality rows the solver's variable 0 is theta, held at 1 by the
     # one row of the bordered KKT system; without them every term it feeds
     # is skipped.
-    red = first.red is not None
+    red = part.red is not None
     q = int(red)
-    n_user = len(first.coeffs)
+    n_user = len(part.coeffs)
     blocks: list[_DenseBlock | _DiagBlock] = [
-        (_HermBlock if np.iscomplexobj(first.coeffs[k]) else _DenseBlock)(
-            len(first.cs[k]), _stacked([p.coeffs[k] for p in preps]), first.ws[k]
-        )
-        for k in range(n_user)
+        (_HermBlock if np.iscomplexobj(a) else _DenseBlock)(c.shape[1], a, w)
+        for c, a, w in zip(part.cs, part.coeffs, part.ws)
     ]
-    blocks.append(_DiagBlock(_stacked([p.diag for p in preps])))
+    blocks.append(_DiagBlock(part.diag))
     # The barrier parameter counts every copy of a block.
     m_total = sum(blk.w * blk.dim for blk in blocks)
 
     st = _Rows()
     st.pos = np.arange(count)
     st.blocks = blocks
-    st.c = [np.stack([p.cs[k] for p in preps]) for k in range(len(blocks))]
-    st.b = np.stack([p.b for p in preps])
-    st.b_scale = np.array([p.b_scale for p in preps])
-    m_pen = np.array([p.m_pen for p in preps])
+    st.c = list(part.cs)
+    st.b = np.repeat(part.b, count, axis=0) if len(part.b) < count else part.b
+    st.b_scale = part.b_scale
+    m_pen = 1e4 * part.b_scale
     st.b_aug = np.hstack([st.b, -m_pen[:, None]])
     if red:
-        st.z, st.yp_pinv, st.et, st.f = (
-            _stacked([getattr(p.red, name) for p in preps]) for name in ("z", "yp_pinv", "et", "f")
-        )
+        st.z, st.yp_pinv, st.et, st.f = part.red.z, part.red.yp_pinv, part.red.et, part.red.f
 
     lam0 = np.maximum(1.0, 1.0 - functools.reduce(
         np.minimum, [blk.min_slack(c, np.zeros(count)) for blk, c in zip(blocks, st.c)]
@@ -862,7 +1081,7 @@ def _lockstep(preps: list[_Prepared], tol: float, max_iter: int) -> list[SdpSolu
             yi = y[i, :nv]
             out[st.pos[i]] = SdpSolution(
                 status=status,
-                y=preps[st.pos[i]].red.t @ yi if red else yi.copy(),
+                y=part.red.t[st.pos[i] if len(part.red.t) > 1 else 0] @ yi if red else yi.copy(),
                 objective_value=float(met[i, _DOBJ]),
                 gap=float(met[i, _GAP]),
                 primal_residual=float(met[i, _PRES]),
@@ -1038,28 +1257,52 @@ def _lockstep(preps: list[_Prepared], tol: float, max_iter: int) -> list[SdpSolu
     return out
 
 
-def _batches(preps: list[_Prepared]) -> list[list[int]]:
+def _merged(parts: list[_Part]) -> _Part:
+    """The problems of parts with one key as one part, in input order."""
+    if len(parts) == 1:
+        return parts[0]
+    index = np.concatenate([p.index for p in parts])
+    order = np.argsort(index)
+
+    def cat(stacks):
+        rows = [np.broadcast_to(a, (len(p),) + a.shape[1:]) for a, p in zip(stacks, parts)]
+        return np.concatenate(rows)[order]
+
+    first = parts[0]
+    return _Part(
+        index[order], first.key, cat([p.b for p in parts]), cat([p.b_scale for p in parts]),
+        [cat(cs) for cs in zip(*(p.cs for p in parts))],
+        [cat(a) for a in zip(*(p.coeffs for p in parts))],
+        first.ws, cat([p.diag for p in parts]),
+        None if first.red is None else _Reduction(*map(cat, zip(*(p.red for p in parts)))),
+    )
+
+
+def _batches(parts: list[_Part]) -> list[_Part]:
     """Split the problems into lockstep batches: one key each, memory bounded.
 
     A batch holds its KKT matrices and the Schur intermediates of every
     problem at once, so it takes at most ``BATCH_BYTES`` of them.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(preps):
-        groups.setdefault(p.key, []).append(i)
+    by_key: dict[tuple, list[_Part]] = {}
+    for part in parts:
+        by_key.setdefault(part.key, []).append(part)
     out = []
-    for members in groups.values():
-        p = preps[members[0]]
-        side = len(p.b) + 1 + (p.red is not None)
+    for same in by_key.values():
+        part = _merged(same)
+        side = part.b.shape[1] + 1 + (part.red is not None)
         # The coefficient stacks count once more for problems that own them,
         # the batched arrays of the reduction (all but T) once.
         per_problem = (
             8 * side * side
-            + sum(4 * aflat.nbytes for aflat in p.coeffs)
-            + (8 * sum(a.size for a in p.red[1:]) if p.red is not None else 0)
+            + sum(4 * a[0].nbytes for a in part.coeffs)
+            + (8 * sum(a[0].size for a in part.red[1:]) if part.red is not None else 0)
         )
         size = max(1, BATCH_BYTES // per_problem)
-        out += [members[i : i + size] for i in range(0, len(members), size)]
+        if len(part) <= size:
+            out.append(part)
+        else:
+            out += [part.rows(slice(i, i + size)) for i in range(0, len(part), size)]
     return out
 
 
@@ -1070,25 +1313,25 @@ def solve_many(
 ) -> list[SdpSolution]:
     """Solve a list of :class:`SdpProblem`; results come back in input order.
 
-    Problems with the same lockstep key (see ``_prepare``) advance
-    together, so a grid of same-structure programs pays the per-iteration
-    call overhead once per batch instead of once per point.  Each problem
+    Problems that share their objective, bounds and coefficient lists (by
+    identity) are validated and lowered in one pass, and problems with the
+    same lockstep key (see ``_prepare``) advance together, so a grid of
+    same-structure programs pays the per-call overhead of set-up and of
+    every iteration once per batch instead of once per point.  Each problem
     is one interior-point run and gets exactly the result :func:`solve`
     gives it alone.
 
-    Raises ``ValueError`` for a problem that fails validation, a ``tol``
-    that is NaN, infinite or negative, or a ``max_iter`` that is not an
-    integer >= 0.
+    Raises ``ValueError`` for a problem that fails validation (the error
+    the first such problem raises alone), a ``tol`` that is NaN, infinite
+    or negative, or a ``max_iter`` that is not an integer >= 0.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    cache: dict = {}
-    preps = [_prepare(p, cache) for p in problems]
     out: list[SdpSolution | None] = [None] * len(problems)
-    for batch in _batches(preps):
-        for i, sol in zip(batch, _lockstep([preps[i] for i in batch], tol, max_iter)):
+    for batch in _batches(_prepare(problems)):
+        for i, sol in zip(batch.index, _lockstep(batch, tol, max_iter)):
             out[i] = sol
     return out
 

@@ -234,6 +234,25 @@ def test_link_raw_stack_matches_per_matrix():
             ch.link_raw(m, (2, 2), np.eye(6), (3, 2))
 
 
+def test_link_raw_earlier_stack_equals_per_matrix_bitwise():
+    # A stack of earlier maps (the Choi matrices of a grid of channels) is
+    # one call; each slice must be bitwise the link with that matrix alone.
+    rng = np.random.default_rng(306)
+    for d_c, d_b, d_a in ((2, 2, 2), (3, 2, 2), (2, 3, 4)):
+        later = rng.standard_normal((5, d_c * d_b, d_c * d_b, 2)) @ [1.0, 1j]
+        later = later + later.conj().transpose(0, 2, 1)
+        earlier = np.stack([
+            ch.random_channel(d_a, d_b, seed=s).choi.matrix for s in range(4)
+        ])
+        got = ch.link_raw(later, (d_c, d_b), earlier, (d_b, d_a))
+        assert got.shape == (4, 5, d_c * d_a, d_c * d_a)
+        one = ch.link_raw(later[0], (d_c, d_b), earlier, (d_b, d_a))
+        assert one.shape == (4, d_c * d_a, d_c * d_a)
+        for e, g, o in zip(earlier, got, one):
+            assert np.array_equal(g, ch.link_raw(later, (d_c, d_b), e, (d_b, d_a)))
+            assert np.array_equal(o, ch.link_raw(later[0], (d_c, d_b), e, (d_b, d_a)))
+
+
 def test_classical_embed_action():
     p = np.array([[0.1, 0.6], [0.9, 0.4]])
     qc = ch.classical_embed(p)

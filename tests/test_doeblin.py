@@ -633,3 +633,57 @@ def test_complex_program_lowers_to_hermitian_blocks(monkeypatch):
         assert blk.c.dtype == np.complex128
         assert all(a.dtype == np.complex128 for _, a in blk.coeffs)
     assert prob.num_vars == 9
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Count the calls of ``module.name`` into ``calls[name]``."""
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("kind, sizes", [(db.KIND_REV, {2, 6}), (db.KIND_REV_H, {4, 8})])
+def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
+    # The replacer points gad(p, 0) leave a larger null space of their
+    # equality rows than the interior points: one grid column splits into
+    # two lockstep keys, and every point must still get its single call.
+    channels = [ch.gad(p, eta) for p, eta in
+                [(0.3, 0.5), (0.2, 0.0), (0.6, 0.4), (0.9, 0.0), (0.0, 0.0), (0.7, 0.8)]]
+    prepare = sdpcore._prepare
+    keys = []
+
+    def spy(problems):
+        parts = prepare(problems)
+        keys.extend(part.key for part in parts)
+        return parts
+
+    monkeypatch.setattr(sdpcore, "_prepare", spy)
+    got = db.solve_grid(kind, channels)
+    assert {key[0] for key in keys} == sizes
+    for chan, res in zip(channels, got):
+        want = SINGLE[kind](chan)
+        assert res.status == want.status == sdpcore.STATUS_OPTIMAL
+        assert res.solution.iterations == want.solution.iterations
+        assert res.value == want.value
+        assert np.array_equal(res.solution.y, want.solution.y)
+        assert np.array_equal(res.witness, want.witness)
+
+
+def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
+    # The mechanism, not a timing: on a 51-point reverse grid of one null
+    # space size, one QR per problem, one coefficient lowering for the one
+    # PSD block of the one lockstep group, and one stacked link product of
+    # the channels' Choi matrices.
+    channels = [ch.gad(p, 0.5) for p in np.linspace(0.0, 1.0, 51)]
+    calls = {}
+    _spy(monkeypatch, sdpcore, "_null_space", calls)
+    _spy(monkeypatch, sdpcore, "_lowered_coeffs", calls)
+    _spy(monkeypatch, db, "link_raw", calls)
+    got = db.solve_grid(db.KIND_REV, channels)
+    assert all(r.status == sdpcore.STATUS_OPTIMAL for r in got)
+    assert calls == {"_null_space": 51, "_lowered_coeffs": 1, "link_raw": 1}

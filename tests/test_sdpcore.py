@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from qdoeblin import hermlin, sdpcore
 
@@ -536,6 +537,20 @@ def test_block_multiplicity_matches_explicit_copies(name):
         np.testing.assert_allclose(x, x_all[: blk.dim, : blk.dim], rtol=0, atol=1e-8)
 
 
+def _keys(problems):
+    """The lockstep key of every problem, from the set-up pass."""
+    keys = [None] * len(problems)
+    for part in sdpcore._prepare(problems):
+        for i in part.index:
+            keys[i] = part.key
+    return keys
+
+
+def _batch_lists(problems):
+    """The input positions of every lockstep batch."""
+    return [batch.index.tolist() for batch in sdpcore._batches(sdpcore._prepare(problems))]
+
+
 def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
     problems = [prob for _, prob in _weighted_problems()]
     # The same block unweighted: same shapes, other multiplicity.
@@ -545,10 +560,9 @@ def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
         [sdpcore.SdpBlock(blk.c, blk.coeffs) for blk in lmi.blocks],
     )
     problems += [plain, copy.deepcopy(lmi)]
-    cache: dict = {}
-    preps = [sdpcore._prepare(p, cache) for p in problems]
-    assert preps[0].key != preps[3].key
-    batches = sdpcore._batches(preps)
+    keys = _keys(problems)
+    assert keys[0] != keys[3]
+    batches = _batch_lists(problems)
     assert not any(0 in b and 3 in b for b in batches)
     assert [0, 4] in batches
     for got, prob in zip(sdpcore.solve_many(problems), problems):
@@ -640,8 +654,7 @@ def test_complex_batch_equals_its_solo_solves():
         lmi.num_vars, lmi.objective,
         [sdpcore.SdpBlock(2.0 * blk.c, blk.coeffs, blk.w) for blk in lmi.blocks],
     ))
-    cache: dict = {}
-    keys = [sdpcore._prepare(p, cache).key for p in problems]
+    keys = _keys(problems)
     assert keys[0] == keys[3] == keys[6] and keys[1] == keys[4]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         want = sdpcore.solve(prob)
@@ -656,10 +669,9 @@ def test_real_and_complex_problems_run_in_separate_batches():
     real = [max_eig_problem(_random_psd(rng, 3)) for _ in range(2)]
     cplx = [max_eig_problem(_random_hermitian(rng, 3) + 4.0 * np.eye(3)) for _ in range(2)]
     problems = [real[0], cplx[0], real[1], cplx[1]]
-    cache: dict = {}
-    preps = [sdpcore._prepare(p, cache) for p in problems]
-    assert preps[0].key == preps[2].key != preps[1].key == preps[3].key
-    batches = sdpcore._batches(preps)
+    keys = _keys(problems)
+    assert keys[0] == keys[2] != keys[1] == keys[3]
+    batches = _batch_lists(problems)
     assert sorted(batches) == [[0, 2], [1, 3]]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         want = sdpcore.solve(prob)
@@ -751,7 +763,7 @@ def test_batch_keeps_solo_results_around_a_singular_kkt():
     bad = problem(np.eye(2), [1.0, 0.0], 0.5)
     good = [problem(np.diag([1.0 + k, 2.0]), [0.0, 1.0], 0.1 * k) for k in range(3)]
     batch = [good[0], bad, good[1], original, good[2]]
-    keys = {sdpcore._prepare(p, {}).key for p in [bad, *good]}
+    keys = set(_keys([bad, *good]))
     assert len(keys) == 1  # one lockstep group
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -787,7 +799,7 @@ def test_batch_of_blocks_on_variable_subsets():
 
     scales = [1.0, 2.0, 0.5]
     problems = [problem(s) for s in scales]
-    assert len({sdpcore._prepare(p, {}).key for p in problems}) == 1
+    assert len(set(_keys(problems))) == 1
     batch = sdpcore.solve_many(problems)
     for s, prob, got in zip(scales, problems, batch):
         _same(got, sdpcore.solve(prob))
@@ -1122,3 +1134,181 @@ def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max
             assert res.status != sdpcore.STATUS_OPTIMAL, kind.__name__
             if res.solution is not None:
                 assert res.solution.iterations <= max_iter, kind.__name__
+
+
+def _group_mate(bad: sdpcore.SdpProblem) -> sdpcore.SdpProblem:
+    """A problem of ``bad``'s group: its objective, bounds and coefficient
+    lists, with valid constants and consistent equality rows of its shapes."""
+    rows = {}
+    if bad.eq_matrix is not None:
+        rows = {"eq_matrix": np.ones(np.shape(bad.eq_matrix)),
+                "eq_rhs": np.zeros(np.shape(bad.eq_rhs))}
+    blocks = [
+        sdpcore.SdpBlock(
+            c=2.0 * np.eye(len(blk.c), dtype=complex if np.iscomplexobj(blk.c) else float),
+            coeffs=blk.coeffs, w=blk.w,
+        )
+        for blk in bad.blocks
+    ]
+    return sdpcore.SdpProblem(
+        bad.num_vars, bad.objective, blocks, lower=bad.lower, upper=bad.upper, **rows
+    )
+
+
+def _invalid_problems():
+    """(message, own, problem): every problem ValueError of
+    ``test_validation_errors``,
+    ``test_non_finite_constant_objective_and_rows_are_rejected`` and
+    ``test_non_hermitian_complex_data_is_rejected``, and inconsistent rows.
+    ``own`` marks a fault of per-problem data (a constant or equality rows),
+    which the problem's group mates do not share."""
+    skew = np.array([[1.0, 1.0j], [1.0j, 1.0]])
+    yield "problem has no conic constraints", False, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]), blocks=[])
+    yield "box bounds have lower > upper", False, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]), blocks=[],
+        lower=np.array([1.0]), upper=np.array([0.0]))
+    yield "block 0 constant must be symmetric", True, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]),
+        blocks=[sdpcore.SdpBlock(c=np.array([[0.0, 1.0], [0.0, 0.0]]), coeffs=[(0, np.eye(2))])])
+    yield "block 0 references variable 3 out of range", False, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]),
+        blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(3, np.eye(2))])])
+    yield "block 0 coefficients must be 2x2, got (3, 3)", False, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]),
+        blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(3))])])
+    yield "block 0 constant must be finite", True, _one_var_problem(
+        blocks=[sdpcore.SdpBlock(c=np.diag([np.inf, 1.0]), coeffs=[(0, np.eye(2))])])
+    yield "objective must be finite", False, _one_var_problem(objective=np.array([np.nan]))
+    yield "equality constraints must be finite", True, _one_var_problem(
+        eq_matrix=np.array([[np.inf]]), eq_rhs=np.array([0.0]))
+    yield "block 0 constant must be Hermitian", True, max_eig_problem(skew)
+    yield "block 0 coefficient 1 must be Hermitian", False, sdpcore.SdpProblem(
+        2, np.ones(2), [sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (1, skew)])])
+    yield "equality constraints are inconsistent", True, _one_var_problem(
+        eq_matrix=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("message, own, bad", list(_invalid_problems()),
+                         ids=[m for m, _, _ in _invalid_problems()])
+def test_grouped_validation_keeps_per_problem_errors(message, own, bad):
+    # Problems that share their objective, bounds and coefficient lists are
+    # validated as one group; each must still raise its own first error.
+    good = [_group_mate(bad), _group_mate(bad)]
+    assert sdpcore._signature(good[0]) == sdpcore._signature(bad)
+    with pytest.raises(ValueError) as alone:
+        sdpcore.solve(bad)
+    assert str(alone.value) == message
+    with pytest.raises(ValueError) as grouped:
+        sdpcore.solve_many([good[0], bad, good[1]])
+    assert str(grouped.value) == message
+    if own:
+        # The group mates alone pass validation.
+        assert len(sdpcore._prepare(good)) == 1
+
+
+def test_first_invalid_problem_in_input_order_raises():
+    # Two faults in one group and one in another: the error raised is that
+    # of the first invalid problem of the list, whatever group it is in.
+    bad_c = _one_var_problem(
+        blocks=[sdpcore.SdpBlock(c=np.diag([np.inf, 1.0]), coeffs=[(0, np.eye(2))])])
+    rows = _one_var_problem(eq_matrix=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
+    rows.blocks[0].coeffs = bad_c.blocks[0].coeffs
+    rows.objective = bad_c.objective
+    other = _one_var_problem(objective=np.array([np.nan]))
+    good = _group_mate(bad_c)
+    for batch, message in [
+        ([good, bad_c, rows], "block 0 constant must be finite"),
+        ([good, rows, bad_c], "equality constraints are inconsistent"),
+        ([good, other, bad_c], "objective must be finite"),
+        ([bad_c, other], "block 0 constant must be finite"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            sdpcore.solve_many(batch)
+        assert str(err.value) == message
+
+
+def _null_space_reference(e, f):
+    """``T = [y_p, Z]`` through ``scipy.linalg.qr`` and ``solve_triangular``."""
+    q, r, piv = sla.qr(e.T, pivoting=True)
+    diag = np.abs(np.diag(r))
+    scale = diag[0] if diag.size and diag[0] > 0 else 1.0
+    rank = int(np.sum(diag > 1e-12 * max(1.0, scale)))
+    u = sla.solve_triangular(r[:rank, :rank], f[piv[:rank]], trans="T")
+    y_p = q[:, :rank] @ u
+    if np.max(np.abs(e @ y_p - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
+        raise ValueError("equality constraints are inconsistent")
+    return np.column_stack([y_p, q[:, rank:]])
+
+
+def _row_systems():
+    """(name, E, f) with consistent rows: wide, tall, square, rank-deficient."""
+    rng = np.random.default_rng(409)
+    for name, (m, n) in {"wide": (3, 7), "tall": (6, 4), "square": (5, 5), "one_row": (1, 4),
+                         "one_column": (3, 1), "big": (20, 33)}.items():
+        e = rng.standard_normal((m, n))
+        if name in ("tall", "one_column"):
+            # More rows than variables: keep them consistent with a point.
+            yield name, e, e @ rng.standard_normal(n)
+            continue
+        yield name, e, rng.standard_normal(m)
+        yield f"{name}_f0", e, np.zeros(m)
+    e = rng.standard_normal((4, 6))
+    e[2] = 2.0 * e[0] - e[1]
+    e[3] = 0.0
+    yield "rank_deficient", e, e @ rng.standard_normal(6)
+    yield "rank_deficient_f0", e, np.zeros(4)
+    yield "rank_one", np.outer([1.0, -2.0, 0.5], [0.3, 0.0, 1.0, 2.0]), np.array([1.0, -2.0, 0.5])
+    yield "zero_rows", np.zeros((2, 3)), np.zeros(2)
+
+
+@pytest.mark.parametrize("name, e, f", list(_row_systems()), ids=[n for n, _, _ in _row_systems()])
+def test_null_space_matches_scipy_bitwise(name, e, f):
+    t = sdpcore._null_space(e, f)
+    want = _null_space_reference(e, f)
+    assert t.shape == want.shape and t.dtype == want.dtype
+    assert np.array_equal(t, want)
+    y_p, z = t[:, 0], t[:, 1:]
+    scale = 1.0 + np.abs(e).max()
+    assert np.abs(e @ z).max(initial=0.0) <= 1e-12 * scale
+    np.testing.assert_allclose(z.T @ z, np.eye(z.shape[1]), rtol=0, atol=1e-12)
+    assert np.abs(e @ y_p - f).max() <= 1e-12 * scale * (1.0 + np.abs(f).max())
+
+
+def test_null_space_rejects_inconsistent_rows_like_scipy():
+    e = np.array([[1.0, 1.0], [2.0, 2.0]])
+    f = np.array([1.0, 3.0])
+    for fn in (sdpcore._null_space, _null_space_reference):
+        with pytest.raises(ValueError, match="equality constraints are inconsistent"):
+            fn(e, f)
+
+
+def test_batches_cut_by_memory_keep_solo_results(monkeypatch):
+    # A part larger than BATCH_BYTES allows runs as several batches cut
+    # from its stacks: per-problem rows (own equality rows) and shared ones
+    # (one coefficient stack without rows) alike.
+    rng = np.random.default_rng(415)
+    k = 4
+    blocks = [_random_lmi(rng, k, 3, 1)]
+    objective = _bounded_objective(rng, blocks, k)
+    problems = []
+    for _ in range(5):
+        e = rng.standard_normal((1, k))
+        problems.append(sdpcore.SdpProblem(
+            k, objective, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k))))
+    problems += [
+        sdpcore.SdpProblem(k, objective, [sdpcore.SdpBlock((1.0 + 0.1 * i) * blocks[0].c,
+                                                           blocks[0].coeffs)])
+        for i in range(3)
+    ]
+    alone = [sdpcore.solve(p) for p in problems]
+    sizes = set()
+    for batch_bytes in (1, *(1 << s for s in range(8, 16)), sdpcore.BATCH_BYTES):
+        monkeypatch.setattr(sdpcore, "BATCH_BYTES", batch_bytes)
+        batches = _batch_lists(problems)
+        assert sorted(i for b in batches for i in b) == list(range(len(problems)))
+        sizes |= {len(b) for b in batches}
+        for got, want in zip(sdpcore.solve_many(problems), alone):
+            assert want.status == "optimal"
+            _same(got, want)
+    assert {1, 2, 3, 5} <= sizes
