@@ -7,12 +7,15 @@ the seeded property suites of :mod:`qdoeblin.properties`.  Exit codes: 0 ok,
 1 usage, 2 solver failure, 3 I/O, 4 check failure.
 
 ``sweep`` and every figure (the entries of :data:`FIGURE_SPECS`) go
-through one grid planner, :func:`_grid_tasks`, and one grid writer,
-:func:`_write_grid`.  Each command solves all of its grids in one call of
-:func:`_run_tasks`: the point tasks are cut into chunks per run of equal
-``(family, kinds, tol)``, sized over all of the command's points, and each
-column of a chunk is one lockstep batch (``db.solve_grid``).  The chunks
-share one process pool per command, of at most ``--jobs`` workers.  Every
+through one grid planner, :func:`_grid_tasks` and :func:`_plan`, and one
+grid writer, :func:`_write_grid`.  Each command plans all of its grids
+before it solves: one task per distinct ``(family, params, tol)`` point,
+carrying every kind any grid asks of it, so a point shared by several
+figures is built and solved once.  The tasks are solved in one call of
+:func:`_run_tasks`: cut into chunks per run of equal ``(family, kinds,
+tol)``, sized over all of the command's points, and every kind of a chunk
+is solved in one multi-kind call (``db.solve_grids``).  The chunks share
+one process pool per command, of at most ``--jobs`` workers.  Every
 CSV value column has a ``<column>_status`` column.  Importing this module
 pins BLAS to one thread unless the environment sets it, so ``--jobs``
 workers do not oversubscribe.
@@ -59,7 +62,7 @@ KIND_FUNCS = {
     "revT": db.reverse_alpha_transpose,
     "revH": db.reverse_alpha_hermitian,
 }
-# The doeblin kind of each name, for grids solved through ``db.solve_grid``.
+# The doeblin kind of each name, for grids solved through ``db.solve_grids``.
 GRID_KINDS = {
     "alpha": db.KIND_ALPHA,
     "alphaT": db.KIND_ALPHA_T,
@@ -157,26 +160,33 @@ def _check_kinds(kinds: list[str], combine_th: bool) -> list[str]:
 def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
     """(value, status, not_applicable) per point and requested column.
 
-    Each SDP column is one ``db.solve_grid`` call over all the channels.
-    Besides the SDP kinds this understands the oracle column ``eta_tr``, the
-    closed form ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper``
-    columns which share one solve.
+    Every SDP column is solved by one ``db.solve_grids`` call over all the
+    channels, so each kind is solved once however many columns ask for it
+    and kinds that share a lockstep key run as one batch.  Besides the SDP
+    kinds this understands the oracle column ``eta_tr``, the closed form
+    ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper`` columns,
+    which read one data-processing range.
     """
+    solved = db.solve_grids(
+        [db.KIND_DP if kind in ("dp_lower", "dp_upper") else GRID_KINDS[kind]
+         for kind in kinds if kind not in ("eta_tr", "abs12p")],
+        channels, tol,
+    )
     columns = []
-    dp = None
     for kind in kinds:
         if kind == "eta_tr":
             col = [(oracles.eta_tr_qubit(c), "oracle", False) for c in channels]
         elif kind == "abs12p":
             col = [(abs(1.0 - 2.0 * p["p"]), "exact", False) for p in params]
         elif kind in ("dp_lower", "dp_upper"):
-            if dp is None:
-                dp = db.solve_grid(db.KIND_DP, channels, tol)
-            col = [(r.lower if kind == "dp_lower" else r.upper, r.status, False) for r in dp]
+            col = [
+                (r.lower if kind == "dp_lower" else r.upper, r.status, False)
+                for r in solved[db.KIND_DP]
+            ]
         else:
             col = [
                 (float(r.value), r.status, r.not_applicable)
-                for r in db.solve_grid(GRID_KINDS[kind], channels, tol)
+                for r in solved[GRID_KINDS[kind]]
             ]
         columns.append(col)
     return [list(cells) for cells in zip(*columns)]
@@ -191,7 +201,7 @@ def _chunk_cells(tasks) -> list[list[tuple]]:
     """Cells of a run of point tasks that share family, kinds and tol.
 
     Every channel is built before anything is solved, so a bad point is a
-    usage error; then each column is solved as one batch.
+    usage error; then every column is solved in one multi-kind call.
     """
     family, _, kinds, tol = tasks[0]
     params = [p for _, p, _, _ in tasks]
@@ -205,9 +215,10 @@ def _run_tasks(tasks, jobs: int):
     Each run of consecutive tasks with equal ``(family, kinds, tol)`` is cut
     into contiguous chunks of at most ``min(GRID_CHUNK, ceil(len(tasks) /
     jobs))`` points, so a command's chunks are sized over all of its points
-    and one chunk never mixes programs.  Each chunk is solved as one batch
-    per column.  With several chunks and ``jobs > 1`` they share one pool of
-    ``min(jobs, chunks)`` processes, shut down before this returns.
+    and one chunk never mixes programs.  Each chunk is solved in one
+    multi-kind call (see :func:`_grid_cells`).  With several chunks and
+    ``jobs > 1`` they share one pool of ``min(jobs, chunks)`` processes,
+    shut down before this returns.
     """
     size = max(1, min(GRID_CHUNK, math.ceil(len(tasks) / jobs)))
     chunks = []
@@ -489,6 +500,52 @@ def _grid_tasks(family, fixed, axes, cols, tol) -> list[tuple]:
     ]
 
 
+def _point_key(task) -> tuple:
+    """What makes two point tasks the same point: family, params and tol."""
+    family, params, _, tol = task
+    return family, tuple(sorted(params.items())), tol
+
+
+def _plan(grids) -> list[tuple]:
+    """One task per distinct point of the task lists ``grids``.
+
+    A point asked for by several grids carries the union of their kinds,
+    sorted, so points with one kind set share one kind tuple.  Tasks come
+    in runs of equal ``(family, kinds, tol)``, in order of first
+    appearance, so a point that gains kinds from another grid does not
+    split the run of its neighbours into many chunks.
+    """
+    merged: dict[tuple, tuple] = {}
+    for tasks in grids:
+        for task in tasks:
+            key = _point_key(task)
+            family, params, kinds, tol = merged.get(key, task)
+            merged[key] = (family, params, tuple(sorted({*kinds, *task[2]})), tol)
+    runs: dict[tuple, list] = {}
+    for task in merged.values():
+        runs.setdefault((task[0], task[2], task[3]), []).append(task)
+    return [task for run in runs.values() for task in run]
+
+
+def _solve_grids(grids, jobs: int) -> list[list[list[tuple]]]:
+    """Cells per grid, point and kind of the task lists ``grids``.
+
+    Every distinct point is built and solved once, in one call of
+    :func:`_run_tasks` over the :func:`_plan` of all the grids; each grid
+    reads its columns from the shared cells.
+    """
+    tasks = _plan(grids)
+    solved = {_point_key(t): (t[2], cells) for t, cells in zip(tasks, _run_tasks(tasks, jobs))}
+    out = []
+    for grid in grids:
+        rows = []
+        for task in grid:
+            kinds, cells = solved[_point_key(task)]
+            rows.append([cells[kinds.index(kind)] for kind in task[2]])
+        out.append(rows)
+    return out
+
+
 def _write_grid(axes, cols, results, title, csv_path, svg_path):
     """Write the cells ``results`` of the grid of ``axes``; see :func:`_grid`."""
     names = [name for name, _ in axes]
@@ -524,7 +581,7 @@ def _grid(family, fixed, axes, cols, jobs, tol, title, csv_path, svg_path):
     ``svg_path``; two draw one heatmap per column, at ``<stem>_<column>.svg``
     when there are several.  Returns the SVG paths and whether a cell failed.
     """
-    results = _run_tasks(_grid_tasks(family, fixed, axes, cols, tol), jobs)
+    [results] = _solve_grids([_grid_tasks(family, fixed, axes, cols, tol)], jobs)
     return _write_grid(axes, cols, results, title, csv_path, svg_path)
 
 
@@ -611,20 +668,18 @@ def _cmd_figures(args) -> int:
                 f"unknown figure {name!r}; admissible: {', '.join(FIGURES)}, all"
             )
     os.makedirs(args.outdir, exist_ok=True)
-    # Every grid of the command is solved in one call, so its chunks share
-    # one pool and are sized over all of its points.
+    # Every grid of the command is solved in one call: each distinct point
+    # once, in chunks that share one pool and are sized over all points.
     entries = [entry for name in which for entry in FIGURE_SPECS[name]]
-    plans = [
+    results = _solve_grids([
         _grid_tasks(family, fixed, axes, cols, args.tol)
         for _, family, fixed, axes, cols, _ in entries
-    ]
-    results = iter(_run_tasks([t for tasks in plans for t in tasks], args.jobs))
+    ], args.jobs)
     failed = False
-    for (stem, _, _, axes, cols, title), tasks in zip(entries, plans):
+    for (stem, _, _, axes, cols, title), cells in zip(entries, results):
         out = os.path.join(args.outdir, stem)
         svgs, fig_failed = _write_grid(
-            axes, cols, list(itertools.islice(results, len(tasks))), title,
-            f"{out}.csv", f"{out}.svg",
+            axes, cols, cells, title, f"{out}.csv", f"{out}.svg",
         )
         for path in [f"{out}.csv"] + svgs:
             print(f"wrote {path}")

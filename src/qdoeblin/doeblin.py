@@ -2,7 +2,7 @@
 
 Every program is declared as linear maps on Hermitian variables (a scalar
 is a variable of side 1) and lowered to ``sdpcore`` by one function,
-``_solve_program``.  Variables have real coordinates in an orthonormal
+``_program``.  Variables have real coordinates in an orthonormal
 basis stack; each map is applied once to the whole ``(k, n, n)`` basis
 stack of its variable, each PSD block is lowered in one call and each
 equality by one gemm against the basis of its target space.
@@ -27,11 +27,15 @@ realness, and kept for the next call when they are small.  The parts that
 do are stacks: a per-channel equality map (the link product of the
 reverse programs) is one call over the stacked Choi matrices, its rows
 one batched gemm, and the variables of every solution one batched product
-with their basis.  The real and the complex programs of the list go to
-:func:`qdoeblin.sdpcore.solve_many` apart, which sets each of them up in
-one pass and solves it as lockstep batches.  :func:`solve_grid` is the
-grid entry; the public kind functions are the list of one channel and
-reach :func:`qdoeblin.sdpcore.solve`.
+with their basis.  A declaration does not solve: it yields its problems
+and turns the solutions it receives into results.  :func:`solve_grids`,
+the grid entry, hands the problems of every kind and dimension it is asked
+for to one :func:`qdoeblin.sdpcore.solve_many` call, which sets each
+group of them up in one pass and solves them as lockstep batches, so
+kinds that share a lockstep key (``rev`` and ``revT``, ``alpha`` and
+``alphaT``) run as one batch.  :func:`solve_grid` is its one-kind case;
+the public kind functions are the list of one channel and reach
+:func:`qdoeblin.sdpcore.solve`.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -41,6 +45,7 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -57,7 +62,7 @@ KIND_P1 = "p1_ppt"
 KIND_REV = "rev_alpha"
 KIND_REV_T = "rev_alpha_T"
 KIND_REV_H = "rev_alpha_H"
-# The data-processing range of :func:`dp_range`, for :func:`solve_grid`.
+# The data-processing range of :func:`dp_range`, for :func:`solve_grids`.
 KIND_DP = "dp_range"
 
 STATUS_NOT_APPLICABLE = "not_applicable"
@@ -151,7 +156,7 @@ def _keeps_conjugation(images: np.ndarray, side: int) -> np.ndarray:
 
 
 class _PerProblem(NamedTuple):
-    """An equality map of :func:`_solve_program` that differs per problem.
+    """An equality map of :func:`_program` that differs per problem.
 
     ``images`` maps the ``(k, n, n)`` basis stack of its variable to the
     ``(count, k, m, m)`` stack of the images of every problem's map.
@@ -183,7 +188,7 @@ class _Lowered:
 
     Every PSD block is the Hermitian stack of its constraint, of
     multiplicity 2 in ``sdpcore``.  A real program (see
-    :func:`_solve_program`) has its variables in the real symmetric basis
+    :func:`_program`) has its variables in the real symmetric basis
     and its blocks as real parts; any other has them in the Hermitian basis
     and complex Hermitian blocks.  ``bases`` holds the basis stack of every
     variable and ``keep`` picks its elements out of the Hermitian basis.
@@ -261,9 +266,9 @@ _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
 
 
-def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=None):
-    """Maximise ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``, for
-    ``count`` problems that differ only in their data.
+def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
+    """Declare ``count`` programs that differ only in their data: maximise
+    ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``.
 
     ``sides[v]`` is the side of ``X_v`` (1 for a real scalar) and
     ``weights`` maps ``v`` to ``W_v``.  A constraint is a Hermitian matrix
@@ -294,9 +299,12 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
     are solved in the Hermitian basis with complex Hermitian blocks.  Every
     block has multiplicity 2 in ``sdpcore``, so both kinds take the
     iterates of the real embedding of their blocks.  The two kinds are
-    lowered and solved apart.
+    lowered apart.
 
-    Returns ``(solution, [X_v as Hermitian matrices])`` per problem.
+    A generator for :func:`_solve`: it yields the
+    :class:`~qdoeblin.sdpcore.SdpProblem` of every problem, receives their
+    solutions in that order and returns ``(solution, [X_v as Hermitian
+    matrices])`` per problem, in problem order.
     """
     real_decl = _REAL_DECLARATIONS.get(key) if key is not None else None
     if real_decl is None:
@@ -316,7 +324,7 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
             if isinstance(f, _PerProblem):
                 images[v] = f.images(hermlin.hermitian_basis_stack(sides[v]))
                 real &= _keeps_conjugation(images[v], sides[v])
-    out = [None] * count
+    lowered = []
     for flag in (True, False):
         members = np.flatnonzero(real == flag)
         if not members.size:
@@ -326,15 +334,22 @@ def _solve_program(sides, weights, psd, eqs=(), bounds=None, *, count, tol, key=
             low = _Lowered(sides, weights, psd, eqs, bounds, flag)
             if key is not None and low.nbytes <= LOWERED_BYTES:
                 _LOWERED[key, flag] = low
-        for p, res in zip(members, _solve_lowered(low, psd, eqs, own, members, tol)):
+        lowered.append((low, members))
+    sols = iter((yield [
+        p for low, members in lowered for p in _lowered_problems(low, psd, eqs, own, members)
+    ]))
+    out = [None] * count
+    for low, members in lowered:
+        mine = list(itertools.islice(sols, len(members)))
+        for p, res in zip(members, _with_variables(low, mine)):
             out[p] = res
     return out
 
 
-def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
-    """The problems ``members`` of :func:`_solve_program` on their lowering,
-    with ``own`` the stacked images of the per-problem maps on the
-    Hermitian basis."""
+def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.SdpProblem]:
+    """The problems ``members`` of :func:`_program` on their lowering, with
+    ``own`` the stacked images of the per-problem maps on the Hermitian
+    basis."""
     consts = [
         c if c is not None else low.block(c_in if np.ndim(c_in) == 2 else c_in[members])
         for c, (c_in, _) in zip(low.consts, psd)
@@ -358,7 +373,7 @@ def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
         eq_rhs = np.concatenate([np.broadcast_to(f, lead + f.shape[-1:]) for _, f in rows], axis=-1)
     each = eq_matrix is not None and eq_matrix.ndim == 3
 
-    problems = [
+    return [
         sdpcore.SdpProblem(
             num_vars=low.n,
             objective=low.objective,
@@ -373,14 +388,12 @@ def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
         )
         for i in range(len(members))
     ]
-    # A single channel is a batch of one, solved through ``solve``.
-    sols = (
-        [sdpcore.solve(problems[0], tol=tol)]
-        if len(problems) == 1
-        else sdpcore.solve_many(problems, tol=tol)
-    )
-    # Every variable of every problem from one batched product with its
-    # basis: one gemv per problem, as for the problem alone.
+
+
+def _with_variables(low: _Lowered, sols) -> list[tuple]:
+    """``(solution, [X_v])`` per solution: every variable of every problem
+    from one batched product with its basis, one gemv per problem, as for
+    the problem alone."""
     ys = np.stack([sol.y for sol in sols])[:, None]
     mats = [
         np.matmul(ys[..., low.start[v] : low.start[v + 1]], basis.reshape(len(basis), -1))
@@ -388,6 +401,35 @@ def _solve_lowered(low: _Lowered, psd, eqs, own, members, tol):
         for v, basis in enumerate(low.bases)
     ]
     return [(sol, [m[i] for m in mats]) for i, sol in enumerate(sols)]
+
+
+def _solve(declarations, tol: float) -> list:
+    """Run declarations with every problem they declare in one solve.
+
+    A declaration is a generator that yields its list of
+    :class:`~qdoeblin.sdpcore.SdpProblem` once, receives their solutions
+    and returns its results; the problems of all of them go to one
+    :func:`qdoeblin.sdpcore.solve_many` call, where problems of one
+    lockstep key run as one batch whatever declaration they come from.
+    Returns what each declaration returns, in order.
+    """
+    declarations = list(declarations)
+    asked = [next(d) for d in declarations]
+    problems = [p for ps in asked for p in ps]
+    if len(problems) == 1:
+        # A single channel is a batch of one, solved through ``solve``.
+        sols = iter([sdpcore.solve(problems[0], tol=tol)])
+    else:
+        sols = iter(sdpcore.solve_many(problems, tol=tol) if problems else [])
+    out = []
+    for d, ps in zip(declarations, asked):
+        try:
+            d.send(list(itertools.islice(sols, len(ps))))
+        except StopIteration as done:
+            out.append(done.value)
+        else:
+            raise RuntimeError("a declaration must yield its problems once")
+    return out
 
 
 def _result(kind: str, sol: sdpcore.SdpSolution, value: float, witness) -> CoefficientResult:
@@ -412,8 +454,8 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
 
 
 def _alpha_solution(
-    kind: str, j_mats: list[np.ndarray], channels: list[QuantumChannel], positive: bool, tol: float
-) -> list[CoefficientResult]:
+    kind: str, j_mats: list[np.ndarray], channels: list[QuantumChannel], positive: bool
+):
     """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
 
     One program per channel, with ``j_mats`` the matrices J; the channels
@@ -425,9 +467,9 @@ def _alpha_solution(
     psd = [(np.stack(j_mats), {0: lambda b: hermlin.kron(b, eye_in)})]
     if positive:
         psd.append((np.zeros((d_out, d_out)), {0: np.negative}))
-    solved = _solve_program(
+    solved = yield from _program(
         [d_out], {0: np.eye(d_out)}, psd,
-        count=len(channels), tol=tol, key=("alpha", d_in, d_out, positive),
+        count=len(channels), key=("alpha", d_in, d_out, positive),
     )
     return [
         _result(kind, sol, sol.objective_value, _state_witness(sigma) if positive else sigma)
@@ -441,21 +483,25 @@ def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
     )
 
 
-def _alpha_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA, [c.choi.matrix for c in channels], channels, True, tol)
+def _alpha_grid(channels):
+    return _alpha_solution(KIND_ALPHA, [c.choi.matrix for c in channels], channels, True)
 
 
-def _alpha_transpose_grid(channels, tol):
+def _alpha_transpose_grid(channels):
     """alphaT where the transposed Choi matrix is PSD, not applicable elsewhere."""
     jts = [_transposed_choi(c) for c in channels]
     ppt = [not np.linalg.eigvalsh(jt)[0] < -hermlin.PSD_TOL for jt in jts]
-    solved = iter(_alpha_solution(
-        KIND_ALPHA_T,
-        [jt for jt, ok in zip(jts, ppt) if ok],
-        [c for c, ok in zip(channels, ppt) if ok],
-        True,
-        tol,
-    ) if any(ppt) else ())
+    if any(ppt):
+        solved = yield from _alpha_solution(
+            KIND_ALPHA_T,
+            [jt for jt, ok in zip(jts, ppt) if ok],
+            [c for c, ok in zip(channels, ppt) if ok],
+            True,
+        )
+    else:
+        # A declaration yields once, also with nothing to solve.
+        solved = yield []
+    solved = iter(solved)
     return [
         next(solved) if ok else CoefficientResult(
             kind=KIND_ALPHA_T,
@@ -467,17 +513,17 @@ def _alpha_transpose_grid(channels, tol):
     ]
 
 
-def _alpha_hermitian_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA_H, [c.choi.matrix for c in channels], channels, False, tol)
+def _alpha_hermitian_grid(channels):
+    return _alpha_solution(KIND_ALPHA_H, [c.choi.matrix for c in channels], channels, False)
 
 
-def _alpha_transpose_hermitian_grid(channels, tol):
+def _alpha_transpose_hermitian_grid(channels):
     return _alpha_solution(
-        KIND_ALPHA_TH, [_transposed_choi(c) for c in channels], channels, False, tol
+        KIND_ALPHA_TH, [_transposed_choi(c) for c in channels], channels, False
     )
 
 
-def _p1_grid(channels, tol):
+def _p1_grid(channels):
     """Largest PPT entanglement-breaking-candidate component of each channel."""
     d_in, d_out = channels[0].d_in, channels[0].d_out
     dim = d_in * d_out
@@ -488,7 +534,7 @@ def _p1_grid(channels, tol):
         tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
         return hermlin.partial_trace(b, (d_out, d_in), 1) - tr * np.eye(d_in) / d_in
 
-    solved = _solve_program(
+    solved = yield from _program(
         [dim],
         {0: np.eye(dim)},
         psd=[
@@ -498,15 +544,12 @@ def _p1_grid(channels, tol):
         ],
         eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
         count=len(channels),
-        tol=tol,
         key=(KIND_P1, d_in, d_out),
     )
     return [_result(KIND_P1, sol, sol.objective_value, j_hat) for sol, (j_hat,) in solved]
 
 
-def _reverse(
-    channels: list[QuantumChannel], kind: str, side: int, extra, target, bounds, tol: float
-) -> list[CoefficientResult]:
+def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target, bounds):
     """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
 
     D runs from the channel output (dim ``d_b``) back to its input (dim
@@ -526,7 +569,7 @@ def _reverse(
     d_a = d_b = channels[0].d_in
     chois = np.stack([channel.choi.matrix for channel in channels])
     links = _PerProblem(lambda b: link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
-    solved = _solve_program(
+    solved = yield from _program(
         [d_a * d_b, side],
         {1: -np.eye(side)},
         psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
@@ -538,32 +581,31 @@ def _reverse(
         ],
         bounds=bounds,
         count=len(channels),
-        tol=tol,
         key=(kind, d_a),
     )
     return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
 
 
-def _reverse_fixed_target(channels, kind: str, anchor: np.ndarray, lo: float, hi: float, tol: float):
+def _reverse_fixed_target(channels, kind: str, anchor: np.ndarray, lo: float, hi: float):
     """Smallest p in [lo, hi] with D compose N = (1 - p) anchor + p 1/d^2 in Choi form."""
     d = channels[0].d_in
     eye = np.eye(d * d) / (d * d)
-    return _reverse(channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}, tol)
+    return _reverse(channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)})
 
 
-def _rev_grid(channels, tol):
+def _rev_grid(channels):
     d = channels[0].d_in
-    return _reverse_fixed_target(channels, KIND_REV, max_entangled(d), 0.0, 1.0, tol)
+    return _reverse_fixed_target(channels, KIND_REV, max_entangled(d), 0.0, 1.0)
 
 
-def _rev_transpose_grid(channels, tol):
+def _rev_transpose_grid(channels):
     d = channels[0].d_in
     return _reverse_fixed_target(
-        channels, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0), tol
+        channels, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0)
     )
 
 
-def _rev_hermitian_grid(channels, tol):
+def _rev_hermitian_grid(channels):
     """Degrade onto a generalized-depolarizing target with free Hermitian part."""
     d = channels[0].d_in
     phi = max_entangled(d)
@@ -573,26 +615,32 @@ def _rev_hermitian_grid(channels, tol):
         tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
         return tr * phi - hermlin.kron(b, eye_in)
 
-    return _reverse(channels, KIND_REV_H, d, extra, phi, None, tol)
+    return _reverse(channels, KIND_REV_H, d, extra, phi, None)
+
+
+def _single(declare, channel: QuantumChannel, tol: float) -> CoefficientResult:
+    """One kind on one channel: a declaration of one problem."""
+    [[res]] = _solve([declare([channel])], tol)
+    return res
 
 
 def alpha(channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL) -> CoefficientResult:
     """Doeblin coefficient: the largest erasure component of the channel."""
-    return _alpha_grid([channel], tol)[0]
+    return _single(_alpha_grid, channel, tol)
 
 
 def alpha_transpose(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Doeblin coefficient of the transposed channel; needs a PPT channel."""
-    return _alpha_transpose_grid([channel], tol)[0]
+    return _single(_alpha_transpose_grid, channel, tol)
 
 
 def alpha_hermitian(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Hermitian relaxation: the replaced output may be any Hermitian operator."""
-    return _alpha_hermitian_grid([channel], tol)[0]
+    return _single(_alpha_hermitian_grid, channel, tol)
 
 
 def alpha_transpose_hermitian(
@@ -603,7 +651,7 @@ def alpha_transpose_hermitian(
     Well defined for every channel: the decomposition argument behind the
     bound does not need the transposed map to be completely positive.
     """
-    return _alpha_transpose_hermitian_grid([channel], tol)[0]
+    return _single(_alpha_transpose_hermitian_grid, channel, tol)
 
 
 def p1_eb_ppt(
@@ -615,21 +663,21 @@ def p1_eb_ppt(
     are PSD, PPT, have a uniform input marginal and satisfy
     ``J - J_hat >= 0``.
     """
-    return _p1_grid([channel], tol)[0]
+    return _single(_p1_grid, channel, tol)
 
 
 def reverse_alpha(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to depolarizing at p."""
-    return _rev_grid([channel], tol)[0]
+    return _single(_rev_grid, channel, tol)
 
 
 def reverse_alpha_transpose(
     channel: QuantumChannel, tol: float = sdpcore.DEFAULT_TOL
 ) -> CoefficientResult:
     """Smallest p such that the channel degrades to transpose-depolarizing."""
-    return _rev_transpose_grid([channel], tol)[0]
+    return _single(_rev_transpose_grid, channel, tol)
 
 
 def reverse_alpha_hermitian(
@@ -640,7 +688,7 @@ def reverse_alpha_hermitian(
     Minimises ``Tr(X)`` such that the degraded channel equals
     ``(1 - Tr X) id + replace-by-X`` in Choi form.
     """
-    return _rev_hermitian_grid([channel], tol)[0]
+    return _single(_rev_hermitian_grid, channel, tol)
 
 
 def _contraction(herm: CoefficientResult, trans: CoefficientResult) -> float:
@@ -715,13 +763,7 @@ def dp_range(
     return _dp(reverse, [alpha_hermitian(channel, tol), alpha_transpose(channel, tol)])
 
 
-def _dp_grid(channels, tol):
-    reverse = [_GRID[k](channels, tol) for k in (KIND_REV_H, KIND_REV, KIND_REV_T)]
-    forward = [_GRID[k](channels, tol) for k in (KIND_ALPHA_H, KIND_ALPHA_T)]
-    return [_dp(list(r), list(f)) for r, f in zip(zip(*reverse), zip(*forward))]
-
-
-_GRID = {
+_DECLARATIONS = {
     KIND_ALPHA: _alpha_grid,
     KIND_ALPHA_T: _alpha_transpose_grid,
     KIND_ALPHA_H: _alpha_hermitian_grid,
@@ -730,30 +772,51 @@ _GRID = {
     KIND_REV: _rev_grid,
     KIND_REV_T: _rev_transpose_grid,
     KIND_REV_H: _rev_hermitian_grid,
-    KIND_DP: _dp_grid,
 }
+# The kinds behind a data-processing range: reverse (revH, rev, revT), then
+# forward (alphaH, alphaT), as :func:`_dp` takes them.
+_DP_KINDS = (KIND_REV_H, KIND_REV, KIND_REV_T, KIND_ALPHA_H, KIND_ALPHA_T)
 
 
-def solve_grid(kind: str, channels, tol: float = sdpcore.DEFAULT_TOL) -> list:
-    """One kind on every channel of a grid, in lockstep batches.
+def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, list]:
+    """Several kinds on every channel of a grid, in one solve.
 
-    ``kind`` is a ``KIND_*`` constant; ``KIND_DP`` gives the
+    ``kinds`` holds ``KIND_*`` constants; ``KIND_DP`` gives the
     :class:`DpRange` of :func:`dp_range`, every other kind a
-    :class:`CoefficientResult`.  Channels of equal dimensions share one
-    program declaration, lowered once, and their programs go to
-    :func:`qdoeblin.sdpcore.solve_many` together.  Results come back in
-    input order, each equal to the single-channel call: same status, same
-    iteration count, bitwise the same value.
+    :class:`CoefficientResult`.  ``KIND_DP`` stands for its five kinds, so
+    a range shares each of them with any other kind asked for, and each
+    kind is solved once however often it is asked for.  Channels of equal
+    dimensions share one declaration per kind, lowered once, and the
+    programs of every kind and dimension go to one
+    :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
+    lockstep key (``rev`` and ``revT``, ``alpha`` and ``alphaT``) run as
+    one batch.  Returns the results of each kind in input order, each
+    equal to the single-channel call: same status, same iteration count,
+    bitwise the same value.
     """
     channels = list(channels)
-    out: list = [None] * len(channels)
+    base = dict.fromkeys(k for kind in kinds for k in (_DP_KINDS if kind == KIND_DP else (kind,)))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, channel in enumerate(channels):
         groups.setdefault((channel.d_in, channel.d_out), []).append(i)
-    for members in groups.values():
-        for i, res in zip(members, _GRID[kind]([channels[i] for i in members], tol)):
-            out[i] = res
-    return out
+    plan = [(kind, members) for members in groups.values() for kind in base]
+    solved = _solve(
+        [_DECLARATIONS[kind]([channels[i] for i in members]) for kind, members in plan], tol
+    )
+    out: dict[str, list] = {kind: [None] * len(channels) for kind in base}
+    for (kind, members), results in zip(plan, solved):
+        for i, res in zip(members, results):
+            out[kind][i] = res
+    if KIND_DP in kinds:
+        out[KIND_DP] = [
+            _dp(list(rs[:3]), list(rs[3:])) for rs in zip(*(out[k] for k in _DP_KINDS))
+        ]
+    return {kind: out[kind] for kind in kinds}
+
+
+def solve_grid(kind: str, channels, tol: float = sdpcore.DEFAULT_TOL) -> list:
+    """One kind on every channel of a grid: :func:`solve_grids` of one kind."""
+    return solve_grids([kind], channels, tol)[kind]
 
 
 def capacity_bounds(

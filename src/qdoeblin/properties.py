@@ -7,8 +7,8 @@ crossover probabilities, for the embedding law the matrix sizes).  The
 ``qdoeblin check`` suites in :data:`SUITES` run the laws on small ensembles,
 and the acceptance tests run the same laws on their pinned ensembles, so
 each law and its tolerance is written once.  A law draws its whole ensemble
-first and solves it through :func:`qdoeblin.doeblin.solve_grid`, whose
-results equal the single-channel calls.
+first and solves it through :func:`qdoeblin.doeblin.solve_grids` (one
+call for all of its kinds), whose results equal the single-channel calls.
 """
 
 from __future__ import annotations
@@ -119,10 +119,8 @@ def alpha_concatenation(rng, tol, rec, pairs: int) -> None:
 def sandwich(rng, tol, rec, channels: int) -> None:
     """alpha <= alphaH, 1 - rev <= eta_tr expansion, eta_tr <= 1 - alpha."""
     drawn = [_rand_qubit(rng) for _ in range(channels)]
-    solved = zip(*(
-        db.solve_grid(kind, drawn, tol) for kind in (db.KIND_ALPHA, db.KIND_ALPHA_H, db.KIND_REV)
-    ))
-    for n, (a, a_h, rev) in zip(drawn, solved):
+    grids = db.solve_grids((db.KIND_ALPHA, db.KIND_ALPHA_H, db.KIND_REV), drawn, tol)
+    for n, a, a_h, rev in zip(drawn, *grids.values()):
         a, a_h, rev = a.value, a_h.value, rev.value
         rec("alpha_below_hermitian", a - a_h <= 1e-6, a=a, aH=a_h)
         eta_lo = oracles.eta_tr_expansion_qubit(n)

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, CSV dialect, figures, check suites."""
 
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -191,6 +192,44 @@ def test_sweep_builds_each_channel_once(tmp_path, monkeypatch):
     assert [c["p"] for c in calls] == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
+def test_repeated_kind_writes_every_column(tmp_path, capsys):
+    # A kind asked for twice is solved once but still fills both columns,
+    # with the values it has when asked for alone.
+    coeff = ("coeff", "--channel", "gad", "--p", "0.3", "--eta", "0.6")
+    assert run(*coeff, "--kind", "rev") == 0
+    _, row = capsys.readouterr().out.splitlines()
+    assert run(*coeff, "--kind", "rev", "--kind", "alpha", "--kind", "rev") == 0
+    twice = capsys.readouterr().out.splitlines()
+    assert twice[0] == "rev,rev_status,alpha,alpha_status,rev,rev_status"
+    cells = twice[1].split(",")
+    assert cells[:2] == cells[4:] == row.split(",")
+
+    sweep = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",
+             "--stop", "1", "--step", "0.25", "--jobs", "1")
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run(*sweep, "--kind", "revT", "--out", str(one)) == 0
+    assert run(*sweep, "--kind", "revT", "--kind", "revT", "--out", str(two)) == 0
+    _, alone = read_csv(one)
+    header, *lines = two.read_text().splitlines()
+    assert header == "p,revT,revT_status,revT,revT_status"
+    assert len(lines) == len(alone) == 5
+    for line, r in zip(lines, alone):
+        p, a, a_status, b, b_status = line.split(",")
+        assert (p, a, a_status) == (p, b, b_status) == (r["p"], r["revT"], r["revT_status"])
+
+
+def test_figures_together_write_the_bytes_of_each_alone(tmp_path, capsys):
+    together = tmp_path / "together"
+    assert run(*_MULTI, "--jobs", "1", "--outdir", str(together)) == 0
+    for fig in _MULTI[2::2]:
+        alone = tmp_path / fig
+        assert run("figures", "--which", fig, "--jobs", "1", "--outdir", str(alone)) == 0
+        for name in os.listdir(alone):
+            assert (alone / name).read_bytes() == (together / name).read_bytes()
+    assert len(os.listdir(together)) == 6
+    capsys.readouterr()
+
+
 def test_sweep_svg_output(tmp_path):
     out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
     code = run("sweep", "--channel", "gad", "--p", "1.0", "--sweep", "eta",
@@ -336,15 +375,15 @@ def test_figures_share_one_pool(tmp_path, monkeypatch, capsys, fake_pool, jobs):
     [pool] = fake_pool
     chunks = pool.chunks
     assert pool.max_workers == min(jobs, len(chunks))
-    size = min(cli.GRID_CHUNK, math.ceil(253 / jobs))
+    # fig2 and fig4 share their 101 depolarizing points: one task each.
+    size = min(cli.GRID_CHUNK, math.ceil(152 / jobs))
     for chunk in chunks:
         assert 1 <= len(chunk) <= size
         assert len({(family, kinds, tol) for family, _, kinds, tol in chunk}) == 1
     tasks = [t for chunk in chunks for t in chunk]
     assert [(t[0], t[2]) for t in tasks] == (
-        [("depolarizing", ("alpha", "alphaT"))] * 101
-        + [("depolarizing", ("rev", "revT"))] * 101
-        + [("gad", ("alpha", "alphaH", "revH", "rev"))] * 51
+        [("depolarizing", ("alpha", "alphaT", "rev", "revT"))] * 101
+        + [("gad", ("alpha", "alphaH", "rev", "revH"))] * 51
     )
     # Cells come back in task order: each row holds its own axis value.
     for name, axis, col in (("fig2", "p", "alpha"), ("fig4", "p", "revT"),
@@ -353,6 +392,39 @@ def test_figures_share_one_pool(tmp_path, monkeypatch, capsys, fake_pool, jobs):
         for r in rows:
             value = float(r[axis])
             assert abs(float(r[col]) - (1.0 - value if name == "fig8" else value)) < 1e-9
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_figures_plan_each_point_once(tmp_path, monkeypatch, capsys, fake_pool, jobs):
+    # fig3's points at p = k/25 and fig8's row lie on the fig1/fig5/fig6
+    # surface: each distinct point is built and solved once, with the kinds
+    # of every figure that asks for it, and each kind set is one contiguous
+    # run, so a point that gains kinds does not split its neighbours' run.
+    seen = []
+
+    def recorded(chunk):
+        seen.append(chunk)
+        return _axis_cells(chunk)
+
+    monkeypatch.setattr(cli, "_chunk_cells", recorded)
+    argv = [a for fig in ("fig1", "fig3", "fig5", "fig6", "fig8") for a in ("--which", fig)]
+    assert run("figures", *argv, "--jobs", str(jobs), "--outdir", str(tmp_path)) == 0
+    capsys.readouterr()
+    tasks = [t for chunk in seen for t in chunk]
+    points = [cli._point_key(t) for t in tasks]
+    assert len(points) == len(set(points)) == 51 * 51 + 4 * (76 - 26)
+    for chunk in seen:
+        assert len({frozenset(kinds) for _, _, kinds, _ in chunk}) == 1
+    runs = [key for key, _ in itertools.groupby(tasks, key=lambda t: (t[0], t[2], t[3]))]
+    assert len(runs) == len(set(runs))
+    assert len({frozenset(kinds) for _, kinds, _ in runs}) == len(runs)
+    # Every figure reads its own points' cells from the shared ones.
+    for name, col in (("fig3_eta0.6", "one_minus_alpha"), ("fig5", "rev"),
+                      ("fig8", "one_minus_rev")):
+        _, rows = read_csv(tmp_path / f"{name}.csv")
+        eta = [0.6] * len(rows) if name.startswith("fig3") else [float(r["eta"]) for r in rows]
+        for r, value in zip(rows, eta):
+            assert abs(float(r[col]) - (value if name == "fig5" else 1.0 - value)) < 1e-9
 
 
 _SWEEP = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",

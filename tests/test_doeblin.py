@@ -602,8 +602,8 @@ def test_shared_map_that_breaks_conjugation_takes_the_complex_path():
     u = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
     w = np.array([[2.0, 0.5], [0.5, 1.0]])
     c = np.diag([1.0, 3.0])
-    [(sol, _)] = db._solve_program(
-        [2], {0: w}, [(c, {0: lambda b: u @ b @ u.conj().T})], count=1, tol=1e-9
+    [[(sol, _)]] = db._solve(
+        [db._program([2], {0: w}, [(c, {0: lambda b: u @ b @ u.conj().T})], count=1)], 1e-9
     )
     assert sol.status == sdpcore.STATUS_OPTIMAL
     want = np.trace(u @ w @ u.conj().T @ c).real
@@ -687,3 +687,45 @@ def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
     got = db.solve_grid(db.KIND_REV, channels)
     assert all(r.status == sdpcore.STATUS_OPTIMAL for r in got)
     assert calls == {"_null_space": 51, "_lowered_coeffs": 1, "link_raw": 1}
+
+
+def _same_result(got, want):
+    """Bitwise the same value, status, iteration count and witness."""
+    assert (got.status, got.not_applicable) == (want.status, want.not_applicable)
+    if want.solution is None:
+        assert got.solution is None and np.isnan(got.value)
+        return
+    assert got.solution.iterations == want.solution.iterations
+    assert got.value == want.value
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert np.array_equal(got.witness, want.witness)
+
+
+def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
+    # gad points on both sides of the PPT boundary (alphaT applies at the
+    # first two only) and a complex channel.  The range and rev in one call
+    # solve its five kinds once, rev and revT in one lockstep batch per
+    # realness, and every result is bitwise its kind's own grid result.
+    channels = [ch.gad(0.3, 0.1), ch.gad(0.5, 0.04), ch.gad(0.3, 0.2), ch.gad(0.5, 0.5),
+                ch.gad(1.0, 0.8), ch.random_channel(2, 2, seed=3)]
+    got = db.solve_grids([db.KIND_DP, db.KIND_REV], channels)
+    assert list(got) == [db.KIND_DP, db.KIND_REV]
+    assert [r.not_applicable for r in db.solve_grid(db.KIND_ALPHA_T, channels)] == [
+        False, False, True, True, True, True]
+    assert got[db.KIND_DP] == db.solve_grid(db.KIND_DP, channels)
+    for res, want in zip(got[db.KIND_REV], db.solve_grid(db.KIND_REV, channels)):
+        _same_result(res, want)
+    mixed = db.solve_grids([db.KIND_REV_T, db.KIND_ALPHA_T, db.KIND_REV], channels)
+    for kind, results in mixed.items():
+        for res, want in zip(results, db.solve_grid(kind, channels)):
+            _same_result(res, want)
+
+    runs = {}
+    _spy(monkeypatch, sdpcore, "_lockstep", runs)
+    db.solve_grid(db.KIND_REV, channels)
+    alone = runs["_lockstep"]
+    runs["_lockstep"] = 0
+    db.solve_grids([db.KIND_REV, db.KIND_REV_T], channels)
+    assert runs["_lockstep"] == alone == 2
