@@ -51,7 +51,9 @@ EXIT_CHECK = 4
 
 NAN_LITERAL = "nan_not_ppt"
 
-# The single-channel function of each kind name.
+# The single-channel function of each kind.  No library code calls these;
+# the benchmark does (bench/workloads.py), and bench/tracing.py patches
+# this registry to trace them.
 KIND_FUNCS = {
     "alpha": db.alpha,
     "alphaT": db.alpha_transpose,
@@ -61,17 +63,6 @@ KIND_FUNCS = {
     "rev": db.reverse_alpha,
     "revT": db.reverse_alpha_transpose,
     "revH": db.reverse_alpha_hermitian,
-}
-# The doeblin kind of each name, for grids solved through ``db.solve_grids``.
-GRID_KINDS = {
-    "alpha": db.KIND_ALPHA,
-    "alphaT": db.KIND_ALPHA_T,
-    "alphaH": db.KIND_ALPHA_H,
-    "alphaTH": db.KIND_ALPHA_TH,
-    "p1": db.KIND_P1,
-    "rev": db.KIND_REV,
-    "revT": db.KIND_REV_T,
-    "revH": db.KIND_REV_H,
 }
 # alphaTH stays behind --combine-th; the default surface omits it.
 BASE_KINDS = ("alpha", "alphaT", "alphaH", "p1", "rev", "revT", "revH")
@@ -162,13 +153,14 @@ def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
 
     Every SDP column is solved by one ``db.solve_grids`` call over all the
     channels, so each kind is solved once however many columns ask for it
-    and kinds that share a lockstep key run as one batch.  Besides the SDP
-    kinds this understands the oracle column ``eta_tr``, the closed form
-    ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper`` columns,
-    which read one data-processing range.
+    and kinds that share a lockstep key run as one batch; an SDP kind is
+    passed on by its name, which is its ``db.KIND_*`` name.  Besides the
+    SDP kinds this understands the oracle column ``eta_tr``, the closed
+    form ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper``
+    columns, which read one data-processing range.
     """
     solved = db.solve_grids(
-        [db.KIND_DP if kind in ("dp_lower", "dp_upper") else GRID_KINDS[kind]
+        [db.KIND_DP if kind in ("dp_lower", "dp_upper") else kind
          for kind in kinds if kind not in ("eta_tr", "abs12p")],
         channels, tol,
     )
@@ -184,10 +176,7 @@ def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
                 for r in solved[db.KIND_DP]
             ]
         else:
-            col = [
-                (float(r.value), r.status, r.not_applicable)
-                for r in solved[GRID_KINDS[kind]]
-            ]
+            col = [(float(r.value), r.status, r.not_applicable) for r in solved[kind]]
         columns.append(col)
     return [list(cells) for cells in zip(*columns)]
 
@@ -733,10 +722,12 @@ def _usable_cpus() -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each command takes only the options it reads: --tol everywhere,
+    # --jobs where a grid is solved, --seed in check.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--jobs", type=_positive_int, default=_usable_cpus())
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=_tolerance, default=sdpcore.DEFAULT_TOL)
+    pooled = argparse.ArgumentParser(add_help=False)
+    pooled.add_argument("--jobs", type=_positive_int, default=_usable_cpus())
 
     chan = argparse.ArgumentParser(add_help=False)
     chan.add_argument("--channel")
@@ -752,7 +743,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coeff = sub.add_parser("coeff", parents=[common, chan])
     p_coeff.set_defaults(func=_cmd_coeff)
 
-    p_sweep = sub.add_parser("sweep", parents=[common, chan])
+    p_sweep = sub.add_parser("sweep", parents=[common, pooled, chan])
     p_sweep.add_argument("--sweep", required=True)
     p_sweep.add_argument("--start", type=float, required=True)
     p_sweep.add_argument("--stop", type=float, required=True)
@@ -761,12 +752,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--svg")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_fig = sub.add_parser("figures", parents=[common])
+    p_fig = sub.add_parser("figures", parents=[common, pooled])
     p_fig.add_argument("--which", action="append", required=True)
     p_fig.add_argument("--outdir", required=True)
     p_fig.set_defaults(func=_cmd_figures)
 
     p_check = sub.add_parser("check", parents=[common])
+    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
         "--suite", default="all", choices=list(properties.SUITES) + ["all"]
     )

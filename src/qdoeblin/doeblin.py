@@ -55,13 +55,13 @@ from . import hermlin, sdpcore
 from .channel import QuantumChannel, link_raw, max_entangled, swap_matrix
 
 KIND_ALPHA = "alpha"
-KIND_ALPHA_T = "alpha_T"
-KIND_ALPHA_H = "alpha_H"
-KIND_ALPHA_TH = "alpha_TH"
-KIND_P1 = "p1_ppt"
-KIND_REV = "rev_alpha"
-KIND_REV_T = "rev_alpha_T"
-KIND_REV_H = "rev_alpha_H"
+KIND_ALPHA_T = "alphaT"
+KIND_ALPHA_H = "alphaH"
+KIND_ALPHA_TH = "alphaTH"
+KIND_P1 = "p1"
+KIND_REV = "rev"
+KIND_REV_T = "revT"
+KIND_REV_H = "revH"
 # The data-processing range of :func:`dp_range`, for :func:`solve_grids`.
 KIND_DP = "dp_range"
 
@@ -139,14 +139,15 @@ def _basis(side: int, real: bool) -> np.ndarray:
     """The basis stack of a variable: real symmetric in a real program."""
     if real:
         return hermlin.real_symmetric_basis_stack(side)
-    return hermlin.hermitian_basis_stack(side)
+    return hermlin.hermitian_basis(side)
 
 
 def _keeps_conjugation(images: np.ndarray, side: int) -> np.ndarray:
     """Whether a map commutes with complex conjugation, from its images of
-    :func:`qdoeblin.hermlin.hermitian_basis_stack`: real basis elements
-    must go to real images and imaginary ones to imaginary images.  A
-    ``(p, k, n, n)`` stack of images gives one answer per map."""
+    the basis stack :func:`qdoeblin.hermlin.hermitian_basis` of side
+    ``side``: the real symmetric elements must go to real images and the
+    imaginary ones to imaginary images.  A ``(p, k, n, n)`` stack of images
+    gives one answer per map."""
     real = hermlin.real_symmetric_mask(side)
     axes = (-3, -2, -1)
     return ~(
@@ -174,7 +175,7 @@ def _real_declaration(sides, weights, psd, eqs, bounds) -> bool:
     return (
         not any(np.imag(c).any() for c in constants)
         and all(
-            _keeps_conjugation(f(hermlin.hermitian_basis_stack(sides[v])), sides[v])
+            _keeps_conjugation(f(hermlin.hermitian_basis(sides[v])), sides[v])
             for _, maps in [*psd, *eqs]
             for v, f in maps.items()
             if callable(f)
@@ -322,7 +323,7 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
     for images, (_, maps) in zip(own, eqs):
         for v, f in maps.items():
             if isinstance(f, _PerProblem):
-                images[v] = f.images(hermlin.hermitian_basis_stack(sides[v]))
+                images[v] = f.images(hermlin.hermitian_basis(sides[v]))
                 real &= _keeps_conjugation(images[v], sides[v])
     lowered = []
     for flag in (True, False):
@@ -417,7 +418,8 @@ def _solve(declarations, tol: float) -> list:
     asked = [next(d) for d in declarations]
     problems = [p for ps in asked for p in ps]
     if len(problems) == 1:
-        # A single channel is a batch of one, solved through ``solve``.
+        # A single channel is a batch of one, solved through ``solve``: the
+        # traced benchmark (bench/tracing.py) counts ``sdpcore.solve`` spans.
         sols = iter([sdpcore.solve(problems[0], tol=tol)])
     else:
         sols = iter(sdpcore.solve_many(problems, tol=tol) if problems else [])

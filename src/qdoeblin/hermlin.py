@@ -16,8 +16,6 @@ import numpy as np
 
 # Hermiticity check: |m - m^dag| entrywise.
 HERM_TOL = 1e-12
-# Eigendecomposition reconstruction quality per unit dimension.
-EIG_TOL = 1e-10
 # An operator counts as PSD when its minimum eigenvalue is >= -PSD_TOL.
 PSD_TOL = 1e-9
 # Hard cap on the side of anything we eigendecompose.
@@ -165,32 +163,21 @@ def _basis_stack(dim: int) -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=None)
-def _basis_tuple(dim: int) -> tuple[np.ndarray, ...]:
-    return tuple(_basis_stack(dim))
-
-
 def _check_basis_dim(dim: int) -> None:
     if dim <= 0 or dim > MAX_DIM:
         raise ValueError(f"hermitian_basis needs 1 <= dim <= {MAX_DIM}, got {dim}")
 
 
-def hermitian_basis(dim: int) -> tuple[np.ndarray, ...]:
+def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal basis of the real space of ``dim x dim`` Hermitian matrices.
 
-    Orthonormal under the trace inner product ``<A, B> = Tr(A B)``.  The
-    first element is the normalised identity; the remaining ``dim**2 - 1``
-    elements are traceless.  The ordering is deterministic: diagonal
-    traceless directions first, then (real, imaginary) pairs for each
-    off-diagonal position in row-major order.  The matrices are read-only
-    views of :func:`hermitian_basis_stack`.
+    One read-only ``(dim**2, dim, dim)`` stack, orthonormal under the trace
+    inner product ``<A, B> = Tr(A B)``.  The first element is the
+    normalised identity; the remaining ``dim**2 - 1`` elements are
+    traceless.  The ordering is deterministic: diagonal traceless
+    directions first, then (real, imaginary) pairs for each off-diagonal
+    position in row-major order.
     """
-    _check_basis_dim(dim)
-    return _basis_tuple(dim)
-
-
-def hermitian_basis_stack(dim: int) -> np.ndarray:
-    """:func:`hermitian_basis` as one read-only ``(dim**2, dim, dim)`` stack."""
     _check_basis_dim(dim)
     return _basis_stack(dim)
 
@@ -210,7 +197,7 @@ def _real_stack(dim: int) -> np.ndarray:
 
 
 def real_symmetric_mask(dim: int) -> np.ndarray:
-    """Which elements of :func:`hermitian_basis_stack` are real symmetric.
+    """Which elements of :func:`hermitian_basis` are real symmetric.
 
     The others are the imaginary antisymmetric elements ``+-i`` of the
     off-diagonal pairs.  A Hermitian matrix is real exactly when its
@@ -221,43 +208,10 @@ def real_symmetric_mask(dim: int) -> np.ndarray:
 
 
 def real_symmetric_basis_stack(dim: int) -> np.ndarray:
-    """The real symmetric elements of :func:`hermitian_basis_stack`, in order.
+    """The real symmetric elements of :func:`hermitian_basis`, in order.
 
     An orthonormal basis of the ``dim * (dim + 1) / 2``-dimensional space of
     real symmetric matrices, as one read-only complex128 stack.
     """
     _check_basis_dim(dim)
     return _real_stack(dim)
-
-
-def hermitian_coords(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix in :func:`hermitian_basis`."""
-    h = require_hermitian(h, tol=tol, name="hermitian_coords input")
-    stack = hermitian_basis_stack(h.shape[0])
-    return np.real(np.einsum("kij,ji->k", stack, h))
-
-
-def hermitian_from_coords(coords: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_coords`."""
-    coords = np.asarray(coords, dtype=float)
-    stack = hermitian_basis_stack(dim)
-    if coords.shape != (len(stack),):
-        raise ValueError(f"expected {len(stack)} coordinates for dim {dim}, got {coords.shape}")
-    return np.tensordot(coords, stack, axes=1)
-
-
-def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
-    """Embed a Hermitian matrix as a real symmetric one of twice the side.
-
-    ``H = A + iB`` maps to ``[[A, -B], [B, A]]``.  The embedding doubles
-    every eigenvalue's multiplicity, so it preserves positive
-    semidefiniteness in both directions and linear combinations commute
-    with it.  A stack of shape ``(k, n, n)`` is embedded matrix by matrix
-    into shape ``(k, 2n, 2n)``, with one Hermiticity check for the stack.
-    """
-    h = require_hermitian(h, tol, "real_embed input")
-    a = h.real
-    b = h.imag
-    top = np.concatenate([a, -b], axis=-1)
-    bot = np.concatenate([b, a], axis=-1)
-    return np.concatenate([top, bot], axis=-2)

@@ -208,13 +208,6 @@ def _suite_linalg(rng, tol, rec):
         )
         g_err = float(np.max(np.abs(gram - np.eye(dim * dim))))
         rec("basis_orthonormal", g_err <= 1e-12, dim=dim, err=g_err)
-        h = _rand_herm(rng, dim)
-        back = hermlin.hermitian_from_coords(hermlin.hermitian_coords(h), dim)
-        rec("coords_roundtrip", float(np.max(np.abs(back - h))) <= 1e-11, dim=dim)
-        emb = hermlin.real_embed(h)
-        doubled = np.sort(np.concatenate([np.linalg.eigvalsh(h)] * 2))
-        e_err = float(np.max(np.abs(np.linalg.eigvalsh(emb) - doubled)))
-        rec("real_embed_spectrum", e_err <= 1e-10, dim=dim, err=e_err)
 
 
 def _suite_channel(rng, tol, rec):

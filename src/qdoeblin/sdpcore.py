@@ -19,9 +19,10 @@ of one copy.  In exact arithmetic the iterates are those of the explicit
 ``w``-copy block, at the cost of one copy.
 
 A Hermitian program is a complex block of side n with ``w = 2``: its real
-embedding :func:`qdoeblin.hermlin.real_embed` (side 2n, ``w = 1``) is a
-*-homomorphism with ``Tr(emb(A) emb(B)) = 2 Re Tr(A B)`` that doubles
-every eigenvalue, so in exact arithmetic both have the same iterates.  A
+embedding, which maps ``A + iB`` to the real symmetric ``[[A, -B], [B, A]]``
+of side 2n with ``w = 1``, is a *-homomorphism with
+``Tr(emb(A) emb(B)) = 2 Re Tr(A B)`` that doubles every eigenvalue, so in
+exact arithmetic both have the same iterates.  A
 real Hermitian program embeds as two copies of its real part, so it is
 solved as a real block of side n with ``w = 2``.  Complex blocks have their
 own block class: every transpose that stands for the adjoint is a
@@ -424,8 +425,9 @@ class _HermBlock(_DenseBlock):
     is real: ``Re Tr(A X) = Re sum_ab A_ab conj(X_ab)`` for Hermitian X is
     the dot product of the float views ``aview`` and ``_floats(X)``, so the
     operator, the adjoint, ``dot`` and the last stage of the Schur term are
-    real gemms over ``2*m*m`` columns.  ``real_embed`` of such a block has
-    the same iterates at twice the side and half the multiplicity.
+    real gemms over ``2*m*m`` columns.  The real embedding of such a block
+    (``A + iB`` as ``[[A, -B], [B, A]]``) has the same iterates at twice the
+    side and half the multiplicity.
     """
 
     def __init__(self, dim: int, aflat: np.ndarray, w: int):

@@ -16,6 +16,7 @@ import pytest
 import qdoeblin
 from qdoeblin import channel as ch
 from qdoeblin import cli, properties, sdpcore
+from qdoeblin import doeblin as db
 
 
 def run(*argv):
@@ -114,6 +115,37 @@ def test_combine_th_gate(capsys):
     out = capsys.readouterr().out.splitlines()
     assert code == 0
     assert abs(float(out[1].split(",")[0]) - (-0.5)) < 1e-5
+
+
+def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
+    # --seed is read by check alone and --jobs by sweep and figures alone.
+    coeff = ("coeff", "--channel", "depolarizing", "--p", "0.5", "--kind", "alpha")
+    sweep = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",
+             "--stop", "1", "--step", "0.5", "--kind", "alpha", "--out", str(tmp_path / "x.csv"))
+    figures = ("figures", "--which", "fig2", "--outdir", str(tmp_path / "figs"))
+    assert run(*coeff, "--seed", "1") == 1
+    assert run(*coeff, "--jobs", "1") == 1
+    assert run(*sweep, "--seed", "1") == 1
+    assert run(*figures, "--seed", "1") == 1
+    assert run("check", "--suite", "linalg", "--jobs", "2") == 1
+    assert not list(tmp_path.iterdir())
+    capsys.readouterr()
+
+
+def test_kind_registries_agree():
+    # A CLI kind is the doeblin kind of the same name: the grid path passes
+    # it to db.solve_grids unchanged, and it answers as the kind function.
+    assert set(cli.KIND_FUNCS) == set(db._DECLARATIONS) == set(cli.BASE_KINDS) | {"alphaTH"}
+    for chan in (ch.gad(0.3, 0.6), ch.random_channel(2, 2, seed=9)):
+        for kind, func in cli.KIND_FUNCS.items():
+            want = func(chan)
+            [got] = db.solve_grid(kind, [chan])
+            assert got.kind == want.kind == kind
+            assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            assert got.status == want.status
+            assert got.not_applicable == want.not_applicable
+            iterations = [r.solution.iterations if r.solution else None for r in (got, want)]
+            assert iterations[0] == iterations[1]
 
 
 @pytest.mark.parametrize("payload", [

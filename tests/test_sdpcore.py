@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from qdoeblin import hermlin, sdpcore
+from qdoeblin import sdpcore
+from reference import real_embed
 
 
 def max_eig_problem(c: np.ndarray) -> sdpcore.SdpProblem:
@@ -590,8 +591,8 @@ def _embedded(block: sdpcore.SdpBlock) -> sdpcore.SdpBlock:
     if not np.iscomplexobj(block.c):
         return block
     return sdpcore.SdpBlock(
-        c=hermlin.real_embed(block.c),
-        coeffs=[(i, hermlin.real_embed(a)) for i, a in block.coeffs],
+        c=real_embed(block.c),
+        coeffs=[(i, real_embed(a)) for i, a in block.coeffs],
         w=block.w // 2,
     )
 
@@ -642,7 +643,7 @@ def test_hermitian_blocks_match_their_real_embedding(name, seed):
     for blk, x, x_emb in zip(prob.blocks, got.x_blocks, want.x_blocks):
         assert x.shape == (blk.dim, blk.dim)
         assert x.dtype == blk.c.dtype
-        x_real = hermlin.real_embed(x) if np.iscomplexobj(x) else x
+        x_real = real_embed(x) if np.iscomplexobj(x) else x
         np.testing.assert_allclose(x_real, x_emb, rtol=0, atol=1e-6 * (1.0 + np.abs(x_emb).max()))
 
 
