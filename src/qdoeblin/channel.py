@@ -28,30 +28,6 @@ CHOI_MARGINAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class HermitianChoiLike:
-    """A Hermitian operator on out (x) in carrying channel dimensions.
-
-    Used for Choi matrices of Hermiticity-preserving (not necessarily
-    completely positive or trace preserving) maps.
-    """
-
-    matrix: np.ndarray
-    d_in: int
-    d_out: int
-
-    def __post_init__(self):
-        m = hermlin.require_hermitian(
-            self.matrix, tol=1e-10, name="choi-like matrix"
-        )
-        if m.shape[0] != self.d_in * self.d_out:
-            raise ValueError(
-                f"matrix side {m.shape[0]} does not match d_out*d_in ="
-                f" {self.d_out * self.d_in}"
-            )
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class ChoiMatrix:
     """Normalised Choi matrix of a channel: PSD, unit trace, uniform marginal."""
 
@@ -177,8 +153,8 @@ def apply(channel: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def validate(obj: QuantumChannel | ChoiMatrix | HermitianChoiLike) -> ChannelFlags:
-    """Complete positivity, trace preservation and PPT flags of a Choi-like."""
+def validate(obj: QuantumChannel | ChoiMatrix) -> ChannelFlags:
+    """Complete positivity, trace preservation and PPT flags of a channel or Choi matrix."""
     if isinstance(obj, QuantumChannel):
         obj = obj.choi
     m = obj.matrix
@@ -304,6 +280,8 @@ def depolarizing(p: float, d: int = 2) -> QuantumChannel:
     The map stays completely positive for ``p in [0, d^2/(d^2-1)]``; beyond
     ``p = 1`` it is no longer a convex mixture but remains a channel.
     """
+    if d < 2:
+        raise ValueError("d must be at least 2")
     hi = d * d / (d * d - 1.0)
     p = _check_interval("p", p, 0.0, hi)
     j = (1.0 - p) * max_entangled(d) + p * np.eye(d * d) / (d * d)

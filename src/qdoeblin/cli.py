@@ -118,8 +118,6 @@ def _flag_params(args, skip: str | None = None) -> dict:
         for flag in _PARAM_FLAGS
         if getattr(args, flag, None) is not None and flag != skip
     }
-    if "d" in params:
-        params["d"] = int(params["d"])
     return params
 
 
@@ -735,7 +733,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chan.add_argument("--combine-th", action="store_true", dest="combine_th")
     chan.add_argument("--kind", action="append", required=True)
     for flag in _PARAM_FLAGS:
-        chan.add_argument(f"--{flag}", type=float)
+        chan.add_argument(f"--{flag}", type=_positive_int if flag == "d" else float)
 
     parser = argparse.ArgumentParser(prog="qdoeblin")
     sub = parser.add_subparsers(dest="command", required=True)

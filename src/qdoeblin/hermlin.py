@@ -3,9 +3,10 @@
 Everything in this package runs on complex128 numpy arrays of side at most
 a few dozen, so the routines here favour clarity and strict validation over
 asymptotic cleverness.  The constants at the top of this module are the
-tolerances and size caps of these routines; the other modules keep their
-own next to the code that uses them (for example ``channel.TP_TOL``,
-``sdpcore.SYM_TOL`` and ``doeblin.WITNESS_TRACE_FLOOR``).
+tolerances and size caps of these routines, plus ``PSD_TOL``, the
+positivity threshold every module tests eigenvalues against; the other
+modules keep their own next to the code that uses them (for example
+``channel.TP_TOL``, ``sdpcore.SYM_TOL`` and ``doeblin.WITNESS_TRACE_FLOOR``).
 """
 
 from __future__ import annotations
@@ -130,12 +131,6 @@ def trace_norm(m: np.ndarray, tol: float = HERM_TOL) -> float:
     """Trace norm of a Hermitian matrix (sum of absolute eigenvalues)."""
     w, _ = eig_hermitian(m, tol=tol)
     return float(np.sum(np.abs(w)))
-
-
-def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether a Hermitian matrix is positive semidefinite within ``tol``."""
-    w, _ = eig_hermitian(m, tol=max(tol, HERM_TOL))
-    return bool(w[0] >= -tol)
 
 
 @lru_cache(maxsize=None)

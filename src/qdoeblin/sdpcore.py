@@ -24,11 +24,13 @@ of side 2n with ``w = 1``, is a *-homomorphism with
 ``Tr(emb(A) emb(B)) = 2 Re Tr(A B)`` that doubles every eigenvalue, so in
 exact arithmetic both have the same iterates.  A
 real Hermitian program embeds as two copies of its real part, so it is
-solved as a real block of side n with ``w = 2``.  Complex blocks have their
-own block class: every transpose that stands for the adjoint is a
-conjugate transpose, and every trace ``Re Tr(A X)`` is a real dot product
-of float views, so the KKT system, y, the step lengths and the diagonal
-block stay real.
+solved as a real block of side n with ``w = 2``.  Real and complex blocks
+share one block class, with real data as the trivial case of the Hermitian
+cone: every transpose that stands for the adjoint is a conjugate
+transpose, and every trace ``Re Tr(A X)`` is a real dot product of float
+views, so the KKT system, y, the step lengths and the diagonal block stay
+real.  For real data the conjugate and the float view are the arrays
+themselves, so a real block does the arithmetic of the real symmetric cone.
 
 The algorithm is the HKM primal-dual direction with a Mehrotra
 predictor-corrector step, run from an infeasible start that is made
@@ -222,6 +224,20 @@ def _real_array(x, name: str) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
+    """The Hermitian parts of a ``(B, m, m)`` stack, the mask of slices that
+    differ from their conjugate transpose by more than ``SYM_TOL`` times
+    their largest entry (at least 1), and the word for what they must be."""
+    m_h = m.conj().transpose(0, 2, 1)
+    scale = np.abs(m).max(axis=(1, 2), initial=1.0)
+    # One scratch stack serves both the check and the Hermitian part.
+    work = np.subtract(m, m_h)
+    bad = np.abs(work).max(axis=(1, 2), initial=0.0) > SYM_TOL * scale
+    np.add(m, m_h, out=work)
+    work *= 0.5
+    return work, bad, "Hermitian" if np.iscomplexobj(m) else "symmetric"
+
+
 def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Variable indices and Hermitian-part coefficient stack of one block,
     float64 for real coefficients and complex128 when any is complex."""
@@ -231,26 +247,17 @@ def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray
         out = (idx < 0) | (idx >= n)
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
     mats = np.asarray([a for _, a in blk.coeffs])
-    herm = np.iscomplexobj(mats)
-    mats = mats.astype(complex if herm else float, copy=False)
+    mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
     if idx.size and mats.shape[1:] != (dim, dim):
         raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
     mats = mats.reshape(len(idx), dim, dim)
     finite = np.isfinite(mats).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"block {k} coefficient {idx[np.argmin(finite)]} must be finite")
-    mats_t = (mats.conj() if herm else mats).transpose(0, 2, 1)
-    scale = np.abs(mats).max(axis=(1, 2), initial=1.0)
-    # One scratch stack serves both the check and the Hermitian part.
-    work = np.subtract(mats, mats_t)
-    dev = np.max(np.abs(work, out=None if herm else work), axis=(1, 2), initial=0.0)
-    bad = dev > SYM_TOL * scale
+    part, bad, kind = _hermitian_part(mats)
     if bad.any():
-        kind = "Hermitian" if herm else "symmetric"
         raise ValueError(f"block {k} coefficient {idx[np.argmax(bad)]} must be {kind}")
-    np.add(mats, mats_t, out=work)
-    work *= 0.5
-    return idx, work
+    return idx, part
 
 
 def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
@@ -304,37 +311,35 @@ def _min_eigs(m: np.ndarray) -> np.ndarray:
         return out
 
 
-def _max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
-    """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li = L^-1`` of M.
-
-    ``np.inf`` where the direction never leaves the cone, nan where the
-    eigensolver fails.
-    """
-    w = li @ dm @ li.transpose(0, 2, 1)
-    return _step_from(0.5 * (w + w.transpose(0, 2, 1)))
-
-
-def _step_from(w: np.ndarray) -> np.ndarray:
-    """The step of :func:`_max_step` from the congruent direction ``L^-1 dM L^-H``."""
-    lam = _min_eigs(w)
-    return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
-
-
 def _take(a, keep: np.ndarray):
     """The rows ``keep`` of a per-problem stack; a stack of one slice is
     shared by the batch and stays."""
     return a if len(a) == 1 else a[keep]
 
 
+def _floats(a: np.ndarray) -> np.ndarray:
+    """The slices of a stack as rows of floats: real and imaginary parts
+    alternate for complex data, and real data is its own float view."""
+    return a.reshape(len(a), -1).view(float)
+
+
 class _DenseBlock:
-    """One dense PSD block of a lockstep batch.
+    """One dense PSD block of a lockstep batch, real symmetric or complex
+    Hermitian, with real solver variables.
 
     ``aflat`` holds the coefficient stacks, ``(P, k, m*m)`` with one row per
     solver variable, every one of which enters every block: P is 1 when
     every problem of the batch shares the stack, and the batch size when
-    each problem has its own.  Iterates are ``(B, m, m)`` stacks, one slice
-    per problem; the step search and ``S^-1`` work from their inverse
-    Cholesky factors.
+    each problem has its own.  Iterates are ``(B, m, m)`` stacks of the
+    dtype of ``aflat``, one slice per problem; the step search and ``S^-1``
+    work from their inverse Cholesky factors.
+
+    Every transpose that stands for the adjoint is a conjugate transpose,
+    and every trace the solver takes is real: ``Re Tr(A X) = Re sum_ab
+    A_ab conj(X_ab)`` for Hermitian X is the dot product of the float views
+    ``aview`` and ``_floats(X)``, so the operator, the adjoint, ``dot`` and
+    the last stage of the Schur term are real gemms (over ``2*m*m`` columns
+    for complex data).
 
     A block of multiplicity ``w`` holds one of its ``w`` identical copies:
     the adjoint, the Schur term and every trace inner product count ``w``
@@ -343,8 +348,9 @@ class _DenseBlock:
 
     def __init__(self, dim: int, aflat: np.ndarray, w: int):
         self.dim = dim
-        self.unit = np.eye(dim)
+        self.unit = np.eye(dim, dtype=aflat.dtype)
         self.aflat = aflat
+        self.aview = aflat.view(float)
         self.w = w
 
     def __len__(self) -> int:
@@ -354,6 +360,7 @@ class _DenseBlock:
         """The block of the problems ``keep``."""
         out = copy.copy(self)
         out.aflat = self.aflat[keep]
+        out.aview = out.aflat.view(float)
         return out
 
     def eye(self, count: int) -> np.ndarray:
@@ -365,7 +372,8 @@ class _DenseBlock:
         return v[:, None, None]
 
     def operator(self, y: np.ndarray) -> np.ndarray:
-        return (y[:, None] @ self.aflat).reshape(-1, self.dim, self.dim)
+        out = (y[:, None] @ self.aview).view(self.aflat.dtype)
+        return out.reshape(-1, self.dim, self.dim)
 
     def _copies(self, out: np.ndarray) -> np.ndarray:
         """``out`` summed over the ``w`` copies of the block, in place."""
@@ -375,23 +383,23 @@ class _DenseBlock:
 
     def adjoint(self, x: np.ndarray) -> np.ndarray:
         """``A^T(x)``, one row per problem."""
-        return self._copies(np.matvec(self.aflat, x.reshape(len(x), -1)))
+        return self._copies(np.matvec(self.aview, _floats(x)))
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        """HKM Schur blocks ``M_ij = Tr(A_i X A_j S^-1)``, one gemm per stage."""
+        """HKM Schur blocks ``M_ij = Re Tr(A_i X A_j S^-1)``, one gemm per
+        stage; the last stage is a real gemm."""
         k, m = self.aflat.shape[1], self.dim
         a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
-        return self._copies(
-            self.aflat @ (x[:, None] @ a_sinv).reshape(-1, k, m * m).transpose(0, 2, 1)
-        )
+        xas = (x[:, None] @ a_sinv).reshape(-1, k, m * m).view(float)
+        return self._copies(self.aview @ xas.transpose(0, 2, 1))
 
     def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue of ``m - shift*I`` per slice."""
         return np.linalg.eigvalsh(m - shift[:, None, None] * self.unit)[:, 0]
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``Tr(a b)`` per slice over every copy, one dot product each."""
-        return self._copies(np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1)))
+        """``Re Tr(a b)`` per slice over every copy, one dot product each."""
+        return self._copies(np.vecdot(_floats(a), _floats(b)))
 
     @staticmethod
     def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -399,7 +407,7 @@ class _DenseBlock:
 
     @staticmethod
     def sym(m: np.ndarray) -> np.ndarray:
-        out = m + m.transpose(0, 2, 1)
+        out = m + m.conj().transpose(0, 2, 1)
         out *= 0.5
         return out
 
@@ -407,68 +415,18 @@ class _DenseBlock:
 
     @staticmethod
     def inverse(li: np.ndarray) -> np.ndarray:
-        return li.transpose(0, 2, 1) @ li
-
-    max_step = staticmethod(_max_step)
-
-
-def _floats(a: np.ndarray) -> np.ndarray:
-    """The slices of a complex stack as rows of real and imaginary parts."""
-    return a.reshape(len(a), -1).view(float)
-
-
-class _HermBlock(_DenseBlock):
-    """A dense block of complex Hermitian data, with real solver variables.
-
-    Iterates are complex Hermitian stacks and every transpose that stands
-    for the adjoint is a conjugate transpose.  Every trace the solver takes
-    is real: ``Re Tr(A X) = Re sum_ab A_ab conj(X_ab)`` for Hermitian X is
-    the dot product of the float views ``aview`` and ``_floats(X)``, so the
-    operator, the adjoint, ``dot`` and the last stage of the Schur term are
-    real gemms over ``2*m*m`` columns.  The real embedding of such a block
-    (``A + iB`` as ``[[A, -B], [B, A]]``) has the same iterates at twice the
-    side and half the multiplicity.
-    """
-
-    def __init__(self, dim: int, aflat: np.ndarray, w: int):
-        super().__init__(dim, aflat, w)
-        self.unit = np.eye(dim, dtype=complex)
-        self.aview = aflat.view(float)
-
-    def __getitem__(self, keep: np.ndarray) -> _HermBlock:
-        out = super().__getitem__(keep)
-        out.aview = out.aflat.view(float)
-        return out
-
-    def operator(self, y: np.ndarray) -> np.ndarray:
-        return (y[:, None] @ self.aview).view(complex).reshape(-1, self.dim, self.dim)
-
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        return self._copies(np.matvec(self.aview, _floats(x)))
-
-    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        """``M_ij = Re Tr(A_i X A_j S^-1)``; the last stage is a real gemm."""
-        k, m = self.aflat.shape[1], self.dim
-        a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
-        xas = (x[:, None] @ a_sinv).reshape(-1, k, m * m).view(float)
-        return self._copies(self.aview @ xas.transpose(0, 2, 1))
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._copies(np.vecdot(_floats(a), _floats(b)))
-
-    @staticmethod
-    def sym(m: np.ndarray) -> np.ndarray:
-        out = m + m.conj().transpose(0, 2, 1)
-        out *= 0.5
-        return out
-
-    @staticmethod
-    def inverse(li: np.ndarray) -> np.ndarray:
         return li.conj().transpose(0, 2, 1) @ li
 
     @staticmethod
     def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
-        return _step_from(_HermBlock.sym(li @ dm @ li.conj().transpose(0, 2, 1)))
+        """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li =
+        L^-1`` of M: one eigensolve of ``L^-1 dM L^-H``.
+
+        ``np.inf`` where the direction never leaves the cone, nan where the
+        eigensolver fails.
+        """
+        lam = _min_eigs(_DenseBlock.sym(li @ dm @ li.conj().transpose(0, 2, 1)))
+        return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
 class _DiagBlock:
@@ -774,18 +732,14 @@ def _check_eq_shapes(problem: SdpProblem, n: int) -> tuple[int, ...]:
 def _symmetrised(c: np.ndarray, name: str, faults: _Faults) -> np.ndarray:
     """The Hermitian parts of a ``(B, m, m)`` stack of constants; a slice
     that is not finite or not Hermitian is a fault of its problem."""
-    herm = np.iscomplexobj(c)
     finite = np.isfinite(c).all(axis=(1, 2))
     if not finite.all():
         faults.flag(~finite, f"{name} must be finite")
         # The slices flagged are not used further; zeros keep nan out.
         c = np.where(finite[:, None, None], c, 0.0)
-    c_h = (c.conj() if herm else c).transpose(0, 2, 1)
-    if c.size:
-        dev = np.abs(c - c_h).max(axis=(1, 2))
-        scale = np.abs(c).max(axis=(1, 2), initial=1.0)
-        faults.flag(dev > SYM_TOL * scale, f"{name} must be {'Hermitian' if herm else 'symmetric'}")
-    return 0.5 * (c + c_h)
+    part, bad, kind = _hermitian_part(c)
+    faults.flag(bad, f"{name} must be {kind}")
+    return part
 
 
 def _lowered_coeffs(t: np.ndarray, idx: np.ndarray, mats: np.ndarray, dtype) -> np.ndarray:
@@ -998,8 +952,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     q = int(red)
     n_user = len(part.coeffs)
     blocks: list[_DenseBlock | _DiagBlock] = [
-        (_HermBlock if np.iscomplexobj(a) else _DenseBlock)(c.shape[1], a, w)
-        for c, a, w in zip(part.cs, part.coeffs, part.ws)
+        _DenseBlock(c.shape[1], a, w) for c, a, w in zip(part.cs, part.coeffs, part.ws)
     ]
     blocks.append(_DiagBlock(part.diag))
     # The barrier parameter counts every copy of a block.

@@ -3,14 +3,15 @@
 ``real_embed`` is the textbook embedding of Hermitian matrices into real
 symmetric ones.  No solve goes through it: ``sdpcore`` solves a complex
 Hermitian block of multiplicity 2 natively, and the tests check that it has
-the iterates of this embedding.
+the iterates of this embedding.  ``is_psd`` is the eigenvalue test the
+embedding's tests check positivity with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from qdoeblin.hermlin import HERM_TOL, require_hermitian
+from qdoeblin.hermlin import HERM_TOL, PSD_TOL, eig_hermitian, require_hermitian
 
 
 def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
@@ -28,3 +29,9 @@ def real_embed(h: np.ndarray, tol: float = HERM_TOL) -> np.ndarray:
     top = np.concatenate([a, -b], axis=-1)
     bot = np.concatenate([b, a], axis=-1)
     return np.concatenate([top, bot], axis=-2)
+
+
+def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """Whether a Hermitian matrix is positive semidefinite within ``tol``."""
+    w, _ = eig_hermitian(m, tol=max(tol, HERM_TOL))
+    return bool(w[0] >= -tol)

@@ -3,8 +3,10 @@
 The harness imports library names (the kind registry ``cli.KIND_FUNCS``,
 the ``hermitian_basis`` warm-up, the layer modules it traces), so renaming
 or deleting one of them breaks every benchmark run.  These tests run the
-harness self-test and each workload's set-up, as the benchmark does, in
-their own processes.
+harness self-test, each workload's set-up, and a short traced run of each
+workload, as the benchmark does, in their own processes.  The traced run
+fails when a per-layer metric a workload requires is not measured, which
+set-up alone cannot show.
 """
 
 from __future__ import annotations
@@ -39,3 +41,10 @@ def test_bench_workload_sets_up(workload):
     proc = _run("worker.py", "--workload", workload, "--seed", "1", "--setup-only")
     assert proc.returncode == 0, proc.stderr
     assert "ready" in json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_workload_traced_run_is_correct(workload):
+    proc = _run("run.py", "--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -287,11 +287,6 @@ def test_choi_matrix_validation():
     not_psd = ch.max_entangled(2) + 0.1 * np.diag([1.0, -1.0, -1.0, 1.0])
     with pytest.raises(ValueError, match="positive semidefinite"):
         ch.ChoiMatrix(matrix=not_psd, d_in=2, d_out=2)
-    # HermitianChoiLike only requires Hermiticity
-    like = ch.HermitianChoiLike(matrix=not_psd, d_in=2, d_out=2)
-    assert like.d_out == 2
-    with pytest.raises(ValueError):
-        ch.HermitianChoiLike(matrix=np.array([[0.0, 1.0], [0.0, 0.0]]), d_in=1, d_out=2)
 
 
 def test_channel_from_dict_named_family():

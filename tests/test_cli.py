@@ -102,6 +102,11 @@ def test_coeff_usage_errors(capsys):
     for tol in ("nan", "inf", "-inf", "-1e-8"):
         assert run("coeff", "--channel", "depolarizing", "--p", "0.3",
                    "--kind", "alpha", "--tol", tol) == 1
+    # --d is a dimension: a fraction, nan or inf is not read as one, and
+    # the depolarizing family needs d >= 2.
+    for d in ("2.7", "nan", "inf", "0", "1"):
+        assert run("coeff", "--channel", "depolarizing", "--d", d, "--p", "0.3",
+                   "--kind", "alpha") == 1
     capsys.readouterr()
 
 

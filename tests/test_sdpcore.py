@@ -845,7 +845,7 @@ def _step(m, dm, repair=False):
     # The step helpers work on stacks, one slice per problem of a batch.
     li, ok = sdpcore._inv_chol(m[None], repair=repair)
     assert ok.tolist() == [True]
-    return sdpcore._max_step(li, dm[None])[0]
+    return sdpcore._DenseBlock.max_step(li, dm[None])[0]
 
 
 def test_step_length_from_cached_factor():
@@ -924,7 +924,7 @@ def test_complex_step_length_boundary_repair():
     np.testing.assert_allclose(ell @ ell.conj().T, m, rtol=0, atol=1e-13)
     li, ok = sdpcore._inv_chol(m[None], repair=True)
     assert ok.tolist() == [True]
-    a = sdpcore._HermBlock.max_step(li, dm[None])[0]
+    a = sdpcore._DenseBlock.max_step(li, dm[None])[0]
     assert np.isfinite(a)
     _assert_step_is_tight(m, dm, a)
     # Nothing to repair without a positive eigenvalue.
