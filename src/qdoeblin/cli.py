@@ -592,8 +592,17 @@ def _cmd_sweep(args) -> int:
     if not args.channel:
         raise UsageError("sweep needs --channel (file channels have no knob)")
     fixed = _flag_params(args, skip=args.sweep)
-    count = int(math.floor((args.stop - args.start) / args.step + 1e-9))
-    values = [args.start + i * args.step for i in range(count + 1)]
+    span = (args.stop - args.start) / args.step
+    if not math.isfinite(span):
+        raise UsageError("--start, --stop and --step give too many points")
+    count = int(math.floor(span + 1e-9))
+    if args.sweep == "d":
+        # A dimension is an integer: sweep integers, not floats.
+        if not (args.start.is_integer() and args.step.is_integer()):
+            raise UsageError("--sweep d needs integral --start and --step")
+        values = [int(args.start) + i * int(args.step) for i in range(count + 1)]
+    else:
+        values = [args.start + i * args.step for i in range(count + 1)]
     _, failed = _grid(
         args.channel, fixed, [(args.sweep, values)],
         _plain(*kinds), args.jobs, args.tol,
@@ -704,6 +713,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -743,9 +759,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", parents=[common, pooled, chan])
     p_sweep.add_argument("--sweep", required=True)
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
-    p_sweep.add_argument("--step", type=float, required=True)
+    p_sweep.add_argument("--start", type=_finite, required=True)
+    p_sweep.add_argument("--stop", type=_finite, required=True)
+    p_sweep.add_argument("--step", type=_finite, required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--svg")
     p_sweep.set_defaults(func=_cmd_sweep)

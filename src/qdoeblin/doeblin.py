@@ -27,15 +27,26 @@ realness, and kept for the next call when they are small.  The parts that
 do are stacks: a per-channel equality map (the link product of the
 reverse programs) is one call over the stacked Choi matrices, its rows
 one batched gemm, and the variables of every solution one batched product
-with their basis.  A declaration does not solve: it yields its problems
-and turns the solutions it receives into results.  :func:`solve_grids`,
-the grid entry, hands the problems of every kind and dimension it is asked
-for to one :func:`qdoeblin.sdpcore.solve_many` call, which sets each
-group of them up in one pass and solves them as lockstep batches, so
-kinds that share a lockstep key (``rev`` and ``revT``, ``alpha`` and
-``alphaT``) run as one batch.  :func:`solve_grid` is its one-kind case;
-the public kind functions are the list of one channel and reach
-:func:`qdoeblin.sdpcore.solve`.
+with their basis.  A declaration ``declare(channels, tol)`` does not
+solve: it yields its problems and turns the solutions it receives into
+results (``tol`` is the solve tolerance, which only the closed form below
+reads).  :func:`solve_grids`, the grid entry, hands the problems of every
+kind and dimension it is asked for to one
+:func:`qdoeblin.sdpcore.solve_many` call, which sets each group of them up
+in one pass and solves them as lockstep batches, so kinds that share a
+lockstep key (``rev`` and ``revT``, ``alpha`` and ``alphaT``) run as one
+batch.  :func:`solve_grid` is its one-kind case; the public kind functions
+are the list of one channel and reach :func:`qdoeblin.sdpcore.solve`.
+
+``rev`` and ``revT`` of a channel N that is invertible as a map on
+matrices need no program: the only degrading map is ``D = T_p compose
+N^-1``, so the coefficient is the smallest p at which ``J(D)`` is PSD, read
+off one eigendecomposition (see :func:`_closed_form`, which also states
+when it applies and the error bound that decides it).  Their declaration
+solves the invertible channels of a list that way, with one stacked
+inverse, one ``link_raw`` call and one stacked ``eigvalsh``, and yields
+programs only for the others, as alphaT yields programs only for PPT
+channels.  Such a result is ``optimal`` with 0 iterations.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -45,6 +56,7 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -422,7 +434,9 @@ def _solve(declarations, tol: float) -> list:
         # traced benchmark (bench/tracing.py) counts ``sdpcore.solve`` spans.
         sols = iter([sdpcore.solve(problems[0], tol=tol)])
     else:
-        sols = iter(sdpcore.solve_many(problems, tol=tol) if problems else [])
+        # Also with no problems: a bad ``tol`` raises whatever was solved
+        # without the solver.
+        sols = iter(sdpcore.solve_many(problems, tol=tol))
     out = []
     for d, ps in zip(declarations, asked):
         try:
@@ -485,47 +499,54 @@ def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
     )
 
 
-def _alpha_grid(channels):
+def _alpha_grid(channels, tol):
     return _alpha_solution(KIND_ALPHA, [c.choi.matrix for c in channels], channels, True)
 
 
-def _alpha_transpose_grid(channels):
+def _on_subset(declaration, picked):
+    """Run ``declaration``, whose channels are those flagged in ``picked``,
+    and return its results at their places in ``picked``, None elsewhere.
+    A declaration yields once, also with nothing to solve."""
+    solved = (yield from declaration) if any(picked) else (yield [])
+    solved = iter(solved)
+    return [next(solved) if ok else None for ok in picked]
+
+
+def _alpha_transpose_grid(channels, tol):
     """alphaT where the transposed Choi matrix is PSD, not applicable elsewhere."""
     jts = [_transposed_choi(c) for c in channels]
     ppt = [not np.linalg.eigvalsh(jt)[0] < -hermlin.PSD_TOL for jt in jts]
-    if any(ppt):
-        solved = yield from _alpha_solution(
+    solved = yield from _on_subset(
+        _alpha_solution(
             KIND_ALPHA_T,
             [jt for jt, ok in zip(jts, ppt) if ok],
             [c for c, ok in zip(channels, ppt) if ok],
             True,
-        )
-    else:
-        # A declaration yields once, also with nothing to solve.
-        solved = yield []
-    solved = iter(solved)
+        ),
+        ppt,
+    )
     return [
-        next(solved) if ok else CoefficientResult(
+        res if res is not None else CoefficientResult(
             kind=KIND_ALPHA_T,
             value=float("nan"),
             status=STATUS_NOT_APPLICABLE,
             not_applicable=True,
         )
-        for ok in ppt
+        for res in solved
     ]
 
 
-def _alpha_hermitian_grid(channels):
+def _alpha_hermitian_grid(channels, tol):
     return _alpha_solution(KIND_ALPHA_H, [c.choi.matrix for c in channels], channels, False)
 
 
-def _alpha_transpose_hermitian_grid(channels):
+def _alpha_transpose_hermitian_grid(channels, tol):
     return _alpha_solution(
         KIND_ALPHA_TH, [_transposed_choi(c) for c in channels], channels, False
     )
 
 
-def _p1_grid(channels):
+def _p1_grid(channels, tol):
     """Largest PPT entanglement-breaking-candidate component of each channel."""
     d_in, d_out = channels[0].d_in, channels[0].d_out
     dim = d_in * d_out
@@ -551,6 +572,17 @@ def _p1_grid(channels):
     return [_result(KIND_P1, sol, sol.objective_value, j_hat) for sol, (j_hat,) in solved]
 
 
+def _square_dim(channels) -> int:
+    """The common dimension of channels with d_in == d_out; ValueError else."""
+    for channel in channels:
+        if channel.d_in != channel.d_out:
+            raise ValueError(
+                "reverse coefficients need d_in == d_out, got"
+                f" ({channel.d_in}, {channel.d_out})"
+            )
+    return channels[0].d_in
+
+
 def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target, bounds):
     """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
 
@@ -562,13 +594,7 @@ def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target
     the given side.  One program per channel; the channel enters only the
     link-product rows.
     """
-    for channel in channels:
-        if channel.d_in != channel.d_out:
-            raise ValueError(
-                "reverse coefficients need d_in == d_out, got"
-                f" ({channel.d_in}, {channel.d_out})"
-            )
-    d_a = d_b = channels[0].d_in
+    d_a = d_b = _square_dim(channels)
     chois = np.stack([channel.choi.matrix for channel in channels])
     links = _PerProblem(lambda b: link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
     solved = yield from _program(
@@ -588,26 +614,136 @@ def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target
     return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
 
 
-def _reverse_fixed_target(channels, kind: str, anchor: np.ndarray, lo: float, hi: float):
-    """Smallest p in [lo, hi] with D compose N = (1 - p) anchor + p 1/d^2 in Choi form."""
+def _fixed_target(kind: str, d: int) -> tuple[np.ndarray, float, float]:
+    """The anchor ``J(A)`` of rev or revT at dimension d and the range
+    ``[lo, hi]`` of p over which ``(1 - p) A + p R`` is a channel family."""
+    if kind == KIND_REV:
+        return max_entangled(d), 0.0, 1.0
+    return swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0)
+
+
+def _fixed_target_program(channels, kind: str):
+    """The SDP of rev or revT: smallest p in ``[lo, hi]`` with ``D compose
+    N = (1 - p) A + p R`` in Choi form."""
     d = channels[0].d_in
+    anchor, lo, hi = _fixed_target(kind, d)
     eye = np.eye(d * d) / (d * d)
-    return _reverse(channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)})
+    return (yield from _reverse(
+        channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}
+    ))
 
 
-def _rev_grid(channels):
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Swap the middle factors of a ``(p, d*d, d*d)`` stack: entry
+    ``[(a, i), (b, j)]`` goes to ``[(a, b), (i, j)]``.  This takes a Choi
+    matrix (output (x) input) times d to the matrix of its map on
+    row-major vectorised operators, and back."""
+    p = len(m)
+    return m.reshape(p, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(p, d * d, d * d)
+
+
+def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | None]:
+    """rev or revT without a solve where the channel is invertible: a result
+    per channel, None where the SDP has to decide.
+
+    When N is invertible as a map on d x d matrices, the only D with
+    ``D compose N = T_p`` is ``T_p compose N^-1``, with ``T_p = (1 - p) A +
+    p R`` for the anchor map A (see :func:`_fixed_target`) and the replacer
+    ``R(X) = Tr(X) 1/d``.  N^-1 is trace preserving, so ``R compose N^-1 =
+    R`` and ``J(D_p) = (1 - p) M + p 1/d^2`` with ``M = J(A compose
+    N^-1)``.  Both terms share an eigenbasis, so D_p is CP exactly when
+    ``mu_i + p (1/d^2 - mu_i) >= 0`` for every eigenvalue ``mu_i`` of M.
+    That is an interval of p which contains 1 (``J(D_1) = 1/d^2``), and
+    ``lo < 1 <= hi``, so its part in ``[lo, hi]`` is never empty.  The
+    coefficient is its left end, ``max(lo, mu / (mu - 1/d^2))`` for the
+    smallest ``mu``, and the witness is ``J(D_p)``.  The work is one stacked inverse
+    of the superoperators, one ``link_raw`` call over the stack and one
+    stacked ``eigvalsh``.
+
+    The rule, with ``X`` the computed inverse of the superoperator S,
+    ``eps`` the machine epsilon and ``c = 1/d^2``:
+
+    - ``r = ||I - S X||_F + (d^2 + 1) eps ||S||_F ||X||_F`` bounds the
+      residual with the roundoff of computing it, and for ``r < 1``,
+      ``||S^-1 - X||_F <= ||X||_F r / (1 - r)``.  M moves by at most that
+      over d, and rounding in the link product and ``eigvalsh`` adds about
+      ``d^2 eps ||M||_F``, taken 4 times; so the smallest eigenvalue is off
+      by at most ``e = ||X||_F / d (r / (1 - r) + 4 d^2 eps)``.
+    - Since ``p = 1 - c / (c - mu)``, the value is then off by at most
+      ``err = c e / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for
+      the division), and clipping at ``lo`` does not add to it.
+
+    The closed form is taken when ``r < 1``, ``c - mu > e`` and ``err <=
+    tol``; the SDP gets the rest.  These are the
+    singular maps (replacers such as the eta = 0 row of ``gad`` or
+    depolarizing at p = 1, dephasing channels; every one has rev = revT = 1,
+    since ``T_p`` must vanish on the traceless kernel of N) and any channel
+    whose bound exceeds ``tol``.  ``4 eps`` alone exceeds a ``tol`` of
+    1e-16, so that tolerance always reaches the solver.  The result has an
+    :class:`~qdoeblin.sdpcore.SdpSolution` with 0 iterations, no ``y`` or
+    ``x_blocks``, gap 0 and ``err`` as both residuals.
+    """
     d = channels[0].d_in
-    return _reverse_fixed_target(channels, KIND_REV, max_entangled(d), 0.0, 1.0)
+    n = d * d
+    c = 1.0 / n
+    eps = np.finfo(float).eps
+    anchor, lo, _ = _fixed_target(kind, d)
+    out: list[CoefficientResult | None] = [None] * len(channels)
+    sup = d * _reshuffle(np.stack([channel.choi.matrix for channel in channels]), d)
+    try:
+        inv = np.linalg.inv(sup)
+    except np.linalg.LinAlgError:
+        # One exactly singular map fails the whole stack: invert one by
+        # one and leave the singular ones NaN, which fail the rule.
+        inv = np.full_like(sup, np.nan)
+        for i, s in enumerate(sup):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(s)
+    with np.errstate(all="ignore"):
+        norm_inv = np.linalg.norm(inv, axis=(1, 2))
+        r = np.linalg.norm(np.eye(n) - sup @ inv, axis=(1, 2))
+        r += (n + 1) * eps * np.linalg.norm(sup, axis=(1, 2)) * norm_inv
+    idx = np.flatnonzero(r < 1.0)
+    if not idx.size:
+        return out
+    e = norm_inv[idx] / d * (r[idx] / (1.0 - r[idx]) + 4 * n * eps)
+    m = link_raw(anchor, (d, d), _reshuffle(inv[idx], d) / d, (d, d))
+    low = np.linalg.eigvalsh(m)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = c * e / ((c - low) * (c - low - e)) + 4 * eps
+        value = np.maximum(lo, low / (low - c))
+    take = (c - low > e) & (err <= tol)
+    eye = np.eye(n) / n
+    for i, p, bound, mi in zip(idx[take], value[take], err[take], m[take]):
+        sol = sdpcore.SdpSolution(
+            status=sdpcore.STATUS_OPTIMAL, y=np.zeros(0), objective_value=-float(p), gap=0.0,
+            primal_residual=float(bound), dual_residual=float(bound), iterations=0,
+        )
+        out[i] = _result(kind, sol, float(p), (1.0 - p) * mi + p * eye)
+    return out
 
 
-def _rev_transpose_grid(channels):
-    d = channels[0].d_in
-    return _reverse_fixed_target(
-        channels, KIND_REV_T, swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0)
+def _reverse_fixed_target(channels, kind: str, tol: float):
+    """rev or revT: in closed form where :func:`_closed_form` applies, as
+    the SDP of :func:`_fixed_target_program` for the other channels."""
+    _square_dim(channels)
+    closed = _closed_form(channels, kind, tol)
+    solved = yield from _on_subset(
+        _fixed_target_program([c for c, res in zip(channels, closed) if res is None], kind),
+        [res is None for res in closed],
     )
+    return [res if res is not None else sdp for res, sdp in zip(closed, solved)]
 
 
-def _rev_hermitian_grid(channels):
+def _rev_grid(channels, tol):
+    return _reverse_fixed_target(channels, KIND_REV, tol)
+
+
+def _rev_transpose_grid(channels, tol):
+    return _reverse_fixed_target(channels, KIND_REV_T, tol)
+
+
+def _rev_hermitian_grid(channels, tol):
     """Degrade onto a generalized-depolarizing target with free Hermitian part."""
     d = channels[0].d_in
     phi = max_entangled(d)
@@ -622,7 +758,7 @@ def _rev_hermitian_grid(channels):
 
 def _single(declare, channel: QuantumChannel, tol: float) -> CoefficientResult:
     """One kind on one channel: a declaration of one problem."""
-    [[res]] = _solve([declare([channel])], tol)
+    [[res]] = _solve([declare([channel], tol)], tol)
     return res
 
 
@@ -803,7 +939,7 @@ def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, 
         groups.setdefault((channel.d_in, channel.d_out), []).append(i)
     plan = [(kind, members) for members in groups.values() for kind in base]
     solved = _solve(
-        [_DECLARATIONS[kind]([channels[i] for i in members]) for kind, members in plan], tol
+        [_DECLARATIONS[kind]([channels[i] for i in members], tol) for kind, members in plan], tol
     )
     out: dict[str, list] = {kind: [None] * len(channels) for kind in base}
     for (kind, members), results in zip(plan, solved):

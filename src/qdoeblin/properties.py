@@ -166,6 +166,63 @@ def classical_embedding_alpha(rng, tol, rec, sizes) -> None:
             got=got, want=classical, matrix=p_mat)
 
 
+def reverse_closed_form(rng, tol, rec, dims) -> None:
+    """rev and revT of an invertible channel come without a solve, and the
+    answer checks itself: the witness J(D) is PSD and trace preserving,
+    ``D compose N = (1 - p) A + p R``, and J(D) at ``p - 1e-6`` is not PSD
+    (when ``p > lo``), so p is the smallest.  The SDP agrees within 1e-7.
+    Singular channels (replacers, a fully depolarizing one) reach the SDP,
+    and theirs are 1.  ``dims`` lists one dimension per random channel
+    drawn; each dimension also gets depolarizing channels at 0.5 and at
+    the end ``d^2 / (d^2 - 1)`` of its range, and d=2 gets gad points at
+    small and full eta.
+    """
+    invertible, singular = [], []
+    for d in dims:
+        invertible.append(ch.random_channel(d, d, seed=int(rng.integers(1 << 31))))
+    for d in sorted(set(dims)):
+        invertible += [ch.depolarizing(0.5, d), ch.depolarizing(d * d / (d * d - 1.0), d)]
+        singular.append(ch.depolarizing(1.0, d))
+    if 2 in dims:
+        invertible += [ch.gad(1.0, 0.02), ch.gad(0.3, 1.0)]
+        singular += [ch.gad(0.3, 0.0), ch.bitflip(0.5)]
+    kinds = (db.KIND_REV, db.KIND_REV_T)
+    for kind, results in db.solve_grids(kinds, singular, tol).items():
+        for chan, res in zip(singular, results):
+            rec("reverse_singular_is_one",
+                res.solution.iterations > 0 and abs(res.value - 1.0) <= 1e-6,
+                kind=kind, d=chan.d_in, got=res.value, iterations=res.solution.iterations)
+    for d in sorted({chan.d_in for chan in invertible}):
+        group = [chan for chan in invertible if chan.d_in == d]
+        closed = db.solve_grids(kinds, group, tol)
+        sdp = db._solve([db._fixed_target_program(group, kind) for kind in kinds], tol)
+        for kind, solved in zip(kinds, sdp):
+            anchor, lo, _ = db._fixed_target(kind, d)
+            eye = np.eye(d * d) / (d * d)
+            for chan, res, want in zip(group, closed[kind], solved):
+                p, w = res.value, res.witness
+                rec("reverse_closed_form_taken",
+                    res.status == sdpcore.STATUS_OPTIMAL and res.solution.iterations == 0,
+                    kind=kind, d=d, status=res.status, iterations=res.solution.iterations)
+                marginal = hermlin.partial_trace(w, (d, d), 1)
+                rec("reverse_closed_form_channel",
+                    np.linalg.eigvalsh(w)[0] >= -1e-9
+                    and np.abs(marginal - np.eye(d) / d).max() <= 1e-9,
+                    kind=kind, d=d, min_eig=np.linalg.eigvalsh(w)[0])
+                linked = ch.link_raw(w, (d, d), chan.choi.matrix, (d, d))
+                target = (1.0 - p) * anchor + p * eye
+                rec("reverse_closed_form_degrades", np.abs(linked - target).max() <= 1e-9,
+                    kind=kind, d=d, err=np.abs(linked - target).max())
+                if p > lo:
+                    # J(D_p) = (1 - p) M + p 1/d^2 for M = J(A compose N^-1).
+                    below = w + 1e-6 * (w - eye) / (1.0 - p)
+                    rec("reverse_closed_form_minimal", np.linalg.eigvalsh(below)[0] < 0.0,
+                        kind=kind, d=d, p=p, min_eig=np.linalg.eigvalsh(below)[0])
+                rec("reverse_closed_form_vs_sdp",
+                    want.status == sdpcore.STATUS_OPTIMAL and abs(p - want.value) <= 1e-7,
+                    kind=kind, d=d, got=p, sdp=want.value, status=want.status)
+
+
 # ----------------------------------------------------------------- suites
 
 
@@ -317,6 +374,7 @@ def _suite_doeblin(rng, tol, rec):
     alpha_concatenation(rng, tol, rec, 6)
     alpha_supermultiplicative(rng, tol, rec, 3)
     sandwich(rng, tol, rec, 6)
+    reverse_closed_form(rng, tol, rec, (2, 3, 4, 5))
 
 
 def _suite_classical(rng, tol, rec):

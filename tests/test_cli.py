@@ -300,6 +300,38 @@ def test_sweep_usage_and_io_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_range_must_be_finite(tmp_path, capsys):
+    base = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--kind", "alpha",
+            "--out", str(tmp_path / "x.csv"))
+    for start, stop, step in [("nan", "1", "0.5"), ("0", "inf", "0.5"), ("0", "1", "inf"),
+                              ("-inf", "1", "0.5"), ("0", "1", "nan"),
+                              ("-1e308", "1e308", "1e-300")]:
+        # A bound that parses as a float but is not finite, or a range with
+        # too many points to count, is a usage error, not a traceback.
+        assert run(*base, f"--start={start}", f"--stop={stop}", f"--step={step}") == 1
+    assert not (tmp_path / "x.csv").exists()
+    capsys.readouterr()
+
+
+def test_sweep_over_d_sweeps_integers(tmp_path, capsys):
+    base = ("sweep", "--channel", "depolarizing", "--sweep", "d", "--p", "0.3",
+            "--kind", "alpha", "--kind", "rev")
+    out = tmp_path / "d.csv"
+    assert run(*base, "--start", "2", "--stop", "3.5", "--step", "1", "--out", str(out)) == 0
+    header, rows = read_csv(out)
+    assert header == ["d", "alpha", "alpha_status", "rev", "rev_status"]
+    assert [r["d"] for r in rows] == ["2", "3"]
+    for r in rows:
+        assert abs(float(r["alpha"]) - 0.3) < 1e-6
+        assert abs(float(r["rev"]) - 0.3) < 1e-6
+    bad = tmp_path / "bad.csv"
+    for start, step in (("2.5", "1"), ("2", "0.5")):
+        assert run(*base, "--start", start, "--stop", "4", "--step", step,
+                   "--out", str(bad)) == 1
+    assert not bad.exists()
+    capsys.readouterr()
+
+
 def test_figures_fig2(tmp_path, capsys):
     code = run("figures", "--which", "fig2", "--outdir", str(tmp_path))
     capsys.readouterr()

@@ -5,8 +5,8 @@ import pytest
 
 from qdoeblin import channel as ch
 from qdoeblin import doeblin as db
-from qdoeblin import hermlin, oracles, sdpcore
-from reference import real_embed
+from qdoeblin import hermlin, oracles, properties, sdpcore
+from reference import pinched, random_unitary, real_embed
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -322,7 +322,9 @@ def test_stacked_lowering_matches_per_element_embed():
 
 
 def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
-    for chan in (ch.gad(0.3, 0.6), ch.random_channel(2, 2, seed=9)):
+    # Singular channels, so that rev and revT are programs too: a replacer
+    # and a dephased, rotated random channel.
+    for chan in (ch.gad(0.3, 0.0), pinched(ch.random_channel(2, 2, seed=9), 1, random_unitary(2, 9))):
         separate = [
             f(chan).value
             for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
@@ -495,6 +497,14 @@ def _kind_id(value):
     return KIND_IDS.get(value) if isinstance(value, str) else None
 
 
+def _sdp_bound(kind, chan):
+    """``chan``, or for rev and revT a pinched copy: their closed form takes
+    every invertible channel, and a singular one reaches the SDP."""
+    if kind in (db.KIND_REV, db.KIND_REV_T):
+        return pinched(chan, max(1, chan.d_out - 1))
+    return chan
+
+
 def _boundary_channels():
     """Boundary channels: replacer and identity corners of gad, an interior
     point, the end of the depolarizing family and a unitary (rank-1 Kraus)."""
@@ -575,13 +585,14 @@ _P1_ROUNDOFF_CORNERS = ((0.0, 0.0), (1.0, 0.0))
 
 def _real_channels(kind):
     gads = ((0.0, 0.0), (1.0, 0.0), (0.5, 0.6), (0.2, 1.0))
-    yield from (
+    chans = [
         ch.gad(p, eta)
         for p, eta in gads
         if not (kind == db.KIND_P1 and (p, eta) in _P1_ROUNDOFF_CORNERS)
-    )
-    yield from (ch.depolarizing(0.6, d) for d in (2, 3, 4))
-    yield ch.classical_embed(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]]))
+    ]
+    chans += [ch.depolarizing(0.6, d) for d in (2, 3, 4)]
+    chans.append(ch.classical_embed(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]])))
+    return [_sdp_bound(kind, chan) for chan in chans]
 
 
 @pytest.mark.parametrize("kind", list(SINGLE), ids=_kind_id)
@@ -664,13 +675,16 @@ def _spy(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize(
-    "kind, sizes", [(db.KIND_REV, {2, 6}), (db.KIND_REV_H, {4, 8})], ids=_kind_id
+    "kind, sizes", [(db.KIND_REV, {4, 6}), (db.KIND_REV_H, {4, 8})], ids=_kind_id
 )
 def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
     # The replacer points gad(p, 0) leave a larger null space of their
     # equality rows than the interior points: one grid column splits into
     # two lockstep keys, and every point must still get its single call.
-    channels = [ch.gad(p, eta) for p, eta in
+    # rev runs on dephased copies (see _sdp_bound), whose interior points
+    # leave a null space of 4; an invertible channel, which leaves 2, has
+    # its rev in closed form.
+    channels = [_sdp_bound(kind, ch.gad(p, eta)) for p, eta in
                 [(0.3, 0.5), (0.2, 0.0), (0.6, 0.4), (0.9, 0.0), (0.0, 0.0), (0.7, 0.8)]]
     prepare = sdpcore._prepare
     keys = []
@@ -696,8 +710,9 @@ def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
     # The mechanism, not a timing: on a 51-point reverse grid of one null
     # space size, one QR per problem, one coefficient lowering for the one
     # PSD block of the one lockstep group, and one stacked link product of
-    # the channels' Choi matrices.
-    channels = [ch.gad(p, 0.5) for p in np.linspace(0.0, 1.0, 51)]
+    # the channels' Choi matrices.  The channels are dephased (singular),
+    # so no rev has a closed form.
+    channels = [pinched(ch.gad(p, 0.5)) for p in np.linspace(0.0, 1.0, 51)]
     calls = {}
     _spy(monkeypatch, sdpcore, "_null_space", calls)
     _spy(monkeypatch, sdpcore, "_lowered_coeffs", calls)
@@ -722,12 +737,15 @@ def _same_result(got, want):
 
 
 def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
-    # gad points on both sides of the PPT boundary (alphaT applies at the
-    # first two only) and a complex channel.  The range and rev in one call
-    # solve its five kinds once, rev and revT in one lockstep batch per
-    # realness, and every result is bitwise its kind's own grid result.
-    channels = [ch.gad(0.3, 0.1), ch.gad(0.5, 0.04), ch.gad(0.3, 0.2), ch.gad(0.5, 0.5),
-                ch.gad(1.0, 0.8), ch.random_channel(2, 2, seed=3)]
+    # Singular qutrit channels, so that rev and revT reach the SDP: the
+    # pinching P onto span(|0>, |1>) and |2>, depolarized after it on both
+    # sides of the PPT boundary q = 3/4 (alphaT applies at the first two
+    # only), and a complex channel.  The range and rev in one call solve
+    # its five kinds once, rev and revT in one lockstep batch per realness,
+    # and every result is bitwise its kind's own grid result.
+    pinching = pinched(ch.identity_channel(3), 2)
+    channels = [ch.compose(ch.depolarizing(q, 3), pinching) for q in (0.9, 0.8, 0.5, 0.3, 0.1)]
+    channels.append(pinched(ch.random_channel(3, 3, seed=3), 2, random_unitary(3, 3)))
     got = db.solve_grids([db.KIND_DP, db.KIND_REV], channels)
     assert list(got) == [db.KIND_DP, db.KIND_REV]
     assert [r.not_applicable for r in db.solve_grid(db.KIND_ALPHA_T, channels)] == [
@@ -747,3 +765,90 @@ def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
     runs["_lockstep"] = 0
     db.solve_grids([db.KIND_REV, db.KIND_REV_T], channels)
     assert runs["_lockstep"] == alone == 2
+
+
+@pytest.mark.parametrize("kind", [db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H], ids=_kind_id)
+def test_reverse_rejects_rectangular_before_any_arithmetic(monkeypatch, kind):
+    # The dimension check comes before the closed form, which would
+    # otherwise fail on a reshape of the rectangular Choi matrix.
+    def closed_form(*args):
+        raise AssertionError("closed form reached")
+
+    monkeypatch.setattr(db, "_closed_form", closed_form)
+    with pytest.raises(ValueError, match="d_in == d_out"):
+        SINGLE[kind](ch.erasure(0.3))
+    with pytest.raises(ValueError, match="d_in == d_out"):
+        db.solve_grid(kind, [ch.erasure(0.3)])
+    monkeypatch.undo()
+    # A square group of the same grid does not hide the error.
+    with pytest.raises(ValueError, match="d_in == d_out"):
+        db.solve_grid(kind, [ch.depolarizing(0.3), ch.erasure(0.3)])
+
+
+def test_reverse_closed_form_law():
+    # Random channels at d = 2..5, depolarizing and gad edge cases; see
+    # properties.reverse_closed_form.
+    rng = np.random.default_rng(2024)
+    rec = properties.Recorder("reverse closed form")
+    properties.reverse_closed_form(rng, sdpcore.DEFAULT_TOL, rec, (2, 3, 4, 5) * 3)
+    assert rec.failed == 0, rec.first
+    assert rec.passed >= 200
+
+
+def _original_reverse_channels():
+    """The invertible channels the SDP-path tests ran rev and revT on
+    before the closed form took them."""
+    yield from (ch.gad(0.3, 0.6), ch.random_channel(2, 2, seed=9), ch.random_channel(3, 3, seed=7))
+    yield from (ch.gad(p, eta) for p, eta in
+                [(0.3, 0.1), (0.5, 0.04), (0.3, 0.2), (0.5, 0.5), (1.0, 0.8), (0.3, 0.5),
+                 (0.6, 0.4), (0.7, 0.8), (0.5, 0.6), (0.2, 1.0)])
+    yield ch.random_channel(2, 2, seed=3)
+    yield from (ch.depolarizing(0.6, d) for d in (2, 3, 4))
+
+
+def test_invertible_channels_skip_the_solver(monkeypatch):
+    calls = {}
+    _spy(monkeypatch, sdpcore, "solve", calls)
+    _spy(monkeypatch, sdpcore, "_lockstep", calls)
+    for chan in _original_reverse_channels():
+        for kind in (db.KIND_REV, db.KIND_REV_T):
+            res = SINGLE[kind](chan)
+            assert res.status == sdpcore.STATUS_OPTIMAL, (kind, chan)
+            assert res.solution.iterations == 0, (kind, chan)
+    assert calls == {"solve": 0, "_lockstep": 0}
+    # A grid is one stacked closed form: one link product, of the anchor
+    # with every channel, and no QR of equality rows.
+    _spy(monkeypatch, sdpcore, "_null_space", calls)
+    linked = []
+
+    def link_raw(later, *args):
+        linked.append(np.shape(later))
+        return ch.link_raw(later, *args)
+
+    monkeypatch.setattr(db, "link_raw", link_raw)
+    got = db.solve_grid(db.KIND_REV, [ch.gad(p, 0.5) for p in np.linspace(0.0, 1.0, 51)])
+    assert [r.solution.iterations for r in got] == [0] * 51
+    assert linked == [(4, 4)]
+    assert calls["_null_space"] == calls["_lockstep"] == 0
+
+
+def test_closed_form_rule_keeps_the_solver_for_what_it_cannot_bound(monkeypatch):
+    chan = ch.gad(0.5, 0.6)
+    # 4 eps of rounding exceeds a tolerance of 1e-16: the SDP decides.
+    for f in (db.reverse_alpha, db.reverse_alpha_transpose):
+        assert f(chan, 1e-16).solution.iterations > 0
+    # A bad tolerance raises, also where the closed form would have taken
+    # every channel.
+    for tol in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            db.reverse_alpha(chan, tol)
+    # Singular channels go to the SDP in a grid with invertible ones, and
+    # get the result of their single call.
+    grid = [ch.gad(0.3, 0.0), chan, ch.depolarizing(1.0), ch.bitflip(0.5), ch.gad(0.9, 0.3)]
+    for kind in (db.KIND_REV, db.KIND_REV_T):
+        got = db.solve_grid(kind, grid)
+        assert [r.solution.iterations > 0 for r in got] == [True, False, True, True, False]
+        for c, res in zip(grid, got):
+            want = SINGLE[kind](c)
+            assert (res.status, res.value) == (want.status, want.value)
+            assert res.solution.iterations == want.solution.iterations

@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg as sla
 
 from qdoeblin import sdpcore
-from reference import real_embed
+from reference import pinched, random_unitary, real_embed
 
 
 def max_eig_problem(c: np.ndarray) -> sdpcore.SdpProblem:
@@ -1116,7 +1116,9 @@ def test_overflowing_step_ratio_does_not_warn():
 )
 def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max_iter):
     # Every kind of a complex qutrit channel, run past what the solver can
-    # reach: each must end non-optimal, not raise or warn.
+    # reach: each must end non-optimal, not raise or warn.  rev and revT of
+    # an invertible channel have a closed form and no program, so they run
+    # on a dephased and rotated (singular, complex) copy of the channel.
     from qdoeblin import channel as ch
     from qdoeblin import doeblin as db
 
@@ -1125,12 +1127,14 @@ def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max
         db.sdpcore, "solve", lambda problem, tol: solve_many([problem], tol, max_iter)[0]
     )
     chan = ch.random_channel(3, 3, seed=7)
-    kinds = (db.alpha, db.alpha_transpose, db.alpha_hermitian, db.alpha_transpose_hermitian,
-             db.p1_eb_ppt, db.reverse_alpha, db.reverse_alpha_transpose,
-             db.reverse_alpha_hermitian)
+    singular = pinched(chan, 1, random_unitary(3, 7))
+    runs = [(kind, chan) for kind in (
+        db.alpha, db.alpha_transpose, db.alpha_hermitian, db.alpha_transpose_hermitian,
+        db.p1_eb_ppt, db.reverse_alpha_hermitian)]
+    runs += [(kind, singular) for kind in (db.reverse_alpha, db.reverse_alpha_transpose)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for kind in kinds:
+        for kind, chan in runs:
             res = kind(chan, tol)
             assert res.status != sdpcore.STATUS_OPTIMAL, kind.__name__
             if res.solution is not None:
