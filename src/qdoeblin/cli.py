@@ -24,6 +24,7 @@ workers do not oversubscribe.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import itertools
 import json
@@ -92,13 +93,20 @@ class UsageError(Exception):
 _PARAM_FLAGS = ("d", "p", "q", "eta", "eps", "b")
 
 
+@functools.cache
+def _parameter_names(ctor) -> frozenset[str]:
+    """The parameter names of a family constructor, read once per callable,
+    so a family entry replaced at run time gets its own."""
+    return frozenset(inspect.signature(ctor).parameters)
+
+
 def _build_channel(name: str, params: dict) -> ch.QuantumChannel:
     if name not in ch.FAMILIES:
         raise UsageError(
             f"unknown channel {name!r}; admissible: {', '.join(sorted(ch.FAMILIES))}"
         )
     ctor = ch.FAMILIES[name]
-    accepted = set(inspect.signature(ctor).parameters)
+    accepted = _parameter_names(ctor)
     extra = sorted(set(params) - accepted)
     if extra:
         raise UsageError(

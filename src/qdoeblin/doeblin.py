@@ -24,18 +24,18 @@ Each declaration takes a list of channels of equal dimensions.  The parts
 that do not depend on the channel (PSD-map images, shared equality rows,
 the objective and bounds) are lowered once for the list, once per
 realness, and kept for the next call when they are small.  The parts that
-do are stacks: a per-channel equality map (the link product of the
-reverse programs) is one call over the stacked Choi matrices, its rows
-one batched gemm, and the variables of every solution one batched product
-with their basis.  A declaration ``declare(channels, tol)`` does not
-solve: it yields its problems and turns the solutions it receives into
-results (``tol`` is the solve tolerance, which only the closed form below
-reads).  :func:`solve_grids`, the grid entry, hands the problems of every
-kind and dimension it is asked for to one
-:func:`qdoeblin.sdpcore.solve_many` call, which sets each group of them up
-in one pass and solves them as lockstep batches, so kinds that share a
-lockstep key (``rev`` and ``revT``, ``alpha`` and ``alphaT``) run as one
-batch.  :func:`solve_grid` is its one-kind case; the public kind functions
+do are stacks: a per-channel map (the link product of the reverse
+programs, the ``J(N^-1)`` terms of revH's inverse program) is one call
+over the stacked data, its equality rows one batched gemm, and the
+variables of every solution one batched product with their basis.  A
+declaration ``declare(channels, tol)`` does not solve: it yields its
+problems and turns the solutions it receives into results (``tol`` is the
+solve tolerance, which only the inverse paths below read).
+:func:`solve_grids`, the grid entry, hands the problems of every kind and
+dimension it is asked for to one :func:`qdoeblin.sdpcore.solve_many` call,
+which sets each group of them up in one pass and solves them as lockstep
+batches, so kinds that share a lockstep key (``rev`` and ``revT``,
+``alpha`` and ``alphaT``) run as one batch.  :func:`solve_grid` is its one-kind case; the public kind functions
 are the list of one channel and reach :func:`qdoeblin.sdpcore.solve`.
 
 ``rev`` and ``revT`` of a channel N that is invertible as a map on
@@ -46,7 +46,11 @@ when it applies and the error bound that decides it).  Their declaration
 solves the invertible channels of a list that way, with one stacked
 inverse, one ``link_raw`` call and one stacked ``eigvalsh``, and yields
 programs only for the others, as alphaT yields programs only for PPT
-channels.  Such a result is ``optimal`` with 0 iterations.
+channels.  Such a result is ``optimal`` with 0 iterations.  ``revH`` of an
+invertible channel stays a program, but on ``(theta, X)`` alone: D is
+``T_X compose N^-1``, so ``J(D)`` is affine in X with ``J(N^-1)`` from the
+same inverse and link (see :func:`_rev_hermitian_grid`), and the PSD block
+of each channel has its own coefficients, lowered as one stack.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -169,7 +173,7 @@ def _keeps_conjugation(images: np.ndarray, side: int) -> np.ndarray:
 
 
 class _PerProblem(NamedTuple):
-    """An equality map of :func:`_program` that differs per problem.
+    """A map of :func:`_program` that differs per problem.
 
     ``images`` maps the ``(k, n, n)`` basis stack of its variable to the
     ``(count, k, m, m)`` stack of the images of every problem's map.
@@ -205,8 +209,11 @@ class _Lowered:
     and its blocks as real parts; any other has them in the Hermitian basis
     and complex Hermitian blocks.  ``bases`` holds the basis stack of every
     variable and ``keep`` picks its elements out of the Hermitian basis.
-    ``consts`` holds the lowered PSD constants shared by every problem
-    (``None`` where each problem has its own), ``eq_rows`` the rows of the
+    ``coeffs`` holds the coefficient list of every PSD block whose maps
+    every problem shares (``None`` where a map is a :class:`_PerProblem`,
+    and ``psd_images`` the images of the shared maps of that block),
+    ``consts`` the lowered PSD constants shared by every problem (``None``
+    where each problem has its own), ``eq_rows`` the rows of the
     equalities shared by every problem, and ``eq_images`` the images of the
     shared maps of the other equalities.
     """
@@ -218,12 +225,19 @@ class _Lowered:
         self.start = np.cumsum([0] + [len(b) for b in bases])
         self.n = n = int(self.start[-1])
         self.nbytes = 0
-        self.coeffs, self.consts = [], []
+        self.coeffs, self.psd_images, self.consts = [], [], []
         for c, maps in psd:
-            lowered = _frozen(self.block(np.concatenate([f(bases[v]) for v, f in maps.items()])))
-            self.coeffs.append(list(zip(self.columns(maps), lowered)))
+            images = {v: _frozen(f(bases[v])) for v, f in maps.items() if callable(f)}
+            if len(images) == len(maps):
+                lowered = _frozen(self.block(np.concatenate(list(images.values()))))
+                self.coeffs.append(list(zip(self.columns(maps), lowered)))
+                self.psd_images.append(None)
+                self.nbytes += lowered.nbytes
+            else:
+                self.coeffs.append(None)
+                self.psd_images.append(images)
+                self.nbytes += sum(im.nbytes for im in images.values())
             self.consts.append(_frozen(self.block(c)) if np.ndim(c) == 2 else None)
-            self.nbytes += lowered.nbytes
         self.eq_rows, self.eq_images = [], []
         for target, maps in eqs:
             images = {v: _frozen(f(bases[v])) for v, f in maps.items() if callable(f)}
@@ -271,9 +285,13 @@ class _Lowered:
 # Lowered declarations by key and realness, so that a single-channel call
 # lowers only its channel's data, and whether the shared part of a
 # declaration is real, by key.  Lowerings above ``LOWERED_BYTES`` are not
-# kept: those of the complex p1 and reverse programs from d=4 on (complex
-# p1 takes 3.1 MB at d=4, rev, revT and revH 1.05-1.11 MB) and of the real
-# ones from d=5 on (real p1 takes 0.84 MB at d=4 and 4.9 MB at d=5).
+# kept: those of the complex p1 and reverse link programs from d=4 on
+# (complex p1 takes 3.1 MB at d=4, rev, revT and revH 1.05-1.11 MB) and of
+# the real ones from d=5 on (real p1 takes 0.84 MB at d=4 and 4.9 MB at
+# d=5).  The link programs now serve only the channels no inverse serves
+# (singular ones, those that fail the rule of ``_inverted`` or its bound at
+# ``tol``); revH's inverse program holds no shared map images and is kept
+# at every d.
 _LOWERED: dict = {}
 _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
@@ -293,14 +311,15 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
     in one call and each equality by one gemm against the basis of its
     target space.
 
-    The problems share the variables, the weights, the bounds and the PSD
-    maps, which are lowered once.  A constant ``C`` or ``R`` is one matrix
-    or a stack of ``count`` matrices, one per problem, and an equality map
-    is one callable or a :class:`_PerProblem`, whose one call gives the
-    images of every problem's map; the rows of every problem then come
-    from one batched gemm.  ``key`` names the declaration: every call with
-    one key must declare the same shared parts, whose lowering is then
-    kept for the next call.
+    The problems share the variables, the weights and the bounds, which
+    are lowered once.  A constant ``C`` or ``R`` is one matrix or a stack
+    of ``count`` matrices, one per problem, and a map is one callable,
+    lowered once, or a :class:`_PerProblem`, whose one call gives the
+    images of every problem's map.  The rows of an equality with such a
+    map come from one batched gemm for every problem, and a PSD block with
+    one gets a coefficient list per problem, all slices of one stack.
+    ``key`` names the declaration: every call with one key must declare
+    the same shared parts, whose lowering is then kept for the next call.
 
     A problem is real when its program is invariant under complex
     conjugation: every constant has a zero imaginary part and every map
@@ -330,9 +349,9 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
             real &= ~np.imag(c).any(axis=(1, 2))
     # Per-problem maps go to the whole Hermitian basis first, in one call
     # each: their images decide realness too, and a real problem keeps the
-    # real rows.
-    own = [{} for _ in eqs]
-    for images, (_, maps) in zip(own, eqs):
+    # images of the real basis elements.
+    own = [{} for _ in [*psd, *eqs]]
+    for images, (_, maps) in zip(own, [*psd, *eqs]):
         for v, f in maps.items():
             if isinstance(f, _PerProblem):
                 images[v] = f.images(hermlin.hermitian_basis(sides[v]))
@@ -362,18 +381,38 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
 def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.SdpProblem]:
     """The problems ``members`` of :func:`_program` on their lowering, with
     ``own`` the stacked images of the per-problem maps on the Hermitian
-    basis."""
+    basis, per PSD block and then per equality."""
     consts = [
         c if c is not None else low.block(c_in if np.ndim(c_in) == 2 else c_in[members])
         for c, (c_in, _) in zip(low.consts, psd)
     ]
 
+    def images(shared, mine, maps) -> dict:
+        """Every map's images: shared, or a stack of one slice per member."""
+        return {v: shared[v] if v in shared else mine[v][members][:, low.keep[v]] for v in maps}
+
+    # Each problem's coefficient list of every block: the shared one, or
+    # its own, a slice of one lowered stack.
+    coeffs = []
+    for (_, maps), cf, shared, mine in zip(psd, low.coeffs, low.psd_images, own):
+        if cf is not None:
+            coeffs.append([cf] * len(members))
+            continue
+        ims = images(shared, mine, maps)
+        stack = np.concatenate(
+            [np.broadcast_to(im, (len(members),) + im.shape[-3:]) for im in ims.values()], axis=1
+        )
+        side = stack.shape[-1]
+        stack = low.block(stack.reshape(-1, side, side)).reshape(stack.shape)
+        coeffs.append([list(zip(low.columns(maps), each)) for each in stack])
+
     # Equality rows shared by every problem, or stacks of one slice each.
     rows = []
-    for (target, maps), shared, images, mine in zip(eqs, low.eq_rows, low.eq_images, own):
+    for (target, maps), shared, ims, mine in zip(eqs, low.eq_rows, low.eq_images, own[len(psd):]):
         if shared is None:
-            ims = {v: images[v] if v in images else mine[v][members][:, low.keep[v]] for v in maps}
-            shared = low.rows(target if np.ndim(target) == 2 else target[members], maps, ims)
+            shared = low.rows(
+                target if np.ndim(target) == 2 else target[members], maps, images(ims, mine, maps)
+            )
         rows.append(shared)
     eq_matrix = eq_rhs = None
     if len(rows) == 1:
@@ -391,8 +430,8 @@ def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.Sdp
             num_vars=low.n,
             objective=low.objective,
             blocks=[
-                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf, w=2)
-                for c, cf in zip(consts, low.coeffs)
+                sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf[i], w=2)
+                for c, cf in zip(consts, coeffs)
             ],
             eq_matrix=eq_matrix[i] if each else eq_matrix,
             eq_rhs=eq_rhs[i] if each else eq_rhs,
@@ -416,6 +455,24 @@ def _with_variables(low: _Lowered, sols) -> list[tuple]:
     return [(sol, [m[i] for m in mats]) for i, sol in enumerate(sols)]
 
 
+def _together(declarations):
+    """Several declarations as one: yields the problems of all of them,
+    hands each its share of the solutions and returns what each returns,
+    in order."""
+    declarations = list(declarations)
+    asked = [next(d) for d in declarations]
+    sols = iter((yield [p for ps in asked for p in ps]))
+    out = []
+    for d, ps in zip(declarations, asked):
+        try:
+            d.send(list(itertools.islice(sols, len(ps))))
+        except StopIteration as done:
+            out.append(done.value)
+        else:
+            raise RuntimeError("a declaration must yield its problems once")
+    return out
+
+
 def _solve(declarations, tol: float) -> list:
     """Run declarations with every problem they declare in one solve.
 
@@ -426,26 +483,20 @@ def _solve(declarations, tol: float) -> list:
     lockstep key run as one batch whatever declaration they come from.
     Returns what each declaration returns, in order.
     """
-    declarations = list(declarations)
-    asked = [next(d) for d in declarations]
-    problems = [p for ps in asked for p in ps]
+    run = _together(declarations)
+    problems = next(run)
     if len(problems) == 1:
         # A single channel is a batch of one, solved through ``solve``: the
         # traced benchmark (bench/tracing.py) counts ``sdpcore.solve`` spans.
-        sols = iter([sdpcore.solve(problems[0], tol=tol)])
+        sols = [sdpcore.solve(problems[0], tol=tol)]
     else:
         # Also with no problems: a bad ``tol`` raises whatever was solved
         # without the solver.
-        sols = iter(sdpcore.solve_many(problems, tol=tol))
-    out = []
-    for d, ps in zip(declarations, asked):
-        try:
-            d.send(list(itertools.islice(sols, len(ps))))
-        except StopIteration as done:
-            out.append(done.value)
-        else:
-            raise RuntimeError("a declaration must yield its problems once")
-    return out
+        sols = sdpcore.solve_many(problems, tol=tol)
+    try:
+        run.send(sols)
+    except StopIteration as done:
+        return done.value
 
 
 def _result(kind: str, sol: sdpcore.SdpSolution, value: float, witness) -> CoefficientResult:
@@ -593,6 +644,13 @@ def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target
     ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
     the given side.  One program per channel; the channel enters only the
     link-product rows.
+
+    This is the program of the channels no inverse serves: rev, revT and
+    revH of a channel that is singular, or whose computed inverse fails
+    the residual rule of :func:`_inverted` or leaves an error bound above
+    ``tol`` (see :func:`_closed_form` and :func:`_rev_hermitian_grid`).
+    An invertible channel fixes D by its inverse, and then the program
+    above needs none of D's d^4 coordinates.
     """
     d_a = d_b = _square_dim(channels)
     chois = np.stack([channel.choi.matrix for channel in channels])
@@ -642,53 +700,32 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(p, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(p, d * d, d * d)
 
 
-def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | None]:
-    """rev or revT without a solve where the channel is invertible: a result
-    per channel, None where the SDP has to decide.
+def _inverted(channels, anchor: np.ndarray):
+    """``M = J(A compose N^-1)`` for the anchor ``J(A)`` and every channel
+    N of the list whose inverse passes the residual rule, with a bound on
+    the error of each M.
 
-    When N is invertible as a map on d x d matrices, the only D with
-    ``D compose N = T_p`` is ``T_p compose N^-1``, with ``T_p = (1 - p) A +
-    p R`` for the anchor map A (see :func:`_fixed_target`) and the replacer
-    ``R(X) = Tr(X) 1/d``.  N^-1 is trace preserving, so ``R compose N^-1 =
-    R`` and ``J(D_p) = (1 - p) M + p 1/d^2`` with ``M = J(A compose
-    N^-1)``.  Both terms share an eigenbasis, so D_p is CP exactly when
-    ``mu_i + p (1/d^2 - mu_i) >= 0`` for every eigenvalue ``mu_i`` of M.
-    That is an interval of p which contains 1 (``J(D_1) = 1/d^2``), and
-    ``lo < 1 <= hi``, so its part in ``[lo, hi]`` is never empty.  The
-    coefficient is its left end, ``max(lo, mu / (mu - 1/d^2))`` for the
-    smallest ``mu``, and the witness is ``J(D_p)``.  The work is one stacked inverse
-    of the superoperators, one ``link_raw`` call over the stack and one
-    stacked ``eigvalsh``.
+    Returns ``(idx, m, e)``: the positions of the channels that pass, the
+    stack of their M and, per M, a bound ``e`` on the spectral norm of its
+    error, which bounds the error of each of its eigenvalues too.  The work
+    is one stacked inverse of the superoperators and one ``link_raw`` call
+    over the stack; with no channel passing there is no link.
 
-    The rule, with ``X`` the computed inverse of the superoperator S,
-    ``eps`` the machine epsilon and ``c = 1/d^2``:
+    The rule, with ``X`` the computed inverse of the superoperator S and
+    ``eps`` the machine epsilon:
 
     - ``r = ||I - S X||_F + (d^2 + 1) eps ||S||_F ||X||_F`` bounds the
-      residual with the roundoff of computing it, and for ``r < 1``,
-      ``||S^-1 - X||_F <= ||X||_F r / (1 - r)``.  M moves by at most that
-      over d, and rounding in the link product and ``eigvalsh`` adds about
-      ``d^2 eps ||M||_F``, taken 4 times; so the smallest eigenvalue is off
-      by at most ``e = ||X||_F / d (r / (1 - r) + 4 d^2 eps)``.
-    - Since ``p = 1 - c / (c - mu)``, the value is then off by at most
-      ``err = c e / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for
-      the division), and clipping at ``lo`` does not add to it.
-
-    The closed form is taken when ``r < 1``, ``c - mu > e`` and ``err <=
-    tol``; the SDP gets the rest.  These are the
-    singular maps (replacers such as the eta = 0 row of ``gad`` or
-    depolarizing at p = 1, dephasing channels; every one has rev = revT = 1,
-    since ``T_p`` must vanish on the traceless kernel of N) and any channel
-    whose bound exceeds ``tol``.  ``4 eps`` alone exceeds a ``tol`` of
-    1e-16, so that tolerance always reaches the solver.  The result has an
-    :class:`~qdoeblin.sdpcore.SdpSolution` with 0 iterations, no ``y`` or
-    ``x_blocks``, gap 0 and ``err`` as both residuals.
+      residual with the roundoff of computing it.  A channel passes when
+      ``r < 1``, and then ``||S^-1 - X||_F <= ||X||_F r / (1 - r)``.
+    - ``J(N^-1)`` is X reshuffled over d, and linking it to the anchor of
+      rev (the identity) or revT (the transpose) moves no entry's size, so
+      M moves by at most that over d.  Rounding in the link product and in
+      an ``eigvalsh`` of M adds about ``d^2 eps ||M||_F``, taken 4 times,
+      so ``e = ||X||_F / d (r / (1 - r) + 4 d^2 eps)``.
     """
     d = channels[0].d_in
     n = d * d
-    c = 1.0 / n
     eps = np.finfo(float).eps
-    anchor, lo, _ = _fixed_target(kind, d)
-    out: list[CoefficientResult | None] = [None] * len(channels)
     sup = d * _reshuffle(np.stack([channel.choi.matrix for channel in channels]), d)
     try:
         inv = np.linalg.inv(sup)
@@ -705,9 +742,51 @@ def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | No
         r += (n + 1) * eps * np.linalg.norm(sup, axis=(1, 2)) * norm_inv
     idx = np.flatnonzero(r < 1.0)
     if not idx.size:
-        return out
+        return idx, np.zeros((0, n, n), dtype=complex), np.zeros(0)
     e = norm_inv[idx] / d * (r[idx] / (1.0 - r[idx]) + 4 * n * eps)
-    m = link_raw(anchor, (d, d), _reshuffle(inv[idx], d) / d, (d, d))
+    return idx, link_raw(anchor, (d, d), _reshuffle(inv[idx], d) / d, (d, d)), e
+
+
+def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | None]:
+    """rev or revT without a solve where the channel is invertible: a result
+    per channel, None where the SDP has to decide.
+
+    When N is invertible as a map on d x d matrices, the only D with
+    ``D compose N = T_p`` is ``T_p compose N^-1``, with ``T_p = (1 - p) A +
+    p R`` for the anchor map A (see :func:`_fixed_target`) and the replacer
+    ``R(X) = Tr(X) 1/d``.  N^-1 is trace preserving, so ``R compose N^-1 =
+    R`` and ``J(D_p) = (1 - p) M + p 1/d^2`` with ``M = J(A compose
+    N^-1)``.  Both terms share an eigenbasis, so D_p is CP exactly when
+    ``mu_i + p (1/d^2 - mu_i) >= 0`` for every eigenvalue ``mu_i`` of M.
+    That is an interval of p which contains 1 (``J(D_1) = 1/d^2``), and
+    ``lo < 1 <= hi``, so its part in ``[lo, hi]`` is never empty.  The
+    coefficient is its left end, ``max(lo, mu / (mu - 1/d^2))`` for the
+    smallest ``mu``, and the witness is ``J(D_p)``.  The work is that of
+    :func:`_inverted` and one stacked ``eigvalsh``.
+
+    :func:`_inverted` states the rule a channel must pass and the bound
+    ``e`` on the error of the smallest eigenvalue.  With ``c = 1/d^2`` and
+    ``p = 1 - c / (c - mu)``, the value is then off by at most ``err = c e
+    / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for the division),
+    and clipping at ``lo`` does not add to it.  The closed form is taken
+    when the channel passes the rule, ``c - mu > e`` and ``err <= tol``;
+    the SDP gets the rest.  These are the singular maps (replacers such as
+    the eta = 0 row of ``gad`` or depolarizing at p = 1, dephasing
+    channels; every one has rev = revT = 1, since ``T_p`` must vanish on
+    the traceless kernel of N) and any channel whose bound exceeds
+    ``tol``.  ``4 eps`` alone exceeds a ``tol`` of 1e-16, so that
+    tolerance always reaches the solver.  revH takes the same rule with
+    its own bound (see :func:`_rev_hermitian_grid`).  The result has an
+    :class:`~qdoeblin.sdpcore.SdpSolution` with 0 iterations, no ``y`` or
+    ``x_blocks``, gap 0 and ``err`` as both residuals.
+    """
+    d = channels[0].d_in
+    n = d * d
+    c = 1.0 / n
+    eps = np.finfo(float).eps
+    anchor, lo, _ = _fixed_target(kind, d)
+    out: list[CoefficientResult | None] = [None] * len(channels)
+    idx, m, e = _inverted(channels, anchor)
     low = np.linalg.eigvalsh(m)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         err = c * e / ((c - low) * (c - low - e)) + 4 * eps
@@ -743,8 +822,9 @@ def _rev_transpose_grid(channels, tol):
     return _reverse_fixed_target(channels, KIND_REV_T, tol)
 
 
-def _rev_hermitian_grid(channels, tol):
-    """Degrade onto a generalized-depolarizing target with free Hermitian part."""
+def _rev_hermitian_link(channels):
+    """The link program of revH (see :func:`_reverse`): the degraded
+    channel is ``(1 - Tr X) id + Tr(.) X`` in Choi form."""
     d = channels[0].d_in
     phi = max_entangled(d)
     eye_in = np.eye(d) / d
@@ -753,7 +833,76 @@ def _rev_hermitian_grid(channels, tol):
         tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
         return tr * phi - hermlin.kron(b, eye_in)
 
-    return _reverse(channels, KIND_REV_H, d, extra, phi, None)
+    return (yield from _reverse(channels, KIND_REV_H, d, extra, phi, None))
+
+
+def _rev_hermitian_inverse(m: np.ndarray, d: int):
+    """revH of invertible channels from ``M = J(N^-1)``, one per channel.
+
+    D must be ``T_X compose N^-1`` for the target ``T_X = (1 - Tr X) id +
+    Tr(.) X``, so ``J(D) = (theta - Tr X) M + X (x) 1/d`` with ``theta =
+    1``: minimise ``Tr X`` over the d^2 + 1 real variables of ``(theta,
+    X)`` with ``J(D) >= 0``.  Both maps depend on the channel through M.
+    The witness is ``J(D)``.
+    """
+    eye_in = np.eye(d) / d
+
+    def degrading(b):
+        tr = np.trace(b, axis1=-2, axis2=-1).real
+        return tr[None, :, None, None] * m[:, None] - hermlin.kron(b, eye_in)[None]
+
+    solved = yield from _program(
+        [1, d],
+        {1: -np.eye(d)},
+        psd=[(
+            np.zeros((d * d, d * d)),
+            {0: _PerProblem(lambda b: -b[None] * m[:, None]), 1: _PerProblem(degrading)},
+        )],
+        eqs=[(np.ones((1, 1)), {0: lambda b: b})],
+        count=len(m),
+        key=(KIND_REV_H, d, "inverse"),
+    )
+    thetas = np.array([theta[0, 0].real for _, (theta, _) in solved])
+    xs = np.stack([x for _, (_, x) in solved])
+    scale = thetas - np.trace(xs, axis1=1, axis2=2).real
+    witnesses = scale[:, None, None] * m + hermlin.kron(xs, eye_in)
+    return [
+        _result(KIND_REV_H, sol, -sol.objective_value, w)
+        for (sol, _), w in zip(solved, witnesses)
+    ]
+
+
+def _rev_hermitian_grid(channels, tol):
+    """Degrade onto a generalized-depolarizing target with free Hermitian part.
+
+    An invertible channel takes the program of :func:`_rev_hermitian_inverse`
+    on ``M = J(N^-1)`` from :func:`_inverted` (linked to the identity
+    anchor of rev), when it passes its rule and the error bound below is at
+    most ``tol``; the others take :func:`_rev_hermitian_link`.
+
+    The bound: let the computed M be off by at most ``e`` in spectral norm.
+    At any X, ``J(D)`` then moves by ``(1 - Tr X)`` times that error, and
+    ``|1 - Tr X| <= 1`` wherever ``D compose N`` is a channel, since a
+    channel does not expand trace distance.  ``X = 1/d`` is feasible for
+    every M (``J(D) = 1/d^2``), and mixing a solution with a fraction s of
+    it lifts ``J(D)`` by ``s / d^2``: ``s = d^2 e`` absorbs the error and
+    moves ``Tr X`` by at most ``s``.  Both programs' optima are so within
+    ``d^2 e`` of each other.  As for rev, ``e`` is at least ``4 d eps``
+    (the computed inverse has a norm of at least 1), so ``d^2 e`` exceeds
+    a ``tol`` of 1e-16, which always reaches the link program.
+    """
+    d = _square_dim(channels)
+    idx, m, e = _inverted(channels, max_entangled(d))
+    take = d * d * e <= tol
+    picked = np.zeros(len(channels), dtype=bool)
+    picked[idx[take]] = True
+    by_inverse, by_link = yield from _together([
+        _on_subset(_rev_hermitian_inverse(m[take], d), picked),
+        _on_subset(
+            _rev_hermitian_link([c for c, ok in zip(channels, picked) if not ok]), ~picked
+        ),
+    ])
+    return [res if res is not None else link for res, link in zip(by_inverse, by_link)]
 
 
 def _single(declare, channel: QuantumChannel, tol: float) -> CoefficientResult:

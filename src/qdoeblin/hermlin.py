@@ -70,6 +70,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a guard on the result size.
 
     A ``(k, n, n)`` stack ``a`` is multiplied by ``b`` matrix by matrix.
+    Every entry is the one product of ``np.kron``, formed by broadcasting
+    without its generic axis handling.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -80,7 +82,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"kron result of shape ({side_r}, {side_c}) exceeds the "
             f"{MAX_KRON_SIDE} per-side limit"
         )
-    return np.kron(a, b)
+    prod = a[..., :, None, :, None] * b[:, None, :]
+    return prod.reshape(a.shape[:-2] + (side_r, side_c))
 
 
 def _check_bipartite(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -223,6 +223,48 @@ def reverse_closed_form(rng, tol, rec, dims) -> None:
                     kind=kind, d=d, got=p, sdp=want.value, status=want.status)
 
 
+def reverse_hermitian_witness(rng, tol, rec, dims) -> None:
+    """revH of an invertible channel is solved on ``(theta, X)`` from
+    ``J(N^-1)``, and its witness checks itself without a solver: J(D) is
+    PSD within 1e-9 and trace preserving, and ``D compose N = (1 - t) id +
+    Tr(.) X`` within 1e-9 with ``Tr X = t``, the value.  So D is a
+    degrading map that attains t, and t is an upper bound on revH.  X is
+    read off the link: tracing out the input of ``J(D compose N)`` leaves
+    ``(1 - t)/d + X``.  The witness laws cover the channels that pass the
+    rule of :func:`qdoeblin.doeblin._rev_hermitian_grid`; the others take
+    the link program, and every result must be optimal.  ``dims`` lists
+    one dimension per random channel drawn; each dimension also gets
+    depolarizing channels at 0.5 and 0.9, and d=2 gets gad points at small
+    and full eta.
+    """
+    channels = [ch.random_channel(d, d, seed=int(rng.integers(1 << 31))) for d in dims]
+    for d in sorted(set(dims)):
+        channels += [ch.depolarizing(0.5, d), ch.depolarizing(0.9, d)]
+    if 2 in dims:
+        channels += [ch.gad(1.0, 0.02), ch.gad(0.3, 1.0)]
+    for d in sorted({chan.d_in for chan in channels}):
+        group = [chan for chan in channels if chan.d_in == d]
+        phi = ch.max_entangled(d)
+        idx, _, e = db._inverted(group, phi)
+        inverse = set(idx[d * d * e <= tol].tolist())
+        for i, (chan, res) in enumerate(zip(group, db.solve_grid(db.KIND_REV_H, group, tol))):
+            rec("reverse_hermitian_optimal", res.status == sdpcore.STATUS_OPTIMAL,
+                d=d, status=res.status)
+            if i not in inverse:
+                continue
+            t, w = res.value, res.witness
+            min_eig = np.linalg.eigvalsh(w)[0]
+            marginal = hermlin.partial_trace(w, (d, d), 1)
+            rec("reverse_hermitian_witness_channel",
+                min_eig >= -1e-9 and np.abs(marginal - np.eye(d) / d).max() <= 1e-9,
+                d=d, min_eig=min_eig)
+            linked = ch.link_raw(w, (d, d), chan.choi.matrix, (d, d))
+            x = hermlin.partial_trace(linked, (d, d), 0) - (1.0 - t) * np.eye(d) / d
+            target = (1.0 - t) * phi + hermlin.kron(x, np.eye(d) / d)
+            err = max(np.abs(linked - target).max(), abs(np.trace(x).real - t))
+            rec("reverse_hermitian_witness_degrades", err <= 1e-9, d=d, err=err)
+
+
 # ----------------------------------------------------------------- suites
 
 
@@ -375,6 +417,7 @@ def _suite_doeblin(rng, tol, rec):
     alpha_supermultiplicative(rng, tol, rec, 3)
     sandwich(rng, tol, rec, 6)
     reverse_closed_form(rng, tol, rec, (2, 3, 4, 5))
+    reverse_hermitian_witness(rng, tol, rec, (2, 3, 4, 5))
 
 
 def _suite_classical(rng, tol, rec):

@@ -70,14 +70,16 @@ predictor, the corrector and their refinement steps reuse the factors.
 :func:`solve_many` sets a list of problems up in one pass per group and
 runs it as lockstep batches, in the manner of the batched interior-point
 method of OptNet (Amos & Kolter, ICML 2017).  A group is the problems
-that share their objective, bounds and every block's coefficient list (by
-identity), their block sides, multiplicities and real or complex data,
-and their equality row count.  Its shared parts are validated and lowered
-once; its constants, equality rows and right-hand sides are validated as
-stacks, ``T^T A`` is one batched gemm per block and the box rows come
-from the stacked T.  The only per-problem set-up is the QR of ``E^T``.  A
-problem that fails validation raises the error it raises alone (with
-several, that of the first in input order).
+that share their objective and bounds (by identity), the variable indices
+and real or complex data of every block's coefficient list, their block
+sides, multiplicities and real or complex constants, and their equality
+row count.  Its shared parts are validated and lowered once; its
+constants, equality rows, right-hand sides and the coefficient lists that
+are not one shared list are validated as stacks, ``T^T A`` is one batched
+gemm per block and the box rows come from the stacked T.  The only
+per-problem set-up is the QR of ``E^T``.  A problem that fails validation
+raises the error it raises alone (with several, that of the first in
+input order).
 
 Problems that share their shapes (the count of solver variables and the
 side of every block, the diagonal block of box rows included) and the
@@ -104,7 +106,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -238,26 +240,53 @@ def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     return work, bad, "Hermitian" if np.iscomplexobj(m) else "symmetric"
 
 
-def _check_coeffs(blk: SdpBlock, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Variable indices and Hermitian-part coefficient stack of one block,
-    float64 for real coefficients and complex128 when any is complex."""
-    dim = blk.c.shape[0]
-    idx = np.array([i for i, _ in blk.coeffs], dtype=int)
+def _check_coeffs(lists: list, k: int, dim: int, n: int, faults: _Faults) -> tuple:
+    """Variable indices and Hermitian-part coefficient stacks of block k.
+
+    ``lists`` holds the block's coefficient list of every problem of a
+    group, or the one list they all share; every list has the indices of
+    the first (see :func:`_signature`).  Returns the indices and a
+    ``(len(lists), len(idx), dim, dim)`` stack, float64 for real
+    coefficients and complex128 when any is complex.  A fault of a shared
+    list raises; a fault of a problem's own list flags that problem, and
+    the slices of the stack it leaves are zero.
+    """
+    idx = np.array([i for i, _ in lists[0]], dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         out = (idx < 0) | (idx >= n)
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
-    mats = np.asarray([a for _, a in blk.coeffs])
+
+    def fault(bad, message: Callable[[int], str]) -> None:
+        """Flag the lists at the positions ``bad`` with their own messages;
+        a fault of a shared list raises."""
+        for j in bad:
+            if len(lists) == 1:
+                raise ValueError(message(j))
+            faults.flag(np.arange(len(lists)) == j, message(j))
+
+    stack = []
+    for j, coeffs in enumerate(lists):
+        try:
+            mats = np.asarray([a for _, a in coeffs])
+            if idx.size and mats.shape[1:] != (dim, dim):
+                raise ValueError(
+                    f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
+        except ValueError as exc:
+            fault([j], lambda _, exc=exc: str(exc))
+            mats = np.zeros((len(idx), dim, dim))
+        stack.append(mats.reshape(len(idx), dim, dim))
+    mats = _stack(stack)
     mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
-    if idx.size and mats.shape[1:] != (dim, dim):
-        raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
-    mats = mats.reshape(len(idx), dim, dim)
-    finite = np.isfinite(mats).all(axis=(1, 2))
+    finite = np.isfinite(mats).all(axis=(2, 3))
     if not finite.all():
-        raise ValueError(f"block {k} coefficient {idx[np.argmin(finite)]} must be finite")
-    part, bad, kind = _hermitian_part(mats)
-    if bad.any():
-        raise ValueError(f"block {k} coefficient {idx[np.argmax(bad)]} must be {kind}")
-    return idx, part
+        fault(np.flatnonzero(~finite.all(axis=1)),
+              lambda j: f"block {k} coefficient {idx[np.argmin(finite[j])]} must be finite")
+        mats = np.where(finite[..., None, None], mats, 0.0)
+    part, bad, kind = _hermitian_part(mats.reshape(-1, dim, dim))
+    bad = bad.reshape(finite.shape)
+    fault(np.flatnonzero(bad.any(axis=1)),
+          lambda j: f"block {k} coefficient {idx[np.argmax(bad[j])]} must be {kind}")
+    return idx, part.reshape(mats.shape)
 
 
 def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
@@ -634,18 +663,33 @@ def _stack(arrays: list) -> np.ndarray:
     return np.asarray(arrays[0])[None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _signature(problem: SdpProblem) -> tuple:
-    """What the problems of one group share: the identity of the objective,
-    the bounds and each block's coefficient list, and the shapes and
-    real or complex data of the constants and the equality rows."""
+def _coeff_key(coeffs: list, keys: dict) -> tuple:
+    """The variable indices of a coefficient list and whether any of its
+    matrices is complex, once per list in ``keys`` (by identity)."""
+    key = keys.get(id(coeffs))
+    if key is None:
+        key = keys[id(coeffs)] = (
+            tuple(i for i, _ in coeffs), any(np.iscomplexobj(a) for _, a in coeffs)
+        )
+    return key
+
+
+def _signature(problem: SdpProblem, keys: dict | None = None) -> tuple:
+    """What the problems of one group share: the identity of the objective
+    and the bounds, the variable indices and real or complex data of each
+    block's coefficient list, and the shapes and real or complex data of
+    the constants and the equality rows.  ``keys`` keeps the key of each
+    coefficient list seen, so that a list shared by many problems is read
+    once."""
     eq = problem.eq_matrix
+    keys = {} if keys is None else keys
     return (
         problem.num_vars,
         id(problem.objective),
         id(problem.lower),
         id(problem.upper),
         tuple(
-            (id(blk.coeffs), np.shape(blk.c), np.iscomplexobj(blk.c), id(blk.w))
+            (_coeff_key(blk.coeffs, keys), np.shape(blk.c), np.iscomplexobj(blk.c), id(blk.w))
             for blk in problem.blocks
         ),
         None if eq is None else (
@@ -743,12 +787,13 @@ def _symmetrised(c: np.ndarray, name: str, faults: _Faults) -> np.ndarray:
 
 
 def _lowered_coeffs(t: np.ndarray, idx: np.ndarray, mats: np.ndarray, dtype) -> np.ndarray:
-    """``T^T A`` of one block for every basis of the stack ``t``, the shift
-    row last: one batched gemm; repeated rows add up, and a complex stack
-    is multiplied on its float view."""
-    count, nv, side = len(t), t.shape[2], mats.shape[-1]
+    """``T^T A`` of one block for every basis of the stack ``t`` and every
+    coefficient stack of ``mats`` (one of them may be a single slice), the
+    shift row last: one batched gemm; repeated rows add up, and a complex
+    stack is multiplied on its float view."""
+    count, nv, side = max(len(t), len(mats)), t.shape[2], mats.shape[-1]
     out = np.empty((count, nv + 1, side * side), dtype=dtype)
-    flat = mats.astype(dtype, copy=False).reshape(len(idx), side * side).view(float)
+    flat = mats.astype(dtype, copy=False).reshape(len(mats), len(idx), side * side).view(float)
     np.matmul(t[:, idx].transpose(0, 2, 1), flat, out=out[:, :nv].view(float))
     out[:, nv] = -np.eye(side).ravel()
     return out
@@ -760,7 +805,8 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> 
     A check of shared data raises its ``ValueError``; a check of stacked
     per-problem data flags its problems in ``faults``.  Returns the shared
     objective and bounds, the constants as ``(B, m, m)`` stacks, the
-    coefficients as ``(idx, mats, dtype)`` per block, and the equality
+    coefficients as ``(idx, mats, dtype)`` per block (``mats`` of one
+    slice, or of one per problem when each has its own list), and the equality
     stacks ``e``, ``f`` (of one slice when every problem shares its rows)
     with the null-space basis of each slice.
     """
@@ -798,7 +844,9 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> 
             raise ValueError(f"block {k} constant must be square, got {c.shape[1:]}")
         c = _symmetrised(c.astype(complex if np.iscomplexobj(c) else float, copy=False),
                          f"block {k} constant", faults)
-        idx, mats = _check_coeffs(blk, k, n)
+        one_list = all(p.blocks[k].coeffs is blk.coeffs for p in mine)
+        lists = [p.blocks[k].coeffs for p in (mine[:1] if one_list else mine)]
+        idx, mats = _check_coeffs(lists, k, c.shape[1], n, faults)
         # A complex constant or coefficient makes the whole block complex.
         dtype = np.result_type(c, mats)
         c = c.astype(dtype, copy=False)
@@ -811,8 +859,9 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
     """Validate one group of problems and write it in the solver's variables.
 
     The shared objective, bounds and coefficient lists are checked and
-    lowered once; constants and equality rows are checked as stacks, and
-    the only per-problem work is the QR of :func:`_null_space`.  The group
+    lowered once; constants, equality rows and coefficient lists of the
+    problems' own are checked and lowered as stacks, and the only
+    per-problem work is the QR of :func:`_null_space`.  The group
     comes back as one part per lockstep key: problems whose rows leave null
     spaces of different sizes iterate on different variable counts.
     Raises :class:`_Invalid` with the first error of the first problem that
@@ -859,7 +908,10 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
     for rows, t, eq_rows in split:
         nv = t.shape[2]
         index = np.asarray(members)[rows]
-        coeffs = [_lowered_coeffs(t, idx, mats, dtype) for idx, mats, dtype in checked]
+        coeffs = [
+            _lowered_coeffs(t, idx, mats if len(mats) == 1 else mats[rows], dtype)
+            for idx, mats, dtype in checked
+        ]
         diag = np.zeros((len(t), len(box) + 1, nv + 1))
         diag[:, :-1, :nv] = signs[:, None] * t[:, box_rows]
         diag[:, :, nv] = -1.0
@@ -898,8 +950,9 @@ def _prepare(problems: list[SdpProblem]) -> list[_Part]:
     several, that of the first in input order.
     """
     groups: dict[tuple, list[int]] = {}
+    keys: dict = {}
     for i, p in enumerate(problems):
-        groups.setdefault(_signature(p), []).append(i)
+        groups.setdefault(_signature(p, keys), []).append(i)
     parts: list[_Part] = []
     invalid: _Invalid | None = None
     for members in groups.values():
@@ -1268,11 +1321,12 @@ def solve_many(
 ) -> list[SdpSolution]:
     """Solve a list of :class:`SdpProblem`; results come back in input order.
 
-    Problems that share their objective, bounds and coefficient lists (by
-    identity) are validated and lowered in one pass, and problems with the
-    same lockstep key (see ``_prepare``) advance together, so a grid of
-    same-structure programs pays the per-call overhead of set-up and of
-    every iteration once per batch instead of once per point.  Each problem
+    Problems that share their objective and bounds (by identity) and the
+    variable indices of every coefficient list are validated and lowered
+    in one pass, and problems with the same lockstep key (see
+    ``_prepare``) advance together, so a grid of same-structure programs
+    pays the per-call overhead of set-up and of every iteration once per
+    batch instead of once per point.  Each problem
     is one interior-point run and gets exactly the result :func:`solve`
     gives it alone.
 

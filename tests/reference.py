@@ -45,7 +45,8 @@ def pinched(chan: ch.QuantumChannel, keep: int = 1, u: np.ndarray | None = None)
     onto each later basis vector (``keep=1`` dephases fully), and U is
     ``u`` (the identity by default).  P kills the coherences between its
     blocks, so the map of the composite is singular: its ``rev`` and
-    ``revT`` have no closed form and reach the SDP.
+    ``revT`` have no closed form, its ``revH`` no inverse program, and all
+    three reach the link program.
     """
     d = chan.d_out
     u = np.eye(d) if u is None else u

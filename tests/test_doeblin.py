@@ -498,9 +498,10 @@ def _kind_id(value):
 
 
 def _sdp_bound(kind, chan):
-    """``chan``, or for rev and revT a pinched copy: their closed form takes
-    every invertible channel, and a singular one reaches the SDP."""
-    if kind in (db.KIND_REV, db.KIND_REV_T):
+    """``chan``, or for a reverse kind a pinched copy: the closed form of rev
+    and revT and the inverse program of revH take every invertible channel,
+    and a singular one reaches the link program."""
+    if kind in (db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H):
         return pinched(chan, max(1, chan.d_out - 1))
     return chan
 
@@ -675,15 +676,16 @@ def _spy(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize(
-    "kind, sizes", [(db.KIND_REV, {4, 6}), (db.KIND_REV_H, {4, 8})], ids=_kind_id
+    "kind, sizes", [(db.KIND_REV, {4, 6}), (db.KIND_REV_H, {6, 8})], ids=_kind_id
 )
 def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
     # The replacer points gad(p, 0) leave a larger null space of their
     # equality rows than the interior points: one grid column splits into
     # two lockstep keys, and every point must still get its single call.
-    # rev runs on dephased copies (see _sdp_bound), whose interior points
-    # leave a null space of 4; an invertible channel, which leaves 2, has
-    # its rev in closed form.
+    # Both run on dephased copies (see _sdp_bound), whose interior points
+    # leave a null space of 4 (rev) or 6 (revH); an invertible channel,
+    # which leaves 2 or 4, has its rev in closed form and its revH on the
+    # inverse program.
     channels = [_sdp_bound(kind, ch.gad(p, eta)) for p, eta in
                 [(0.3, 0.5), (0.2, 0.0), (0.6, 0.4), (0.9, 0.0), (0.0, 0.0), (0.7, 0.8)]]
     prepare = sdpcore._prepare
@@ -852,3 +854,79 @@ def test_closed_form_rule_keeps_the_solver_for_what_it_cannot_bound(monkeypatch)
             want = SINGLE[kind](c)
             assert (res.status, res.value) == (want.status, want.value)
             assert res.solution.iterations == want.solution.iterations
+
+
+def _by_inverse(res, d):
+    """Whether a revH result comes from the inverse program, whose y holds
+    theta and X only, not D's d^4 coordinates."""
+    return len(res.solution.y) <= d * d + 1
+
+
+def _rev_hermitian_cases(d):
+    """Channels of dimension d, each with whether it is singular: random
+    channels and depolarizing ones (singular at p = 1) at every d, and at
+    d = 2 a gad lattice, whose eta = 0 row is singular."""
+    cases = [(ch.random_channel(d, d, seed=s), False) for s in (3, 4, 5)[: 2 if d == 5 else 3]]
+    cases += [(ch.depolarizing(p, d), p == 1.0) for p in (0.3, 0.9, 1.0)]
+    if d == 2:
+        grid = np.linspace(0.0, 1.0, 11)
+        cases += [(ch.gad(p, eta), eta == 0.0) for p in grid for eta in grid]
+    return cases
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_rev_hermitian_inverse_matches_the_link_program(d):
+    # For an invertible channel D is T_X after N^-1, so the program on
+    # (theta, X) has the iterates of the link program in exact arithmetic:
+    # the same status and iteration count, and values within 1e-9.
+    # Singular channels take the link program itself.
+    channels, singular = zip(*_rev_hermitian_cases(d))
+    got = db.solve_grid(db.KIND_REV_H, channels)
+    [want] = db._solve([db._rev_hermitian_link(list(channels))], sdpcore.DEFAULT_TOL)
+    assert [not _by_inverse(res, d) for res in got] == list(singular)
+    for chan, res, ref in zip(channels, got, want):
+        assert res.status == ref.status == sdpcore.STATUS_OPTIMAL, chan
+        assert res.solution.iterations == ref.solution.iterations, chan
+        assert abs(res.value - ref.value) <= 1e-9, chan
+
+
+def test_rev_hermitian_grid_of_invertible_channels_sets_up_once(monkeypatch):
+    # The mechanism, not a timing: one stacked inverse and link product,
+    # one QR (of the one shared row theta = 1) and one coefficient
+    # lowering of the per-channel PSD block for a 51-point grid.
+    channels = [ch.gad(p, 0.5) for p in np.linspace(0.0, 1.0, 51)]
+    calls = {}
+    _spy(monkeypatch, sdpcore, "_null_space", calls)
+    _spy(monkeypatch, sdpcore, "_lowered_coeffs", calls)
+    _spy(monkeypatch, db, "link_raw", calls)
+    got = db.solve_grid(db.KIND_REV_H, channels)
+    assert all(r.status == sdpcore.STATUS_OPTIMAL and _by_inverse(r, 2) for r in got)
+    assert calls == {"_null_space": 1, "_lowered_coeffs": 1, "link_raw": 1}
+    # Each is its single call, bitwise.
+    for chan, res in zip(channels[::10], got[::10]):
+        _same_result(res, db.reverse_alpha_hermitian(chan))
+
+
+def test_rev_hermitian_rule_keeps_the_link_program_for_what_it_cannot_bound():
+    chan = ch.gad(0.5, 0.6)
+    assert _by_inverse(db.reverse_alpha_hermitian(chan), 2)
+    # The bound d^2 e is at least 4 d^3 eps, above a tolerance of 1e-16.
+    assert not _by_inverse(db.reverse_alpha_hermitian(chan, 1e-16), 2)
+    # Singular channels take the link program in a grid with invertible
+    # ones, and every point gets its single call.
+    grid = [ch.gad(0.3, 0.0), chan, ch.depolarizing(1.0), ch.random_channel(2, 2, seed=9),
+            pinched(ch.gad(0.9, 0.3))]
+    got = db.solve_grid(db.KIND_REV_H, grid)
+    assert [_by_inverse(r, 2) for r in got] == [False, True, False, True, False]
+    for c, res in zip(grid, got):
+        _same_result(res, db.reverse_alpha_hermitian(c))
+
+
+def test_reverse_hermitian_witness_law():
+    # Random channels at d = 2..5, depolarizing and gad points; see
+    # properties.reverse_hermitian_witness.
+    rng = np.random.default_rng(2025)
+    rec = properties.Recorder("reverse hermitian witness")
+    properties.reverse_hermitian_witness(rng, sdpcore.DEFAULT_TOL, rec, (2, 3, 4, 5) * 2)
+    assert rec.failed == 0, rec.first
+    assert rec.passed >= 45

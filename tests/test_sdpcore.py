@@ -8,6 +8,7 @@ Schur-complement argument).
 from __future__ import annotations
 
 import copy
+import re
 import warnings
 
 import numpy as np
@@ -1317,3 +1318,96 @@ def test_batches_cut_by_memory_keep_solo_results(monkeypatch):
             assert want.status == "optimal"
             _same(got, want)
     assert {1, 2, 3, 5} <= sizes
+
+
+def _own_coefficient_problems(rows: bool):
+    """Problems that share their objective, box bounds and variable
+    indices, each with its own coefficient matrices and constants: a real
+    block and a complex one, strictly feasible at y = 0 and bounded by the
+    box.  With ``rows`` they also share one equality row."""
+    rng = np.random.default_rng(421)
+    k = 4
+    objective, lower, upper = rng.standard_normal(k), -np.ones(k), np.ones(k)
+    e = rng.standard_normal((1, k))
+    extra = {"eq_matrix": e, "eq_rhs": e @ (0.05 * rng.standard_normal(k))} if rows else {}
+    return [
+        sdpcore.SdpProblem(k, objective, [_random_lmi(rng, k, 3, 2), _random_hermitian_lmi(rng, k, 2)],
+                           lower=lower, upper=upper, **extra)
+        for _ in range(6)
+    ]
+
+
+@pytest.mark.parametrize("rows", [False, True], ids=["box", "rows"])
+def test_own_coefficient_lists_set_up_as_one_group(monkeypatch, rows):
+    # Coefficient lists with one index list but their own matrices form one
+    # group: one set-up pass and one lowering per block for all of them,
+    # and each problem still gets bitwise its solo result.
+    problems = _own_coefficient_problems(rows)
+    assert len({sdpcore._signature(p) for p in problems}) == 1
+    alone = [sdpcore.solve(p) for p in problems]
+    calls = {}
+    for name in ("_prepare_group", "_lowered_coeffs", "_null_space"):
+        fn = getattr(sdpcore, name)
+        calls[name] = 0
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(sdpcore, name, counted)
+    together = sdpcore.solve_many(problems)
+    assert calls == {"_prepare_group": 1, "_lowered_coeffs": 2, "_null_space": int(rows)}
+    for got, want in zip(together, alone):
+        assert want.status == "optimal"
+        _same(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
+
+
+def test_own_coefficient_lists_split_by_real_or_complex_data():
+    # A complex matrix in one list makes its block complex: that problem
+    # gets a group of its own, as it would be solved alone.
+    problems = _own_coefficient_problems(False)[:3]
+    i, a = problems[1].blocks[0].coeffs[0]
+    problems[1].blocks[0].coeffs[0] = (i, a.astype(complex))
+    signatures = [sdpcore._signature(p) for p in problems]
+    assert signatures[0] == signatures[2] != signatures[1]
+    for got, prob in zip(sdpcore.solve_many(problems), problems):
+        _same(got, sdpcore.solve(prob))
+
+
+def _own_coefficient_faults():
+    """(message, fault) pairs: a fault writes a bad coefficient into a list."""
+    skew = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def put(j, a):
+        return lambda coeffs: coeffs.__setitem__(j, (j, a))
+
+    yield "block 0 coefficient 2 must be finite", put(2, np.full((3, 3), np.nan))
+    yield "block 0 coefficient 1 must be symmetric", put(1, skew)
+    yield "block 0 coefficients must be 3x3, got (2, 2)", lambda coeffs: coeffs.__setitem__(
+        slice(None), [(j, np.eye(2)) for j, _ in coeffs])
+    yield "inhomogeneous", put(3, np.eye(2))
+
+
+@pytest.mark.parametrize("message, fault", list(_own_coefficient_faults()),
+                         ids=[m for m, _ in _own_coefficient_faults()])
+def test_bad_own_coefficient_raises_its_solo_error(message, fault):
+    # A fault in problem k's own list raises what solve(problems[k])
+    # raises, whatever the other problems of its group hold; with faults in
+    # two problems, that of the first in input order.
+    problems = _own_coefficient_problems(False)
+    fault(problems[3].blocks[0].coeffs)
+    with pytest.raises(ValueError, match=re.escape(message)) as alone:
+        sdpcore.solve(problems[3])
+    with pytest.raises(ValueError) as grouped:
+        sdpcore.solve_many(problems)
+    assert str(grouped.value) == str(alone.value)
+    # A constant fault in a later problem does not hide it, and one in an
+    # earlier problem comes first.
+    problems[4].blocks[0].c = np.full((3, 3), np.inf)
+    with pytest.raises(ValueError) as grouped:
+        sdpcore.solve_many(problems)
+    assert str(grouped.value) == str(alone.value)
+    problems[1].blocks[0].c = np.full((3, 3), np.inf)
+    with pytest.raises(ValueError, match="block 0 constant must be finite"):
+        sdpcore.solve_many(problems)
