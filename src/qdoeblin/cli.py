@@ -66,7 +66,7 @@ KIND_FUNCS = {
     "revH": db.reverse_alpha_hermitian,
 }
 # alphaTH stays behind --combine-th; the default surface omits it.
-BASE_KINDS = ("alpha", "alphaT", "alphaH", "p1", "rev", "revT", "revH")
+BASE_KINDS = tuple(kind for kind in KIND_FUNCS if kind != "alphaTH")
 
 # Most grid points one lockstep batch holds, which bounds its memory.
 GRID_CHUNK = 128

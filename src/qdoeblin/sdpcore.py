@@ -77,9 +77,10 @@ row count.  Its shared parts are validated and lowered once; its
 constants, equality rows, right-hand sides and the coefficient lists that
 are not one shared list are validated as stacks, ``T^T A`` is one batched
 gemm per block and the box rows come from the stacked T.  The only
-per-problem set-up is the QR of ``E^T``.  A problem that fails validation
-raises the error it raises alone (with several, that of the first in
-input order).
+per-problem set-up is the QR of ``E^T``.  Set-up stops at the first check
+that fails; a list that fails is then set up again one problem at a time,
+in input order, so it raises the error its first invalid problem raises
+alone.
 
 Problems that share their shapes (the count of solver variables and the
 side of every block, the diagonal block of box rows included) and the
@@ -106,7 +107,7 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -240,52 +241,35 @@ def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     return work, bad, "Hermitian" if np.iscomplexobj(m) else "symmetric"
 
 
-def _check_coeffs(lists: list, k: int, dim: int, n: int, faults: _Faults) -> tuple:
+def _check_coeffs(lists: list, k: int, dim: int, n: int) -> tuple:
     """Variable indices and Hermitian-part coefficient stacks of block k.
 
     ``lists`` holds the block's coefficient list of every problem of a
     group, or the one list they all share; every list has the indices of
     the first (see :func:`_signature`).  Returns the indices and a
     ``(len(lists), len(idx), dim, dim)`` stack, float64 for real
-    coefficients and complex128 when any is complex.  A fault of a shared
-    list raises; a fault of a problem's own list flags that problem, and
-    the slices of the stack it leaves are zero.
+    coefficients and complex128 when any is complex.  The first check that
+    fails raises its ``ValueError``, for whichever list it fails.
     """
     idx = np.array([i for i, _ in lists[0]], dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         out = (idx < 0) | (idx >= n)
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
-
-    def fault(bad, message: Callable[[int], str]) -> None:
-        """Flag the lists at the positions ``bad`` with their own messages;
-        a fault of a shared list raises."""
-        for j in bad:
-            if len(lists) == 1:
-                raise ValueError(message(j))
-            faults.flag(np.arange(len(lists)) == j, message(j))
-
     stack = []
-    for j, coeffs in enumerate(lists):
-        try:
-            mats = np.asarray([a for _, a in coeffs])
-            if idx.size and mats.shape[1:] != (dim, dim):
-                raise ValueError(
-                    f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
-        except ValueError as exc:
-            fault([j], lambda _, exc=exc: str(exc))
-            mats = np.zeros((len(idx), dim, dim))
+    for coeffs in lists:
+        mats = np.asarray([a for _, a in coeffs])
+        if idx.size and mats.shape[1:] != (dim, dim):
+            raise ValueError(f"block {k} coefficients must be {dim}x{dim}, got {mats.shape[1:]}")
         stack.append(mats.reshape(len(idx), dim, dim))
     mats = _stack(stack)
     mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
     finite = np.isfinite(mats).all(axis=(2, 3))
     if not finite.all():
-        fault(np.flatnonzero(~finite.all(axis=1)),
-              lambda j: f"block {k} coefficient {idx[np.argmin(finite[j])]} must be finite")
-        mats = np.where(finite[..., None, None], mats, 0.0)
+        raise ValueError(f"block {k} coefficient {idx[np.argwhere(~finite)[0, 1]]} must be finite")
     part, bad, kind = _hermitian_part(mats.reshape(-1, dim, dim))
-    bad = bad.reshape(finite.shape)
-    fault(np.flatnonzero(bad.any(axis=1)),
-          lambda j: f"block {k} coefficient {idx[np.argmax(bad[j])]} must be {kind}")
+    if bad.any():
+        bad = bad.reshape(finite.shape)
+        raise ValueError(f"block {k} coefficient {idx[np.argwhere(bad)[0, 1]]} must be {kind}")
     return idx, part.reshape(mats.shape)
 
 
@@ -699,44 +683,6 @@ def _signature(problem: SdpProblem, keys: dict | None = None) -> tuple:
     )
 
 
-class _Invalid(Exception):
-    """The first validation error of a group: that of its first problem that fails."""
-
-    def __init__(self, pos: int, error: ValueError):
-        super().__init__(pos, error)
-        self.pos, self.error = pos, error
-
-
-class _Faults:
-    """The first validation error of every problem of a group, in check order.
-
-    A check of stacked per-problem data fails for its problems only, and
-    the others go on to the next check.  A check of data the group shares
-    fails for every problem alike and ends the group's checks.
-    """
-
-    def __init__(self, members: list[int]):
-        self.members = members
-        self.errors: list[ValueError | None] = [None] * len(members)
-
-    def flag(self, bad: np.ndarray, message: str) -> None:
-        """``message`` for the problems ``bad``; a mask of one entry is for
-        data that every problem shares."""
-        if not bad.any():
-            return
-        for j in np.flatnonzero(np.broadcast_to(bad, (len(self.errors),))):
-            if self.errors[j] is None:
-                self.errors[j] = ValueError(message)
-
-    def raise_first(self, shared: ValueError | None = None) -> None:
-        """Raise the first error of the first problem that has one;
-        ``shared`` is the error of a check of shared data, which every
-        problem has after its own earlier ones."""
-        for pos, err in zip(self.members, self.errors):
-            if err is not None or shared is not None:
-                raise _Invalid(pos, err or shared)
-
-
 def _check_objective(objective, n: int) -> np.ndarray:
     b = _real_array(objective, "objective")
     if b.shape != (n,):
@@ -773,16 +719,14 @@ def _check_eq_shapes(problem: SdpProblem, n: int) -> tuple[int, ...]:
     return e.shape
 
 
-def _symmetrised(c: np.ndarray, name: str, faults: _Faults) -> np.ndarray:
+def _symmetrised(c: np.ndarray, name: str) -> np.ndarray:
     """The Hermitian parts of a ``(B, m, m)`` stack of constants; a slice
-    that is not finite or not Hermitian is a fault of its problem."""
-    finite = np.isfinite(c).all(axis=(1, 2))
-    if not finite.all():
-        faults.flag(~finite, f"{name} must be finite")
-        # The slices flagged are not used further; zeros keep nan out.
-        c = np.where(finite[:, None, None], c, 0.0)
+    that is not finite or not Hermitian raises ``ValueError``."""
+    if not np.isfinite(c).all():
+        raise ValueError(f"{name} must be finite")
     part, bad, kind = _hermitian_part(c)
-    faults.flag(bad, f"{name} must be {kind}")
+    if bad.any():
+        raise ValueError(f"{name} must be {kind}")
     return part
 
 
@@ -799,11 +743,12 @@ def _lowered_coeffs(t: np.ndarray, idx: np.ndarray, mats: np.ndarray, dtype) -> 
     return out
 
 
-def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> tuple:
+def _check_group(first: SdpProblem, mine: list[SdpProblem]) -> tuple:
     """Run the checks of :func:`solve` on a group, in its order.
 
-    A check of shared data raises its ``ValueError``; a check of stacked
-    per-problem data flags its problems in ``faults``.  Returns the shared
+    The first check that fails raises its ``ValueError``, whether it checks
+    shared data or a stack of per-problem data; :func:`_prepare` finds the
+    problem at fault.  Returns the shared
     objective and bounds, the constants as ``(B, m, m)`` stacks, the
     coefficients as ``(idx, mats, dtype)`` per block (``mats`` of one
     slice, or of one per problem when each has its own list), and the equality
@@ -825,14 +770,9 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> 
             e = _stack([p.eq_matrix for p in own]).astype(float, copy=False)
             e = e.reshape((len(own),) + shape)
             f = _stack([p.eq_rhs for p in own]).astype(float, copy=False)
-            ok = np.isfinite(e).all(axis=(1, 2)) & np.isfinite(f).all(axis=1)
-            faults.flag(~ok, "equality constraints must be finite")
-            ts = [None] * len(own)
-            for j in np.flatnonzero(ok):
-                try:
-                    ts[j] = _null_space(e[j], f[j])
-                except ValueError as exc:
-                    faults.flag(np.arange(len(own)) == j, str(exc))
+            if not (np.isfinite(e).all() and np.isfinite(f).all()):
+                raise ValueError("equality constraints must be finite")
+            ts = [_null_space(ej, fj) for ej, fj in zip(e, f)]
 
     cs, coeffs = [], []
     for k, blk in enumerate(first.blocks):
@@ -843,10 +783,10 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem], faults: _Faults) -> 
         if c.ndim != 3 or c.shape[1] != c.shape[2]:
             raise ValueError(f"block {k} constant must be square, got {c.shape[1:]}")
         c = _symmetrised(c.astype(complex if np.iscomplexobj(c) else float, copy=False),
-                         f"block {k} constant", faults)
+                         f"block {k} constant")
         one_list = all(p.blocks[k].coeffs is blk.coeffs for p in mine)
         lists = [p.blocks[k].coeffs for p in (mine[:1] if one_list else mine)]
-        idx, mats = _check_coeffs(lists, k, c.shape[1], n, faults)
+        idx, mats = _check_coeffs(lists, k, c.shape[1], n)
         # A complex constant or coefficient makes the whole block complex.
         dtype = np.result_type(c, mats)
         c = c.astype(dtype, copy=False)
@@ -864,17 +804,11 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
     per-problem work is the QR of :func:`_null_space`.  The group
     comes back as one part per lockstep key: problems whose rows leave null
     spaces of different sizes iterate on different variable counts.
-    Raises :class:`_Invalid` with the first error of the first problem that
-    fails, the error :func:`solve` raises for that problem alone.
+    Raises the ``ValueError`` of the first check that fails.
     """
     first = problems[members[0]]
     mine = [problems[i] for i in members]
-    faults = _Faults(members)
-    try:
-        b, bounds, cs, checked, e, f, ts = _check_group(first, mine, faults)
-    except ValueError as exc:
-        faults.raise_first(exc)
-    faults.raise_first()
+    b, bounds, cs, checked, e, f, ts = _check_group(first, mine)
     n = first.num_vars
     b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
 
@@ -945,25 +879,31 @@ def _prepare(problems: list[SdpProblem]) -> list[_Part]:
     lockstep batch needs: the solver's variable count, the original
     variable and equality row counts when ``theta`` is one of them, the
     side of every block, the diagonal one included, and the multiplicity
-    and the dtype (real or complex) of every dense block.  A problem that
-    fails validation raises the ``ValueError`` it raises alone; with
-    several, that of the first in input order.
+    and the dtype (real or complex) of every dense block.
+
+    Set-up raises at the first check that fails.  A list of several
+    problems that fails is then set up again one problem at a time, in
+    input order, so the error raised is the one the first invalid problem
+    raises alone; should none raise alone, the list's own error stands.
     """
     groups: dict[tuple, list[int]] = {}
     keys: dict = {}
     for i, p in enumerate(problems):
         groups.setdefault(_signature(p, keys), []).append(i)
     parts: list[_Part] = []
-    invalid: _Invalid | None = None
-    for members in groups.values():
-        try:
+    try:
+        for members in groups.values():
             parts += _prepare_group(problems, members)
-        except _Invalid as exc:
-            if invalid is None or exc.pos < invalid.pos:
-                invalid = exc
-    if invalid is not None:
-        raise invalid.error
-    return parts
+        return parts
+    except ValueError as exc:
+        if len(problems) == 1:
+            raise
+        error = exc
+    # Outside the handler, so that a problem's own error is not chained to
+    # the list's.
+    for p in problems:
+        _prepare([p])
+    raise error
 
 
 class _Rows:
@@ -1330,9 +1270,11 @@ def solve_many(
     is one interior-point run and gets exactly the result :func:`solve`
     gives it alone.
 
-    Raises ``ValueError`` for a problem that fails validation (the error
-    the first such problem raises alone), a ``tol`` that is NaN, infinite
-    or negative, or a ``max_iter`` that is not an integer >= 0.
+    Raises ``ValueError`` for a problem that fails validation, a ``tol``
+    that is NaN, infinite or negative, or a ``max_iter`` that is not an
+    integer >= 0.  Set-up stops at the first check that fails; the list is
+    then set up again one problem at a time, in input order, and the error
+    raised is the one the first invalid problem raises alone.
     """
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, CSV dialect, figures, check suites."""
 
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -577,17 +578,30 @@ def test_check_bad_suite_name(capsys):
     capsys.readouterr()
 
 
-def test_console_script_entry():
+def test_console_script_entry(capsys):
+    # The console script of pyproject.toml is cli.main: its target runs in
+    # process, and the installed executable runs too when it is on PATH.
+    argv = ["coeff", "--channel", "depolarizing", "--p", "0.25", "--kind", "alpha"]
+
+    def check(code, stdout):
+        assert code == 0
+        assert abs(float(stdout.splitlines()[1].split(",")[0]) - 0.25) < 1e-6
+
+    target = "qdoeblin.cli:main"
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10 has no TOML reader.
+        pass
+    else:
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"] == {"qdoeblin": target}
+    module, name = target.split(":")
+    check(getattr(importlib.import_module(module), name)(argv), capsys.readouterr().out)
     exe = shutil.which("qdoeblin")
-    if exe is None:
-        pytest.skip("console script not installed")
-    proc = subprocess.run(
-        [exe, "coeff", "--channel", "depolarizing", "--p", "0.25",
-         "--kind", "alpha"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert abs(float(proc.stdout.splitlines()[1].split(",")[0]) - 0.25) < 1e-6
+    if exe is not None:
+        proc = subprocess.run([exe, *argv], capture_output=True, text=True, timeout=300)
+        check(proc.returncode, proc.stdout)
 
 
 def test_module_entry_point():

@@ -1165,7 +1165,8 @@ def _invalid_problems():
     """(message, own, problem): every problem ValueError of
     ``test_validation_errors``,
     ``test_non_finite_constant_objective_and_rows_are_rejected`` and
-    ``test_non_hermitian_complex_data_is_rejected``, and inconsistent rows.
+    ``test_non_hermitian_complex_data_is_rejected``, inconsistent rows and
+    a block multiplicity of 0.
     ``own`` marks a fault of per-problem data (a constant or equality rows),
     which the problem's group mates do not share."""
     skew = np.array([[1.0, 1.0j], [1.0j, 1.0]])
@@ -1193,6 +1194,8 @@ def _invalid_problems():
         2, np.ones(2), [sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2)), (1, skew)])])
     yield "equality constraints are inconsistent", True, _one_var_problem(
         eq_matrix=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
+    yield "block 0 multiplicity must be a positive integer, got 0", False, _one_var_problem(
+        blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2))], w=0)])
 
 
 @pytest.mark.parametrize("message, own, bad", list(_invalid_problems()),
@@ -1215,19 +1218,24 @@ def test_grouped_validation_keeps_per_problem_errors(message, own, bad):
 
 def test_first_invalid_problem_in_input_order_raises():
     # Two faults in one group and one in another: the error raised is that
-    # of the first invalid problem of the list, whatever group it is in.
+    # of the first invalid problem of the list, whatever group it is in.  A
+    # non-square constant has a shape of its own, so it forms its own group.
     bad_c = _one_var_problem(
         blocks=[sdpcore.SdpBlock(c=np.diag([np.inf, 1.0]), coeffs=[(0, np.eye(2))])])
     rows = _one_var_problem(eq_matrix=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
     rows.blocks[0].coeffs = bad_c.blocks[0].coeffs
     rows.objective = bad_c.objective
     other = _one_var_problem(objective=np.array([np.nan]))
+    oblong = _one_var_problem(
+        blocks=[sdpcore.SdpBlock(c=np.ones((2, 3)), coeffs=[(0, np.eye(2))])])
     good = _group_mate(bad_c)
     for batch, message in [
         ([good, bad_c, rows], "block 0 constant must be finite"),
         ([good, rows, bad_c], "equality constraints are inconsistent"),
         ([good, other, bad_c], "objective must be finite"),
         ([bad_c, other], "block 0 constant must be finite"),
+        ([good, oblong, bad_c], "block 0 constant must be square, got (2, 3)"),
+        ([good, bad_c, oblong], "block 0 constant must be finite"),
     ]:
         with pytest.raises(ValueError) as err:
             sdpcore.solve_many(batch)
