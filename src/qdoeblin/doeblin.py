@@ -289,9 +289,9 @@ class _Lowered:
 # (complex p1 takes 3.1 MB at d=4, rev, revT and revH 1.05-1.11 MB) and of
 # the real ones from d=5 on (real p1 takes 0.84 MB at d=4 and 4.9 MB at
 # d=5).  The link programs now serve only the channels no inverse serves
-# (singular ones, those that fail the rule of ``_inverted`` or its bound at
-# ``tol``); revH's inverse program holds no shared map images and is kept
-# at every d.
+# (singular ones, those that fail the rule of ``_Inverses.linked`` or its
+# bound at ``tol``); revH's inverse program holds no shared map images and
+# is kept at every d.
 _LOWERED: dict = {}
 _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
@@ -647,8 +647,8 @@ def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target
 
     This is the program of the channels no inverse serves: rev, revT and
     revH of a channel that is singular, or whose computed inverse fails
-    the residual rule of :func:`_inverted` or leaves an error bound above
-    ``tol`` (see :func:`_closed_form` and :func:`_rev_hermitian_grid`).
+    the residual rule of :meth:`_Inverses.linked` or leaves an error bound
+    above ``tol`` (see :func:`_closed_form` and :func:`_rev_hermitian_grid`).
     An invertible channel fixes D by its inverse, and then the program
     above needs none of D's d^4 coordinates.
     """
@@ -700,29 +700,66 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(p, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(p, d * d, d * d)
 
 
-def _inverted(channels, anchor: np.ndarray):
-    """``M = J(A compose N^-1)`` for the anchor ``J(A)`` and every channel
-    N of the list whose inverse passes the residual rule, with a bound on
-    the error of each M.
+class _Inverses:
+    """The superoperator inverses of a list of channels with ``d_in ==
+    d_out``, shared by the reverse kinds of one grid.
 
-    Returns ``(idx, m, e)``: the positions of the channels that pass, the
-    stack of their M and, per M, a bound ``e`` on the spectral norm of its
-    error, which bounds the error of each of its eigenvalues too.  The work
-    is one stacked inverse of the superoperators and one ``link_raw`` call
-    over the stack; with no channel passing there is no link.
-
-    The rule, with ``X`` the computed inverse of the superoperator S and
-    ``eps`` the machine epsilon:
-
-    - ``r = ||I - S X||_F + (d^2 + 1) eps ||S||_F ||X||_F`` bounds the
-      residual with the roundoff of computing it.  A channel passes when
-      ``r < 1``, and then ``||S^-1 - X||_F <= ||X||_F r / (1 - r)``.
-    - ``J(N^-1)`` is X reshuffled over d, and linking it to the anchor of
-      rev (the identity) or revT (the transpose) moves no entry's size, so
-      M moves by at most that over d.  Rounding in the link product and in
-      an ``eigvalsh`` of M adds about ``d^2 eps ||M||_F``, taken 4 times,
-      so ``e = ||X||_F / d (r / (1 - r) + 4 d^2 eps)``.
+    The stacked inverse and its residual are computed on first use, and
+    ``linked`` links them to the anchor of rev (which revH shares) or of
+    revT once per anchor, so a grid that asks for rev, revT and revH
+    inverts each channel once and calls ``link_raw`` twice.
     """
+
+    def __init__(self, channels):
+        self.channels = channels
+        self._inverse = None
+        self._linked: dict[str, tuple] = {}
+
+    def linked(self, kind: str):
+        """``(idx, m, e)``: ``M = J(A compose N^-1)`` for the anchor ``J(A)``
+        of ``kind`` (rev or revT) and every channel N of the list whose
+        inverse passes the residual rule, with a bound on the error of each
+        M.
+
+        ``idx`` holds the positions of the channels that pass, ``m`` the
+        stack of their M and ``e``, per M, a bound on the spectral norm of
+        its error, which bounds the error of each of its eigenvalues too.
+        With no channel passing there is no link.
+
+        The rule, with ``X`` the computed inverse of the superoperator S
+        and ``eps`` the machine epsilon:
+
+        - ``r = ||I - S X||_F + (d^2 + 1) eps ||S||_F ||X||_F`` bounds the
+          residual with the roundoff of computing it.  A channel passes
+          when ``r < 1``, and then ``||S^-1 - X||_F <= ||X||_F r / (1 - r)``.
+        - ``J(N^-1)`` is X reshuffled over d, and linking it to the anchor
+          of rev (the identity) or revT (the transpose) moves no entry's
+          size, so M moves by at most that over d.  Rounding in the link
+          product and in an ``eigvalsh`` of M adds about ``d^2 eps
+          ||M||_F``, taken 4 times, so ``e = ||X||_F / d (r / (1 - r) +
+          4 d^2 eps)``.
+        """
+        if kind not in self._linked:
+            if self._inverse is None:
+                self._inverse = _inverse(self.channels)
+            inv, norm_inv, r = self._inverse
+            d = self.channels[0].d_in
+            n = d * d
+            idx = np.flatnonzero(r < 1.0)
+            if not idx.size:
+                self._linked[kind] = idx, np.zeros((0, n, n), dtype=complex), np.zeros(0)
+            else:
+                e = norm_inv[idx] / d * (r[idx] / (1.0 - r[idx]) + 4 * n * np.finfo(float).eps)
+                anchor = _fixed_target(kind, d)[0]
+                m = link_raw(anchor, (d, d), _reshuffle(inv[idx], d) / d, (d, d))
+                self._linked[kind] = idx, m, e
+        return self._linked[kind]
+
+
+def _inverse(channels):
+    """The stacked inverses X of the channels' superoperators S, the norms
+    ``||X||_F`` and the residual bounds ``r`` of :meth:`_Inverses.linked`;
+    a singular map has a NaN inverse, which fails the rule."""
     d = channels[0].d_in
     n = d * d
     eps = np.finfo(float).eps
@@ -740,14 +777,12 @@ def _inverted(channels, anchor: np.ndarray):
         norm_inv = np.linalg.norm(inv, axis=(1, 2))
         r = np.linalg.norm(np.eye(n) - sup @ inv, axis=(1, 2))
         r += (n + 1) * eps * np.linalg.norm(sup, axis=(1, 2)) * norm_inv
-    idx = np.flatnonzero(r < 1.0)
-    if not idx.size:
-        return idx, np.zeros((0, n, n), dtype=complex), np.zeros(0)
-    e = norm_inv[idx] / d * (r[idx] / (1.0 - r[idx]) + 4 * n * eps)
-    return idx, link_raw(anchor, (d, d), _reshuffle(inv[idx], d) / d, (d, d)), e
+    return inv, norm_inv, r
 
 
-def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | None]:
+def _closed_form(
+    channels, kind: str, tol: float, inverses: _Inverses
+) -> list[CoefficientResult | None]:
     """rev or revT without a solve where the channel is invertible: a result
     per channel, None where the SDP has to decide.
 
@@ -762,10 +797,10 @@ def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | No
     ``lo < 1 <= hi``, so its part in ``[lo, hi]`` is never empty.  The
     coefficient is its left end, ``max(lo, mu / (mu - 1/d^2))`` for the
     smallest ``mu``, and the witness is ``J(D_p)``.  The work is that of
-    :func:`_inverted` and one stacked ``eigvalsh``.
+    :meth:`_Inverses.linked` and one stacked ``eigvalsh``.
 
-    :func:`_inverted` states the rule a channel must pass and the bound
-    ``e`` on the error of the smallest eigenvalue.  With ``c = 1/d^2`` and
+    :meth:`_Inverses.linked` states the rule a channel must pass and the
+    bound ``e`` on the error of the smallest eigenvalue.  With ``c = 1/d^2`` and
     ``p = 1 - c / (c - mu)``, the value is then off by at most ``err = c e
     / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for the division),
     and clipping at ``lo`` does not add to it.  The closed form is taken
@@ -784,9 +819,9 @@ def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | No
     n = d * d
     c = 1.0 / n
     eps = np.finfo(float).eps
-    anchor, lo, _ = _fixed_target(kind, d)
+    lo = _fixed_target(kind, d)[1]
     out: list[CoefficientResult | None] = [None] * len(channels)
-    idx, m, e = _inverted(channels, anchor)
+    idx, m, e = inverses.linked(kind)
     low = np.linalg.eigvalsh(m)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         err = c * e / ((c - low) * (c - low - e)) + 4 * eps
@@ -802,11 +837,11 @@ def _closed_form(channels, kind: str, tol: float) -> list[CoefficientResult | No
     return out
 
 
-def _reverse_fixed_target(channels, kind: str, tol: float):
+def _reverse_fixed_target(channels, kind: str, tol: float, inverses: _Inverses | None):
     """rev or revT: in closed form where :func:`_closed_form` applies, as
     the SDP of :func:`_fixed_target_program` for the other channels."""
     _square_dim(channels)
-    closed = _closed_form(channels, kind, tol)
+    closed = _closed_form(channels, kind, tol, inverses or _Inverses(channels))
     solved = yield from _on_subset(
         _fixed_target_program([c for c, res in zip(channels, closed) if res is None], kind),
         [res is None for res in closed],
@@ -814,12 +849,12 @@ def _reverse_fixed_target(channels, kind: str, tol: float):
     return [res if res is not None else sdp for res, sdp in zip(closed, solved)]
 
 
-def _rev_grid(channels, tol):
-    return _reverse_fixed_target(channels, KIND_REV, tol)
+def _rev_grid(channels, tol, inverses=None):
+    return _reverse_fixed_target(channels, KIND_REV, tol, inverses)
 
 
-def _rev_transpose_grid(channels, tol):
-    return _reverse_fixed_target(channels, KIND_REV_T, tol)
+def _rev_transpose_grid(channels, tol, inverses=None):
+    return _reverse_fixed_target(channels, KIND_REV_T, tol, inverses)
 
 
 def _rev_hermitian_link(channels):
@@ -872,13 +907,14 @@ def _rev_hermitian_inverse(m: np.ndarray, d: int):
     ]
 
 
-def _rev_hermitian_grid(channels, tol):
+def _rev_hermitian_grid(channels, tol, inverses=None):
     """Degrade onto a generalized-depolarizing target with free Hermitian part.
 
     An invertible channel takes the program of :func:`_rev_hermitian_inverse`
-    on ``M = J(N^-1)`` from :func:`_inverted` (linked to the identity
-    anchor of rev), when it passes its rule and the error bound below is at
-    most ``tol``; the others take :func:`_rev_hermitian_link`.
+    on ``M = J(N^-1)`` from :meth:`_Inverses.linked` (linked to the
+    identity anchor of rev, and so shared with rev), when it passes its
+    rule and the error bound below is at most ``tol``; the others take
+    :func:`_rev_hermitian_link`.
 
     The bound: let the computed M be off by at most ``e`` in spectral norm.
     At any X, ``J(D)`` then moves by ``(1 - Tr X)`` times that error, and
@@ -892,7 +928,7 @@ def _rev_hermitian_grid(channels, tol):
     a ``tol`` of 1e-16, which always reaches the link program.
     """
     d = _square_dim(channels)
-    idx, m, e = _inverted(channels, max_entangled(d))
+    idx, m, e = (inverses or _Inverses(channels)).linked(KIND_REV)
     take = d * d * e <= tol
     picked = np.zeros(len(channels), dtype=bool)
     picked[idx[take]] = True
@@ -1060,6 +1096,8 @@ _DECLARATIONS = {
     KIND_REV_T: _rev_transpose_grid,
     KIND_REV_H: _rev_hermitian_grid,
 }
+# The kinds whose declarations share one :class:`_Inverses` per grid group.
+_REVERSE_KINDS = (KIND_REV, KIND_REV_T, KIND_REV_H)
 # The kinds behind a data-processing range: reverse (revH, rev, revT), then
 # forward (alphaH, alphaT), as :func:`_dp` takes them.
 _DP_KINDS = (KIND_REV_H, KIND_REV, KIND_REV_T, KIND_ALPHA_H, KIND_ALPHA_T)
@@ -1077,19 +1115,27 @@ def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, 
     programs of every kind and dimension go to one
     :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
     lockstep key (``rev`` and ``revT``, ``alpha`` and ``alphaT``) run as
-    one batch.  Returns the results of each kind in input order, each
-    equal to the single-channel call: same status, same iteration count,
-    bitwise the same value.
+    one batch.  The reverse kinds of a dimension group share one stacked
+    inverse of the superoperators, and rev and revH one ``link_raw`` call
+    (see :class:`_Inverses`).  Returns the results of each kind in input
+    order, each equal to the single-channel call: same status, same
+    iteration count, bitwise the same value.
     """
     channels = list(channels)
     base = dict.fromkeys(k for kind in kinds for k in (_DP_KINDS if kind == KIND_DP else (kind,)))
     groups: dict[tuple[int, int], list[int]] = {}
     for i, channel in enumerate(channels):
         groups.setdefault((channel.d_in, channel.d_out), []).append(i)
-    plan = [(kind, members) for members in groups.values() for kind in base]
-    solved = _solve(
-        [_DECLARATIONS[kind]([channels[i] for i in members], tol) for kind, members in plan], tol
-    )
+    plan, declarations = [], []
+    for members in groups.values():
+        group = [channels[i] for i in members]
+        # The reverse kinds of a group share its inverses.
+        inverses = _Inverses(group)
+        for kind in base:
+            shared = (inverses,) if kind in _REVERSE_KINDS else ()
+            plan.append((kind, members))
+            declarations.append(_DECLARATIONS[kind](group, tol, *shared))
+    solved = _solve(declarations, tol)
     out: dict[str, list] = {kind: [None] * len(channels) for kind in base}
     for (kind, members), results in zip(plan, solved):
         for i, res in zip(members, results):

@@ -245,7 +245,7 @@ def reverse_hermitian_witness(rng, tol, rec, dims) -> None:
     for d in sorted({chan.d_in for chan in channels}):
         group = [chan for chan in channels if chan.d_in == d]
         phi = ch.max_entangled(d)
-        idx, _, e = db._inverted(group, phi)
+        idx, _, e = db._Inverses(group).linked(db.KIND_REV)
         inverse = set(idx[d * d * e <= tol].tolist())
         for i, (chan, res) in enumerate(zip(group, db.solve_grid(db.KIND_REV_H, group, tol))):
             rec("reverse_hermitian_optimal", res.status == sdpcore.STATUS_OPTIMAL,

@@ -60,11 +60,23 @@ exact arithmetic the reduced iteration takes the steps of the full one on
 ``y`` are reported in the original variables.
 
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
-one diagonal (LP) block: its iterates are vectors and its products are
-elementwise.  Each dense block is factored once per iteration: the inverse
-Cholesky factors ``L^-1`` of ``S`` and of ``X`` give ``S^-1 = L^-H L^-1``,
-and every step-length search is one ``eigvalsh(L^-1 dM L^-H)`` (``L^-T``
-for real blocks).  Each KKT matrix is LU-factored once per iteration; the
+one diagonal (LP) block, whose products are elementwise.  Each problem's
+iterate is one flat row of floats: the float view of every dense block in
+turn (real and imaginary parts alternating for complex data), then the
+diagonal block.  X, S, the search directions, the constants and the
+residuals are such rows, and one ``(P, k, total)`` coefficient matrix over
+every block serves the operator and the adjoint.  So the operator, the
+adjoint, every trace product, the residuals and every elementwise step
+take one numpy call for all blocks; a block's multiplicity is a weight on
+its columns.  The Schur term, the factors and the step search stay per
+dense block, on views of the rows.  Each dense block is factored once per
+iteration: the inverse Cholesky factors ``L^-1`` of ``S`` and of ``X``
+give ``S^-1 = L^-H L^-1``, and every step-length search is one
+``eigvalsh(L^-1 dM L^-H)`` (``L^-T`` for real blocks).  Factors, inverses
+and eigenvalues come from numpy's own LAPACK gufuncs, called without the
+``np.linalg`` wrappers and their checks: a slice that LAPACK fails on
+comes back NaN and is read as a mask, with no exception and no retry one
+slice at a time.  Each KKT matrix is LU-factored once per iteration; the
 predictor, the corrector and their refinement steps reuse the factors.
 
 :func:`solve_many` sets a list of problems up in one pass per group and
@@ -94,9 +106,13 @@ slice the arithmetic is the same whatever else is in the batch, so every
 problem gets bitwise the result it gets alone; :func:`solve` is the batch
 of one.
 
-A search direction with a non-finite entry, a non-finite or exactly
-singular KKT matrix or a slack that loses its Cholesky factor ends the
-problem as ``numerical_failure`` before anything is stepped.
+A search direction with a non-finite entry or a non-finite or exactly
+singular KKT matrix ends the problem as ``numerical_failure`` before
+anything is stepped.  The fraction-to-boundary rule keeps X and S inside
+the cone, so a factor of either that fails is roundoff at the cone
+boundary: X is factored again after flooring its spectrum, and a factor
+that still fails, or one of S, stalls the problem, which ends as
+``max_iter`` with its best iterate.
 
 Everything is deterministic: no randomisation enters the iteration, so
 identical problems produce identical iterate sequences.
@@ -111,6 +127,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.linalg import _umath_linalg
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
@@ -126,6 +143,14 @@ _LU_SOLVE = sla.lapack.dgetrs
 _QR_P = sla.lapack.dgeqp3
 _Q_FROM_QR = sla.lapack.dorgqr
 _TRI_SOLVE = sla.lapack.dtrtrs
+# numpy's own LAPACK gufuncs, the kernels behind ``np.linalg.cholesky``,
+# ``inv`` and ``eigvalsh``, called without the wrappers' checks.  A slice
+# that LAPACK fails on comes back NaN and raises the floating-point invalid
+# flag, which the wrappers turn into ``LinAlgError``; here the flag is
+# ignored and the NaN read as a mask.
+_CHOLESKY = _umath_linalg.cholesky_lo
+_INV = _umath_linalg.inv
+_EIGVALSH = _umath_linalg.eigvalsh_lo
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -274,54 +299,52 @@ def _check_coeffs(lists: list, k: int, dim: int, n: int) -> tuple:
 
 
 def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
-    """Cholesky factor of one matrix, flooring its spectrum first on ``repair``."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        if not repair:
-            raise
+    """Cholesky factor of one matrix, flooring its spectrum first on
+    ``repair``; ``LinAlgError`` where it has none."""
+    if repair:
         w, v = np.linalg.eigh(m)
-        if w[-1] <= 0:
-            raise
-        w = np.maximum(w, w[-1] * 1e-14)
-        return np.linalg.cholesky((v * w) @ v.conj().T)
+        if not w[-1] > 0:
+            raise np.linalg.LinAlgError("no positive eigenvalue to repair from")
+        m = (v * np.maximum(w, w[-1] * 1e-14)) @ v.conj().T
+    with np.errstate(invalid="ignore"):
+        ell = _CHOLESKY(m)
+    if not np.isfinite(ell[-1, -1]):
+        raise np.linalg.LinAlgError("matrix is not positive definite")
+    return ell
 
 
 def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^H``.
 
-    Returns the factors and a mask of the slices that have one; a slice
-    without one gets an identity placeholder.  With ``repair`` an iterate
-    that roundoff pushed onto the cone boundary is factored after flooring
-    its spectrum instead; only a spectrum without a positive eigenvalue
-    still fails.
+    Returns the factors and a mask of the slices that have one.  LAPACK
+    fills a slice it cannot factor with NaN, and a non-finite entry of the
+    lower triangle reaches the last pivot, so the mask reads the last
+    diagonal entry of every factor.  With ``repair`` a slice that roundoff
+    pushed onto the cone boundary is factored after flooring its spectrum
+    instead; only a spectrum without a positive eigenvalue still fails.  A
+    slice without a factor gets an identity placeholder.
     """
-    ok = np.ones(len(m), dtype=bool)
-    try:
-        ell = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        ell = np.empty_like(m)
-        for i, mi in enumerate(m):
+    # Quiet on its own, unlike the other kernels, which run under the
+    # errstate of :func:`_lockstep`: a slice that is not positive definite
+    # is an input its callers expect.
+    with np.errstate(invalid="ignore"):
+        ell = _CHOLESKY(m)
+    ok = np.isfinite(ell[:, -1, -1])
+    if np.count_nonzero(ok) < len(ok):
+        for i in np.flatnonzero(~ok):
             try:
-                ell[i] = _cholesky(mi, repair)
+                ell[i] = _cholesky(m[i], repair)
+                ok[i] = True
             except np.linalg.LinAlgError:
-                ok[i] = False
-                ell[i] = np.eye(len(mi))
-    return np.linalg.inv(ell), ok
+                ell[i] = np.eye(len(ell[i]))
+    return _INV(ell), ok
 
 
-def _min_eigs(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of every slice; nan where the eigensolver fails."""
-    try:
-        return np.linalg.eigvalsh(m)[:, 0]
-    except np.linalg.LinAlgError:
-        out = np.full(len(m), np.nan)
-        for i, mi in enumerate(m):
-            try:
-                out[i] = np.linalg.eigvalsh(mi)[0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _sym(m: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of a stack."""
+    out = m + m.conj().transpose(0, 2, 1)
+    out *= 0.5
+    return out
 
 
 def _take(a, keep: np.ndarray):
@@ -330,38 +353,42 @@ def _take(a, keep: np.ndarray):
     return a if len(a) == 1 else a[keep]
 
 
-def _floats(a: np.ndarray) -> np.ndarray:
-    """The slices of a stack as rows of floats: real and imaginary parts
-    alternate for complex data, and real data is its own float view."""
-    return a.reshape(len(a), -1).view(float)
-
-
 class _DenseBlock:
     """One dense PSD block of a lockstep batch, real symmetric or complex
     Hermitian, with real solver variables.
 
-    ``aflat`` holds the coefficient stacks, ``(P, k, m*m)`` with one row per
-    solver variable, every one of which enters every block: P is 1 when
-    every problem of the batch shares the stack, and the batch size when
-    each problem has its own.  Iterates are ``(B, m, m)`` stacks of the
-    dtype of ``aflat``, one slice per problem; the step search and ``S^-1``
-    work from their inverse Cholesky factors.
+    The block owns the columns ``cols`` of the flat iterate (see
+    :func:`_lockstep`): the float view of its ``m x m`` matrix, real and
+    imaginary parts alternating for complex data.  ``mat`` views them as a
+    ``(B, m, m)`` stack of the block's dtype.  The block keeps what stays
+    per block: the Schur term, the factor, the step search and the slack
+    eigenvalue.  ``aflat`` holds its coefficient stack, ``(P, k, m*m)``
+    with one row per solver variable: P is 1 when every problem of the
+    batch shares the stack, and the batch size when each has its own.
+    ``aview`` is its float view, the block's columns of the coefficient
+    matrix of the batch.
 
     Every transpose that stands for the adjoint is a conjugate transpose,
-    and every trace the solver takes is real: ``Re Tr(A X) = Re sum_ab
-    A_ab conj(X_ab)`` for Hermitian X is the dot product of the float views
-    ``aview`` and ``_floats(X)``, so the operator, the adjoint, ``dot`` and
-    the last stage of the Schur term are real gemms (over ``2*m*m`` columns
-    for complex data).
+    and every trace is real: ``Re Tr(A X) = Re sum_ab A_ab conj(X_ab)`` for
+    Hermitian X is the dot product of the float views, so the adjoint and
+    every trace product are real dot products of rows, and the last stage
+    of the Schur term is a real gemm (over ``2*m*m`` columns for complex
+    data).  A block of multiplicity ``w`` holds one of its ``w`` identical
+    copies: its Schur term counts ``w`` times, its columns carry the weight
+    ``w`` in every trace product and in the adjoint (see :class:`_Layout`),
+    and step lengths and eigenvalues are those of one copy.
 
-    A block of multiplicity ``w`` holds one of its ``w`` identical copies:
-    the adjoint, the Schur term and every trace inner product count ``w``
-    times, and step lengths and eigenvalues are those of one copy.
+    A slice that LAPACK fails on comes back NaN: a failed factor clears the
+    slice in the mask :func:`_inv_chol` returns, and a failed eigensolve
+    gives a NaN slack or step, which :func:`_lockstep` ends the problem on.
+    The eigensolves run under the errstate of :func:`_lockstep`.
     """
 
-    def __init__(self, dim: int, aflat: np.ndarray, w: int):
+    def __init__(self, cols: slice, dim: int, aflat: np.ndarray, w: int):
+        self.cols = cols
         self.dim = dim
-        self.unit = np.eye(dim, dtype=aflat.dtype)
+        self.shape = (-1, dim, dim)
+        self.dtype = aflat.dtype
         self.aflat = aflat
         self.aview = aflat.view(float)
         self.w = w
@@ -376,27 +403,9 @@ class _DenseBlock:
         out.aview = out.aflat.view(float)
         return out
 
-    def eye(self, count: int) -> np.ndarray:
-        return np.tile(self.unit, (count, 1, 1))
-
-    @staticmethod
-    def col(v: np.ndarray) -> np.ndarray:
-        """Per-problem scalars shaped to scale a stack of iterates."""
-        return v[:, None, None]
-
-    def operator(self, y: np.ndarray) -> np.ndarray:
-        out = (y[:, None] @ self.aview).view(self.aflat.dtype)
-        return out.reshape(-1, self.dim, self.dim)
-
-    def _copies(self, out: np.ndarray) -> np.ndarray:
-        """``out`` summed over the ``w`` copies of the block, in place."""
-        if self.w != 1:
-            out *= self.w
-        return out
-
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        """``A^T(x)``, one row per problem."""
-        return self._copies(np.matvec(self.aview, _floats(x)))
+    def mat(self, v: np.ndarray) -> np.ndarray:
+        """The block's columns of the flat rows ``v`` as a stack of matrices."""
+        return v[:, self.cols].view(self.dtype).reshape(self.shape)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """HKM Schur blocks ``M_ij = Re Tr(A_i X A_j S^-1)``, one gemm per
@@ -404,31 +413,26 @@ class _DenseBlock:
         k, m = self.aflat.shape[1], self.dim
         a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
         xas = (x[:, None] @ a_sinv).reshape(-1, k, m * m).view(float)
-        return self._copies(self.aview @ xas.transpose(0, 2, 1))
-
-    def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Smallest eigenvalue of ``m - shift*I`` per slice."""
-        return np.linalg.eigvalsh(m - shift[:, None, None] * self.unit)[:, 0]
-
-    def dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``Re Tr(a b)`` per slice over every copy, one dot product each."""
-        return self._copies(np.vecdot(_floats(a), _floats(b)))
-
-    @staticmethod
-    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return a @ b @ c
-
-    @staticmethod
-    def sym(m: np.ndarray) -> np.ndarray:
-        out = m + m.conj().transpose(0, 2, 1)
-        out *= 0.5
+        out = self.aview @ xas.transpose(0, 2, 1)
+        if self.w != 1:
+            out *= self.w
         return out
+
+    @staticmethod
+    def min_slack(m: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue per slice, nan where the eigensolver fails."""
+        return _EIGVALSH(m)[:, 0]
 
     factor = staticmethod(_inv_chol)
 
     @staticmethod
-    def inverse(li: np.ndarray) -> np.ndarray:
-        return li.conj().transpose(0, 2, 1) @ li
+    def inverse(li: np.ndarray, out: np.ndarray) -> None:
+        """``S^-1 = L^-H L^-1`` into ``out``."""
+        np.matmul(li.conj().transpose(0, 2, 1), li, out=out)
+
+    @staticmethod
+    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(a @ b, c, out=out)
 
     @staticmethod
     def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
@@ -438,7 +442,7 @@ class _DenseBlock:
         ``np.inf`` where the direction never leaves the cone, nan where the
         eigensolver fails.
         """
-        lam = _min_eigs(_DenseBlock.sym(li @ dm @ li.conj().transpose(0, 2, 1)))
+        lam = _EIGVALSH(_sym(li @ dm @ li.conj().transpose(0, 2, 1)))[:, 0]
         return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
@@ -447,56 +451,40 @@ class _DiagBlock:
 
     Entry r is the cone ``c_r - g_r . y >= 0``: one per finite box bound,
     and last the big-M shift ``tau >= 0``, which is not a constraint of the
-    original problem.  ``g`` is a ``(P, r, k)`` stack over every solver
-    variable like the coefficients of :class:`_DenseBlock`.  Iterates are
-    ``(B, r)`` rows, ``S^-1`` and every product are elementwise; the factor
-    of an iterate is the iterate itself.
+    original problem.  The block owns the last ``cols`` of the flat
+    iterate; ``g`` is a ``(P, r, k)`` stack over every solver variable like
+    the coefficients of :class:`_DenseBlock`, and ``aview`` its transpose,
+    the block's columns of the coefficient matrix of the batch.  ``S^-1``
+    and every product are elementwise; the factor of an iterate is the
+    iterate itself.
     """
 
     w = 1
 
-    def __init__(self, g: np.ndarray):
+    def __init__(self, cols: slice, g: np.ndarray):
+        self.cols = cols
         self.dim = g.shape[1]
         self.g = g
-        self.gt = np.ascontiguousarray(g.transpose(0, 2, 1))
+        self.aview = np.ascontiguousarray(g.transpose(0, 2, 1))
 
     def __len__(self) -> int:
         return len(self.g)
 
     def __getitem__(self, keep: np.ndarray) -> _DiagBlock:
         out = copy.copy(self)
-        out.g, out.gt = self.g[keep], self.gt[keep]
+        out.g, out.aview = self.g[keep], self.aview[keep]
         return out
 
-    def eye(self, count: int) -> np.ndarray:
-        return np.ones((count, self.dim))
-
-    @staticmethod
-    def col(v: np.ndarray) -> np.ndarray:
-        return v[:, None]
-
-    def operator(self, y: np.ndarray) -> np.ndarray:
-        return (self.g @ y[..., None])[..., 0]
-
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        return np.vecmat(x, self.g)
+    def mat(self, v: np.ndarray) -> np.ndarray:
+        return v[:, self.cols]
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        return (self.gt * (x * s_inv)[:, None, :]) @ self.g
-
-    def min_slack(self, m: np.ndarray, shift: np.ndarray) -> np.ndarray:
-        """Smallest box slack ``m_r - shift``; the shift entry is left out."""
-        return (m[:, :-1] - shift[:, None]).min(axis=1, initial=np.inf)
-
-    dot = staticmethod(np.vecdot)
+        return (self.aview * (x * s_inv)[:, None, :]) @ self.g
 
     @staticmethod
-    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return a * b * c
-
-    @staticmethod
-    def sym(m: np.ndarray) -> np.ndarray:
-        return m
+    def min_slack(m: np.ndarray) -> np.ndarray:
+        """Smallest box slack; the shift entry is left out."""
+        return m[:, :-1].min(axis=1, initial=np.inf)
 
     @staticmethod
     def factor(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -506,17 +494,21 @@ class _DiagBlock:
         return m, ok
 
     @staticmethod
-    def inverse(m: np.ndarray) -> np.ndarray:
-        return 1.0 / m
+    def inverse(m: np.ndarray, out: np.ndarray) -> None:
+        np.divide(1.0, m, out=out)
+
+    @staticmethod
+    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(a * b, c, out=out)
 
     @staticmethod
     def max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
         """Largest a >= 0 with m + a*dm >= 0 entrywise, per row (np.inf if unbounded)."""
-        # A ratio that overflows is an unbounded step along that entry; the
-        # ratios of entries that do not decrease are masked out.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ratio = m / -dm
-        return np.where(dm < 0.0, ratio, np.inf).min(axis=1)
+        # The ratios of entries that do not decrease are never formed; one
+        # that overflows is an unbounded step along its entry (the overflow
+        # flag is ignored with every other one in :func:`_lockstep`).
+        ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
+        return ratio.min(axis=1)
 
 
 @functools.cache
@@ -921,13 +913,68 @@ class _Rows:
                     else _take(v, keep))
 
 
+class _Layout(NamedTuple):
+    """The blocks of a lockstep batch laid out side by side in one flat row.
+
+    ``blocks`` holds the dense blocks and last the diagonal one, each with
+    its columns.  Per column, ``weight`` is the multiplicity of its block
+    and ``eye`` the entry of the identity; ``sign * v[:, perm]`` is the
+    conjugate transpose of every block of the rows ``v``.
+    """
+
+    blocks: list
+    weight: np.ndarray
+    eye: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+
+
+def _layout(part: _Part) -> _Layout:
+    """The flat layout of a part: every dense block's float view in turn,
+    real and imaginary parts alternating for complex data, then the
+    diagonal block."""
+    blocks, weight, eye, perm, sign = [], [], [], [], []
+    start = 0
+    for c, a, w in zip(part.cs, part.coeffs, part.ws):
+        side, parts = c.shape[1], a.itemsize // 8
+        size = side * side * parts
+        blocks.append(_DenseBlock(slice(start, start + size), side, a, w))
+        weight.append(np.full(size, float(w)))
+        eye.append(np.eye(side, dtype=a.dtype).reshape(-1).view(float))
+        # Entry (i, j) of the conjugate transpose is entry (j, i), with
+        # its imaginary part negated.
+        entries = np.arange(side * side).reshape(side, side).T.reshape(-1)
+        perm.append(start + (parts * entries[:, None] + np.arange(parts)).reshape(-1))
+        sign.append(np.tile([1.0, -1.0][:parts], side * side))
+        start += size
+    r = part.diag.shape[1]
+    blocks.append(_DiagBlock(slice(start, start + r), part.diag))
+    weight.append(np.ones(r))
+    eye.append(np.ones(r))
+    perm.append(start + np.arange(r))
+    sign.append(np.ones(r))
+    return _Layout(blocks, *map(np.concatenate, (weight, eye, perm, sign)))
+
+
 # Columns of ``_Rows.met``: the residual metrics of the current iterate and
 # the step count that reached it.
 _WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
 
 
+@np.errstate(all="ignore")
 def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     """Run the interior-point iteration on the problems of one part.
+
+    Each problem's X, S, search directions, constants and residuals are one
+    flat float row (see :func:`_layout`), so the operator, the adjoint,
+    every trace product, the residuals and every elementwise step are one
+    numpy call over all blocks; the Schur term, the factors and the step
+    search stay per dense block, on views of the rows.  The operator and
+    the adjoint use one ``(P, k, total)`` coefficient matrix over all
+    blocks, the diagonal one included, and the multiplicities enter as a
+    weight per column.  Floating-point flags are ignored for the whole
+    run: a slice that LAPACK fails on reads as NaN, and every failure is
+    caught by the checks below.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
     and step count; whatever ends one problem (convergence, a failed
@@ -943,18 +990,19 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     # is skipped.
     red = part.red is not None
     q = int(red)
-    n_user = len(part.coeffs)
-    blocks: list[_DenseBlock | _DiagBlock] = [
-        _DenseBlock(c.shape[1], a, w) for c, a, w in zip(part.cs, part.coeffs, part.ws)
-    ]
-    blocks.append(_DiagBlock(part.diag))
+    lay = _layout(part)
+    blocks = lay.blocks
     # The barrier parameter counts every copy of a block.
     m_total = sum(blk.w * blk.dim for blk in blocks)
 
     st = _Rows()
     st.pos = np.arange(count)
     st.blocks = blocks
-    st.c = list(part.cs)
+    st.a = np.empty((max(map(len, blocks)), nv + 1, len(lay.weight)))
+    st.c = np.empty((count, len(lay.weight)))
+    for blk, c in zip(blocks, part.cs):
+        st.a[:, :, blk.cols] = blk.aview
+        blk.mat(st.c)[...] = c
     st.b = np.repeat(part.b, count, axis=0) if len(part.b) < count else part.b
     st.b_scale = part.b_scale
     m_pen = 1e4 * part.b_scale
@@ -962,41 +1010,64 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     if red:
         st.z, st.yp_pinv, st.et, st.f = part.red.z, part.red.yp_pinv, part.red.et, part.red.f
 
+    def views(v: np.ndarray) -> list[np.ndarray]:
+        """Every block's columns of the rows ``v``, as the block's stack."""
+        return [blk.mat(v) for blk in st.blocks]
+
     lam0 = np.maximum(1.0, 1.0 - functools.reduce(
-        np.minimum, [blk.min_slack(c, np.zeros(count)) for blk, c in zip(blocks, st.c)]
+        np.minimum, [blk.min_slack(ck) for blk, ck in zip(blocks, views(st.c))]
     ))
     st.tau_cap = 1e-6 * (1.0 + lam0)
     st.y = np.zeros((count, nv + 1))
     st.y[:, tau_idx] = lam0
-    st.s = [c - blk.operator(st.y) for blk, c in zip(blocks, st.c)]
-    st.x = [blk.eye(count) for blk in blocks]
-    st.x[-1][:, -1] = np.maximum(1.0, m_pen - (m_total - 1))
+    st.s = st.c - np.vecmat(st.y, st.a)
+    st.x = np.tile(lay.eye, (count, 1))
+    st.x[:, -1] = np.maximum(1.0, m_pen - (m_total - 1))
+    st.xm = views(st.x)
     st.nu = np.zeros((count, q))
     st.recenter = np.zeros(count, dtype=bool)
     st.steps = np.zeros(count)
     # The best iterate so far.  Iterates are replaced, never written in
     # place, so the best one can share arrays with the current one.
     st.best_met = np.full((count, 7), np.inf)
-    st.best_y, st.best_x = st.y, st.x[:n_user]
+    st.best_y, st.best_x = st.y, st.x
 
     out: list[SdpSolution | None] = [None] * count
+
+    def sym(v: np.ndarray) -> np.ndarray:
+        """The Hermitian part of every block of the rows ``v``."""
+        half = v.take(lay.perm, axis=1)
+        half *= lay.sign
+        half += v
+        half *= 0.5
+        return half
+
+    def products(a: list, b: list, c: list) -> np.ndarray:
+        """``a b c`` of every block's stacks, as rows."""
+        abc = np.empty_like(st.x)
+        for blk, ak, bk, ck, out_k in zip(st.blocks, a, b, c, views(abc)):
+            blk.product(ak, bk, ck, out_k)
+        return abc
 
     def metrics() -> None:
         # The shift entry of the diagonal block is left out of the slack
         # (see ``min_slack``); its zero constant and its adjoint, which
         # only reaches ``tau``, add nothing to the objective or to ``dres``.
         yv, tau = st.y[:, :nv], st.y[:, tau_idx]
+        shifted = views(st.s - tau[:, None] * lay.eye)
         slack = functools.reduce(
-            np.minimum, [blk.min_slack(sk, tau) for blk, sk in zip(st.blocks, st.s)]
+            np.minimum, [blk.min_slack(sk) for blk, sk in zip(st.blocks, shifted)]
         )
         pres = np.maximum(0.0, -slack)
         if red:
             # Feasibility of y = T (theta, w) for the original rows.
             eq_dev = np.abs(np.matvec(st.et, yv) - st.f).max(axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
-        st.adj_x = [blk.adjoint(xk) for blk, xk in zip(st.blocks, st.x)]
-        adj = functools.reduce(np.add, st.adj_x)
-        dres = st.b - adj[:, :nv]
+        # X summed over the copies of every block: the adjoint and every
+        # trace product with X count each copy.
+        st.xw = st.x * lay.weight
+        st.adj_x = np.matvec(st.a, st.xw)
+        dres = st.b - st.adj_x[:, :nv]
         if red:
             # In the original variables: multipliers nu of the rows with
             # f . nu equal to the multiplier of theta = 1, least squares
@@ -1004,9 +1075,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             dres = np.matvec(st.z, dres[:, 1:]) + (dres[:, 0] - st.nu[:, 0])[:, None] * st.yp_pinv
         dres = np.abs(dres)
         dres = dres.max(axis=1, initial=0.0) / st.b_scale
-        pobj = 0.0
-        for blk, ck, xk in zip(st.blocks, st.c, st.x):
-            pobj = pobj + blk.dot(ck, xk)
+        pobj = np.vecdot(st.c, st.xw)
         if red:
             # The multiplier of theta = 1 is f . nu of the original rows.
             pobj = pobj + st.nu[:, 0]
@@ -1035,7 +1104,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
                 primal_residual=float(met[i, _PRES]),
                 dual_residual=float(met[i, _DRES]),
                 iterations=int(met[i, _STEPS]),
-                x_blocks=[xk[i].copy() for xk in x[:n_user]],
+                x_blocks=[blk.mat(x[i : i + 1])[0].copy() for blk in st.blocks[:-1]],
                 shift=float(met[i, _TAU]),
             )
         if sel.all():
@@ -1045,7 +1114,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
 
     def stop(ok: np.ndarray, broken: bool) -> bool:
         """End the problems not ``ok``; whether any problem is left."""
-        if not ok.all():
+        # ``count_nonzero`` is the cheapest test that all are ok.
+        if np.count_nonzero(ok) < len(ok):
             finish(~ok, STATUS_NUMERICAL if broken else STATUS_MAX_ITER)
         return len(st.pos) > 0
 
@@ -1063,7 +1133,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         for i, (lu, piv) in enumerate(st.lu):
             sol[i] = _LU_SOLVE(lu, piv, rhs[i])[0]
         ok = np.isfinite(sol).all(axis=1)
-        if not ok.all():
+        if np.count_nonzero(ok) < len(ok):
             sol[~ok] = 0.0
         resid = rhs - np.matvec(st.kkt, sol)
         big = np.abs(resid).max(axis=1) > 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
@@ -1072,28 +1142,24 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             sol[i] = sol[i] + _LU_SOLVE(lu, piv, resid[i])[0]
         return sol, ok
 
-    def directions(h: list[np.ndarray]) -> tuple:
+    def directions(h: np.ndarray) -> tuple:
         """Newton direction for the right-hand side ``h``, and which are finite."""
-        adj_h = [blk.adjoint(hk) for blk, hk in zip(st.blocks, h)]
-        rhs = st.r_p - functools.reduce(np.add, adj_h)
+        rhs = st.r_p - np.matvec(st.a, h * lay.weight)
         sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if red else rhs)
         dy, dnu = sol[:, : nv + 1], sol[:, nv + 1 :]
-        ops = [blk.operator(dy) for blk in st.blocks]
-        ds = [rdk - op for rdk, op in zip(st.r_d, ops)]
-        dx = [
-            blk.sym(hk + blk.product(xk, op, sik))
-            for blk, hk, xk, op, sik in zip(st.blocks, h, st.x, ops, st.s_inv)
-        ]
+        op = np.vecmat(dy, st.a)
+        ds = st.r_d - op
+        dx = sym(h + products(st.xm, views(op), st.sim))
         # ds is finite with dy; dx also carries h.
-        ok &= np.isfinite(np.concatenate([d.reshape(len(d), -1) for d in dx], axis=1)).all(axis=1)
+        ok &= np.isfinite(dx).all(axis=1)
         return dy, dnu, dx, ds, ok
 
-    def max_steps(dx: list[np.ndarray], ds: list[np.ndarray]) -> np.ndarray:
-        """Largest primal (row 0) and dual (row 1) steps, one eigensolve per
-        block for both."""
+    def max_steps(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        """Largest primal (row 0) and dual (row 1) steps along the rows
+        ``dx`` and ``ds``, one eigensolve per block for both."""
         steps = np.inf
-        for blk, xf, sf, dxk, dsk in zip(st.blocks, st.x_fac, st.s_fac, dx, ds):
-            both = blk.max_step(np.concatenate([xf, sf]), np.concatenate([dxk, dsk]))
+        for blk, xf, sf, dm in zip(st.blocks, st.x_fac, st.s_fac, views(np.concatenate([dx, ds]))):
+            both = blk.max_step(np.concatenate([xf, sf]), dm)
             steps = np.minimum(steps, both.reshape(2, -1))
         return steps
 
@@ -1106,21 +1172,17 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             break
         better = st.met[:, _WORST] < st.best_met[:, _WORST]
         if better.all():
-            st.best_met, st.best_y, st.best_x = st.met, st.y, st.x[:n_user]
+            st.best_met, st.best_y, st.best_x = st.met, st.y, st.x
         elif better.any():
             st.best_met = np.where(better[:, None], st.met, st.best_met)
             st.best_y = np.where(better[:, None], st.y, st.best_y)
-            st.best_x = [np.where(blk.col(better), xk, bx)
-                         for blk, xk, bx in zip(st.blocks, st.x, st.best_x)]
+            st.best_x = np.where(better[:, None], st.x, st.best_x)
         if done.any():
             finish(done, STATUS_OPTIMAL)
             if not len(st.pos):
                 break
 
-        mu = 0.0
-        for blk, xk, sk in zip(st.blocks, st.x, st.s):
-            mu = mu + blk.dot(xk, sk)
-        st.mu = mu / m_total
+        st.mu = np.vecdot(st.xw, st.s) / m_total
         # A non-finite mu is a numerical failure, mu <= 0 a stall.
         if not (st.mu > 0).all() and not (
             stop(np.isfinite(st.mu), broken=True) and stop(st.mu > 0, broken=False)
@@ -1128,16 +1190,24 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             break
 
         # Residuals of the augmented problem drive the Newton step.
-        st.r_p = functools.reduce(np.subtract, st.adj_x, st.b_aug)
+        st.r_p = st.b_aug - st.adj_x
         if red:
             st.r_p[:, 0] -= st.nu[:, 0]
             st.r_e = 1.0 - st.y[:, :1]
-        st.r_d = [c - blk.operator(st.y) - sk for blk, c, sk in zip(st.blocks, st.c, st.s)]
+        st.r_d = st.c - np.vecmat(st.y, st.a) - st.s
 
-        st.s_fac, ok = factors(st.s)
-        st.s_inv = [blk.inverse(f) for blk, f in zip(st.blocks, st.s_fac)]
+        # Every step keeps S inside the cone by the fraction-to-boundary
+        # rule, so a slack that loses its factor is roundoff at the cone
+        # boundary: a stall, as a lost factor of X is.
+        st.s_fac, ok = factors(views(st.s))
+        if not stop(ok, broken=False):
+            break
+        st.s_inv = np.empty_like(st.s)
+        st.sim = views(st.s_inv)
+        for blk, fac, sik in zip(st.blocks, st.s_fac, st.sim):
+            blk.inverse(fac, sik)
         st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
-        for blk, xk, sik in zip(st.blocks, st.x, st.s_inv):
+        for blk, xk, sik in zip(st.blocks, st.xm, st.sim):
             st.kkt[:, : nv + 1, : nv + 1] += blk.schur(xk, sik)
         if red:
             # The one bordered row: theta = 1.
@@ -1146,7 +1216,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # corrector and their refinements.  A non-finite or exactly
         # singular KKT matrix ends the problem instead of stepping along
         # inf/nan directions.
-        ok &= np.isfinite(st.kkt.reshape(len(ok), -1)).all(axis=1)
+        ok = np.isfinite(st.kkt.reshape(len(st.pos), -1)).all(axis=1)
         st.lu = np.empty(len(ok), dtype=object)
         for i in np.flatnonzero(ok):
             lu, piv, info = _LU_FACTOR(st.kkt[i])
@@ -1155,14 +1225,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         if not stop(ok, broken=True):
             break
 
-        st.p_xr = [
-            blk.product(xk, rdk, sik)
-            for blk, xk, rdk, sik in zip(st.blocks, st.x, st.r_d, st.s_inv)
-        ]
-        _, _, st.dx_a, st.ds_a, ok = directions([-xk - pk for xk, pk in zip(st.x, st.p_xr)])
+        st.p_xr = products(st.xm, views(st.r_d), st.sim)
+        _, _, st.dx_a, st.ds_a, ok = directions(-st.x - st.p_xr)
         if not stop(ok, broken=True):
             break
-        st.x_fac, ok = factors(st.x, repair=True)
+        st.x_fac, ok = factors(st.xm, repair=True)
         if not stop(ok, broken=False):
             break
         steps = np.minimum(1.0, max_steps(st.dx_a, st.ds_a))
@@ -1170,9 +1237,9 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         if not stop(~np.isnan(steps).any(axis=0), broken=False):
             break
 
-        mu_aff = 0.0
-        for blk, xk, dxk, sk, dsk in zip(st.blocks, st.x, st.dx_a, st.s, st.ds_a):
-            mu_aff = mu_aff + blk.dot(xk + blk.col(st.ap_a) * dxk, sk + blk.col(st.ad_a) * dsk)
+        mu_aff = np.vecdot(
+            (st.x + st.ap_a[:, None] * st.dx_a) * lay.weight, st.s + st.ad_a[:, None] * st.ds_a
+        )
         # Per problem in Python floats, so that ``**`` is the C library's pow.
         sigma = np.array([
             max(min(1.0, max((max(ma, 0.0) / mu) ** 3, 1e-10)), 0.5 if rc else 0.0)
@@ -1180,12 +1247,10 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         ])
 
         target = sigma * st.mu
-        h_cor = [
-            blk.col(target) * sik - xk - pk - blk.product(dxk, dsk, sik)
-            for blk, sik, xk, pk, dxk, dsk in zip(
-                st.blocks, st.s_inv, st.x, st.p_xr, st.dx_a, st.ds_a
-            )
-        ]
+        h_cor = (
+            target[:, None] * st.s_inv - st.x - st.p_xr
+            - products(views(st.dx_a), views(st.ds_a), st.sim)
+        )
         st.dy, st.dnu, st.dx, st.ds, ok = directions(h_cor)
         if not stop(ok, broken=True):
             break
@@ -1197,10 +1262,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # From the rows left after ``stop``: ``steps`` still has the ended ones.
         st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
 
-        st.x = [blk.sym(xk + blk.col(st.a_p) * dxk) for blk, xk, dxk in zip(st.blocks, st.x, st.dx)]
+        st.x = sym(st.x + st.a_p[:, None] * st.dx)
+        st.xm = views(st.x)
         st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy
-        st.s = [blk.sym(sk + blk.col(st.a_d) * dsk) for blk, sk, dsk in zip(st.blocks, st.s, st.ds)]
+        st.s = sym(st.s + st.a_d[:, None] * st.ds)
         st.steps = st.steps + 1
     return out
 
@@ -1239,11 +1305,12 @@ def _batches(parts: list[_Part]) -> list[_Part]:
     for same in by_key.values():
         part = _merged(same)
         side = part.b.shape[1] + 1 + (part.red is not None)
-        # The coefficient stacks count once more for problems that own them,
-        # the batched arrays of the reduction (all but T) once.
+        # The coefficient stacks count twice more for problems that own them
+        # (their own and the flat coefficient matrix of ``_lockstep``), the
+        # batched arrays of the reduction (all but T) once.
         per_problem = (
             8 * side * side
-            + sum(4 * a[0].nbytes for a in part.coeffs)
+            + sum(5 * a[0].nbytes for a in part.coeffs)
             + (8 * sum(a[0].size for a in part.red[1:]) if part.red is not None else 0)
         )
         size = max(1, BATCH_BYTES // per_problem)

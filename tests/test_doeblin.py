@@ -834,6 +834,32 @@ def test_invertible_channels_skip_the_solver(monkeypatch):
     assert calls["_null_space"] == calls["_lockstep"] == 0
 
 
+def test_reverse_kinds_of_a_grid_share_one_inverse(monkeypatch):
+    # A range asks for rev, revT and revH.  One stacked inverse of the 11
+    # superoperators serves all three, rev and revH share one link to the
+    # identity anchor, revT links only its own, and every result is
+    # bitwise its single-channel call.
+    channels = [ch.gad(p, 0.6) for p in np.linspace(0.0, 1.0, 11)]
+    reverse = (db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H)
+    want = {kind: [SINGLE[kind](chan) for chan in channels] for kind in reverse}
+    ranges = [db.dp_range(chan) for chan in channels]
+    calls, linked = {}, []
+    _spy(monkeypatch, db, "_inverse", calls)
+
+    def link_raw(later, *args):
+        linked.append(np.shape(later))
+        return ch.link_raw(later, *args)
+
+    monkeypatch.setattr(db, "link_raw", link_raw)
+    got = db.solve_grids([db.KIND_DP, *reverse], channels)
+    assert calls["_inverse"] == 1
+    assert linked == [(4, 4), (4, 4)]
+    assert got[db.KIND_DP] == ranges
+    for kind in reverse:
+        for res, single in zip(got[kind], want[kind]):
+            _same_result(res, single)
+
+
 def test_closed_form_rule_keeps_the_solver_for_what_it_cannot_bound(monkeypatch):
     chan = ch.gad(0.5, 0.6)
     # 4 eps of rounding exceeds a tolerance of 1e-16: the SDP decides.

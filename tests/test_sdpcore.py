@@ -946,6 +946,137 @@ def test_stacked_factor_fails_only_the_bad_slice():
         assert np.array_equal(li[i], alone[0])
 
 
+def _random_hermitian_psd(rng, dim, dtype):
+    g = rng.standard_normal((dim, dim))
+    if dtype is complex:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T + 0.1 * np.eye(dim)
+
+
+def _lmi_problems(dtype, count):
+    # max y0 + y1/2 subject to C_j - y0 A0 - y1 A1 >= 0: one lockstep batch
+    # of problems that differ in their constants only.
+    rng = np.random.default_rng(210)
+    a0 = _random_hermitian_psd(rng, 3, dtype)
+    a1 = _random_hermitian_psd(rng, 3, dtype) - 2.0 * np.eye(3)
+    coeffs = [(0, a0), (1, a1)]
+    return [
+        sdpcore.SdpProblem(
+            num_vars=2,
+            objective=np.array([1.0, 0.5]),
+            blocks=[sdpcore.SdpBlock(c=_random_hermitian_psd(rng, 3, dtype) + np.eye(3),
+                                     coeffs=coeffs)],
+        )
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_failed_slices_read_as_a_nan_mask(monkeypatch, dtype):
+    # A stack with a slice that is not positive definite and a NaN slice:
+    # the kernels fail those slices alone, every other slice is bitwise
+    # its solo result, and no warning escapes (warnings are errors here).
+    rng = np.random.default_rng(208)
+    stack = np.stack([
+        _random_hermitian_psd(rng, 4, dtype), -np.eye(4, dtype=dtype),
+        np.full((4, 4), np.nan, dtype=dtype), _random_hermitian_psd(rng, 4, dtype),
+    ])
+    good = (0, 3)
+    block = sdpcore._DenseBlock
+    li, ok = block.factor(stack)
+    assert ok.tolist() == [True, False, False, True]
+    for i in good:
+        alone, ok_alone = block.factor(stack[i : i + 1])
+        assert ok_alone.tolist() == [True]
+        assert np.array_equal(li[i], alone[0])
+    # The eigensolves run under the errstate that ``_lockstep`` holds for
+    # the whole run: a slice LAPACK fails on reads NaN.
+    dm = np.stack([_random_hermitian_psd(rng, 4, dtype) - 2.0 * np.eye(4) for _ in range(4)])
+    dm[2] = np.nan
+    with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+        warnings.simplefilter("error")
+        low = block.min_slack(stack)
+        steps = block.max_step(li, dm)
+    assert low[1] == -1.0 and np.isnan(low[2])
+    assert np.isfinite(steps[[0, 1, 3]]).all() and np.isnan(steps[2])
+    for i in good:
+        assert low[i] == block.min_slack(stack[i : i + 1])[0]
+        assert steps[i] == block.max_step(li[i : i + 1], dm[i : i + 1])[0]
+
+    # In a batch: on the first factorisation of S, problem 1 gets the
+    # slice that is not positive definite and problem 2 the NaN one.  They
+    # end there; the others keep their solo results.
+    problems = _lmi_problems(dtype, 4)
+    alone = [sdpcore.solve(p) for p in problems]
+    assert [r.status for r in alone] == ["optimal"] * 4
+    factor = block.factor
+    injected = []
+
+    def inject(m, repair=False):
+        if not repair and not injected:
+            injected.append(True)
+            m = m.copy()
+            m[1], m[2] = -np.eye(3), np.nan
+        return factor(m, repair)
+
+    monkeypatch.setattr(block, "factor", staticmethod(inject))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = sdpcore.solve_many(problems)
+    assert injected
+    for i in (1, 2):
+        assert together[i].status == "max_iter" and together[i].iterations == 0
+    for i in good:
+        _same(together[i], alone[i])
+        assert all(np.array_equal(a, b) for a, b in zip(together[i].x_blocks, alone[i].x_blocks))
+
+
+@pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
+def test_direct_lapack_kernels_equal_the_numpy_linalg_wrappers(dtype):
+    # The solver calls numpy's LAPACK gufuncs without their wrappers; a
+    # numpy that changes its private module must fail here.
+    rng = np.random.default_rng(209)
+    for side in range(1, 17):
+        m = np.stack([_random_hermitian_psd(rng, side, dtype) for _ in range(3)])
+        ell = np.linalg.cholesky(m)
+        assert np.array_equal(sdpcore._CHOLESKY(m), ell)
+        assert np.array_equal(sdpcore._INV(ell), np.linalg.inv(ell))
+        low = sdpcore._EIGVALSH(m)
+        assert low.dtype == np.float64
+        assert np.array_equal(low, np.linalg.eigvalsh(m))
+
+
+def test_solver_loop_calls_no_linalg_wrapper(monkeypatch):
+    # A prebuilt batch of qubit alpha, alphaH and revH programs, real and
+    # complex, solves bitwise the same with np.linalg's cholesky, inv and
+    # eigvalsh refusing every call.
+    from qdoeblin import channel as ch, doeblin as db
+
+    problems = []
+    solve_many = sdpcore.solve_many
+
+    def capture(batch, *args, **kwargs):
+        problems.extend(batch)
+        return solve_many(batch, *args, **kwargs)
+
+    monkeypatch.setattr(sdpcore, "solve_many", capture)
+    channels = [ch.gad(0.3, 0.6), ch.gad(0.8, 0.1), ch.random_channel(2, 2, seed=4)]
+    db.solve_grids([db.KIND_ALPHA, db.KIND_ALPHA_H, db.KIND_REV_H], channels)
+    monkeypatch.undo()
+    assert len(problems) == 9
+    want = sdpcore.solve_many(problems)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg wrapper called")
+
+    for name in ("cholesky", "inv", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = sdpcore.solve_many(problems)
+    for a, b in zip(got, want):
+        assert a.status == "optimal"
+        _same(a, b)
+
+
 def test_box_bounds_only():
     # max y0 - 2 y1 over the box [-1, 2] x [-3, 5]: optimum (2, -3).
     prob = sdpcore.SdpProblem(
