@@ -24,33 +24,35 @@ Each declaration takes a list of channels of equal dimensions.  The parts
 that do not depend on the channel (PSD-map images, shared equality rows,
 the objective and bounds) are lowered once for the list, once per
 realness, and kept for the next call when they are small.  The parts that
-do are stacks: a per-channel map (the link product of the reverse
-programs, the ``J(N^-1)`` terms of revH's inverse program) is one call
-over the stacked data, its equality rows one batched gemm, and the
-variables of every solution one batched product with their basis.  A
-declaration ``declare(channels, tol)`` does not solve: it yields its
-problems and turns the solutions it receives into results (``tol`` is the
-solve tolerance, which only the inverse paths below read).
+do are stacks: a per-channel map (the ``J(N^-1)`` terms of revH's
+program) is one call over the stacked data, its equality rows one batched
+gemm, and the variables of every solution one batched product with their
+basis.  A declaration ``declare(channels, tol)`` does not solve: it yields
+its problems and turns the solutions it receives into results (``tol`` is
+the solve tolerance, which the reverse kinds below also read).
 :func:`solve_grids`, the grid entry, hands the problems of every kind and
 dimension it is asked for to one :func:`qdoeblin.sdpcore.solve_many` call,
 which sets each group of them up in one pass and solves them as lockstep
-batches, so kinds that share a lockstep key (``rev`` and ``revT``,
-``alpha`` and ``alphaT``) run as one batch.  :func:`solve_grid` is its one-kind case; the public kind functions
-are the list of one channel and reach :func:`qdoeblin.sdpcore.solve`.
+batches, so kinds that share a lockstep key (``alpha`` and ``alphaT``) run
+as one batch.  :func:`solve_grid` is its one-kind case; the public kind
+functions are the list of one channel and reach
+:func:`qdoeblin.sdpcore.solve`.
 
-``rev`` and ``revT`` of a channel N that is invertible as a map on
-matrices need no program: the only degrading map is ``D = T_p compose
-N^-1``, so the coefficient is the smallest p at which ``J(D)`` is PSD, read
-off one eigendecomposition (see :func:`_closed_form`, which also states
-when it applies and the error bound that decides it).  Their declaration
-solves the invertible channels of a list that way, with one stacked
-inverse, one ``link_raw`` call and one stacked ``eigvalsh``, and yields
-programs only for the others, as alphaT yields programs only for PPT
-channels.  Such a result is ``optimal`` with 0 iterations.  ``revH`` of an
-invertible channel stays a program, but on ``(theta, X)`` alone: D is
-``T_X compose N^-1``, so ``J(D)`` is affine in X with ``J(N^-1)`` from the
-same inverse and link (see :func:`_rev_hermitian_grid`), and the PSD block
-of each channel has its own coefficients, lowered as one stack.
+The reverse kinds have one route each, from one stacked inverse of the
+channels' superoperators (:class:`_Inverses`).  ``rev`` and ``revT`` of a
+channel N that is invertible as a map on matrices need no program: the
+only degrading map is ``D = T_p compose N^-1``, so the coefficient is the
+smallest p at which ``J(D)`` is PSD, read off one eigendecomposition (see
+:func:`_closed_form`, with its error bound).  ``revH`` of an invertible
+channel is a program on ``(theta, X)`` alone: D is ``T_X compose N^-1``,
+so ``J(D)`` is affine in X with ``J(N^-1)`` from the same inverse and link,
+the PSD block of each channel has its own coefficients, lowered as one
+stack, and the witness is checked after the solve (see
+:func:`_rev_hermitian_grid`).  A singular channel has the value 1 for all
+three kinds, attained by the replacer, with an error bound from its
+smallest singular value (see :meth:`_Inverses.singular`).  A result found
+without a solve has 0 iterations, and any result whose error bound
+exceeds ``tol`` keeps its value and reads ``numerical_failure``.
 
 The forward coefficients bound the trace-distance contraction of a channel
 from above (``eta <= 1 - alpha``); the reverse coefficients bound the
@@ -60,7 +62,6 @@ channel to a depolarizing-family target.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -285,13 +286,9 @@ class _Lowered:
 # Lowered declarations by key and realness, so that a single-channel call
 # lowers only its channel's data, and whether the shared part of a
 # declaration is real, by key.  Lowerings above ``LOWERED_BYTES`` are not
-# kept: those of the complex p1 and reverse link programs from d=4 on
-# (complex p1 takes 3.1 MB at d=4, rev, revT and revH 1.05-1.11 MB) and of
-# the real ones from d=5 on (real p1 takes 0.84 MB at d=4 and 4.9 MB at
-# d=5).  The link programs now serve only the channels no inverse serves
-# (singular ones, those that fail the rule of ``_Inverses.linked`` or its
-# bound at ``tol``); revH's inverse program holds no shared map images and
-# is kept at every d.
+# kept: that of complex p1 from d=4 on (3.1 MB at d=4) and of real p1
+# from d=5 on (0.84 MB at d=4 and 4.9 MB at d=5).  revH's program holds no
+# shared map images and is kept at every d.
 _LOWERED: dict = {}
 _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
@@ -634,61 +631,12 @@ def _square_dim(channels) -> int:
     return channels[0].d_in
 
 
-def _reverse(channels: list[QuantumChannel], kind: str, side: int, extra, target, bounds):
-    """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
-
-    D runs from the channel output (dim ``d_b``) back to its input (dim
-    ``d_a``); its Choi matrix is ordered output (x) input like every other
-    Choi here, so it lives on ``d_a * d_b`` and the composite on
-    ``d_a * d_a``.  D is completely positive and trace preserving, and
-    ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
-    the given side.  One program per channel; the channel enters only the
-    link-product rows.
-
-    This is the program of the channels no inverse serves: rev, revT and
-    revH of a channel that is singular, or whose computed inverse fails
-    the residual rule of :meth:`_Inverses.linked` or leaves an error bound
-    above ``tol`` (see :func:`_closed_form` and :func:`_rev_hermitian_grid`).
-    An invertible channel fixes D by its inverse, and then the program
-    above needs none of D's d^4 coordinates.
-    """
-    d_a = d_b = _square_dim(channels)
-    chois = np.stack([channel.choi.matrix for channel in channels])
-    links = _PerProblem(lambda b: link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
-    solved = yield from _program(
-        [d_a * d_b, side],
-        {1: -np.eye(side)},
-        psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
-        eqs=[
-            # Tracing out the output factor of D leaves 1/d_b: D is trace
-            # preserving.
-            (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
-            (target, {0: links, 1: extra}),
-        ],
-        bounds=bounds,
-        count=len(channels),
-        key=(kind, d_a),
-    )
-    return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
-
-
 def _fixed_target(kind: str, d: int) -> tuple[np.ndarray, float, float]:
     """The anchor ``J(A)`` of rev or revT at dimension d and the range
     ``[lo, hi]`` of p over which ``(1 - p) A + p R`` is a channel family."""
     if kind == KIND_REV:
         return max_entangled(d), 0.0, 1.0
     return swap_matrix(d) / d, d / (d + 1.0), d / (d - 1.0)
-
-
-def _fixed_target_program(channels, kind: str):
-    """The SDP of rev or revT: smallest p in ``[lo, hi]`` with ``D compose
-    N = (1 - p) A + p R`` in Choi form."""
-    d = channels[0].d_in
-    anchor, lo, hi = _fixed_target(kind, d)
-    eye = np.eye(d * d) / (d * d)
-    return (yield from _reverse(
-        channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}
-    ))
 
 
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
@@ -700,20 +648,44 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(p, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(p, d * d, d * d)
 
 
+def _exact(kind: str, value: float, bound: float, tol: float, witness) -> CoefficientResult:
+    """A reverse result found without a solve, whose value is off by at
+    most ``bound``: ``optimal`` when that is at most ``tol`` and
+    ``numerical_failure`` otherwise, with the same value either way.  Its
+    :class:`~qdoeblin.sdpcore.SdpSolution` has the same status, 0
+    iterations, no ``y`` or ``x_blocks``, gap 0 and ``bound`` as both
+    residuals."""
+    status = sdpcore.STATUS_OPTIMAL if bound <= tol else sdpcore.STATUS_NUMERICAL
+    sol = sdpcore.SdpSolution(
+        status=status, y=np.zeros(0), objective_value=-value, gap=0.0,
+        primal_residual=bound, dual_residual=bound, iterations=0,
+    )
+    return _result(kind, sol, value, witness)
+
+
 class _Inverses:
     """The superoperator inverses of a list of channels with ``d_in ==
     d_out``, shared by the reverse kinds of one grid.
 
-    The stacked inverse and its residual are computed on first use, and
+    The stacked inverse and its residual are computed on first use.
     ``linked`` links them to the anchor of rev (which revH shares) or of
     revT once per anchor, so a grid that asks for rev, revT and revH
-    inverts each channel once and calls ``link_raw`` twice.
+    inverts each channel once and calls ``link_raw`` twice; ``singular``
+    answers the channels that fail the rule of ``linked``, for all three
+    kinds.
     """
 
     def __init__(self, channels):
         self.channels = channels
         self._inverse = None
         self._linked: dict[str, tuple] = {}
+        self._singular = None
+
+    def inverse(self):
+        """``(sup, inv, norm_inv, r)`` of :func:`_inverse`."""
+        if self._inverse is None:
+            self._inverse = _inverse(self.channels)
+        return self._inverse
 
     def linked(self, kind: str):
         """``(idx, m, e)``: ``M = J(A compose N^-1)`` for the anchor ``J(A)``
@@ -724,7 +696,8 @@ class _Inverses:
         ``idx`` holds the positions of the channels that pass, ``m`` the
         stack of their M and ``e``, per M, a bound on the spectral norm of
         its error, which bounds the error of each of its eigenvalues too.
-        With no channel passing there is no link.
+        With no channel passing there is no link.  A channel that fails
+        the rule is singular or near it, and :meth:`singular` answers it.
 
         The rule, with ``X`` the computed inverse of the superoperator S
         and ``eps`` the machine epsilon:
@@ -740,9 +713,7 @@ class _Inverses:
           4 d^2 eps)``.
         """
         if kind not in self._linked:
-            if self._inverse is None:
-                self._inverse = _inverse(self.channels)
-            inv, norm_inv, r = self._inverse
+            _, inv, norm_inv, r = self.inverse()
             d = self.channels[0].d_in
             n = d * d
             idx = np.flatnonzero(r < 1.0)
@@ -755,36 +726,70 @@ class _Inverses:
                 self._linked[kind] = idx, m, e
         return self._linked[kind]
 
+    def singular(self, kind: str, tol: float) -> dict[int, CoefficientResult]:
+        """The results of ``kind`` (rev, revT or revH) for the channels that
+        fail the rule of :meth:`linked`, by position: the value 1 with the
+        witness ``J(D) = 1/d^2`` of the replacer, read off the error bound
+        ``beta`` below (see :func:`_exact`).
+
+        The value 1 is attained by every channel: the replacer degrades N
+        onto the target at ``p = 1`` (rev, revT) or at ``X = 1/d`` (revH).
+        It is also near the optimum when N is near singular.  Let ``s`` be
+        the smallest singular value of N as a map on d x d matrices with
+        the Frobenius norm, that of its superoperator S.  N commutes with
+        the adjoint, ``N(Y)^dag = N(Y^dag)``, so ``s`` has a Hermitian
+        singular vector Y, ``||Y||_F = 1``.  N is trace preserving, so
+        ``|Tr Y| = |Tr N(Y)| <= sqrt(d) s``, and ``||N(Y)||_1 <= sqrt(d)
+        s``.  Let D be a channel with ``D compose N = T`` for a target T of
+        value ``v < 1``.  D does not expand the trace norm of a Hermitian
+        operator, so ``||T(Y)||_1 <= sqrt(d) s``.  For rev and revT, ``T(Y)
+        = (1 - p) A(Y) + p Tr(Y) 1/d`` with A the identity or the transpose,
+        so ``||T(Y)||_1 >= (1 - p) ||Y||_1 - |Tr Y| >= (1 - p) - sqrt(d)
+        s`` (``||Y||_1 >= ||Y||_F``).  For revH, ``T(Y) = (1 - t) Y + Tr(Y)
+        X``, and T is positive, so X is PSD: a pure state orthogonal to an
+        eigenvector of X (d >= 2) goes to ``(1 - t) rho + X``, whose
+        expectation in that eigenvector is its eigenvalue.  So ``||X||_1 =
+        t < 1`` and the same bound holds.  Either way ``1 - v <= 2 sqrt(d)
+        s``: the traceless kernel of an exactly singular N forces ``v =
+        1``, and near it the optimum is within ``2 sqrt(d) s`` of 1.
+
+        The singular values come from one ``svd`` of the failing slices.
+        They are exact for a perturbation of S of spectral norm about ``n
+        eps ||S||_2``, with ``n = d^2``, so ``beta = 2 sqrt(d) (s + n eps
+        ||S||_2)`` with the computed ``s`` and ``||S||_2``.
+        """
+        d = self.channels[0].d_in
+        n = d * d
+        if self._singular is None:
+            sup, _, _, r = self.inverse()
+            idx = np.flatnonzero(~(r < 1.0))
+            sv = np.linalg.svd(sup[idx], compute_uv=False)
+            eps = np.finfo(float).eps
+            self._singular = idx, 2.0 * np.sqrt(d) * (sv[:, -1] + n * eps * sv[:, 0])
+        idx, beta = self._singular
+        return {i: _exact(kind, 1.0, float(b), tol, np.eye(n) / n) for i, b in zip(idx, beta)}
+
 
 def _inverse(channels):
-    """The stacked inverses X of the channels' superoperators S, the norms
-    ``||X||_F`` and the residual bounds ``r`` of :meth:`_Inverses.linked`;
-    a singular map has a NaN inverse, which fails the rule."""
+    """The stacked superoperators S of the channels, their inverses X, the
+    norms ``||X||_F`` and the residual bounds ``r`` of
+    :meth:`_Inverses.linked`.  The stack is one call of LAPACK's inverse;
+    a slice it fails on, an exactly singular map, comes back NaN and fails
+    the rule."""
     d = channels[0].d_in
     n = d * d
     eps = np.finfo(float).eps
     sup = d * _reshuffle(np.stack([channel.choi.matrix for channel in channels]), d)
-    try:
-        inv = np.linalg.inv(sup)
-    except np.linalg.LinAlgError:
-        # One exactly singular map fails the whole stack: invert one by
-        # one and leave the singular ones NaN, which fail the rule.
-        inv = np.full_like(sup, np.nan)
-        for i, s in enumerate(sup):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inv[i] = np.linalg.inv(s)
     with np.errstate(all="ignore"):
+        inv = sdpcore._INV(sup)
         norm_inv = np.linalg.norm(inv, axis=(1, 2))
         r = np.linalg.norm(np.eye(n) - sup @ inv, axis=(1, 2))
         r += (n + 1) * eps * np.linalg.norm(sup, axis=(1, 2)) * norm_inv
-    return inv, norm_inv, r
+    return sup, inv, norm_inv, r
 
 
-def _closed_form(
-    channels, kind: str, tol: float, inverses: _Inverses
-) -> list[CoefficientResult | None]:
-    """rev or revT without a solve where the channel is invertible: a result
-    per channel, None where the SDP has to decide.
+def _closed_form(channels, kind: str, tol: float, inverses: _Inverses) -> list[CoefficientResult]:
+    """rev or revT without a solve: a result per channel.
 
     When N is invertible as a map on d x d matrices, the only D with
     ``D compose N = T_p`` is ``T_p compose N^-1``, with ``T_p = (1 - p) A +
@@ -800,53 +805,44 @@ def _closed_form(
     :meth:`_Inverses.linked` and one stacked ``eigvalsh``.
 
     :meth:`_Inverses.linked` states the rule a channel must pass and the
-    bound ``e`` on the error of the smallest eigenvalue.  With ``c = 1/d^2`` and
-    ``p = 1 - c / (c - mu)``, the value is then off by at most ``err = c e
-    / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for the division),
-    and clipping at ``lo`` does not add to it.  The closed form is taken
-    when the channel passes the rule, ``c - mu > e`` and ``err <= tol``;
-    the SDP gets the rest.  These are the singular maps (replacers such as
-    the eta = 0 row of ``gad`` or depolarizing at p = 1, dephasing
-    channels; every one has rev = revT = 1, since ``T_p`` must vanish on
-    the traceless kernel of N) and any channel whose bound exceeds
-    ``tol``.  ``4 eps`` alone exceeds a ``tol`` of 1e-16, so that
-    tolerance always reaches the solver.  revH takes the same rule with
-    its own bound (see :func:`_rev_hermitian_grid`).  The result has an
-    :class:`~qdoeblin.sdpcore.SdpSolution` with 0 iterations, no ``y`` or
-    ``x_blocks``, gap 0 and ``err`` as both residuals.
+    bound ``e`` on the error of the smallest eigenvalue.  With ``c = 1/d^2``
+    and ``p = 1 - c / (c - mu)``, the value is then off by at most ``err =
+    c e / ((c - mu)(c - mu - e)) + 4 eps`` (the last term for the
+    division) when ``c - mu > e``, and clipping at ``lo`` does not add to
+    it; where ``c - mu <= e`` the bound is infinite.  A channel that fails
+    the rule is singular or near it and gets the value 1 of
+    :meth:`_Inverses.singular`, with its own bound.  Every result reads
+    ``optimal`` when its bound is at most ``tol`` and
+    ``numerical_failure`` otherwise, with the same value (see
+    :func:`_exact`): ``4 eps`` alone exceeds a ``tol`` of 1e-16, so at
+    that tolerance every rev and revT is a ``numerical_failure``.
     """
     d = channels[0].d_in
     n = d * d
     c = 1.0 / n
     eps = np.finfo(float).eps
     lo = _fixed_target(kind, d)[1]
-    out: list[CoefficientResult | None] = [None] * len(channels)
+    out = [None] * len(channels)
     idx, m, e = inverses.linked(kind)
     low = np.linalg.eigvalsh(m)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        err = c * e / ((c - low) * (c - low - e)) + 4 * eps
+        err = np.where(c - low > e, c * e / ((c - low) * (c - low - e)) + 4 * eps, np.inf)
         value = np.maximum(lo, low / (low - c))
-    take = (c - low > e) & (err <= tol)
     eye = np.eye(n) / n
-    for i, p, bound, mi in zip(idx[take], value[take], err[take], m[take]):
-        sol = sdpcore.SdpSolution(
-            status=sdpcore.STATUS_OPTIMAL, y=np.zeros(0), objective_value=-float(p), gap=0.0,
-            primal_residual=float(bound), dual_residual=float(bound), iterations=0,
-        )
-        out[i] = _result(kind, sol, float(p), (1.0 - p) * mi + p * eye)
+    for i, p, bound, mi in zip(idx, value, err, m):
+        out[i] = _exact(kind, float(p), float(bound), tol, (1.0 - p) * mi + p * eye)
+    for i, res in inverses.singular(kind, tol).items():
+        out[i] = res
     return out
 
 
 def _reverse_fixed_target(channels, kind: str, tol: float, inverses: _Inverses | None):
-    """rev or revT: in closed form where :func:`_closed_form` applies, as
-    the SDP of :func:`_fixed_target_program` for the other channels."""
+    """rev or revT of every channel by :func:`_closed_form`: a declaration
+    that yields no problem."""
     _square_dim(channels)
-    closed = _closed_form(channels, kind, tol, inverses or _Inverses(channels))
-    solved = yield from _on_subset(
-        _fixed_target_program([c for c, res in zip(channels, closed) if res is None], kind),
-        [res is None for res in closed],
-    )
-    return [res if res is not None else sdp for res, sdp in zip(closed, solved)]
+    out = _closed_form(channels, kind, tol, inverses or _Inverses(channels))
+    yield []
+    return out
 
 
 def _rev_grid(channels, tol, inverses=None):
@@ -857,29 +853,17 @@ def _rev_transpose_grid(channels, tol, inverses=None):
     return _reverse_fixed_target(channels, KIND_REV_T, tol, inverses)
 
 
-def _rev_hermitian_link(channels):
-    """The link program of revH (see :func:`_reverse`): the degraded
-    channel is ``(1 - Tr X) id + Tr(.) X`` in Choi form."""
-    d = channels[0].d_in
-    phi = max_entangled(d)
-    eye_in = np.eye(d) / d
-
-    def extra(b):
-        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
-        return tr * phi - hermlin.kron(b, eye_in)
-
-    return (yield from _reverse(channels, KIND_REV_H, d, extra, phi, None))
-
-
-def _rev_hermitian_inverse(m: np.ndarray, d: int):
-    """revH of invertible channels from ``M = J(N^-1)``, one per channel.
+def _rev_hermitian_inverse(m: np.ndarray, sup: np.ndarray, d: int, tol: float):
+    """revH of invertible channels from ``M = J(N^-1)``, one per channel,
+    with ``sup`` the stack of their superoperators S.
 
     D must be ``T_X compose N^-1`` for the target ``T_X = (1 - Tr X) id +
     Tr(.) X``, so ``J(D) = (theta - Tr X) M + X (x) 1/d`` with ``theta =
     1``: minimise ``Tr X`` over the d^2 + 1 real variables of ``(theta,
     X)`` with ``J(D) >= 0``.  Both maps depend on the channel through M.
-    The witness is ``J(D)``.
+    The witness is ``J(D)``, checked as :func:`_rev_hermitian_grid` states.
     """
+    n = d * d
     eye_in = np.eye(d) / d
 
     def degrading(b):
@@ -890,7 +874,7 @@ def _rev_hermitian_inverse(m: np.ndarray, d: int):
         [1, d],
         {1: -np.eye(d)},
         psd=[(
-            np.zeros((d * d, d * d)),
+            np.zeros((n, n)),
             {0: _PerProblem(lambda b: -b[None] * m[:, None]), 1: _PerProblem(degrading)},
         )],
         eqs=[(np.ones((1, 1)), {0: lambda b: b})],
@@ -899,46 +883,55 @@ def _rev_hermitian_inverse(m: np.ndarray, d: int):
     )
     thetas = np.array([theta[0, 0].real for _, (theta, _) in solved])
     xs = np.stack([x for _, (_, x) in solved])
-    scale = thetas - np.trace(xs, axis1=1, axis2=2).real
-    witnesses = scale[:, None, None] * m + hermlin.kron(xs, eye_in)
-    return [
-        _result(KIND_REV_H, sol, -sol.objective_value, w)
-        for (sol, _), w in zip(solved, witnesses)
-    ]
+    traces = np.trace(xs, axis1=1, axis2=2).real
+    witnesses = (thetas - traces)[:, None, None] * m + hermlin.kron(xs, eye_in)
+    # The superoperator of D compose N less that of T_X, whose matrix on
+    # row-major vectorised operators is (1 - Tr X) I + vec(X) vec(1)^T.
+    target = (1.0 - traces)[:, None, None] * np.eye(n) + xs.reshape(-1, n, 1) * np.eye(d).ravel()
+    residual = np.linalg.norm(d * _reshuffle(witnesses, d) @ sup - target, axis=(1, 2))
+    deficit = np.maximum(0.0, -np.linalg.eigvalsh(witnesses)[:, 0])
+    out = []
+    for (sol, _), w, bound in zip(solved, witnesses, n * deficit + residual):
+        res = _result(KIND_REV_H, sol, -sol.objective_value, w)
+        if res.status == sdpcore.STATUS_OPTIMAL and not bound <= tol:
+            res.status = sdpcore.STATUS_NUMERICAL
+        out.append(res)
+    return out
 
 
 def _rev_hermitian_grid(channels, tol, inverses=None):
     """Degrade onto a generalized-depolarizing target with free Hermitian part.
 
-    An invertible channel takes the program of :func:`_rev_hermitian_inverse`
-    on ``M = J(N^-1)`` from :meth:`_Inverses.linked` (linked to the
-    identity anchor of rev, and so shared with rev), when it passes its
-    rule and the error bound below is at most ``tol``; the others take
-    :func:`_rev_hermitian_link`.
+    A channel that passes the rule of :meth:`_Inverses.linked` takes the
+    program of :func:`_rev_hermitian_inverse` on ``M = J(N^-1)`` (linked
+    to the identity anchor of rev, and so shared with rev); the others are
+    singular or near it and get the value 1 of :meth:`_Inverses.singular`.
 
-    The bound: let the computed M be off by at most ``e`` in spectral norm.
-    At any X, ``J(D)`` then moves by ``(1 - Tr X)`` times that error, and
-    ``|1 - Tr X| <= 1`` wherever ``D compose N`` is a channel, since a
-    channel does not expand trace distance.  ``X = 1/d`` is feasible for
-    every M (``J(D) = 1/d^2``), and mixing a solution with a fraction s of
-    it lifts ``J(D)`` by ``s / d^2``: ``s = d^2 e`` absorbs the error and
-    moves ``Tr X`` by at most ``s``.  Both programs' optima are so within
-    ``d^2 e`` of each other.  As for rev, ``e`` is at least ``4 d eps``
-    (the computed inverse has a norm of at least 1), so ``d^2 e`` exceeds
-    a ``tol`` of 1e-16, which always reaches the link program.
+    The witness of the program is checked after the solve.  With ``a`` the
+    deficit ``max(0, -lambda_min(J(D)))`` and ``rho`` the Frobenius norm
+    of the superoperator of ``D compose N`` less that of ``T_X``, the bound
+    is ``d^2 a + rho``: mixing a fraction ``s = d^2 a`` of the replacer
+    (``J = 1/d^2``, which attains the value 1) into D makes ``J(D)`` PSD
+    and moves the value by ``s (1 - t)``, at most ``s``, and the map so
+    found degrades N onto the target within ``rho``.  So the value is attained up to the
+    bound, the side on which 1 - revH bounds the expansion coefficient.
+    The bound reads the computed witness, not the computed inverse, so it
+    has no factor of the condition number of N: the a-priori error bound of
+    M grows as its square, and the check is what lets every invertible
+    channel take the program.  A result of an ``optimal`` solve whose
+    bound exceeds ``tol`` keeps its value and reads ``numerical_failure``;
+    the others keep the status of their solve.
     """
     d = _square_dim(channels)
-    idx, m, e = (inverses or _Inverses(channels)).linked(KIND_REV)
-    take = d * d * e <= tol
+    inverses = inverses or _Inverses(channels)
+    idx, m, _ = inverses.linked(KIND_REV)
     picked = np.zeros(len(channels), dtype=bool)
-    picked[idx[take]] = True
-    by_inverse, by_link = yield from _together([
-        _on_subset(_rev_hermitian_inverse(m[take], d), picked),
-        _on_subset(
-            _rev_hermitian_link([c for c, ok in zip(channels, picked) if not ok]), ~picked
-        ),
-    ])
-    return [res if res is not None else link for res, link in zip(by_inverse, by_link)]
+    picked[idx] = True
+    sup = inverses.inverse()[0][idx]
+    out = yield from _on_subset(_rev_hermitian_inverse(m, sup, d, tol), picked)
+    for i, res in inverses.singular(KIND_REV_H, tol).items():
+        out[i] = res
+    return out
 
 
 def _single(declare, channel: QuantumChannel, tol: float) -> CoefficientResult:
@@ -1114,8 +1107,8 @@ def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, 
     dimensions share one declaration per kind, lowered once, and the
     programs of every kind and dimension go to one
     :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
-    lockstep key (``rev`` and ``revT``, ``alpha`` and ``alphaT``) run as
-    one batch.  The reverse kinds of a dimension group share one stacked
+    lockstep key (``alpha`` and ``alphaT``) run as one batch.  The
+    reverse kinds of a dimension group share one stacked
     inverse of the superoperators, and rev and revH one ``link_raw`` call
     (see :class:`_Inverses`).  Returns the results of each kind in input
     order, each equal to the single-channel call: same status, same

@@ -5,6 +5,12 @@ symmetric ones.  No solve goes through it: ``sdpcore`` solves a complex
 Hermitian block of multiplicity 2 natively, and the tests check that it has
 the iterates of this embedding.  ``is_psd`` is the eigenvalue test the
 embedding's tests check positivity with.
+
+``link_program`` declares the link program of a reverse coefficient, the
+SDP over every coordinate of the degrading map.  The library answers the
+reverse kinds from the inverse of the channel instead; the tests run this
+program through ``doeblin._solve`` to check those answers, and to reach
+the solver with reverse programs of any channel, singular ones included.
 """
 
 from __future__ import annotations
@@ -12,6 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from qdoeblin import channel as ch
+from qdoeblin import hermlin
+from qdoeblin.doeblin import (
+    KIND_REV_H, _fixed_target, _PerProblem, _program, _result, _square_dim,
+)
 from qdoeblin.hermlin import HERM_TOL, PSD_TOL, eig_hermitian, require_hermitian
 
 
@@ -44,9 +54,9 @@ def pinched(chan: ch.QuantumChannel, keep: int = 1, u: np.ndarray | None = None)
     P is the pinching onto the span of the first ``keep`` basis vectors and
     onto each later basis vector (``keep=1`` dephases fully), and U is
     ``u`` (the identity by default).  P kills the coherences between its
-    blocks, so the map of the composite is singular: its ``rev`` and
-    ``revT`` have no closed form, its ``revH`` no inverse program, and all
-    three reach the link program.
+    blocks, so the map of the composite is singular: the library answers
+    its ``rev``, ``revT`` and ``revH`` with 1 without a solve, and only the
+    link program of :func:`link_program` solves them.
     """
     d = chan.d_out
     u = np.eye(d) if u is None else u
@@ -59,3 +69,68 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
     """A seeded unitary: the Q factor of a complex Gaussian matrix."""
     rng = np.random.default_rng(seed)
     return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
+def link_program(channels: list[ch.QuantumChannel], kind: str):
+    """The link program of ``kind`` (rev, revT or revH) for every channel,
+    a declaration for ``doeblin._solve``: :func:`_fixed_target_program`
+    for rev and revT, :func:`_rev_hermitian_link` for revH."""
+    if kind == KIND_REV_H:
+        return _rev_hermitian_link(channels)
+    return _fixed_target_program(channels, kind)
+
+
+def _reverse(channels: list[ch.QuantumChannel], kind: str, side: int, extra, target, bounds):
+    """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
+
+    D runs from the channel output (dim ``d_b``) back to its input (dim
+    ``d_a``); its Choi matrix is ordered output (x) input like every other
+    Choi here, so it lives on ``d_a * d_b`` and the composite on
+    ``d_a * d_a``.  D is completely positive and trace preserving, and
+    ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
+    the given side.  One program per channel; the channel enters only the
+    link-product rows, and the program needs no inverse of it.
+    """
+    d_a = d_b = _square_dim(channels)
+    chois = np.stack([channel.choi.matrix for channel in channels])
+    links = _PerProblem(lambda b: ch.link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
+    solved = yield from _program(
+        [d_a * d_b, side],
+        {1: -np.eye(side)},
+        psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
+        eqs=[
+            # Tracing out the output factor of D leaves 1/d_b: D is trace
+            # preserving.
+            (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
+            (target, {0: links, 1: extra}),
+        ],
+        bounds=bounds,
+        count=len(channels),
+        key=(kind, d_a),
+    )
+    return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
+
+
+def _fixed_target_program(channels, kind: str):
+    """The SDP of rev or revT: smallest p in ``[lo, hi]`` with ``D compose
+    N = (1 - p) A + p R`` in Choi form."""
+    d = channels[0].d_in
+    anchor, lo, hi = _fixed_target(kind, d)
+    eye = np.eye(d * d) / (d * d)
+    return (yield from _reverse(
+        channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}
+    ))
+
+
+def _rev_hermitian_link(channels):
+    """The link program of revH (see :func:`_reverse`): the degraded
+    channel is ``(1 - Tr X) id + Tr(.) X`` in Choi form."""
+    d = channels[0].d_in
+    phi = ch.max_entangled(d)
+    eye_in = np.eye(d) / d
+
+    def extra(b):
+        tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
+        return tr * phi - hermlin.kron(b, eye_in)
+
+    return (yield from _reverse(channels, KIND_REV_H, d, extra, phi, None))

@@ -381,7 +381,7 @@ def test_figures_failed_cells_exit_solver(tmp_path, capsys):
 def test_dp_cells_carry_the_failed_solve_status():
     # Both range cells report a failed solve among the five behind them.
     cells = cli._kind_cells(ch.gad(0.5, 0.6), ["dp_lower", "dp_upper"], 1e-16)
-    assert [status for _, status, _ in cells] == ["max_iter", "max_iter"]
+    assert [status for _, status, _ in cells] == ["numerical_failure", "numerical_failure"]
     assert all(cli._cell_failed(cell) for cell in cells)
     cells = cli._kind_cells(ch.gad(0.5, 0.6), ["dp_lower", "dp_upper"],
                            sdpcore.DEFAULT_TOL)

@@ -6,7 +6,7 @@ import pytest
 from qdoeblin import channel as ch
 from qdoeblin import doeblin as db
 from qdoeblin import hermlin, oracles, properties, sdpcore
-from reference import pinched, random_unitary, real_embed
+from reference import link_program, pinched, random_unitary, real_embed
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -322,9 +322,11 @@ def test_stacked_lowering_matches_per_element_embed():
 
 
 def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
-    # Singular channels, so that rev and revT are programs too: a replacer
-    # and a dephased, rotated random channel.
-    for chan in (ch.gad(0.3, 0.0), pinched(ch.random_channel(2, 2, seed=9), 1, random_unitary(2, 9))):
+    # An invertible channel, and two singular ones, whose reverse
+    # coefficients are 1 without a solve: a replacer and a dephased,
+    # rotated random channel.
+    for chan, one in ((ch.gad(0.3, 0.6), False), (ch.gad(0.3, 0.0), True),
+                      (pinched(ch.random_channel(2, 2, seed=9), 1, random_unitary(2, 9)), True)):
         separate = [
             f(chan).value
             for f in (db.reverse_alpha_hermitian, db.reverse_alpha, db.reverse_alpha_transpose)
@@ -338,9 +340,10 @@ def test_expansion_lower_bound_is_one_minus_min_reverse(monkeypatch):
         monkeypatch.setattr(db, "link_raw", counting_link_raw)
         assert db.expansion_lower_bound(chan) == 1.0 - min(separate)
         monkeypatch.undo()
-        # Each reverse program links the whole basis stack of its degrading
-        # map in one call.
-        assert calls == [(16, 4, 4)] * 3
+        # Each reverse kind of an invertible channel links its anchor to the
+        # inverse in one call; a singular channel has no inverse to link.
+        assert calls == ([] if one else [(4, 4)] * 3)
+        assert (min(separate) == 1.0) == one
 
 
 def test_expansion_bound_without_an_optimal_reverse_solve_is_trivial():
@@ -497,13 +500,24 @@ def _kind_id(value):
     return KIND_IDS.get(value) if isinstance(value, str) else None
 
 
-def _sdp_bound(kind, chan):
-    """``chan``, or for a reverse kind a pinched copy: the closed form of rev
-    and revT and the inverse program of revH take every invertible channel,
-    and a singular one reaches the link program."""
-    if kind in (db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H):
-        return pinched(chan, max(1, chan.d_out - 1))
-    return chan
+_REVERSE = (db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H)
+
+
+def _linked(kind, channels, tol=sdpcore.DEFAULT_TOL):
+    """The reference link program of a reverse kind on every channel,
+    solved as the library solves its own programs."""
+    [results] = db._solve([link_program(list(channels), kind)], tol)
+    return results
+
+
+def _sdp_bound(kind):
+    """The single-channel call of ``kind`` that reaches the solver: the
+    kind's own function, or for a reverse kind the reference link program
+    (the library answers rev and revT in closed form and the singular
+    channels of every reverse kind without a solve)."""
+    if kind in _REVERSE:
+        return lambda chan, tol=sdpcore.DEFAULT_TOL: _linked(kind, [chan], tol)[0]
+    return SINGLE[kind]
 
 
 def _boundary_channels():
@@ -593,7 +607,7 @@ def _real_channels(kind):
     ]
     chans += [ch.depolarizing(0.6, d) for d in (2, 3, 4)]
     chans.append(ch.classical_embed(np.array([[0.7, 0.2, 0.1], [0.2, 0.6, 0.3], [0.1, 0.2, 0.6]])))
-    return [_sdp_bound(kind, chan) for chan in chans]
+    return chans
 
 
 @pytest.mark.parametrize("kind", list(SINGLE), ids=_kind_id)
@@ -602,7 +616,7 @@ def test_real_programs_match_their_complex_rotations(kind):
     # of half the side.  Rotating its output by a unitary leaves every
     # coefficient as it is but makes the program complex, so the copy takes
     # the complex Hermitian path at the same side; both must agree.
-    single = SINGLE[kind]
+    single = _sdp_bound(kind)
     for chan in _real_channels(kind):
         d = chan.d_out
         # A phase alone leaves a diagonal (classical) Choi matrix real.
@@ -676,17 +690,14 @@ def _spy(monkeypatch, module, name, calls):
 
 
 @pytest.mark.parametrize(
-    "kind, sizes", [(db.KIND_REV, {4, 6}), (db.KIND_REV_H, {6, 8})], ids=_kind_id
+    "kind, sizes", [(db.KIND_REV, {2, 6}), (db.KIND_REV_H, {4, 8})], ids=_kind_id
 )
 def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
-    # The replacer points gad(p, 0) leave a larger null space of their
-    # equality rows than the interior points: one grid column splits into
-    # two lockstep keys, and every point must still get its single call.
-    # Both run on dephased copies (see _sdp_bound), whose interior points
-    # leave a null space of 4 (rev) or 6 (revH); an invertible channel,
-    # which leaves 2 or 4, has its rev in closed form and its revH on the
-    # inverse program.
-    channels = [_sdp_bound(kind, ch.gad(p, eta)) for p, eta in
+    # The replacer points gad(p, 0) leave a larger null space of the
+    # equality rows of the reference link program than the interior
+    # points: one grid column splits into two lockstep keys, and every
+    # point must still get its single call.
+    channels = [ch.gad(p, eta) for p, eta in
                 [(0.3, 0.5), (0.2, 0.0), (0.6, 0.4), (0.9, 0.0), (0.0, 0.0), (0.7, 0.8)]]
     prepare = sdpcore._prepare
     keys = []
@@ -697,10 +708,10 @@ def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch,
         return parts
 
     monkeypatch.setattr(sdpcore, "_prepare", spy)
-    got = db.solve_grid(kind, channels)
+    got = _linked(kind, channels)
     assert {key[0] for key in keys} == sizes
     for chan, res in zip(channels, got):
-        want = SINGLE[kind](chan)
+        want = _sdp_bound(kind)(chan)
         assert res.status == want.status == sdpcore.STATUS_OPTIMAL
         assert res.solution.iterations == want.solution.iterations
         assert res.value == want.value
@@ -709,17 +720,16 @@ def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch,
 
 
 def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
-    # The mechanism, not a timing: on a 51-point reverse grid of one null
-    # space size, one QR per problem, one coefficient lowering for the one
-    # PSD block of the one lockstep group, and one stacked link product of
-    # the channels' Choi matrices.  The channels are dephased (singular),
-    # so no rev has a closed form.
+    # The mechanism, not a timing: on a 51-point grid of the reference
+    # link program of rev, of one null space size, one QR per problem, one
+    # coefficient lowering for the one PSD block of the one lockstep group,
+    # and one stacked link product of the channels' Choi matrices.
     channels = [pinched(ch.gad(p, 0.5)) for p in np.linspace(0.0, 1.0, 51)]
     calls = {}
     _spy(monkeypatch, sdpcore, "_null_space", calls)
     _spy(monkeypatch, sdpcore, "_lowered_coeffs", calls)
-    _spy(monkeypatch, db, "link_raw", calls)
-    got = db.solve_grid(db.KIND_REV, channels)
+    _spy(monkeypatch, ch, "link_raw", calls)
+    got = _linked(db.KIND_REV, channels)
     assert all(r.status == sdpcore.STATUS_OPTIMAL for r in got)
     assert calls == {"_null_space": 51, "_lowered_coeffs": 1, "link_raw": 1}
 
@@ -739,12 +749,13 @@ def _same_result(got, want):
 
 
 def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
-    # Singular qutrit channels, so that rev and revT reach the SDP: the
-    # pinching P onto span(|0>, |1>) and |2>, depolarized after it on both
-    # sides of the PPT boundary q = 3/4 (alphaT applies at the first two
-    # only), and a complex channel.  The range and rev in one call solve
-    # its five kinds once, rev and revT in one lockstep batch per realness,
-    # and every result is bitwise its kind's own grid result.
+    # Singular qutrit channels: the pinching P onto span(|0>, |1>) and |2>,
+    # depolarized after it on both sides of the PPT boundary q = 3/4
+    # (alphaT applies at the first two only), and a complex channel.  The
+    # range and rev in one call solve its five kinds once, and every result
+    # is bitwise its kind's own grid result.  The reference link programs
+    # of rev and revT, declared together, run in one lockstep batch per
+    # realness.
     pinching = pinched(ch.identity_channel(3), 2)
     channels = [ch.compose(ch.depolarizing(q, 3), pinching) for q in (0.9, 0.8, 0.5, 0.3, 0.1)]
     channels.append(pinched(ch.random_channel(3, 3, seed=3), 2, random_unitary(3, 3)))
@@ -762,11 +773,16 @@ def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
 
     runs = {}
     _spy(monkeypatch, sdpcore, "_lockstep", runs)
-    db.solve_grid(db.KIND_REV, channels)
+    rev = _linked(db.KIND_REV, channels)
     alone = runs["_lockstep"]
     runs["_lockstep"] = 0
-    db.solve_grids([db.KIND_REV, db.KIND_REV_T], channels)
+    both = db._solve([link_program(channels, kind) for kind in (db.KIND_REV, db.KIND_REV_T)],
+                     sdpcore.DEFAULT_TOL)
     assert runs["_lockstep"] == alone == 2
+    for res, want in zip(both[0], rev):
+        _same_result(res, want)
+    for res, want in zip(both[1], _linked(db.KIND_REV_T, channels)):
+        _same_result(res, want)
 
 
 @pytest.mark.parametrize("kind", [db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H], ids=_kind_id)
@@ -794,7 +810,7 @@ def test_reverse_closed_form_law():
     rec = properties.Recorder("reverse closed form")
     properties.reverse_closed_form(rng, sdpcore.DEFAULT_TOL, rec, (2, 3, 4, 5) * 3)
     assert rec.failed == 0, rec.first
-    assert rec.passed >= 200
+    assert rec.passed >= 190
 
 
 def _original_reverse_channels():
@@ -835,16 +851,19 @@ def test_invertible_channels_skip_the_solver(monkeypatch):
 
 
 def test_reverse_kinds_of_a_grid_share_one_inverse(monkeypatch):
-    # A range asks for rev, revT and revH.  One stacked inverse of the 11
-    # superoperators serves all three, rev and revH share one link to the
-    # identity anchor, revT links only its own, and every result is
-    # bitwise its single-channel call.
+    # A range asks for rev, revT and revH.  One stacked inverse of the 16
+    # superoperators serves all three, also with the singular eta = 0
+    # points in the stack (no inverse slice by slice), rev and revH share
+    # one link to the identity anchor, revT links only its own, and every
+    # result is bitwise its single-channel call.
     channels = [ch.gad(p, 0.6) for p in np.linspace(0.0, 1.0, 11)]
+    channels += [ch.gad(p, 0.0) for p in np.linspace(0.0, 1.0, 5)]
     reverse = (db.KIND_REV, db.KIND_REV_T, db.KIND_REV_H)
     want = {kind: [SINGLE[kind](chan) for chan in channels] for kind in reverse}
     ranges = [db.dp_range(chan) for chan in channels]
     calls, linked = {}, []
     _spy(monkeypatch, db, "_inverse", calls)
+    _spy(monkeypatch, np.linalg, "inv", calls)
 
     def link_raw(later, *args):
         linked.append(np.shape(later))
@@ -852,40 +871,55 @@ def test_reverse_kinds_of_a_grid_share_one_inverse(monkeypatch):
 
     monkeypatch.setattr(db, "link_raw", link_raw)
     got = db.solve_grids([db.KIND_DP, *reverse], channels)
-    assert calls["_inverse"] == 1
+    assert calls == {"_inverse": 1, "inv": 0}
     assert linked == [(4, 4), (4, 4)]
     assert got[db.KIND_DP] == ranges
     for kind in reverse:
+        assert [r.value == 1.0 for r in got[kind]] == [False] * 11 + [True] * 5
         for res, single in zip(got[kind], want[kind]):
             _same_result(res, single)
 
 
-def test_closed_form_rule_keeps_the_solver_for_what_it_cannot_bound(monkeypatch):
+def test_closed_form_reports_what_it_cannot_bound():
     chan = ch.gad(0.5, 0.6)
-    # 4 eps of rounding exceeds a tolerance of 1e-16: the SDP decides.
+    # 4 eps of rounding exceeds a tolerance of 1e-16: rev and revT keep
+    # their value and witness, bitwise, and read numerical_failure, still
+    # without a solve.
     for f in (db.reverse_alpha, db.reverse_alpha_transpose):
-        assert f(chan, 1e-16).solution.iterations > 0
+        tight, loose = f(chan, 1e-16), f(chan)
+        assert (tight.status, loose.status) == (sdpcore.STATUS_NUMERICAL, sdpcore.STATUS_OPTIMAL)
+        assert tight.solution.iterations == loose.solution.iterations == 0
+        assert tight.value == loose.value
+        assert np.array_equal(tight.witness, loose.witness)
+        assert tight.solution.primal_residual > 1e-16 >= 0.0 == tight.solution.gap
     # A bad tolerance raises, also where the closed form would have taken
     # every channel.
     for tol in (float("inf"), float("nan"), -1.0):
         with pytest.raises(ValueError, match="tol must be finite"):
             db.reverse_alpha(chan, tol)
-    # Singular channels go to the SDP in a grid with invertible ones, and
-    # get the result of their single call.
+    # Singular channels read exactly 1 in a grid with invertible ones, and
+    # every point gets the result of its single call.  Their bound, from
+    # the smallest singular value of the map, is below the default
+    # tolerance and above 1e-16.
     grid = [ch.gad(0.3, 0.0), chan, ch.depolarizing(1.0), ch.bitflip(0.5), ch.gad(0.9, 0.3)]
+    singular = [True, False, True, True, False]
     for kind in (db.KIND_REV, db.KIND_REV_T):
-        got = db.solve_grid(kind, grid)
-        assert [r.solution.iterations > 0 for r in got] == [True, False, True, True, False]
-        for c, res in zip(grid, got):
-            want = SINGLE[kind](c)
-            assert (res.status, res.value) == (want.status, want.value)
-            assert res.solution.iterations == want.solution.iterations
+        for tol in (sdpcore.DEFAULT_TOL, 1e-16):
+            got = db.solve_grid(kind, grid, tol)
+            assert [r.value == 1.0 for r in got] == singular
+            assert [r.solution.iterations for r in got] == [0] * 5
+            for c, res in zip(grid, got):
+                _same_result(res, SINGLE[kind](c, tol))
+        for res, one in zip(got, singular):
+            if one:
+                assert 1e-16 < res.solution.primal_residual < 1e-14
+                assert np.array_equal(res.witness, np.eye(4) / 4)
 
 
 def _by_inverse(res, d):
     """Whether a revH result comes from the inverse program, whose y holds
     theta and X only, not D's d^4 coordinates."""
-    return len(res.solution.y) <= d * d + 1
+    return 0 < len(res.solution.y) <= d * d + 1
 
 
 def _rev_hermitian_cases(d):
@@ -903,17 +937,22 @@ def _rev_hermitian_cases(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_rev_hermitian_inverse_matches_the_link_program(d):
     # For an invertible channel D is T_X after N^-1, so the program on
-    # (theta, X) has the iterates of the link program in exact arithmetic:
-    # the same status and iteration count, and values within 1e-9.
-    # Singular channels take the link program itself.
+    # (theta, X) has the iterates of the reference link program in exact
+    # arithmetic: the same status and iteration count, and values within
+    # 1e-9.  Singular channels read exactly 1 without a solve, which the
+    # link program reaches within 1e-9.
     channels, singular = zip(*_rev_hermitian_cases(d))
     got = db.solve_grid(db.KIND_REV_H, channels)
-    [want] = db._solve([db._rev_hermitian_link(list(channels))], sdpcore.DEFAULT_TOL)
-    assert [not _by_inverse(res, d) for res in got] == list(singular)
-    for chan, res, ref in zip(channels, got, want):
+    want = _linked(db.KIND_REV_H, channels)
+    assert [res.solution.iterations == 0 for res in got] == list(singular)
+    for chan, one, res, ref in zip(channels, singular, got, want):
         assert res.status == ref.status == sdpcore.STATUS_OPTIMAL, chan
-        assert res.solution.iterations == ref.solution.iterations, chan
         assert abs(res.value - ref.value) <= 1e-9, chan
+        if one:
+            assert res.value == 1.0, chan
+        else:
+            assert _by_inverse(res, d), chan
+            assert res.solution.iterations == ref.solution.iterations, chan
 
 
 def test_rev_hermitian_grid_of_invertible_channels_sets_up_once(monkeypatch):
@@ -933,19 +972,74 @@ def test_rev_hermitian_grid_of_invertible_channels_sets_up_once(monkeypatch):
         _same_result(res, db.reverse_alpha_hermitian(chan))
 
 
-def test_rev_hermitian_rule_keeps_the_link_program_for_what_it_cannot_bound():
+def test_rev_hermitian_check_reports_what_it_cannot_bound():
     chan = ch.gad(0.5, 0.6)
-    assert _by_inverse(db.reverse_alpha_hermitian(chan), 2)
-    # The bound d^2 e is at least 4 d^3 eps, above a tolerance of 1e-16.
-    assert not _by_inverse(db.reverse_alpha_hermitian(chan, 1e-16), 2)
-    # Singular channels take the link program in a grid with invertible
-    # ones, and every point gets its single call.
+    res = db.reverse_alpha_hermitian(chan)
+    assert res.status == sdpcore.STATUS_OPTIMAL and _by_inverse(res, 2)
+    # At tol 1e-16 the inverse program ends numerical_failure itself.
+    tight = db.reverse_alpha_hermitian(chan, 1e-16)
+    assert tight.status == sdpcore.STATUS_NUMERICAL and _by_inverse(tight, 2)
+    # The check reads the witness against the channel's superoperator:
+    # against one that is off by 1e-6, the same optimal solve keeps its
+    # value and its solution and reads numerical_failure.
+    inverses = db._Inverses([chan])
+    _, m, _ = inverses.linked(db.KIND_REV)
+    sup = inverses.inverse()[0]
+    [[good], [bad]] = db._solve(
+        [db._rev_hermitian_inverse(m, s, 2, sdpcore.DEFAULT_TOL) for s in (sup, sup * (1 + 1e-6))],
+        sdpcore.DEFAULT_TOL,
+    )
+    assert good.status == bad.solution.status == sdpcore.STATUS_OPTIMAL
+    assert bad.status == sdpcore.STATUS_NUMERICAL
+    assert bad.value == good.value == res.value
+    # Singular channels read exactly 1 in a grid with invertible ones, and
+    # every point gets its single call.
     grid = [ch.gad(0.3, 0.0), chan, ch.depolarizing(1.0), ch.random_channel(2, 2, seed=9),
             pinched(ch.gad(0.9, 0.3))]
     got = db.solve_grid(db.KIND_REV_H, grid)
+    assert [r.solution.iterations == 0 and r.value == 1.0 for r in got] == [
+        True, False, True, False, True]
     assert [_by_inverse(r, 2) for r in got] == [False, True, False, True, False]
     for c, res in zip(grid, got):
         _same_result(res, db.reverse_alpha_hermitian(c))
+
+
+def _library_and_reference_cases(d):
+    """Singular, near-singular and ill-conditioned channels of dimension d,
+    each with whether it is singular."""
+    yield ch.depolarizing(1.0, d), True
+    yield pinched(ch.random_channel(d, d, seed=d), max(1, d - 1), random_unitary(d, d)), True
+    yield from ((ch.depolarizing(1.0 - 10.0**-k, d), False) for k in (2, 6, 10))
+    if d == 2:
+        yield ch.gad(0.3, 0.0), True
+        yield from ((ch.gad(0.3, 10.0**-k), False) for k in (1, 4, 8, 12))
+    if d == 4:
+        yield ch.random_channel(4, 4, seed=11), False
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_reverse_kinds_match_the_reference_link_program(d):
+    # The library answers every reverse kind from the inverse of the
+    # channel or, for a singular one, without a solve; the reference link
+    # program solves for every coordinate of the degrading map and needs
+    # no inverse.  Singular channels read exactly 1 with 0 iterations; the
+    # others agree with the reference within its tolerance, and revH of an
+    # invertible channel, which runs the same iterates, also in status.
+    channels, singular = zip(*_library_and_reference_cases(d))
+    for kind in _REVERSE:
+        got = db.solve_grid(kind, channels)
+        for chan, one, res, ref in zip(channels, singular, got, _linked(kind, channels)):
+            assert res.status == ref.status == sdpcore.STATUS_OPTIMAL, (kind, chan)
+            assert abs(res.value - ref.value) <= 1e-7, (kind, chan, res.value, ref.value)
+            if one:
+                assert res.value == 1.0 and res.solution.iterations == 0, (kind, chan)
+    # The channel of condition number 826, whose a-priori bound sent its
+    # revH to the link program: the same iterations and values within 1e-11.
+    if d == 4:
+        [res] = db.solve_grid(db.KIND_REV_H, channels[-1:])
+        [ref] = _linked(db.KIND_REV_H, channels[-1:])
+        assert res.solution.iterations == ref.solution.iterations
+        assert abs(res.value - ref.value) <= 1e-11
 
 
 def test_reverse_hermitian_witness_law():

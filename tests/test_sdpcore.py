@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 
 from qdoeblin import sdpcore
-from reference import pinched, random_unitary, real_embed
+from reference import link_program, pinched, random_unitary, real_embed
 
 
 def max_eig_problem(c: np.ndarray) -> sdpcore.SdpProblem:
@@ -1232,14 +1232,16 @@ def test_pinned_qudit4_solves(key):
 
 def test_overflowing_step_ratio_does_not_warn():
     # The diagonal block's ratio test divides by direction entries that
-    # can be subnormal here; an overflowing ratio is an unbounded step and
-    # must not reach stderr as a RuntimeWarning.
+    # can be subnormal here, in the reference link program of rev at a
+    # replacer; an overflowing ratio is an unbounded step and must not
+    # reach stderr as a RuntimeWarning.
     from qdoeblin import channel as ch
     from qdoeblin import doeblin as db
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = db.reverse_alpha(ch.gad(0.5, 0.0), tol=1e-16)
+        [[res]] = db._solve([link_program([ch.gad(0.5, 0.0)], db.KIND_REV)], 1e-16)
+    assert res.solution.iterations > 0
     assert res.status in ("max_iter", "numerical_failure")
 
 
@@ -1248,8 +1250,8 @@ def test_overflowing_step_ratio_does_not_warn():
 )
 def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max_iter):
     # Every kind of a complex qutrit channel, run past what the solver can
-    # reach: each must end non-optimal, not raise or warn.  rev and revT of
-    # an invertible channel have a closed form and no program, so they run
+    # reach: each must end non-optimal, not raise or warn.  rev and revT
+    # have no program in the library, so their reference link programs run
     # on a dephased and rotated (singular, complex) copy of the channel.
     from qdoeblin import channel as ch
     from qdoeblin import doeblin as db
@@ -1263,14 +1265,17 @@ def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max
     runs = [(kind, chan) for kind in (
         db.alpha, db.alpha_transpose, db.alpha_hermitian, db.alpha_transpose_hermitian,
         db.p1_eb_ppt, db.reverse_alpha_hermitian)]
-    runs += [(kind, singular) for kind in (db.reverse_alpha, db.reverse_alpha_transpose)]
+    runs += [
+        (lambda c, tol, kind=kind: db._solve([link_program([c], kind)], tol)[0][0], singular)
+        for kind in (db.KIND_REV, db.KIND_REV_T)
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kind, chan in runs:
             res = kind(chan, tol)
-            assert res.status != sdpcore.STATUS_OPTIMAL, kind.__name__
+            assert res.status != sdpcore.STATUS_OPTIMAL, res.kind
             if res.solution is not None:
-                assert res.solution.iterations <= max_iter, kind.__name__
+                assert res.solution.iterations <= max_iter, res.kind
 
 
 def _group_mate(bad: sdpcore.SdpProblem) -> sdpcore.SdpProblem:
