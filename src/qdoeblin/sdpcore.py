@@ -46,14 +46,12 @@ coefficients become ``T^T A`` (one gemm per block), each box bound the row
 ``+-T[i]`` of the diagonal block, and every solver variable enters every
 block.  Without equality rows ``T = I``.  Equality rows are eliminated by
 the null-space method (Nocedal & Wright, *Numerical Optimization*, 2nd
-ed., section 16.2).  One pivoted QR of ``E^T`` in full mode gives the rank
-of E, an orthonormal basis Z of its null space and the min-norm solution
-``y_p`` of ``E y = f``; an inconsistent system is rejected there.  The QR
-calls LAPACK directly, with the calls and workspace sizes of
-``scipy.linalg.qr``, so Z and ``y_p`` are bitwise scipy's.  Then
-``T = [y_p, Z]`` and ``v = (theta, w)``: the one equality left,
-``theta = 1``, is the only bordered row of the KKT system, which is solved
-by LU factorisation.  The start ``theta = 0, w = 0`` is the start ``y = 0``
+ed., section 16.2).  One SVD of E gives its rank, an orthonormal basis Z of
+its null space and the min-norm solution ``y_p`` of ``E y = f``; an
+inconsistent system is rejected there.  Then ``T = [y_p, Z]`` and
+``v = (theta, w)``: the one equality left, ``theta = 1``, is the only
+bordered row of the KKT system, which is solved by pivoted LU
+factorisation.  The start ``theta = 0, w = 0`` is the start ``y = 0``
 of the full problem, and its iterates stay in ``{c y_p + Z w}``, so in
 exact arithmetic the reduced iteration takes the steps of the full one on
 ``1 + n - rank(E)`` instead of n variables.  Residuals, the objective and
@@ -76,8 +74,11 @@ give ``S^-1 = L^-H L^-1``, and every step-length search is one
 and eigenvalues come from numpy's own LAPACK gufuncs, called without the
 ``np.linalg`` wrappers and their checks: a slice that LAPACK fails on
 comes back NaN and is read as a mask, with no exception and no retry one
-slice at a time.  Each KKT matrix is LU-factored once per iteration; the
-predictor, the corrector and their refinement steps reuse the factors.
+slice at a time.  The KKT systems go through the ``solve`` gufunc (a
+pivoted LU, ``dgesv``) the same way: the predictor, the corrector and each
+refinement step are one call for the whole batch, and refinement runs on
+the problems whose residual is above roundoff.  Numpy is the only
+dependency.
 
 :func:`solve_many` sets a list of problems up in one pass per group and
 runs it as lockstep batches, in the manner of the batched interior-point
@@ -88,11 +89,11 @@ sides, multiplicities and real or complex constants, and their equality
 row count.  Its shared parts are validated and lowered once; its
 constants, equality rows, right-hand sides and the coefficient lists that
 are not one shared list are validated as stacks, ``T^T A`` is one batched
-gemm per block and the box rows come from the stacked T.  The only
-per-problem set-up is the QR of ``E^T``.  Set-up stops at the first check
-that fails; a list that fails is then set up again one problem at a time,
-in input order, so it raises the error its first invalid problem raises
-alone.
+gemm per block, the box rows come from the stacked T and the null spaces
+of the equality rows are one batched SVD, so no set-up runs one problem at
+a time.  Set-up stops at the first check that fails; a list that fails is
+then set up again one problem at a time, in input order, so it raises the
+error its first invalid problem raises alone.
 
 Problems that share their shapes (the count of solver variables and the
 side of every block, the diagonal block of box rows included) and the
@@ -126,7 +127,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from numpy.linalg import _umath_linalg
 
 DEFAULT_TOL = 1e-8
@@ -138,19 +138,15 @@ SYM_TOL = 1e-11
 # hold; a larger group of same-structure problems runs as several batches.
 BATCH_BYTES = 1 << 26
 
-_LU_FACTOR = sla.lapack.dgetrf
-_LU_SOLVE = sla.lapack.dgetrs
-_QR_P = sla.lapack.dgeqp3
-_Q_FROM_QR = sla.lapack.dorgqr
-_TRI_SOLVE = sla.lapack.dtrtrs
 # numpy's own LAPACK gufuncs, the kernels behind ``np.linalg.cholesky``,
-# ``inv`` and ``eigvalsh``, called without the wrappers' checks.  A slice
-# that LAPACK fails on comes back NaN and raises the floating-point invalid
-# flag, which the wrappers turn into ``LinAlgError``; here the flag is
-# ignored and the NaN read as a mask.
+# ``inv``, ``eigvalsh`` and ``solve`` (a pivoted LU, ``dgesv``), called
+# without the wrappers' checks.  A slice that LAPACK fails on comes back NaN
+# and raises the floating-point invalid flag, which the wrappers turn into
+# ``LinAlgError``; here the flag is ignored and the NaN read as a mask.
 _CHOLESKY = _umath_linalg.cholesky_lo
 _INV = _umath_linalg.inv
 _EIGVALSH = _umath_linalg.eigvalsh_lo
+_SOLVE = _umath_linalg.solve1
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -511,60 +507,38 @@ class _DiagBlock:
         return ratio.min(axis=1)
 
 
-@functools.cache
-def _qr_work(rows: int, cols: int) -> tuple[int, int]:
-    """Workspace sizes of ``dgeqp3`` and ``dorgqr`` for a ``rows x cols``
-    matrix, as :func:`scipy.linalg.qr` queries them: LAPACK's blocked
-    algorithms follow the workspace size, so the same query gives the same
-    arithmetic."""
-    a = np.zeros((rows, cols), order="F")
-    lw_qr = int(_QR_P(a, lwork=-1)[3][0])
-    tau = np.zeros(min(rows, cols))
-    lw_q = int(_Q_FROM_QR(np.zeros((rows, rows), order="F"), tau, lwork=-1)[1][0])
-    return lw_qr, lw_q
-
-
-def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
     """``T = [y_p, Z]``: ``E y = f`` exactly when ``y = y_p + Z w``.
 
-    One pivoted QR ``E^T P = Q R`` in full mode gives the rank r of E, the
-    orthonormal null-space basis ``Z = Q[:, r:]`` and the min-norm solution
-    ``y_p = Q[:, :r] u`` with ``R_11^T u = (P^T f)[:r]``; the rows beyond
-    the rank only have to be consistent with it.  The LAPACK calls are
-    those of ``scipy.linalg.qr(e.T, pivoting=True)`` and
-    ``scipy.linalg.solve_triangular(..., trans="T")``, with the same
-    workspace sizes, so T is bitwise theirs without their per-call checks.
+    One SVD ``E = U S V^T`` gives the rank r of E, the count of singular
+    values above ``1e-12 * max(1, s_max)``, the orthonormal null-space basis
+    ``Z = V[:, r:]`` and the min-norm solution ``y_p = V[:, :r] S_r^-1
+    U[:, :r]^T f``; the rows beyond the rank only have to be consistent
+    with it.  For one system E is ``(m, n)`` and f ``(m,)``, and T comes
+    back.  For stacks ``(B, m, n)`` and ``(B, m)`` numpy's batched SVD
+    factors every slice in one call, with the arithmetic of the slice
+    alone, and the result is one pair ``(rows, T)`` per rank: T stacks the
+    bases of the slices ``rows``, which have that rank.
     """
-    n, m = e.shape[1], e.shape[0]
-    q, rank, u = np.eye(n), 0, np.zeros(0)
-    if n:
-        lw_qr, lw_q = _qr_work(n, m)
-        qr, piv, tau, _, _ = _QR_P(e.T, lwork=lw_qr)
-        piv -= 1
-        diag = np.abs(np.diagonal(qr))
-        scale = diag[0] if diag[0] > 0 else 1.0
-        rank = int(np.sum(diag > 1e-12 * max(1.0, scale)))
-        if rank:
-            # R_11 from the upper triangle of the factors, solved as
-            # ``scipy.linalg.solve_triangular`` solves the C-ordered
-            # ``np.triu`` copy of it: from rank 2 on as its lower-triangular
-            # transpose.  The reflectors below the diagonal are not read.
-            r11, rhs = qr[:rank, :rank], f[piv[:rank]]
-            if rank == 1:
-                u = _TRI_SOLVE(r11, rhs, lower=0, trans=1)[0]
-            else:
-                u = _TRI_SOLVE(r11.T, rhs, lower=1, trans=0)[0]
-        # Q overwrites the factors it is formed from.
-        if n < m:
-            q = _Q_FROM_QR(qr[:, :n], tau, lwork=lw_q, overwrite_a=1)[0]
-        else:
-            q = np.empty((n, n))
-            q[:, :m] = qr
-            q = _Q_FROM_QR(q, tau, lwork=lw_q, overwrite_a=1)[0]
-    y_p = q[:, :rank] @ u
-    if np.max(np.abs(e @ y_p - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
+    one = e.ndim == 2
+    if one:
+        e, f = e[None], f[None]
+    u, s, vt = np.linalg.svd(e)
+    keep = s > 1e-12 * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None]
+    coef = np.divide(np.vecmat(f, u)[:, : s.shape[1]], s, out=np.zeros_like(s), where=keep)
+    y_p = np.vecmat(coef, vt[:, : s.shape[1]])
+    dev = np.abs(np.matvec(e, y_p) - f).max(axis=1, initial=0.0)
+    if np.any(dev > 1e-9 * (1.0 + np.abs(f).max(axis=1, initial=0.0))):
         raise ValueError("equality constraints are inconsistent")
-    return np.column_stack([y_p, q[:, rank:]])
+    rank = np.count_nonzero(keep, axis=1)
+    v = vt.transpose(0, 2, 1)
+    out = []
+    # Not ``np.unique``, which imports ``numpy.ma`` on first use: 10-15 ms
+    # in every fresh pool worker of a ``figures`` command.
+    for r in sorted(set(rank.tolist())):
+        rows = np.flatnonzero(rank == r)
+        out.append((rows, np.concatenate([y_p[rows, :, None], v[rows, :, r:]], axis=2)))
+    return out[0][1][0] if one else out
 
 
 class _Reduction(NamedTuple):
@@ -745,7 +719,8 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem]) -> tuple:
     coefficients as ``(idx, mats, dtype)`` per block (``mats`` of one
     slice, or of one per problem when each has its own list), and the equality
     stacks ``e``, ``f`` (of one slice when every problem shares its rows)
-    with the null-space basis of each slice.
+    with the null-space bases of the slices, one ``(rows, T)`` pair per
+    rank (see :func:`_null_space`).
     """
     n = first.num_vars
     b = _check_objective(first.objective, n)
@@ -764,7 +739,7 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem]) -> tuple:
             f = _stack([p.eq_rhs for p in own]).astype(float, copy=False)
             if not (np.isfinite(e).all() and np.isfinite(f).all()):
                 raise ValueError("equality constraints must be finite")
-            ts = [_null_space(ej, fj) for ej, fj in zip(e, f)]
+            ts = _null_space(e, f)
 
     cs, coeffs = [], []
     for k, blk in enumerate(first.blocks):
@@ -792,8 +767,9 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
 
     The shared objective, bounds and coefficient lists are checked and
     lowered once; constants, equality rows and coefficient lists of the
-    problems' own are checked and lowered as stacks, and the only
-    per-problem work is the QR of :func:`_null_space`.  The group
+    problems' own are checked and lowered as stacks, and the null spaces
+    of the equality rows are one batched SVD (see :func:`_null_space`), so
+    nothing is set up one problem at a time.  The group
     comes back as one part per lockstep key: problems whose rows leave null
     spaces of different sizes iterate on different variable counts.
     Raises the ``ValueError`` of the first check that fails.
@@ -821,15 +797,8 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
     # problem shares one basis.
     if ts is None:
         split = [(slice(None), np.eye(n)[None], None)]
-    elif len(ts) == 1:
-        split = [(slice(None), ts[0][None], [0])]
     else:
-        by_size: dict[int, list[int]] = {}
-        for j, t in enumerate(ts):
-            by_size.setdefault(t.shape[1], []).append(j)
-        split = [
-            (js, np.stack([ts[j] for j in js]), js) for js in map(np.array, by_size.values())
-        ]
+        split = [(rows if len(e) > 1 else slice(None), t, rows) for rows, t in ts]
     parts = []
     for rows, t, eq_rows in split:
         nv = t.shape[2]
@@ -972,9 +941,10 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     search stay per dense block, on views of the rows.  The operator and
     the adjoint use one ``(P, k, total)`` coefficient matrix over all
     blocks, the diagonal one included, and the multiplicities enter as a
-    weight per column.  Floating-point flags are ignored for the whole
-    run: a slice that LAPACK fails on reads as NaN, and every failure is
-    caught by the checks below.
+    weight per column.  Each KKT solve is one ``solve`` gufunc call over the
+    batch.  Floating-point flags are ignored for the whole run: a slice
+    that LAPACK fails on, an exactly singular KKT matrix among them, reads
+    as NaN, and every failure is caught by the checks below.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
     and step count; whatever ends one problem (convergence, a failed
@@ -1129,17 +1099,20 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         return facs, ok
 
     def kkt_solve(rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sol = np.empty_like(rhs)
-        for i, (lu, piv) in enumerate(st.lu):
-            sol[i] = _LU_SOLVE(lu, piv, rhs[i])[0]
+        """The KKT systems of the rows ``rhs``, one pivoted LU solve for the
+        batch, and which are finite.  An exactly singular matrix gives a NaN
+        row.  One step of iterative refinement, again one solve, serves the
+        rows whose residual is above roundoff."""
+        sol = _SOLVE(st.kkt, rhs)
         ok = np.isfinite(sol).all(axis=1)
         if np.count_nonzero(ok) < len(ok):
             sol[~ok] = 0.0
         resid = rhs - np.matvec(st.kkt, sol)
-        big = np.abs(resid).max(axis=1) > 1e-13 * (1.0 + np.abs(rhs).max(axis=1))
-        for i in np.flatnonzero(big & ok):
-            lu, piv = st.lu[i]
-            sol[i] = sol[i] + _LU_SOLVE(lu, piv, resid[i])[0]
+        big = np.flatnonzero(
+            (np.abs(resid).max(axis=1) > 1e-13 * (1.0 + np.abs(rhs).max(axis=1))) & ok
+        )
+        if big.size:
+            sol[big] += _SOLVE(st.kkt[big], resid[big])
         return sol, ok
 
     def directions(h: np.ndarray) -> tuple:
@@ -1212,17 +1185,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         if red:
             # The one bordered row: theta = 1.
             st.kkt[:, 0, nv + 1] = st.kkt[:, nv + 1, 0] = 1.0
-        # One LU factorisation per problem serves the predictor, the
-        # corrector and their refinements.  A non-finite or exactly
-        # singular KKT matrix ends the problem instead of stepping along
-        # inf/nan directions.
-        ok = np.isfinite(st.kkt.reshape(len(st.pos), -1)).all(axis=1)
-        st.lu = np.empty(len(ok), dtype=object)
-        for i in np.flatnonzero(ok):
-            lu, piv, info = _LU_FACTOR(st.kkt[i])
-            st.lu[i] = (lu, piv)
-            ok[i] = info == 0
-        if not stop(ok, broken=True):
+        # A non-finite KKT matrix ends the problem instead of stepping
+        # along inf/nan directions; LAPACK can return finite solutions of a
+        # matrix with an infinite entry, so it is caught here.  An exactly
+        # singular one ends it at the predictor's solve.
+        if not stop(np.isfinite(st.kkt.reshape(len(st.pos), -1)).all(axis=1), broken=True):
             break
 
         st.p_xr = products(st.xm, views(st.r_d), st.sim)

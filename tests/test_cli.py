@@ -737,3 +737,22 @@ def test_cli_import_pins_blas_threads():
 
     assert pinned({}) == ["1", "1", "1"]
     assert pinned({"OPENBLAS_NUM_THREADS": "3"}) == ["3", "1", "1"]
+
+
+def test_library_and_a_coeff_run_import_no_scipy():
+    # numpy is the library's only dependency: importing every module and
+    # answering a coefficient from the CLI loads no scipy.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qdoeblin.__file__)))
+    modules = ("channel", "cli", "doeblin", "hermlin", "oracles", "properties", "sdpcore")
+    code = (
+        "import sys, qdoeblin\n"
+        f"from qdoeblin import {', '.join(modules)}\n"
+        "code = cli.main(['coeff', '--channel', 'gad', '--p', '0.3', '--eta', '0.6',"
+        " '--kind', 'alpha'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("alpha,alpha_status\n")

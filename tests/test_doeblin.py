@@ -721,9 +721,10 @@ def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch,
 
 def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
     # The mechanism, not a timing: on a 51-point grid of the reference
-    # link program of rev, of one null space size, one QR per problem, one
-    # coefficient lowering for the one PSD block of the one lockstep group,
-    # and one stacked link product of the channels' Choi matrices.
+    # link program of rev, of one null space size, one batched SVD of the
+    # 51 problems' own equality rows, one coefficient lowering for the one
+    # PSD block of the one lockstep group, and one stacked link product of
+    # the channels' Choi matrices.
     channels = [pinched(ch.gad(p, 0.5)) for p in np.linspace(0.0, 1.0, 51)]
     calls = {}
     _spy(monkeypatch, sdpcore, "_null_space", calls)
@@ -731,7 +732,7 @@ def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
     _spy(monkeypatch, ch, "link_raw", calls)
     got = _linked(db.KIND_REV, channels)
     assert all(r.status == sdpcore.STATUS_OPTIMAL for r in got)
-    assert calls == {"_null_space": 51, "_lowered_coeffs": 1, "link_raw": 1}
+    assert calls == {"_null_space": 1, "_lowered_coeffs": 1, "link_raw": 1}
 
 
 def _same_result(got, want):
@@ -835,7 +836,7 @@ def test_invertible_channels_skip_the_solver(monkeypatch):
             assert res.solution.iterations == 0, (kind, chan)
     assert calls == {"solve": 0, "_lockstep": 0}
     # A grid is one stacked closed form: one link product, of the anchor
-    # with every channel, and no QR of equality rows.
+    # with every channel, and no SVD of equality rows.
     _spy(monkeypatch, sdpcore, "_null_space", calls)
     linked = []
 
@@ -957,7 +958,7 @@ def test_rev_hermitian_inverse_matches_the_link_program(d):
 
 def test_rev_hermitian_grid_of_invertible_channels_sets_up_once(monkeypatch):
     # The mechanism, not a timing: one stacked inverse and link product,
-    # one QR (of the one shared row theta = 1) and one coefficient
+    # one SVD (of the one shared row theta = 1) and one coefficient
     # lowering of the per-channel PSD block for a 51-point grid.
     channels = [ch.gad(p, 0.5) for p in np.linspace(0.0, 1.0, 51)]
     calls = {}

@@ -1413,13 +1413,16 @@ def _row_systems():
 
 
 @pytest.mark.parametrize("name, e, f", list(_row_systems()), ids=[n for n, _, _ in _row_systems()])
-def test_null_space_matches_scipy_bitwise(name, e, f):
+def test_null_space_matches_scipy_reference(name, e, f):
     t = sdpcore._null_space(e, f)
     want = _null_space_reference(e, f)
     assert t.shape == want.shape and t.dtype == want.dtype
-    assert np.array_equal(t, want)
     y_p, z = t[:, 0], t[:, 1:]
     scale = 1.0 + np.abs(e).max()
+    # The same null space and the same min-norm solution; the basis of the
+    # null space is any orthonormal one.
+    np.testing.assert_allclose(z @ z.T, want[:, 1:] @ want[:, 1:].T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y_p, want[:, 0], rtol=0, atol=1e-12 * scale)
     assert np.abs(e @ z).max(initial=0.0) <= 1e-12 * scale
     np.testing.assert_allclose(z.T @ z, np.eye(z.shape[1]), rtol=0, atol=1e-12)
     assert np.abs(e @ y_p - f).max() <= 1e-12 * scale * (1.0 + np.abs(f).max())
@@ -1517,6 +1520,39 @@ def test_own_coefficient_lists_split_by_real_or_complex_data():
     assert signatures[0] == signatures[2] != signatures[1]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         _same(got, sdpcore.solve(prob))
+
+
+def test_refinement_of_one_problem_leaves_the_batch_alone(monkeypatch):
+    # Failure injection: the first predictor solve of one problem in a
+    # lockstep batch of four comes back off by far more than roundoff.
+    # Iterative refinement must run on that problem alone and repair it,
+    # and the other three must keep bitwise their solo results.
+    problems = _own_coefficient_problems(True)[:4]
+    assert len(_batch_lists(problems)) == 1
+    alone = [sdpcore.solve(p) for p in problems]
+    victim, sizes = 2, []
+    solve = sdpcore._SOLVE
+
+    def perturbed(kkt, rhs):
+        sol = solve(kkt, rhs)
+        if not sizes:
+            sol[victim] += 1e-6 * (1.0 + np.abs(sol[victim]).max())
+        sizes.append(len(kkt))
+        return sol
+
+    monkeypatch.setattr(sdpcore, "_SOLVE", perturbed)
+    together = sdpcore.solve_many(problems)
+    # The predictor solve of the batch, then one refinement solve of the
+    # perturbed problem only.
+    assert sizes[:2] == [4, 1]
+    for j, (got, want) in enumerate(zip(together, alone)):
+        assert want.status == "optimal"
+        if j == victim:
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            assert abs(got.objective_value - want.objective_value) <= 1e-8
+        else:
+            _same(got, want)
+            assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
 
 
 def _own_coefficient_faults():
