@@ -1391,6 +1391,22 @@ def _null_space_reference(e, f):
     return np.column_stack([y_p, q[:, rank:]])
 
 
+def _null_space_svd_reference(e, f):
+    """``T = [y_p, Z]`` of one system through ``scipy.linalg.svd``.
+
+    The factors are copied to C order, the order numpy's SVD returns them
+    in: the summation order of ``np.vecmat`` depends on the layout.
+    """
+    u, s, vt = (np.ascontiguousarray(a) for a in sla.svd(e, lapack_driver="gesdd"))
+    rank = int(np.sum(s > 1e-12 * max(1.0, s.max(initial=0.0))))
+    coef = np.zeros(s.size)
+    coef[:rank] = np.vecmat(f, u)[:rank] / s[:rank]
+    y_p = np.vecmat(coef, vt[: s.size])
+    if np.max(np.abs(e @ y_p - f)) > 1e-9 * (1.0 + np.max(np.abs(f))):
+        raise ValueError("equality constraints are inconsistent")
+    return np.column_stack([y_p, vt[rank:].T])
+
+
 def _row_systems():
     """(name, E, f) with consistent rows: wide, tall, square, rank-deficient."""
     rng = np.random.default_rng(409)
@@ -1413,6 +1429,16 @@ def _row_systems():
 
 
 @pytest.mark.parametrize("name, e, f", list(_row_systems()), ids=[n for n, _, _ in _row_systems()])
+def test_null_space_matches_scipy_bitwise(name, e, f):
+    # The batched, rank-grouped SVD gives bit for bit what one system
+    # factored alone by scipy's gesdd gives.
+    t = sdpcore._null_space(e, f)
+    want = _null_space_svd_reference(e, f)
+    assert t.shape == want.shape and t.dtype == want.dtype
+    assert np.array_equal(t, want)
+
+
+@pytest.mark.parametrize("name, e, f", list(_row_systems()), ids=[n for n, _, _ in _row_systems()])
 def test_null_space_matches_scipy_reference(name, e, f):
     t = sdpcore._null_space(e, f)
     want = _null_space_reference(e, f)
@@ -1431,7 +1457,7 @@ def test_null_space_matches_scipy_reference(name, e, f):
 def test_null_space_rejects_inconsistent_rows_like_scipy():
     e = np.array([[1.0, 1.0], [2.0, 2.0]])
     f = np.array([1.0, 3.0])
-    for fn in (sdpcore._null_space, _null_space_reference):
+    for fn in (sdpcore._null_space, _null_space_reference, _null_space_svd_reference):
         with pytest.raises(ValueError, match="equality constraints are inconsistent"):
             fn(e, f)
 
