@@ -21,15 +21,15 @@ off the data, with no flag.  Any other program is solved in the basis of
 :func:`qdoeblin.hermlin.hermitian_basis` with complex Hermitian blocks.
 
 Each declaration takes a list of channels of equal dimensions.  The parts
-that do not depend on the channel (PSD-map images, shared equality rows,
-the objective and bounds) are lowered once for the list, once per
-realness, and kept for the next call when they are small.  The parts that
-do are stacks: a per-channel map (the ``J(N^-1)`` terms of revH's
-program) is one call over the stacked data, its equality rows one batched
-gemm, and the variables of every solution one batched product with their
-basis.  A declaration ``declare(channels, tol)`` does not solve: it yields
-its problems and turns the solutions it receives into results (``tol`` is
-the solve tolerance, which the reverse kinds below also read).
+that do not depend on the channel (PSD-map images, the equality rows and
+the objective) are lowered once for the list, once per realness, and kept
+for the next call when they are small.  The parts that do are stacks: the
+PSD constants, a per-channel PSD map (the ``J(N^-1)`` terms of revH's
+program) as one call over the stacked data, and the variables of every
+solution as one batched product with their basis.  A declaration
+``declare(channels, tol)`` does not solve: it yields its problems and
+turns the solutions it receives into results (``tol`` is the solve
+tolerance, which the reverse kinds below also read).
 :func:`solve_grids`, the grid entry, hands the problems of every kind and
 dimension it is asked for to one :func:`qdoeblin.sdpcore.solve_many` call,
 which sets each group of them up in one pass and solves them as lockstep
@@ -174,7 +174,7 @@ def _keeps_conjugation(images: np.ndarray, side: int) -> np.ndarray:
 
 
 class _PerProblem(NamedTuple):
-    """A map of :func:`_program` that differs per problem.
+    """A PSD map of :func:`_program` that differs per problem.
 
     ``images`` maps the ``(k, n, n)`` basis stack of its variable to the
     ``(count, k, m, m)`` stack of the images of every problem's map.
@@ -183,21 +183,16 @@ class _PerProblem(NamedTuple):
     images: Callable[[np.ndarray], np.ndarray]
 
 
-def _real_declaration(sides, weights, psd, eqs, bounds) -> bool:
+def _real_declaration(sides, weights, psd, eqs) -> bool:
     """Whether the shared part of a declaration is invariant under complex
-    conjugation: real weights and shared constants, shared maps that
-    commute with conjugation, and bounds that admit 0 for the imaginary
-    coordinates."""
-    constants = [*weights.values(), *(c for c, _ in [*psd, *eqs] if np.ndim(c) == 2)]
-    return (
-        not any(np.imag(c).any() for c in constants)
-        and all(
-            _keeps_conjugation(f(hermlin.hermitian_basis(sides[v])), sides[v])
-            for _, maps in [*psd, *eqs]
-            for v, f in maps.items()
-            if callable(f)
-        )
-        and all(lo <= 0.0 <= hi for v, (lo, hi) in (bounds or {}).items() if sides[v] > 1)
+    conjugation: real weights and shared constants, and shared maps that
+    commute with conjugation."""
+    constants = [*weights.values(), *(c for c, _ in eqs), *(c for c, _ in psd if np.ndim(c) == 2)]
+    return not any(np.imag(c).any() for c in constants) and all(
+        _keeps_conjugation(f(hermlin.hermitian_basis(sides[v])), sides[v])
+        for _, maps in [*psd, *eqs]
+        for v, f in maps.items()
+        if callable(f)
     )
 
 
@@ -214,12 +209,12 @@ class _Lowered:
     every problem shares (``None`` where a map is a :class:`_PerProblem`,
     and ``psd_images`` the images of the shared maps of that block),
     ``consts`` the lowered PSD constants shared by every problem (``None``
-    where each problem has its own), ``eq_rows`` the rows of the
-    equalities shared by every problem, and ``eq_images`` the images of the
-    shared maps of the other equalities.
+    where each problem has its own), and ``eq_matrix`` and ``eq_rhs`` the
+    rows of every equality, which every problem shares (``None`` without
+    equalities).
     """
 
-    def __init__(self, sides, weights, psd, eqs, bounds, real):
+    def __init__(self, sides, weights, psd, eqs, real):
         self.real = real
         self.bases = bases = [_basis(side, real) for side in sides]
         self.keep = [hermlin.real_symmetric_mask(side) if real else slice(None) for side in sides]
@@ -239,24 +234,16 @@ class _Lowered:
                 self.psd_images.append(images)
                 self.nbytes += sum(im.nbytes for im in images.values())
             self.consts.append(_frozen(self.block(c)) if np.ndim(c) == 2 else None)
-        self.eq_rows, self.eq_images = [], []
-        for target, maps in eqs:
-            images = {v: _frozen(f(bases[v])) for v, f in maps.items() if callable(f)}
-            shared = np.ndim(target) == 2 and len(images) == len(maps)
-            self.eq_rows.append(self.rows(target, maps, images) if shared else None)
-            self.eq_images.append(None if shared else images)
-            if not shared:
-                self.nbytes += sum(im.nbytes for im in images.values())
+        self.eq_matrix = self.eq_rhs = None
+        if eqs:
+            rows = [self.rows(target, maps) for target, maps in eqs]
+            self.eq_matrix = _frozen(np.concatenate([e for e, _ in rows]))
+            self.eq_rhs = _frozen(np.concatenate([f for _, f in rows]))
         self.objective = np.zeros(n)
         for v, w in weights.items():
             self.objective[self.start[v] : self.start[v + 1]] = _pair_traces([w], bases[v])[0]
-        self.lower, self.upper = np.full(n, -np.inf), np.full(n, np.inf)
-        for v, (lo, hi) in (bounds or {}).items():
-            self.lower[self.start[v] : self.start[v + 1]] = lo
-            self.upper[self.start[v] : self.start[v + 1]] = hi
-        # Later calls share every array kept here.
-        for a in (self.objective, self.lower, self.upper):
-            a.flags.writeable = False
+        # Later calls share the objective.
+        _frozen(self.objective)
 
     def block(self, m: np.ndarray) -> np.ndarray:
         """A Hermitian matrix or stack as data of a PSD block: its real part
@@ -267,20 +254,14 @@ class _Lowered:
     def columns(self, maps) -> np.ndarray:
         return np.concatenate([np.arange(self.start[v], self.start[v + 1]) for v in maps])
 
-    def rows(self, target, maps, images):
-        """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``.
-
-        A target or images with a leading axis, one slice per problem, give
-        a stack of rows and right-hand sides, all from one batched gemm.
-        """
-        target = np.asarray(target)
-        parts = [images[v] for v in maps] + [target[..., None, :, :]]
-        lead = np.broadcast_shapes(*(a.shape[:-3] for a in parts))
-        stack = np.concatenate([np.broadcast_to(a, lead + a.shape[-3:]) for a in parts], axis=-3)
-        traces = _pair_traces(_basis(target.shape[-1], self.real), stack)
-        rows = np.zeros(traces.shape[:-1] + (self.n,))
-        rows[..., self.columns(maps)] = traces[..., :-1]
-        return _frozen(rows), _frozen(traces[..., -1])
+    def rows(self, target, maps):
+        """Equality rows and right-hand side of ``sum_v f_v(X_v) = target``,
+        from one gemm against the basis of the target space."""
+        stack = np.concatenate([f(self.bases[v]) for v, f in maps.items()] + [target[None]])
+        traces = _pair_traces(_basis(len(target), self.real), stack)
+        rows = np.zeros((len(traces), self.n))
+        rows[:, self.columns(maps)] = traces[:, :-1]
+        return rows, traces[:, -1]
 
 
 # Lowered declarations by key and realness, so that a single-channel call
@@ -294,7 +275,7 @@ _REAL_DECLARATIONS: dict = {}
 LOWERED_BYTES = 1 << 20
 
 
-def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
+def _program(sides, weights, psd, eqs=(), *, count, key=None):
     """Declare ``count`` programs that differ only in their data: maximise
     ``sum_v Tr(W_v X_v)`` over Hermitian variables ``X_v``.
 
@@ -302,21 +283,19 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
     ``weights`` maps ``v`` to ``W_v``.  A constraint is a Hermitian matrix
     with a dict of linear maps ``{v: f_v}``: each ``(C, maps)`` in ``psd``
     reads ``C - sum_v f_v(X_v) >= 0`` and each ``(R, maps)`` in ``eqs``
-    reads ``sum_v f_v(X_v) = R``.  ``bounds`` maps ``v`` to ``(lo, hi)``
-    for every coordinate of ``X_v``.  A map receives the whole
-    ``(k, n, n)`` basis stack of its variable, so each PSD block is lowered
-    in one call and each equality by one gemm against the basis of its
-    target space.
+    reads ``sum_v f_v(X_v) = R``.  A map receives the whole ``(k, n, n)``
+    basis stack of its variable, so each PSD block is lowered in one call
+    and each equality by one gemm against the basis of its target space.
 
-    The problems share the variables, the weights and the bounds, which
-    are lowered once.  A constant ``C`` or ``R`` is one matrix or a stack
-    of ``count`` matrices, one per problem, and a map is one callable,
-    lowered once, or a :class:`_PerProblem`, whose one call gives the
-    images of every problem's map.  The rows of an equality with such a
-    map come from one batched gemm for every problem, and a PSD block with
-    one gets a coefficient list per problem, all slices of one stack.
-    ``key`` names the declaration: every call with one key must declare
-    the same shared parts, whose lowering is then kept for the next call.
+    The problems share the variables, the weights and the equalities (one
+    matrix ``R`` and callable maps each), which are lowered once.  A PSD
+    constant ``C`` is one matrix or a stack of ``count`` matrices, one per
+    problem, and a PSD map is one callable, lowered once, or a
+    :class:`_PerProblem`, whose one call gives the images of every
+    problem's map; a block with one gets a coefficient list per problem,
+    all slices of one stack.  ``key`` names the declaration: every call
+    with one key must declare the same shared parts, whose lowering is then
+    kept for the next call.
 
     A problem is real when its program is invariant under complex
     conjugation: every constant has a zero imaginary part and every map
@@ -337,18 +316,18 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
     """
     real_decl = _REAL_DECLARATIONS.get(key) if key is not None else None
     if real_decl is None:
-        real_decl = _real_declaration(sides, weights, psd, eqs, bounds)
+        real_decl = _real_declaration(sides, weights, psd, eqs)
         if key is not None:
             _REAL_DECLARATIONS[key] = real_decl
     real = np.full(count, real_decl)
-    for c, _ in [*psd, *eqs]:
+    for c, _ in psd:
         if np.ndim(c) == 3:
             real &= ~np.imag(c).any(axis=(1, 2))
     # Per-problem maps go to the whole Hermitian basis first, in one call
     # each: their images decide realness too, and a real problem keeps the
     # images of the real basis elements.
-    own = [{} for _ in [*psd, *eqs]]
-    for images, (_, maps) in zip(own, [*psd, *eqs]):
+    own = [{} for _ in psd]
+    for images, (_, maps) in zip(own, psd):
         for v, f in maps.items():
             if isinstance(f, _PerProblem):
                 images[v] = f.images(hermlin.hermitian_basis(sides[v]))
@@ -360,12 +339,12 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
             continue
         low = _LOWERED.get((key, flag)) if key is not None else None
         if low is None:
-            low = _Lowered(sides, weights, psd, eqs, bounds, flag)
+            low = _Lowered(sides, weights, psd, eqs, flag)
             if key is not None and low.nbytes <= LOWERED_BYTES:
                 _LOWERED[key, flag] = low
         lowered.append((low, members))
     sols = iter((yield [
-        p for low, members in lowered for p in _lowered_problems(low, psd, eqs, own, members)
+        p for low, members in lowered for p in _lowered_problems(low, psd, own, members)
     ]))
     out = [None] * count
     for low, members in lowered:
@@ -375,19 +354,14 @@ def _program(sides, weights, psd, eqs=(), bounds=None, *, count, key=None):
     return out
 
 
-def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.SdpProblem]:
+def _lowered_problems(low: _Lowered, psd, own, members) -> list[sdpcore.SdpProblem]:
     """The problems ``members`` of :func:`_program` on their lowering, with
     ``own`` the stacked images of the per-problem maps on the Hermitian
-    basis, per PSD block and then per equality."""
+    basis, per PSD block.  Every problem shares the equality rows."""
     consts = [
         c if c is not None else low.block(c_in if np.ndim(c_in) == 2 else c_in[members])
         for c, (c_in, _) in zip(low.consts, psd)
     ]
-
-    def images(shared, mine, maps) -> dict:
-        """Every map's images: shared, or a stack of one slice per member."""
-        return {v: shared[v] if v in shared else mine[v][members][:, low.keep[v]] for v in maps}
-
     # Each problem's coefficient list of every block: the shared one, or
     # its own, a slice of one lowered stack.
     coeffs = []
@@ -395,33 +369,13 @@ def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.Sdp
         if cf is not None:
             coeffs.append([cf] * len(members))
             continue
-        ims = images(shared, mine, maps)
+        ims = [shared[v] if v in shared else mine[v][members][:, low.keep[v]] for v in maps]
         stack = np.concatenate(
-            [np.broadcast_to(im, (len(members),) + im.shape[-3:]) for im in ims.values()], axis=1
+            [np.broadcast_to(im, (len(members),) + im.shape[-3:]) for im in ims], axis=1
         )
         side = stack.shape[-1]
         stack = low.block(stack.reshape(-1, side, side)).reshape(stack.shape)
         coeffs.append([list(zip(low.columns(maps), each)) for each in stack])
-
-    # Equality rows shared by every problem, or stacks of one slice each.
-    rows = []
-    for (target, maps), shared, ims, mine in zip(eqs, low.eq_rows, low.eq_images, own[len(psd):]):
-        if shared is None:
-            shared = low.rows(
-                target if np.ndim(target) == 2 else target[members], maps, images(ims, mine, maps)
-            )
-        rows.append(shared)
-    eq_matrix = eq_rhs = None
-    if len(rows) == 1:
-        eq_matrix, eq_rhs = rows[0]
-    elif rows:
-        lead = (len(members),) if any(e.ndim == 3 for e, _ in rows) else ()
-        eq_matrix = np.concatenate(
-            [np.broadcast_to(e, lead + e.shape[-2:]) for e, _ in rows], axis=-2
-        )
-        eq_rhs = np.concatenate([np.broadcast_to(f, lead + f.shape[-1:]) for _, f in rows], axis=-1)
-    each = eq_matrix is not None and eq_matrix.ndim == 3
-
     return [
         sdpcore.SdpProblem(
             num_vars=low.n,
@@ -430,10 +384,8 @@ def _lowered_problems(low: _Lowered, psd, eqs, own, members) -> list[sdpcore.Sdp
                 sdpcore.SdpBlock(c=c if c.ndim == 2 else c[i], coeffs=cf[i], w=2)
                 for c, cf in zip(consts, coeffs)
             ],
-            eq_matrix=eq_matrix[i] if each else eq_matrix,
-            eq_rhs=eq_rhs[i] if each else eq_rhs,
-            lower=low.lower,
-            upper=low.upper,
+            eq_matrix=low.eq_matrix,
+            eq_rhs=low.eq_rhs,
         )
         for i in range(len(members))
     ]

@@ -302,8 +302,7 @@ def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
         if not w[-1] > 0:
             raise np.linalg.LinAlgError("no positive eigenvalue to repair from")
         m = (v * np.maximum(w, w[-1] * 1e-14)) @ v.conj().T
-    with np.errstate(invalid="ignore"):
-        ell = _CHOLESKY(m)
+    ell = _CHOLESKY(m)
     if not np.isfinite(ell[-1, -1]):
         raise np.linalg.LinAlgError("matrix is not positive definite")
     return ell
@@ -318,13 +317,10 @@ def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarr
     diagonal entry of every factor.  With ``repair`` a slice that roundoff
     pushed onto the cone boundary is factored after flooring its spectrum
     instead; only a spectrum without a positive eigenvalue still fails.  A
-    slice without a factor gets an identity placeholder.
+    slice without a factor gets an identity placeholder.  Like the other
+    kernels, it runs under the errstate of :func:`_lockstep`.
     """
-    # Quiet on its own, unlike the other kernels, which run under the
-    # errstate of :func:`_lockstep`: a slice that is not positive definite
-    # is an input its callers expect.
-    with np.errstate(invalid="ignore"):
-        ell = _CHOLESKY(m)
+    ell = _CHOLESKY(m)
     ok = np.isfinite(ell[:, -1, -1])
     if np.count_nonzero(ok) < len(ok):
         for i in np.flatnonzero(~ok):

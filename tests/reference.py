@@ -7,10 +7,14 @@ the iterates of this embedding.  ``is_psd`` is the eigenvalue test the
 embedding's tests check positivity with.
 
 ``link_program`` declares the link program of a reverse coefficient, the
-SDP over every coordinate of the degrading map.  The library answers the
-reverse kinds from the inverse of the channel instead; the tests run this
-program through ``doeblin._solve`` to check those answers, and to reach
-the solver with reverse programs of any channel, singular ones included.
+SDP over every coordinate of the degrading map: one ``doeblin._program``
+declaration per channel, whose link map closes over that channel's Choi
+matrix, run together by ``doeblin._together``.  The box ``lo <= p <= hi``
+of rev and revT is put on the yielded problems themselves, since the
+library declares no bounds.  The library answers the reverse kinds from
+the inverse of the channel instead; the tests run this program through
+``doeblin._solve`` to check those answers, and to reach the solver with
+reverse programs of any channel, singular ones included.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import numpy as np
 
 from qdoeblin import channel as ch
 from qdoeblin import hermlin
-from qdoeblin.doeblin import (
-    KIND_REV_H, _fixed_target, _PerProblem, _program, _result, _square_dim,
-)
+from qdoeblin.doeblin import KIND_REV_H, _fixed_target, _program, _result, _square_dim, _together
 from qdoeblin.hermlin import HERM_TOL, PSD_TOL, eig_hermitian, require_hermitian
 
 
@@ -74,13 +76,15 @@ def random_unitary(d: int, seed: int) -> np.ndarray:
 def link_program(channels: list[ch.QuantumChannel], kind: str):
     """The link program of ``kind`` (rev, revT or revH) for every channel,
     a declaration for ``doeblin._solve``: :func:`_fixed_target_program`
-    for rev and revT, :func:`_rev_hermitian_link` for revH."""
-    if kind == KIND_REV_H:
-        return _rev_hermitian_link(channels)
-    return _fixed_target_program(channels, kind)
+    for rev and revT, :func:`_rev_hermitian_link` for revH, one
+    declaration per channel."""
+    _square_dim(channels)
+    program = _rev_hermitian_link if kind == KIND_REV_H else _fixed_target_program
+    solved = yield from _together(program(channel, kind) for channel in channels)
+    return [res for [res] in solved]
 
 
-def _reverse(channels: list[ch.QuantumChannel], kind: str, side: int, extra, target, bounds):
+def _reverse(channel: ch.QuantumChannel, side: int, extra, target):
     """Smallest ``Tr(X)`` such that a degrading map D gives the target family.
 
     D runs from the channel output (dim ``d_b``) back to its input (dim
@@ -88,13 +92,12 @@ def _reverse(channels: list[ch.QuantumChannel], kind: str, side: int, extra, tar
     Choi here, so it lives on ``d_a * d_b`` and the composite on
     ``d_a * d_a``.  D is completely positive and trace preserving, and
     ``J(D compose N) + extra(X) = target`` for the extra variable ``X`` of
-    the given side.  One program per channel; the channel enters only the
-    link-product rows, and the program needs no inverse of it.
+    the given side.  The channel enters only the link-product rows, and
+    the program needs no inverse of it.  A declaration of one problem.
     """
-    d_a = d_b = _square_dim(channels)
-    chois = np.stack([channel.choi.matrix for channel in channels])
-    links = _PerProblem(lambda b: ch.link_raw(b, (d_a, d_b), chois, (d_b, d_a)))
-    solved = yield from _program(
+    d_a = d_b = channel.d_in
+    choi = channel.choi.matrix
+    return _program(
         [d_a * d_b, side],
         {1: -np.eye(side)},
         psd=[(np.zeros((d_a * d_b, d_a * d_b)), {0: np.negative})],
@@ -102,30 +105,38 @@ def _reverse(channels: list[ch.QuantumChannel], kind: str, side: int, extra, tar
             # Tracing out the output factor of D leaves 1/d_b: D is trace
             # preserving.
             (np.eye(d_b) / d_b, {0: lambda b: hermlin.partial_trace(b, (d_a, d_b), 1)}),
-            (target, {0: links, 1: extra}),
+            (target, {0: lambda b: ch.link_raw(b, (d_a, d_b), choi, (d_b, d_a)), 1: extra}),
         ],
-        bounds=bounds,
-        count=len(channels),
-        key=(kind, d_a),
+        count=1,
     )
+
+
+def _results(kind: str, solved):
     return [_result(kind, sol, -sol.objective_value, d_choi) for sol, (d_choi, _) in solved]
 
 
-def _fixed_target_program(channels, kind: str):
+def _fixed_target_program(channel: ch.QuantumChannel, kind: str):
     """The SDP of rev or revT: smallest p in ``[lo, hi]`` with ``D compose
-    N = (1 - p) A + p R`` in Choi form."""
-    d = channels[0].d_in
+    N = (1 - p) A + p R`` in Choi form.  p is the last coordinate, and the
+    box on it is the problem's ``lower`` and ``upper``."""
+    d = channel.d_in
     anchor, lo, hi = _fixed_target(kind, d)
     eye = np.eye(d * d) / (d * d)
-    return (yield from _reverse(
-        channels, kind, 1, lambda b: b * (anchor - eye), anchor, {1: (lo, hi)}
-    ))
+    declaration = _reverse(channel, 1, lambda b: b * (anchor - eye), anchor)
+    [problem] = next(declaration)
+    problem.lower = np.full(problem.num_vars, -np.inf)
+    problem.upper = np.full(problem.num_vars, np.inf)
+    problem.lower[-1], problem.upper[-1] = lo, hi
+    try:
+        declaration.send((yield [problem]))
+    except StopIteration as done:
+        return _results(kind, done.value)
 
 
-def _rev_hermitian_link(channels):
+def _rev_hermitian_link(channel: ch.QuantumChannel, kind: str):
     """The link program of revH (see :func:`_reverse`): the degraded
     channel is ``(1 - Tr X) id + Tr(.) X`` in Choi form."""
-    d = channels[0].d_in
+    d = channel.d_in
     phi = ch.max_entangled(d)
     eye_in = np.eye(d) / d
 
@@ -133,4 +144,4 @@ def _rev_hermitian_link(channels):
         tr = np.trace(b, axis1=-2, axis2=-1).real[:, None, None]
         return tr * phi - hermlin.kron(b, eye_in)
 
-    return (yield from _reverse(channels, KIND_REV_H, d, extra, phi, None))
+    return _results(kind, (yield from _reverse(channel, d, extra, phi)))

@@ -310,7 +310,7 @@ def test_stacked_lowering_matches_per_element_embed():
     # is the old block.
     for d_out, d_in in ((2, 2), (3, 2)):
         dim = d_out * d_in
-        low = db._Lowered([dim], {0: np.eye(dim)}, [], [], None, real=False)
+        low = db._Lowered([dim], {0: np.eye(dim)}, [], [], real=False)
         basis = hermlin.hermitian_basis(dim)
         transposed = [hermlin.partial_transpose(bb, (d_out, d_in), 1) for bb in basis]
         for stack in (basis, transposed):
@@ -717,22 +717,6 @@ def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch,
         assert res.value == want.value
         assert np.array_equal(res.solution.y, want.solution.y)
         assert np.array_equal(res.witness, want.witness)
-
-
-def test_reverse_grid_sets_up_in_one_pass(monkeypatch):
-    # The mechanism, not a timing: on a 51-point grid of the reference
-    # link program of rev, of one null space size, one batched SVD of the
-    # 51 problems' own equality rows, one coefficient lowering for the one
-    # PSD block of the one lockstep group, and one stacked link product of
-    # the channels' Choi matrices.
-    channels = [pinched(ch.gad(p, 0.5)) for p in np.linspace(0.0, 1.0, 51)]
-    calls = {}
-    _spy(monkeypatch, sdpcore, "_null_space", calls)
-    _spy(monkeypatch, sdpcore, "_lowered_coeffs", calls)
-    _spy(monkeypatch, ch, "link_raw", calls)
-    got = _linked(db.KIND_REV, channels)
-    assert all(r.status == sdpcore.STATUS_OPTIMAL for r in got)
-    assert calls == {"_null_space": 1, "_lowered_coeffs": 1, "link_raw": 1}
 
 
 def _same_result(got, want):

@@ -897,12 +897,15 @@ def test_step_length_boundary_repair():
     dm[2, 3] = dm[3, 2] = -0.2
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m)
-    assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
-    a = _step(m, dm, repair=True)
+    # A failed factor warns outside the errstate of the solver loop.
+    with np.errstate(invalid="ignore"):
+        assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
+        a = _step(m, dm, repair=True)
     assert np.isfinite(a)
     _assert_step_is_tight(m, dm, a)
     # Nothing to repair without a positive eigenvalue.
-    assert sdpcore._inv_chol(-np.eye(3)[None], repair=True)[1].tolist() == [False]
+    with np.errstate(invalid="ignore"):
+        assert sdpcore._inv_chol(-np.eye(3)[None], repair=True)[1].tolist() == [False]
 
 
 def test_complex_step_length_boundary_repair():
@@ -919,18 +922,21 @@ def test_complex_step_length_boundary_repair():
     dm[0, 3], dm[3, 0] = -0.2, -0.2
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(m)
-    assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
-    ell = sdpcore._cholesky(m, repair=True)
+    # A failed factor warns outside the errstate of the solver loop.
+    with np.errstate(invalid="ignore"):
+        assert sdpcore._inv_chol(m[None])[1].tolist() == [False]
+        ell = sdpcore._cholesky(m, repair=True)
+        li, ok = sdpcore._inv_chol(m[None], repair=True)
     assert ell.dtype == np.complex128
     np.testing.assert_allclose(ell @ ell.conj().T, m, rtol=0, atol=1e-13)
-    li, ok = sdpcore._inv_chol(m[None], repair=True)
     assert ok.tolist() == [True]
     a = sdpcore._DenseBlock.max_step(li, dm[None])[0]
     assert np.isfinite(a)
     _assert_step_is_tight(m, dm, a)
     # Nothing to repair without a positive eigenvalue.
     neg = -m - 1e-12 * np.eye(4)
-    assert sdpcore._inv_chol(neg[None], repair=True)[1].tolist() == [False]
+    with np.errstate(invalid="ignore"):
+        assert sdpcore._inv_chol(neg[None], repair=True)[1].tolist() == [False]
 
 
 def test_stacked_factor_fails_only_the_bad_slice():
@@ -938,7 +944,8 @@ def test_stacked_factor_fails_only_the_bad_slice():
     # their factors equal the ones each gets alone.
     rng = np.random.default_rng(207)
     stack = np.stack([_random_psd(rng, 4), -np.eye(4), _random_psd(rng, 4)])
-    li, ok = sdpcore._inv_chol(stack)
+    with np.errstate(invalid="ignore"):
+        li, ok = sdpcore._inv_chol(stack)
     assert ok.tolist() == [True, False, True]
     for i in (0, 2):
         alone, ok_alone = sdpcore._inv_chol(stack[i : i + 1])
@@ -974,8 +981,10 @@ def _lmi_problems(dtype, count):
 @pytest.mark.parametrize("dtype", [float, complex], ids=["real", "complex"])
 def test_failed_slices_read_as_a_nan_mask(monkeypatch, dtype):
     # A stack with a slice that is not positive definite and a NaN slice:
-    # the kernels fail those slices alone, every other slice is bitwise
-    # its solo result, and no warning escapes (warnings are errors here).
+    # the kernels fail those slices alone and every other slice is bitwise
+    # its solo result.  Every kernel runs under the errstate that
+    # ``_lockstep`` holds for the whole run, and no warning escapes a
+    # batch (warnings are errors here).
     rng = np.random.default_rng(208)
     stack = np.stack([
         _random_hermitian_psd(rng, 4, dtype), -np.eye(4, dtype=dtype),
@@ -983,14 +992,14 @@ def test_failed_slices_read_as_a_nan_mask(monkeypatch, dtype):
     ])
     good = (0, 3)
     block = sdpcore._DenseBlock
-    li, ok = block.factor(stack)
+    with np.errstate(invalid="ignore"):
+        li, ok = block.factor(stack)
     assert ok.tolist() == [True, False, False, True]
     for i in good:
         alone, ok_alone = block.factor(stack[i : i + 1])
         assert ok_alone.tolist() == [True]
         assert np.array_equal(li[i], alone[0])
-    # The eigensolves run under the errstate that ``_lockstep`` holds for
-    # the whole run: a slice LAPACK fails on reads NaN.
+    # A slice LAPACK fails on reads NaN in the eigensolves too.
     dm = np.stack([_random_hermitian_psd(rng, 4, dtype) - 2.0 * np.eye(4) for _ in range(4)])
     dm[2] = np.nan
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
@@ -1243,6 +1252,12 @@ def test_overflowing_step_ratio_does_not_warn():
         [[res]] = db._solve([link_program([ch.gad(0.5, 0.0)], db.KIND_REV)], 1e-16)
     assert res.solution.iterations > 0
     assert res.status in ("max_iter", "numerical_failure")
+    # The ratio test is reached through the box on p, which the reference
+    # puts on the problem it yields: finite bounds on p alone.
+    [problem] = next(link_program([ch.gad(0.5, 0.0)], db.KIND_REV))
+    assert np.isfinite(problem.lower).tolist() == np.isfinite(problem.upper).tolist() == (
+        [False] * (problem.num_vars - 1) + [True])
+    assert (problem.lower[-1], problem.upper[-1]) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -1546,6 +1561,53 @@ def test_own_coefficient_lists_split_by_real_or_complex_data():
     assert signatures[0] == signatures[2] != signatures[1]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         _same(got, sdpcore.solve(prob))
+
+
+def test_own_equality_rows_of_two_ranks_split_one_group(monkeypatch):
+    # Problems that share the objective, the box, the blocks and the shape
+    # of their rows, each with its own two equality rows: of rank 2, or of
+    # rank 1 where the second row repeats the first.  They form one group
+    # whose rows take one batched SVD, and the two null-space sizes make
+    # two lockstep keys; each problem still gets bitwise its solo result.
+    rng = np.random.default_rng(422)
+    k = 5
+    objective, lower, upper = rng.standard_normal(k), -np.ones(k), np.ones(k)
+    blocks = [_random_lmi(rng, k, 3, 2), _random_hermitian_lmi(rng, k, 2)]
+    problems = []
+    for rank in (2, 1, 2, 1, 1, 2):
+        e = rng.standard_normal((2, k))
+        if rank == 1:
+            e[1] = 2.0 * e[0]
+        problems.append(sdpcore.SdpProblem(
+            k, objective, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k)),
+            lower=lower, upper=upper,
+        ))
+    assert len({sdpcore._signature(p) for p in problems}) == 1
+    alone = [sdpcore.solve(p) for p in problems]
+    calls = {"_null_space": 0}
+    null_space, prepare = sdpcore._null_space, sdpcore._prepare
+    keys = []
+
+    def counted(e, f):
+        calls["_null_space"] += 1
+        return null_space(e, f)
+
+    def spy(problems):
+        parts = prepare(problems)
+        keys.extend(part.key for part in parts)
+        return parts
+
+    monkeypatch.setattr(sdpcore, "_null_space", counted)
+    monkeypatch.setattr(sdpcore, "_prepare", spy)
+    together = sdpcore.solve_many(problems)
+    assert calls == {"_null_space": 1}
+    assert len(keys) == len(set(keys)) == 2
+    # The solver iterates on theta and the null-space coordinates.
+    assert sorted(key[0] for key in keys) == [1 + k - 2, 1 + k - 1]
+    for got, want in zip(together, alone):
+        assert want.status == "optimal"
+        _same(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
 
 
 def test_refinement_of_one_problem_leaves_the_batch_alone(monkeypatch):
