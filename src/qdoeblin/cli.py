@@ -159,7 +159,7 @@ def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
 
     Every SDP column is solved by one ``db.solve_grids`` call over all the
     channels, so each kind is solved once however many columns ask for it
-    and kinds that share a lockstep key run as one batch; an SDP kind is
+    and kinds that share a lowering run as one batch; an SDP kind is
     passed on by its name, which is its ``db.KIND_*`` name.  Besides the
     SDP kinds this understands the oracle column ``eta_tr``, the closed
     form ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper``

@@ -32,9 +32,9 @@ turns the solutions it receives into results (``tol`` is the solve
 tolerance, which the reverse kinds below also read).
 :func:`solve_grids`, the grid entry, hands the problems of every kind and
 dimension it is asked for to one :func:`qdoeblin.sdpcore.solve_many` call,
-which sets each group of them up in one pass and solves them as lockstep
-batches, so kinds that share a lockstep key (``alpha`` and ``alphaT``) run
-as one batch.  :func:`solve_grid` is its one-kind case; the public kind
+which sets each group of them up in one pass and solves it as one lockstep
+batch, so kinds that share a lowering (``alpha`` and ``alphaT``) run as
+one batch.  :func:`solve_grid` is its one-kind case; the public kind
 functions are the list of one channel and reach
 :func:`qdoeblin.sdpcore.solve`.
 
@@ -428,8 +428,8 @@ def _solve(declarations, tol: float) -> list:
     A declaration is a generator that yields its list of
     :class:`~qdoeblin.sdpcore.SdpProblem` once, receives their solutions
     and returns its results; the problems of all of them go to one
-    :func:`qdoeblin.sdpcore.solve_many` call, where problems of one
-    lockstep key run as one batch whatever declaration they come from.
+    :func:`qdoeblin.sdpcore.solve_many` call, where problems that share
+    their lowering run as one batch whatever declaration they come from.
     Returns what each declaration returns, in order.
     """
     run = _together(declarations)
@@ -1059,7 +1059,7 @@ def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, 
     dimensions share one declaration per kind, lowered once, and the
     programs of every kind and dimension go to one
     :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
-    lockstep key (``alpha`` and ``alphaT``) run as one batch.  The
+    lowering (``alpha`` and ``alphaT``) run as one batch.  The
     reverse kinds of a dimension group share one stacked
     inverse of the superoperators, and rev and revH one ``link_raw`` call
     (see :class:`_Inverses`).  Returns the results of each kind in input

@@ -80,32 +80,30 @@ refinement step are one call for the whole batch, and refinement runs on
 the problems whose residual is above roundoff.  Numpy is the only
 dependency.
 
-:func:`solve_many` sets a list of problems up in one pass per group and
-runs it as lockstep batches, in the manner of the batched interior-point
-method of OptNet (Amos & Kolter, ICML 2017).  A group is the problems
-that share their objective and bounds (by identity), the variable indices
-and real or complex data of every block's coefficient list, their block
-sides, multiplicities and real or complex constants, and their equality
-row count.  Its shared parts are validated and lowered once; its
-constants, equality rows, right-hand sides and the coefficient lists that
-are not one shared list are validated as stacks, ``T^T A`` is one batched
-gemm per block, the box rows come from the stacked T and the null spaces
-of the equality rows are one batched SVD, so no set-up runs one problem at
-a time.  Set-up stops at the first check that fails; a list that fails is
-then set up again one problem at a time, in input order, so it raises the
-error its first invalid problem raises alone.
+:func:`solve_many` groups a list of problems once, sets each group up in
+one pass and runs it as one lockstep batch, in the manner of the batched
+interior-point method of OptNet (Amos & Kolter, ICML 2017).  A group is
+the problems that share their objective, equality rows and bounds (by
+identity), the variable indices and real or complex data of every block's
+coefficient list, and their block sides, multiplicities and real or
+complex constants.  So a group has one T, one variable count and one
+shape of every block.  Its shared parts are validated and lowered once,
+with one SVD of its equality rows; its constants and the coefficient
+lists that are not one shared list are validated as stacks, and ``T^T A``
+is one batched gemm per block, so no set-up runs one problem at a time.
+Set-up stops at the first check that fails; a list that fails is then set
+up again one problem at a time, in input order, so it raises the error
+its first invalid problem raises alone.
 
-Problems that share their shapes (the count of solver variables and the
-side of every block, the diagonal block of box rows included) and the
-real or complex data of every dense block advance together: every iterate
-is a stack with one slice per problem, and one numpy call serves the
-whole batch.  Each problem keeps its own constants, objective, null-space
-basis, coefficient stacks (one stack serves the batch when every problem
-shares it), bounds, step lengths, ``recenter`` flag, best iterate and
-step count, and a problem that converges or fails leaves the batch.  Per
-slice the arithmetic is the same whatever else is in the batch, so every
-problem gets bitwise the result it gets alone; :func:`solve` is the batch
-of one.
+The problems of a group advance together: every iterate is a stack with
+one slice per problem, and one numpy call serves the whole batch; a group
+too large for ``BATCH_BYTES`` runs as several batches.  Each problem
+keeps its own constants, coefficient stacks (one stack serves the batch
+when every problem shares it), step lengths, ``recenter`` flag, best
+iterate and step count, and a problem that converges or fails leaves the
+batch.  Per slice the arithmetic is the same whatever else is in the
+batch, so every problem gets bitwise the result it gets alone;
+:func:`solve` is the batch of one.
 
 A search direction with a non-finite entry or a non-finite or exactly
 singular KKT matrix ends the problem as ``numerical_failure`` before
@@ -123,7 +121,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -272,7 +270,11 @@ def _check_coeffs(lists: list, k: int, dim: int, n: int) -> tuple:
     coefficients and complex128 when any is complex.  The first check that
     fails raises its ``ValueError``, for whichever list it fails.
     """
-    idx = np.array([i for i, _ in lists[0]], dtype=int)
+    indices = [i for i, _ in lists[0]]
+    wrong = [i for i in indices if not isinstance(i, (int, np.integer))]
+    if wrong:
+        raise ValueError(f"block {k} variable index {wrong[0]} must be an integer")
+    idx = np.array(indices, dtype=int)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         out = (idx < 0) | (idx >= n)
         raise ValueError(f"block {k} references variable {idx[out][0]} out of range")
@@ -444,11 +446,11 @@ class _DiagBlock:
     Entry r is the cone ``c_r - g_r . y >= 0``: one per finite box bound,
     and last the big-M shift ``tau >= 0``, which is not a constraint of the
     original problem.  The block owns the last ``cols`` of the flat
-    iterate; ``g`` is a ``(P, r, k)`` stack over every solver variable like
-    the coefficients of :class:`_DenseBlock`, and ``aview`` its transpose,
-    the block's columns of the coefficient matrix of the batch.  ``S^-1``
-    and every product are elementwise; the factor of an iterate is the
-    iterate itself.
+    iterate; ``g`` is a ``(1, r, k)`` stack over every solver variable,
+    shared by the batch, whose problems share T and the bounds, and
+    ``aview`` its transpose, the block's columns of the coefficient matrix
+    of the batch.  ``S^-1`` and every product are elementwise; the factor
+    of an iterate is the iterate itself.
     """
 
     w = 1
@@ -461,11 +463,6 @@ class _DiagBlock:
 
     def __len__(self) -> int:
         return len(self.g)
-
-    def __getitem__(self, keep: np.ndarray) -> _DiagBlock:
-        out = copy.copy(self)
-        out.g, out.aview = self.g[keep], self.aview[keep]
-        return out
 
     def mat(self, v: np.ndarray) -> np.ndarray:
         return v[:, self.cols]
@@ -503,49 +500,31 @@ class _DiagBlock:
         return ratio.min(axis=1)
 
 
-def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray | list[tuple[np.ndarray, np.ndarray]]:
+def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
     """``T = [y_p, Z]``: ``E y = f`` exactly when ``y = y_p + Z w``.
 
-    One SVD ``E = U S V^T`` gives the rank r of E, the count of singular
-    values above ``1e-12 * max(1, s_max)``, the orthonormal null-space basis
-    ``Z = V[:, r:]`` and the min-norm solution ``y_p = V[:, :r] S_r^-1
-    U[:, :r]^T f``; the rows beyond the rank only have to be consistent
-    with it.  For one system E is ``(m, n)`` and f ``(m,)``, and T comes
-    back.  For stacks ``(B, m, n)`` and ``(B, m)`` numpy's batched SVD
-    factors every slice in one call, with the arithmetic of the slice
-    alone, and the result is one pair ``(rows, T)`` per rank: T stacks the
-    bases of the slices ``rows``, which have that rank.
+    One SVD ``E = U S V^T`` of the ``(m, n)`` rows gives the rank r of E,
+    the count of singular values above ``1e-12 * max(1, s_max)``, the
+    orthonormal null-space basis ``Z = V[:, r:]`` and the min-norm solution
+    ``y_p = V[:, :r] S_r^-1 U[:, :r]^T f``; the rows beyond the rank only
+    have to be consistent with it.
     """
-    one = e.ndim == 2
-    if one:
-        e, f = e[None], f[None]
     u, s, vt = np.linalg.svd(e)
-    keep = s > 1e-12 * np.maximum(1.0, s.max(axis=1, initial=0.0))[:, None]
-    coef = np.divide(np.vecmat(f, u)[:, : s.shape[1]], s, out=np.zeros_like(s), where=keep)
-    y_p = np.vecmat(coef, vt[:, : s.shape[1]])
-    dev = np.abs(np.matvec(e, y_p) - f).max(axis=1, initial=0.0)
-    if np.any(dev > 1e-9 * (1.0 + np.abs(f).max(axis=1, initial=0.0))):
+    keep = s > 1e-12 * max(1.0, s.max(initial=0.0))
+    coef = np.divide(np.vecmat(f, u)[: s.size], s, out=np.zeros_like(s), where=keep)
+    y_p = np.vecmat(coef, vt[: s.size])
+    if np.abs(np.matvec(e, y_p) - f).max(initial=0.0) > 1e-9 * (1.0 + np.abs(f).max(initial=0.0)):
         raise ValueError("equality constraints are inconsistent")
-    rank = np.count_nonzero(keep, axis=1)
-    v = vt.transpose(0, 2, 1)
-    out = []
-    # Not ``np.unique``, which imports ``numpy.ma`` on first use: 10-15 ms
-    # in every fresh pool worker of a ``figures`` command.
-    for r in sorted(set(rank.tolist())):
-        rows = np.flatnonzero(rank == r)
-        out.append((rows, np.concatenate([y_p[rows, :, None], v[rows, :, r:]], axis=2)))
-    return out[0][1][0] if one else out
+    return np.concatenate([y_p[:, None], vt[np.count_nonzero(keep) :].T], axis=1)
 
 
 class _Reduction(NamedTuple):
-    """Equality rows ``E y = f`` as the solver uses them, as stacks.
+    """Equality rows ``E y = f`` as the solver uses them.
 
-    Each field has one row per problem, or one row shared by every problem
-    of its part.  ``t = [y_p, Z]`` maps ``(theta, w)`` to y; ``z`` and
-    ``yp_pinv`` (the pseudo-inverse ``y_p / |y_p|^2`` of the column
-    ``y_p``, 0 when f = 0) give the dual residual in the original
-    variables, and ``et = E T`` the deviation ``|E T (theta, w) - f|`` from
-    the original rows.
+    ``t = [y_p, Z]`` maps ``(theta, w)`` to y; ``z`` and ``yp_pinv`` (the
+    pseudo-inverse ``y_p / |y_p|^2`` of the column ``y_p``, 0 when f = 0)
+    give the dual residual in the original variables, and ``et = E T`` the
+    deviation ``|E T (theta, w) - f|`` from the original rows.
     """
 
     t: np.ndarray
@@ -556,52 +535,40 @@ class _Reduction(NamedTuple):
 
 
 def _reduction(e: np.ndarray, f: np.ndarray, t: np.ndarray) -> _Reduction:
-    """The reduction of the stacks ``E``, ``f`` and their stacked bases ``T``."""
-    yp = t[:, :, 0]
+    """The reduction of the rows ``E``, ``f`` and their basis ``T``."""
+    yp = t[:, 0]
     norm2 = np.vecdot(yp, yp)
-    yp_pinv = np.divide(yp, norm2[:, None], out=np.zeros_like(yp), where=norm2[:, None] > 0.0)
-    return _Reduction(t, np.ascontiguousarray(t[:, :, 1:]), yp_pinv, e @ t, f)
+    yp_pinv = np.divide(yp, norm2, out=np.zeros_like(yp), where=norm2 > 0.0)
+    return _Reduction(t, np.ascontiguousarray(t[:, 1:]), yp_pinv, e @ t, f)
 
 
 @dataclass
 class _Part:
-    """Problems of one lockstep key in the variables ``v`` the solver iterates on.
+    """One group of problems in the variables ``v`` the solver iterates on.
 
-    Every problem is solved in ``y = T v``.  With equality rows ``E y = f``,
-    ``T = [y_p, Z]`` (see :func:`_null_space`), ``v = (theta, w)`` with the
-    one equality ``theta = 1``, and ``red`` holds the reduction; without
-    them ``T = I`` and ``v = y``.  Every solver variable enters every block,
-    and the last one is always the big-M shift ``tau``.
+    Every problem is solved in ``y = T v``, with one T for the group.  With
+    equality rows ``E y = f``, ``T = [y_p, Z]`` (see :func:`_null_space`),
+    ``v = (theta, w)`` with the one equality ``theta = 1``, and ``red``
+    holds the reduction; without them ``T = I`` and ``v = y``.  Every
+    solver variable enters every block, and the last one is always the
+    big-M shift ``tau``.
 
     ``index`` holds the positions of the problems in the input list.  The
-    stacks ``b``, ``coeffs``, ``diag`` and those of ``red`` have one row per
-    problem, or one row that every problem shares; ``b_scale`` and ``cs``
-    have one row per problem.
+    stacks ``cs`` and ``coeffs`` have one row per problem, or one row that
+    every problem shares.
     """
 
     index: np.ndarray
-    key: tuple
-    b: np.ndarray  # (P, k-1) objective T^T b in the solver's variables
-    b_scale: np.ndarray  # (B,) 1 + max|b| of the original objective
-    cs: list[np.ndarray]  # (B, m, m) Hermitian-part block constants, then (B, r) box constants
+    b: np.ndarray  # (k-1,) objective T^T b in the solver's variables
+    b_scale: float  # 1 + max|b| of the original objective
+    cs: list[np.ndarray]  # (B or 1, m, m) Hermitian-part block constants, then (1, r) box constants
     coeffs: list[np.ndarray]  # (P, k, m*m) coefficient stack per dense block, real or complex
     ws: tuple[int, ...]  # multiplicity per dense block
-    diag: np.ndarray  # (P, r, k) rows of the diagonal block
+    diag: np.ndarray  # (1, r, k) rows of the diagonal block
     red: _Reduction | None
 
     def __len__(self) -> int:
         return len(self.index)
-
-    def rows(self, keep) -> _Part:
-        """The part of the problems ``keep``; shared rows stay shared."""
-        def cut(a):
-            return _take(a, keep)
-
-        return _Part(
-            self.index[keep], self.key, cut(self.b), self.b_scale[keep],
-            [c[keep] for c in self.cs], [cut(a) for a in self.coeffs], self.ws,
-            cut(self.diag), None if self.red is None else _Reduction(*map(cut, self.red)),
-        )
 
 
 def _stack(arrays: list) -> np.ndarray:
@@ -621,26 +588,23 @@ def _coeff_key(coeffs: list, keys: dict) -> tuple:
 
 
 def _signature(problem: SdpProblem, keys: dict | None = None) -> tuple:
-    """What the problems of one group share: the identity of the objective
-    and the bounds, the variable indices and real or complex data of each
-    block's coefficient list, and the shapes and real or complex data of
-    the constants and the equality rows.  ``keys`` keeps the key of each
+    """What the problems of one group share: the identity of the objective,
+    the equality rows and the bounds, the variable indices and real or
+    complex data of each block's coefficient list, and the shapes and real
+    or complex data of the constants.  ``keys`` keeps the key of each
     coefficient list seen, so that a list shared by many problems is read
     once."""
-    eq = problem.eq_matrix
     keys = {} if keys is None else keys
     return (
         problem.num_vars,
         id(problem.objective),
+        id(problem.eq_matrix),
+        id(problem.eq_rhs),
         id(problem.lower),
         id(problem.upper),
         tuple(
             (_coeff_key(blk.coeffs, keys), np.shape(blk.c), np.iscomplexobj(blk.c), id(blk.w))
             for blk in problem.blocks
-        ),
-        None if eq is None else (
-            np.shape(eq), np.iscomplexobj(eq),
-            np.shape(problem.eq_rhs), np.iscomplexobj(problem.eq_rhs),
         ),
     )
 
@@ -655,8 +619,6 @@ def _check_objective(objective, n: int) -> np.ndarray:
 
 
 def _check_bounds(problem: SdpProblem, n: int) -> dict[str, np.ndarray]:
-    if not problem.blocks and problem.lower is None and problem.upper is None:
-        raise ValueError("problem has no conic constraints")
     bounds = {}
     for name, bound in (("lower", problem.lower), ("upper", problem.upper)):
         if bound is None:
@@ -667,18 +629,24 @@ def _check_bounds(problem: SdpProblem, n: int) -> dict[str, np.ndarray]:
         # An infinite bound is no bound; NaN is no number.
         if np.isnan(bound).any():
             raise ValueError(f"{name} bounds must not be NaN")
+    if not problem.blocks and not any(np.isfinite(bound).any() for bound in bounds.values()):
+        raise ValueError("problem has no conic constraints")
     if len(bounds) == 2 and np.any(bounds["lower"] > bounds["upper"]):
         raise ValueError("box bounds have lower > upper")
     return bounds
 
 
-def _check_eq_shapes(problem: SdpProblem, n: int) -> tuple[int, ...]:
-    """The shape of E after ``atleast_2d``, when E and f are real and fit."""
+def _check_rows(problem: SdpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """E (after ``atleast_2d``) and f, when both are given, real, finite and fit."""
+    if problem.eq_matrix is None or problem.eq_rhs is None:
+        raise ValueError("equality constraint shapes are inconsistent")
     e = np.atleast_2d(_real_array(problem.eq_matrix, "eq_matrix"))
     f = _real_array(problem.eq_rhs, "eq_rhs")
     if e.ndim != 2 or e.shape[1] != n or f.shape != (e.shape[0],):
         raise ValueError("equality constraint shapes are inconsistent")
-    return e.shape
+    if not (np.isfinite(e).all() and np.isfinite(f).all()):
+        raise ValueError("equality constraints must be finite")
+    return e, f
 
 
 def _symmetrised(c: np.ndarray, name: str) -> np.ndarray:
@@ -693,14 +661,13 @@ def _symmetrised(c: np.ndarray, name: str) -> np.ndarray:
 
 
 def _lowered_coeffs(t: np.ndarray, idx: np.ndarray, mats: np.ndarray, dtype) -> np.ndarray:
-    """``T^T A`` of one block for every basis of the stack ``t`` and every
-    coefficient stack of ``mats`` (one of them may be a single slice), the
+    """``T^T A`` of one block for every coefficient stack of ``mats``, the
     shift row last: one batched gemm; repeated rows add up, and a complex
     stack is multiplied on its float view."""
-    count, nv, side = max(len(t), len(mats)), t.shape[2], mats.shape[-1]
+    count, nv, side = len(mats), t.shape[1], mats.shape[-1]
     out = np.empty((count, nv + 1, side * side), dtype=dtype)
-    flat = mats.astype(dtype, copy=False).reshape(len(mats), len(idx), side * side).view(float)
-    np.matmul(t[:, idx].transpose(0, 2, 1), flat, out=out[:, :nv].view(float))
+    flat = mats.astype(dtype, copy=False).reshape(count, len(idx), side * side).view(float)
+    np.matmul(t[idx].T, flat, out=out[:, :nv].view(float))
     out[:, nv] = -np.eye(side).ravel()
     return out
 
@@ -710,32 +677,22 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem]) -> tuple:
 
     The first check that fails raises its ``ValueError``, whether it checks
     shared data or a stack of per-problem data; :func:`_prepare` finds the
-    problem at fault.  Returns the shared
-    objective and bounds, the constants as ``(B, m, m)`` stacks, the
-    coefficients as ``(idx, mats, dtype)`` per block (``mats`` of one
-    slice, or of one per problem when each has its own list), and the equality
-    stacks ``e``, ``f`` (of one slice when every problem shares its rows)
-    with the null-space bases of the slices, one ``(rows, T)`` pair per
-    rank (see :func:`_null_space`).
+    problem at fault.  Returns the shared objective and bounds, the
+    constants as ``(B, m, m)`` stacks (of one slice when every problem
+    shares its constant), the coefficients as ``(idx, mats, dtype)`` per
+    block (``mats`` of one slice, or of one per problem when each has its
+    own list), and ``(E, f, T)`` of the shared equality rows and their
+    basis (see :func:`_null_space`), None without rows.
     """
     n = first.num_vars
     b = _check_objective(first.objective, n)
     bounds = _check_bounds(first, n)
 
-    # Equality rows: one stack with a slice per problem, or of one slice
-    # when every problem shares them.
-    ts = e = f = None
-    if first.eq_matrix is not None:
-        shape = _check_eq_shapes(first, n)
-        shared = all(p.eq_matrix is first.eq_matrix and p.eq_rhs is first.eq_rhs for p in mine)
-        own = mine[:1] if shared else mine
-        if shape[0]:
-            e = _stack([p.eq_matrix for p in own]).astype(float, copy=False)
-            e = e.reshape((len(own),) + shape)
-            f = _stack([p.eq_rhs for p in own]).astype(float, copy=False)
-            if not (np.isfinite(e).all() and np.isfinite(f).all()):
-                raise ValueError("equality constraints must be finite")
-            ts = _null_space(e, f)
+    rows = None
+    if first.eq_matrix is not None or first.eq_rhs is not None:
+        e, f = _check_rows(first, n)
+        if len(e):
+            rows = e, f, _null_space(e, f)
 
     cs, coeffs = [], []
     for k, blk in enumerate(first.blocks):
@@ -752,29 +709,25 @@ def _check_group(first: SdpProblem, mine: list[SdpProblem]) -> tuple:
         idx, mats = _check_coeffs(lists, k, c.shape[1], n)
         # A complex constant or coefficient makes the whole block complex.
         dtype = np.result_type(c, mats)
-        c = c.astype(dtype, copy=False)
-        cs.append(np.repeat(c, len(mine), axis=0) if shared and len(mine) > 1 else c)
+        cs.append(c.astype(dtype, copy=False))
         coeffs.append((idx, mats, dtype))
-    return b, bounds, cs, coeffs, e, f, ts
+    return b, bounds, cs, coeffs, rows
 
 
-def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part]:
+def _prepare_group(problems: list[SdpProblem], members: list[int]) -> _Part:
     """Validate one group of problems and write it in the solver's variables.
 
-    The shared objective, bounds and coefficient lists are checked and
-    lowered once; constants, equality rows and coefficient lists of the
-    problems' own are checked and lowered as stacks, and the null spaces
-    of the equality rows are one batched SVD (see :func:`_null_space`), so
-    nothing is set up one problem at a time.  The group
-    comes back as one part per lockstep key: problems whose rows leave null
-    spaces of different sizes iterate on different variable counts.
-    Raises the ``ValueError`` of the first check that fails.
+    The shared objective, bounds, equality rows and coefficient lists are
+    checked and lowered once, with one SVD of the rows (see
+    :func:`_null_space`) and one T for the group; constants and coefficient
+    lists of the problems' own are checked and lowered as stacks, so nothing
+    is set up one problem at a time.  Raises the ``ValueError`` of the first
+    check that fails.
     """
     first = problems[members[0]]
-    mine = [problems[i] for i in members]
-    b, bounds, cs, checked, e, f, ts = _check_group(first, mine)
-    n = first.num_vars
-    b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    b, bounds, cs, checked, rows = _check_group(first, [problems[i] for i in members])
+    t = np.eye(first.num_vars) if rows is None else rows[2]
+    nv = t.shape[1]
 
     # The diagonal block: one entry per finite bound, ``y_i - l_i + tau``
     # or ``u_i - y_i + tau`` with ``y_i = T[i] . v``, and last the shift
@@ -788,55 +741,27 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> list[_Part
             consts.append(sign * bound[finite])
     box_c = np.concatenate(consts + [[0.0]])
     box_rows, signs = [i for i, _ in box], np.array([s for _, s in box])
-
-    # One part per null-space size; without rows or with shared ones every
-    # problem shares one basis.
-    if ts is None:
-        split = [(slice(None), np.eye(n)[None], None)]
-    else:
-        split = [(rows if len(e) > 1 else slice(None), t, rows) for rows, t in ts]
-    parts = []
-    for rows, t, eq_rows in split:
-        nv = t.shape[2]
-        index = np.asarray(members)[rows]
-        coeffs = [
-            _lowered_coeffs(t, idx, mats if len(mats) == 1 else mats[rows], dtype)
-            for idx, mats, dtype in checked
-        ]
-        diag = np.zeros((len(t), len(box) + 1, nv + 1))
-        diag[:, :-1, :nv] = signs[:, None] * t[:, box_rows]
-        diag[:, :, nv] = -1.0
-        red = None if eq_rows is None else _reduction(e[eq_rows], f[eq_rows], t)
-        key = (
-            nv,
-            None if red is None else (n, f.shape[1]),
-            tuple(c.shape[1] for c in cs) + (len(box_c),),
-            tuple(blk.w for blk in first.blocks),
-            tuple(a.dtype.char for a in coeffs),
-        )
-        parts.append(_Part(
-            index=index,
-            key=key,
-            b=t.transpose(0, 2, 1) @ b,
-            b_scale=np.full(len(index), b_scale),
-            cs=[c[rows] for c in cs] + [np.repeat(box_c[None], len(index), axis=0)],
-            coeffs=coeffs,
-            ws=key[3],
-            diag=diag,
-            red=red,
-        ))
-    return parts
+    diag = np.zeros((1, len(box) + 1, nv + 1))
+    diag[0, :-1, :nv] = signs[:, None] * t[box_rows]
+    diag[0, :, nv] = -1.0
+    return _Part(
+        index=np.asarray(members),
+        b=t.T @ b,
+        b_scale=1.0 + float(np.max(np.abs(b), initial=0.0)),
+        cs=cs + [box_c[None]],
+        coeffs=[_lowered_coeffs(t, idx, mats, dtype) for idx, mats, dtype in checked],
+        ws=tuple(blk.w for blk in first.blocks),
+        diag=diag,
+        red=None if rows is None else _reduction(*rows),
+    )
 
 
 def _prepare(problems: list[SdpProblem]) -> list[_Part]:
     """Validate every problem and write it in the solver's variables.
 
-    Problems are grouped by :func:`_signature` and each group is set up in
-    one pass (see :func:`_prepare_group`).  A part's key holds the shapes a
-    lockstep batch needs: the solver's variable count, the original
-    variable and equality row counts when ``theta`` is one of them, the
-    side of every block, the diagonal one included, and the multiplicity
-    and the dtype (real or complex) of every dense block.
+    Problems are grouped by :func:`_signature`, and each group is set up in
+    one pass as one part (see :func:`_prepare_group`): its problems share
+    every shape a lockstep batch needs.
 
     Set-up raises at the first check that fails.  A list of several
     problems that fails is then set up again one problem at a time, in
@@ -847,11 +772,8 @@ def _prepare(problems: list[SdpProblem]) -> list[_Part]:
     keys: dict = {}
     for i, p in enumerate(problems):
         groups.setdefault(_signature(p, keys), []).append(i)
-    parts: list[_Part] = []
     try:
-        for members in groups.values():
-            parts += _prepare_group(problems, members)
-        return parts
+        return [_prepare_group(problems, members) for members in groups.values()]
     except ValueError as exc:
         if len(problems) == 1:
             raise
@@ -948,14 +870,14 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     step) ends only that one, with the result it gets when solved alone.
     Results come back in the order of ``part.index``.
     """
-    nv = part.b.shape[1]
+    nv = len(part.b)
     tau_idx = nv
     count = len(part)
     # With equality rows the solver's variable 0 is theta, held at 1 by the
-    # one row of the bordered KKT system; without them every term it feeds
-    # is skipped.
-    red = part.red is not None
-    q = int(red)
+    # one row of the bordered KKT system; without them (``red`` is None)
+    # every term it feeds is skipped.
+    red = part.red
+    q = int(red is not None)
     lay = _layout(part)
     blocks = lay.blocks
     # The barrier parameter counts every copy of a block.
@@ -969,12 +891,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     for blk, c in zip(blocks, part.cs):
         st.a[:, :, blk.cols] = blk.aview
         blk.mat(st.c)[...] = c
-    st.b = np.repeat(part.b, count, axis=0) if len(part.b) < count else part.b
-    st.b_scale = part.b_scale
     m_pen = 1e4 * part.b_scale
-    st.b_aug = np.hstack([st.b, -m_pen[:, None]])
-    if red:
-        st.z, st.yp_pinv, st.et, st.f = part.red.z, part.red.yp_pinv, part.red.et, part.red.f
+    b_aug = np.append(part.b, -m_pen)
 
     def views(v: np.ndarray) -> list[np.ndarray]:
         """Every block's columns of the rows ``v``, as the block's stack."""
@@ -1027,25 +945,25 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         pres = np.maximum(0.0, -slack)
         if red:
             # Feasibility of y = T (theta, w) for the original rows.
-            eq_dev = np.abs(np.matvec(st.et, yv) - st.f).max(axis=1, initial=0.0)
+            eq_dev = np.abs(np.matvec(red.et, yv) - red.f).max(axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
         # X summed over the copies of every block: the adjoint and every
         # trace product with X count each copy.
         st.xw = st.x * lay.weight
         st.adj_x = np.matvec(st.a, st.xw)
-        dres = st.b - st.adj_x[:, :nv]
+        dres = part.b - st.adj_x[:, :nv]
         if red:
             # In the original variables: multipliers nu of the rows with
             # f . nu equal to the multiplier of theta = 1, least squares
             # otherwise, leave Z r_w plus the theta residual along y_p.
-            dres = np.matvec(st.z, dres[:, 1:]) + (dres[:, 0] - st.nu[:, 0])[:, None] * st.yp_pinv
+            dres = np.matvec(red.z, dres[:, 1:]) + (dres[:, 0] - st.nu[:, 0])[:, None] * red.yp_pinv
         dres = np.abs(dres)
-        dres = dres.max(axis=1, initial=0.0) / st.b_scale
+        dres = dres.max(axis=1, initial=0.0) / part.b_scale
         pobj = np.vecdot(st.c, st.xw)
         if red:
             # The multiplier of theta = 1 is f . nu of the original rows.
             pobj = pobj + st.nu[:, 0]
-        dobj = np.vecdot(st.b, yv)
+        dobj = np.vecdot(part.b, yv)
         gap = np.abs(pobj - dobj) / (1.0 + np.maximum(np.abs(pobj), np.abs(dobj)))
         worst = np.maximum(np.maximum(gap, pres), dres)
         st.met = np.array([worst, gap, pres, dres, dobj, tau, st.steps]).T
@@ -1064,7 +982,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             yi = y[i, :nv]
             out[st.pos[i]] = SdpSolution(
                 status=status,
-                y=part.red.t[st.pos[i] if len(part.red.t) > 1 else 0] @ yi if red else yi.copy(),
+                y=red.t @ yi if red else yi.copy(),
                 objective_value=float(met[i, _DOBJ]),
                 gap=float(met[i, _GAP]),
                 primal_residual=float(met[i, _PRES]),
@@ -1159,7 +1077,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             break
 
         # Residuals of the augmented problem drive the Newton step.
-        st.r_p = st.b_aug - st.adj_x
+        st.r_p = b_aug - st.adj_x
         if red:
             st.r_p[:, 0] -= st.nu[:, 0]
             st.r_e = 1.0 - st.y[:, :1]
@@ -1234,53 +1152,30 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     return out
 
 
-def _merged(parts: list[_Part]) -> _Part:
-    """The problems of parts with one key as one part, in input order."""
-    if len(parts) == 1:
-        return parts[0]
-    index = np.concatenate([p.index for p in parts])
-    order = np.argsort(index)
-
-    def cat(stacks):
-        rows = [np.broadcast_to(a, (len(p),) + a.shape[1:]) for a, p in zip(stacks, parts)]
-        return np.concatenate(rows)[order]
-
-    first = parts[0]
-    return _Part(
-        index[order], first.key, cat([p.b for p in parts]), cat([p.b_scale for p in parts]),
-        [cat(cs) for cs in zip(*(p.cs for p in parts))],
-        [cat(a) for a in zip(*(p.coeffs for p in parts))],
-        first.ws, cat([p.diag for p in parts]),
-        None if first.red is None else _Reduction(*map(cat, zip(*(p.red for p in parts)))),
-    )
-
-
 def _batches(parts: list[_Part]) -> list[_Part]:
-    """Split the problems into lockstep batches: one key each, memory bounded.
+    """Cut the parts into lockstep batches of bounded memory.
 
     A batch holds its KKT matrices and the Schur intermediates of every
     problem at once, so it takes at most ``BATCH_BYTES`` of them.
     """
-    by_key: dict[tuple, list[_Part]] = {}
-    for part in parts:
-        by_key.setdefault(part.key, []).append(part)
     out = []
-    for same in by_key.values():
-        part = _merged(same)
-        side = part.b.shape[1] + 1 + (part.red is not None)
+    for part in parts:
+        side = len(part.b) + 1 + (part.red is not None)
         # The coefficient stacks count twice more for problems that own them
         # (their own and the flat coefficient matrix of ``_lockstep``), the
-        # batched arrays of the reduction (all but T) once.
+        # arrays of the reduction (all but T) once.
         per_problem = (
             8 * side * side
             + sum(5 * a[0].nbytes for a in part.coeffs)
-            + (8 * sum(a[0].size for a in part.red[1:]) if part.red is not None else 0)
+            + (8 * sum(a.size for a in part.red[1:]) if part.red is not None else 0)
         )
         size = max(1, BATCH_BYTES // per_problem)
-        if len(part) <= size:
-            out.append(part)
-        else:
-            out += [part.rows(slice(i, i + size)) for i in range(0, len(part), size)]
+        for i in range(0, len(part), size):
+            keep = slice(i, i + size)
+            out.append(replace(
+                part, index=part.index[keep], cs=[_take(c, keep) for c in part.cs],
+                coeffs=[_take(a, keep) for a in part.coeffs],
+            ))
     return out
 
 
@@ -1291,14 +1186,13 @@ def solve_many(
 ) -> list[SdpSolution]:
     """Solve a list of :class:`SdpProblem`; results come back in input order.
 
-    Problems that share their objective and bounds (by identity) and the
-    variable indices of every coefficient list are validated and lowered
-    in one pass, and problems with the same lockstep key (see
-    ``_prepare``) advance together, so a grid of same-structure programs
-    pays the per-call overhead of set-up and of every iteration once per
-    batch instead of once per point.  Each problem
-    is one interior-point run and gets exactly the result :func:`solve`
-    gives it alone.
+    Problems that share their objective, equality rows and bounds (by
+    identity) and the variable indices of every coefficient list form a
+    group, which is validated and lowered in one pass and advances as one
+    lockstep batch, so a grid of same-structure programs pays the per-call
+    overhead of set-up and of every iteration once per batch instead of
+    once per point.  Each problem is one interior-point run and gets
+    exactly the result :func:`solve` gives it alone.
 
     Raises ``ValueError`` for a problem that fails validation, a ``tol``
     that is NaN, infinite or negative, or a ``max_iter`` that is not an

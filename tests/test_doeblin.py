@@ -695,21 +695,21 @@ def _spy(monkeypatch, module, name, calls):
 def test_reverse_grid_over_two_null_space_sizes_equals_single_calls(monkeypatch, kind, sizes):
     # The replacer points gad(p, 0) leave a larger null space of the
     # equality rows of the reference link program than the interior
-    # points: one grid column splits into two lockstep keys, and every
-    # point must still get its single call.
+    # points: the solver iterates on two variable counts, and every point
+    # must still get its single call.
     channels = [ch.gad(p, eta) for p, eta in
                 [(0.3, 0.5), (0.2, 0.0), (0.6, 0.4), (0.9, 0.0), (0.0, 0.0), (0.7, 0.8)]]
     prepare = sdpcore._prepare
-    keys = []
+    counts = []
 
     def spy(problems):
         parts = prepare(problems)
-        keys.extend(part.key for part in parts)
+        counts.extend(len(part.b) for part in parts)
         return parts
 
     monkeypatch.setattr(sdpcore, "_prepare", spy)
     got = _linked(kind, channels)
-    assert {key[0] for key in keys} == sizes
+    assert set(counts) == sizes
     for chan, res in zip(channels, got):
         want = _sdp_bound(kind)(chan)
         assert res.status == want.status == sdpcore.STATUS_OPTIMAL
@@ -738,13 +738,22 @@ def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
     # depolarized after it on both sides of the PPT boundary q = 3/4
     # (alphaT applies at the first two only), and a complex channel.  The
     # range and rev in one call solve its five kinds once, and every result
-    # is bitwise its kind's own grid result.  The reference link programs
-    # of rev and revT, declared together, run in one lockstep batch per
-    # realness.
+    # is bitwise its kind's own grid result.  The points of one kind and
+    # one realness run as one lockstep batch: 5, 1 and 2 problems.
     pinching = pinched(ch.identity_channel(3), 2)
     channels = [ch.compose(ch.depolarizing(q, 3), pinching) for q in (0.9, 0.8, 0.5, 0.3, 0.1)]
     channels.append(pinched(ch.random_channel(3, 3, seed=3), 2, random_unitary(3, 3)))
+    sizes = []
+    lockstep = sdpcore._lockstep
+
+    def counted(part, *args):
+        sizes.append(len(part))
+        return lockstep(part, *args)
+
+    monkeypatch.setattr(sdpcore, "_lockstep", counted)
     got = db.solve_grids([db.KIND_DP, db.KIND_REV], channels)
+    monkeypatch.undo()
+    assert sizes == [5, 1, 2]
     assert list(got) == [db.KIND_DP, db.KIND_REV]
     assert [r.not_applicable for r in db.solve_grid(db.KIND_ALPHA_T, channels)] == [
         False, False, True, True, True, True]
@@ -756,15 +765,10 @@ def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
         for res, want in zip(results, db.solve_grid(kind, channels)):
             _same_result(res, want)
 
-    runs = {}
-    _spy(monkeypatch, sdpcore, "_lockstep", runs)
-    rev = _linked(db.KIND_REV, channels)
-    alone = runs["_lockstep"]
-    runs["_lockstep"] = 0
+    # The reference link programs of rev and revT, declared together.
     both = db._solve([link_program(channels, kind) for kind in (db.KIND_REV, db.KIND_REV_T)],
                      sdpcore.DEFAULT_TOL)
-    assert runs["_lockstep"] == alone == 2
-    for res, want in zip(both[0], rev):
+    for res, want in zip(both[0], _linked(db.KIND_REV, channels)):
         _same_result(res, want)
     for res, want in zip(both[1], _linked(db.KIND_REV_T, channels)):
         _same_result(res, want)

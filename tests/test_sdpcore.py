@@ -162,29 +162,6 @@ def test_bound_on_a_variable_the_rows_fix():
     assert sol.status != "optimal"
 
 
-def test_batch_of_problems_with_different_equality_row_counts():
-    # Two rows and three redundant ones leave the same (theta, w) shapes on
-    # three variables; each problem must still get its solo result.
-    def problem(e, f):
-        return sdpcore.SdpProblem(
-            num_vars=3,
-            objective=np.array([0.0, 1.0, 0.0]),
-            blocks=[_unit_block(3)],
-            eq_matrix=np.array(e),
-            eq_rhs=np.array(f),
-        )
-
-    problems = [
-        problem([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.5, 1.0]),
-        problem([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.5, 1.0, 1.0]),
-        problem([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [0.25, 0.5]),
-    ]
-    batch = sdpcore.solve_many(problems)
-    for prob, got in zip(problems, batch):
-        _same(got, sdpcore.solve(prob))
-    assert all(sol.status == "optimal" for sol in batch)
-
-
 def test_equality_multipliers_exist_for_the_returned_blocks():
     # At an optimum, b - sum_k A_k^T(X_k) lies in the row space of E: some
     # multipliers of the rows make the returned blocks dual feasible.
@@ -539,15 +516,6 @@ def test_block_multiplicity_matches_explicit_copies(name):
         np.testing.assert_allclose(x, x_all[: blk.dim, : blk.dim], rtol=0, atol=1e-8)
 
 
-def _keys(problems):
-    """The lockstep key of every problem, from the set-up pass."""
-    keys = [None] * len(problems)
-    for part in sdpcore._prepare(problems):
-        for i in part.index:
-            keys[i] = part.key
-    return keys
-
-
 def _batch_lists(problems):
     """The input positions of every lockstep batch."""
     return [batch.index.tolist() for batch in sdpcore._batches(sdpcore._prepare(problems))]
@@ -561,9 +529,10 @@ def test_weighted_blocks_in_a_batch_equal_their_solo_solves():
         lmi.num_vars, lmi.objective,
         [sdpcore.SdpBlock(blk.c, blk.coeffs) for blk in lmi.blocks],
     )
-    problems += [plain, copy.deepcopy(lmi)]
-    keys = _keys(problems)
-    assert keys[0] != keys[3]
+    # Own constants and coefficient lists on the shared objective.
+    twin = copy.deepcopy(lmi)
+    twin.objective = lmi.objective
+    problems += [plain, twin]
     batches = _batch_lists(problems)
     assert not any(0 in b and 3 in b for b in batches)
     assert [0, 4] in batches
@@ -650,14 +619,17 @@ def test_hermitian_blocks_match_their_real_embedding(name, seed):
 
 def test_complex_batch_equals_its_solo_solves():
     problems = [prob for seed in (311, 312) for _, prob in _complex_problems(seed)]
-    # Another constant on the same coefficient lists.
-    lmi = problems[0]
-    problems.append(sdpcore.SdpProblem(
-        lmi.num_vars, lmi.objective,
-        [sdpcore.SdpBlock(2.0 * blk.c, blk.coeffs, blk.w) for blk in lmi.blocks],
-    ))
-    keys = _keys(problems)
-    assert keys[0] == keys[3] == keys[6] and keys[1] == keys[4]
+    # Each with another constant on its coefficient lists, objective, rows
+    # and box: one lockstep batch per pair.
+    problems += [
+        sdpcore.SdpProblem(
+            p.num_vars, p.objective,
+            [sdpcore.SdpBlock(2.0 * blk.c, blk.coeffs, blk.w) for blk in p.blocks],
+            p.eq_matrix, p.eq_rhs, p.lower, p.upper,
+        )
+        for p in problems
+    ]
+    assert sorted(_batch_lists(problems)) == [[i, i + 6] for i in range(6)]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         want = sdpcore.solve(prob)
         assert want.status == "optimal"
@@ -666,13 +638,14 @@ def test_complex_batch_equals_its_solo_solves():
 
 
 def test_real_and_complex_problems_run_in_separate_batches():
-    # The same shapes, real or complex data: one lockstep key each.
+    # One objective and coefficient list, real or complex constants: one
+    # lockstep batch each.
     rng = np.random.default_rng(314)
     real = [max_eig_problem(_random_psd(rng, 3)) for _ in range(2)]
     cplx = [max_eig_problem(_random_hermitian(rng, 3) + 4.0 * np.eye(3)) for _ in range(2)]
     problems = [real[0], cplx[0], real[1], cplx[1]]
-    keys = _keys(problems)
-    assert keys[0] == keys[2] != keys[1] == keys[3]
+    for p in problems[1:]:
+        p.objective, p.blocks[0].coeffs = problems[0].objective, problems[0].blocks[0].coeffs
     batches = _batch_lists(problems)
     assert sorted(batches) == [[0, 2], [1, 3]]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
@@ -742,19 +715,21 @@ def _same(a, b):
 
 def test_batch_keeps_solo_results_around_a_singular_kkt():
     # The singular instance above, and a variant that fails the same way
-    # inside a lockstep group of good problems: all of them share one
-    # coefficient list, and the equality row of the bad one leaves the
-    # zero-coefficient variable free.  Ending the bad problems must leave
-    # every other problem of the batch with its solo result.
+    # inside a lockstep batch of good problems: all of them share one
+    # objective and the equality row that fixes y1, and the bad one's own
+    # coefficient matrices leave the free variable y0 out of its block.
+    # Ending the bad problems must leave every other problem of the batch
+    # with its solo result.
     coeffs = [(0, np.eye(2)), (1, np.zeros((2, 2)))]
+    objective, row, rhs = np.array([1.0, 0.0]), np.array([[0.0, 1.0]]), np.array([0.1])
 
-    def problem(c, row, rhs):
+    def problem(c, coeffs):
         return sdpcore.SdpProblem(
             num_vars=2,
-            objective=np.array([1.0, 0.0]),
+            objective=objective,
             blocks=[sdpcore.SdpBlock(c=c, coeffs=coeffs)],
-            eq_matrix=np.array([row]),
-            eq_rhs=np.array([rhs]),
+            eq_matrix=row,
+            eq_rhs=rhs,
         )
 
     original = sdpcore.SdpProblem(
@@ -762,11 +737,10 @@ def test_batch_keeps_solo_results_around_a_singular_kkt():
         objective=np.array([1.0, 0.0]),
         blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=coeffs)],
     )
-    bad = problem(np.eye(2), [1.0, 0.0], 0.5)
-    good = [problem(np.diag([1.0 + k, 2.0]), [0.0, 1.0], 0.1 * k) for k in range(3)]
+    bad = problem(np.eye(2), [(0, np.zeros((2, 2))), (1, np.eye(2))])
+    good = [problem(np.diag([1.0 + k, 2.0]), coeffs) for k in range(3)]
     batch = [good[0], bad, good[1], original, good[2]]
-    keys = set(_keys([bad, *good]))
-    assert len(keys) == 1  # one lockstep group
+    assert _batch_lists([bad, *good]) == [[0, 1, 2, 3]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         together = sdpcore.solve_many(batch)
@@ -780,34 +754,40 @@ def test_batch_keeps_solo_results_around_a_singular_kkt():
 
 def test_batch_of_blocks_on_variable_subsets():
     # Block A on {0, 2}: [[s - y0, -y2], [-y2, s]] >= 0; block B on {1, 3},
-    # variable 3 listed twice: y1 + y3 <= 2s; bounds y1 >= -s, y3 <= 3s.
-    # max y0 + y2 + y1 + 2 y3 is at (3s/4, -s, s/2, 3s) with value 25s/4.
+    # variable 3 listed twice: y1 + y3 <= 2s; bounds y1 >= -1, y3 <= 3.
+    # max y0 + y2 + y1 + 2 y3 is at y0 = 3s/4, y2 = s/2 and, for s >= 1,
+    # y1 = 2s - 3, y3 = 3, else y1 = -1, y3 = 2s + 1.  The problems share
+    # objective, bounds and coefficient lists; only the constants scale.
+    off = np.array([[0.0, 1.0], [1.0, 0.0]])
+    objective = np.array([1.0, 1.0, 1.0, 2.0])
+    lower = np.array([-np.inf, -1.0, -np.inf, -np.inf])
+    upper = np.array([np.inf, np.inf, np.inf, 3.0])
+    coeffs_a = [(0, np.diag([1.0, 0.0])), (2, off)]
+    coeffs_b = [(3, np.array([[0.5]])), (1, np.array([[1.0]])), (3, np.array([[0.5]]))]
+
     def problem(s):
-        off = np.array([[0.0, 1.0], [1.0, 0.0]])
         return sdpcore.SdpProblem(
             num_vars=4,
-            objective=np.array([1.0, 1.0, 1.0, 2.0]),
+            objective=objective,
             blocks=[
-                sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.diag([1.0, 0.0]) / s), (2, off / s)]),
-                sdpcore.SdpBlock(
-                    c=np.array([[2.0]]),
-                    coeffs=[(3, np.array([[0.5 / s]])), (1, np.array([[1.0 / s]])),
-                            (3, np.array([[0.5 / s]]))],
-                ),
+                sdpcore.SdpBlock(c=s * np.eye(2), coeffs=coeffs_a),
+                sdpcore.SdpBlock(c=np.array([[2.0 * s]]), coeffs=coeffs_b),
             ],
-            lower=np.array([-np.inf, -s, -np.inf, -np.inf]),
-            upper=np.array([np.inf, np.inf, np.inf, 3.0 * s]),
+            lower=lower,
+            upper=upper,
         )
 
     scales = [1.0, 2.0, 0.5]
     problems = [problem(s) for s in scales]
-    assert len(set(_keys(problems))) == 1
+    assert _batch_lists(problems) == [[0, 1, 2]]
     batch = sdpcore.solve_many(problems)
     for s, prob, got in zip(scales, problems, batch):
         _same(got, sdpcore.solve(prob))
         assert got.status == "optimal"
-        assert abs(got.objective_value - 6.25 * s) < 1e-6 * s
-        np.testing.assert_allclose(got.y, [0.75 * s, -s, 0.5 * s, 3.0 * s], atol=1e-4 * s)
+        y1, y3 = (2.0 * s - 3.0, 3.0) if s >= 1.0 else (-1.0, 2.0 * s + 1.0)
+        want = [0.75 * s, y1, 0.5 * s, y3]
+        assert abs(got.objective_value - np.dot(objective, want)) < 1e-6
+        np.testing.assert_allclose(got.y, want, atol=1e-4)
 
 
 def test_batch_at_max_iter_keeps_solo_results():
@@ -816,9 +796,11 @@ def test_batch_at_max_iter_keeps_solo_results():
     for _ in range(4):
         g = rng.standard_normal((3, 3))
         problems.append(max_eig_problem(0.5 * (g + g.T) + 3.0 * np.eye(3)))
-    # Shared coefficients put the eigenvalue problems in one lockstep group.
+    # A shared objective and coefficient list put the eigenvalue problems
+    # in one lockstep batch.
     for p in problems[1:]:
-        p.blocks[0].coeffs = problems[0].blocks[0].coeffs
+        p.objective, p.blocks[0].coeffs = problems[0].objective, problems[0].blocks[0].coeffs
+    assert _batch_lists(problems) == [[0, 1, 2, 3]]
     for max_iter in (2, sdpcore.DEFAULT_MAX_ITER):
         together = sdpcore.solve_many(problems, max_iter=max_iter)
         for p, sol in zip(problems, together):
@@ -966,11 +948,11 @@ def _lmi_problems(dtype, count):
     rng = np.random.default_rng(210)
     a0 = _random_hermitian_psd(rng, 3, dtype)
     a1 = _random_hermitian_psd(rng, 3, dtype) - 2.0 * np.eye(3)
-    coeffs = [(0, a0), (1, a1)]
+    coeffs, objective = [(0, a0), (1, a1)], np.array([1.0, 0.5])
     return [
         sdpcore.SdpProblem(
             num_vars=2,
-            objective=np.array([1.0, 0.5]),
+            objective=objective,
             blocks=[sdpcore.SdpBlock(c=_random_hermitian_psd(rng, 3, dtype) + np.eye(3),
                                      coeffs=coeffs)],
         )
@@ -1016,6 +998,7 @@ def test_failed_slices_read_as_a_nan_mask(monkeypatch, dtype):
     # slice that is not positive definite and problem 2 the NaN one.  They
     # end there; the others keep their solo results.
     problems = _lmi_problems(dtype, 4)
+    assert _batch_lists(problems) == [[0, 1, 2, 3]]
     alone = [sdpcore.solve(p) for p in problems]
     assert [r.status for r in alone] == ["optimal"] * 4
     factor = block.factor
@@ -1316,8 +1299,9 @@ def _invalid_problems():
     """(message, own, problem): every problem ValueError of
     ``test_validation_errors``,
     ``test_non_finite_constant_objective_and_rows_are_rejected`` and
-    ``test_non_hermitian_complex_data_is_rejected``, inconsistent rows and
-    a block multiplicity of 0.
+    ``test_non_hermitian_complex_data_is_rejected``, inconsistent rows, a
+    block multiplicity of 0, a right-hand side without rows, infinite
+    bounds alone and fractional variable indices.
     ``own`` marks a fault of per-problem data (a constant or equality rows),
     which the problem's group mates do not share."""
     skew = np.array([[1.0, 1.0j], [1.0j, 1.0]])
@@ -1347,22 +1331,42 @@ def _invalid_problems():
         eq_matrix=np.array([[1.0], [1.0]]), eq_rhs=np.array([0.0, 1.0]))
     yield "block 0 multiplicity must be a positive integer, got 0", False, _one_var_problem(
         blocks=[sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0, np.eye(2))], w=0)])
+    yield "equality constraint shapes are inconsistent", True, _one_var_problem(
+        eq_rhs=np.array([5.0]))
+    # An infinite bound is no bound.
+    yield "problem has no conic constraints", False, sdpcore.SdpProblem(
+        num_vars=1, objective=np.array([1.0]), blocks=[],
+        lower=np.array([-np.inf]), upper=np.array([np.inf]))
+    yield "block 0 variable index 0.6 must be an integer", False, sdpcore.SdpProblem(
+        2, np.ones(2), [sdpcore.SdpBlock(c=np.eye(2), coeffs=[(0.6, np.eye(2)), (1.7, np.eye(2))])])
+
+
+def _unique(names):
+    """Test ids: each name, with its count appended where it repeats."""
+    seen = {}
+    for name in names:
+        seen[name] = seen.get(name, 0) + 1
+        yield name if seen[name] == 1 else f"{name} ({seen[name]})"
 
 
 @pytest.mark.parametrize("message, own, bad", list(_invalid_problems()),
-                         ids=[m for m, _, _ in _invalid_problems()])
+                         ids=list(_unique(m for m, _, _ in _invalid_problems())))
 def test_grouped_validation_keeps_per_problem_errors(message, own, bad):
-    # Problems that share their objective, bounds and coefficient lists are
-    # validated as one group; each must still raise its own first error.
+    # Problems that share their objective, rows, bounds and coefficient
+    # lists are validated as one group; each must still raise its own first
+    # error.  Equality rows are shared by identity, so the mates of a
+    # problem with rows of its own form a group of their own.
     good = [_group_mate(bad), _group_mate(bad)]
-    assert sdpcore._signature(good[0]) == sdpcore._signature(bad)
+    rows = bad.eq_matrix is not None or bad.eq_rhs is not None
+    if not rows:
+        assert sdpcore._signature(good[0]) == sdpcore._signature(bad)
     with pytest.raises(ValueError) as alone:
         sdpcore.solve(bad)
     assert str(alone.value) == message
     with pytest.raises(ValueError) as grouped:
         sdpcore.solve_many([good[0], bad, good[1]])
     assert str(grouped.value) == message
-    if own:
+    if own and not rows:
         # The group mates alone pass validation.
         assert len(sdpcore._prepare(good)) == 1
 
@@ -1479,17 +1483,23 @@ def test_null_space_rejects_inconsistent_rows_like_scipy():
 
 def test_batches_cut_by_memory_keep_solo_results(monkeypatch):
     # A part larger than BATCH_BYTES allows runs as several batches cut
-    # from its stacks: per-problem rows (own equality rows) and shared ones
-    # (one coefficient stack without rows) alike.
+    # from its stacks: per-problem rows (own coefficient matrices, scaled
+    # copies of one list, on shared equality rows) and shared ones (one
+    # coefficient stack without rows) alike.
     rng = np.random.default_rng(415)
     k = 4
     blocks = [_random_lmi(rng, k, 3, 1)]
     objective = _bounded_objective(rng, blocks, k)
-    problems = []
-    for _ in range(5):
-        e = rng.standard_normal((1, k))
-        problems.append(sdpcore.SdpProblem(
-            k, objective, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k))))
+    e = rng.standard_normal((1, k))
+    f = e @ (0.05 * rng.standard_normal(k))
+    problems = [
+        sdpcore.SdpProblem(
+            k, objective,
+            [sdpcore.SdpBlock(blocks[0].c, [(i, (1.0 + 0.1 * j) * a) for i, a in blocks[0].coeffs])],
+            eq_matrix=e, eq_rhs=f,
+        )
+        for j in range(5)
+    ]
     problems += [
         sdpcore.SdpProblem(k, objective, [sdpcore.SdpBlock((1.0 + 0.1 * i) * blocks[0].c,
                                                            blocks[0].coeffs)])
@@ -1561,53 +1571,6 @@ def test_own_coefficient_lists_split_by_real_or_complex_data():
     assert signatures[0] == signatures[2] != signatures[1]
     for got, prob in zip(sdpcore.solve_many(problems), problems):
         _same(got, sdpcore.solve(prob))
-
-
-def test_own_equality_rows_of_two_ranks_split_one_group(monkeypatch):
-    # Problems that share the objective, the box, the blocks and the shape
-    # of their rows, each with its own two equality rows: of rank 2, or of
-    # rank 1 where the second row repeats the first.  They form one group
-    # whose rows take one batched SVD, and the two null-space sizes make
-    # two lockstep keys; each problem still gets bitwise its solo result.
-    rng = np.random.default_rng(422)
-    k = 5
-    objective, lower, upper = rng.standard_normal(k), -np.ones(k), np.ones(k)
-    blocks = [_random_lmi(rng, k, 3, 2), _random_hermitian_lmi(rng, k, 2)]
-    problems = []
-    for rank in (2, 1, 2, 1, 1, 2):
-        e = rng.standard_normal((2, k))
-        if rank == 1:
-            e[1] = 2.0 * e[0]
-        problems.append(sdpcore.SdpProblem(
-            k, objective, blocks, eq_matrix=e, eq_rhs=e @ (0.05 * rng.standard_normal(k)),
-            lower=lower, upper=upper,
-        ))
-    assert len({sdpcore._signature(p) for p in problems}) == 1
-    alone = [sdpcore.solve(p) for p in problems]
-    calls = {"_null_space": 0}
-    null_space, prepare = sdpcore._null_space, sdpcore._prepare
-    keys = []
-
-    def counted(e, f):
-        calls["_null_space"] += 1
-        return null_space(e, f)
-
-    def spy(problems):
-        parts = prepare(problems)
-        keys.extend(part.key for part in parts)
-        return parts
-
-    monkeypatch.setattr(sdpcore, "_null_space", counted)
-    monkeypatch.setattr(sdpcore, "_prepare", spy)
-    together = sdpcore.solve_many(problems)
-    assert calls == {"_null_space": 1}
-    assert len(keys) == len(set(keys)) == 2
-    # The solver iterates on theta and the null-space coordinates.
-    assert sorted(key[0] for key in keys) == [1 + k - 2, 1 + k - 1]
-    for got, want in zip(together, alone):
-        assert want.status == "optimal"
-        _same(got, want)
-        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
 
 
 def test_refinement_of_one_problem_leaves_the_batch_alone(monkeypatch):
