@@ -470,13 +470,17 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
 
 
 def _alpha_solution(
-    kind: str, j_mats: list[np.ndarray], channels: list[QuantumChannel], positive: bool
+    kind: str,
+    j_mats: np.ndarray | list[np.ndarray],
+    channels: list[QuantumChannel],
+    positive: bool,
 ):
     """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
 
-    One program per channel, with ``j_mats`` the matrices J; the channels
-    share their dimensions.  With ``positive`` the witness is sigma
-    renormalised to a state, without it the Hermitian sigma itself.
+    One program per channel, with ``j_mats`` the matrices J (a list or a
+    stack); the channels share their dimensions.  With ``positive`` the
+    witness is sigma renormalised to a state, without it the Hermitian
+    sigma itself.
     """
     d_in, d_out = channels[0].d_in, channels[0].d_out
     eye_in = np.eye(d_in) / d_in
@@ -493,9 +497,12 @@ def _alpha_solution(
     ]
 
 
-def _transposed_choi(channel: QuantumChannel) -> np.ndarray:
+def _transposed_chois(channels) -> np.ndarray:
+    """The stack of the channels' Choi matrices with the output factor
+    transposed; the channels share their dimensions."""
     return hermlin.partial_transpose(
-        channel.choi.matrix, (channel.d_out, channel.d_in), 0
+        np.stack([c.choi.matrix for c in channels]),
+        (channels[0].d_out, channels[0].d_in), 0,
     )
 
 
@@ -514,14 +521,11 @@ def _on_subset(declaration, picked):
 
 def _alpha_transpose_grid(channels, tol):
     """alphaT where the transposed Choi matrix is PSD, not applicable elsewhere."""
-    jts = [_transposed_choi(c) for c in channels]
-    ppt = [not np.linalg.eigvalsh(jt)[0] < -hermlin.PSD_TOL for jt in jts]
+    jts = _transposed_chois(channels)
+    ppt = ~(np.linalg.eigvalsh(jts)[:, 0] < -hermlin.PSD_TOL)
     solved = yield from _on_subset(
         _alpha_solution(
-            KIND_ALPHA_T,
-            [jt for jt, ok in zip(jts, ppt) if ok],
-            [c for c, ok in zip(channels, ppt) if ok],
-            True,
+            KIND_ALPHA_T, jts[ppt], [c for c, ok in zip(channels, ppt) if ok], True
         ),
         ppt,
     )
@@ -542,7 +546,7 @@ def _alpha_hermitian_grid(channels, tol):
 
 def _alpha_transpose_hermitian_grid(channels, tol):
     return _alpha_solution(
-        KIND_ALPHA_TH, [_transposed_choi(c) for c in channels], channels, False
+        KIND_ALPHA_TH, _transposed_chois(channels), channels, False
     )
 
 

@@ -1143,7 +1143,9 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # From the rows left after ``stop``: ``steps`` still has the ended ones.
         st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
 
-        st.x = sym(st.x + st.a_p[:, None] * st.dx)
+        # dx leaves ``directions`` through ``sym``, so X stays exactly
+        # Hermitian; ds comes from a BLAS product and S is symmetrised.
+        st.x = st.x + st.a_p[:, None] * st.dx
         st.xm = views(st.x)
         st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy

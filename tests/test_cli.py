@@ -4,7 +4,6 @@ import functools
 import importlib
 import itertools
 import json
-import math
 import multiprocessing
 import os
 import shutil
@@ -446,9 +445,8 @@ def test_figures_share_one_pool(tmp_path, monkeypatch, capsys, fake_pool, jobs):
     chunks = pool.chunks
     assert pool.max_workers == min(jobs, len(chunks))
     # fig2 and fig4 share their 101 depolarizing points: one task each.
-    size = min(cli.GRID_CHUNK, math.ceil(152 / jobs))
     for chunk in chunks:
-        assert 1 <= len(chunk) <= size
+        assert 1 <= len(chunk) <= cli.GRID_CHUNK
         assert len({(family, kinds, tol) for family, _, kinds, tol in chunk}) == 1
     tasks = [t for chunk in chunks for t in chunk]
     assert [(t[0], t[2]) for t in tasks] == (
@@ -501,26 +499,69 @@ _SWEEP = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",
           "--kind", "alpha")
 
 
+def _recorded_chunks(monkeypatch) -> list:
+    """Record every chunk ``_chunk_cells`` gets, in or out of a pool."""
+    seen = []
+
+    def recorded(chunk):
+        seen.append(chunk)
+        return _axis_cells(chunk)
+
+    monkeypatch.setattr(cli, "_chunk_cells", recorded)
+    return seen
+
+
+def _run_grid(tmp_path, argv) -> int:
+    out = ("--out", str(tmp_path / "s.csv")) if argv[0] == "sweep" else (
+        "--outdir", str(tmp_path))
+    return run(*argv, *out)
+
+
+def _check_pool(fake_pool, jobs, seen):
+    """No pool at --jobs 1 or for one chunk; else one pool of at most one
+    worker per chunk that got every chunk."""
+    if jobs == 1 or len(seen) == 1:
+        assert fake_pool == []
+    else:
+        [pool] = fake_pool
+        assert pool.max_workers == min(jobs, len(seen))
+        assert pool.chunks == seen
+
+
 @pytest.mark.parametrize("argv, sizes", [
-    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "2"), [3, 2]),
-    (_SWEEP + ("--stop", "0.5", "--step", "0.25", "--jobs", "8"), [1, 1, 1]),
-    (("figures", "--which", "fig2", "--jobs", "2"), [51, 50]),
-    (("figures", "--which", "fig8", "--jobs", "40"), [2] * 25 + [1]),
+    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "2"), [5]),
+    (_SWEEP + ("--stop", "0.5", "--step", "0.25", "--jobs", "8"), [3]),
+    (("figures", "--which", "fig2", "--jobs", "2"), [101]),
+    (("figures", "--which", "fig8", "--jobs", "40"), [51]),
     # fig3's four 76-point grids share family, kinds and tol: one run.
     (("figures", "--which", "fig3", "--jobs", "2"), [128, 128, 48]),
 ], ids=["sweep", "sweep-few-points", "fig2", "fig8-many-jobs", "fig3"])
 def test_chunks_per_run(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
-    # A single grid keeps its ceil(n / jobs)-point chunks; a pool never has
-    # more workers than chunks.
-    monkeypatch.setattr(cli, "_chunk_cells", _axis_cells)
-    out = ("--out", str(tmp_path / "s.csv")) if argv[0] == "sweep" else (
-        "--outdir", str(tmp_path))
-    assert run(*argv, *out) == 0
+    # A run is cut into GRID_CHUNK-point chunks whatever --jobs is; a single
+    # chunk is solved in process, and a pool never has more workers than
+    # chunks.
+    seen = _recorded_chunks(monkeypatch)
+    assert _run_grid(tmp_path, argv) == 0
     capsys.readouterr()
-    [pool] = fake_pool
-    assert [len(chunk) for chunk in pool.chunks] == sizes
-    jobs = int(argv[argv.index("--jobs") + 1])
-    assert pool.max_workers == min(jobs, len(sizes))
+    assert [len(chunk) for chunk in seen] == sizes
+    _check_pool(fake_pool, int(argv[argv.index("--jobs") + 1]), seen)
+
+
+@pytest.mark.parametrize("argv, sizes", [
+    (_MULTI, [101, 51]),
+    (_SWEEP + ("--stop", "1", "--step", "0.25"), [5]),
+], ids=["figures", "sweep"])
+def test_chunks_do_not_depend_on_jobs(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
+    # Every --jobs gives the same chunks, each one whole lockstep batch;
+    # --jobs only bounds the pool, and --jobs 1 or one chunk starts none.
+    seen = _recorded_chunks(monkeypatch)
+    for jobs in (1, 2, 8, 200):
+        seen.clear()
+        fake_pool.clear()
+        assert _run_grid(tmp_path, argv + ("--jobs", str(jobs))) == 0
+        capsys.readouterr()
+        assert [len(chunk) for chunk in seen] == sizes
+        _check_pool(fake_pool, jobs, seen)
 
 
 def test_default_jobs_is_the_affinity_mask(monkeypatch):

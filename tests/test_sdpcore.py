@@ -1276,6 +1276,43 @@ def test_complex_programs_end_non_optimal_without_warnings(monkeypatch, tol, max
                 assert res.solution.iterations <= max_iter, res.kind
 
 
+def test_best_iterate_stands_in_for_a_worse_later_one(monkeypatch):
+    # At tol 1e-16 alphaH of gad(0.3, 0.6) never reaches optimal; its best
+    # iterate comes at step 13.  A run capped at 13 steps or after it
+    # reports that iterate: 13 iterations and bitwise the same y.
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    want = db.alpha_hermitian(ch.gad(0.3, 0.6), 1e-16).solution
+    assert (want.status, want.iterations) == (sdpcore.STATUS_MAX_ITER, 13)
+    solve_many = sdpcore.solve_many
+    for max_iter in (13, 14, 18):
+        monkeypatch.setattr(
+            db.sdpcore, "solve", lambda problem, tol: solve_many([problem], tol, max_iter)[0]
+        )
+        got = db.alpha_hermitian(ch.gad(0.3, 0.6), 1e-16).solution
+        assert (got.status, got.iterations) == (sdpcore.STATUS_MAX_ITER, 13), max_iter
+        assert got.y.tobytes() == want.y.tobytes()
+
+
+def test_best_iterates_of_a_batch_stand_in_per_problem():
+    # One lockstep batch whose problems have their best iterates at steps
+    # 13, 11 and 14: each reports its own best iterate, as its solo solve
+    # does, once the cap is at or past it.
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    channels = [ch.gad(0.3, 0.6), ch.gad(0.2, 0.9), ch.gad(0.7, 0.3)]
+    problems = next(db._alpha_hermitian_grid(channels, 1e-16))
+    assert _batch_lists(problems) == [[0, 1, 2]]
+    solo = [sdpcore.solve(prob, 1e-16) for prob in problems]
+    assert [sol.iterations for sol in solo] == [13, 11, 14]
+    for max_iter in (14, 18):
+        for got, want in zip(sdpcore.solve_many(problems, 1e-16, max_iter), solo):
+            assert (got.status, got.iterations) == (sdpcore.STATUS_MAX_ITER, want.iterations)
+            assert got.y.tobytes() == want.y.tobytes()
+
+
 def _group_mate(bad: sdpcore.SdpProblem) -> sdpcore.SdpProblem:
     """A problem of ``bad``'s group: its objective, bounds and coefficient
     lists, with valid constants and consistent equality rows of its shapes."""
