@@ -13,11 +13,11 @@ before it solves: one task per distinct ``(family, params, tol)`` point,
 carrying every kind any grid asks of it, so a point shared by several
 figures is built and solved once.  The tasks are solved in one call of
 :func:`_run_tasks`: each run of equal ``(family, kinds, tol)`` is cut into
-chunks of at most :data:`GRID_CHUNK` points whatever ``--jobs`` is, and
-every kind of a chunk is solved in one multi-kind call
-(``db.solve_grids``), one lockstep batch per program.  The chunks share
-one process pool per command, of at most ``--jobs`` workers and none for
-a single chunk.  Every CSV value column has a ``<column>_status`` column.
+chunks of at most :data:`GRID_CHUNK` points, cut finer only when that
+would leave ``--jobs`` workers idle, and every kind of a chunk is solved
+in one multi-kind call (``db.solve_grids``), one lockstep batch per
+program.  The chunks share one process pool per command, of at most
+``--jobs`` workers and none for a single chunk.  Every CSV value column has a ``<column>_status`` column.
 Importing this module pins BLAS to one thread unless the environment sets
 it, so ``--jobs`` workers do not oversubscribe.
 """
@@ -70,7 +70,8 @@ KIND_FUNCS = {
 BASE_KINDS = tuple(kind for kind in KIND_FUNCS if kind != "alphaTH")
 
 # Most points of one chunk, which is solved as one lockstep batch; this
-# bounds a batch's memory.  Runs are cut at this size whatever --jobs is.
+# bounds a batch's memory.  Runs are cut at this size unless that leaves
+# fewer chunks than --jobs.
 GRID_CHUNK = 128
 
 PALETTE = (
@@ -210,18 +211,22 @@ def _run_tasks(tasks, jobs: int):
     """Cells per ``(family, params, kinds, tol)`` point task, in task order.
 
     Each run of consecutive tasks with equal ``(family, kinds, tol)`` is cut
-    into contiguous chunks of ``GRID_CHUNK`` points (the last one shorter)
-    whatever ``jobs`` is: a lockstep batch pays its per-iteration overhead
-    once whatever its size, so a run is never split just to feed more
-    workers, and one chunk never mixes programs.  Each chunk is solved in
-    one multi-kind call (see :func:`_grid_cells`).  ``jobs`` only bounds
-    the pool: with several chunks and ``jobs > 1`` they share one pool of
-    ``min(jobs, chunks)`` processes, shut down before this returns.
+    into contiguous chunks of ``GRID_CHUNK`` points (the last one shorter),
+    so one chunk never mixes programs: a lockstep batch pays its
+    per-iteration overhead once whatever its size.  Only when that leaves
+    fewer chunks than ``jobs`` are the runs cut into chunks of ``ceil(
+    len(tasks) / jobs)`` points instead, so no worker idles.  Each chunk is
+    solved in one multi-kind call (see :func:`_grid_cells`).  With several
+    chunks and ``jobs > 1`` they share one pool of ``min(jobs, chunks)``
+    processes, shut down before this returns.
     """
-    chunks = []
-    for _, run in itertools.groupby(tasks, key=lambda t: (t[0], t[2], t[3])):
-        run = list(run)
-        chunks += [run[i : i + GRID_CHUNK] for i in range(0, len(run), GRID_CHUNK)]
+    runs = [
+        list(run) for _, run in itertools.groupby(tasks, key=lambda t: (t[0], t[2], t[3]))
+    ]
+    size = GRID_CHUNK
+    if sum(math.ceil(len(run) / size) for run in runs) < jobs:
+        size = math.ceil(len(tasks) / jobs)
+    chunks = [run[i : i + size] for run in runs for i in range(0, len(run), size)]
     if jobs == 1 or len(chunks) <= 1:
         results = [_chunk_cells(c) for c in chunks]
     else:
@@ -675,7 +680,7 @@ def _cmd_figures(args) -> int:
             )
     os.makedirs(args.outdir, exist_ok=True)
     # Every grid of the command is solved in one call: each distinct point
-    # once, in whole-batch chunks that share one pool.
+    # once, in chunks that share one pool.
     entries = [entry for name in which for entry in FIGURE_SPECS[name]]
     results = _solve_grids([
         _grid_tasks(family, fixed, axes, cols, args.tol)

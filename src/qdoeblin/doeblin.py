@@ -470,21 +470,17 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
 
 
 def _alpha_solution(
-    kind: str,
-    j_mats: np.ndarray | list[np.ndarray],
-    channels: list[QuantumChannel],
-    positive: bool,
+    kind: str, j_mats: np.ndarray, channels: list[QuantumChannel], positive: bool
 ):
     """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
 
-    One program per channel, with ``j_mats`` the matrices J (a list or a
-    stack); the channels share their dimensions.  With ``positive`` the
-    witness is sigma renormalised to a state, without it the Hermitian
-    sigma itself.
+    One program per channel, with ``j_mats`` the stack of the matrices J;
+    the channels share their dimensions.  With ``positive`` the witness is
+    sigma renormalised to a state, without it the Hermitian sigma itself.
     """
     d_in, d_out = channels[0].d_in, channels[0].d_out
     eye_in = np.eye(d_in) / d_in
-    psd = [(np.stack(j_mats), {0: lambda b: hermlin.kron(b, eye_in)})]
+    psd = [(j_mats, {0: lambda b: hermlin.kron(b, eye_in)})]
     if positive:
         psd.append((np.zeros((d_out, d_out)), {0: np.negative}))
     solved = yield from _program(
@@ -497,17 +493,21 @@ def _alpha_solution(
     ]
 
 
+def _chois(channels) -> np.ndarray:
+    return np.stack([c.choi.matrix for c in channels])
+
+
 def _transposed_chois(channels) -> np.ndarray:
     """The stack of the channels' Choi matrices with the output factor
     transposed; the channels share their dimensions."""
     return hermlin.partial_transpose(
-        np.stack([c.choi.matrix for c in channels]),
+        _chois(channels),
         (channels[0].d_out, channels[0].d_in), 0,
     )
 
 
 def _alpha_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA, [c.choi.matrix for c in channels], channels, True)
+    return _alpha_solution(KIND_ALPHA, _chois(channels), channels, True)
 
 
 def _on_subset(declaration, picked):
@@ -541,7 +541,7 @@ def _alpha_transpose_grid(channels, tol):
 
 
 def _alpha_hermitian_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA_H, [c.choi.matrix for c in channels], channels, False)
+    return _alpha_solution(KIND_ALPHA_H, _chois(channels), channels, False)
 
 
 def _alpha_transpose_hermitian_grid(channels, tol):
@@ -567,7 +567,7 @@ def _p1_grid(channels, tol):
         psd=[
             (zero, {0: np.negative}),
             (zero, {0: lambda b: -hermlin.partial_transpose(b, (d_out, d_in), 1)}),
-            (np.stack([c.choi.matrix for c in channels]), {0: lambda b: b}),
+            (_chois(channels), {0: lambda b: b}),
         ],
         eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
         count=len(channels),
@@ -735,7 +735,7 @@ def _inverse(channels):
     d = channels[0].d_in
     n = d * d
     eps = np.finfo(float).eps
-    sup = d * _reshuffle(np.stack([channel.choi.matrix for channel in channels]), d)
+    sup = d * _reshuffle(_chois(channels), d)
     with np.errstate(all="ignore"):
         inv = sdpcore._INV(sup)
         norm_inv = np.linalg.norm(inv, axis=(1, 2))

@@ -499,69 +499,41 @@ _SWEEP = ("sweep", "--channel", "depolarizing", "--sweep", "p", "--start", "0",
           "--kind", "alpha")
 
 
-def _recorded_chunks(monkeypatch) -> list:
-    """Record every chunk ``_chunk_cells`` gets, in or out of a pool."""
+@pytest.mark.parametrize("argv, sizes", [
+    # A run cut into whole batches would leave workers idle: the command
+    # is cut into ceil(points / jobs)-point chunks instead.
+    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "2"), [3, 2]),
+    (_SWEEP + ("--stop", "0.5", "--step", "0.25", "--jobs", "8"), [1, 1, 1]),
+    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "1"), [5]),
+    (("figures", "--which", "fig2", "--jobs", "2"), [51, 50]),
+    (("figures", "--which", "fig8", "--jobs", "40"), [2] * 25 + [1]),
+    # fig3's four 76-point grids share family, kinds and tol: one run, in
+    # whole batches since they are enough for both workers.
+    (("figures", "--which", "fig3", "--jobs", "2"), [128, 128, 48]),
+    # Two runs keep one whole batch each for up to two workers.
+    (_MULTI + ("--jobs", "1"), [101, 51]),
+    (_MULTI + ("--jobs", "2"), [101, 51]),
+    (_MULTI + ("--jobs", "8"), [19] * 5 + [6] + [19, 19, 13]),
+    (_MULTI + ("--jobs", "200"), [1] * 152),
+], ids=["sweep", "sweep-few-points", "sweep-one-job", "fig2", "fig8-many-jobs", "fig3",
+        "multi-1", "multi-2", "multi-8", "multi-200"])
+def test_chunks_per_run(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
+    # A single chunk is solved in process, and a pool never has more
+    # workers than chunks.
     seen = []
-
-    def recorded(chunk):
-        seen.append(chunk)
-        return _axis_cells(chunk)
-
-    monkeypatch.setattr(cli, "_chunk_cells", recorded)
-    return seen
-
-
-def _run_grid(tmp_path, argv) -> int:
+    monkeypatch.setattr(cli, "_chunk_cells", lambda chunk: seen.append(chunk) or _axis_cells(chunk))
     out = ("--out", str(tmp_path / "s.csv")) if argv[0] == "sweep" else (
         "--outdir", str(tmp_path))
-    return run(*argv, *out)
-
-
-def _check_pool(fake_pool, jobs, seen):
-    """No pool at --jobs 1 or for one chunk; else one pool of at most one
-    worker per chunk that got every chunk."""
-    if jobs == 1 or len(seen) == 1:
+    assert run(*argv, *out) == 0
+    capsys.readouterr()
+    assert [len(chunk) for chunk in seen] == sizes
+    jobs = int(argv[argv.index("--jobs") + 1])
+    if jobs == 1 or len(sizes) == 1:
         assert fake_pool == []
     else:
         [pool] = fake_pool
-        assert pool.max_workers == min(jobs, len(seen))
         assert pool.chunks == seen
-
-
-@pytest.mark.parametrize("argv, sizes", [
-    (_SWEEP + ("--stop", "1", "--step", "0.25", "--jobs", "2"), [5]),
-    (_SWEEP + ("--stop", "0.5", "--step", "0.25", "--jobs", "8"), [3]),
-    (("figures", "--which", "fig2", "--jobs", "2"), [101]),
-    (("figures", "--which", "fig8", "--jobs", "40"), [51]),
-    # fig3's four 76-point grids share family, kinds and tol: one run.
-    (("figures", "--which", "fig3", "--jobs", "2"), [128, 128, 48]),
-], ids=["sweep", "sweep-few-points", "fig2", "fig8-many-jobs", "fig3"])
-def test_chunks_per_run(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
-    # A run is cut into GRID_CHUNK-point chunks whatever --jobs is; a single
-    # chunk is solved in process, and a pool never has more workers than
-    # chunks.
-    seen = _recorded_chunks(monkeypatch)
-    assert _run_grid(tmp_path, argv) == 0
-    capsys.readouterr()
-    assert [len(chunk) for chunk in seen] == sizes
-    _check_pool(fake_pool, int(argv[argv.index("--jobs") + 1]), seen)
-
-
-@pytest.mark.parametrize("argv, sizes", [
-    (_MULTI, [101, 51]),
-    (_SWEEP + ("--stop", "1", "--step", "0.25"), [5]),
-], ids=["figures", "sweep"])
-def test_chunks_do_not_depend_on_jobs(tmp_path, monkeypatch, capsys, fake_pool, argv, sizes):
-    # Every --jobs gives the same chunks, each one whole lockstep batch;
-    # --jobs only bounds the pool, and --jobs 1 or one chunk starts none.
-    seen = _recorded_chunks(monkeypatch)
-    for jobs in (1, 2, 8, 200):
-        seen.clear()
-        fake_pool.clear()
-        assert _run_grid(tmp_path, argv + ("--jobs", str(jobs))) == 0
-        capsys.readouterr()
-        assert [len(chunk) for chunk in seen] == sizes
-        _check_pool(fake_pool, jobs, seen)
+        assert pool.max_workers == min(jobs, len(sizes))
 
 
 def test_default_jobs_is_the_affinity_mask(monkeypatch):
