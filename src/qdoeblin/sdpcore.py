@@ -145,6 +145,11 @@ _CHOLESKY = _umath_linalg.cholesky_lo
 _INV = _umath_linalg.inv
 _EIGVALSH = _umath_linalg.eigvalsh_lo
 _SOLVE = _umath_linalg.solve1
+# Reductions called as ufunc methods: one C call each, without the
+# Python-level dispatch of the ndarray methods and of ``count_nonzero``.
+_ALL = np.logical_and.reduce
+_ANY = np.logical_or.reduce
+_MAX = np.maximum.reduce
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITER = "max_iter"
@@ -324,8 +329,8 @@ def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarr
     """
     ell = _CHOLESKY(m)
     ok = np.isfinite(ell[:, -1, -1])
-    if np.count_nonzero(ok) < len(ok):
-        for i in np.flatnonzero(~ok):
+    if not _ALL(ok):
+        for i in (~ok).nonzero()[0]:
             try:
                 ell[i] = _cholesky(m[i], repair)
                 ok[i] = True
@@ -335,8 +340,8 @@ def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarr
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    """The Hermitian parts of a stack."""
-    out = m + m.conj().transpose(0, 2, 1)
+    """The Hermitian parts of a stack of matrices (of any leading shape)."""
+    out = m + m.conj().mT
     out *= 0.5
     return out
 
@@ -354,13 +359,14 @@ class _DenseBlock:
     The block owns the columns ``cols`` of the flat iterate (see
     :func:`_lockstep`): the float view of its ``m x m`` matrix, real and
     imaginary parts alternating for complex data.  ``mat`` views them as a
-    ``(B, m, m)`` stack of the block's dtype.  The block keeps what stays
+    stack of matrices of the block's dtype.  The block keeps what stays
     per block: the Schur term, the factor, the step search and the slack
     eigenvalue.  ``aflat`` holds its coefficient stack, ``(P, k, m*m)``
     with one row per solver variable: P is 1 when every problem of the
     batch shares the stack, and the batch size when each has its own.
     ``aview`` is its float view, the block's columns of the coefficient
-    matrix of the batch.
+    matrix of the batch, and ``arows`` its ``(P, k*m, m)`` view, the left
+    factor of the Schur term.
 
     Every transpose that stands for the adjoint is a conjugate transpose,
     and every trace is real: ``Re Tr(A X) = Re sum_ab A_ab conj(X_ab)`` for
@@ -381,11 +387,14 @@ class _DenseBlock:
     def __init__(self, cols: slice, dim: int, aflat: np.ndarray, w: int):
         self.cols = cols
         self.dim = dim
-        self.shape = (-1, dim, dim)
         self.dtype = aflat.dtype
+        self.w = w
+        self._set(aflat)
+
+    def _set(self, aflat: np.ndarray) -> None:
         self.aflat = aflat
         self.aview = aflat.view(float)
-        self.w = w
+        self.arows = aflat.reshape(len(aflat), -1, self.dim)
 
     def __len__(self) -> int:
         return len(self.aflat)
@@ -393,21 +402,21 @@ class _DenseBlock:
     def __getitem__(self, keep: np.ndarray) -> _DenseBlock:
         """The block of the problems ``keep``."""
         out = copy.copy(self)
-        out.aflat = self.aflat[keep]
-        out.aview = out.aflat.view(float)
+        out._set(self.aflat[keep])
         return out
 
     def mat(self, v: np.ndarray) -> np.ndarray:
-        """The block's columns of the flat rows ``v`` as a stack of matrices."""
-        return v[:, self.cols].view(self.dtype).reshape(self.shape)
+        """The block's columns of the flat rows ``v`` (of any leading
+        shape) as a stack of matrices, a view of ``v``."""
+        return v[..., self.cols].view(self.dtype).reshape(*v.shape[:-1], self.dim, self.dim)
 
     def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
         """HKM Schur blocks ``M_ij = Re Tr(A_i X A_j S^-1)``, one gemm per
         stage; the last stage is a real gemm."""
         k, m = self.aflat.shape[1], self.dim
-        a_sinv = (self.aflat.reshape(-1, k * m, m) @ s_inv).reshape(-1, k, m, m)
+        a_sinv = (self.arows @ s_inv).reshape(-1, k, m, m)
         xas = (x[:, None] @ a_sinv).reshape(-1, k, m * m).view(float)
-        out = self.aview @ xas.transpose(0, 2, 1)
+        out = self.aview @ xas.mT
         if self.w != 1:
             out *= self.w
         return out
@@ -415,89 +424,31 @@ class _DenseBlock:
     @staticmethod
     def min_slack(m: np.ndarray) -> np.ndarray:
         """Smallest eigenvalue per slice, nan where the eigensolver fails."""
-        return _EIGVALSH(m)[:, 0]
+        return _EIGVALSH(m)[..., 0]
 
     factor = staticmethod(_inv_chol)
 
     @staticmethod
-    def inverse(li: np.ndarray, out: np.ndarray) -> None:
-        """``S^-1 = L^-H L^-1`` into ``out``."""
-        np.matmul(li.conj().transpose(0, 2, 1), li, out=out)
-
-    @staticmethod
-    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-        np.matmul(a @ b, c, out=out)
-
-    @staticmethod
-    def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
-        """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li =
-        L^-1`` of M: one eigensolve of ``L^-1 dM L^-H``.
+    def max_step(li: np.ndarray, dm: np.ndarray, li_h: np.ndarray | None = None) -> np.ndarray:
+        """Largest a >= 0 with M + a*dM still PSD, per slice of any leading
+        shape, from ``li = L^-1`` of M and ``li_h``, its conjugate
+        transpose: one eigensolve of ``L^-1 dM L^-H``.
 
         ``np.inf`` where the direction never leaves the cone, nan where the
         eigensolver fails.
         """
-        lam = _EIGVALSH(_sym(li @ dm @ li.conj().transpose(0, 2, 1)))[:, 0]
+        lam = _EIGVALSH(_sym(li @ dm @ (li.conj().mT if li_h is None else li_h)))[..., 0]
         return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
-class _DiagBlock:
-    """Every 1x1 cone of a lockstep batch as one diagonal (LP) block.
-
-    Entry r is the cone ``c_r - g_r . y >= 0``: one per finite box bound,
-    and last the big-M shift ``tau >= 0``, which is not a constraint of the
-    original problem.  The block owns the last ``cols`` of the flat
-    iterate; ``g`` is a ``(1, r, k)`` stack over every solver variable,
-    shared by the batch, whose problems share T and the bounds, and
-    ``aview`` its transpose, the block's columns of the coefficient matrix
-    of the batch.  ``S^-1`` and every product are elementwise; the factor
-    of an iterate is the iterate itself.
-    """
-
-    w = 1
-
-    def __init__(self, cols: slice, g: np.ndarray):
-        self.cols = cols
-        self.dim = g.shape[1]
-        self.g = g
-        self.aview = np.ascontiguousarray(g.transpose(0, 2, 1))
-
-    def __len__(self) -> int:
-        return len(self.g)
-
-    def mat(self, v: np.ndarray) -> np.ndarray:
-        return v[:, self.cols]
-
-    def schur(self, x: np.ndarray, s_inv: np.ndarray) -> np.ndarray:
-        return (self.aview * (x * s_inv)[:, None, :]) @ self.g
-
-    @staticmethod
-    def min_slack(m: np.ndarray) -> np.ndarray:
-        """Smallest box slack; the shift entry is left out."""
-        return m[:, :-1].min(axis=1, initial=np.inf)
-
-    @staticmethod
-    def factor(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        # The ratio test needs no factorisation, so there is nothing to
-        # repair; only S^-1 needs every entry positive.
-        ok = np.ones(len(m), dtype=bool) if repair else (m > 0.0).all(axis=1)
-        return m, ok
-
-    @staticmethod
-    def inverse(m: np.ndarray, out: np.ndarray) -> None:
-        np.divide(1.0, m, out=out)
-
-    @staticmethod
-    def product(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(a * b, c, out=out)
-
-    @staticmethod
-    def max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
-        """Largest a >= 0 with m + a*dm >= 0 entrywise, per row (np.inf if unbounded)."""
-        # The ratios of entries that do not decrease are never formed; one
-        # that overflows is an unbounded step along its entry (the overflow
-        # flag is ignored with every other one in :func:`_lockstep`).
-        ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
-        return ratio.min(axis=1)
+def _lp_max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
+    """Largest a >= 0 with m + a*dm >= 0 entrywise, per row of the last
+    axis (np.inf if unbounded): the ratio test of the diagonal block."""
+    # The ratios of entries that do not decrease are never formed; one
+    # that overflows is an unbounded step along its entry (the overflow
+    # flag is ignored with every other one in :func:`_lockstep`).
+    ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
+    return np.minimum.reduce(ratio, axis=-1)
 
 
 def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -803,49 +754,67 @@ class _Rows:
 class _Layout(NamedTuple):
     """The blocks of a lockstep batch laid out side by side in one flat row.
 
-    ``blocks`` holds the dense blocks and last the diagonal one, each with
-    its columns.  Per column, ``weight`` is the multiplicity of its block
-    and ``eye`` the entry of the identity; ``sign * v[:, perm]`` is the
-    conjugate transpose of every block of the rows ``v``.
+    ``blocks`` holds the dense blocks, each with its columns, and ``lp``
+    the columns of the diagonal block, the last ones.  Per column,
+    ``weight`` is the multiplicity of its block and ``eye`` the entry of
+    the identity; ``sign * v[:, perm]`` is the conjugate transpose of every
+    block of the rows ``v``.
     """
 
     blocks: list
+    lp: slice
     weight: np.ndarray
     eye: np.ndarray
     perm: np.ndarray
     sign: np.ndarray
 
 
-def _layout(part: _Part) -> _Layout:
-    """The flat layout of a part: every dense block's float view in turn,
-    real and imaginary parts alternating for complex data, then the
-    diagonal block."""
-    blocks, weight, eye, perm, sign = [], [], [], [], []
+@functools.lru_cache(maxsize=256)
+def _columns(shapes: tuple, r: int) -> tuple:
+    """The columns of dense blocks of ``shapes`` (side, floats per entry and
+    multiplicity of each) laid out in turn and of an r-entry diagonal block
+    after them, and the per-column arrays of :class:`_Layout`: made once per
+    shape, and read only."""
+    cols, weight, eye, perm, sign = [], [], [], [], []
     start = 0
-    for c, a, w in zip(part.cs, part.coeffs, part.ws):
-        side, parts = c.shape[1], a.itemsize // 8
+    for side, parts, w in shapes:
         size = side * side * parts
-        blocks.append(_DenseBlock(slice(start, start + size), side, a, w))
+        cols.append(slice(start, start + size))
         weight.append(np.full(size, float(w)))
-        eye.append(np.eye(side, dtype=a.dtype).reshape(-1).view(float))
+        eye.append(np.eye(side, dtype=complex if parts == 2 else float).reshape(-1).view(float))
         # Entry (i, j) of the conjugate transpose is entry (j, i), with
         # its imaginary part negated.
         entries = np.arange(side * side).reshape(side, side).T.reshape(-1)
         perm.append(start + (parts * entries[:, None] + np.arange(parts)).reshape(-1))
         sign.append(np.tile([1.0, -1.0][:parts], side * side))
         start += size
-    r = part.diag.shape[1]
-    blocks.append(_DiagBlock(slice(start, start + r), part.diag))
     weight.append(np.ones(r))
     eye.append(np.ones(r))
     perm.append(start + np.arange(r))
     sign.append(np.ones(r))
-    return _Layout(blocks, *map(np.concatenate, (weight, eye, perm, sign)))
+    flat = tuple(map(np.concatenate, (weight, eye, perm, sign)))
+    for a in flat:
+        a.flags.writeable = False
+    return cols, slice(start, start + r), *flat
+
+
+def _layout(part: _Part) -> _Layout:
+    """The flat layout of a part: every dense block's float view in turn,
+    real and imaginary parts alternating for complex data, then the
+    diagonal block."""
+    shapes = tuple((c.shape[1], a.itemsize // 8, w)
+                   for c, a, w in zip(part.cs, part.coeffs, part.ws))
+    cols, lp, *flat = _columns(shapes, part.diag.shape[1])
+    blocks = [_DenseBlock(col, side, a, w)
+              for col, (side, _, w), a in zip(cols, shapes, part.coeffs)]
+    return _Layout(blocks, lp, *flat)
 
 
 # Columns of ``_Rows.met``: the residual metrics of the current iterate and
 # the step count that reached it.
 _WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
+# Scratch rows of a lockstep batch (see ``scratch`` in :func:`_lockstep`).
+_SCRATCH = ("shifted", "s_inv", "r_d", "op", "p_xr", "prod", "corr")
 
 
 @np.errstate(all="ignore")
@@ -859,10 +828,25 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     search stay per dense block, on views of the rows.  The operator and
     the adjoint use one ``(P, k, total)`` coefficient matrix over all
     blocks, the diagonal one included, and the multiplicities enter as a
-    weight per column.  Each KKT solve is one ``solve`` gufunc call over the
-    batch.  Floating-point flags are ignored for the whole run: a slice
-    that LAPACK fails on, an exactly singular KKT matrix among them, reads
-    as NaN, and every failure is caught by the checks below.
+    weight per column.  The diagonal block is no block object: its
+    inverse, products, Schur term, ratio test and positivity check are
+    arithmetic on the trailing columns ``lp`` of the rows.  Each KKT solve
+    is one ``solve`` gufunc call over the batch.  Floating-point flags are
+    ignored for the whole run: a slice that LAPACK fails on, an exactly
+    singular KKT matrix among them, reads as NaN, and every failure is
+    caught by the checks below.
+
+    The loop makes few numpy calls per iteration.  Rows that are written
+    and read between two checks that can end problems (S^-1, r_d, the
+    operator row, the product rows, the stacked step directions and the
+    shifted slack) live in scratch rows whose block views are made once
+    per batch size.  Whatever is read after such a check is also kept in
+    the rows ``st``, so ``_Rows.take`` carries it when a problem leaves,
+    and the scratch rows are made again for the smaller batch.  The step
+    search runs on the pairs ``[L_X^-1, L_S^-1]`` of every problem,
+    ``(B, 2, m, m)`` per block, and their conjugate transposes, built once
+    per iteration for both searches; the directions are stacked the same
+    way, so one eigensolve per block serves the primal and the dual step.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
     and step count; whatever ends one problem (convergence, a failed
@@ -879,32 +863,66 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     red = part.red
     q = int(red is not None)
     lay = _layout(part)
-    blocks = lay.blocks
+    lp = lay.lp
+    total = len(lay.weight)
+    # The diagonal block: its rows g over the solver variables, shared by
+    # the batch, and their transpose, its columns of the coefficient matrix.
+    g = part.diag
+    g_t = np.ascontiguousarray(g.transpose(0, 2, 1))
+    boxes = g.shape[1] > 1
     # The barrier parameter counts every copy of a block.
-    m_total = sum(blk.w * blk.dim for blk in blocks)
+    m_total = sum(blk.w * blk.dim for blk in lay.blocks) + g.shape[1]
 
     st = _Rows()
     st.pos = np.arange(count)
-    st.blocks = blocks
-    st.a = np.empty((max(map(len, blocks)), nv + 1, len(lay.weight)))
-    st.c = np.empty((count, len(lay.weight)))
-    for blk, c in zip(blocks, part.cs):
+    st.blocks = lay.blocks
+    st.a = np.empty((max(map(len, lay.blocks), default=1), nv + 1, total))
+    st.c = np.empty((count, total))
+    for blk, c in zip(lay.blocks, part.cs):
         st.a[:, :, blk.cols] = blk.aview
         blk.mat(st.c)[...] = c
+    st.a[:, :, lp] = g_t
+    st.c[:, lp] = part.cs[-1]
     m_pen = 1e4 * part.b_scale
     b_aug = np.append(part.b, -m_pen)
 
     def views(v: np.ndarray) -> list[np.ndarray]:
-        """Every block's columns of the rows ``v``, as the block's stack."""
-        return [blk.mat(v) for blk in st.blocks]
+        """Every block's columns of the rows ``v`` (of any leading shape):
+        each dense block's stack, and last the diagonal block's columns."""
+        return [blk.mat(v) for blk in st.blocks] + [v[..., lp]]
 
-    lam0 = np.maximum(1.0, 1.0 - functools.reduce(
-        np.minimum, [blk.min_slack(ck) for blk, ck in zip(blocks, views(st.c))]
-    ))
+    def scratch(n: int) -> _Rows:
+        """Scratch rows of a batch of n problems and their block views: a
+        ``(n, total)`` row and its views ``<name>_m`` per name of
+        ``_SCRATCH``, and the stacked step directions ``d``, ``(n, 2,
+        total)`` with dx in ``d[:, 0]`` and ds in ``d[:, 1]``."""
+        sc = _Rows()
+        sc.ok = np.ones(n, dtype=bool)
+        for name in _SCRATCH:
+            row = np.empty((n, total))
+            setattr(sc, name, row)
+            setattr(sc, name + "_m", views(row))
+        sc.d = np.empty((n, 2, total))
+        sc.d_m = views(sc.d)
+        sc.dx_m = [v[:, 0] for v in sc.d_m]
+        sc.ds_m = [v[:, 1] for v in sc.d_m]
+        return sc
+
+    def lowest(mats: list[np.ndarray]) -> np.ndarray:
+        """Smallest slack eigenvalue per problem over the blocks ``mats``;
+        the shift entry of the diagonal block is left out."""
+        lows = [blk.min_slack(m) for blk, m in zip(st.blocks, mats)]
+        if boxes:
+            lows.append(np.minimum.reduce(mats[-1][:, :-1], axis=1))
+        return functools.reduce(np.minimum, lows)
+
+    scr = scratch(count)
+    lam0 = np.maximum(1.0, 1.0 - lowest(views(st.c)))
     st.tau_cap = 1e-6 * (1.0 + lam0)
     st.y = np.zeros((count, nv + 1))
     st.y[:, tau_idx] = lam0
     st.s = st.c - np.vecmat(st.y, st.a)
+    st.sm = views(st.s)
     st.x = np.tile(lay.eye, (count, 1))
     st.x[:, -1] = np.maximum(1.0, m_pen - (m_total - 1))
     st.xm = views(st.x)
@@ -918,34 +936,34 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
 
     out: list[SdpSolution | None] = [None] * count
 
-    def sym(v: np.ndarray) -> np.ndarray:
-        """The Hermitian part of every block of the rows ``v``."""
-        half = v.take(lay.perm, axis=1)
+    def sym(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The Hermitian part of every block of the rows ``v``, into ``out``
+        when given."""
+        half = v.take(lay.perm, axis=1, out=out)
         half *= lay.sign
         half += v
         half *= 0.5
         return half
 
-    def products(a: list, b: list, c: list) -> np.ndarray:
-        """``a b c`` of every block's stacks, as rows."""
-        abc = np.empty_like(st.x)
-        for blk, ak, bk, ck, out_k in zip(st.blocks, a, b, c, views(abc)):
-            blk.product(ak, bk, ck, out_k)
-        return abc
+    def products(a: list, b: list, c: list, out: np.ndarray, out_m: list) -> np.ndarray:
+        """``a b c`` of every block's views into the rows ``out``, whose
+        views are ``out_m``; the diagonal block's is elementwise."""
+        for ak, bk, ck, abc in zip(a, b, c, out_m[:-1]):
+            np.matmul(ak @ bk, ck, out=abc)
+        np.multiply(a[-1] * b[-1], c[-1], out=out_m[-1])
+        return out
 
     def metrics() -> None:
         # The shift entry of the diagonal block is left out of the slack
-        # (see ``min_slack``); its zero constant and its adjoint, which
-        # only reaches ``tau``, add nothing to the objective or to ``dres``.
+        # (see ``lowest``); its zero constant and its adjoint, which only
+        # reaches ``tau``, add nothing to the objective or to ``dres``.
         yv, tau = st.y[:, :nv], st.y[:, tau_idx]
-        shifted = views(st.s - tau[:, None] * lay.eye)
-        slack = functools.reduce(
-            np.minimum, [blk.min_slack(sk) for blk, sk in zip(st.blocks, shifted)]
-        )
-        pres = np.maximum(0.0, -slack)
+        np.multiply(tau[:, None], lay.eye, out=scr.shifted)
+        np.subtract(st.s, scr.shifted, out=scr.shifted)
+        pres = np.maximum(0.0, -lowest(scr.shifted_m))
         if red:
             # Feasibility of y = T (theta, w) for the original rows.
-            eq_dev = np.abs(np.matvec(red.et, yv) - red.f).max(axis=1, initial=0.0)
+            eq_dev = _MAX(np.abs(np.matvec(red.et, yv) - red.f), axis=1, initial=0.0)
             pres = np.maximum(pres, eq_dev)
         # X summed over the copies of every block: the adjoint and every
         # trace product with X count each copy.
@@ -957,8 +975,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             # f . nu equal to the multiplier of theta = 1, least squares
             # otherwise, leave Z r_w plus the theta residual along y_p.
             dres = np.matvec(red.z, dres[:, 1:]) + (dres[:, 0] - st.nu[:, 0])[:, None] * red.yp_pinv
-        dres = np.abs(dres)
-        dres = dres.max(axis=1, initial=0.0) / part.b_scale
+        dres = _MAX(np.abs(dres), axis=1, initial=0.0) / part.b_scale
         pobj = np.vecdot(st.c, st.xw)
         if red:
             # The multiplier of theta = 1 is f . nu of the original rows.
@@ -974,7 +991,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         Off the optimal path the best iterate seen stands in for the
         current one when its residuals are strictly smaller.
         """
-        for i in np.flatnonzero(sel):
+        nonlocal scr
+        for i in sel.nonzero()[0]:
             best = status != STATUS_OPTIMAL and st.best_met[i, _WORST] < st.met[i, _WORST]
             met, y, x = (
                 (st.best_met, st.best_y, st.best_x) if best else (st.met, st.y, st.x)
@@ -988,24 +1006,26 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
                 primal_residual=float(met[i, _PRES]),
                 dual_residual=float(met[i, _DRES]),
                 iterations=int(met[i, _STEPS]),
-                x_blocks=[blk.mat(x[i : i + 1])[0].copy() for blk in st.blocks[:-1]],
+                x_blocks=[blk.mat(x[i]).copy() for blk in st.blocks],
                 shift=float(met[i, _TAU]),
             )
-        if sel.all():
+        if _ALL(sel):
             st.pos = st.pos[:0]
         else:
             st.take(~sel)
+            scr = scratch(len(st.pos))
 
     def stop(ok: np.ndarray, broken: bool) -> bool:
-        """End the problems not ``ok``; whether any problem is left."""
-        # ``count_nonzero`` is the cheapest test that all are ok.
-        if np.count_nonzero(ok) < len(ok):
+        """End the problems not ``ok``; whether any problem is left.  The
+        loop calls it only once a check fails: ``_ALL(ok) or stop(...)``."""
+        if not _ALL(ok):
             finish(~ok, STATUS_NUMERICAL if broken else STATUS_MAX_ITER)
         return len(st.pos) > 0
 
-    def factors(mats: list[np.ndarray], repair: bool = False) -> tuple[list, np.ndarray]:
-        """Every block's factors and which problems have them all."""
-        facs, ok = [], True
+    def factors(mats: list[np.ndarray], ok: np.ndarray, repair: bool = False) -> tuple:
+        """Every dense block's factors, and which problems have them all
+        and are ``ok`` in the diagonal block."""
+        facs = []
         for blk, m in zip(st.blocks, mats):
             fac, ok_k = blk.factor(m, repair)
             facs.append(fac)
@@ -1018,37 +1038,37 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         row.  One step of iterative refinement, again one solve, serves the
         rows whose residual is above roundoff."""
         sol = _SOLVE(st.kkt, rhs)
-        ok = np.isfinite(sol).all(axis=1)
-        if np.count_nonzero(ok) < len(ok):
+        ok = _ALL(np.isfinite(sol), axis=1)
+        if not _ALL(ok):
             sol[~ok] = 0.0
         resid = rhs - np.matvec(st.kkt, sol)
-        big = np.flatnonzero(
-            (np.abs(resid).max(axis=1) > 1e-13 * (1.0 + np.abs(rhs).max(axis=1))) & ok
-        )
+        big = ((_MAX(np.abs(resid), axis=1) > 1e-13 * (1.0 + _MAX(np.abs(rhs), axis=1))) & ok)
+        big = big.nonzero()[0]
         if big.size:
             sol[big] += _SOLVE(st.kkt[big], resid[big])
         return sol, ok
 
     def directions(h: np.ndarray) -> tuple:
-        """Newton direction for the right-hand side ``h``, and which are finite."""
+        """Newton direction for the right-hand side ``h``: dy and dnu, dx
+        and ds stacked into ``scr.d``, and which are finite."""
         rhs = st.r_p - np.matvec(st.a, h * lay.weight)
         sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if red else rhs)
-        dy, dnu = sol[:, : nv + 1], sol[:, nv + 1 :]
-        op = np.vecmat(dy, st.a)
-        ds = st.r_d - op
-        dx = sym(h + products(st.xm, views(op), st.sim))
+        dy = sol[:, : nv + 1]
+        op = np.vecmat(dy, st.a, out=scr.op)
+        np.subtract(st.r_d, op, out=scr.d[:, 1])
+        hx = np.add(h, products(st.xm, scr.op_m, st.sim, scr.prod, scr.prod_m), out=scr.prod)
+        dx = sym(hx, out=scr.d[:, 0])
         # ds is finite with dy; dx also carries h.
-        ok &= np.isfinite(dx).all(axis=1)
-        return dy, dnu, dx, ds, ok
+        ok &= _ALL(np.isfinite(dx), axis=1)
+        return dy, sol[:, nv + 1 :], ok
 
-    def max_steps(dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
-        """Largest primal (row 0) and dual (row 1) steps along the rows
-        ``dx`` and ``ds``, one eigensolve per block for both."""
+    def max_steps(dm: list[np.ndarray]) -> np.ndarray:
+        """Largest primal (column 0) and dual (column 1) steps along the
+        stacked directions ``dm``, one eigensolve per block for both."""
         steps = np.inf
-        for blk, xf, sf, dm in zip(st.blocks, st.x_fac, st.s_fac, views(np.concatenate([dx, ds]))):
-            both = blk.max_step(np.concatenate([xf, sf]), dm)
-            steps = np.minimum(steps, both.reshape(2, -1))
-        return steps
+        for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm):
+            steps = np.minimum(steps, blk.max_step(li, dmk, li_h))
+        return np.minimum(steps, _lp_max_step(st.lp_pair, dm[-1]))
 
     for it in range(max_iter + 1):
         metrics()
@@ -1058,22 +1078,22 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             finish(np.ones(len(st.pos), dtype=bool), STATUS_MAX_ITER)
             break
         better = st.met[:, _WORST] < st.best_met[:, _WORST]
-        if better.all():
+        if _ALL(better):
             st.best_met, st.best_y, st.best_x = st.met, st.y, st.x
-        elif better.any():
+        elif _ANY(better):
             st.best_met = np.where(better[:, None], st.met, st.best_met)
             st.best_y = np.where(better[:, None], st.y, st.best_y)
             st.best_x = np.where(better[:, None], st.x, st.best_x)
-        if done.any():
+        if _ANY(done):
             finish(done, STATUS_OPTIMAL)
             if not len(st.pos):
                 break
 
         st.mu = np.vecdot(st.xw, st.s) / m_total
         # A non-finite mu is a numerical failure, mu <= 0 a stall.
-        if not (st.mu > 0).all() and not (
+        if not (_ALL(st.mu > 0) or (
             stop(np.isfinite(st.mu), broken=True) and stop(st.mu > 0, broken=False)
-        ):
+        )):
             break
 
         # Residuals of the augmented problem drive the Newton step.
@@ -1081,21 +1101,24 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         if red:
             st.r_p[:, 0] -= st.nu[:, 0]
             st.r_e = 1.0 - st.y[:, :1]
-        st.r_d = st.c - np.vecmat(st.y, st.a) - st.s
 
         # Every step keeps S inside the cone by the fraction-to-boundary
         # rule, so a slack that loses its factor is roundoff at the cone
-        # boundary: a stall, as a lost factor of X is.
-        st.s_fac, ok = factors(views(st.s))
-        if not stop(ok, broken=False):
+        # boundary: a stall, as a lost factor of X is.  The diagonal block
+        # needs every entry positive for its inverse.
+        st.s_fac, ok = factors(st.sm, _ALL(st.s[:, lp] > 0.0, axis=1))
+        if not (_ALL(ok) or stop(ok, broken=False)):
             break
-        st.s_inv = np.empty_like(st.s)
-        st.sim = views(st.s_inv)
-        for blk, fac, sik in zip(st.blocks, st.s_fac, st.sim):
-            blk.inverse(fac, sik)
+        for fac, sik in zip(st.s_fac, scr.s_inv_m):
+            # S^-1 = L^-H L^-1.
+            np.matmul(fac.conj().mT, fac, out=sik)
+        np.divide(1.0, st.s[:, lp], out=scr.s_inv_m[-1])
+        st.s_inv, st.sim = scr.s_inv, scr.s_inv_m
         st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
+        schur = st.kkt[:, : nv + 1, : nv + 1]
         for blk, xk, sik in zip(st.blocks, st.xm, st.sim):
-            st.kkt[:, : nv + 1, : nv + 1] += blk.schur(xk, sik)
+            schur += blk.schur(xk, sik)
+        schur += (g_t * (st.x[:, lp] * st.s_inv[:, lp])[:, None, :]) @ g
         if red:
             # The one bordered row: theta = 1.
             st.kkt[:, 0, nv + 1] = st.kkt[:, nv + 1, 0] = 1.0
@@ -1103,23 +1126,33 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # along inf/nan directions; LAPACK can return finite solutions of a
         # matrix with an infinite entry, so it is caught here.  An exactly
         # singular one ends it at the predictor's solve.
-        if not stop(np.isfinite(st.kkt.reshape(len(st.pos), -1)).all(axis=1), broken=True):
+        ok = _ALL(np.isfinite(st.kkt), axis=(1, 2))
+        if not (_ALL(ok) or stop(ok, broken=True)):
             break
 
-        st.p_xr = products(st.xm, views(st.r_d), st.sim)
-        _, _, st.dx_a, st.ds_a, ok = directions(-st.x - st.p_xr)
-        if not stop(ok, broken=True):
+        st.r_d = np.subtract(st.c - np.vecmat(st.y, st.a), st.s, out=scr.r_d)
+        st.p_xr = products(st.xm, scr.r_d_m, st.sim, scr.p_xr, scr.p_xr_m)
+        _, _, ok = directions(-st.x - st.p_xr)
+        st.d_a, st.dx_am, st.ds_am, st.d_am = scr.d, scr.dx_m, scr.ds_m, scr.d_m
+        if not (_ALL(ok) or stop(ok, broken=True)):
             break
-        st.x_fac, ok = factors(st.xm, repair=True)
-        if not stop(ok, broken=False):
+        st.x_fac, ok = factors(st.xm, scr.ok, repair=True)
+        if not (_ALL(ok) or stop(ok, broken=False)):
             break
-        steps = np.minimum(1.0, max_steps(st.dx_a, st.ds_a))
-        st.ap_a, st.ad_a = steps
-        if not stop(~np.isnan(steps).any(axis=0), broken=False):
+        # The step-search pairs of this iterate, for both searches.
+        st.pairs = [np.concatenate((xf[:, None], sf[:, None]), axis=1)
+                    for xf, sf in zip(st.x_fac, st.s_fac)]
+        st.pairs_h = [li.conj().mT for li in st.pairs]
+        st.lp_pair = np.concatenate((st.x[:, None, lp], st.s[:, None, lp]), axis=1)
+        steps = np.minimum(1.0, max_steps(st.d_am))
+        st.ap_a, st.ad_a = steps.T
+        ok = ~_ANY(np.isnan(steps), axis=1)
+        if not (_ALL(ok) or stop(ok, broken=False)):
             break
 
         mu_aff = np.vecdot(
-            (st.x + st.ap_a[:, None] * st.dx_a) * lay.weight, st.s + st.ad_a[:, None] * st.ds_a
+            (st.x + st.ap_a[:, None] * st.d_a[:, 0]) * lay.weight,
+            st.s + st.ad_a[:, None] * st.d_a[:, 1],
         )
         # Per problem in Python floats, so that ``**`` is the C library's pow.
         sigma = np.array([
@@ -1130,26 +1163,29 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         target = sigma * st.mu
         h_cor = (
             target[:, None] * st.s_inv - st.x - st.p_xr
-            - products(views(st.dx_a), views(st.ds_a), st.sim)
+            - products(st.dx_am, st.ds_am, st.sim, scr.corr, scr.corr_m)
         )
-        st.dy, st.dnu, st.dx, st.ds, ok = directions(h_cor)
-        if not stop(ok, broken=True):
+        st.dy, st.dnu, ok = directions(h_cor)
+        st.d, st.d_m = scr.d, scr.d_m
+        if not (_ALL(ok) or stop(ok, broken=True)):
             break
-        steps = np.minimum(1.0, STEP_FRACTION * max_steps(st.dx, st.ds))
-        st.a_p, st.a_d = steps
+        steps = np.minimum(1.0, STEP_FRACTION * max_steps(st.d_m))
+        st.a_p, st.a_d = steps.T
         # A nan step is a failed eigensolve; two tiny steps are a stall.
-        if not stop(~np.isnan(steps).any(axis=0) & (steps >= 1e-13).any(axis=0), broken=False):
+        ok = ~_ANY(np.isnan(steps), axis=1) & _ANY(steps >= 1e-13, axis=1)
+        if not (_ALL(ok) or stop(ok, broken=False)):
             break
         # From the rows left after ``stop``: ``steps`` still has the ended ones.
         st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
 
         # dx leaves ``directions`` through ``sym``, so X stays exactly
         # Hermitian; ds comes from a BLAS product and S is symmetrised.
-        st.x = st.x + st.a_p[:, None] * st.dx
+        st.x = st.x + st.a_p[:, None] * st.d[:, 0]
         st.xm = views(st.x)
         st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy
-        st.s = sym(st.s + st.a_d[:, None] * st.ds)
+        st.s = sym(st.s + st.a_d[:, None] * st.d[:, 1])
+        st.sm = views(st.s)
         st.steps = st.steps + 1
     return out
 

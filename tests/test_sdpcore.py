@@ -856,7 +856,7 @@ def test_step_length_unbounded_direction():
 def test_step_length_diagonal_block():
     rng = np.random.default_rng(206)
     def step(m, dm):
-        return sdpcore._DiagBlock.max_step(m[None], dm[None])[0]
+        return sdpcore._lp_max_step(m[None], dm[None])[0]
 
     for _ in range(20):
         m = rng.uniform(0.1, 2.0, size=5)
