@@ -429,26 +429,39 @@ class _DenseBlock:
     factor = staticmethod(_inv_chol)
 
     @staticmethod
-    def max_step(li: np.ndarray, dm: np.ndarray, li_h: np.ndarray | None = None) -> np.ndarray:
-        """Largest a >= 0 with M + a*dM still PSD, per slice of any leading
+    def step_eig(li: np.ndarray, dm: np.ndarray, li_h: np.ndarray) -> np.ndarray:
+        """Smallest eigenvalue of ``L^-1 dM L^-H`` per slice of any leading
         shape, from ``li = L^-1`` of M and ``li_h``, its conjugate
-        transpose: one eigensolve of ``L^-1 dM L^-H``.
+        transpose; nan where the eigensolver fails."""
+        return _EIGVALSH(_sym(li @ dm @ li_h))[..., 0]
+
+    @staticmethod
+    def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
+        """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li =
+        L^-1`` of M: one eigensolve of ``L^-1 dM L^-H``.
 
         ``np.inf`` where the direction never leaves the cone, nan where the
         eigensolver fails.
         """
-        lam = _EIGVALSH(_sym(li @ dm @ (li.conj().mT if li_h is None else li_h)))[..., 0]
-        return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
+        return _eig_step(_DenseBlock.step_eig(li, dm, li.conj().mT))
+
+
+def _eig_step(lam: np.ndarray) -> np.ndarray:
+    """The largest step ``-1/lam`` that the smallest eigenvalue ``lam`` of
+    ``L^-1 dM L^-H`` allows, np.inf where it is not negative.  The map does
+    not increase with ``lam``, so the step of the smallest eigenvalue over
+    several blocks is exactly the smallest of their steps."""
+    return np.where(lam >= -1e-13, np.inf, -1.0 / lam)
 
 
 def _lp_max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
     """Largest a >= 0 with m + a*dm >= 0 entrywise, per row of the last
     axis (np.inf if unbounded): the ratio test of the diagonal block."""
-    # The ratios of entries that do not decrease are never formed; one
-    # that overflows is an unbounded step along its entry (the overflow
-    # flag is ignored with every other one in :func:`_lockstep`).
-    ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
-    return np.minimum.reduce(ratio, axis=-1)
+    # Only the ratios of decreasing entries are kept; one that overflows is
+    # an unbounded step along its entry (the overflow flag is ignored with
+    # every other one in :func:`_lockstep`).
+    ratio = np.where(dm < 0.0, m / -dm, np.inf)
+    return ratio[..., 0] if ratio.shape[-1] == 1 else np.minimum.reduce(ratio, axis=-1)
 
 
 def _null_space(e: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -758,7 +771,8 @@ class _Layout(NamedTuple):
     the columns of the diagonal block, the last ones.  Per column,
     ``weight`` is the multiplicity of its block and ``eye`` the entry of
     the identity; ``sign * v[:, perm]`` is the conjugate transpose of every
-    block of the rows ``v``.
+    block of the rows ``v``, and ``sign`` is None when every block is real
+    (it would be all ones).
     """
 
     blocks: list
@@ -766,7 +780,7 @@ class _Layout(NamedTuple):
     weight: np.ndarray
     eye: np.ndarray
     perm: np.ndarray
-    sign: np.ndarray
+    sign: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=256)
@@ -792,9 +806,11 @@ def _columns(shapes: tuple, r: int) -> tuple:
     eye.append(np.ones(r))
     perm.append(start + np.arange(r))
     sign.append(np.ones(r))
-    flat = tuple(map(np.concatenate, (weight, eye, perm, sign)))
+    flat = list(map(np.concatenate, (weight, eye, perm, sign)))
     for a in flat:
         a.flags.writeable = False
+    if all(parts == 1 for _, parts, _ in shapes):
+        flat[-1] = None
     return cols, slice(start, start + r), *flat
 
 
@@ -898,10 +914,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         total)`` with dx in ``d[:, 0]`` and ds in ``d[:, 1]``."""
         sc = _Rows()
         sc.ok = np.ones(n, dtype=bool)
-        for name in _SCRATCH:
-            row = np.empty((n, total))
-            setattr(sc, name, row)
-            setattr(sc, name + "_m", views(row))
+        rows = np.empty((len(_SCRATCH), n, total))
+        rows_m = views(rows)
+        for i, name in enumerate(_SCRATCH):
+            setattr(sc, name, rows[i])
+            setattr(sc, name + "_m", [v[i] for v in rows_m])
         sc.d = np.empty((n, 2, total))
         sc.d_m = views(sc.d)
         sc.dx_m = [v[:, 0] for v in sc.d_m]
@@ -940,7 +957,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         """The Hermitian part of every block of the rows ``v``, into ``out``
         when given."""
         half = v.take(lay.perm, axis=1, out=out)
-        half *= lay.sign
+        if lay.sign is not None:
+            half *= lay.sign
         half += v
         half *= 0.5
         return half
@@ -1039,10 +1057,13 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         rows whose residual is above roundoff."""
         sol = _SOLVE(st.kkt, rhs)
         ok = _ALL(np.isfinite(sol), axis=1)
-        if not _ALL(ok):
+        every = _ALL(ok)
+        if not every:
             sol[~ok] = 0.0
         resid = rhs - np.matvec(st.kkt, sol)
-        big = ((_MAX(np.abs(resid), axis=1) > 1e-13 * (1.0 + _MAX(np.abs(rhs), axis=1))) & ok)
+        big = _MAX(np.abs(resid), axis=1) > 1e-13 * (1.0 + _MAX(np.abs(rhs), axis=1))
+        if not every:
+            big &= ok
         big = big.nonzero()[0]
         if big.size:
             sol[big] += _SOLVE(st.kkt[big], resid[big])
@@ -1065,10 +1086,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     def max_steps(dm: list[np.ndarray]) -> np.ndarray:
         """Largest primal (column 0) and dual (column 1) steps along the
         stacked directions ``dm``, one eigensolve per block for both."""
-        steps = np.inf
-        for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm):
-            steps = np.minimum(steps, blk.max_step(li, dmk, li_h))
-        return np.minimum(steps, _lp_max_step(st.lp_pair, dm[-1]))
+        lam = functools.reduce(np.minimum, [
+            blk.step_eig(li, dmk, li_h)
+            for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm)
+        ], np.inf)
+        return np.minimum(_eig_step(lam), _lp_max_step(st.lp_pair, dm[-1]))
 
     for it in range(max_iter + 1):
         metrics()
@@ -1182,7 +1204,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # Hermitian; ds comes from a BLAS product and S is symmetrised.
         st.x = st.x + st.a_p[:, None] * st.d[:, 0]
         st.xm = views(st.x)
-        st.nu = st.nu + st.a_p[:, None] * st.dnu
+        if red:
+            st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy
         st.s = sym(st.s + st.a_d[:, None] * st.d[:, 1])
         st.sm = views(st.s)
