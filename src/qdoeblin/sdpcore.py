@@ -316,7 +316,8 @@ def _cholesky(m: np.ndarray, repair: bool) -> np.ndarray:
 
 
 def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^H``.
+    """Inverses ``L^-1`` of the Cholesky factors of a stack ``m = L L^H`` of
+    any leading shape.
 
     Returns the factors and a mask of the slices that have one.  LAPACK
     fills a slice it cannot factor with NaN, and a non-finite entry of the
@@ -328,14 +329,17 @@ def _inv_chol(m: np.ndarray, repair: bool = False) -> tuple[np.ndarray, np.ndarr
     kernels, it runs under the errstate of :func:`_lockstep`.
     """
     ell = _CHOLESKY(m)
-    ok = np.isfinite(ell[:, -1, -1])
-    if not _ALL(ok):
-        for i in (~ok).nonzero()[0]:
+    ok = np.isfinite(ell[..., -1, -1])
+    if not _ALL(ok, axis=None):
+        n = m.shape[-1]
+        # Views of the factors and of the mask, one slice per row.
+        flat, ok_flat, mats = ell.reshape(-1, n, n), ok.reshape(-1), m.reshape(-1, n, n)
+        for i in (~ok_flat).nonzero()[0]:
             try:
-                ell[i] = _cholesky(m[i], repair)
-                ok[i] = True
+                flat[i] = _cholesky(mats[i], repair)
+                ok_flat[i] = True
             except np.linalg.LinAlgError:
-                ell[i] = np.eye(len(ell[i]))
+                flat[i] = np.eye(n)
     return _INV(ell), ok
 
 
@@ -451,16 +455,16 @@ def _eig_step(lam: np.ndarray) -> np.ndarray:
     ``L^-1 dM L^-H`` allows, np.inf where it is not negative.  The map does
     not increase with ``lam``, so the step of the smallest eigenvalue over
     several blocks is exactly the smallest of their steps."""
-    return np.where(lam >= -1e-13, np.inf, -1.0 / lam)
+    return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
 def _lp_max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
     """Largest a >= 0 with m + a*dm >= 0 entrywise, per row of the last
     axis (np.inf if unbounded): the ratio test of the diagonal block."""
-    # Only the ratios of decreasing entries are kept; one that overflows is
-    # an unbounded step along its entry (the overflow flag is ignored with
-    # every other one in :func:`_lockstep`).
-    ratio = np.where(dm < 0.0, m / -dm, np.inf)
+    # The ratios of entries that do not decrease are never formed; one
+    # that overflows is an unbounded step along its entry (the overflow
+    # flag is ignored with every other one in :func:`_lockstep`).
+    ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
     return ratio[..., 0] if ratio.shape[-1] == 1 else np.minimum.reduce(ratio, axis=-1)
 
 
@@ -913,7 +917,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         ``_SCRATCH``, and the stacked step directions ``d``, ``(n, 2,
         total)`` with dx in ``d[:, 0]`` and ds in ``d[:, 1]``."""
         sc = _Rows()
-        sc.ok = np.ones(n, dtype=bool)
+        sc.ok = np.ones((n, 2), dtype=bool)
         rows = np.empty((len(_SCRATCH), n, total))
         rows_m = views(rows)
         for i, name in enumerate(_SCRATCH):
@@ -938,11 +942,13 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     st.tau_cap = 1e-6 * (1.0 + lam0)
     st.y = np.zeros((count, nv + 1))
     st.y[:, tau_idx] = lam0
-    st.s = st.c - np.vecmat(st.y, st.a)
-    st.sm = views(st.s)
-    st.x = np.tile(lay.eye, (count, 1))
-    st.x[:, -1] = np.maximum(1.0, m_pen - (m_total - 1))
-    st.xm = views(st.x)
+    # X and S of every problem side by side: ``xs[:, 0]`` and ``xs[:, 1]``.
+    xs = np.empty((count, 2, total))
+    xs[:, 0] = lay.eye
+    xs[:, 0, -1] = np.maximum(1.0, m_pen - (m_total - 1))
+    np.subtract(st.c, np.vecmat(st.y, st.a), out=xs[:, 1])
+    st.x, st.s, st.xsm = xs[:, 0], xs[:, 1], views(xs)
+    st.xm = [v[:, 0] for v in st.xsm]
     st.nu = np.zeros((count, q))
     st.recenter = np.zeros(count, dtype=bool)
     st.steps = np.zeros(count)
@@ -1040,12 +1046,17 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             finish(~ok, STATUS_NUMERICAL if broken else STATUS_MAX_ITER)
         return len(st.pos) > 0
 
-    def factors(mats: list[np.ndarray], ok: np.ndarray, repair: bool = False) -> tuple:
-        """Every dense block's factors, and which problems have them all
-        and are ``ok`` in the diagonal block."""
-        facs = []
-        for blk, m in zip(st.blocks, mats):
-            fac, ok_k = blk.factor(m, repair)
+    def factors() -> tuple[list, np.ndarray]:
+        """Every dense block's factors ``[L_X^-1, L_S^-1]``, one ``(B, 2, m,
+        m)`` stack per block, and which problems have each, ``(B, 2)``.  A
+        factor of X that fails is made again after flooring the spectrum
+        (see :func:`_inv_chol`); one of S is not."""
+        facs, ok = [], scr.ok
+        for blk, m in zip(st.blocks, st.xsm):
+            fac, ok_k = blk.factor(m)
+            if not _ALL(ok_k[:, 0]):
+                bad = (~ok_k[:, 0]).nonzero()[0]
+                fac[bad, 0], ok_k[bad, 0] = blk.factor(m[bad, 0], True)
             facs.append(fac)
             ok = ok & ok_k
         return facs, ok
@@ -1090,7 +1101,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             blk.step_eig(li, dmk, li_h)
             for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm)
         ], np.inf)
-        return np.minimum(_eig_step(lam), _lp_max_step(st.lp_pair, dm[-1]))
+        return np.minimum(_eig_step(lam), _lp_max_step(st.xsm[-1], dm[-1]))
 
     for it in range(max_iter + 1):
         metrics()
@@ -1127,13 +1138,18 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # Every step keeps S inside the cone by the fraction-to-boundary
         # rule, so a slack that loses its factor is roundoff at the cone
         # boundary: a stall, as a lost factor of X is.  The diagonal block
-        # needs every entry positive for its inverse.
-        st.s_fac, ok = factors(st.sm, _ALL(st.s[:, lp] > 0.0, axis=1))
+        # needs every entry positive for its inverse.  X is factored here
+        # with S, in one call per block, and its factor is checked where
+        # the step search needs it.  These are the pairs of the step search.
+        st.pairs, ok = factors()
+        st.x_ok = ok[:, 0]
+        ok = ok[:, 1] & _ALL(st.s[:, lp] > 0.0, axis=1)
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
-        for fac, sik in zip(st.s_fac, scr.s_inv_m):
+        for li, sik in zip(st.pairs, scr.s_inv_m):
             # S^-1 = L^-H L^-1.
-            np.matmul(fac.conj().mT, fac, out=sik)
+            li = li[:, 1]
+            np.matmul(li.conj().mT, li, out=sik)
         np.divide(1.0, st.s[:, lp], out=scr.s_inv_m[-1])
         st.s_inv, st.sim = scr.s_inv, scr.s_inv_m
         st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
@@ -1158,14 +1174,11 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         st.d_a, st.dx_am, st.ds_am, st.d_am = scr.d, scr.dx_m, scr.ds_m, scr.d_m
         if not (_ALL(ok) or stop(ok, broken=True)):
             break
-        st.x_fac, ok = factors(st.xm, scr.ok, repair=True)
+        ok = st.x_ok
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
-        # The step-search pairs of this iterate, for both searches.
-        st.pairs = [np.concatenate((xf[:, None], sf[:, None]), axis=1)
-                    for xf, sf in zip(st.x_fac, st.s_fac)]
+        # Conjugate transposes of the step-search pairs, for both searches.
         st.pairs_h = [li.conj().mT for li in st.pairs]
-        st.lp_pair = np.concatenate((st.x[:, None, lp], st.s[:, None, lp]), axis=1)
         steps = np.minimum(1.0, max_steps(st.d_am))
         st.ap_a, st.ad_a = steps.T
         ok = ~_ANY(np.isnan(steps), axis=1)
@@ -1202,13 +1215,14 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
 
         # dx leaves ``directions`` through ``sym``, so X stays exactly
         # Hermitian; ds comes from a BLAS product and S is symmetrised.
-        st.x = st.x + st.a_p[:, None] * st.d[:, 0]
-        st.xm = views(st.x)
+        xs = np.empty((len(st.pos), 2, total))
+        np.add(st.x, st.a_p[:, None] * st.d[:, 0], out=xs[:, 0])
         if red:
             st.nu = st.nu + st.a_p[:, None] * st.dnu
         st.y = st.y + st.a_d[:, None] * st.dy
-        st.s = sym(st.s + st.a_d[:, None] * st.d[:, 1])
-        st.sm = views(st.s)
+        sym(st.s + st.a_d[:, None] * st.d[:, 1], out=xs[:, 1])
+        st.x, st.s, st.xsm = xs[:, 0], xs[:, 1], views(xs)
+        st.xm = [v[:, 0] for v in st.xsm]
         st.steps = st.steps + 1
     return out
 
