@@ -464,7 +464,9 @@ def _lp_max_step(m: np.ndarray, dm: np.ndarray) -> np.ndarray:
     # The ratios of entries that do not decrease are never formed; one
     # that overflows is an unbounded step along its entry (the overflow
     # flag is ignored with every other one in :func:`_lockstep`).
-    ratio = np.divide(m, -dm, out=np.full_like(m, np.inf), where=dm < 0.0)
+    ratio = np.empty_like(m)
+    ratio.fill(np.inf)
+    np.divide(m, -dm, out=ratio, where=dm < 0.0)
     return ratio[..., 0] if ratio.shape[-1] == 1 else np.minimum.reduce(ratio, axis=-1)
 
 
@@ -1097,11 +1099,14 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     def max_steps(dm: list[np.ndarray]) -> np.ndarray:
         """Largest primal (column 0) and dual (column 1) steps along the
         stacked directions ``dm``, one eigensolve per block for both."""
-        lam = functools.reduce(np.minimum, [
-            blk.step_eig(li, dmk, li_h)
-            for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm)
-        ], np.inf)
-        return np.minimum(_eig_step(lam), _lp_max_step(st.xsm[-1], dm[-1]))
+        steps = _lp_max_step(st.xsm[-1], dm[-1])
+        if st.blocks:
+            lam = functools.reduce(np.minimum, [
+                blk.step_eig(li, dmk, li_h)
+                for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm)
+            ])
+            steps = np.minimum(_eig_step(lam), steps)
+        return steps
 
     for it in range(max_iter + 1):
         metrics()
