@@ -728,6 +728,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take seeds >= 0 only.
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -787,7 +795,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=_cmd_figures)
 
     p_check = sub.add_parser("check", parents=[common])
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=_seed, default=0)
     p_check.add_argument(
         "--suite", default="all", choices=list(properties.SUITES) + ["all"]
     )

@@ -15,9 +15,17 @@ library declares no bounds.  The library answers the reverse kinds from
 the inverse of the channel instead; the tests run this program through
 ``doeblin._solve`` to check those answers, and to reach the solver with
 reverse programs of any channel, singular ones included.
+
+The divergence oracles (``hockey_stick``, ``f_divergence_commuting`` on a
+validated ``DivergencePair``), the hockey-stick expansion witness of the
+depolarizing channel and the dephasing identity of generalized amplitude
+damping are closed forms the acceptance and oracle tests check; the library
+does not use them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,3 +153,99 @@ def _rev_hermitian_link(channel: ch.QuantumChannel, kind: str):
         return tr * phi - hermlin.kron(b, eye_in)
 
     return _results(kind, (yield from _reverse(channel, d, extra, phi)))
+
+
+@dataclass
+class DivergencePair:
+    """A validated pair of density matrices sharing one dimension."""
+
+    rho: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.rho = hermlin.require_hermitian(np.asarray(self.rho, dtype=complex))
+        self.sigma = hermlin.require_hermitian(np.asarray(self.sigma, dtype=complex))
+        if self.rho.shape != self.sigma.shape:
+            raise ValueError(
+                f"dimension mismatch: {self.rho.shape} vs {self.sigma.shape}"
+            )
+        for name, mat in (("rho", self.rho), ("sigma", self.sigma)):
+            if abs(np.trace(mat).real - 1.0) > 1e-8:
+                raise ValueError(f"{name} must have unit trace")
+            if np.linalg.eigvalsh(mat)[0] < -hermlin.PSD_TOL:
+                raise ValueError(f"{name} must be positive semidefinite")
+
+
+def hockey_stick(rho: np.ndarray, sigma: np.ndarray, gamma: float) -> float:
+    """E_gamma(rho||sigma): the trace of the positive part of rho - gamma sigma."""
+    if gamma < 1.0:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    pair = DivergencePair(rho, sigma)
+    w = np.linalg.eigvalsh(pair.rho - gamma * pair.sigma)
+    return float(np.sum(w[w > 0.0]))
+
+
+def f_divergence_commuting(rho: np.ndarray, sigma: np.ndarray, kind: str) -> float:
+    """Classical f-divergence of two diagonal density matrices.
+
+    ``kind="chi2"`` uses f(x) = x^2 - 1 and ``kind="kl"`` uses
+    f(x) = x log2 x.  Mass of rho outside the support of sigma sends the
+    value to +inf for both choices; 0/0 contributes nothing.
+    """
+    if kind not in ("chi2", "kl"):
+        raise ValueError(f"kind must be 'chi2' or 'kl', got {kind!r}")
+    pair = DivergencePair(rho, sigma)
+    for name, mat in (("rho", pair.rho), ("sigma", pair.sigma)):
+        off = mat - np.diag(np.diag(mat))
+        if np.max(np.abs(off)) > 1e-12:
+            raise ValueError(f"{name} must be diagonal in the computational basis")
+    p = np.clip(np.diag(pair.rho).real, 0.0, None)
+    q = np.clip(np.diag(pair.sigma).real, 0.0, None)
+    if np.any((q <= 1e-15) & (p > 1e-15)):
+        return float("inf")
+    mask = (p > 1e-15) & (q > 1e-15)
+    p, q = p[mask], q[mask]
+    if kind == "chi2":
+        return float(np.sum(p * p / q) - 1.0)
+    return float(np.sum(p * np.log2(p / q)))
+
+
+def expansion_witness_hockey_stick(
+    p: float, gamma: float
+) -> tuple[float, float, float]:
+    """State pair showing the hockey-stick expansion of depolarizing is zero.
+
+    Picks epsilon in the open interval where the input divergence is
+    positive but the depolarized outputs have none left, and returns
+    (epsilon, E_in, E_out).  The interval's upper end is clipped to 1 so the
+    witness stays a valid state.
+    """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
+    if gamma <= 1.0:
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    lo = (gamma - 1.0) / gamma
+    hi = min(1.0, lo * (1.0 - p / 2.0) / (1.0 - p))
+    if hi <= lo:
+        raise RuntimeError("empty witness interval")
+    eps = 0.5 * (lo + hi)
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    sigma = np.diag([1.0 - eps, eps]).astype(complex)
+    dep = ch.depolarizing(p)
+    e_in = hockey_stick(rho, sigma, gamma)
+    e_out = hockey_stick(dep(rho), dep(sigma), gamma)
+    return eps, e_in, e_out
+
+
+def gad_dephasing_identity(p: float, eta: float) -> float:
+    """Max-entry gap between dephased amplitude damping and its closed form.
+
+    Dephasing at b = (1 - sqrt(eta))/2 after A_{p, eta} equals the
+    generalized depolarizing channel at rate 1 - eta onto diag(p, 1-p);
+    returns the largest absolute Choi-entry deviation.
+    """
+    b = 0.5 * (1.0 - np.sqrt(eta))
+    left = ch.compose(ch.dephasing(b), ch.gad(p, eta)).choi.matrix
+    sigma = np.diag([p, 1.0 - p]).astype(complex)
+    right = ch.generalized_depolarizing(1.0 - eta, sigma).choi.matrix
+    return float(np.max(np.abs(left - right)))

