@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import copy
 import re
+import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1641,6 +1643,133 @@ def test_refinement_of_one_problem_leaves_the_batch_alone(monkeypatch):
         else:
             _same(got, want)
             assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
+
+
+def _x_factor_fault(monkeypatch, victim, at):
+    """The X factor of ``victim`` fails in iteration ``at``, and so does its
+    repair: X and S of the real 3x3 block are factored in one call per
+    iteration, and the victim's X goes NaN in it and in the repair that
+    follows."""
+    factor, calls = sdpcore._DenseBlock.factor, []
+
+    def inject(m, repair=False):
+        if m.ndim == 4 and m.shape[-1] == 3:
+            calls.append(len(m))
+            if len(calls) == at + 1:
+                m = m.copy()
+                m[victim, 0] = np.nan
+        elif repair and len(calls) == at + 1:
+            m = np.full_like(m, np.nan)
+        return factor(m, repair)
+
+    monkeypatch.setattr(sdpcore._DenseBlock, "factor", staticmethod(inject))
+    return calls
+
+
+def _predictor_step_fault(monkeypatch, victim, at):
+    """The eigensolve of the victim's predictor step search returns NaN in
+    iteration ``at``: each iteration searches the real 3x3 block twice,
+    predictor first, on its (B, 2, 3, 3) stack of X and S pairs."""
+    eigvalsh, calls = sdpcore._EIGVALSH, []
+
+    def inject(m):
+        out = eigvalsh(m)
+        if m.ndim == 4 and m.shape[-1] == 3:
+            calls.append(len(m))
+            if len(calls) == 2 * at + 1:
+                out[victim] = np.nan
+        return out
+
+    monkeypatch.setattr(sdpcore, "_EIGVALSH", inject)
+    return calls
+
+
+def _corrector_direction_fault(monkeypatch, victim, at):
+    """The victim's corrector KKT solution goes NaN in iteration ``at``: the
+    corrector's is the second solve of an iteration's KKT matrix (a
+    refinement solves a copy of its rows)."""
+    solve, seen, calls = sdpcore._SOLVE, [], []
+
+    def inject(kkt, rhs):
+        sol = solve(kkt, rhs)
+        if any(kkt is k for k in seen):
+            calls.append(len(kkt))
+            if len(calls) == at + 1:
+                sol[victim] = np.nan
+        seen.append(kkt)
+        return sol
+
+    monkeypatch.setattr(sdpcore, "_SOLVE", inject)
+    return calls
+
+
+@pytest.mark.parametrize("fault, victim, status", [
+    (_x_factor_fault, 0, "max_iter"),
+    (_predictor_step_fault, 2, "max_iter"),
+    (_corrector_direction_fault, 3, "numerical_failure"),
+], ids=["x-factor", "predictor-step", "corrector-direction"])
+def test_batch_exit_of_one_problem_keeps_the_others_solo(monkeypatch, fault, victim, status):
+    # Failure injection in a lockstep batch of four problems with a real
+    # and a complex block, box bounds and an equality row: in iteration 3,
+    # one problem loses the factor of X (a stall), the eigensolve of its
+    # predictor step (a stall) or a finite corrector direction (a failure).
+    # It ends there with its best iterate, which is the iterate its solo
+    # solve capped at 3 steps reports; the others leave the batch later
+    # with bitwise their solo results; no warning escapes.
+    problems = _own_coefficient_problems(True)[:4]
+    assert _batch_lists(problems) == [[0, 1, 2, 3]]
+    alone = [sdpcore.solve(p) for p in problems]
+    assert all(sol.status == "optimal" and sol.iterations > 4 for sol in alone)
+    capped = sdpcore.solve(problems[victim], max_iter=3)
+    calls = fault(monkeypatch, victim, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = sdpcore.solve_many(problems)
+    # The fault hit the full batch, and the batch went on without the victim.
+    assert calls[3 if fault is not _predictor_step_fault else 6] == 4
+    assert calls[-1] < 4
+    for j, (got, want) in enumerate(zip(together, alone)):
+        if j == victim:
+            assert got.status == status
+            want = replace(capped, status=status)
+        _same(got, want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.x_blocks, want.x_blocks))
+
+
+# Profiled Python and C calls per iteration of ``_lockstep`` over 100
+# qubit gad alpha solves, batches of one (448 before the scratch rows, the
+# shared step-search pairs and the inline diagonal block).
+CALLS_PER_ITERATION = 134.2
+
+
+def test_calls_per_lockstep_iteration_are_pinned(monkeypatch):
+    # The fixed work of one iteration, counted as sys.setprofile "call" and
+    # "c_call" events inside _lockstep per interior-point step taken.  It
+    # may grow by 5% at most.
+    from qdoeblin import channel as ch
+    from qdoeblin import doeblin as db
+
+    grid = np.linspace(0.05, 0.95, 10)
+    channels = [ch.gad(float(p), float(eta)) for p in grid for eta in grid]
+    lockstep, events, steps = sdpcore._lockstep, [0], [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events[0] += 1
+
+    def counted(part, tol, max_iter):
+        sys.setprofile(count)
+        try:
+            sols = lockstep(part, tol, max_iter)
+        finally:
+            sys.setprofile(None)
+        steps[0] += sum(sol.iterations for sol in sols)
+        return sols
+
+    monkeypatch.setattr(sdpcore, "_lockstep", counted)
+    for chan in channels:
+        assert db.alpha(chan).status == sdpcore.STATUS_OPTIMAL
+    assert events[0] / steps[0] <= 1.05 * CALLS_PER_ITERATION, events[0] / steps[0]
 
 
 def _own_coefficient_faults():
