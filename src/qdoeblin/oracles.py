@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import QuantumChannel
+# Bound here for bench/selftest.py, which patches and restores ``oracles.gad``.
+from .channel import gad  # noqa: F401
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -256,10 +256,10 @@ def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, str]:
     differ from their conjugate transpose by more than ``SYM_TOL`` times
     their largest entry (at least 1), and the word for what they must be."""
     m_h = m.conj().transpose(0, 2, 1)
-    scale = np.abs(m).max(axis=(1, 2), initial=1.0)
+    scale = _MAX(np.abs(m), axis=(1, 2), initial=1.0)
     # One scratch stack serves both the check and the Hermitian part.
     work = np.subtract(m, m_h)
-    bad = np.abs(work).max(axis=(1, 2), initial=0.0) > SYM_TOL * scale
+    bad = _MAX(np.abs(work), axis=(1, 2), initial=0.0) > SYM_TOL * scale
     np.add(m, m_h, out=work)
     work *= 0.5
     return work, bad, "Hermitian" if np.iscomplexobj(m) else "symmetric"
@@ -291,11 +291,11 @@ def _check_coeffs(lists: list, k: int, dim: int, n: int) -> tuple:
         stack.append(mats.reshape(len(idx), dim, dim))
     mats = _stack(stack)
     mats = mats.astype(complex if np.iscomplexobj(mats) else float, copy=False)
-    finite = np.isfinite(mats).all(axis=(2, 3))
-    if not finite.all():
+    finite = _ALL(np.isfinite(mats), axis=(2, 3))
+    if not _ALL(finite, axis=None):
         raise ValueError(f"block {k} coefficient {idx[np.argwhere(~finite)[0, 1]]} must be finite")
     part, bad, kind = _hermitian_part(mats.reshape(-1, dim, dim))
-    if bad.any():
+    if _ANY(bad):
         bad = bad.reshape(finite.shape)
         raise ValueError(f"block {k} coefficient {idx[np.argwhere(bad)[0, 1]]} must be {kind}")
     return idx, part.reshape(mats.shape)
@@ -583,7 +583,7 @@ def _check_objective(objective, n: int) -> np.ndarray:
     b = _real_array(objective, "objective")
     if b.shape != (n,):
         raise ValueError(f"objective must have shape ({n},), got {b.shape}")
-    if not np.isfinite(b).all():
+    if not _ALL(np.isfinite(b)):
         raise ValueError("objective must be finite")
     return b
 
@@ -614,7 +614,7 @@ def _check_rows(problem: SdpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
     f = _real_array(problem.eq_rhs, "eq_rhs")
     if e.ndim != 2 or e.shape[1] != n or f.shape != (e.shape[0],):
         raise ValueError("equality constraint shapes are inconsistent")
-    if not (np.isfinite(e).all() and np.isfinite(f).all()):
+    if not (_ALL(np.isfinite(e), axis=None) and _ALL(np.isfinite(f))):
         raise ValueError("equality constraints must be finite")
     return e, f
 
@@ -622,10 +622,10 @@ def _check_rows(problem: SdpProblem, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _symmetrised(c: np.ndarray, name: str) -> np.ndarray:
     """The Hermitian parts of a ``(B, m, m)`` stack of constants; a slice
     that is not finite or not Hermitian raises ``ValueError``."""
-    if not np.isfinite(c).all():
+    if not _ALL(np.isfinite(c), axis=None):
         raise ValueError(f"{name} must be finite")
     part, bad, kind = _hermitian_part(c)
-    if bad.any():
+    if _ANY(bad):
         raise ValueError(f"{name} must be {kind}")
     return part
 
@@ -717,7 +717,7 @@ def _prepare_group(problems: list[SdpProblem], members: list[int]) -> _Part:
     return _Part(
         index=np.asarray(members),
         b=t.T @ b,
-        b_scale=1.0 + float(np.max(np.abs(b), initial=0.0)),
+        b_scale=1.0 + float(_MAX(np.abs(b), initial=0.0)),
         cs=cs + [box_c[None]],
         coeffs=[_lowered_coeffs(t, idx, mats, dtype) for idx, mats, dtype in checked],
         ws=tuple(blk.w for blk in first.blocks),
@@ -758,16 +758,16 @@ def _prepare(problems: list[SdpProblem]) -> list[_Part]:
 class _Rows:
     """Per-problem arrays of a lockstep batch, row i for problem i.
 
-    A list attribute holds one array per block.  ``take`` keeps the rows of
-    the problems still running, so a problem that leaves the batch costs
-    nothing further.  An array of one row while the batch holds more is
+    A list or tuple attribute holds one array per block.  ``take`` keeps
+    the rows of the problems still running, so a problem that leaves the
+    batch costs nothing further.  An array of one row while the batch holds more is
     shared by the batch and broadcast; ``take`` leaves it as it is.
     """
 
     def take(self, keep: np.ndarray) -> None:
         for name, v in vars(self).items():
-            setattr(self, name, [_take(a, keep) for a in v] if isinstance(v, list)
-                    else _take(v, keep))
+            per_block = isinstance(v, (list, tuple))
+            setattr(self, name, [_take(a, keep) for a in v] if per_block else _take(v, keep))
 
 
 class _Layout(NamedTuple):
@@ -835,8 +835,6 @@ def _layout(part: _Part) -> _Layout:
 # Columns of ``_Rows.met``: the residual metrics of the current iterate and
 # the step count that reached it.
 _WORST, _GAP, _PRES, _DRES, _DOBJ, _TAU, _STEPS = range(7)
-# Scratch rows of a lockstep batch (see ``scratch`` in :func:`_lockstep`).
-_SCRATCH = ("shifted", "s_inv", "r_d", "op", "p_xr", "prod", "corr")
 
 
 @np.errstate(all="ignore")
@@ -914,21 +912,22 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         return [blk.mat(v) for blk in st.blocks] + [v[..., lp]]
 
     def scratch(n: int) -> _Rows:
-        """Scratch rows of a batch of n problems and their block views: a
-        ``(n, total)`` row and its views ``<name>_m`` per name of
-        ``_SCRATCH``, and the stacked step directions ``d``, ``(n, 2,
-        total)`` with dx in ``d[:, 0]`` and ds in ``d[:, 1]``."""
+        """Scratch rows of a batch of n problems and their block views: the
+        ``(n, total)`` rows ``shifted`` (S - tau I), ``s_inv``, ``r_d``,
+        ``op`` (the operator row), ``p_xr``, ``prod`` and ``corr`` (the
+        product rows) with their views ``<name>_m``, and the stacked step
+        directions ``d``, ``(n, 2, total)`` with dx in ``d[:, 0]`` and ds in
+        ``d[:, 1]``."""
         sc = _Rows()
         sc.ok = np.ones((n, 2), dtype=bool)
-        rows = np.empty((len(_SCRATCH), n, total))
-        rows_m = views(rows)
-        for i, name in enumerate(_SCRATCH):
-            setattr(sc, name, rows[i])
-            setattr(sc, name + "_m", [v[i] for v in rows_m])
+        rows = np.empty((7, n, total))
+        sc.shifted, sc.s_inv, sc.r_d, sc.op, sc.p_xr, sc.prod, sc.corr = rows
+        # One view per block and row, as a tuple per row.
+        (sc.shifted_m, sc.s_inv_m, sc.r_d_m, sc.op_m, sc.p_xr_m, sc.prod_m,
+         sc.corr_m) = zip(*views(rows))
         sc.d = np.empty((n, 2, total))
         sc.d_m = views(sc.d)
-        sc.dx_m = [v[:, 0] for v in sc.d_m]
-        sc.ds_m = [v[:, 1] for v in sc.d_m]
+        sc.dx_m, sc.ds_m = zip(*[(v[:, 0], v[:, 1]) for v in sc.d_m])
         return sc
 
     def lowest(mats: list[np.ndarray]) -> np.ndarray:
@@ -1112,7 +1111,8 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         metrics()
         done = (st.met[:, _WORST] <= tol) & (st.met[:, _TAU] <= st.tau_cap)
         if it == max_iter:
-            finish(done, STATUS_OPTIMAL)
+            if _ANY(done):
+                finish(done, STATUS_OPTIMAL)
             finish(np.ones(len(st.pos), dtype=bool), STATUS_MAX_ITER)
             break
         better = st.met[:, _WORST] < st.best_met[:, _WORST]
