@@ -58,27 +58,35 @@ exact arithmetic the reduced iteration takes the steps of the full one on
 ``y`` are reported in the original variables.
 
 Every 1x1 cone (each finite box bound and the ``tau >= 0`` shift) lives in
-one diagonal (LP) block, whose products are elementwise.  Each problem's
-iterate is one flat row of floats: the float view of every dense block in
-turn (real and imaginary parts alternating for complex data), then the
-diagonal block.  X, S, the search directions, the constants and the
-residuals are such rows, and one ``(P, k, total)`` coefficient matrix over
-every block serves the operator and the adjoint.  So the operator, the
-adjoint, every trace product, the residuals and every elementwise step
-take one numpy call for all blocks; a block's multiplicity is a weight on
-its columns.  The Schur term, the factors and the step search stay per
-dense block, on views of the rows.  Each dense block is factored once per
-iteration: the inverse Cholesky factors ``L^-1`` of ``S`` and of ``X``
-give ``S^-1 = L^-H L^-1``, and every step-length search is one
-``eigvalsh(L^-1 dM L^-H)`` (``L^-T`` for real blocks).  Factors, inverses
-and eigenvalues come from numpy's own LAPACK gufuncs, called without the
-``np.linalg`` wrappers and their checks: a slice that LAPACK fails on
-comes back NaN and is read as a mask, with no exception and no retry one
-slice at a time.  The KKT systems go through the ``solve`` gufunc (a
-pivoted LU, ``dgesv``) the same way: the predictor, the corrector and each
-refinement step are one call for the whole batch, and refinement runs on
-the problems whose residual is above roundoff.  Numpy is the only
-dependency.
+one diagonal (LP) block.  Each problem's iterate is one flat row of floats:
+the float view of every dense block in turn (real and imaginary parts
+alternating for complex data), then the diagonal block.  X, S, the search
+directions, the constants and the residuals are such rows, and one
+``(P, k, total)`` coefficient matrix over every block serves the operator
+and the adjoint.  So the operator, the adjoint, every trace product, the
+residuals and every elementwise step take one numpy call for all blocks;
+a block's multiplicity is a weight on its columns.  The diagonal block is
+no block object: its inverse, products, Schur term, ratio test and
+positivity check are elementwise arithmetic on the trailing columns of the
+rows.  The Schur term, the factors and the step search stay per dense
+block, on views of the rows.  X and S of a dense block are factored
+together once per iteration, in one call: the inverse Cholesky factors
+``[L_X^-1, L_S^-1]`` give ``S^-1 = L^-H L^-1``, and with their conjugate
+transposes, made once per iteration, they are the pairs of both
+step-length searches, each one ``eigvalsh(L^-1 dM L^-H)`` (``L^-T`` for
+real blocks) per block over the primal and the dual direction stacked.
+Factors, inverses and eigenvalues come from numpy's own LAPACK gufuncs,
+called without the ``np.linalg`` wrappers and their checks: a slice that
+LAPACK fails on comes back NaN and is read as a mask, with no exception
+and no retry one slice at a time.  The KKT systems go through the
+``solve`` gufunc (a pivoted LU, ``dgesv``) the same way: the predictor,
+the corrector and each refinement step are one call for the whole batch,
+and refinement runs on the problems whose residual is above roundoff.
+The rows an iteration writes and reads back in between (S^-1, the
+residuals, the products and the directions) are scratch rows of the
+batch, whose block views are made once per batch size, so an iteration
+makes few numpy calls; this is the fixed cost a batch of one pays.
+Numpy is the only dependency.
 
 :func:`solve_many` groups a list of problems once, sets each group up in
 one pass and runs it as one lockstep batch, in the manner of the batched
@@ -439,22 +447,13 @@ class _DenseBlock:
         transpose; nan where the eigensolver fails."""
         return _EIGVALSH(_sym(li @ dm @ li_h))[..., 0]
 
-    @staticmethod
-    def max_step(li: np.ndarray, dm: np.ndarray) -> np.ndarray:
-        """Largest a >= 0 with M + a*dM still PSD, per slice, from ``li =
-        L^-1`` of M: one eigensolve of ``L^-1 dM L^-H``.
-
-        ``np.inf`` where the direction never leaves the cone, nan where the
-        eigensolver fails.
-        """
-        return _eig_step(_DenseBlock.step_eig(li, dm, li.conj().mT))
-
 
 def _eig_step(lam: np.ndarray) -> np.ndarray:
-    """The largest step ``-1/lam`` that the smallest eigenvalue ``lam`` of
-    ``L^-1 dM L^-H`` allows, np.inf where it is not negative.  The map does
-    not increase with ``lam``, so the step of the smallest eigenvalue over
-    several blocks is exactly the smallest of their steps."""
+    """Largest a >= 0 with M + a*dM still PSD, from the smallest eigenvalue
+    ``lam`` of ``L^-1 dM L^-H``: ``-1/lam``, np.inf where ``lam`` is not
+    negative, nan where it is.  The map never decreases as ``lam`` grows,
+    so the step of the smallest eigenvalue over several blocks is exactly
+    the smallest of their steps."""
     return np.where(lam >= -1e-13, np.inf, -1.0 / np.minimum(lam, -1e-13))
 
 
