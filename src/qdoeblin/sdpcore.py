@@ -769,6 +769,18 @@ class _Rows:
             setattr(self, name, [_take(a, keep) for a in v] if per_block else _take(v, keep))
 
 
+class _PairRows(_Rows):
+    """The pair stacks of a lockstep batch: entry 0 of the first axis is X,
+    its factor ``L_X^-1`` or dx, entry 1 is S, ``L_S^-1`` or ds, and the
+    second axis holds the problems, so each half is one contiguous stack.
+    ``take`` keeps the problems ``keep`` along that axis."""
+
+    def take(self, keep: np.ndarray) -> None:
+        for name, v in vars(self).items():
+            per_block = isinstance(v, (list, tuple))
+            setattr(self, name, [a[:, keep] for a in v] if per_block else v[:, keep])
+
+
 class _Layout(NamedTuple):
     """The blocks of a lockstep batch laid out side by side in one flat row.
 
@@ -860,12 +872,17 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     operator row, the product rows, the stacked step directions and the
     shifted slack) live in scratch rows whose block views are made once
     per batch size.  Whatever is read after such a check is also kept in
-    the rows ``st``, so ``_Rows.take`` carries it when a problem leaves,
-    and the scratch rows are made again for the smaller batch.  The step
-    search runs on the pairs ``[L_X^-1, L_S^-1]`` of every problem,
-    ``(B, 2, m, m)`` per block, and their conjugate transposes, built once
-    per iteration for both searches; the directions are stacked the same
-    way, so one eigensolve per block serves the primal and the dual step.
+    row objects, so ``take`` carries it when a problem leaves, and the
+    scratch rows are made again for the smaller batch: the state ``st``
+    that outlives an iteration, and the rows of the current iteration,
+    ``itr``, and its pair stacks ``itp`` (:class:`_PairRows`), made anew
+    at the top of each iteration, so that a problem converging there does
+    not copy the rows of the iteration before.  X and S are stacked as
+    ``(2, B, total)`` and factored in one call per block; their factors,
+    the pairs ``[L_X^-1, L_S^-1]`` of the step search, ``(2, B, m, m)`` per
+    block, and their conjugate transposes are built once per iteration for
+    both searches, and the directions are stacked the same way, so one
+    eigensolve per block serves the primal and the dual step.
 
     Every problem has its own step lengths, ``recenter`` flag, best iterate
     and step count; whatever ends one problem (convergence, a failed
@@ -915,18 +932,18 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         ``(n, total)`` rows ``shifted`` (S - tau I), ``s_inv``, ``r_d``,
         ``op`` (the operator row), ``p_xr``, ``prod`` and ``corr`` (the
         product rows) with their views ``<name>_m``, and the stacked step
-        directions ``d``, ``(n, 2, total)`` with dx in ``d[:, 0]`` and ds in
-        ``d[:, 1]``."""
+        directions ``d``, ``(2, n, total)`` with dx in ``d[0]`` and ds in
+        ``d[1]``."""
         sc = _Rows()
-        sc.ok = np.ones((n, 2), dtype=bool)
+        sc.ok = np.ones((2, n), dtype=bool)
         rows = np.empty((7, n, total))
         sc.shifted, sc.s_inv, sc.r_d, sc.op, sc.p_xr, sc.prod, sc.corr = rows
         # One view per block and row, as a tuple per row.
         (sc.shifted_m, sc.s_inv_m, sc.r_d_m, sc.op_m, sc.p_xr_m, sc.prod_m,
          sc.corr_m) = zip(*views(rows))
-        sc.d = np.empty((n, 2, total))
+        sc.d = np.empty((2, n, total))
         sc.d_m = views(sc.d)
-        sc.dx_m, sc.ds_m = zip(*[(v[:, 0], v[:, 1]) for v in sc.d_m])
+        sc.dx_m, sc.ds_m = zip(*[(v[0], v[1]) for v in sc.d_m])
         return sc
 
     def lowest(mats: list[np.ndarray]) -> np.ndarray:
@@ -942,13 +959,21 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     st.tau_cap = 1e-6 * (1.0 + lam0)
     st.y = np.zeros((count, nv + 1))
     st.y[:, tau_idx] = lam0
-    # X and S of every problem side by side: ``xs[:, 0]`` and ``xs[:, 1]``.
-    xs = np.empty((count, 2, total))
-    xs[:, 0] = lay.eye
-    xs[:, 0, -1] = np.maximum(1.0, m_pen - (m_total - 1))
-    np.subtract(st.c, np.vecmat(st.y, st.a), out=xs[:, 1])
-    st.x, st.s, st.xsm = xs[:, 0], xs[:, 1], views(xs)
-    st.xm = [v[:, 0] for v in st.xsm]
+
+    def set_iterate(xs: np.ndarray) -> None:
+        """X and S from their stack ``xs``, ``(2, B, total)``, with the
+        views of every block: ``xsm`` of both, ``xm`` of X."""
+        nonlocal xsm, xm
+        st.x, st.s = xs
+        xsm = views(xs)
+        xm = [v[0] for v in xsm]
+
+    xsm = xm = None
+    xs = np.empty((2, count, total))
+    xs[0] = lay.eye
+    xs[0, :, -1] = np.maximum(1.0, m_pen - (m_total - 1))
+    np.subtract(st.c, np.vecmat(st.y, st.a), out=xs[1])
+    set_iterate(xs)
     st.nu = np.zeros((count, q))
     st.recenter = np.zeros(count, dtype=bool)
     st.steps = np.zeros(count)
@@ -958,6 +983,7 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     st.best_y, st.best_x = st.y, st.x
 
     out: list[SdpSolution | None] = [None] * count
+    itr, itp = _Rows(), _PairRows()
 
     def sym(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The Hermitian part of every block of the rows ``v``, into ``out``
@@ -1036,7 +1062,9 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         if _ALL(sel):
             st.pos = st.pos[:0]
         else:
-            st.take(~sel)
+            for rows in (st, itr, itp):
+                rows.take(~sel)
+            set_iterate(np.stack((st.x, st.s)))
             scr = scratch(len(st.pos))
 
     def stop(ok: np.ndarray, broken: bool) -> bool:
@@ -1047,16 +1075,16 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         return len(st.pos) > 0
 
     def factors() -> tuple[list, np.ndarray]:
-        """Every dense block's factors ``[L_X^-1, L_S^-1]``, one ``(B, 2, m,
-        m)`` stack per block, and which problems have each, ``(B, 2)``.  A
+        """Every dense block's factors ``[L_X^-1, L_S^-1]``, one ``(2, B, m,
+        m)`` stack per block, and which problems have each, ``(2, B)``.  A
         factor of X that fails is made again after flooring the spectrum
         (see :func:`_inv_chol`); one of S is not."""
         facs, ok = [], scr.ok
-        for blk, m in zip(st.blocks, st.xsm):
+        for blk, m in zip(st.blocks, xsm):
             fac, ok_k = blk.factor(m)
-            if not _ALL(ok_k[:, 0]):
-                bad = (~ok_k[:, 0]).nonzero()[0]
-                fac[bad, 0], ok_k[bad, 0] = blk.factor(m[bad, 0], True)
+            if not _ALL(ok_k[0]):
+                bad = (~ok_k[0]).nonzero()[0]
+                fac[0, bad], ok_k[0, bad] = blk.factor(m[0, bad], True)
             facs.append(fac)
             ok = ok & ok_k
         return facs, ok
@@ -1066,50 +1094,52 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         batch, and which are finite.  An exactly singular matrix gives a NaN
         row.  One step of iterative refinement, again one solve, serves the
         rows whose residual is above roundoff."""
-        sol = _SOLVE(st.kkt, rhs)
+        sol = _SOLVE(itr.kkt, rhs)
         ok = _ALL(np.isfinite(sol), axis=1)
         every = _ALL(ok)
         if not every:
             sol[~ok] = 0.0
-        resid = rhs - np.matvec(st.kkt, sol)
+        resid = rhs - np.matvec(itr.kkt, sol)
         big = _MAX(np.abs(resid), axis=1) > 1e-13 * (1.0 + _MAX(np.abs(rhs), axis=1))
         if not every:
             big &= ok
         big = big.nonzero()[0]
         if big.size:
-            sol[big] += _SOLVE(st.kkt[big], resid[big])
+            sol[big] += _SOLVE(itr.kkt[big], resid[big])
         return sol, ok
 
     def directions(h: np.ndarray) -> tuple:
         """Newton direction for the right-hand side ``h``: dy and dnu, dx
         and ds stacked into ``scr.d``, and which are finite."""
-        rhs = st.r_p - np.matvec(st.a, h * lay.weight)
-        sol, ok = kkt_solve(np.concatenate([rhs, st.r_e], axis=1) if red else rhs)
+        rhs = itr.r_p - np.matvec(st.a, h * lay.weight)
+        sol, ok = kkt_solve(np.concatenate([rhs, itr.r_e], axis=1) if red else rhs)
         dy = sol[:, : nv + 1]
         op = np.vecmat(dy, st.a, out=scr.op)
-        np.subtract(st.r_d, op, out=scr.d[:, 1])
-        hx = np.add(h, products(st.xm, scr.op_m, st.sim, scr.prod, scr.prod_m), out=scr.prod)
-        dx = sym(hx, out=scr.d[:, 0])
+        np.subtract(itr.r_d, op, out=scr.d[1])
+        hx = np.add(h, products(xm, scr.op_m, itr.sim, scr.prod, scr.prod_m), out=scr.prod)
+        dx = sym(hx, out=scr.d[0])
         # ds is finite with dy; dx also carries h.
         ok &= _ALL(np.isfinite(dx), axis=1)
         return dy, sol[:, nv + 1 :], ok
 
     def max_steps(dm: list[np.ndarray]) -> np.ndarray:
-        """Largest primal (column 0) and dual (column 1) steps along the
-        stacked directions ``dm``, one eigensolve per block for both."""
-        steps = _lp_max_step(st.xsm[-1], dm[-1])
+        """Largest primal (row 0) and dual (row 1) steps along the stacked
+        directions ``dm``, one eigensolve per block for both."""
+        steps = _lp_max_step(xsm[-1], dm[-1])
         if st.blocks:
             lam = functools.reduce(np.minimum, [
                 blk.step_eig(li, dmk, li_h)
-                for blk, li, li_h, dmk in zip(st.blocks, st.pairs, st.pairs_h, dm)
+                for blk, li, li_h, dmk in zip(st.blocks, itp.pairs, itp.pairs_h, dm)
             ])
             steps = np.minimum(_eig_step(lam), steps)
         return steps
 
-    for it in range(max_iter + 1):
+    for k in range(max_iter + 1):
+        # The rows of this iteration; those of the last one are not read again.
+        itr, itp = _Rows(), _PairRows()
         metrics()
         done = (st.met[:, _WORST] <= tol) & (st.met[:, _TAU] <= st.tau_cap)
-        if it == max_iter:
+        if k == max_iter:
             if _ANY(done):
                 finish(done, STATUS_OPTIMAL)
             finish(np.ones(len(st.pos), dtype=bool), STATUS_MAX_ITER)
@@ -1126,18 +1156,18 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
             if not len(st.pos):
                 break
 
-        st.mu = np.vecdot(st.xw, st.s) / m_total
+        itr.mu = np.vecdot(st.xw, st.s) / m_total
         # A non-finite mu is a numerical failure, mu <= 0 a stall.
-        if not (_ALL(st.mu > 0) or (
-            stop(np.isfinite(st.mu), broken=True) and stop(st.mu > 0, broken=False)
+        if not (_ALL(itr.mu > 0) or (
+            stop(np.isfinite(itr.mu), broken=True) and stop(itr.mu > 0, broken=False)
         )):
             break
 
         # Residuals of the augmented problem drive the Newton step.
-        st.r_p = b_aug - st.adj_x
+        itr.r_p = b_aug - st.adj_x
         if red:
-            st.r_p[:, 0] -= st.nu[:, 0]
-            st.r_e = 1.0 - st.y[:, :1]
+            itr.r_p[:, 0] -= st.nu[:, 0]
+            itr.r_e = 1.0 - st.y[:, :1]
 
         # Every step keeps S inside the cone by the fraction-to-boundary
         # rule, so a slack that loses its factor is roundoff at the cone
@@ -1145,91 +1175,89 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
         # needs every entry positive for its inverse.  X is factored here
         # with S, in one call per block, and its factor is checked where
         # the step search needs it.  These are the pairs of the step search.
-        st.pairs, ok = factors()
-        st.x_ok = ok[:, 0]
-        ok = ok[:, 1] & _ALL(st.s[:, lp] > 0.0, axis=1)
+        itp.pairs, ok = factors()
+        itr.x_ok = ok[0]
+        ok = ok[1] & _ALL(st.s[:, lp] > 0.0, axis=1)
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
-        for li, sik in zip(st.pairs, scr.s_inv_m):
+        for li, sik in zip(itp.pairs, scr.s_inv_m):
             # S^-1 = L^-H L^-1.
-            li = li[:, 1]
+            li = li[1]
             np.matmul(li.conj().mT, li, out=sik)
         np.divide(1.0, st.s[:, lp], out=scr.s_inv_m[-1])
-        st.s_inv, st.sim = scr.s_inv, scr.s_inv_m
-        st.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
-        schur = st.kkt[:, : nv + 1, : nv + 1]
-        for blk, xk, sik in zip(st.blocks, st.xm, st.sim):
+        itr.s_inv, itr.sim = scr.s_inv, scr.s_inv_m
+        itr.kkt = np.zeros((len(st.pos), nv + 1 + q, nv + 1 + q))
+        schur = itr.kkt[:, : nv + 1, : nv + 1]
+        for blk, xk, sik in zip(st.blocks, xm, itr.sim):
             schur += blk.schur(xk, sik)
-        schur += (g_t * (st.x[:, lp] * st.s_inv[:, lp])[:, None, :]) @ g
+        schur += (g_t * (st.x[:, lp] * itr.s_inv[:, lp])[:, None, :]) @ g
         if red:
             # The one bordered row: theta = 1.
-            st.kkt[:, 0, nv + 1] = st.kkt[:, nv + 1, 0] = 1.0
+            itr.kkt[:, 0, nv + 1] = itr.kkt[:, nv + 1, 0] = 1.0
         # A non-finite KKT matrix ends the problem instead of stepping
         # along inf/nan directions; LAPACK can return finite solutions of a
         # matrix with an infinite entry, so it is caught here.  An exactly
         # singular one ends it at the predictor's solve.
-        ok = _ALL(np.isfinite(st.kkt), axis=(1, 2))
+        ok = _ALL(np.isfinite(itr.kkt), axis=(1, 2))
         if not (_ALL(ok) or stop(ok, broken=True)):
             break
 
-        st.r_d = np.subtract(st.c - np.vecmat(st.y, st.a), st.s, out=scr.r_d)
-        st.p_xr = products(st.xm, scr.r_d_m, st.sim, scr.p_xr, scr.p_xr_m)
-        _, _, ok = directions(-st.x - st.p_xr)
-        st.d_a, st.dx_am, st.ds_am, st.d_am = scr.d, scr.dx_m, scr.ds_m, scr.d_m
+        itr.r_d = np.subtract(st.c - np.vecmat(st.y, st.a), st.s, out=scr.r_d)
+        itr.p_xr = products(xm, scr.r_d_m, itr.sim, scr.p_xr, scr.p_xr_m)
+        _, _, ok = directions(-st.x - itr.p_xr)
+        itp.d_a, itp.d_am, itr.dx_am, itr.ds_am = scr.d, scr.d_m, scr.dx_m, scr.ds_m
         if not (_ALL(ok) or stop(ok, broken=True)):
             break
-        ok = st.x_ok
+        ok = itr.x_ok
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
         # Conjugate transposes of the step-search pairs, for both searches.
-        st.pairs_h = [li.conj().mT for li in st.pairs]
-        steps = np.minimum(1.0, max_steps(st.d_am))
-        st.ap_a, st.ad_a = steps.T
-        ok = ~_ANY(np.isnan(steps), axis=1)
+        itp.pairs_h = [li.conj().mT for li in itp.pairs]
+        steps = np.minimum(1.0, max_steps(itp.d_am))
+        itr.ap_a, itr.ad_a = steps
+        ok = ~_ANY(np.isnan(steps), axis=0)
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
 
         mu_aff = np.vecdot(
-            (st.x + st.ap_a[:, None] * st.d_a[:, 0]) * lay.weight,
-            st.s + st.ad_a[:, None] * st.d_a[:, 1],
+            (st.x + itr.ap_a[:, None] * itp.d_a[0]) * lay.weight,
+            st.s + itr.ad_a[:, None] * itp.d_a[1],
         )
         # Per problem in Python floats, so that ``**`` is the C library's pow.
         sigma = np.array([
             max(min(1.0, max((max(ma, 0.0) / mu) ** 3, 1e-10)), 0.5 if rc else 0.0)
-            for ma, mu, rc in zip((mu_aff / m_total).tolist(), st.mu.tolist(), st.recenter.tolist())
+            for ma, mu, rc in zip((mu_aff / m_total).tolist(), itr.mu.tolist(), st.recenter.tolist())
         ])
 
-        target = sigma * st.mu
+        target = sigma * itr.mu
         h_cor = (
-            target[:, None] * st.s_inv - st.x - st.p_xr
-            - products(st.dx_am, st.ds_am, st.sim, scr.corr, scr.corr_m)
+            target[:, None] * itr.s_inv - st.x - itr.p_xr
+            - products(itr.dx_am, itr.ds_am, itr.sim, scr.corr, scr.corr_m)
         )
-        st.dy, st.dnu, ok = directions(h_cor)
-        st.d, st.d_m = scr.d, scr.d_m
+        itr.dy, itr.dnu, ok = directions(h_cor)
+        itp.d, itp.d_m = scr.d, scr.d_m
         if not (_ALL(ok) or stop(ok, broken=True)):
             break
-        steps = np.minimum(1.0, STEP_FRACTION * max_steps(st.d_m))
-        st.a_p, st.a_d = steps.T
+        steps = np.minimum(1.0, STEP_FRACTION * max_steps(itp.d_m))
+        itr.a_p, itr.a_d = steps
         # A nan step is a failed eigensolve; two tiny steps are a stall.
-        ok = ~_ANY(np.isnan(steps), axis=1) & _ANY(steps >= 1e-13, axis=1)
+        ok = ~_ANY(np.isnan(steps), axis=0) & _ANY(steps >= 1e-13, axis=0)
         if not (_ALL(ok) or stop(ok, broken=False)):
             break
         # From the rows left after ``stop``: ``steps`` still has the ended ones.
-        st.recenter = np.minimum(st.a_p, st.a_d) < 0.1
+        st.recenter = np.minimum(itr.a_p, itr.a_d) < 0.1
 
         # dx leaves ``directions`` through ``sym``, so X stays exactly
         # Hermitian; ds comes from a BLAS product and S is symmetrised.
-        xs = np.empty((len(st.pos), 2, total))
-        np.add(st.x, st.a_p[:, None] * st.d[:, 0], out=xs[:, 0])
+        xs = np.empty((2, len(st.pos), total))
+        np.add(st.x, itr.a_p[:, None] * itp.d[0], out=xs[0])
         if red:
-            st.nu = st.nu + st.a_p[:, None] * st.dnu
-        st.y = st.y + st.a_d[:, None] * st.dy
-        sym(st.s + st.a_d[:, None] * st.d[:, 1], out=xs[:, 1])
-        st.x, st.s, st.xsm = xs[:, 0], xs[:, 1], views(xs)
-        st.xm = [v[:, 0] for v in st.xsm]
+            st.nu = st.nu + itr.a_p[:, None] * itr.dnu
+        st.y = st.y + itr.a_d[:, None] * itr.dy
+        sym(st.s + itr.a_d[:, None] * itp.d[1], out=xs[1])
+        set_iterate(xs)
         st.steps = st.steps + 1
     return out
-
 
 def _batches(parts: list[_Part]) -> list[_Part]:
     """Cut the parts into lockstep batches of bounded memory.
