@@ -759,8 +759,9 @@ class _Rows:
 
     A list or tuple attribute holds one array per block.  ``take`` keeps
     the rows of the problems still running, so a problem that leaves the
-    batch costs nothing further.  An array of one row while the batch holds more is
-    shared by the batch and broadcast; ``take`` leaves it as it is.
+    batch costs nothing further.  An array of one row while the batch
+    holds more is shared by the batch and broadcast; ``take`` leaves it as
+    it is.
     """
 
     def take(self, keep: np.ndarray) -> None:
@@ -983,7 +984,6 @@ def _lockstep(part: _Part, tol: float, max_iter: int) -> list[SdpSolution]:
     st.best_y, st.best_x = st.y, st.x
 
     out: list[SdpSolution | None] = [None] * count
-    itr, itp = _Rows(), _PairRows()
 
     def sym(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The Hermitian part of every block of the rows ``v``, into ``out``
