@@ -8,12 +8,23 @@ Conventions used throughout the package:
   ``out (x) in``.
 * ``vec(A)`` flattens row-major, so ``J = (1/d_in) sum_k vec(A_k) vec(A_k)^dag``
   over Kraus operators ``A_k``.
+
+A grid of channels is a :class:`ChoiStack`: the ``(P, n, n)`` stack of
+their Choi matrices with the shared dimensions, checked as one stack.
+Each family built from scalar parameters (the entries of :data:`STACKS`)
+has a stacked constructor that takes equal-length parameter arrays, and
+its scalar constructor is the stack of one plus the family's Kraus set, so
+each family has one Choi code path and each point of a stack is bitwise
+the Choi matrix of its scalar call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +38,46 @@ CHOI_TRACE_TOL = 1e-10
 CHOI_MARGINAL_TOL = 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _uniform(d: int) -> np.ndarray:
+    """The read-only maximally mixed state 1/d of side d."""
+    out = np.eye(d) / d
+    out.flags.writeable = False
+    return out
+
+
+def _valid_chois(m: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The Hermitian part of a ``(P, n, n)`` stack of normalised Choi
+    matrices, checked as one stack: finite and Hermitian, side ``d_out *
+    d_in``, unit trace, uniform input marginal and PSD, with one stacked
+    ``eigvalsh``.  The first invalid matrix raises the ValueError it
+    raises alone, as a :class:`ChoiMatrix`."""
+    try:
+        h = hermlin.require_hermitian(m, tol=1e-10, name="Choi matrix")
+        if h.shape[-1] != d_in * d_out:
+            raise ValueError(
+                f"matrix side {h.shape[-1]} does not match d_out*d_in ="
+                f" {d_out * d_in}"
+            )
+        # The messages are those of a stack of one; a longer stack is
+        # checked again matrix by matrix below.
+        tr = np.trace(h, axis1=-2, axis2=-1).real
+        if np.abs(tr - 1.0).max(initial=0.0) > CHOI_TRACE_TOL:
+            raise ValueError(f"Choi matrix must have unit trace, got {float(tr[0])!r}")
+        marginal = hermlin.partial_trace(h, (d_out, d_in), 1)
+        dev = np.abs(marginal - _uniform(d_in)).max(initial=0.0)
+        if dev > CHOI_MARGINAL_TOL:
+            raise ValueError(f"Choi input marginal deviates from 1/d_in by {dev:.3e}")
+        if np.linalg.eigvalsh(h)[:, 0].min(initial=0.0) < -hermlin.PSD_TOL:
+            raise ValueError("Choi matrix is not positive semidefinite")
+    except ValueError:
+        if len(m) > 1:
+            for i in range(len(m)):
+                _valid_chois(m[i : i + 1], d_in, d_out)
+        raise
+    return h
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Normalised Choi matrix of a channel: PSD, unit trace, uniform marginal."""
@@ -36,24 +87,33 @@ class ChoiMatrix:
     d_out: int
 
     def __post_init__(self):
-        m = hermlin.require_hermitian(self.matrix, tol=1e-10, name="Choi matrix")
-        if m.shape[0] != self.d_in * self.d_out:
-            raise ValueError(
-                f"matrix side {m.shape[0]} does not match d_out*d_in ="
-                f" {self.d_out * self.d_in}"
-            )
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > CHOI_TRACE_TOL:
-            raise ValueError(f"Choi matrix must have unit trace, got {tr!r}")
-        marginal = hermlin.partial_trace(m, (self.d_out, self.d_in), 1)
-        dev = np.max(np.abs(marginal - np.eye(self.d_in) / self.d_in))
-        if dev > CHOI_MARGINAL_TOL:
-            raise ValueError(
-                f"Choi input marginal deviates from 1/d_in by {dev:.3e}"
-            )
-        if np.linalg.eigvalsh(m)[0] < -hermlin.PSD_TOL:
-            raise ValueError("Choi matrix is not positive semidefinite")
-        object.__setattr__(self, "matrix", m)
+        m = np.asarray(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"Choi matrix must be square, got shape {m.shape}")
+        object.__setattr__(self, "matrix", _valid_chois(m[None], self.d_in, self.d_out)[0])
+
+    @classmethod
+    def _checked(cls, matrix: np.ndarray, d_in: int, d_out: int) -> ChoiMatrix:
+        """A matrix of a :class:`ChoiStack`, which is checked already."""
+        choi = object.__new__(cls)
+        choi.__dict__.update(matrix=matrix, d_in=d_in, d_out=d_out)
+        return choi
+
+
+class ChoiStack(NamedTuple):
+    """The normalised Choi matrices of channels of equal dimensions.
+
+    ``matrices`` is a ``(P, n, n)`` stack, each matrix one a
+    :class:`ChoiMatrix` accepts, as the stacked constructors of
+    :data:`STACKS` and :func:`choi_stack` build it.  ``kraus`` is the
+    ``(P, K, d_out, d_in)`` stack of Kraus sets the matrices were built
+    from, zero operators included, or None.
+    """
+
+    matrices: np.ndarray
+    d_in: int
+    d_out: int
+    kraus: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -76,8 +136,15 @@ class ChannelFlags:
     is_ppt: bool
 
 
-def _vec(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128).reshape(-1)
+def _kraus_chois(kraus: np.ndarray, d_in: int, d_out: int) -> ChoiStack:
+    """The checked Choi stack of a ``(P, K, d_out, d_in)`` stack of Kraus
+    sets, each matrix ``(1/d_in) sum_k vec(A_k) vec(A_k)^dag`` with the
+    outer products added in Kraus order."""
+    v = kraus.reshape(kraus.shape[:2] + (-1,))
+    j = np.zeros((len(v), v.shape[-1], v.shape[-1]), dtype=np.complex128)
+    for k in range(v.shape[1]):
+        j += v[:, k, :, None] * v[:, k, None, :].conj()
+    return ChoiStack(_valid_chois(j / d_in, d_in, d_out), d_in, d_out, kraus)
 
 
 def choi_from_kraus(
@@ -86,36 +153,49 @@ def choi_from_kraus(
     """Normalised Choi matrix of the channel with the given Kraus operators."""
     if not kraus:
         raise ValueError("need at least one Kraus operator")
-    acc = np.zeros((d_in, d_in), dtype=np.complex128)
-    j = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
-    for a in kraus:
-        a = np.asarray(a, dtype=np.complex128)
+    ops = [np.asarray(a, dtype=np.complex128) for a in kraus]
+    for a in ops:
         if a.shape != (d_out, d_in):
             raise ValueError(
                 f"Kraus operator shape {a.shape} does not match ({d_out}, {d_in})"
             )
-        acc += a.conj().T @ a
-        v = _vec(a)
-        j += np.outer(v, v.conj())
+    ops = np.stack(ops)
+    acc = np.sum(ops.conj().transpose(0, 2, 1) @ ops, axis=0)
     dev = np.max(np.abs(acc - np.eye(d_in)))
     # Written so that a NaN deviation fails the check too.
     if not dev <= TP_TOL:
         raise ValueError(
             f"Kraus operators violate trace preservation by {dev:.3e}"
         )
-    return ChoiMatrix(matrix=j / d_in, d_in=d_in, d_out=d_out)
+    return _one_choi(_kraus_chois(ops[None], d_in, d_out))
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> tuple[np.ndarray, ...]:
     """Minimal Kraus set of a channel recovered from its Choi matrix."""
-    w, v = hermlin.eig_hermitian(choi.matrix, tol=1e-9)
-    ops = []
-    for lam, vec in zip(w, v.T):
-        if lam > KRAUS_EIG_CUTOFF:
-            ops.append(np.sqrt(choi.d_in * lam) * vec.reshape(choi.d_out, choi.d_in))
-    if not ops:
+    # A ChoiMatrix holds an exactly Hermitian matrix, checked on entry.
+    w, v = np.linalg.eigh(choi.matrix)
+    keep = w > KRAUS_EIG_CUTOFF
+    if not keep.any():
         raise ValueError("Choi matrix has no eigenvalue above the Kraus cutoff")
-    return tuple(ops)
+    ops = np.sqrt(choi.d_in * w[keep])[:, None] * v.T[keep]
+    return tuple(ops.reshape(-1, choi.d_out, choi.d_in))
+
+
+def _one_choi(stack: ChoiStack) -> ChoiMatrix:
+    return ChoiMatrix._checked(stack.matrices[0], stack.d_in, stack.d_out)
+
+
+def choi_stack(channels) -> ChoiStack:
+    """The Choi matrices of channels of equal dimensions as one stack."""
+    channels = list(channels)
+    d_in, d_out = channels[0].d_in, channels[0].d_out
+    for c in channels:
+        if (c.d_in, c.d_out) != (d_in, d_out):
+            raise ValueError(
+                f"a stack needs equal dimensions, got ({d_in}, {d_out}) and"
+                f" ({c.d_in}, {c.d_out})"
+            )
+    return ChoiStack(np.stack([c.choi.matrix for c in channels]), d_in, d_out)
 
 
 def channel_from_kraus(
@@ -249,6 +329,16 @@ def swap_matrix(d: int) -> np.ndarray:
     return s
 
 
+@functools.lru_cache(maxsize=None)
+def _constants(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only :func:`max_entangled`, :func:`swap_matrix` and identity of
+    side ``d * d``, for the stacked constructors."""
+    out = (max_entangled(d), swap_matrix(d), np.eye(d * d))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _check_interval(name: str, value: float, lo: float, hi: float) -> float:
     value = float(value)
     if not lo - 1e-12 <= value <= hi + 1e-12:
@@ -267,11 +357,79 @@ def _check_state(sigma: np.ndarray, name: str = "sigma") -> np.ndarray:
     return sigma
 
 
+def _points(*values) -> list[np.ndarray]:
+    """The parameters of a stack as float arrays of one length: an array
+    gives one value per point, a scalar the same value at every point."""
+    arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in values]
+    if any(a.shape != arrays[0].shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    if arrays[0].ndim != 1:
+        raise ValueError(f"stack parameters must be 1-D, got shape {arrays[0].shape}")
+    return arrays
+
+
+def _dimension(d) -> int:
+    """The one dimension of a stack: an integer, or an array of one
+    repeated integer."""
+    if isinstance(d, int):
+        return d
+    values = np.unique(np.asarray(d))
+    if values.size != 1:
+        raise ValueError(f"a stack has one dimension, got d in {values.tolist()}")
+    return operator.index(values[0].item())
+
+
+def _intervals(*checks) -> list[np.ndarray]:
+    """Each ``(name, values, lo, hi)`` clamped to ``[lo, hi]`` as
+    :func:`_check_interval` clamps one value.  The first point outside an
+    interval raises the error of its scalar call, whose checks run in the
+    order given."""
+    ok = [(lo - 1e-12 <= v) & (v <= hi + 1e-12) for _, v, lo, hi in checks]
+    if not all(o.all() for o in ok):
+        i = int(np.argmin(np.logical_and.reduce(ok)))
+        for name, v, lo, hi in checks:
+            _check_interval(name, v[i], lo, hi)
+    return [np.minimum(np.maximum(v, lo), hi) for _, v, lo, hi in checks]
+
+
+def _channel(stack: ChoiStack) -> QuantumChannel:
+    """The channel of a stack of one: its Kraus set without the zero
+    operators, or the set read off its Choi matrix."""
+    if len(stack.matrices) != 1:
+        raise ValueError(f"a channel is one point, got {len(stack.matrices)}")
+    choi = _one_choi(stack)
+    if stack.kraus is None:
+        kraus = kraus_from_choi(choi)
+    else:
+        kraus = tuple(a for a in stack.kraus[0] if a.any())
+    return QuantumChannel(kraus=kraus, d_in=stack.d_in, d_out=stack.d_out, choi=choi)
+
+
+def identity_stack(d) -> ChoiStack:
+    """:func:`identity_channel` at each point of ``d``."""
+    d_val = _dimension(d)
+    if d_val < 1:
+        raise ValueError("d must be at least 1")
+    kraus = np.broadcast_to(np.eye(d_val, dtype=np.complex128), (np.size(d), 1, d_val, d_val))
+    return _kraus_chois(kraus.copy(), d_val, d_val)
+
+
 def identity_channel(d: int) -> QuantumChannel:
     """The identity channel on a d-dimensional system."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    return channel_from_kraus([np.eye(d, dtype=np.complex128)])
+    return _channel(identity_stack(d))
+
+
+def depolarizing_stack(p, d=2) -> ChoiStack:
+    """:func:`depolarizing` at each point of the arrays ``p`` and ``d``."""
+    p, _ = _points(p, d)
+    d = _dimension(d)
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    [p] = _intervals(("p", p, 0.0, d * d / (d * d - 1.0)))
+    phi, _, eye = _constants(d)
+    p = p[:, None, None]
+    j = (1.0 - p) * phi + p * eye / (d * d)
+    return ChoiStack(_valid_chois(j, d, d), d, d)
 
 
 def depolarizing(p: float, d: int = 2) -> QuantumChannel:
@@ -280,26 +438,54 @@ def depolarizing(p: float, d: int = 2) -> QuantumChannel:
     The map stays completely positive for ``p in [0, d^2/(d^2-1)]``; beyond
     ``p = 1`` it is no longer a convex mixture but remains a channel.
     """
+    return _channel(depolarizing_stack(p, d))
+
+
+def transpose_depolarizing_stack(q, d=2) -> ChoiStack:
+    """:func:`transpose_depolarizing` at each point of ``q`` and ``d``."""
+    q, _ = _points(q, d)
+    d = _dimension(d)
     if d < 2:
         raise ValueError("d must be at least 2")
-    hi = d * d / (d * d - 1.0)
-    p = _check_interval("p", p, 0.0, hi)
-    j = (1.0 - p) * max_entangled(d) + p * np.eye(d * d) / (d * d)
-    return channel_from_choi(ChoiMatrix(matrix=j, d_in=d, d_out=d))
+    [q] = _intervals(("q", q, d / (d + 1.0), d / (d - 1.0)))
+    _, swap, eye = _constants(d)
+    q = q[:, None, None]
+    j = (1.0 - q) * swap / d + q * eye / (d * d)
+    return ChoiStack(_valid_chois(j, d, d), d, d)
 
 
 def transpose_depolarizing(q: float, d: int = 2) -> QuantumChannel:
     """``rho -> (1-q) rho^T + q 1/d`` for q in the CP window [d/(d+1), d/(d-1)]."""
-    if d < 2:
+    return _channel(transpose_depolarizing_stack(q, d))
+
+
+def werner_holevo_stack(d) -> ChoiStack:
+    """:func:`werner_holevo` at each point of ``d``."""
+    d_val = _dimension(d)
+    if d_val < 2:
         raise ValueError("d must be at least 2")
-    q = _check_interval("q", q, d / (d + 1.0), d / (d - 1.0))
-    j = (1.0 - q) * swap_matrix(d) / d + q * np.eye(d * d) / (d * d)
-    return channel_from_choi(ChoiMatrix(matrix=j, d_in=d, d_out=d))
+    return transpose_depolarizing_stack(np.full(np.size(d), d_val / (d_val - 1.0)), d)
 
 
 def werner_holevo(d: int) -> QuantumChannel:
     """The extreme transpose-depolarizing channel at q = d/(d-1)."""
-    return transpose_depolarizing(d / (d - 1.0), d)
+    return _channel(werner_holevo_stack(d))
+
+
+def gad_stack(p, eta) -> ChoiStack:
+    """:func:`gad` at each point of the arrays ``p`` and ``eta``."""
+    p, eta = _points(p, eta)
+    p, eta = _intervals(("p", p, 0.0, 1.0), ("eta", eta, 0.0, 1.0))
+    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
+    se, sl = np.sqrt(eta), np.sqrt(1.0 - eta)
+    kraus = np.zeros((len(p), 4, 2, 2), dtype=np.complex128)
+    kraus[:, 0, 0, 0] = sp
+    kraus[:, 0, 1, 1] = sp * se
+    kraus[:, 1, 0, 1] = sp * sl
+    kraus[:, 2, 0, 0] = sq * se
+    kraus[:, 2, 1, 1] = sq
+    kraus[:, 3, 1, 0] = sq * sl
+    return _kraus_chois(kraus, 2, 2)
 
 
 def gad(p: float, eta: float) -> QuantumChannel:
@@ -308,17 +494,24 @@ def gad(p: float, eta: float) -> QuantumChannel:
     ``eta`` is the probability that the input survives, ``p`` balances decay
     towards |0> against excitation towards |1>.
     """
-    p = _check_interval("p", p, 0.0, 1.0)
-    eta = _check_interval("eta", eta, 0.0, 1.0)
-    sp, sq = np.sqrt(p), np.sqrt(1.0 - p)
-    se, sl = np.sqrt(eta), np.sqrt(1.0 - eta)
-    kraus = [
-        sp * np.array([[1.0, 0.0], [0.0, se]]),
-        sp * np.array([[0.0, sl], [0.0, 0.0]]),
-        sq * np.array([[se, 0.0], [0.0, 1.0]]),
-        sq * np.array([[0.0, 0.0], [sl, 0.0]]),
-    ]
-    return channel_from_kraus([k.astype(np.complex128) for k in kraus if np.any(k)])
+    return _channel(gad_stack(p, eta))
+
+
+def erasure_stack(eps, d=2) -> ChoiStack:
+    """:func:`erasure` at each point of the arrays ``eps`` and ``d``."""
+    eps, _ = _points(eps, d)
+    d = _dimension(d)
+    if d < 1:
+        # Every point is invalid, and the first raises what its scalar
+        # call raises, which checks eps first.
+        _intervals(("eps", eps[:1], 0.0, 1.0))
+        raise ValueError("d must be at least 1")
+    [eps] = _intervals(("eps", eps, 0.0, 1.0))
+    kraus = np.zeros((len(eps), d + 1, d + 1, d), dtype=np.complex128)
+    kraus[:, 0, :d] = np.sqrt(1.0 - eps)[:, None, None] * np.eye(d)
+    for i in range(d):
+        kraus[:, 1 + i, d, i] = np.sqrt(eps)
+    return _kraus_chois(kraus, d, d + 1)
 
 
 def erasure(eps: float, d: int = 2) -> QuantumChannel:
@@ -327,20 +520,7 @@ def erasure(eps: float, d: int = 2) -> QuantumChannel:
     The output space has dimension d+1 with the erasure flag on the last
     basis vector.
     """
-    eps = _check_interval("eps", eps, 0.0, 1.0)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    keep = np.zeros((d + 1, d), dtype=np.complex128)
-    keep[:d, :] = np.eye(d)
-    kraus = []
-    if eps < 1.0:
-        kraus.append(np.sqrt(1.0 - eps) * keep)
-    if eps > 0.0:
-        for i in range(d):
-            flag = np.zeros((d + 1, d), dtype=np.complex128)
-            flag[d, i] = np.sqrt(eps)
-            kraus.append(flag)
-    return channel_from_kraus(kraus, d_in=d, d_out=d + 1)
+    return _channel(erasure_stack(eps, d))
 
 
 _PAULIS = (
@@ -363,16 +543,37 @@ def pauli_channel(weights) -> QuantumChannel:
     return channel_from_kraus(kraus, d_in=2, d_out=2)
 
 
+def _pauli_mixture(w: np.ndarray, pauli: np.ndarray) -> ChoiStack:
+    """``rho -> (1-w) rho + w P rho P`` at each point of ``w``, with the
+    Kraus operators ``sqrt(1-w) 1`` and ``sqrt(w) P`` of
+    :func:`pauli_channel`."""
+    kraus = np.stack(
+        [np.sqrt(1.0 - w)[:, None, None] * _PAULIS[0], np.sqrt(w)[:, None, None] * pauli],
+        axis=1,
+    )
+    return _kraus_chois(kraus, 2, 2)
+
+
+def bitflip_stack(p) -> ChoiStack:
+    """:func:`bitflip` at each point of the array ``p``."""
+    [p] = _intervals(("p", *_points(p), 0.0, 1.0))
+    return _pauli_mixture(p, _PAULIS[1])
+
+
 def bitflip(p: float) -> QuantumChannel:
     """``rho -> (1-p) rho + p X rho X``."""
-    p = _check_interval("p", p, 0.0, 1.0)
-    return pauli_channel([1.0 - p, p, 0.0, 0.0])
+    return _channel(bitflip_stack(p))
+
+
+def dephasing_stack(b) -> ChoiStack:
+    """:func:`dephasing` at each point of the array ``b``."""
+    [b] = _intervals(("b", *_points(b), 0.0, 1.0))
+    return _pauli_mixture(b, _PAULIS[3])
 
 
 def dephasing(b: float) -> QuantumChannel:
     """``rho -> (1-b) rho + b Z rho Z``."""
-    b = _check_interval("b", b, 0.0, 1.0)
-    return pauli_channel([1.0 - b, 0.0, 0.0, b])
+    return _channel(dephasing_stack(b))
 
 
 def generalized_depolarizing(p: float, sigma: np.ndarray) -> QuantumChannel:
@@ -459,6 +660,18 @@ FAMILIES = {
     "replacer": replacer,
     "classical_embed": classical_embed,
     "random": random_channel,
+}
+
+# The stacked constructor of each family built from scalar parameters.
+STACKS = {
+    "identity": identity_stack,
+    "depolarizing": depolarizing_stack,
+    "transpose_depolarizing": transpose_depolarizing_stack,
+    "werner_holevo": werner_holevo_stack,
+    "gad": gad_stack,
+    "erasure": erasure_stack,
+    "bitflip": bitflip_stack,
+    "dephasing": dephasing_stack,
 }
 
 

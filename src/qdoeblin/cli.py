@@ -11,7 +11,9 @@ through one grid planner, :func:`_grid_tasks` and :func:`_plan`, and one
 grid writer, :func:`_write_grid`.  Each command plans all of its grids
 before it solves: one task per distinct ``(family, params, tol)`` point,
 carrying every kind any grid asks of it, so a point shared by several
-figures is built and solved once.  The tasks are solved in one call of
+figures is built and solved once.  A chunk's points are built as Choi
+stacks (``ch.STACKS``), one per dimension, with no channel object per
+point.  The tasks are solved in one call of
 :func:`_run_tasks`: each run of equal ``(family, kinds, tol)`` is cut into
 chunks of at most :data:`GRID_CHUNK` points, cut finer only when that
 would leave ``--jobs`` workers idle, and every kind of a chunk is solved
@@ -97,27 +99,55 @@ _PARAM_FLAGS = ("d", "p", "q", "eta", "eps", "b")
 
 
 @functools.cache
-def _parameter_names(ctor) -> frozenset[str]:
-    """The parameter names of a family constructor, read once per callable,
-    so a family entry replaced at run time gets its own."""
-    return frozenset(inspect.signature(ctor).parameters)
+def _parameters(ctor) -> tuple[frozenset[str], frozenset[str]]:
+    """The parameter names of a family constructor and the required ones,
+    read once per callable, so a family entry replaced at run time gets its
+    own."""
+    params = inspect.signature(ctor).parameters
+    required = (name for name, p in params.items() if p.default is inspect.Parameter.empty)
+    return frozenset(params), frozenset(required)
 
 
-def _build_channel(name: str, params: dict) -> ch.QuantumChannel:
+def _family(name: str, params: dict):
+    """The constructor of family ``name``, which must take ``params``."""
     if name not in ch.FAMILIES:
         raise UsageError(
             f"unknown channel {name!r}; admissible: {', '.join(sorted(ch.FAMILIES))}"
         )
     ctor = ch.FAMILIES[name]
-    accepted = _parameter_names(ctor)
+    accepted, _ = _parameters(ctor)
     extra = sorted(set(params) - accepted)
     if extra:
         raise UsageError(
             f"channel {name!r} does not take {extra}; its parameters are"
             f" {sorted(accepted)} (use --file for matrix-valued families)"
         )
+    return ctor
+
+
+def _build_channel(name: str, params: dict) -> ch.QuantumChannel:
+    ctor = _family(name, params)
     try:
         return ctor(**params)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"cannot build channel {name!r}: {exc}") from exc
+
+
+def _build_stack(name: str, points: list[dict]) -> ch.ChoiStack:
+    """The Choi stack of points of family ``name`` that share their
+    parameter names and dimension.
+
+    A family of ``ch.STACKS`` builds it in one call, which raises the error
+    of the first invalid point as its own call would.  Points of any other
+    family, or that lack a parameter, are built as channels one by one, so
+    the family's own call raises.
+    """
+    ctor = _family(name, points[0])
+    build = ch.STACKS.get(name)
+    if build is None or _parameters(ctor)[1] - points[0].keys():
+        return ch.choi_stack([_build_channel(name, p) for p in points])
+    try:
+        return build(**{key: [p[key] for p in points] for key in points[0]})
     except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot build channel {name!r}: {exc}") from exc
 
@@ -157,26 +187,28 @@ def _check_kinds(kinds: list[str], combine_th: bool) -> list[str]:
 # -------------------------------------------------------------- computing
 
 
-def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
+def _grid_cells(stacks, kinds, tol: float, params) -> list[list[tuple]]:
     """(value, status, not_applicable) per point and requested column.
 
-    Every SDP column is solved by one ``db.solve_grids`` call over all the
-    channels, so each kind is solved once however many columns ask for it
-    and kinds that share a lowering run as one batch; an SDP kind is
-    passed on by its name, which is its ``db.KIND_*`` name.  Besides the
-    SDP kinds this understands the oracle column ``eta_tr``, the closed
-    form ``abs12p`` = |1-2p|, and the paired ``dp_lower``/``dp_upper``
-    columns, which read one data-processing range.
+    ``stacks`` holds the Choi stacks of the points, in point order.  Every
+    SDP column is solved by one ``db.solve_grids`` call over all of them,
+    so each kind is solved once however many columns ask for it and kinds
+    that share a lowering run as one batch; an SDP kind is passed on by its
+    name, which is its ``db.KIND_*`` name.  Besides the SDP kinds this
+    understands the oracle column ``eta_tr``, read off the stacks, the
+    closed form ``abs12p`` = |1-2p|, and the paired
+    ``dp_lower``/``dp_upper`` columns, which read one data-processing
+    range.
     """
     solved = db.solve_grids(
         [db.KIND_DP if kind in ("dp_lower", "dp_upper") else kind
          for kind in kinds if kind not in ("eta_tr", "abs12p")],
-        channels, tol,
+        stacks, tol,
     )
     columns = []
     for kind in kinds:
         if kind == "eta_tr":
-            col = [(oracles.eta_tr_qubit(c), "oracle", False) for c in channels]
+            col = [(float(v), "oracle", False) for s in stacks for v in oracles.eta_tr_qubits(s)]
         elif kind == "abs12p":
             col = [(abs(1.0 - 2.0 * p["p"]), "exact", False) for p in params]
         elif kind in ("dp_lower", "dp_upper"):
@@ -192,19 +224,24 @@ def _grid_cells(channels, kinds, tol: float, params) -> list[list[tuple]]:
 
 def _kind_cells(channel, kinds, tol: float, params=None) -> list[tuple]:
     """The cells of one channel: a grid of one point."""
-    return _grid_cells([channel], kinds, tol, [params])[0]
+    return _grid_cells([ch.choi_stack([channel])], kinds, tol, [params])[0]
 
 
 def _chunk_cells(tasks) -> list[list[tuple]]:
     """Cells of a run of point tasks that share family, kinds and tol.
 
-    Every channel is built before anything is solved, so a bad point is a
-    usage error; then every column is solved in one multi-kind call.
+    The points are built before anything is solved, so a bad point is a
+    usage error: one Choi stack per run of points with the same parameter
+    names and dimension, so one stack unless a chunk sweeps ``d``.  Then
+    every column is solved in one multi-kind call.
     """
     family, _, kinds, tol = tasks[0]
     params = [p for _, p, _, _ in tasks]
-    channels = [_build_channel(family, p) for p in params]
-    return _grid_cells(channels, kinds, tol, params)
+    stacks = [
+        _build_stack(family, list(run))
+        for _, run in itertools.groupby(params, key=lambda p: (sorted(p), p.get("d")))
+    ]
+    return _grid_cells(stacks, kinds, tol, params)
 
 
 def _run_tasks(tasks, jobs: int):

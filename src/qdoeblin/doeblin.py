@@ -20,14 +20,15 @@ real part: about half the variables and real arithmetic.  Realness is read
 off the data, with no flag.  Any other program is solved in the basis of
 :func:`qdoeblin.hermlin.hermitian_basis` with complex Hermitian blocks.
 
-Each declaration takes a list of channels of equal dimensions.  The parts
-that do not depend on the channel (PSD-map images, the equality rows and
-the objective) are lowered once for the list, once per realness, and kept
+Each declaration takes a :class:`~qdoeblin.channel.ChoiStack`, the Choi
+matrices of channels of equal dimensions.  The parts that do not depend
+on the channel (PSD-map images, the equality rows and the objective) are
+lowered once for the stack, once per realness, and kept
 for the next call when they are small.  The parts that do are stacks: the
 PSD constants, a per-channel PSD map (the ``J(N^-1)`` terms of revH's
 program) as one call over the stacked data, and the variables of every
 solution as one batched product with their basis.  A declaration
-``declare(channels, tol)`` does not solve: it yields its problems and
+``declare(stack, tol)`` does not solve: it yields its problems and
 turns the solutions it receives into results (``tol`` is the solve
 tolerance, which the reverse kinds below also read).
 :func:`solve_grids`, the grid entry, hands the problems of every kind and
@@ -35,7 +36,7 @@ dimension it is asked for to one :func:`qdoeblin.sdpcore.solve_many` call,
 which sets each group of them up in one pass and solves it as one lockstep
 batch, so kinds that share a lowering (``alpha`` and ``alphaT``) run as
 one batch.  :func:`solve_grid` is its one-kind case; the public kind
-functions are the list of one channel and reach
+functions declare on the stack of one channel and reach
 :func:`qdoeblin.sdpcore.solve`.
 
 The reverse kinds have one route each, from one stacked inverse of the
@@ -69,7 +70,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import hermlin, sdpcore
-from .channel import QuantumChannel, link_raw, max_entangled, swap_matrix
+from .channel import ChoiStack, QuantumChannel, choi_stack, link_raw, max_entangled, swap_matrix
 
 KIND_ALPHA = "alpha"
 KIND_ALPHA_T = "alphaT"
@@ -469,23 +470,20 @@ def _state_witness(sigma_hat: np.ndarray) -> np.ndarray | None:
     return sigma_hat / tr
 
 
-def _alpha_solution(
-    kind: str, j_mats: np.ndarray, channels: list[QuantumChannel], positive: bool
-):
+def _alpha_solution(kind: str, j_mats: np.ndarray, d_in: int, d_out: int, positive: bool):
     """Maximise Tr(sigma) subject to sigma (x) 1/d_in <= J (and sigma >= 0).
 
-    One program per channel, with ``j_mats`` the stack of the matrices J;
-    the channels share their dimensions.  With ``positive`` the witness is
-    sigma renormalised to a state, without it the Hermitian sigma itself.
+    One program per matrix J of the stack ``j_mats``, of channels from
+    ``d_in`` to ``d_out``.  With ``positive`` the witness is sigma
+    renormalised to a state, without it the Hermitian sigma itself.
     """
-    d_in, d_out = channels[0].d_in, channels[0].d_out
     eye_in = np.eye(d_in) / d_in
     psd = [(j_mats, {0: lambda b: hermlin.kron(b, eye_in)})]
     if positive:
         psd.append((np.zeros((d_out, d_out)), {0: np.negative}))
     solved = yield from _program(
         [d_out], {0: np.eye(d_out)}, psd,
-        count=len(channels), key=("alpha", d_in, d_out, positive),
+        count=len(j_mats), key=("alpha", d_in, d_out, positive),
     )
     return [
         _result(kind, sol, sol.objective_value, _state_witness(sigma) if positive else sigma)
@@ -493,25 +491,17 @@ def _alpha_solution(
     ]
 
 
-def _chois(channels) -> np.ndarray:
-    return np.stack([c.choi.matrix for c in channels])
+def _transposed_chois(grid: ChoiStack) -> np.ndarray:
+    """The Choi matrices of a stack with the output factor transposed."""
+    return hermlin.partial_transpose(grid.matrices, (grid.d_out, grid.d_in), 0)
 
 
-def _transposed_chois(channels) -> np.ndarray:
-    """The stack of the channels' Choi matrices with the output factor
-    transposed; the channels share their dimensions."""
-    return hermlin.partial_transpose(
-        _chois(channels),
-        (channels[0].d_out, channels[0].d_in), 0,
-    )
-
-
-def _alpha_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA, _chois(channels), channels, True)
+def _alpha_grid(grid: ChoiStack, tol):
+    return _alpha_solution(KIND_ALPHA, grid.matrices, grid.d_in, grid.d_out, True)
 
 
 def _on_subset(declaration, picked):
-    """Run ``declaration``, whose channels are those flagged in ``picked``,
+    """Run ``declaration``, whose points are those flagged in ``picked``,
     and return its results at their places in ``picked``, None elsewhere.
     A declaration yields once, also with nothing to solve."""
     solved = (yield from declaration) if any(picked) else (yield [])
@@ -519,15 +509,12 @@ def _on_subset(declaration, picked):
     return [next(solved) if ok else None for ok in picked]
 
 
-def _alpha_transpose_grid(channels, tol):
+def _alpha_transpose_grid(grid: ChoiStack, tol):
     """alphaT where the transposed Choi matrix is PSD, not applicable elsewhere."""
-    jts = _transposed_chois(channels)
+    jts = _transposed_chois(grid)
     ppt = ~(np.linalg.eigvalsh(jts)[:, 0] < -hermlin.PSD_TOL)
     solved = yield from _on_subset(
-        _alpha_solution(
-            KIND_ALPHA_T, jts[ppt], [c for c, ok in zip(channels, ppt) if ok], True
-        ),
-        ppt,
+        _alpha_solution(KIND_ALPHA_T, jts[ppt], grid.d_in, grid.d_out, True), ppt
     )
     return [
         res if res is not None else CoefficientResult(
@@ -540,19 +527,19 @@ def _alpha_transpose_grid(channels, tol):
     ]
 
 
-def _alpha_hermitian_grid(channels, tol):
-    return _alpha_solution(KIND_ALPHA_H, _chois(channels), channels, False)
+def _alpha_hermitian_grid(grid: ChoiStack, tol):
+    return _alpha_solution(KIND_ALPHA_H, grid.matrices, grid.d_in, grid.d_out, False)
 
 
-def _alpha_transpose_hermitian_grid(channels, tol):
+def _alpha_transpose_hermitian_grid(grid: ChoiStack, tol):
     return _alpha_solution(
-        KIND_ALPHA_TH, _transposed_chois(channels), channels, False
+        KIND_ALPHA_TH, _transposed_chois(grid), grid.d_in, grid.d_out, False
     )
 
 
-def _p1_grid(channels, tol):
+def _p1_grid(grid: ChoiStack, tol):
     """Largest PPT entanglement-breaking-candidate component of each channel."""
-    d_in, d_out = channels[0].d_in, channels[0].d_out
+    d_in, d_out = grid.d_in, grid.d_out
     dim = d_in * d_out
     zero = np.zeros((dim, dim))
 
@@ -567,24 +554,22 @@ def _p1_grid(channels, tol):
         psd=[
             (zero, {0: np.negative}),
             (zero, {0: lambda b: -hermlin.partial_transpose(b, (d_out, d_in), 1)}),
-            (_chois(channels), {0: lambda b: b}),
+            (grid.matrices, {0: lambda b: b}),
         ],
         eqs=[(np.zeros((d_in, d_in)), {0: traceless_marginal})],
-        count=len(channels),
+        count=len(grid.matrices),
         key=(KIND_P1, d_in, d_out),
     )
     return [_result(KIND_P1, sol, sol.objective_value, j_hat) for sol, (j_hat,) in solved]
 
 
-def _square_dim(channels) -> int:
-    """The common dimension of channels with d_in == d_out; ValueError else."""
-    for channel in channels:
-        if channel.d_in != channel.d_out:
-            raise ValueError(
-                "reverse coefficients need d_in == d_out, got"
-                f" ({channel.d_in}, {channel.d_out})"
-            )
-    return channels[0].d_in
+def _square_dim(grid: ChoiStack) -> int:
+    """The dimension of a stack with d_in == d_out; ValueError else."""
+    if grid.d_in != grid.d_out:
+        raise ValueError(
+            f"reverse coefficients need d_in == d_out, got ({grid.d_in}, {grid.d_out})"
+        )
+    return grid.d_in
 
 
 def _fixed_target(kind: str, d: int) -> tuple[np.ndarray, float, float]:
@@ -620,7 +605,7 @@ def _exact(kind: str, value: float, bound: float, tol: float, witness) -> Coeffi
 
 
 class _Inverses:
-    """The superoperator inverses of a list of channels with ``d_in ==
+    """The superoperator inverses of a stack of channels with ``d_in ==
     d_out``, shared by the reverse kinds of one grid.
 
     The stacked inverse and its residual are computed on first use.
@@ -631,8 +616,8 @@ class _Inverses:
     kinds.
     """
 
-    def __init__(self, channels):
-        self.channels = channels
+    def __init__(self, grid: ChoiStack):
+        self.grid = grid
         self._inverse = None
         self._linked: dict[str, tuple] = {}
         self._singular = None
@@ -640,12 +625,12 @@ class _Inverses:
     def inverse(self):
         """``(sup, inv, norm_inv, r)`` of :func:`_inverse`."""
         if self._inverse is None:
-            self._inverse = _inverse(self.channels)
+            self._inverse = _inverse(self.grid)
         return self._inverse
 
     def linked(self, kind: str):
         """``(idx, m, e)``: ``M = J(A compose N^-1)`` for the anchor ``J(A)``
-        of ``kind`` (rev or revT) and every channel N of the list whose
+        of ``kind`` (rev or revT) and every channel N of the stack whose
         inverse passes the residual rule, with a bound on the error of each
         M.
 
@@ -670,7 +655,7 @@ class _Inverses:
         """
         if kind not in self._linked:
             _, inv, norm_inv, r = self.inverse()
-            d = self.channels[0].d_in
+            d = self.grid.d_in
             n = d * d
             idx = np.flatnonzero(r < 1.0)
             if not idx.size:
@@ -714,7 +699,7 @@ class _Inverses:
         eps ||S||_2``, with ``n = d^2``, so ``beta = 2 sqrt(d) (s + n eps
         ||S||_2)`` with the computed ``s`` and ``||S||_2``.
         """
-        d = self.channels[0].d_in
+        d = self.grid.d_in
         n = d * d
         if self._singular is None:
             sup, _, _, r = self.inverse()
@@ -726,16 +711,16 @@ class _Inverses:
         return {i: _exact(kind, 1.0, float(b), tol, np.eye(n) / n) for i, b in zip(idx, beta)}
 
 
-def _inverse(channels):
-    """The stacked superoperators S of the channels, their inverses X, the
+def _inverse(grid: ChoiStack):
+    """The stacked superoperators S of a stack, their inverses X, the
     norms ``||X||_F`` and the residual bounds ``r`` of
     :meth:`_Inverses.linked`.  The stack is one call of LAPACK's inverse;
     a slice it fails on, an exactly singular map, comes back NaN and fails
     the rule."""
-    d = channels[0].d_in
+    d = grid.d_in
     n = d * d
     eps = np.finfo(float).eps
-    sup = d * _reshuffle(_chois(channels), d)
+    sup = d * _reshuffle(grid.matrices, d)
     with np.errstate(all="ignore"):
         inv = sdpcore._INV(sup)
         norm_inv = np.linalg.norm(inv, axis=(1, 2))
@@ -744,7 +729,7 @@ def _inverse(channels):
     return sup, inv, norm_inv, r
 
 
-def _closed_form(channels, kind: str, tol: float, inverses: _Inverses) -> list[CoefficientResult]:
+def _closed_form(grid: ChoiStack, kind: str, tol: float, inverses: _Inverses) -> list[CoefficientResult]:
     """rev or revT without a solve: a result per channel.
 
     When N is invertible as a map on d x d matrices, the only D with
@@ -773,12 +758,12 @@ def _closed_form(channels, kind: str, tol: float, inverses: _Inverses) -> list[C
     :func:`_exact`): ``4 eps`` alone exceeds a ``tol`` of 1e-16, so at
     that tolerance every rev and revT is a ``numerical_failure``.
     """
-    d = channels[0].d_in
+    d = grid.d_in
     n = d * d
     c = 1.0 / n
     eps = np.finfo(float).eps
     lo = _fixed_target(kind, d)[1]
-    out = [None] * len(channels)
+    out = [None] * len(grid.matrices)
     idx, m, e = inverses.linked(kind)
     low = np.linalg.eigvalsh(m)[:, 0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -792,21 +777,21 @@ def _closed_form(channels, kind: str, tol: float, inverses: _Inverses) -> list[C
     return out
 
 
-def _reverse_fixed_target(channels, kind: str, tol: float, inverses: _Inverses | None):
+def _reverse_fixed_target(grid: ChoiStack, kind: str, tol: float, inverses: _Inverses | None):
     """rev or revT of every channel by :func:`_closed_form`: a declaration
     that yields no problem."""
-    _square_dim(channels)
-    out = _closed_form(channels, kind, tol, inverses or _Inverses(channels))
+    _square_dim(grid)
+    out = _closed_form(grid, kind, tol, inverses or _Inverses(grid))
     yield []
     return out
 
 
-def _rev_grid(channels, tol, inverses=None):
-    return _reverse_fixed_target(channels, KIND_REV, tol, inverses)
+def _rev_grid(grid: ChoiStack, tol, inverses=None):
+    return _reverse_fixed_target(grid, KIND_REV, tol, inverses)
 
 
-def _rev_transpose_grid(channels, tol, inverses=None):
-    return _reverse_fixed_target(channels, KIND_REV_T, tol, inverses)
+def _rev_transpose_grid(grid: ChoiStack, tol, inverses=None):
+    return _reverse_fixed_target(grid, KIND_REV_T, tol, inverses)
 
 
 def _rev_hermitian_inverse(m: np.ndarray, sup: np.ndarray, d: int, tol: float):
@@ -855,7 +840,7 @@ def _rev_hermitian_inverse(m: np.ndarray, sup: np.ndarray, d: int, tol: float):
     return out
 
 
-def _rev_hermitian_grid(channels, tol, inverses=None):
+def _rev_hermitian_grid(grid: ChoiStack, tol, inverses=None):
     """Degrade onto a generalized-depolarizing target with free Hermitian part.
 
     A channel that passes the rule of :meth:`_Inverses.linked` takes the
@@ -878,10 +863,10 @@ def _rev_hermitian_grid(channels, tol, inverses=None):
     bound exceeds ``tol`` keeps its value and reads ``numerical_failure``;
     the others keep the status of their solve.
     """
-    d = _square_dim(channels)
-    inverses = inverses or _Inverses(channels)
+    d = _square_dim(grid)
+    inverses = inverses or _Inverses(grid)
     idx, m, _ = inverses.linked(KIND_REV)
-    picked = np.zeros(len(channels), dtype=bool)
+    picked = np.zeros(len(grid.matrices), dtype=bool)
     picked[idx] = True
     sup = inverses.inverse()[0][idx]
     out = yield from _on_subset(_rev_hermitian_inverse(m, sup, d, tol), picked)
@@ -891,8 +876,8 @@ def _rev_hermitian_grid(channels, tol, inverses=None):
 
 
 def _single(declare, channel: QuantumChannel, tol: float) -> CoefficientResult:
-    """One kind on one channel: a declaration of one problem."""
-    [[res]] = _solve([declare([channel], tol)], tol)
+    """One kind on one channel: a declaration on its stack of one."""
+    [[res]] = _solve([declare(choi_stack([channel]), tol)], tol)
     return res
 
 
@@ -1052,40 +1037,59 @@ _REVERSE_KINDS = (KIND_REV, KIND_REV_T, KIND_REV_H)
 _DP_KINDS = (KIND_REV_H, KIND_REV, KIND_REV_T, KIND_ALPHA_H, KIND_ALPHA_T)
 
 
-def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, list]:
-    """Several kinds on every channel of a grid, in one solve.
+def _groups(grid) -> tuple[list[tuple[ChoiStack, list[int]]], int]:
+    """The points of a grid as one Choi stack per pair of dimensions, in
+    order of first appearance, each with the positions of its points, and
+    the number of points.  ``grid`` is a :class:`~qdoeblin.channel.ChoiStack`
+    or a list of channels and stacks, whose points are taken in order."""
+    items = [grid] if isinstance(grid, ChoiStack) else grid
+    parts: dict[tuple[int, int], tuple[list, list]] = {}
+    count = 0
+    for item in items:
+        mats = item.matrices if isinstance(item, ChoiStack) else item.choi.matrix[None]
+        stacked, positions = parts.setdefault((item.d_in, item.d_out), ([], []))
+        stacked.append(mats)
+        positions.extend(range(count, count + len(mats)))
+        count += len(mats)
+    groups = [
+        (ChoiStack(mats[0] if len(mats) == 1 else np.concatenate(mats), *dims), positions)
+        for dims, (mats, positions) in parts.items()
+    ]
+    return groups, count
 
-    ``kinds`` holds ``KIND_*`` constants; ``KIND_DP`` gives the
-    :class:`DpRange` of :func:`dp_range`, every other kind a
-    :class:`CoefficientResult`.  ``KIND_DP`` stands for its five kinds, so
-    a range shares each of them with any other kind asked for, and each
-    kind is solved once however often it is asked for.  Channels of equal
-    dimensions share one declaration per kind, lowered once, and the
-    programs of every kind and dimension go to one
-    :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
-    lowering (``alpha`` and ``alphaT``) run as one batch.  The
-    reverse kinds of a dimension group share one stacked
-    inverse of the superoperators, and rev and revH one ``link_raw`` call
-    (see :class:`_Inverses`).  Returns the results of each kind in input
-    order, each equal to the single-channel call: same status, same
-    iteration count, bitwise the same value.
+
+def solve_grids(kinds, grid, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, list]:
+    """Several kinds on every point of a grid, in one solve.
+
+    ``grid`` is a :class:`~qdoeblin.channel.ChoiStack`, or a list of
+    channels and stacks whose points are taken in order; the points of
+    equal dimensions are stacked once on entry.  ``kinds`` holds
+    ``KIND_*`` constants; ``KIND_DP`` gives the :class:`DpRange` of
+    :func:`dp_range`, every other kind a :class:`CoefficientResult`.
+    ``KIND_DP`` stands for its five kinds, so a range shares each of them
+    with any other kind asked for, and each kind is solved once however
+    often it is asked for.  The points of one stack share one declaration
+    per kind, lowered once, and the programs of every kind and dimension go
+    to one :func:`qdoeblin.sdpcore.solve_many` call, where programs of one
+    lowering (``alpha`` and ``alphaT``) run as one batch.  The reverse
+    kinds of a stack share one stacked inverse of the superoperators, and
+    rev and revH one ``link_raw`` call (see :class:`_Inverses`).  Returns
+    the results of each kind in point order, each equal to the
+    single-channel call: same status, same iteration count, bitwise the
+    same value.
     """
-    channels = list(channels)
+    groups, count = _groups(grid)
     base = dict.fromkeys(k for kind in kinds for k in (_DP_KINDS if kind == KIND_DP else (kind,)))
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, channel in enumerate(channels):
-        groups.setdefault((channel.d_in, channel.d_out), []).append(i)
     plan, declarations = [], []
-    for members in groups.values():
-        group = [channels[i] for i in members]
-        # The reverse kinds of a group share its inverses.
-        inverses = _Inverses(group)
+    for stack, members in groups:
+        # The reverse kinds of a stack share its inverses.
+        inverses = _Inverses(stack)
         for kind in base:
             shared = (inverses,) if kind in _REVERSE_KINDS else ()
             plan.append((kind, members))
-            declarations.append(_DECLARATIONS[kind](group, tol, *shared))
+            declarations.append(_DECLARATIONS[kind](stack, tol, *shared))
     solved = _solve(declarations, tol)
-    out: dict[str, list] = {kind: [None] * len(channels) for kind in base}
+    out: dict[str, list] = {kind: [None] * count for kind in base}
     for (kind, members), results in zip(plan, solved):
         for i, res in zip(members, results):
             out[kind][i] = res
@@ -1096,9 +1100,9 @@ def solve_grids(kinds, channels, tol: float = sdpcore.DEFAULT_TOL) -> dict[str, 
     return {kind: out[kind] for kind in kinds}
 
 
-def solve_grid(kind: str, channels, tol: float = sdpcore.DEFAULT_TOL) -> list:
-    """One kind on every channel of a grid: :func:`solve_grids` of one kind."""
-    return solve_grids([kind], channels, tol)[kind]
+def solve_grid(kind: str, grid, tol: float = sdpcore.DEFAULT_TOL) -> list:
+    """One kind on every point of a grid: :func:`solve_grids` of one kind."""
+    return solve_grids([kind], grid, tol)[kind]
 
 
 def capacity_bounds(

@@ -33,16 +33,23 @@ def _as_square(m: np.ndarray, name: str = "matrix", ndim: int = 2) -> np.ndarray
 
 
 def _hermitian_part(m: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """(m + m^dag)/2 of one matrix or a stack, after one check over all of it."""
+    """(m + m^dag)/2 of one matrix or a stack, after one check over all of it.
+
+    Non-finite entries are rejected first: a NaN deviation would pass a
+    ``dev > tol`` test, and an eigensolver then fails to converge on it.
+    """
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} has non-finite entries")
     m_dag = np.swapaxes(m.conj(), -1, -2)
     dev = np.max(np.abs(m - m_dag)) if m.size else 0.0
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"{name} is not Hermitian: max deviation {dev:.3e} exceeds {tol:.1e}")
     return 0.5 * (m + m_dag)
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate that ``m`` is Hermitian within ``tol`` and return (m + m^dag)/2.
+    """Validate that ``m`` is finite and Hermitian within ``tol`` and return
+    (m + m^dag)/2.
 
     The symmetrised copy is returned so downstream eigensolvers see an
     exactly Hermitian operator even when ``m`` carries roundoff dust.  A

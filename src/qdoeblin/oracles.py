@@ -15,35 +15,46 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import QuantumChannel
+from .channel import ChoiStack, QuantumChannel, choi_stack
 # Bound here for bench/selftest.py, which patches and restores ``oracles.gad``.
 from .channel import gad  # noqa: F401
 
-_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULIS = (_PAULI_X, _PAULI_Y, _PAULI_Z)
+# sigma_x, sigma_y, sigma_z.
+_PAULIS = np.array(
+    [[[0.0, 1.0], [1.0, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]]
+)
 
 
-def _require_qubit(channel: QuantumChannel) -> None:
-    if channel.d_in != 2 or channel.d_out != 2:
+def _require_qubit(grid: ChoiStack) -> None:
+    if grid.d_in != 2 or grid.d_out != 2:
         raise ValueError(
-            f"needs a qubit channel, got ({channel.d_in}, {channel.d_out})"
+            f"needs a qubit channel, got ({grid.d_in}, {grid.d_out})"
         )
 
 
-def _bloch_singular_values(channel: QuantumChannel) -> np.ndarray:
-    """Singular values, largest first, of the channel's real 3x3 Bloch matrix.
+def _bloch_singular_values(grid: ChoiStack) -> np.ndarray:
+    """Singular values, largest first, of the real 3x3 Bloch matrix of each
+    channel of a qubit Choi stack, one row per channel.
 
-    Column k holds the image of the Pauli sigma_k.  That image is traceless
-    Hermitian, [[m, c], [conj(c), -m]], and is stored as (m, Re c, Im c),
-    whose norm is half its trace norm.  The map is linear, so u . sigma goes
-    to M u: its image has trace norm 2|M u| against the input's 2|u|.
+    Column k holds the image of the Pauli sigma_k, read off the Choi matrix
+    as ``N(X)_ab = 2 sum_ij J[(a, i), (b, j)] X_ij``.  That image is
+    traceless Hermitian, [[m, c], [conj(c), -m]], and is stored as (m, Re c,
+    Im c), whose norm is half its trace norm.  The map is linear, so u .
+    sigma goes to M u: its image has trace norm 2|M u| against the input's
+    2|u|.
     """
-    _require_qubit(channel)
-    images = [channel(p) for p in _PAULIS]
-    m = np.array([[im[0, 0].real, im[0, 1].real, im[0, 1].imag] for im in images]).T
+    _require_qubit(grid)
+    j = grid.matrices.reshape(-1, 2, 2, 2, 2)
+    images = 2.0 * np.einsum("paibj,kij->pkab", j, _PAULIS)
+    m = np.stack(
+        [images[:, :, 0, 0].real, images[:, :, 0, 1].real, images[:, :, 0, 1].imag], axis=1
+    )
     return np.linalg.svd(m, compute_uv=False)
+
+
+def eta_tr_qubits(grid: ChoiStack) -> np.ndarray:
+    """:func:`eta_tr_qubit` of every channel of a qubit Choi stack."""
+    return _bloch_singular_values(grid)[:, 0]
 
 
 def eta_tr_qubit(channel: QuantumChannel) -> float:
@@ -55,7 +66,7 @@ def eta_tr_qubit(channel: QuantumChannel) -> float:
     matrix M (Ruskai, Szarek & Werner, "An analysis of completely-positive
     trace-preserving maps on M_2", Linear Algebra Appl. 2002).
     """
-    return float(_bloch_singular_values(channel)[0])
+    return float(eta_tr_qubits(choi_stack([channel]))[0])
 
 
 def eta_tr_expansion_qubit(channel: QuantumChannel) -> float:
@@ -65,7 +76,7 @@ def eta_tr_expansion_qubit(channel: QuantumChannel) -> float:
     states: the smallest singular value of the Bloch matrix M, by the same
     reduction as :func:`eta_tr_qubit`.
     """
-    return float(_bloch_singular_values(channel)[-1])
+    return float(_bloch_singular_values(choi_stack([channel]))[0, -1])
 
 
 @dataclass

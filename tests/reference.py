@@ -86,7 +86,7 @@ def link_program(channels: list[ch.QuantumChannel], kind: str):
     a declaration for ``doeblin._solve``: :func:`_fixed_target_program`
     for rev and revT, :func:`_rev_hermitian_link` for revH, one
     declaration per channel."""
-    _square_dim(channels)
+    _square_dim(ch.choi_stack(channels))
     program = _rev_hermitian_link if kind == KIND_REV_H else _fixed_target_program
     solved = yield from _together(program(channel, kind) for channel in channels)
     return [res for [res] in solved]

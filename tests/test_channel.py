@@ -320,3 +320,136 @@ def test_channel_file_kraus_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.choi.matrix, qc.choi.matrix, atol=1e-10)
     with pytest.raises(ValueError, match="does not match"):
         ch.channel_from_dict({"d_in": 2, "d_out": 2, "kraus": [[[1.0, 0.0]]]})
+
+
+_EDGE = 1e-12
+
+
+def _edges(lo: float, hi: float, n: int = 21) -> list[float]:
+    """n points over [lo, hi], the ends, and values within 1e-12 of the
+    ends, outside (clamped) and inside."""
+    return [float(v) for v in np.linspace(lo, hi, n)] + [
+        lo - 0.5 * _EDGE, hi + 0.5 * _EDGE, lo + 0.3 * _EDGE, hi - 0.3 * _EDGE,
+    ]
+
+
+def _stack_cases():
+    """(family, points) per stack: every point of one dimension."""
+    cases = []
+    for d in (2, 3, 4):
+        hi = d * d / (d * d - 1.0)
+        cases += [
+            ("identity", [{"d": d}] * 3),
+            ("depolarizing", [{"p": p, "d": d} for p in _edges(0.0, hi)]),
+            ("transpose_depolarizing",
+             [{"q": q, "d": d} for q in _edges(d / (d + 1.0), d / (d - 1.0))]),
+            ("werner_holevo", [{"d": d}] * 2),
+            ("erasure", [{"eps": e, "d": d} for e in _edges(0.0, 1.0)]),
+        ]
+    cases += [
+        ("gad", [{"p": p, "eta": e} for p in _edges(0.0, 1.0, 6) for e in _edges(0.0, 1.0, 6)]),
+        ("bitflip", [{"p": p} for p in _edges(0.0, 1.0)]),
+        ("dephasing", [{"b": b} for b in _edges(0.0, 1.0)]),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "family, points", _stack_cases(),
+    ids=lambda v: v if isinstance(v, str) else f"d{v[0].get('d', 2)}-{len(v)}",
+)
+def test_stacked_constructor_equals_its_scalar_calls_bitwise(family, points):
+    stack = ch.STACKS[family](**{key: [p[key] for p in points] for key in points[0]})
+    chans = [ch.FAMILIES[family](**p) for p in points]
+    assert (stack.d_in, stack.d_out) == (chans[0].d_in, chans[0].d_out)
+    want = np.stack([c.choi.matrix for c in chans])
+    assert stack.matrices.shape == want.shape
+    assert stack.matrices.tobytes() == want.tobytes()
+
+
+def _reference_choi(kraus, d_in: int) -> np.ndarray:
+    """The Choi matrix as the Kraus loop defines it: outer products added
+    in Kraus order, divided by d_in, then symmetrised."""
+    j = np.zeros((kraus[0].size, kraus[0].size), dtype=complex)
+    for a in kraus:
+        v = np.asarray(a, dtype=complex).reshape(-1)
+        j += np.outer(v, v.conj())
+    j = j / d_in
+    return 0.5 * (j + j.conj().T)
+
+
+def test_family_chois_keep_their_operation_order():
+    # (p * 1) / d^2 and p * (1 / d^2) differ in the last bit at many points,
+    # so the stacks must keep the scalar formulas' order.
+    for d in (2, 3, 4):
+        ps = np.linspace(0.0, d * d / (d * d - 1.0), 101)
+        want = []
+        for p in ps:
+            j = (1.0 - p) * ch.max_entangled(d) + p * np.eye(d * d) / (d * d)
+            want.append(0.5 * (j + j.conj().T))
+        assert ch.depolarizing_stack(ps, d).matrices.tobytes() == np.stack(want).tobytes()
+    grid = [(p, e) for p in np.linspace(0.0, 1.0, 11) for e in np.linspace(0.0, 1.0, 11)]
+    stack = ch.gad_stack([p for p, _ in grid], [e for _, e in grid])
+    for m, (p, e) in zip(stack.matrices, grid):
+        sp, sq, se, sl = np.sqrt(p), np.sqrt(1.0 - p), np.sqrt(e), np.sqrt(1.0 - e)
+        kraus = [
+            sp * np.array([[1.0, 0.0], [0.0, se]]), sp * np.array([[0.0, sl], [0.0, 0.0]]),
+            sq * np.array([[se, 0.0], [0.0, 1.0]]), sq * np.array([[0.0, 0.0], [sl, 0.0]]),
+        ]
+        assert m.tobytes() == _reference_choi(kraus, 2).tobytes()
+    qc = ch.random_channel(3, 2, seed=11)
+    assert qc.choi.matrix.tobytes() == _reference_choi(qc.kraus, 3).tobytes()
+
+
+def _message(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as err:
+        call(*args, **kwargs)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("family, columns, first", [
+    ("gad", {"p": [0.5, 0.3, 1.5], "eta": [0.2, 1.5, 0.2]}, 1),
+    ("gad", {"p": [0.5, 1.25, 1.5], "eta": [0.2, 0.2, 0.2]}, 1),
+    ("depolarizing", {"p": [0.1, 1.0, 1.2, 1.3], "d": [3] * 4}, 2),
+    ("depolarizing", {"p": [0.1, 0.2], "d": [1, 1]}, 0),
+    ("transpose_depolarizing", {"q": [1.0, 0.5], "d": [2, 2]}, 1),
+    ("erasure", {"eps": [1.5, 0.2], "d": [0, 0]}, 0),
+    ("erasure", {"eps": [0.5, 0.2], "d": [0, 0]}, 0),
+    ("erasure", {"eps": [0.5, np.nan], "d": [2, 2]}, 1),
+    ("bitflip", {"p": [0.0, -0.1]}, 1),
+    ("dephasing", {"b": [2.0]}, 0),
+    ("werner_holevo", {"d": [1]}, 0),
+    ("identity", {"d": [0]}, 0),
+])
+def test_stack_raises_the_error_of_its_first_invalid_point(family, columns, first):
+    point = {key: values[first] for key, values in columns.items()}
+    assert _message(ch.STACKS[family], **columns) == _message(ch.FAMILIES[family], **point)
+
+
+def test_werner_holevo_needs_two_dimensions():
+    assert _message(ch.werner_holevo, 1) == "d must be at least 2"
+
+
+def test_stack_has_one_dimension():
+    with pytest.raises(ValueError, match="one dimension"):
+        ch.depolarizing_stack([0.1, 0.2], [2, 3])
+
+
+def test_choi_stack_raises_the_error_of_its_first_invalid_matrix():
+    good = ch.depolarizing(0.3).choi.matrix
+    not_psd = ch.max_entangled(2) + 0.1 * np.diag([1.0, -1.0, -1.0, 1.0])
+    bad_trace = np.eye(4) / 2.0
+    stack = np.stack([good, not_psd, bad_trace])
+    for order, want in (([0, 1, 2], not_psd), ([0, 2, 1], bad_trace)):
+        assert _message(ch._valid_chois, stack[order], 2, 2) == _message(ch.ChoiMatrix, want, 2, 2)
+
+
+def test_non_finite_choi_data_is_a_value_error():
+    with pytest.raises(ValueError, match="non-finite"):
+        ch.ChoiMatrix(np.full((4, 4), np.nan), 2, 2)
+    m = ch.depolarizing(0.3).choi.matrix.copy()
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ch.ChoiMatrix(m, 2, 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        ch._valid_chois(np.stack([ch.depolarizing(0.3).choi.matrix, m]), 2, 2)

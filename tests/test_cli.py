@@ -1,6 +1,5 @@
 """CLI behaviour: exit codes, CSV dialect, figures, check suites."""
 
-import functools
 import importlib
 import itertools
 import json
@@ -222,21 +221,21 @@ def test_sweep_deterministic_and_parallel_order(tmp_path):
 
 
 def test_sweep_builds_each_channel_once(tmp_path, monkeypatch):
+    # The chunk of a sweep is one stacked build of all its points.
     calls = []
-    family = ch.FAMILIES["depolarizing"]
+    build = ch.STACKS["depolarizing"]
 
-    @functools.wraps(family)
     def counting(**params):
         calls.append(params)
-        return family(**params)
+        return build(**params)
 
-    monkeypatch.setitem(ch.FAMILIES, "depolarizing", counting)
+    monkeypatch.setitem(ch.STACKS, "depolarizing", counting)
     code = run("sweep", "--channel", "depolarizing", "--sweep", "p",
                "--start", "0", "--stop", "1", "--step", "0.25",
                "--kind", "alpha", "--kind", "alphaT", "--jobs", "1",
                "--out", str(tmp_path / "sw.csv"))
     assert code == 0
-    assert [c["p"] for c in calls] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [c["p"] for c in calls] == [[0.0, 0.25, 0.5, 0.75, 1.0]]
 
 
 def test_repeated_kind_writes_every_column(tmp_path, capsys):
@@ -340,6 +339,54 @@ def test_sweep_over_d_sweeps_integers(tmp_path, capsys):
                    "--out", str(bad)) == 1
     assert not bad.exists()
     capsys.readouterr()
+
+
+def test_sweep_names_its_first_invalid_point(tmp_path, capsys):
+    # 1.25 and 1.5 are out of range; the error names the first of them.
+    code = run("sweep", "--channel", "gad", "--eta", "0.5", "--sweep", "p",
+               "--start", "0.5", "--stop", "1.5", "--step", "0.25", "--kind", "alpha",
+               "--jobs", "1", "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: cannot build channel 'gad': p must lie in [0, 1], got 1.25\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_over_d_is_one_chunk_of_one_stack_per_dimension(tmp_path, monkeypatch, capsys):
+    chunks, builds = [], []
+    chunk_cells, build = cli._chunk_cells, ch.STACKS["depolarizing"]
+    monkeypatch.setattr(cli, "_chunk_cells", lambda tasks: chunks.append(tasks) or chunk_cells(tasks))
+    monkeypatch.setitem(ch.STACKS, "depolarizing", lambda **c: builds.append(c) or build(**c))
+    out = tmp_path / "d.csv"
+    assert run("sweep", "--channel", "depolarizing", "--sweep", "d", "--p", "0.3",
+               "--start", "2", "--stop", "3", "--step", "1", "--kind", "alpha",
+               "--kind", "revH", "--jobs", "1", "--out", str(out)) == 0
+    assert [len(c) for c in chunks] == [2]
+    assert builds == [{"p": [0.3], "d": [2]}, {"p": [0.3], "d": [3]}]
+    _, rows = read_csv(out)
+    for row, d in zip(rows, (2, 3), strict=True):
+        chan = ch.depolarizing(0.3, d)
+        assert row["alpha"] == cli._num(db.alpha(chan).value)
+        assert row["revH"] == cli._num(db.reverse_alpha_hermitian(chan).value)
+
+
+def test_figures_build_no_channel_objects(tmp_path, monkeypatch, capsys):
+    # Every grid point is a slice of a Choi stack: fig2 and fig8 (152
+    # points) construct no QuantumChannel.
+    built = []
+    init = ch.QuantumChannel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ch.QuantumChannel, "__init__", counting)
+    assert run("figures", "--which", "fig2", "--which", "fig8", "--jobs", "1",
+               "--outdir", str(tmp_path)) == 0
+    assert built == []
+    ch.gad(0.3, 0.6)
+    assert built == [1]
 
 
 def test_figures_fig2(tmp_path, capsys):

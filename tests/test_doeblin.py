@@ -733,6 +733,27 @@ def _same_result(got, want):
         assert np.array_equal(got.witness, want.witness)
 
 
+def test_grids_of_stacks_equal_grids_of_channels():
+    # A grid given as Choi stacks, or as a list mixing stacks and
+    # channels, gets bitwise the results of its channels.
+    kinds = [*SINGLE, db.KIND_DP]
+    ps = [0.0, 0.5, 1.0]
+    gads = ch.gad_stack([p for p in ps for _ in ps], [e for _ in ps for e in ps])
+    deps = ch.depolarizing_stack([0.0, 0.6, 1.1], 3)
+    chans = [ch.gad(p, e) for p in ps for e in ps] + [ch.depolarizing(p, 3) for p in (0.0, 0.6, 1.1)]
+    want = db.solve_grids(kinds, chans)
+    for grid in ([gads, deps], [gads, *chans[len(ps) ** 2 :]]):
+        got = db.solve_grids(kinds, grid)
+        for kind in SINGLE:
+            for g, w in zip(got[kind], want[kind], strict=True):
+                _same_result(g, w)
+        assert got[db.KIND_DP] == want[db.KIND_DP]
+    got = db.solve_grids(kinds, gads)
+    for kind in SINGLE:
+        for g, w in zip(got[kind], want[kind][: len(ps) ** 2], strict=True):
+            _same_result(g, w)
+
+
 def test_kinds_in_one_call_equal_their_own_grids(monkeypatch):
     # Singular qutrit channels: the pinching P onto span(|0>, |1>) and |2>,
     # depolarized after it on both sides of the PPT boundary q = 3/4
@@ -971,7 +992,7 @@ def test_rev_hermitian_check_reports_what_it_cannot_bound():
     # The check reads the witness against the channel's superoperator:
     # against one that is off by 1e-6, the same optimal solve keeps its
     # value and its solution and reads numerical_failure.
-    inverses = db._Inverses([chan])
+    inverses = db._Inverses(ch.choi_stack([chan]))
     _, m, _ = inverses.linked(db.KIND_REV)
     sup = inverses.inverse()[0]
     [[good], [bad]] = db._solve(

@@ -116,6 +116,18 @@ def test_eig_rejects_bad_input():
         hermlin.eig_hermitian(np.zeros((2, 3)))
 
 
+def test_non_finite_input_is_rejected():
+    # A NaN deviation passed "dev > tol", and eigh then failed to converge
+    # or returned NaN eigenvalues.
+    for bad in (np.diag([np.inf, 1.0]), np.array([[1.0, np.nan], [np.nan, 1.0]])):
+        with pytest.raises(ValueError, match="non-finite"):
+            hermlin.require_hermitian(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            hermlin.eig_hermitian(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            hermlin.require_hermitian(np.stack([np.eye(2), bad]))
+
+
 def test_require_hermitian_threshold():
     m = np.eye(2, dtype=complex)
     m[0, 1] = 2e-11

@@ -1311,7 +1311,7 @@ def test_best_iterates_of_a_batch_stand_in_per_problem():
     from qdoeblin import doeblin as db
 
     channels = [ch.gad(0.3, 0.6), ch.gad(0.2, 0.9), ch.gad(0.7, 0.3)]
-    problems = next(db._alpha_hermitian_grid(channels, 1e-16))
+    problems = next(db._alpha_hermitian_grid(ch.choi_stack(channels), 1e-16))
     assert _batch_lists(problems) == [[0, 1, 2]]
     solo = [sdpcore.solve(prob, 1e-16) for prob in problems]
     assert [sol.iterations for sol in solo] == [13, 11, 14]
