@@ -11,9 +11,9 @@ Conventions used throughout the package:
 
 A grid of channels is a :class:`ChoiStack`: the ``(P, n, n)`` stack of
 their Choi matrices with the shared dimensions, checked as one stack.
-Each family built from scalar parameters (the entries of :data:`STACKS`)
-has a stacked constructor that takes equal-length parameter arrays, and
-its scalar constructor is the stack of one plus the family's Kraus set, so
+Each family built from scalar parameters has a stacked constructor,
+``{family}_stack``, that takes equal-length parameter arrays, and its
+scalar constructor is the stack of one plus the family's Kraus set, so
 each family has one Choi code path and each point of a stack is bitwise
 the Choi matrix of its scalar call.
 """
@@ -104,8 +104,8 @@ class ChoiStack(NamedTuple):
     """The normalised Choi matrices of channels of equal dimensions.
 
     ``matrices`` is a ``(P, n, n)`` stack, each matrix one a
-    :class:`ChoiMatrix` accepts, as the stacked constructors of
-    :data:`STACKS` and :func:`choi_stack` build it.  ``kraus`` is the
+    :class:`ChoiMatrix` accepts, as the stacked constructors
+    ``{family}_stack`` and :func:`choi_stack` build it.  ``kraus`` is the
     ``(P, K, d_out, d_in)`` stack of Kraus sets the matrices were built
     from, zero operators included, or None.
     """
@@ -172,7 +172,9 @@ def choi_from_kraus(
 
 def kraus_from_choi(choi: ChoiMatrix) -> tuple[np.ndarray, ...]:
     """Minimal Kraus set of a channel recovered from its Choi matrix."""
-    # A ChoiMatrix holds an exactly Hermitian matrix, checked on entry.
+    # A ChoiMatrix holds a finite, exactly Hermitian matrix, checked on
+    # entry, so only eig_hermitian's side limit is left to check.
+    hermlin.require_eig_side(choi.matrix.shape[0])
     w, v = np.linalg.eigh(choi.matrix)
     keep = w > KRAUS_EIG_CUTOFF
     if not keep.any():
@@ -426,6 +428,7 @@ def depolarizing_stack(p, d=2) -> ChoiStack:
     if d < 2:
         raise ValueError("d must be at least 2")
     [p] = _intervals(("p", p, 0.0, d * d / (d * d - 1.0)))
+    hermlin.require_eig_side(d * d)
     phi, _, eye = _constants(d)
     p = p[:, None, None]
     j = (1.0 - p) * phi + p * eye / (d * d)
@@ -448,6 +451,7 @@ def transpose_depolarizing_stack(q, d=2) -> ChoiStack:
     if d < 2:
         raise ValueError("d must be at least 2")
     [q] = _intervals(("q", q, d / (d + 1.0), d / (d - 1.0)))
+    hermlin.require_eig_side(d * d)
     _, swap, eye = _constants(d)
     q = q[:, None, None]
     j = (1.0 - q) * swap / d + q * eye / (d * d)
@@ -660,18 +664,6 @@ FAMILIES = {
     "replacer": replacer,
     "classical_embed": classical_embed,
     "random": random_channel,
-}
-
-# The stacked constructor of each family built from scalar parameters.
-STACKS = {
-    "identity": identity_stack,
-    "depolarizing": depolarizing_stack,
-    "transpose_depolarizing": transpose_depolarizing_stack,
-    "werner_holevo": werner_holevo_stack,
-    "gad": gad_stack,
-    "erasure": erasure_stack,
-    "bitflip": bitflip_stack,
-    "dephasing": dephasing_stack,
 }
 
 

@@ -12,8 +12,8 @@ grid writer, :func:`_write_grid`.  Each command plans all of its grids
 before it solves: one task per distinct ``(family, params, tol)`` point,
 carrying every kind any grid asks of it, so a point shared by several
 figures is built and solved once.  A chunk's points are built as Choi
-stacks (``ch.STACKS``), one per dimension, with no channel object per
-point.  The tasks are solved in one call of
+stacks (``ch.{family}_stack``), one per dimension, with no channel object
+per point.  The tasks are solved in one call of
 :func:`_run_tasks`: each run of equal ``(family, kinds, tol)`` is cut into
 chunks of at most :data:`GRID_CHUNK` points, cut finer only when that
 would leave ``--jobs`` workers idle, and every kind of a chunk is solved
@@ -137,13 +137,13 @@ def _build_stack(name: str, points: list[dict]) -> ch.ChoiStack:
     """The Choi stack of points of family ``name`` that share their
     parameter names and dimension.
 
-    A family of ``ch.STACKS`` builds it in one call, which raises the error
-    of the first invalid point as its own call would.  Points of any other
-    family, or that lack a parameter, are built as channels one by one, so
-    the family's own call raises.
+    A family with a stacked constructor ``ch.{name}_stack`` builds it in
+    one call, which raises the error of the first invalid point as its own
+    call would.  Points of any other family, or that lack a parameter, are
+    built as channels one by one, so the family's own call raises.
     """
     ctor = _family(name, points[0])
-    build = ch.STACKS.get(name)
+    build = getattr(ch, f"{name}_stack", None)
     if build is None or _parameters(ctor)[1] - points[0].keys():
         return ch.choi_stack([_build_channel(name, p) for p in points])
     try:

@@ -59,6 +59,12 @@ def require_hermitian(m: np.ndarray, tol: float = HERM_TOL, name: str = "matrix"
     return _hermitian_part(_as_square(m, name, ndim=3 if m.ndim == 3 else 2), tol, name)
 
 
+def require_eig_side(side: int) -> None:
+    """Reject a side above ``MAX_DIM`` with the error of :func:`eig_hermitian`."""
+    if side > MAX_DIM:
+        raise ValueError(f"eig_hermitian supports side <= {MAX_DIM}, got {side}")
+
+
 def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -67,8 +73,7 @@ def eig_hermitian(h: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.
     input.  Rejects non-Hermitian input and matrices larger than ``MAX_DIM``.
     """
     h = require_hermitian(h, tol=tol, name="eig_hermitian input")
-    if h.shape[0] > MAX_DIM:
-        raise ValueError(f"eig_hermitian supports side <= {MAX_DIM}, got {h.shape[0]}")
+    require_eig_side(h.shape[0])
     w, v = np.linalg.eigh(h)
     return w, v
 

@@ -359,7 +359,7 @@ def _stack_cases():
     ids=lambda v: v if isinstance(v, str) else f"d{v[0].get('d', 2)}-{len(v)}",
 )
 def test_stacked_constructor_equals_its_scalar_calls_bitwise(family, points):
-    stack = ch.STACKS[family](**{key: [p[key] for p in points] for key in points[0]})
+    stack = getattr(ch, f"{family}_stack")(**{key: [p[key] for p in points] for key in points[0]})
     chans = [ch.FAMILIES[family](**p) for p in points]
     assert (stack.d_in, stack.d_out) == (chans[0].d_in, chans[0].d_out)
     want = np.stack([c.choi.matrix for c in chans])
@@ -420,10 +420,27 @@ def _message(call, *args, **kwargs) -> str:
     ("dephasing", {"b": [2.0]}, 0),
     ("werner_holevo", {"d": [1]}, 0),
     ("identity", {"d": [0]}, 0),
+    ("depolarizing", {"p": [0.5, 2.0], "d": [9, 9]}, 1),
+    ("depolarizing", {"p": [0.5, 0.6], "d": [9, 9]}, 0),
+    ("transpose_depolarizing", {"q": [0.95], "d": [9]}, 0),
+    ("werner_holevo", {"d": [9]}, 0),
 ])
 def test_stack_raises_the_error_of_its_first_invalid_point(family, columns, first):
     point = {key: values[first] for key, values in columns.items()}
-    assert _message(ch.STACKS[family], **columns) == _message(ch.FAMILIES[family], **point)
+    assert _message(getattr(ch, f"{family}_stack"), **columns) == _message(ch.FAMILIES[family], **point)
+
+
+@pytest.mark.parametrize("call, args", [
+    (ch.depolarizing, (0.5, 9)),
+    (ch.transpose_depolarizing, (0.95, 9)),
+    (ch.werner_holevo, (9,)),
+    (ch.generalized_depolarizing, (0.5, np.eye(9) / 9)),
+])
+def test_choi_built_families_keep_the_eigensolver_side_limit(call, args):
+    # Their Kraus sets are read off a Choi matrix of side d^2 by
+    # eig_hermitian, which takes side <= 64, so d = 9 is refused; the
+    # stacked constructors refuse it before building a matrix of side 81.
+    assert _message(call, *args) == "eig_hermitian supports side <= 64, got 81"
 
 
 def test_werner_holevo_needs_two_dimensions():

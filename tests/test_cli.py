@@ -223,13 +223,13 @@ def test_sweep_deterministic_and_parallel_order(tmp_path):
 def test_sweep_builds_each_channel_once(tmp_path, monkeypatch):
     # The chunk of a sweep is one stacked build of all its points.
     calls = []
-    build = ch.STACKS["depolarizing"]
+    build = ch.depolarizing_stack
 
     def counting(**params):
         calls.append(params)
         return build(**params)
 
-    monkeypatch.setitem(ch.STACKS, "depolarizing", counting)
+    monkeypatch.setattr(ch, "depolarizing_stack", counting)
     code = run("sweep", "--channel", "depolarizing", "--sweep", "p",
                "--start", "0", "--stop", "1", "--step", "0.25",
                "--kind", "alpha", "--kind", "alphaT", "--jobs", "1",
@@ -353,11 +353,33 @@ def test_sweep_names_its_first_invalid_point(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeff", "--channel", "depolarizing", "--d", "9", "--p", "0.5", "--kind", "p1"),
+    ("coeff", "--channel", "transpose_depolarizing", "--d", "9", "--q", "0.95", "--kind", "rev"),
+    ("coeff", "--channel", "werner_holevo", "--d", "9", "--kind", "alpha"),
+    ("sweep", "--channel", "depolarizing", "--p", "0.5", "--sweep", "d", "--start", "2",
+     "--stop", "12", "--step", "1", "--kind", "alpha", "--jobs", "1"),
+    ("sweep", "--channel", "werner_holevo", "--sweep", "d", "--start", "7",
+     "--stop", "10", "--step", "1", "--kind", "alpha", "--jobs", "1"),
+])
+def test_choi_side_above_the_eigensolver_limit_is_a_usage_error(tmp_path, capsys, argv):
+    # d = 9 gives a Choi matrix of side 81, above the eigensolver's 64: the
+    # command stops before any solve, also when a sweep over d reaches 9.
+    out = tmp_path / "x.csv"
+    assert run(*argv, *(("--out", str(out)) if argv[0] == "sweep" else ())) == 1
+    family = argv[2]
+    assert capsys.readouterr().err == (
+        f"error: cannot build channel {family!r}: eig_hermitian supports side <= 64, got 81\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_over_d_is_one_chunk_of_one_stack_per_dimension(tmp_path, monkeypatch, capsys):
     chunks, builds = [], []
-    chunk_cells, build = cli._chunk_cells, ch.STACKS["depolarizing"]
+    chunk_cells, build = cli._chunk_cells, ch.depolarizing_stack
     monkeypatch.setattr(cli, "_chunk_cells", lambda tasks: chunks.append(tasks) or chunk_cells(tasks))
-    monkeypatch.setitem(ch.STACKS, "depolarizing", lambda **c: builds.append(c) or build(**c))
+    monkeypatch.setattr(ch, "depolarizing_stack",
+                        lambda *a, **c: builds.append(c) or build(*a, **c))
     out = tmp_path / "d.csv"
     assert run("sweep", "--channel", "depolarizing", "--sweep", "d", "--p", "0.3",
                "--start", "2", "--stop", "3", "--step", "1", "--kind", "alpha",
